@@ -11,9 +11,9 @@ orbit gluing with mistake budgets), plus config/reporting/cli plumbing.
 from .systems import (
     BlockSchedule, BudgetExhausted, CircleMult, CircleRotation,
     CircleRotationFlow, Coordinate, DisjointUnion, ExplicitWord, FullShift,
-    MarkovShift, Point, RoofFunction, SeededIID, Suspension, TimeTMap,
-    TorusTranslation, distance, iterate, metric_for, random_point, step,
-    time_t_map,
+    MarkovShift, Point, RoofFunction, SeededIID, SteeredBlocks, Suspension,
+    TimeTMap, TorusTranslation, distance, iterate, metric_for, random_point,
+    step, time_t_map,
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,

@@ -20,8 +20,8 @@ import numpy as np
 
 from .systems import (
     BlockSchedule, BudgetExhausted, CircleRotationFlow, Coordinate,
-    DisjointUnion, ExplicitWord, FullShift, Point, SeededIID, Suspension,
-    TimeTMap, TorusTranslation, alphabet_of, random_point,
+    DisjointUnion, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
+    Suspension, TimeTMap, TorusTranslation, alphabet_of, random_point,
 )
 from .measures import (
     Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily, integrate,
@@ -76,6 +76,9 @@ def _point_json(p: Point) -> dict:
     if isinstance(rule, BlockSchedule):
         out = {"kind": "block-schedule",
                "blocks": [[list(pat), reps] for pat, reps in rule.blocks]}
+    elif isinstance(rule, SteeredBlocks):
+        out = {"kind": "steered-blocks", "k": rule.k, "symbol": rule.symbol,
+               "ends": list(rule.ends), "targets": list(rule.targets)}
     elif isinstance(rule, ExplicitWord):
         out = {"kind": "explicit-word", "symbols": list(rule.symbols)}
     elif isinstance(rule, SeededIID):
@@ -477,7 +480,7 @@ def _sample_from(system, mu, seed: int) -> Point:
     if isinstance(mu, Markov):
         from .constructions import _sample_markov
         word = _sample_markov(mu, seed, 1 << 21)
-        return Point(ExplicitWord(tuple(int(s) for s in word)), component=mu.component)
+        return Point(ExplicitWord(tuple(word.tolist())), component=mu.component)
     if isinstance(mu, Mixture):
         rng = np.random.default_rng(seed)
         weights = [w for _, w in mu.components]

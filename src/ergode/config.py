@@ -19,7 +19,7 @@ import jsonschema
 from .systems import (
     BlockSchedule, CircleMult, CircleRotation, CircleRotationFlow, Coordinate,
     DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, RoofFunction,
-    SeededIID, Suspension, TimeTMap, TorusTranslation,
+    SeededIID, SteeredBlocks, Suspension, TimeTMap, TorusTranslation,
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
@@ -111,7 +111,7 @@ _POINT = {
     "type": "object",
     "properties": {
         "kind": {"enum": ["explicit-word", "seeded-iid", "block-schedule",
-                          "coordinate", "random"]},
+                          "steered-blocks", "coordinate", "random"]},
         "symbols": {"type": "array", "items": _INT},
         "seed": _INT,
         "probs": {"type": "array", "items": _NUM},
@@ -123,6 +123,10 @@ _POINT = {
                 "minItems": 2, "maxItems": 2,
             },
         },
+        "k": _INT,
+        "symbol": _INT,
+        "ends": {"type": "array", "items": _INT},
+        "targets": {"type": "array", "items": _NUM},
         "coords": {"type": "array", "items": _NUM},
         "offset": _INT,
         "component": {"type": ["integer", "null"]},
@@ -357,6 +361,9 @@ def build_point(obj: dict, rng=None):
             rule = BlockSchedule(tuple(
                 (tuple(pat), reps) for pat, reps in obj["blocks"]
             ))
+        elif kind == "steered-blocks":
+            rule = SteeredBlocks(obj["k"], obj["symbol"], tuple(obj["ends"]),
+                                 tuple(obj["targets"]))
         elif kind == "coordinate":
             rule = Coordinate(tuple(obj["coords"]))
         else:

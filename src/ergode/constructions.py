@@ -33,7 +33,8 @@ import numpy as np
 
 from .systems import (
     BlockSchedule, DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point,
-    SeededIID, Suspension, RoofFunction, alphabet_of, symbolic_kind,
+    SeededIID, SteeredBlocks, Suspension, RoofFunction, alphabet_of,
+    symbolic_kind,
 )
 from .measures import (
     Bernoulli, Markov, Mixture, _cylinder_masses,
@@ -328,7 +329,7 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
     within = all(
         mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths)
     )
-    point = Point(ExplicitWord(tuple(int(s) for s in glued)))
+    point = Point(ExplicitWord(tuple(glued.tolist())))
     return GluedOrbit(
         point, tuple(int(b) for b in boundaries), tuple(connector_lengths),
         tuple(mismatches), within,
@@ -386,7 +387,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     if kind == "seeded-iid":
         if isinstance(mu, Bernoulli):
             return Point(SeededIID(seed, mu.probs))
-        return Point(ExplicitWord(tuple(_sample_markov(mu, seed, horizon))))
+        return Point(ExplicitWord(tuple(_sample_markov(mu, seed, horizon).tolist())))
     if kind != "deterministic-blocks":
         raise ValueError("kind must be 'deterministic-blocks' or 'seeded-iid'")
     adjacency = system.adjacency if isinstance(system, MarkovShift) else None
@@ -402,7 +403,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     blocks = []
     for i, (flat, reps) in enumerate(rounds):
         if adjacency is None:
-            blocks.append((tuple(int(s) for s in flat), reps))
+            blocks.append((tuple(flat.tolist()), reps))
             continue
         # seam connectors keep the tiling admissible: within the stage a round
         # feeds back into itself, at the stage end it feeds the next stage
@@ -411,7 +412,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         cross_conn = _shortest_connector(adjacency, int(flat[-1]), nxt_first, 2 * k + 2)
         if self_conn is None or cross_conn is None:
             raise GluingError("no connector exists between stages")
-        body = tuple(int(s) for s in flat)
+        body = tuple(flat.tolist())
         if reps > 1 and self_conn != cross_conn:
             blocks.append((body + self_conn, reps - 1))
             blocks.append((body + cross_conn, 1))
@@ -513,7 +514,9 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
     Blocks have lengths first_block * ratio**i; at the end of block i the
     running count is steered to the alternating target (lo first).  The
     steering is feasible when hi + (hi-lo)/(ratio-1) <= 1 and
-    lo >= (hi-lo)/(ratio-1); the defaults satisfy both with slack."""
+    lo >= (hi-lo)/(ratio-1); the defaults satisfy both with slack.  Block
+    ends are laid down until they pass `horizon`; the point's rule is the
+    `SteeredBlocks` recipe, so symbols are built only when read."""
     if not isinstance(system, FullShift):
         raise TypeError("irregular points are built on full shifts")
     k = system.k
@@ -532,27 +535,8 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
         ends.append(pos)
         targets.append(lo if len(ends) % 2 == 1 else hi)
         length *= ratio
-    blocks = []
-    count = 0
-    start = 0
-    others = [s for s in range(k) if s != symbol]
-    for end, tgt in zip(ends, targets):
-        block_len = end - start
-        want = int(round(tgt * end)) - count
-        if want < 0 or want > block_len:
-            raise ValueError("infeasible steering step; widen the block ratio")
-        block = np.empty(block_len, dtype=np.int64)
-        # spread the tracked symbol evenly through the block
-        marks = np.floor((np.arange(block_len) + 1) * want / block_len).astype(np.int64)
-        hit = np.diff(marks, prepend=0) > 0
-        block[hit] = symbol
-        fill = np.resize(np.asarray(others, dtype=np.int64), int((~hit).sum()))
-        block[~hit] = fill
-        blocks.append((tuple(int(s) for s in block), 1))
-        count += want
-        start = end
     return IrregularRecipe(
-        Point(BlockSchedule(tuple(blocks))),
+        Point(SteeredBlocks(k, symbol, tuple(ends), tuple(targets))),
         symbol, lo, hi, tuple(ends), tuple(targets),
     )
 

@@ -23,10 +23,10 @@ import numpy as np
 __all__ = [
     "FullShift", "MarkovShift", "CircleMult", "CircleRotation", "DisjointUnion",
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
-    "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "Coordinate",
-    "Point", "Distance", "MetricSpec", "metric_for", "distance", "step",
-    "iterate", "time_t_map", "alphabet_of", "symbolic_kind", "random_point",
-    "suspension_point", "rotation_orbit", "BudgetExhausted",
+    "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "SteeredBlocks",
+    "Coordinate", "Point", "Distance", "MetricSpec", "metric_for", "distance",
+    "step", "iterate", "time_t_map", "alphabet_of", "symbolic_kind",
+    "random_point", "suspension_point", "rotation_orbit", "BudgetExhausted",
 ]
 
 
@@ -345,6 +345,79 @@ class BlockSchedule:
 
 
 @dataclass(frozen=True)
+class SteeredBlocks:
+    """Blocks over a k-letter alphabet that steer the running count of
+    `symbol` to round(targets[i] * ends[i]) at each block end ends[i].
+
+    Within a block of length L that must add `want` copies of the symbol,
+    position j (1-based) holds the symbol exactly when
+    floor(j * want / L) > floor((j - 1) * want / L), so the copies are spread
+    evenly; every other position takes the next of the remaining symbols in
+    increasing order, cycling and restarting at each block.  Past the last
+    block end the last block repeats forever, as in `BlockSchedule`.  The
+    recipe is a few numbers, so irregular points serialise and replay in
+    this form without ever holding their symbols as Python objects.
+    """
+
+    k: int
+    symbol: int
+    ends: Tuple[int, ...]
+    targets: Tuple[float, ...]
+    _buf: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.k < 2 or not (0 <= self.symbol < self.k):
+            raise ValueError("need k >= 2 and 0 <= symbol < k")
+        if not self.ends or len(self.ends) != len(self.targets):
+            raise ValueError("need one target per block end, and at least one block")
+        if any(not (0.0 <= t <= 1.0) for t in self.targets):
+            raise ValueError("targets must lie in [0, 1]")
+        start = 0
+        for end, want in zip(self.ends, self._wants()):
+            if end <= start:
+                raise ValueError("block ends must be strictly increasing and positive")
+            if want < 0 or want > end - start:
+                raise ValueError("infeasible steering step; widen the block ratio")
+            start = end
+
+    def _wants(self):
+        """Copies of the symbol each block adds."""
+        count = 0
+        for end, tgt in zip(self.ends, self.targets):
+            want = int(round(tgt * end)) - count
+            count += want
+            yield want
+
+    def materialise(self, n: int) -> np.ndarray:
+        arr = self._buf.get("arr")
+        if arr is None or len(arr) < n:
+            size = _grown(n)
+            arr = np.empty(size, dtype=np.int16)
+            others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
+            fill = np.empty(0, dtype=np.int16)
+            last = start = 0
+            for end, want in zip(self.ends, self._wants()):
+                if start >= size:
+                    break
+                L = end - start
+                m = min(L, size - start)          # the part of this block we need
+                marks = (np.arange(1, m + 1, dtype=np.int64) * want) // L
+                hit = np.diff(marks, prepend=0) > 0
+                if len(fill) < m:
+                    fill = np.tile(others, -(-m // len(others)))
+                block = arr[start:start + m]
+                block[hit] = self.symbol
+                block[~hit] = fill[:m - int(marks[-1])]
+                last, start = start, end
+            while start < size:                   # the last block repeats
+                r = min(start - last, size - start)
+                arr[start:start + r] = arr[last:last + r]
+                start += r
+            self._buf["arr"] = arr
+        return arr[:n]
+
+
+@dataclass(frozen=True)
 class Coordinate:
     """A point of the circle or torus given by coordinates in [0, 1)."""
 
@@ -356,7 +429,7 @@ class Coordinate:
         object.__setattr__(self, "coords", tuple(c % 1.0 for c in self.coords))
 
 
-Rule = Union[ExplicitWord, SeededIID, BlockSchedule, Coordinate]
+Rule = Union[ExplicitWord, SeededIID, BlockSchedule, SteeredBlocks, Coordinate]
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+
+from ergode.config import build_measure, build_point, build_system
+from ergode.constructions import generic_point, irregular_point
+from ergode.systems import FullShift
 
 # the program as `python -m ergode`, which needs no installed console script
 ERGODE = [sys.executable, "-m", "ergode"]
@@ -187,6 +192,48 @@ def test_construct_writes_replayable_point(tmp_path):
     _, rows = read_rows(tmp_path, "replay")
     verdict = next(r for r in rows if r["quantity"] == "classification")
     assert json.loads(verdict["params"])["label"] == "Generic"
+
+
+def test_construct_irregular_point_writes_its_recipe(tmp_path):
+    cfg = {
+        "command": "construct",
+        "experiment_id": "irr",
+        "system": {"kind": "full-shift", "k": 2},
+        "construction": "irregular-point",
+        "symbol": 1,
+        "lo": 0.3,
+        "hi": 0.7,
+    }
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 0, res.stderr
+    path = tmp_path / "irr.point.json"
+    assert path.stat().st_size < 1000
+    spec = json.loads(path.read_text())
+    assert spec["kind"] == "steered-blocks"
+    n = 1 << 22
+    expected = irregular_point(FullShift(2), 1, 0.3, 0.7).point.prefix(n)
+    assert np.array_equal(build_point(spec).prefix(n), expected)
+
+
+def test_construct_seeded_markov_point_writes_readable_json(tmp_path):
+    system = {"kind": "markov-shift", "k": 2, "adjacency": [[1, 1], [1, 0]]}
+    measure = {"kind": "markov", "transitions": [[0.6, 0.4], [1.0, 0.0]]}
+    cfg = {
+        "command": "construct",
+        "experiment_id": "mkv",
+        "system": system,
+        "construction": "generic-point",
+        "construction_kind": "seeded-iid",
+        "measure": measure,
+        "horizon": 4096,
+    }
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 0, res.stderr
+    with open(tmp_path / "mkv.point.json", encoding="utf-8") as fh:
+        spec = json.load(fh)
+    expected = generic_point(build_system(system), build_measure(measure),
+                             "seeded-iid", seed=0, horizon=4096)
+    assert np.array_equal(build_point(spec).prefix(4096), expected.prefix(4096))
 
 
 def test_diagnostics_flag_adds_rows(tmp_path):

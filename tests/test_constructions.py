@@ -10,6 +10,7 @@ from ergode.systems import (
     FullShift,
     MarkovShift,
     Point,
+    SteeredBlocks,
     Suspension,
     distance,
     iterate,
@@ -223,6 +224,72 @@ def test_irregular_point_validates_inputs():
         irregular_point(FullShift(2), 0, 0.7, 0.3)
     with pytest.raises(TypeError):
         irregular_point(GOLDEN_MEAN, 0, 0.3, 0.7)
+
+
+def steered_reference(k, symbol, ends, targets, n):
+    """The steering rule of `SteeredBlocks`, one symbol at a time."""
+    others = [s for s in range(k) if s != symbol]
+    out, block = [], []
+    count = start = 0
+    for end, target in zip(ends, targets):
+        if len(out) >= n:
+            break
+        length = end - start
+        want = int(round(target * end)) - count
+        block, filled = [], 0
+        for j in range(1, length + 1):
+            if (j * want) // length > ((j - 1) * want) // length:
+                block.append(symbol)
+            else:
+                block.append(others[filled % len(others)])
+                filled += 1
+        out.extend(block)
+        count += want
+        start = end
+    while len(out) < n:
+        out.extend(block)
+    return np.array(out[:n])
+
+
+SUITE_RECIPES = [(0, 0.2, 0.65), (0, 0.3, 0.7), (1, 0.2, 0.65), (1, 0.3, 0.7)]
+
+
+@pytest.mark.parametrize("symbol, lo, hi", SUITE_RECIPES)
+def test_irregular_stream_matches_the_per_symbol_steering_rule(symbol, lo, hi):
+    rec = irregular_point(FullShift(2), symbol, lo, hi, first_block=8, ratio=4)
+    assert isinstance(rec.point.rule, SteeredBlocks)
+    n = [e for e in rec.block_ends if e > 10 ** 4][2]
+    ref = steered_reference(2, symbol, rec.block_ends, rec.targets, n)
+    assert np.array_equal(rec.point.prefix(n), ref)
+
+
+def test_steered_blocks_repeat_the_last_block_and_cycle_the_other_symbols():
+    # ends stop at 10920, so most of the prefix is the last block repeated
+    rec = irregular_point(FullShift(3), 1, 0.3, 0.7, ratio=4, horizon=10 ** 4)
+    rule = rec.point.rule
+    assert rule.ends[-1] == 10920
+    ref = steered_reference(3, 1, rule.ends, rule.targets, 174760)
+    assert np.array_equal(rec.point.prefix(174760), ref)
+    assert set(ref[:rule.ends[0]].tolist()) == {0, 1, 2}
+
+
+def test_steered_blocks_grow_to_the_same_prefix():
+    symbol, lo, hi = SUITE_RECIPES[1]
+    rec = irregular_point(FullShift(2), symbol, lo, hi)
+    n = 50000
+    grown = SteeredBlocks(2, symbol, rec.block_ends, rec.targets)
+    grown.materialise(n)
+    once = SteeredBlocks(2, symbol, rec.block_ends, rec.targets)
+    assert np.array_equal(grown.materialise(4 * n), once.materialise(4 * n))
+
+
+def test_steered_blocks_reject_infeasible_recipes():
+    with pytest.raises(ValueError, match="infeasible"):
+        SteeredBlocks(2, 0, (8, 40), (0.9, 0.05))
+    with pytest.raises(ValueError):
+        SteeredBlocks(2, 0, (8, 8), (0.25, 0.25))
+    with pytest.raises(ValueError):
+        SteeredBlocks(2, 2, (8,), (0.25,))
 
 
 def test_oscillation_windows_cover_the_late_block_ends():
