@@ -9,6 +9,7 @@ exit code 2 in the CLI.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -235,7 +236,7 @@ SCHEMA = {
         "mode": {"enum": ["generic", "irregular"]},
         "construction": {"enum": ["generic-point", "irregular-point", "glued-orbit"]},
         "construction_kind": {"enum": ["deterministic-blocks", "seeded-iid"]},
-        "horizon": _INT,
+        "horizon": {"type": "integer", "minimum": 1},
         "times": {"type": "array", "items": _NUM, "minItems": 1},
         "sample_count": {"type": "integer", "minimum": 1},
         "segments": {
@@ -260,6 +261,16 @@ SCHEMA = {
 }
 
 
+@functools.cache
+def _validator():
+    """The SCHEMA validator, checked against its metaschema once, on first use.
+
+    `jsonschema.validate` would check the schema again on every call."""
+    cls = jsonschema.validators.validator_for(SCHEMA)
+    cls.check_schema(SCHEMA)
+    return cls(SCHEMA)
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -270,11 +281,10 @@ def load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "(top level)"
-        raise ConfigError(f"config rejected at {where}: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
+        raise ConfigError(f"config rejected at {where}: {error.message}") from error
     cfg["_sha256"] = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return cfg
 

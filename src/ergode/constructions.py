@@ -432,15 +432,42 @@ def _strip_component(mu):
 
 
 def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:
+    """The first `horizon` states of the chain drawn from `seed`.
+
+    One uniform picks the start state from the stationary vector, then
+    uniform i moves state s to the number of cumulative masses of row s at
+    or below it.  Only the k - 1 inner thresholds are searched, so a row whose
+    cumulative sum rounds below 1 cannot step past state k - 1.
+
+    The walk is a blocked scan (Blelloch, Prefix sums and their applications,
+    1990): the horizon is cut into about sqrt(n) blocks of about sqrt(n)
+    steps, every block is walked at once from every state, and the blocks'
+    entry states are then chained from the start.  It visits exactly the
+    states of stepping one uniform at a time."""
     rng = np.random.default_rng(seed)
-    cum = np.cumsum(np.asarray(mu.transitions), axis=1)
-    out = np.empty(horizon, dtype=np.int64)
-    state = int(np.searchsorted(np.cumsum(mu.stationary), rng.random(), side="right"))
+    inner = np.cumsum(np.asarray(mu.transitions), axis=1)[:, :-1]
+    k = len(inner)
+    state = int(np.searchsorted(np.cumsum(mu.stationary)[:-1], rng.random(), side="right"))
     u = rng.random(horizon)
-    for i in range(horizon):
-        out[i] = state
-        state = int(np.searchsorted(cum[state], u[i], side="right"))
-    return out
+    dtype = np.int8 if k < 128 else np.intp
+    width = max(1, math.isqrt(horizon))
+    blocks = -(-horizon // width)
+    # step[j, b, s]: the state after step b * width + j taken from state s
+    step = np.zeros((blocks * width, k), dtype=dtype)
+    for s in range(k):
+        step[:horizon, s] = np.searchsorted(inner[s], u, side="right")
+    step = step.reshape(blocks, width, k).transpose(1, 0, 2)
+    # walk[j, b, s]: the state at step b * width + j when block b starts at s
+    walk = np.empty((width, blocks, k), dtype=dtype)
+    at = np.broadcast_to(np.arange(k, dtype=dtype), (blocks, k))
+    for j in range(width):
+        walk[j] = at
+        at = np.take_along_axis(step[j], at, axis=1)
+    entry = np.empty(blocks, dtype=np.intp)
+    for b in range(blocks):
+        entry[b] = state
+        state = int(at[b, state])
+    return walk[:, np.arange(blocks), entry].T.reshape(-1)[:horizon].astype(np.int64)
 
 
 def _stage_round(mu, k: int, L: int, adjacency) -> np.ndarray:

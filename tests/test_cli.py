@@ -236,6 +236,23 @@ def test_construct_seeded_markov_point_writes_readable_json(tmp_path):
     assert np.array_equal(build_point(spec).prefix(4096), expected.prefix(4096))
 
 
+@pytest.mark.parametrize("horizon", [0, -5])
+@pytest.mark.parametrize("construction", [
+    {"construction": "generic-point", "construction_kind": "seeded-iid",
+     "system": {"kind": "markov-shift", "k": 2, "adjacency": [[1, 1], [1, 0]]},
+     "measure": {"kind": "markov", "transitions": [[0.6, 0.4], [1.0, 0.0]]}},
+    {"construction": "irregular-point", "system": {"kind": "full-shift", "k": 2},
+     "symbol": 1, "lo": 0.3, "hi": 0.7},
+])
+def test_construct_with_a_horizon_below_one_exits_2(tmp_path, construction, horizon):
+    cfg = {"command": "construct", "experiment_id": "h", "horizon": horizon,
+           **construction}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "horizon" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_diagnostics_flag_adds_rows(tmp_path):
     plain = run_cli(entropy_config("diag"), tmp_path)
     assert plain.returncode == 0

@@ -17,10 +17,11 @@ from ergode.systems import (
     metric_for,
     random_point,
 )
-from ergode.measures import Bernoulli, Mixture, SymbolFrequency
+from ergode.measures import Bernoulli, Markov, Mixture, SymbolFrequency
 from ergode.constructions import (
     GluingError,
     MistakeFunction,
+    _sample_markov,
     build_counterexample_system,
     generic_point,
     glue_orbits,
@@ -201,6 +202,58 @@ def test_generic_point_seeded_kind_is_reproducible():
     a = generic_point(FullShift(2), mu, "seeded-iid", seed=5)
     b = generic_point(FullShift(2), mu, "seeded-iid", seed=5)
     assert np.array_equal(a.prefix(64), b.prefix(64))
+
+
+def markov_reference(mu, seed, horizon):
+    """The chain walk one symbol at a time, with the same draws as
+    `_sample_markov`."""
+    rng = np.random.default_rng(seed)
+    cum = np.cumsum(np.asarray(mu.transitions), axis=1)
+    out = np.empty(horizon, dtype=np.int64)
+    state = int(np.searchsorted(np.cumsum(mu.stationary), rng.random(), side="right"))
+    u = rng.random(horizon)
+    for i in range(horizon):
+        out[i] = state
+        state = int(np.searchsorted(cum[state], u[i], side="right"))
+    return out
+
+
+GOLDEN_MEAN_CHAIN = Markov.from_transitions(((0.6, 0.4), (1.0, 0.0)))
+# the first row's cumulative sum is 0.9999999999999999
+THREE_STATE_CHAIN = Markov.from_transitions(
+    ((0.7, 0.2, 0.1), (0.3, 0.3, 0.4), (0.5, 0.25, 0.25)))
+
+
+@pytest.mark.parametrize("mu", [GOLDEN_MEAN_CHAIN, THREE_STATE_CHAIN])
+@pytest.mark.parametrize("horizon", [1, 2, 3, 1000, (1 << 18) + 1])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_markov_walk_matches_the_per_step_loop(mu, horizon, seed):
+    word = _sample_markov(mu, seed, horizon)
+    assert word.dtype == np.int64
+    assert np.array_equal(word, markov_reference(mu, seed, horizon))
+
+
+def test_markov_walk_of_no_steps_is_empty():
+    assert _sample_markov(GOLDEN_MEAN_CHAIN, 0, 0).shape == (0,)
+
+
+class _TopUniforms:
+    """A generator whose every uniform is 1 - 2**-53, the largest below 1."""
+
+    def __init__(self, seed):
+        pass
+
+    def random(self, size=None):
+        top = 1.0 - 2.0 ** -53
+        return top if size is None else np.full(size, top)
+
+
+def test_markov_walk_stays_in_the_alphabet_when_a_row_sums_below_one(monkeypatch):
+    row = (0.7, 0.2, 0.1)
+    assert np.cumsum(row)[-1] == 1.0 - 2.0 ** -53
+    mu = Markov((row, row, row), row)
+    monkeypatch.setattr(np.random, "default_rng", _TopUniforms)
+    assert _sample_markov(mu, 0, 5).tolist() == [2] * 5
 
 
 def test_irregular_point_steers_frequency_exactly_at_block_ends():
