@@ -1,11 +1,16 @@
 """Orbit averages along checkpoint schedules, empirical measures, and the
 classification of points as generic / not generic / irregular.
 
-Map averages are computed in one vectorised pass per orbit (cumulative sums
-of the observable along the materialised orbit), so a whole geometric
-schedule of checkpoints costs the same as its largest entry.  Flow averages
-are exact: closed-form antiderivatives on rotation flows, and a
-segment-by-segment decomposition under the roof on suspensions.
+Every average profile is read from one vectorised pass per orbit, so a
+whole geometric schedule of checkpoints costs the same as its largest entry.
+Circle and torus maps sum the observable along the materialised orbit.
+Symbolic orbits are read one base cell (symbol offset) at a time: shifts,
+the flow of a suspension and the time-t map of a suspension all weigh the
+word hits of each cell by what the orbit spends in it (map steps, or flow
+time under the roof), and one prefix sum over the cells answers every
+checkpoint.  Flow averages are exact: closed-form antiderivatives on
+rotation flows, and full cells plus the two partial end cells on
+suspensions.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -110,42 +115,130 @@ def _orbit_coords(system, x: Point, n: int) -> np.ndarray:
     raise TypeError(f"no coordinate orbit for {type(system).__name__}")
 
 
-def _symbol_view(system, x: Point, n: int, extra: int):
-    """(symbols array, base-index array) for a symbolic orbit.
-
-    idx[j] is the base coordinate the orbit reads at map step j: j itself for
-    shifts, and the roof-crossing count for time-t maps of suspensions, where
-    one application may consume a whole or a fractional number of base steps.
-    """
-    if symbolic_kind(system):
-        return np.asarray(x.prefix(n + extra)), np.arange(n)
-    if isinstance(system, TimeTMap) and isinstance(system.flow, Suspension):
-        roof = system.flow.roof
-        f0 = x.fiber if x.fiber is not None else 0.0
-        times = f0 + system.t * np.arange(n, dtype=float)
-        if roof.depth == 0:
-            idx = np.floor(times / roof.roof_max + 1e-12).astype(np.int64)
-        else:
-            crossings = int(times[-1] / roof.roof_min) + 2
-            vals = roof.values_along(np.asarray(x.prefix(crossings + roof.depth)), crossings)
-            entry_times = np.concatenate(([0.0], np.cumsum(vals)))
-            idx = np.searchsorted(entry_times, times, side="right") - 1
-        return np.asarray(x.prefix(int(idx[-1]) + extra + 1)), idx
-    raise TypeError(f"no symbolic orbit for {type(system).__name__}")
-
-
 def _is_symbolic_path(system, x: Point) -> bool:
     if symbolic_kind(system):
         return True
     return isinstance(system, TimeTMap) and isinstance(system.flow, Suspension)
 
 
-def _match_array(arr: np.ndarray, word, idx: np.ndarray) -> np.ndarray:
-    """Boolean hits of `word` read at positions idx[j]."""
-    hit = arr[idx] == word[0]
+# ---------------------------------------------------------------------------
+# base cells
+#
+# A symbolic orbit is read one base cell (one symbol offset) at a time.  A
+# shift spends one map step in each cell.  The flow of a suspension spends the
+# roof value over cell i in it; measured from the bottom of cell 0, cell i is
+# entered at the sum of the roof values before it.  The time-t map of a
+# suspension reads the cell over which time f0 + t*j lies at step j, so it can
+# spend several steps in one cell and skip others.  Every average is then the
+# hits of a word per cell, weighted by what the orbit spends in the cell, and
+# one prefix sum over the cells reads every checkpoint.
+
+_CELL_CHUNK = 1 << 14   # cells per vectorised step in `_map_cells`; its temporaries stay in cache
+
+
+def _fiber(flow: Suspension, x: Point) -> float:
+    """The fiber coordinate of a suspension point (0 when unset), checked to
+    lie under the roof over its base point."""
+    f0 = x.fiber if x.fiber is not None else 0.0
+    roof = flow.roof.value_at(x)
+    if not 0.0 <= f0 < roof:
+        raise ValueError(f"fiber coordinate {f0} is outside [0, {roof}) under the roof")
+    return f0
+
+
+def _roof_values(roof, x: Point, horizon: float) -> np.ndarray:
+    """Word-dependent roof values over base cells 0, 1, ..., enough of them
+    to pass `horizon` (a time from the bottom of cell 0) by a whole roof."""
+    count = int(horizon / roof.roof_min) + 2
+    return roof.values_along(np.asarray(x.prefix(count + roof.depth)), count)
+
+
+def _map_cells(system, x: Point, n: int, depth: int):
+    """(symbols, first) for the first n map steps of a symbolic orbit.
+
+    L is the cell read at step n-1; `symbols` holds the base symbols of the
+    cells 0..L and the depth-1 after them.  first[i], for i = 0..L+1, is the
+    first map step that reads cell i or a later one, so step j reads cell i
+    exactly when first[i] <= j < first[i+1].
+
+    On a time-t map of a suspension, step j reads the cell
+    floor((f0 + t*j)/c + 1e-12) under a constant roof c, and the last cell
+    entered at or before time f0 + t*j otherwise.  first[i] starts from the
+    real root of f0 + t*j = entry_i and is moved until that very float test
+    agrees, so the counts per cell are the exact integers that a step-by-step
+    reading gives.
+    """
+    if symbolic_kind(system):
+        return np.asarray(x.prefix(n + depth - 1)), np.arange(n + 1)
+    flow, t = system.flow, system.t
+    if t < 0:
+        raise ValueError("suspension flows run forward in time only")
+    f0 = _fiber(flow, x)
+    roof = flow.roof
+    last = f0 + t * (n - 1)
+    if roof.depth == 0:
+        c = roof.table[0]
+        m = int(last / c + 1e-12) + 2
+
+        def levels(lo, hi):
+            return np.arange(lo, hi, dtype=float)
+
+        def reached(tau, level):   # the cell read at time tau is >= level
+            return tau / c + 1e-12 >= level
+
+        def entry(level):
+            return level * c
+    else:
+        entries = np.concatenate(([0.0], np.cumsum(_roof_values(roof, x, last))))
+        m = int(np.searchsorted(entries, last, side="right")) + 1
+
+        def levels(lo, hi):
+            return entries[lo:hi]
+
+        def reached(tau, level):
+            return tau >= level
+
+        def entry(level):
+            return level
+    symbols = np.asarray(x.prefix(m + depth - 2))   # before the cell arrays
+    first = np.zeros(m, dtype=np.int64)
+    for lo in range(1, m, _CELL_CHUNK):
+        level = levels(lo, min(lo + _CELL_CHUNK, m))
+        j = np.ceil((entry(level) - f0) / t)
+        while True:
+            back = (j > 0) & reached(f0 + t * (j - 1), level)
+            ahead = ~reached(f0 + t * j, level)
+            if not (back.any() or ahead.any()):
+                break
+            j += ahead
+            j -= back
+        first[lo:lo + len(j)] = j
+    return symbols, first
+
+
+def _cell_of_step(first: np.ndarray, n: int) -> int:
+    """The cell read at map step n-1."""
+    return int(np.searchsorted(first, n - 1, side="right")) - 1
+
+
+def _hits(arr: np.ndarray, word, cells: int) -> np.ndarray:
+    """Boolean hits of `word` read at base cells 0..cells-1 of the symbols
+    `arr` (all true for the empty word)."""
+    if not word:
+        return np.ones(cells, dtype=bool)
+    hit = arr[:cells] == word[0]
     for i, s in enumerate(word[1:], start=1):
-        hit = hit & (arr[idx + i] == s)
+        hit &= arr[i:cells + i] == s
     return hit
+
+
+def _prefix(values: np.ndarray) -> np.ndarray:
+    """out[i] = sum of values[:i], summed in place; integers stay integers."""
+    out = np.empty(len(values) + 1, dtype=np.result_type(values.dtype, np.int64))
+    out[0] = 0
+    out[1:] = values
+    np.cumsum(out[1:], out=out[1:])
+    return out
 
 
 def _word_of(phi):
@@ -172,10 +265,17 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
             raise TypeError(f"{type(phi).__name__} does not read symbols")
         if comp is not None and x.component != comp:
             return np.zeros(len(cps))
-        arr, idx = _symbol_view(system, x, n_max, len(word))
-        hits = _match_array(arr, word, idx)
-        cs = np.cumsum(hits, dtype=float)
-        return np.array([cs[n - 1] / n for n in cps])
+        arr, first = _map_cells(system, x, n_max, len(word))
+        hits = _hits(arr, word, len(first) - 1)
+        done = np.zeros(len(first), dtype=np.int64)
+        np.subtract(first[1:], first[:-1], out=done[1:])
+        done[1:] *= hits
+        np.cumsum(done, out=done)      # steps spent on hits in the cells before i
+        out = np.empty(len(cps))
+        for ci, n in enumerate(cps):
+            i = _cell_of_step(first, n)
+            out[ci] = (done[i] + hits[i] * (n - first[i])) / n
+        return out
     coords = _orbit_coords(system, x, n_max)
     values = evaluate_on_circle(phi, coords)
     cs = np.cumsum(values)
@@ -193,8 +293,10 @@ def _family_profiles(system, x: Point, fam: TestFamily, schedule: Schedule) -> n
     """Matrix A[c, i]: average of observable i at checkpoint c.
 
     Symbolic families share one pass: sliding word codes at the maximal depth
-    are histogrammed once per checkpoint and marginalised down to each word
-    length, so a hundred cylinder observables cost little more than one.
+    are histogrammed once over the cells between consecutive checkpoints,
+    weighted by the map steps spent in each cell, and marginalised down to
+    each word length, so a hundred cylinder observables cost little more than
+    one.
     """
     cps = schedule.integer_checkpoints()
     obs = fam.observables
@@ -219,13 +321,21 @@ def _family_profiles_symbolic(system, x, obs, cps) -> np.ndarray:
         words.append((word, comp))
     depth = max(len(w) for w, _ in words)
     k = _alphabet_for_profiles(system, x)
-    arr, idx = _symbol_view(system, x, n_max, depth)
-    codes = np.zeros(n_max, dtype=np.int64)
+    arr, first = _map_cells(system, x, n_max, depth)
+    cells = len(first) - 1
+    codes = np.zeros(cells, dtype=np.int64)
     for i in range(depth):
-        codes = codes * k + arr[idx + i]
+        codes = codes * k + arr[i:cells + i]
+    steps = np.diff(first)
     out = np.empty((len(cps), len(obs)))
+    counted = np.zeros(k ** depth)     # word counts over the cells before `upto`
+    upto = 0
     for ci, n in enumerate(cps):
-        counts = np.bincount(codes[:n], minlength=k ** depth).astype(float)
+        i = _cell_of_step(first, n)
+        counted += np.bincount(codes[upto:i], weights=steps[upto:i], minlength=k ** depth)
+        upto = i
+        counts = counted.copy()
+        counts[codes[i]] += n - first[i]
         per_depth = {depth: counts}
         for d in range(depth - 1, 0, -1):
             per_depth[d] = per_depth[d + 1].reshape(-1, k).sum(axis=1)
@@ -259,22 +369,28 @@ def _alphabet_for_profiles(system, x: Point) -> int:
 # flow averages
 
 
-def birkhoff_average_flow(flow, x: Point, phi, T: float, receipt: Optional[dict] = None) -> float:
-    """(1/T) * integral of phi along the flow orbit of x over [0, T].  Exact
-    for harmonics under rotation flows and for symbolic/fiber observables
-    under suspensions."""
-    if T <= 0:
-        raise ValueError("need T > 0")
+def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
+    """(1/T) * integral of phi along the flow orbit of x over [0, T], at each
+    checkpoint T.  Exact for harmonics under rotation flows and for
+    symbolic/fiber observables under suspensions."""
+    Ts = schedule.checkpoints
     if isinstance(phi, Constant):
-        return phi.value
+        return np.full(len(Ts), phi.value)
     if isinstance(flow, (CircleRotationFlow, TorusTranslation)):
         speed = 1.0 if isinstance(flow, CircleRotationFlow) else flow.velocity[0]
         if isinstance(phi, Harmonic):
-            return _harmonic_line_average(phi, x.coords[0], speed, T)
+            return np.array([_harmonic_line_average(phi, x.coords[0], speed, T) for T in Ts])
         raise TypeError(f"{type(phi).__name__} is not a rotation-flow observable")
     if isinstance(flow, Suspension):
-        return _suspension_flow_average(flow, x, phi, T, receipt)
+        return _suspension_profile(flow, x, phi, Ts)
     raise TypeError(f"no flow average for {type(flow).__name__}")
+
+
+def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
+    """(1/T) * integral of phi along the flow orbit of x over [0, T]."""
+    if T <= 0:
+        raise ValueError("need T > 0")
+    return float(flow_average_profile(flow, x, phi, Schedule((T,)))[0])
 
 
 def _harmonic_line_average(phi: Harmonic, x0: float, speed: float, T: float) -> float:
@@ -289,56 +405,67 @@ def _harmonic_line_average(phi: Harmonic, x0: float, speed: float, T: float) -> 
     return (math.cos(a) - math.cos(a + b * T)) / (b * T)
 
 
-def _suspension_flow_average(flow: Suspension, x: Point, phi, T: float, receipt) -> float:
-    roof = flow.roof
-    u0 = x.fiber if x.fiber is not None else 0.0
-    count = int(T / roof.roof_min) + 3
-    roofs = roof.values_along(np.asarray(x.prefix(count + roof.depth)), count)
-    if u0 < 0 or u0 >= roofs[0]:
-        raise ValueError("fiber coordinate out of range")
-    # segment j spends time (start_j, end_j) of fiber in copy j of the base
-    starts = np.zeros(count)
-    starts[0] = u0
-    lengths = roofs - starts
-    ends = np.cumsum(lengths)
-    last = int(np.searchsorted(ends, T, side="left"))
-    if last >= count:
-        raise BudgetExhausted("flow horizon exceeds the prepared roof window")
+def _suspension_profile(flow: Suspension, x: Point, phi, Ts) -> np.ndarray:
+    """Flow averages under a suspension, from one pass over the base cells.
+
+    The integral up to time T is cell 0 from the fiber f0 to its roof, the
+    full cells 1..L-1 (base value times the integral of the fiber profile up
+    to the roof, which depends only on the roof value), and cell L from the
+    bottom to where time T leaves the flow.
+    """
     base_phi = phi.base if isinstance(phi, FiberProfile) else phi
-    word, comp = _word_of(base_phi) if not isinstance(base_phi, Constant) else ((), None)
+    if isinstance(base_phi, Constant):
+        word, comp, scale = (), None, base_phi.value
+    else:
+        (word, comp), scale = _word_of(base_phi), 1.0
     if word is None:
         raise TypeError(f"{type(phi).__name__} is not a suspension observable")
     if comp is not None and x.component != comp:
-        return 0.0
-    if isinstance(base_phi, Constant):
-        base_vals = np.full(last + 1, base_phi.value)
-    elif len(word) == 0:
-        base_vals = np.ones(last + 1)
-    else:
-        arr = np.asarray(x.prefix(last + 1 + len(word)))
-        base_vals = _match_array(arr, word, np.arange(last + 1)).astype(float)
-    seg_lo = starts[:last + 1].copy()
-    seg_hi = roofs[:last + 1].copy()
-    seg_hi[last] = seg_lo[last] + (T - (ends[last] - lengths[last]))
+        return np.zeros(len(Ts))
+    f0 = _fiber(flow, x)
     if isinstance(phi, FiberProfile):
-        vals = np.empty(last + 1)
-        if last > 1:
-            # every full sweep starts at fiber 0, so one integral per roof value
-            uniq, inv = np.unique(seg_hi[1:last], return_inverse=True)
-            vals[1:last] = np.array([phi.profile_integral(0.0, h) for h in uniq])[inv]
-        vals[0] = phi.profile_integral(seg_lo[0], seg_hi[0])
-        if last > 0:
-            vals[last] = phi.profile_integral(seg_lo[last], seg_hi[last])
-        total = float(np.dot(base_vals, vals))
+        mass = phi.profile_integral
     else:
-        total = float(np.dot(base_vals, seg_hi - seg_lo))
-    if receipt is not None:
-        receipt["segments"] = last + 1
-    return total / T
-
-
-def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
-    return np.array([birkhoff_average_flow(flow, x, phi, T) for T in schedule.checkpoints])
+        def mass(lo, hi):
+            return hi - lo
+    roof = flow.roof
+    taus = [f0 + T for T in Ts]        # times from the bottom of cell 0
+    if roof.depth == 0:
+        c = roof.table[0]
+        last = []
+        for tau in taus:               # the cell whose top reaches tau
+            L = max(math.ceil(tau / c) - 1, 0)
+            while (L + 1) * c < tau:
+                L += 1
+            while L > 0 and L * c >= tau:
+                L -= 1
+            last.append(L)
+        roof0, entry = c, [L * c for L in last]
+    else:
+        vals = _roof_values(roof, x, taus[-1])
+        entries = np.concatenate(([0.0], np.cumsum(vals)))
+        last = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
+        if last[-1] >= len(vals):
+            raise BudgetExhausted("flow horizon exceeds the prepared roof window")
+        roof0, entry = vals[0], [entries[L] for L in last]
+    cells = last[-1] + 1
+    hits = _hits(np.asarray(x.prefix(cells + len(word) - 1)), word, cells)
+    if roof.depth == 0:
+        unit, full = mass(0.0, roof0), _prefix(hits)
+    else:
+        # a full cell weighs the mass under its roof: one mass per roof value
+        uniq, inv = np.unique(vals[:cells - 1], return_inverse=True)
+        per_cell = np.array([mass(0.0, v) for v in uniq])[inv]
+        unit, full = 1.0, _prefix(np.where(hits[:-1], per_cell, 0.0))
+    out = np.empty(len(Ts))
+    for ci, (T, tau, L) in enumerate(zip(Ts, taus, last)):
+        if L == 0:
+            total = hits[0] * mass(f0, tau)
+        else:
+            total = (hits[0] * mass(f0, roof0) + unit * (full[L] - full[1])
+                     + hits[L] * mass(0.0, tau - entry[ci]))
+        out[ci] = scale * total / T
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +482,8 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
     if n < 1:
         raise ValueError("need n >= 1")
     if _is_symbolic_path(system, x):
-        arr, idx = _symbol_view(system, x, n, _EMPIRICAL_KEY_DEPTH)
+        arr, cell_first = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
+        idx = np.repeat(np.arange(len(cell_first) - 1), np.diff(cell_first))[:n]
         steps = np.diff(idx)
         if idx[0] != 0 or (steps.size and (steps != steps[0]).any()):
             # fractional strides revisit base coordinates at changing fibers;

@@ -19,17 +19,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .systems import (
-    BlockSchedule, BudgetExhausted, CircleRotationFlow, Coordinate,
-    DisjointUnion, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
-    Suspension, TimeTMap, TorusTranslation, alphabet_of, random_point,
+    BlockSchedule, BudgetExhausted, Coordinate, DisjointUnion, ExplicitWord,
+    FullShift, Point, SeededIID, SteeredBlocks, Suspension, TimeTMap,
+    alphabet_of, random_point,
 )
 from .measures import (
     Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily, integrate,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, birkhoff_profile, classify_generic, classify_irregular,
-    flow_average_profile, limit_point_set,
+    Schedule, _fiber, _is_flow, birkhoff_profile, classify_generic,
+    classify_irregular, flow_average_profile, limit_point_set,
 )
 from .entropy import (
     ComponentWindow, FrequencyWindow, WholeSpace, bowen_entropy_flow,
@@ -46,10 +46,6 @@ from .reporting import Row, timed, write_csv
 __all__ = ["main"]
 
 
-def _is_flow(system) -> bool:
-    return isinstance(system, (CircleRotationFlow, TorusTranslation, Suspension))
-
-
 def _pmap(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
@@ -61,7 +57,14 @@ def _pmap(fn, items, threads: int):
 def _resolve_point(obj, system, rng):
     if obj.get("kind") == "random":
         return random_point(system, rng)
-    return build_point(obj)
+    point = build_point(obj)
+    flow = system.flow if isinstance(system, TimeTMap) else system
+    if isinstance(flow, Suspension):
+        try:
+            _fiber(flow, point)
+        except ValueError as exc:
+            raise ConfigError(f"bad point: {exc}") from None
+    return point
 
 
 def _invariant_measure_for(system, mu):

@@ -237,7 +237,8 @@ SCHEMA = {
         "construction": {"enum": ["generic-point", "irregular-point", "glued-orbit"]},
         "construction_kind": {"enum": ["deterministic-blocks", "seeded-iid"]},
         "horizon": {"type": "integer", "minimum": 1},
-        "times": {"type": "array", "items": _NUM, "minItems": 1},
+        "times": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
+                  "minItems": 1},
         "sample_count": {"type": "integer", "minimum": 1},
         "segments": {
             "type": "array",
@@ -317,7 +318,10 @@ def build_system(obj: dict):
         if kind == "suspension":
             return Suspension(build_system(obj["base"]), _build_roof(obj["roof"]))
         if kind == "time-t-map":
-            return TimeTMap(build_system(obj["flow"]), obj["t"])
+            flow = build_system(obj["flow"])
+            if isinstance(flow, Suspension) and obj["t"] < 0:
+                _fail("a time-t map of a suspension needs t > 0: its symbol stream is one-sided")
+            return TimeTMap(flow, obj["t"])
     except KeyError as exc:
         _fail(f"system '{kind}' is missing field {exc}")
     except (ValueError, TypeError) as exc:

@@ -7,12 +7,14 @@ from hypothesis import given, settings, strategies as st
 from ergode.systems import (
     CircleRotation,
     Coordinate,
+    DisjointUnion,
     ExplicitWord,
     FullShift,
     Point,
     RoofFunction,
     SeededIID,
     Suspension,
+    TimeTMap,
     step,
     suspension_point,
 )
@@ -33,6 +35,7 @@ from ergode.birkhoff import (
     birkhoff_profile,
     classify_generic,
     classify_irregular,
+    _map_cells,
     empirical_measure,
     flow_average_profile,
     limit_point_set,
@@ -170,3 +173,215 @@ def test_limit_point_set_single_class_for_generic_orbit():
                               Schedule.geometric(1000, 64000), tol=0.05)
     assert len(classes) == 1
     assert classes[0].integrals[0] == pytest.approx(0.5, abs=0.05)
+
+
+# ---------------------------------------------------------------------------
+# suspension readers against the per-checkpoint and per-step references
+
+
+def flow_average_reference(flow, x, phi, T):
+    """Flow average rebuilt from time 0 for one T, segment by segment."""
+    if isinstance(phi, Constant):
+        return phi.value
+    roof = flow.roof
+    u0 = x.fiber if x.fiber is not None else 0.0
+    count = int(T / roof.roof_min) + 3
+    roofs = roof.values_along(np.asarray(x.prefix(count + roof.depth)), count)
+    if u0 < 0 or u0 >= roofs[0]:
+        raise ValueError("fiber coordinate out of range")
+    starts = np.zeros(count)
+    starts[0] = u0
+    lengths = roofs - starts
+    ends = np.cumsum(lengths)
+    last = int(np.searchsorted(ends, T, side="left"))
+    base_phi = phi.base if isinstance(phi, FiberProfile) else phi
+    if isinstance(base_phi, Constant):
+        base_vals = np.full(last + 1, base_phi.value)
+    else:
+        word = base_phi.word if isinstance(base_phi, CylinderIndicator) else (base_phi.symbol,)
+        if base_phi.component is not None and x.component != base_phi.component:
+            return 0.0
+        arr = np.asarray(x.prefix(last + 1 + len(word)))
+        idx = np.arange(last + 1)
+        hit = arr[idx] == word[0]
+        for i, s in enumerate(word[1:], start=1):
+            hit = hit & (arr[idx + i] == s)
+        base_vals = hit.astype(float)
+    seg_lo = starts[:last + 1].copy()
+    seg_hi = roofs[:last + 1].copy()
+    seg_hi[last] = seg_lo[last] + (T - (ends[last] - lengths[last]))
+    if isinstance(phi, FiberProfile):
+        vals = np.empty(last + 1)
+        if last > 1:
+            uniq, inv = np.unique(seg_hi[1:last], return_inverse=True)
+            vals[1:last] = np.array([phi.profile_integral(0.0, h) for h in uniq])[inv]
+        vals[0] = phi.profile_integral(seg_lo[0], seg_hi[0])
+        if last > 0:
+            vals[last] = phi.profile_integral(seg_lo[last], seg_hi[last])
+        return float(np.dot(base_vals, vals)) / T
+    return float(np.dot(base_vals, seg_hi - seg_lo)) / T
+
+
+def map_steps_reference(tmap, x, n):
+    """idx[j]: the base cell read at map step j, one float test per step."""
+    roof = tmap.flow.roof
+    f0 = x.fiber if x.fiber is not None else 0.0
+    times = f0 + tmap.t * np.arange(n, dtype=float)
+    if roof.depth == 0:
+        return np.floor(times / roof.roof_max + 1e-12).astype(np.int64)
+    crossings = int(times[-1] / roof.roof_min) + 2
+    vals = roof.values_along(np.asarray(x.prefix(crossings + roof.depth)), crossings)
+    entry_times = np.concatenate(([0.0], np.cumsum(vals)))
+    return np.searchsorted(entry_times, times, side="right") - 1
+
+
+def map_profile_reference(tmap, x, phi, cps):
+    """Running map averages from a per-step gather of the base symbols."""
+    if isinstance(phi, Constant):
+        return np.full(len(cps), phi.value)
+    word = phi.word if isinstance(phi, CylinderIndicator) else (phi.symbol,)
+    if phi.component is not None and x.component != phi.component:
+        return np.zeros(len(cps))
+    idx = map_steps_reference(tmap, x, cps[-1])
+    arr = np.asarray(x.prefix(int(idx[-1]) + len(word) + 1))
+    hit = arr[idx] == word[0]
+    for i, s in enumerate(word[1:], start=1):
+        hit = hit & (arr[idx + i] == s)
+    cs = np.cumsum(hit, dtype=float)
+    return np.array([cs[n - 1] / n for n in cps])
+
+
+ROOFS = [RoofFunction.constant(v) for v in (1.0, 2.0, 0.75, 3.0)] + [
+    RoofFunction(1, (1.0, 2.0), 2), RoofFunction(2, (0.7, 1.3, 1.1, 0.45), 2),
+]
+POINTS = {
+    "iid": Point(SeededIID(5, (0.5, 0.5))),
+    "steered": irregular_point(FullShift(2), 0, 0.2, 0.65, first_block=8, ratio=4,
+                               horizon=1 << 14).point,
+}
+TENT = ((0.0, 0.0), (0.3, 1.0), (0.5, 0.25), (2.0, 0.5))
+OBSERVABLES = [
+    SymbolFrequency(1), CylinderIndicator((1, 0, 1)), Constant(0.75),
+    FiberProfile(SymbolFrequency(0), TENT), FiberProfile(Constant(2.0), TENT),
+]
+
+
+def _grid_id(roof):
+    return f"constant-{roof.table[0]}" if roof.depth == 0 else f"word-{roof.table}"
+
+
+@pytest.mark.parametrize("roof", ROOFS, ids=_grid_id)
+@pytest.mark.parametrize("fiber", [0.0, 0.1])
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_flow_profile_matches_per_checkpoint_reference(roof, fiber, point):
+    flow = Suspension(FullShift(2), roof)
+    x = POINTS[point].with_fiber(fiber)
+    # block ends of the steered point and times off them
+    sched = Schedule((0.05, 1.0, 7.3, 40.0, 168.0, 680.0, 1000.5, 2728.0, 6000.25))
+    for phi in OBSERVABLES:
+        got = flow_average_profile(flow, x, phi, sched)
+        want = [flow_average_reference(flow, x, phi, T) for T in sched.checkpoints]
+        # identical under constant roofs; fiber profiles and word-dependent
+        # roofs add their cell masses in another order
+        if roof.depth == 0 and not isinstance(phi, FiberProfile):
+            assert list(got) == want, phi
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15, err_msg=repr(phi))
+        assert birkhoff_average_flow(flow, x, phi, 680.0) == got[5]
+
+
+@pytest.mark.parametrize("roof", ROOFS, ids=_grid_id)
+@pytest.mark.parametrize("t", [1.0, 0.5, 0.3, 2.0])
+@pytest.mark.parametrize("fiber", [0.0, 0.1])
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_time_t_map_profile_matches_per_step_reference(roof, t, fiber, point):
+    tmap = TimeTMap(Suspension(FullShift(2), roof), t)
+    x = POINTS[point].with_fiber(fiber)
+    cps = (1, 2, 7, 40, 168, 680, 1001, 2728, 6000)
+    n = cps[-1]
+    idx = map_steps_reference(tmap, x, n)
+    _, first = _map_cells(tmap, x, n, 1)
+    assert len(first) == idx[-1] + 2 and first[-1] >= n
+    assert np.diff(first)[:-1].tolist() == np.bincount(idx)[:-1].tolist()
+    assert n - first[-2] == np.bincount(idx)[-1]
+    for phi in OBSERVABLES[:3]:
+        got = birkhoff_profile(tmap, x, phi, Schedule(cps))
+        assert got.tolist() == map_profile_reference(tmap, x, phi, cps).tolist(), phi
+
+
+def test_flow_profile_matches_exact_rational_arithmetic():
+    """Cell entries i*c are not summed one roof at a time, so a roof like 0.3
+    gathers no rounding drift over long horizons."""
+    from fractions import Fraction
+
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.3))
+    rule = irregular_point(FullShift(2), 1, 0.3, 0.7, first_block=8, ratio=4, horizon=1 << 16)
+    x = rule.point.with_fiber(0.002316833146874575)
+    phi = CylinderIndicator((1, 0, 1))
+    sched = Schedule((195.01636526085784, 843.283529251529, 1973.8258709057714))
+    arr = x.prefix(7000).tolist()
+    c, f0 = Fraction(0.3), Fraction(x.fiber)
+    for T, got in zip(sched.checkpoints, flow_average_profile(flow, x, phi, sched)):
+        top, total, i = f0 + Fraction(T), Fraction(0), 0
+        while True:
+            if arr[i:i + 3] == [1, 0, 1]:
+                total += min((i + 1) * c, top) - (f0 if i == 0 else i * c)
+            if (i + 1) * c >= top:
+                break
+            i += 1
+        assert got == pytest.approx(float(total / Fraction(T)), rel=2e-15, abs=0.0)
+
+
+def test_suspension_readers_respect_the_component():
+    union = DisjointUnion(FullShift(2), FullShift(2))
+    flow = Suspension(union, RoofFunction.constant(0.75))
+    x = Point(SeededIID(5, (0.5, 0.5)), component=1, fiber=0.1)
+    sched = Schedule((3.0, 30.0, 300.0))
+    for phi in (SymbolFrequency(0, component=0), CylinderIndicator((1, 1), component=0)):
+        assert flow_average_profile(flow, x, phi, sched).tolist() == [0.0] * 3
+        assert birkhoff_profile(TimeTMap(flow, 0.3), x, phi, Schedule((3, 30, 300))).tolist() == [0.0] * 3
+    own = SymbolFrequency(0, component=1)
+    np.testing.assert_allclose(
+        flow_average_profile(flow, x, own, sched),
+        [flow_average_reference(flow, x, own, T) for T in sched.checkpoints], rtol=1e-12)
+    assert birkhoff_profile(TimeTMap(flow, 0.3), x, own, Schedule((3, 30, 300))).tolist() == \
+        map_profile_reference(TimeTMap(flow, 0.3), x, own, (3, 30, 300)).tolist()
+
+
+@pytest.mark.parametrize("fiber", [1.0, 5.0])
+def test_fiber_outside_the_roof_is_refused_on_both_paths(fiber):
+    flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
+    x = Point(SeededIID(5, (0.5, 0.5)), fiber=fiber)
+    with pytest.raises(ValueError, match="fiber coordinate"):
+        flow_average_profile(flow, x, SymbolFrequency(0), Schedule((10.0,)))
+    with pytest.raises(ValueError, match="fiber coordinate"):
+        birkhoff_profile(TimeTMap(flow, 1.0), x, SymbolFrequency(0), Schedule((10,)))
+
+
+def test_time_t_map_of_a_suspension_refuses_negative_t():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), -1.0)
+    with pytest.raises(ValueError, match="forward in time"):
+        birkhoff_profile(tmap, Point(SeededIID(5, (0.5, 0.5)), fiber=0.0),
+                         SymbolFrequency(0), Schedule((10,)))
+
+
+def test_family_profiles_on_a_time_t_map_match_the_single_profiles():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2)), 0.3)
+    x = POINTS["steered"].with_fiber(0.1)
+    fam = TestFamily.default_for(FullShift(2), depth=3)
+    sched = Schedule((7, 168, 1001, 2728))
+    mu = Bernoulli((0.5, 0.5))
+    A = classify_generic(tmap, x, mu, fam, sched, keep_profile=True).profile
+    for i, phi in enumerate(fam.observables):
+        want = map_profile_reference(tmap, x, phi, sched.checkpoints)
+        assert [row[i] for row in A] == want.tolist(), phi
+
+
+def test_empirical_measure_on_a_whole_step_time_t_map():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.5)), 1.0)
+    emp = empirical_measure(tmap, Point(ExplicitWord((0, 1, 1, 0)), fiber=0.0), 8)
+    # every second base cell: 0, 1, 0, 1, ... two atoms of weight 1/2
+    assert sorted(p.offset for p in emp.points) == [0, 2]
+    assert all(w == pytest.approx(0.5) for w in emp.weights)
+    with pytest.raises(TypeError):
+        empirical_measure(TimeTMap(tmap.flow, 0.3), Point(ExplicitWord((0, 1)), fiber=0.0), 8)

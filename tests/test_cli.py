@@ -351,3 +351,47 @@ def test_verify_inclusions_on_a_suspension_checks_both_dynamics(tmp_path):
     assert by_q["suite_size"] >= 8
     assert by_q["generic_inclusion_breaks"] == 0
     assert by_q["irregular_inclusion_breaks"] == 0
+
+
+def suspension_birkhoff_config(system, fiber):
+    return {
+        "command": "birkhoff",
+        "experiment_id": "susp",
+        "system": system,
+        "point": {"kind": "seeded-iid", "seed": 1, "probs": [0.5, 0.5], "fiber": fiber},
+        "observable": {"kind": "symbol-frequency", "symbol": 0},
+        "schedule": {"kind": "explicit", "checkpoints": [10, 20]},
+    }
+
+
+def suspension(roof):
+    return {"kind": "suspension", "base": {"kind": "full-shift", "k": 2}, "roof": roof}
+
+
+@pytest.mark.parametrize("roof", [{"constant": 1.0}, {"depth": 1, "table": [1.0, 2.0], "k": 2}])
+def test_time_t_map_of_a_suspension_with_negative_t_exits_2(tmp_path, roof):
+    system = {"kind": "time-t-map", "flow": suspension(roof), "t": -1.0}
+    res = run_cli(suspension_birkhoff_config(system, 0.0), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "t > 0" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("t", [-1.0, 0.0])
+def test_verify_thm_a_with_a_time_at_or_below_zero_exits_2(tmp_path, t):
+    cfg = {"command": "verify-thm-a", "experiment_id": "thm-a",
+           "system": suspension({"constant": 1.0}), "depths": [20, 40], "times": [1.0, t]}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("path", ["flow", "time-t-map"])
+def test_fiber_outside_the_roof_exits_2(tmp_path, path):
+    system = suspension({"constant": 1.0})
+    if path == "time-t-map":
+        system = {"kind": "time-t-map", "flow": system, "t": 1.0}
+    res = run_cli(suspension_birkhoff_config(system, 5.0), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "fiber coordinate" in res.stderr
+    assert "Traceback" not in res.stderr
