@@ -7,10 +7,13 @@ Circle and torus maps sum the observable along the materialised orbit.
 Symbolic orbits are read one base cell (symbol offset) at a time: shifts,
 the flow of a suspension and the time-t map of a suspension all weigh the
 word hits of each cell by what the orbit spends in it (map steps, or flow
-time under the roof), and one prefix sum over the cells answers every
-checkpoint.  Flow averages are exact: closed-form antiderivatives on
-rotation flows, and full cells plus the two partial end cells on
-suspensions.
+time under the roof).  The checkpoints cut the cells into intervals, and
+integer counts over each interval, taken in bounded chunks, answer every
+checkpoint without a full-length temporary.  A time-t map of a
+constant-roof suspension keeps its cell grid per fiber, so every point read
+through one map shares it.  Flow averages are exact: closed-form
+antiderivatives on rotation flows, and full cells plus the two partial end
+cells on suspensions.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -40,7 +43,7 @@ __all__ = [
     "Schedule", "Verdict", "LimitClass", "birkhoff_average_map",
     "birkhoff_profile", "birkhoff_average_flow", "flow_average_profile",
     "empirical_measure", "limit_point_set", "classify_generic",
-    "classify_irregular",
+    "classify_irregular", "family_targets",
 ]
 
 
@@ -130,10 +133,11 @@ def _is_symbolic_path(system, x: Point) -> bool:
 # entered at the sum of the roof values before it.  The time-t map of a
 # suspension reads the cell over which time f0 + t*j lies at step j, so it can
 # spend several steps in one cell and skip others.  Every average is then the
-# hits of a word per cell, weighted by what the orbit spends in the cell, and
-# one prefix sum over the cells reads every checkpoint.
+# hits of a word per cell, weighted by what the orbit spends in the cell,
+# summed over the cells between consecutive checkpoints.
 
 _CELL_CHUNK = 1 << 14   # cells per vectorised step in `_map_cells`; its temporaries stay in cache
+_GRIDS_KEPT = 4         # fibers whose constant-roof cell grid a time-t map keeps
 
 
 def _fiber(flow: Suspension, x: Point) -> float:
@@ -159,14 +163,16 @@ def _map_cells(system, x: Point, n: int, depth: int):
     L is the cell read at step n-1; `symbols` holds the base symbols of the
     cells 0..L and the depth-1 after them.  first[i], for i = 0..L+1, is the
     first map step that reads cell i or a later one, so step j reads cell i
-    exactly when first[i] <= j < first[i+1].
+    exactly when first[i] <= j < first[i+1].  Callers only read `first`.
 
     On a time-t map of a suspension, step j reads the cell
     floor((f0 + t*j)/c + 1e-12) under a constant roof c, and the last cell
     entered at or before time f0 + t*j otherwise.  first[i] starts from the
     real root of f0 + t*j = entry_i and is moved until that very float test
     agrees, so the counts per cell are the exact integers that a step-by-step
-    reading gives.
+    reading gives.  Under a constant roof first[i] depends only on c, t and
+    f0, not on the point or on n, so the map keeps one grid per fiber, extends
+    it when a longer one is asked for, and every read takes a slice of it.
     """
     if symbolic_kind(system):
         return np.asarray(x.prefix(n + depth - 1)), np.arange(n + 1)
@@ -179,31 +185,40 @@ def _map_cells(system, x: Point, n: int, depth: int):
     if roof.depth == 0:
         c = roof.table[0]
         m = int(last / c + 1e-12) + 2
-
-        def levels(lo, hi):
-            return np.arange(lo, hi, dtype=float)
-
-        def reached(tau, level):   # the cell read at time tau is >= level
-            return tau / c + 1e-12 >= level
-
-        def entry(level):
-            return level * c
-    else:
-        entries = np.concatenate(([0.0], np.cumsum(_roof_values(roof, x, last))))
-        m = int(np.searchsorted(entries, last, side="right")) + 1
-
-        def levels(lo, hi):
-            return entries[lo:hi]
-
-        def reached(tau, level):
-            return tau >= level
-
-        def entry(level):
-            return level
-    symbols = np.asarray(x.prefix(m + depth - 2))   # before the cell arrays
+        symbols = np.asarray(x.prefix(m + depth - 2))   # before the cell arrays
+        grids = system._grids
+        grid = grids.pop(f0, np.zeros(1, dtype=np.int64))   # first[0] = 0
+        if len(grid) < m:
+            longer = np.zeros(m, dtype=np.int64)
+            longer[:len(grid)] = grid
+            _fill_first(
+                longer, len(grid), f0, t,
+                levels=lambda lo, hi: np.arange(lo, hi, dtype=float),
+                reached=lambda tau, level: tau / c + 1e-12 >= level,
+                entry=lambda level: level * c,
+            )
+            longer.flags.writeable = False
+            grid = longer
+        for stale in list(grids)[:1 - _GRIDS_KEPT]:   # random fibers share nothing
+            grids.pop(stale, None)
+        grids[f0] = grid                              # most recently read last
+        return symbols, grid[:m]
+    entries = np.concatenate(([0.0], np.cumsum(_roof_values(roof, x, last))))
+    m = int(np.searchsorted(entries, last, side="right")) + 1
+    symbols = np.asarray(x.prefix(m + depth - 2))
     first = np.zeros(m, dtype=np.int64)
-    for lo in range(1, m, _CELL_CHUNK):
-        level = levels(lo, min(lo + _CELL_CHUNK, m))
+    _fill_first(first, 1, f0, t, levels=lambda lo, hi: entries[lo:hi],
+                reached=lambda tau, level: tau >= level, entry=lambda level: level)
+    return symbols, first
+
+
+def _fill_first(first: np.ndarray, lo: int, f0: float, t: float,
+                levels, reached, entry) -> None:
+    """first[i] for i >= lo, `_CELL_CHUNK` cells at a time: cell i has level
+    levels(i, i+1) and is entered at time entry(level), and time tau reads
+    it or a later cell when reached(tau, level)."""
+    for start in range(lo, len(first), _CELL_CHUNK):
+        level = levels(start, min(start + _CELL_CHUNK, len(first)))
         j = np.ceil((entry(level) - f0) / t)
         while True:
             back = (j > 0) & reached(f0 + t * (j - 1), level)
@@ -212,8 +227,7 @@ def _map_cells(system, x: Point, n: int, depth: int):
                 break
             j += ahead
             j -= back
-        first[lo:lo + len(j)] = j
-    return symbols, first
+        first[start:start + len(j)] = j
 
 
 def _cell_of_step(first: np.ndarray, n: int) -> int:
@@ -232,12 +246,16 @@ def _hits(arr: np.ndarray, word, cells: int) -> np.ndarray:
     return hit
 
 
-def _prefix(values: np.ndarray) -> np.ndarray:
-    """out[i] = sum of values[:i], summed in place; integers stay integers."""
-    out = np.empty(len(values) + 1, dtype=np.result_type(values.dtype, np.int64))
-    out[0] = 0
-    out[1:] = values
-    np.cumsum(out[1:], out=out[1:])
+def _running_totals(ends, total_of, start: int = 0, zero=0):
+    """The sum of total_of(lo, hi) over the cells [start, e), for each e of
+    the ascending `ends`.  Each call covers at most `_CELL_CHUNK` cells, so
+    no per-cell array outlives its chunk; integer totals stay exact."""
+    out, total, upto = [], zero, start
+    for e in ends:
+        for lo in range(upto, e, _CELL_CHUNK):
+            total = total + total_of(lo, min(lo + _CELL_CHUNK, e))
+        upto = max(upto, e)
+        out.append(total)
     return out
 
 
@@ -266,16 +284,16 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
         if comp is not None and x.component != comp:
             return np.zeros(len(cps))
         arr, first = _map_cells(system, x, n_max, len(word))
-        hits = _hits(arr, word, len(first) - 1)
-        done = np.zeros(len(first), dtype=np.int64)
-        np.subtract(first[1:], first[:-1], out=done[1:])
-        done[1:] *= hits
-        np.cumsum(done, out=done)      # steps spent on hits in the cells before i
-        out = np.empty(len(cps))
-        for ci, n in enumerate(cps):
-            i = _cell_of_step(first, n)
-            out[ci] = (done[i] + hits[i] * (n - first[i])) / n
-        return out
+        cells = [_cell_of_step(first, n) for n in cps]
+
+        def steps_on_hits(lo, hi):
+            return int(np.dot(_hits(arr[lo:], word, hi - lo), np.diff(first[lo:hi + 1])))
+
+        done = _running_totals(cells, steps_on_hits)   # over the cells before i
+        return np.array([
+            (d + int(_hits(arr[i:], word, 1)[0]) * (n - int(first[i]))) / n
+            for d, i, n in zip(done, cells, cps)
+        ])
     coords = _orbit_coords(system, x, n_max)
     values = evaluate_on_circle(phi, coords)
     cs = np.cumsum(values)
@@ -322,20 +340,24 @@ def _family_profiles_symbolic(system, x, obs, cps) -> np.ndarray:
     depth = max(len(w) for w, _ in words)
     k = _alphabet_for_profiles(system, x)
     arr, first = _map_cells(system, x, n_max, depth)
-    cells = len(first) - 1
-    codes = np.zeros(cells, dtype=np.int64)
-    for i in range(depth):
-        codes = codes * k + arr[i:cells + i]
-    steps = np.diff(first)
+
+    def codes(lo, hi):
+        out = np.zeros(hi - lo, dtype=np.int64)
+        for d in range(depth):
+            out = out * k + arr[lo + d:hi + d]
+        return out
+
+    def weighted_words(lo, hi):
+        return np.bincount(codes(lo, hi), weights=np.diff(first[lo:hi + 1]),
+                           minlength=k ** depth)
+
+    cells = [_cell_of_step(first, n) for n in cps]
+    counted = _running_totals(cells, weighted_words, zero=np.zeros(k ** depth))
     out = np.empty((len(cps), len(obs)))
-    counted = np.zeros(k ** depth)     # word counts over the cells before `upto`
-    upto = 0
     for ci, n in enumerate(cps):
-        i = _cell_of_step(first, n)
-        counted += np.bincount(codes[upto:i], weights=steps[upto:i], minlength=k ** depth)
-        upto = i
-        counts = counted.copy()
-        counts[codes[i]] += n - first[i]
+        i = cells[ci]
+        counts = counted[ci].copy()   # word counts over the cells before i
+        counts[codes(i, i + 1)[0]] += n - first[i]
         per_depth = {depth: counts}
         for d in range(depth - 1, 0, -1):
             per_depth[d] = per_depth[d + 1].reshape(-1, k).sum(axis=1)
@@ -448,22 +470,32 @@ def _suspension_profile(flow: Suspension, x: Point, phi, Ts) -> np.ndarray:
         if last[-1] >= len(vals):
             raise BudgetExhausted("flow horizon exceeds the prepared roof window")
         roof0, entry = vals[0], [entries[L] for L in last]
-    cells = last[-1] + 1
-    hits = _hits(np.asarray(x.prefix(cells + len(word) - 1)), word, cells)
+    arr = np.asarray(x.prefix(last[-1] + len(word)))
+
+    def hits(lo, hi=None):
+        return _hits(arr[lo:], word, 1 if hi is None else hi - lo)
+
+    # the hit cells among the full cells 1..L-1, counted exactly
     if roof.depth == 0:
-        unit, full = mass(0.0, roof0), _prefix(hits)
+        unit = mass(0.0, roof0)
+        full = _running_totals(last, lambda lo, hi: np.count_nonzero(hits(lo, hi)), start=1)
     else:
-        # a full cell weighs the mass under its roof: one mass per roof value
-        uniq, inv = np.unique(vals[:cells - 1], return_inverse=True)
-        per_cell = np.array([mass(0.0, v) for v in uniq])[inv]
-        unit, full = 1.0, _prefix(np.where(hits[:-1], per_cell, 0.0))
+        # a full cell weighs the mass under its roof: count per roof value
+        uniq, inv = np.unique(vals[:last[-1]], return_inverse=True)
+        masses = np.array([mass(0.0, v) for v in uniq])
+        per_value = _running_totals(
+            last, lambda lo, hi: np.bincount(inv[lo:hi][hits(lo, hi)], minlength=len(uniq)),
+            start=1, zero=np.zeros(len(uniq), dtype=np.int64),
+        )
+        unit, full = 1.0, [float(np.dot(counts, masses)) for counts in per_value]
+    hit0 = hits(0)[0]
     out = np.empty(len(Ts))
     for ci, (T, tau, L) in enumerate(zip(Ts, taus, last)):
         if L == 0:
-            total = hits[0] * mass(f0, tau)
+            total = hit0 * mass(f0, tau)
         else:
-            total = (hits[0] * mass(f0, roof0) + unit * (full[L] - full[1])
-                     + hits[L] * mass(0.0, tau - entry[ci]))
+            total = (hit0 * mass(f0, roof0) + unit * full[ci]
+                     + hits(L)[0] * mass(0.0, tau - entry[ci]))
         out[ci] = scale * total / T
     return out
 
@@ -583,11 +615,15 @@ def _is_flow(system) -> bool:
 
 def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
                      schedule: Optional[Schedule] = None, tol: float = 0.02,
-                     keep_profile: bool = False) -> Verdict:
+                     keep_profile: bool = False, targets=None) -> Verdict:
     """Is x generic for mu?  Answers only when the last two checkpoints agree:
     Generic when every observable is within tol at both, NotGeneric when some
     observable is at least 3*tol away at both (the first such observable in
-    family order is the witness), Inconclusive otherwise."""
+    family order is the witness), Inconclusive otherwise.
+
+    `targets` are the integrals of the family's observables against mu; a
+    loop that classifies many points against one (mu, fam) passes
+    `family_targets(mu, fam)` once instead of integrating on every call."""
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
@@ -595,7 +631,8 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
     if len(schedule.checkpoints) < 2:
         raise ValueError("classification needs at least two checkpoints")
     A = _profiles_any(system, x, fam, schedule)
-    targets = np.array([integrate(mu, phi) for phi in fam.observables])
+    if targets is None:
+        targets = family_targets(mu, fam)
     g_last = np.abs(A[-1] - targets)
     g_prev = np.abs(A[-2] - targets)
     gap = float(g_last.max())
@@ -610,6 +647,11 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
             schedule.checkpoints[-1], profile,
         )
     return Verdict("Inconclusive", gap, None, schedule.checkpoints[-1], profile)
+
+
+def family_targets(mu, fam: TestFamily) -> np.ndarray:
+    """The integral of each observable of the family against mu."""
+    return np.array([integrate(mu, phi) for phi in fam.observables])
 
 
 def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = None,

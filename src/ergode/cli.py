@@ -24,11 +24,11 @@ from .systems import (
     alphabet_of, random_point,
 )
 from .measures import (
-    Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily, integrate,
+    Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _fiber, _is_flow, birkhoff_profile, classify_generic,
+    Schedule, _fiber, _is_flow, birkhoff_profile, classify_generic, family_targets,
     classify_irregular, flow_average_profile, limit_point_set,
 )
 from .entropy import (
@@ -288,10 +288,11 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         n_samples = cfg.get("sample_count", 100)
         fam = TestFamily.default_for(inner, depth=cfg.get("family_depth", 3))
         schedule = build_schedule(cfg.get("schedule"), False)
+        targets = family_targets(mu, fam)
 
         def one(i):
             x = random_point(inner, np.random.default_rng(ctx["seed"] + i))
-            return classify_generic(inner, x, mu, fam, schedule, tol)
+            return classify_generic(inner, x, mu, fam, schedule, tol, targets=targets)
 
         verdicts = _pmap(one, range(n_samples), ctx["threads"])
         bad = sum(1 for v in verdicts if v.label == "NotGeneric")
@@ -354,10 +355,11 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     n_samples = cfg.get("sample_count", 50)
     fam = TestFamily.default_for(system, depth=cfg.get("family_depth", 4))
     schedule = build_schedule(cfg.get("schedule"), False)
+    targets = family_targets(mu, fam)
 
     def mu_sample(i):
         x = _sample_from(system, mu, ctx["seed"] + i)
-        return classify_generic(system, x, mu, fam, schedule, tol)
+        return classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
 
     verdicts = _pmap(mu_sample, range(n_samples), ctx["threads"])
     counts = {"Generic": 0, "NotGeneric": 0, "Inconclusive": 0}
@@ -367,7 +369,6 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(n), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
     # limit sets of mu samples should form one cluster at mu's integrals
-    targets = np.array([integrate(mu, phi) for phi in fam.observables])
     w = fam.weights()
     good_limit = 0
     for i in range(min(n_samples, 10)):
@@ -382,7 +383,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     if other is not None:
         def other_sample(i):
             x = _sample_from(system, other, ctx["seed"] + 7919 + i)
-            return classify_generic(system, x, mu, fam, schedule, tol)
+            return classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
         rejected = sum(
             1 for v in _pmap(other_sample, range(n_samples), ctx["threads"])
             if v.label == "NotGeneric"
@@ -440,16 +441,25 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
     def in_time_units(sched, integral):
         cps = tuple(cp * c for cp in sched.checkpoints)
-        return Schedule(tuple(int(round(cp)) for cp in cps) if integral else cps)
+        if integral:
+            cps = tuple(int(round(cp)) for cp in cps)
+        try:
+            return Schedule(cps)
+        except ValueError as exc:
+            raise ConfigError(
+                f"checkpoints {list(sched.checkpoints)} under the roof {c} give the "
+                f"time-1 map checkpoints {list(cps)}: {exc}"
+            ) from None
 
     map_sched = in_time_units(base_sched, True)
     flow_sched = in_time_units(base_sched, False)
     freq = SymbolFrequency(0)
+    targets = family_targets(mubar, fam)
 
     def judge(item):
         tag, x, blocks = item
-        vg_map = classify_generic(tmap, x, mubar, fam, map_sched, tol)
-        vg_flow = classify_generic(flow, x, mubar, fam, flow_sched, tol)
+        vg_map = classify_generic(tmap, x, mubar, fam, map_sched, tol, targets=targets)
+        vg_flow = classify_generic(flow, x, mubar, fam, flow_sched, tol, targets=targets)
         isched = blocks or base_sched
         vi_map = classify_irregular(tmap, x, freq, in_time_units(isched, True), tol)
         vi_flow = classify_irregular(flow, x, freq, in_time_units(isched, False), tol)

@@ -175,20 +175,23 @@ def _cylinder_span(system, word) -> float:
     raise TypeError(f"no cylinder span for {type(system).__name__}")
 
 
-def _flow_body_span(flow: Suspension, word, hi: float) -> float:
-    """Span of ([word], fiber below hi) under the rolled flow-box cover.
+def _box_span(steps, c: float, hi: float) -> float:
+    """Flow time that a box over a cylinder of `steps` base steps, with fiber
+    below hi, stays certain under the constant roof c: the accumulated roof
+    time plus a quarter of the final roof, less hi.  Past that the base
+    shadow is no longer a single cylinder."""
+    return steps * c + 0.25 * c - hi
 
-    The last flow box certain from the word alone runs to the accumulated
-    roof time plus a quarter of the final roof; past that the base shadow is
-    no longer a single cylinder.
-    """
+
+def _flow_body_span(flow: Suspension, word, hi: float) -> float:
+    """Span of ([word], fiber below hi) under the rolled flow-box cover."""
     roof = flow.roof
     if roof.depth > 0:
         raise TypeError("flow spans are implemented for word-independent roofs only")
     c = roof.roof_max
     if not (0.0 <= hi <= c):
         raise ValueError("fiber interval must sit under the roof")
-    return len(word) * c + 0.25 * c - hi
+    return _box_span(len(word), c, hi)
 
 
 def cover_weight(system, body, cover=None) -> CoverElement:
@@ -556,7 +559,7 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
             else:
                 # fractional time: count map steps until the flow box escapes
                 scaled = [
-                    (lc, max(math.ceil((sp * c + 0.25 * c - hi) / system.t), 1))
+                    (lc, max(math.ceil(_box_span(sp, c, hi) / system.t), 1))
                     for lc, sp in groups
                     for hi in (0.5 * c, c)
                 ]
@@ -610,7 +613,7 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
         boxed = []
         for lc, sp in groups:
             for hi in (0.5 * c, c):
-                boxed.append((lc, sp * c + 0.25 * c - hi))
+                boxed.append((lc, _box_span(sp, c, hi)))
         alphas.append(_critical_alpha(boxed))
         flags += f
     details = {"time_scale": c}

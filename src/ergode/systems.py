@@ -206,10 +206,16 @@ FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
 
 @dataclass(frozen=True)
 class TimeTMap:
-    """The time-t map of a flow, used as a discrete system."""
+    """The time-t map of a flow, used as a discrete system.
+
+    `_grids` keeps, per fiber, the cell grid that `birkhoff` reads the orbits
+    of a constant-roof suspension through: it depends only on the roof, t
+    and the fiber, so every point read through this map shares it.
+    """
 
     flow: FlowDescriptor
     t: float
+    _grids: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.t == 0.0 or not math.isfinite(self.t):
@@ -237,6 +243,7 @@ def alphabet_of(system) -> int:
 # point generation rules
 
 _GROW = 1024  # materialisation granularity
+_STEER_CHUNK = 1 << 16  # block positions `SteeredBlocks` writes per vectorised step
 
 
 def _grown(n: int) -> int:
@@ -349,14 +356,16 @@ class SteeredBlocks:
     """Blocks over a k-letter alphabet that steer the running count of
     `symbol` to round(targets[i] * ends[i]) at each block end ends[i].
 
-    Within a block of length L that must add `want` copies of the symbol,
-    position j (1-based) holds the symbol exactly when
-    floor(j * want / L) > floor((j - 1) * want / L), so the copies are spread
-    evenly; every other position takes the next of the remaining symbols in
-    increasing order, cycling and restarting at each block.  Past the last
-    block end the last block repeats forever, as in `BlockSchedule`.  The
-    recipe is a few numbers, so irregular points serialise and replay in
-    this form without ever holding their symbols as Python objects.
+    Within a block of length L that must add `want` copies of the symbol, let
+    marks_j = floor(j * want / L).  Position j (1-based) holds the symbol
+    exactly when marks_j > marks_{j-1}, so the copies are spread evenly; every
+    other position takes others[(j - 1 - marks_{j-1}) % (k - 1)], the next of
+    the remaining symbols in increasing order, cycling and restarting at each
+    block.  Past the last block end the last block repeats forever, as in
+    `BlockSchedule`.  Blocks are written `_STEER_CHUNK` positions at a time,
+    so building a stream holds little more than the stream.  The recipe is a
+    few numbers, so irregular points serialise and replay in this form
+    without ever holding their symbols as Python objects.
     """
 
     k: int
@@ -388,26 +397,34 @@ class SteeredBlocks:
             count += want
             yield want
 
+    def _write_block(self, out: np.ndarray, L: int, want: int) -> None:
+        """Positions 1..len(out) of a block of length L adding `want` copies."""
+        others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
+        # with two letters a position is 1 exactly where marks step (symbol 1)
+        # or where they do not (symbol 0)
+        ones_at = np.not_equal if self.symbol == 1 else np.equal
+        for a in range(0, len(out), _STEER_CHUNK):
+            b = min(a + _STEER_CHUNK, len(out))
+            marks = (np.arange(a, b + 1, dtype=np.int64) * want) // L
+            part = out[a:b]
+            if self.k == 2:
+                ones_at(marks[1:], marks[:-1], out=part)
+                continue
+            filled = np.arange(a, b, dtype=np.int64) - marks[:-1]
+            part[:] = others[filled % len(others)]
+            part[marks[1:] > marks[:-1]] = self.symbol
+
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
         if arr is None or len(arr) < n:
             size = _grown(n)
             arr = np.empty(size, dtype=np.int16)
-            others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
-            fill = np.empty(0, dtype=np.int16)
             last = start = 0
             for end, want in zip(self.ends, self._wants()):
                 if start >= size:
                     break
-                L = end - start
-                m = min(L, size - start)          # the part of this block we need
-                marks = (np.arange(1, m + 1, dtype=np.int64) * want) // L
-                hit = np.diff(marks, prepend=0) > 0
-                if len(fill) < m:
-                    fill = np.tile(others, -(-m // len(others)))
-                block = arr[start:start + m]
-                block[hit] = self.symbol
-                block[~hit] = fill[:m - int(marks[-1])]
+                # only the part of this block that the stream needs
+                self._write_block(arr[start:min(end, size)], end - start, want)
                 last, start = start, end
             while start < size:                   # the last block repeats
                 r = min(start - last, size - start)

@@ -27,6 +27,7 @@ from ergode.measures import (
     SymbolFrequency,
     TestFamily,
     evaluate,
+    time_average_measure,
 )
 from ergode.birkhoff import (
     Schedule,
@@ -37,6 +38,7 @@ from ergode.birkhoff import (
     classify_irregular,
     _map_cells,
     empirical_measure,
+    family_targets,
     flow_average_profile,
     limit_point_set,
 )
@@ -385,3 +387,63 @@ def test_empirical_measure_on_a_whole_step_time_t_map():
     assert all(w == pytest.approx(0.5) for w in emp.weights)
     with pytest.raises(TypeError):
         empirical_measure(TimeTMap(tmap.flow, 0.3), Point(ExplicitWord((0, 1)), fiber=0.0), 8)
+
+
+@pytest.mark.parametrize("roof", [1.0, 2.0, 0.3])
+@pytest.mark.parametrize("t", [1.0, 0.7])
+@pytest.mark.parametrize("order", ["short-first", "long-first"])
+def test_one_time_t_map_shares_its_cell_grid_across_points_and_lengths(roof, t, order):
+    flow = Suspension(FullShift(2), RoofFunction.constant(roof))
+    shared = TimeTMap(flow, t)
+    reads = [(point, fiber, n) for point in sorted(POINTS) for fiber in (0.0, 0.1)
+             for n in (700, 6000)]
+    if order == "long-first":
+        reads.reverse()
+    for point, fiber, n in reads:
+        x = POINTS[point].with_fiber(fiber)
+        idx = map_steps_reference(shared, x, n)
+        got_arr, got = _map_cells(shared, x, n, 2)
+        want_arr, want = _map_cells(TimeTMap(flow, t), x, n, 2)
+        assert got.tolist() == want.tolist() and np.array_equal(got_arr, want_arr)
+        assert len(got) == idx[-1] + 2 and got[-1] >= n
+        assert np.diff(got)[:-1].tolist() == np.bincount(idx)[:-1].tolist()
+        cps = (7, n // 3, n)
+        for phi in OBSERVABLES[:3]:
+            assert birkhoff_profile(shared, x, phi, Schedule(cps)).tolist() == \
+                map_profile_reference(shared, x, phi, cps).tolist(), phi
+    # one grid per fiber, as long as the longest read
+    assert sorted(shared._grids) == [0.0, 0.1]
+    for fiber in (0.01, 0.02, 0.03, 0.04, 0.05):
+        _map_cells(shared, POINTS["iid"].with_fiber(fiber), 50, 1)
+    assert sorted(shared._grids) == [0.02, 0.03, 0.04, 0.05]
+    assert shared == TimeTMap(flow, t) and hash(shared) == hash(TimeTMap(flow, t))
+
+
+def test_the_shared_cell_grid_is_read_only():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(2.0)), 1.0)
+    x = POINTS["iid"].with_fiber(0.0)
+    _, first = _map_cells(tmap, x, 5000, 1)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[1] = 7
+    _, again = _map_cells(tmap, x, 100, 1)
+    assert not again.flags.writeable and again.tolist() == first[:len(again)].tolist()
+
+
+def test_precomputed_targets_give_the_same_verdicts():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(2.0)), 1.0)
+    fam = TestFamily.default_for(FullShift(2), depth=3)
+    mu = time_average_measure(tmap.flow, Bernoulli((0.5, 0.5)), 16)
+    targets = family_targets(mu, fam)
+    sched = Schedule((4096, 8192, 16384))
+    points = [Point(SeededIID(1, (0.5, 0.5))), POINTS["steered"], Point(SeededIID(9, (0.8, 0.2)))]
+    labels = set()
+    for base in points:
+        x = base.with_fiber(0.0)
+        for system, schedule in ((tmap, sched), (tmap.flow, Schedule((4096.0, 8192.0, 16384.0)))):
+            plain = classify_generic(system, x, mu, fam, schedule, keep_profile=True)
+            given = classify_generic(system, x, mu, fam, schedule, keep_profile=True,
+                                     targets=targets)
+            assert given == plain
+            labels.add(plain.label)
+    assert {"Generic", "NotGeneric"} <= labels

@@ -395,3 +395,73 @@ def test_fiber_outside_the_roof_exits_2(tmp_path, path):
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr and "fiber coordinate" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("checkpoints", [[1, 2, 3], [5, 6]])
+def test_flow_inclusion_suite_on_a_small_roof_exits_2(tmp_path, checkpoints):
+    # on a roof of 0.3 these checkpoints round to time-1 map steps 0 or to repeats
+    cfg = {"command": "verify-inclusions", "experiment_id": "incl-small",
+           "system": suspension({"constant": 0.3}), "sample_count": 4,
+           "schedule": {"kind": "explicit", "checkpoints": checkpoints}}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+    assert "roof 0.3" in res.stderr and str(checkpoints) in res.stderr
+
+
+INTEGRATE_SUITES = [
+    {"command": "verify-inclusions", "experiment_id": "incl-flow",
+     "system": suspension({"constant": 2.0}), "sample_count": 8,
+     "schedule": {"kind": "explicit", "checkpoints": [256, 512, 1024]}},
+    {"command": "verify-inclusions", "experiment_id": "incl-map",
+     "system": {"kind": "full-shift", "k": 2},
+     "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}, "sample_count": 6,
+     "schedule": {"kind": "explicit", "checkpoints": [1024, 2048, 4096]}},
+    {"command": "verify-thm-b", "experiment_id": "thm-b-mix",
+     "system": {"kind": "suspension", "roof": {"constant": 1.0},
+                "base": {"kind": "disjoint-union", "left": {"kind": "full-shift", "k": 2},
+                         "right": {"kind": "full-shift", "k": 2}}},
+     "measure": {"kind": "mixture", "components": [
+         [{"kind": "bernoulli", "probs": [0.5, 0.5], "component": 0}, 0.5],
+         [{"kind": "bernoulli", "probs": [0.5, 0.5], "component": 1}, 0.5]]},
+     "depths": [20, 40], "sample_count": 6, "family_depth": 3,
+     "schedule": {"kind": "explicit", "checkpoints": [256, 512]}},
+]
+
+
+@pytest.mark.parametrize("cfg", INTEGRATE_SUITES, ids=lambda c: c["experiment_id"])
+def test_a_suite_integrates_each_observable_once(tmp_path, monkeypatch, cfg):
+    from ergode import birkhoff, cli
+
+    calls = {}
+    original = birkhoff.integrate
+
+    def counted(mu, phi, *args, **kwargs):
+        calls[(id(mu), phi)] = calls.get((id(mu), phi), 0) + 1
+        return original(mu, phi, *args, **kwargs)
+
+    monkeypatch.setattr(birkhoff, "integrate", counted)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert calls and set(calls.values()) == {1}
+
+
+def test_inclusion_suite_peak_memory_stays_within_its_gate(tmp_path):
+    """The roof-2 inclusion suite holds its 2^22-symbol streams and one cell
+    grid per time-1 map; its peak RSS was 225 MB before the flow readers went
+    cell by cell.  The gate is 150 MB."""
+    config = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs",
+                          "inclusions_roof2.json")
+    child = (
+        "import resource, sys\n"
+        "from ergode.cli import main\n"
+        "code = main(['run', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", child, config, str(tmp_path)],
+                         capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    code, peak_kb = res.stdout.split()[-2:]
+    assert code == "0"
+    assert int(peak_kb) / 1024.0 <= 150.0

@@ -336,6 +336,16 @@ def test_steered_blocks_grow_to_the_same_prefix():
     assert np.array_equal(grown.materialise(4 * n), once.materialise(4 * n))
 
 
+@pytest.mark.parametrize("k, symbol", [(2, 0), (2, 1), (3, 0), (3, 2)])
+def test_steered_blocks_longer_than_a_chunk_match_the_per_symbol_rule(k, symbol):
+    # the second block starts mid-chunk and spans several write chunks
+    ends, targets = (1000, 201_000, 600_000), (0.3, 0.55, 0.3)
+    rule = SteeredBlocks(k, symbol, ends, targets)
+    n = 210_000
+    assert 201_000 - 1000 > 1 << 16 and 1000 % (1 << 16) != 0
+    assert np.array_equal(rule.materialise(n), steered_reference(k, symbol, ends, targets, n))
+
+
 def test_steered_blocks_reject_infeasible_recipes():
     with pytest.raises(ValueError, match="infeasible"):
         SteeredBlocks(2, 0, (8, 40), (0.9, 0.05))
