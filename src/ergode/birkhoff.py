@@ -10,10 +10,10 @@ word hits of each cell by what the orbit spends in it (map steps, or flow
 time under the roof).  The checkpoints cut the cells into intervals, and
 integer counts over each interval, taken in bounded chunks, answer every
 checkpoint without a full-length temporary.  A time-t map of a
-constant-roof suspension keeps its cell grid per fiber, so every point read
-through one map shares it.  Flow averages are exact: closed-form
-antiderivatives on rotation flows, and full cells plus the two partial end
-cells on suspensions.
+constant-roof suspension keeps the cell grid of the fiber it read last, so
+every point read through one map at one fiber shares it.  Flow averages are
+exact: closed-form antiderivatives on rotation flows, and full cells plus
+the two partial end cells on suspensions.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -137,7 +137,6 @@ def _is_symbolic_path(system, x: Point) -> bool:
 # summed over the cells between consecutive checkpoints.
 
 _CELL_CHUNK = 1 << 14   # cells per vectorised step in `_map_cells`; its temporaries stay in cache
-_GRIDS_KEPT = 4         # fibers whose constant-roof cell grid a time-t map keeps
 
 
 def _fiber(flow: Suspension, x: Point) -> float:
@@ -171,8 +170,9 @@ def _map_cells(system, x: Point, n: int, depth: int):
     real root of f0 + t*j = entry_i and is moved until that very float test
     agrees, so the counts per cell are the exact integers that a step-by-step
     reading gives.  Under a constant roof first[i] depends only on c, t and
-    f0, not on the point or on n, so the map keeps one grid per fiber, extends
-    it when a longer one is asked for, and every read takes a slice of it.
+    f0, not on the point or on n, so the map keeps the grid of the fiber it
+    last read, extends it when a longer one is asked for, and every read
+    takes a slice of it.
     """
     if symbolic_kind(system):
         return np.asarray(x.prefix(n + depth - 1)), np.arange(n + 1)
@@ -186,8 +186,11 @@ def _map_cells(system, x: Point, n: int, depth: int):
         c = roof.table[0]
         m = int(last / c + 1e-12) + 2
         symbols = np.asarray(x.prefix(m + depth - 2))   # before the cell arrays
-        grids = system._grids
-        grid = grids.pop(f0, np.zeros(1, dtype=np.int64))   # first[0] = 0
+        kept = system._grid[0]                        # (fiber, grid) of the last read
+        if kept is not None and kept[0] == f0:
+            grid = kept[1]
+        else:
+            grid = np.zeros(1, dtype=np.int64)        # first[0] = 0
         if len(grid) < m:
             longer = np.zeros(m, dtype=np.int64)
             longer[:len(grid)] = grid
@@ -199,9 +202,7 @@ def _map_cells(system, x: Point, n: int, depth: int):
             )
             longer.flags.writeable = False
             grid = longer
-        for stale in list(grids)[:1 - _GRIDS_KEPT]:   # random fibers share nothing
-            grids.pop(stale, None)
-        grids[f0] = grid                              # most recently read last
+            system._grid[0] = (f0, grid)
         return symbols, grid[:m]
     entries = np.concatenate(([0.0], np.cumsum(_roof_values(roof, x, last))))
     m = int(np.searchsorted(entries, last, side="right")) + 1

