@@ -116,6 +116,9 @@ def _cmd_entropy(cfg, ctx, rows):
     method = cfg.get("method", "caratheodory")
     eid = cfg["experiment_id"]
     params = {"subset": cfg.get("subset", {"kind": "whole"})["kind"]}
+    if method in ("spanning", "both") and depths is not None and len(set(depths)) < 2:
+        raise ConfigError("the spanning method fits a growth rate: depths needs "
+                          "at least two distinct values")
     if method in ("caratheodory", "both"):
         with timed() as t:
             est = (bowen_entropy_flow(system, subset, depths) if _is_flow(system)

@@ -230,7 +230,7 @@ SCHEMA = {
         "observable": {"$ref": "#/$defs/observable"},
         "subset": {"$ref": "#/$defs/subset"},
         "schedule": {"$ref": "#/$defs/schedule"},
-        "depths": {"type": "array", "items": _INT, "minItems": 1},
+        "depths": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
         "tolerance": {"type": "number", "exclusiveMinimum": 0},
         "method": {"enum": ["caratheodory", "spanning", "both"]},
         "mode": {"enum": ["generic", "irregular"]},

@@ -15,7 +15,10 @@ under constraints.  Two independent routes are kept deliberately separate:
 the float backends here (log-gamma sums, log-scaled matrix powers and
 dynamic programs) and the exact big-integer counts in `word_count_rate`,
 which also drive the spanning-set growth estimate.  Tests compare the
-routes; neither calls the other.
+routes; neither calls the other.  Each backend is handed an estimate's whole
+depth grid and counts it in one pass: the window dynamic programs run once
+to the deepest depth and read every shallower depth on the way, and the
+exact route packs each state's counts by symbol count into one integer.
 
 Suspension flows are handled for word-independent roofs: each depth-n
 cylinder times a half-roof fiber interval is a cover body whose span is
@@ -341,31 +344,40 @@ def _markov_state_log_counts(system: MarkovShift, n: int) -> np.ndarray:
         return np.where(v > 0, np.log(np.maximum(v, 1e-300)) + scale, _LOG_EMPTY)
 
 
-def _markov_window_log_counts(system: MarkovShift, n: int, symbol: int,
-                              lo: float, hi: float) -> np.ndarray:
+def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
+                              lo: float, hi: float) -> list:
     """Per-end-state log counts of admissible words with the symbol frequency
-    in the window.  O(n^2 k^2), fine for the depths used on vertex shifts."""
+    in the window, one array per depth, from one dynamic program run to the
+    deepest depth.  A step to length n + 1 updates only the counts 0..n + 1 a
+    word can reach, and none above the highest count a window reads (counts
+    never fall, so those never feed a read column); the rest stay -inf."""
     k = system.k
     A = system.adjacency
-    L = np.full((k, n + 1), _LOG_EMPTY)
+    N = max(depths)
+    L = np.full((k, N + 1), _LOG_EMPTY)
+    nxt = L.copy()
     for s in range(k):
         L[s, 1 if s == symbol else 0] = 0.0
-    for _ in range(n - 1):
-        nxt = np.full((k, n + 1), _LOG_EMPTY)
+    top = max(_count_range(n, lo, hi).stop for n in depths)    # columns read
+    found = {}
+    for n in range(1, N + 1):
+        if n in depths:
+            r = _count_range(n, lo, hi)
+            found[n] = np.array([_logsumexp(row[r.start:r.stop]) for row in L])
+        if n == N:
+            break
+        c = min(n + 2, top)
+        nxt[:, :c] = _LOG_EMPTY
         for s in range(k):
             for s2 in range(k):
                 if A[s][s2] == 0:
                     continue
                 if s2 == symbol:
-                    nxt[s2, 1:] = np.logaddexp(nxt[s2, 1:], L[s, :-1])
+                    np.logaddexp(nxt[s2, 1:c], L[s, :c - 1], out=nxt[s2, 1:c])
                 else:
-                    nxt[s2, :] = np.logaddexp(nxt[s2, :], L[s, :])
-        L = nxt
-    allowed = list(_count_range(n, lo, hi))
-    out = np.full(k, _LOG_EMPTY)
-    for s in range(k):
-        out[s] = _logsumexp([L[s, m] for m in allowed])
-    return out
+                    np.logaddexp(nxt[s2, :c], L[s, :c], out=nxt[s2, :c])
+        L, nxt = nxt, L
+    return [found[n] for n in depths]
 
 
 # groups: list of (log_count, span) pairs; the critical alpha solves
@@ -395,83 +407,69 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _map_groups(system, subset, depth: int):
-    """(log_count, span) groups for the depth-n cylinder cover of the subset,
-    plus flags."""
-    flags = []
+def _map_groups(system, subset, depths):
+    """One (groups, flags) pair per depth: the (log_count, span) groups of
+    the depth-n cylinder cover of the subset, plus flags."""
+    if isinstance(system, DisjointUnion):
+        return _union_groups(system, subset, depths)
+    if not isinstance(system, (FullShift, MarkovShift)):
+        raise TypeError(f"no cylinder backend for {type(system).__name__}")
+    if isinstance(subset, SampleCloud):
+        return _cloud_groups(subset, depths)
+    if isinstance(subset, FrequencyWindow) and subset.component is not None:
+        raise ValueError("component windows need a disjoint union")
     if isinstance(system, FullShift):
         k = system.k
         if isinstance(subset, WholeSpace):
-            return [(depth * math.log(k), float(depth))], flags
+            return [([(n * math.log(k), float(n))], []) for n in depths]
         if isinstance(subset, FrequencyWindow):
-            if subset.component is not None:
-                raise ValueError("component windows need a disjoint union")
-            lc = _log_window_count_full(k, depth, subset.lo, subset.hi)
-            if lc == _LOG_EMPTY:
-                flags.append("empty-cover")
-            return [(lc, float(depth))], flags
-        if isinstance(subset, OscillationWindows):
-            lc = _log_oscillation_count(k, depth, subset.windows)
-            if lc == _LOG_EMPTY:
-                flags.append("empty-cover")
-            return [(lc, float(depth))], flags
-        if isinstance(subset, SampleCloud):
-            flags.append("upper-bound-only")
-            return [(math.log(_distinct_prefixes(subset, depth)), float(depth))], flags
-    if isinstance(system, MarkovShift):
-        cap = system.k + 1
-        spans = [
-            float(depth + _forced_extension(system.adjacency, s, cap))
-            for s in range(system.k)
-        ]
-        if isinstance(subset, WholeSpace):
-            lcs = _markov_state_log_counts(system, depth)
-        elif isinstance(subset, FrequencyWindow):
-            if subset.component is not None:
-                raise ValueError("component windows need a disjoint union")
-            lcs = _markov_window_log_counts(system, depth, subset.symbol, subset.lo, subset.hi)
-        elif isinstance(subset, SampleCloud):
-            flags.append("upper-bound-only")
-            return [(math.log(_distinct_prefixes(subset, depth)), float(depth))], flags
+            lcs = [_log_window_count_full(k, n, subset.lo, subset.hi) for n in depths]
+        elif isinstance(subset, OscillationWindows):
+            lcs = [_log_oscillation_count(k, n, subset.windows) for n in depths]
         else:
-            raise TypeError(
-                f"no counting backend for {type(subset).__name__} on a vertex shift"
-            )
-        if all(lc == _LOG_EMPTY for lc in lcs):
-            flags.append("empty-cover")
-        return list(zip(lcs, spans)), flags
-    if isinstance(system, DisjointUnion):
-        return _union_groups(system, subset, depth)
-    raise TypeError(f"no cylinder backend for {type(system).__name__}")
-
-
-def _union_groups(system: DisjointUnion, subset, depth: int):
-    flags = []
+            raise TypeError(f"no counting backend for {type(subset).__name__} on a full shift")
+        return [([(lc, float(n))], ["empty-cover"] if lc == _LOG_EMPTY else [])
+                for n, lc in zip(depths, lcs)]
     if isinstance(subset, WholeSpace):
-        gl, fl = _map_groups(system.left, WholeSpace(), depth)
-        gr, fr = _map_groups(system.right, WholeSpace(), depth)
-        return gl + gr, flags + fl + fr
-    if isinstance(subset, ComponentWindow):
-        groups = []
-        if subset.lo <= 0.0:
-            g, f = _map_groups(system.left, WholeSpace(), depth)
-            groups += g
-            flags += f
-        if subset.hi >= 1.0:
-            g, f = _map_groups(system.right, WholeSpace(), depth)
-            groups += g
-            flags += f
-        if not groups:
-            flags.append("empty-cover")
-        return groups, flags
+        per_depth = [_markov_state_log_counts(system, n) for n in depths]
+    elif isinstance(subset, FrequencyWindow):
+        per_depth = _markov_window_log_counts(system, depths, subset.symbol,
+                                              subset.lo, subset.hi)
+    else:
+        raise TypeError(f"no counting backend for {type(subset).__name__} on a vertex shift")
+    cap = system.k + 1
+    extra = [_forced_extension(system.adjacency, s, cap) for s in range(system.k)]
+    return [
+        (list(zip(lcs, (float(n + e) for e in extra))),
+         ["empty-cover"] if all(lc == _LOG_EMPTY for lc in lcs) else [])
+        for n, lcs in zip(depths, per_depth)
+    ]
+
+
+def _cloud_groups(subset: SampleCloud, depths):
+    return [([(math.log(_distinct_prefixes(subset, n)), float(n))], ["upper-bound-only"])
+            for n in depths]
+
+
+def _union_groups(system: DisjointUnion, subset, depths):
+    if isinstance(subset, (WholeSpace, ComponentWindow)):
+        sides = [system.left, system.right]
+        if isinstance(subset, ComponentWindow):
+            sides = [side for side, kept in zip(sides, (subset.lo <= 0.0, subset.hi >= 1.0))
+                     if kept]
+        if not sides:
+            return [([], ["empty-cover"]) for _ in depths]
+        per_side = [_map_groups(side, WholeSpace(), depths) for side in sides]
+        return [([g for groups, _ in pairs for g in groups], [f for _, fl in pairs for f in fl])
+                for pairs in zip(*per_side)]
     if isinstance(subset, FrequencyWindow):
         if subset.component is None:
             raise ValueError("frequency windows on a disjoint union need a component tag")
         side = system.side(subset.component)
         inner = FrequencyWindow(subset.symbol, subset.lo, subset.hi)
-        return _map_groups(side, inner, depth)
+        return _map_groups(side, inner, depths)
     if isinstance(subset, SampleCloud):
-        return [(math.log(_distinct_prefixes(subset, depth)), float(depth))], ["upper-bound-only"]
+        return _cloud_groups(subset, depths)
     raise TypeError(f"no counting backend for {type(subset).__name__} on a disjoint union")
 
 
@@ -551,8 +549,7 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
         inner = system.flow.base
         depths = tuple(depths) if depths else _DEFAULT_DEPTHS
         alphas, flags = [], []
-        for n in depths:
-            groups, f = _map_groups(inner, subset, n)
+        for groups, f in _map_groups(inner, subset, depths):
             if stride is not None:
                 # t is a whole number of roofs: the map is a shift power
                 scaled = [(lc, math.ceil(sp / stride)) for lc, sp in groups]
@@ -570,8 +567,7 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
         raise TypeError(f"no entropy backend for {type(system).__name__}")
     depths = tuple(depths) if depths else _DEFAULT_DEPTHS
     alphas, flags = [], []
-    for n in depths:
-        groups, f = _map_groups(system, subset, n)
+    for groups, f in _map_groups(system, subset, depths):
         alphas.append(_critical_alpha(groups, alpha_tol))
         flags += f
     return _finish(depths, alphas, flags)
@@ -608,8 +604,7 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
     c = roof.roof_max
     depths = tuple(depths) if depths else _DEFAULT_DEPTHS
     alphas, flags = [], []
-    for n in depths:
-        groups, f = _map_groups(flow.base, subset, n)
+    for groups, f in _map_groups(flow.base, subset, depths):
         boxed = []
         for lc, sp in groups:
             for hi in (0.5 * c, c):
@@ -637,54 +632,66 @@ def word_count_rate(system, subset, depth: int) -> WordCount:
     against; keep it free of floating-point counting."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    count = _exact_count(system, subset, depth)
+    count, = _exact_counts(system, subset, (depth,))
     rate = math.log(count) / depth if count > 0 else 0.0
     return WordCount(depth, count, rate)
 
 
-def _exact_count(system, subset, depth: int) -> int:
+def _exact_counts(system, subset, depths) -> list:
+    """Exact count at each depth of the grid."""
+    if isinstance(subset, SampleCloud) and isinstance(
+            system, (FullShift, MarkovShift, DisjointUnion)):
+        return [_distinct_prefixes(subset, n) for n in depths]
     if isinstance(system, FullShift):
         k = system.k
         if isinstance(subset, WholeSpace):
-            return k ** depth
+            return [k ** n for n in depths]
         if isinstance(subset, FrequencyWindow):
-            return sum(
-                math.comb(depth, m) * (k - 1) ** (depth - m)
-                for m in _count_range(depth, subset.lo, subset.hi)
-            )
+            return [_exact_window_count_full(k, n, subset.lo, subset.hi) for n in depths]
         if isinstance(subset, OscillationWindows):
-            return _exact_oscillation_count(k, depth, subset.windows)
-        if isinstance(subset, SampleCloud):
-            return _distinct_prefixes(subset, depth)
+            return [_exact_oscillation_count(k, n, subset.windows) for n in depths]
     if isinstance(system, MarkovShift):
         if isinstance(subset, WholeSpace):
-            return _exact_markov_count(system, depth)
+            return [_exact_markov_count(system, n) for n in depths]
         if isinstance(subset, FrequencyWindow):
-            if depth > 400:
-                raise ValueError("exact windowed Markov counts are limited to depth 400")
-            return _exact_markov_window_count(system, depth, subset)
-        if isinstance(subset, SampleCloud):
-            return _distinct_prefixes(subset, depth)
+            if max(depths) > 400:
+                raise BudgetExhausted("exact windowed Markov counts are limited to depth 400")
+            return _exact_markov_window_counts(system, depths, subset)
     if isinstance(system, DisjointUnion):
         if isinstance(subset, WholeSpace):
-            return _exact_count(system.left, subset, depth) + _exact_count(system.right, subset, depth)
+            return [a + b for a, b in zip(_exact_counts(system.left, subset, depths),
+                                          _exact_counts(system.right, subset, depths))]
         if isinstance(subset, ComponentWindow):
-            total = 0
-            if subset.lo <= 0.0:
-                total += _exact_count(system.left, WholeSpace(), depth)
-            if subset.hi >= 1.0:
-                total += _exact_count(system.right, WholeSpace(), depth)
-            return total
+            totals = [0] * len(depths)
+            for side, kept in ((system.left, subset.lo <= 0.0), (system.right, subset.hi >= 1.0)):
+                if kept:
+                    counts = _exact_counts(side, WholeSpace(), depths)
+                    totals = [t + c for t, c in zip(totals, counts)]
+            return totals
         if isinstance(subset, FrequencyWindow):
             if subset.component is None:
                 raise ValueError("frequency windows on a disjoint union need a component tag")
             side = system.side(subset.component)
-            return _exact_count(side, FrequencyWindow(subset.symbol, subset.lo, subset.hi), depth)
-        if isinstance(subset, SampleCloud):
-            return _distinct_prefixes(subset, depth)
+            inner = FrequencyWindow(subset.symbol, subset.lo, subset.hi)
+            return _exact_counts(side, inner, depths)
     raise TypeError(
         f"no exact count for {type(subset).__name__} on {type(system).__name__}"
     )
+
+
+def _exact_window_count_full(k: int, n: int, lo: float, hi: float) -> int:
+    """Sum of C(n, m) (k-1)^(n-m) over the window's counts m, walking m
+    downwards with C(n, m-1) = C(n, m) m / (n-m+1), an exact division."""
+    ms = _count_range(n, lo, hi)
+    if not ms:
+        return 0
+    c, p = math.comb(n, ms[-1]), (k - 1) ** (n - ms[-1])
+    total = 0
+    for m in reversed(ms):
+        total += c * p
+        c = c * m // (n - m + 1)
+        p *= k - 1
+    return total
 
 
 def _exact_markov_count(system: MarkovShift, depth: int) -> int:
@@ -697,32 +704,30 @@ def _exact_markov_count(system: MarkovShift, depth: int) -> int:
     return sum(counts)
 
 
-def _exact_markov_window_count(system: MarkovShift, depth: int, subset: FrequencyWindow) -> int:
-    k = system.k
-    A = system.adjacency
-    table = [[0] * (depth + 1) for _ in range(k)]
-    for s in range(k):
-        table[s][1 if s == subset.symbol else 0] = 1
-    for _ in range(depth - 1):
-        nxt = [[0] * (depth + 1) for _ in range(k)]
+def _exact_markov_window_counts(system: MarkovShift, depths, subset: FrequencyWindow) -> list:
+    """Window counts at each depth from one pass.  Each end state's counts
+    c_m by symbol count m are packed into one integer, c_m in the w-bit slot
+    m; every count is below k^N < 2^w, so no slot carries into the next."""
+    k, A, symbol = system.k, system.adjacency, subset.symbol
+    N = max(depths)
+    w = N * (k - 1).bit_length() + 1
+    mask = (1 << w) - 1
+    rows = [1 << w if s == symbol else 1 for s in range(k)]
+    found = {}
+    for n in range(1, N + 1):
+        if n in depths:
+            total = sum(rows)
+            found[n] = sum((total >> (w * m)) & mask
+                           for m in _count_range(n, subset.lo, subset.hi))
+        if n == N:
+            break
+        nxt = [0] * k
         for s in range(k):
-            row = table[s]
             for s2 in range(k):
-                if not A[s][s2]:
-                    continue
-                tgt = nxt[s2]
-                if s2 == subset.symbol:
-                    for m in range(depth):
-                        if row[m]:
-                            tgt[m + 1] += row[m]
-                else:
-                    for m in range(depth + 1):
-                        if row[m]:
-                            tgt[m] += row[m]
-        table = nxt
-    return sum(
-        table[s][m] for s in range(k) for m in _count_range(depth, subset.lo, subset.hi)
-    )
+                if A[s][s2]:
+                    nxt[s2] += rows[s] << w if s2 == symbol else rows[s]
+        rows = nxt
+    return [found[n] for n in depths]
 
 
 def _exact_oscillation_count(k: int, depth: int, windows) -> int:
@@ -783,15 +788,13 @@ def spanning_entropy(system, subset=WholeSpace(),
     depths = tuple(depths) if depths else (20, 30, 40, 50, 60)
     if max(depths) + resolution_bits > budget:
         raise BudgetExhausted("spanning depth grid exceeds the counting budget")
-    if len(depths) < 2:
-        raise ValueError("need at least two depths to fit a growth rate")
+    if len(set(depths)) < 2:
+        raise ValueError("need at least two distinct depths to fit a growth rate")
     m = resolution_bits
-    logs = []
-    for n in depths:
-        count = _exact_count(system, subset, n + m)
-        if count == 0:
-            return EntropyEstimate(0.0, 0.0, 0.0, tuple(depths), (0.0,), ("empty-cover",))
-        logs.append(_log_of_big(count))
+    counts = _exact_counts(system, subset, [n + m for n in depths])
+    if 0 in counts:
+        return EntropyEstimate(0.0, 0.0, 0.0, tuple(depths), (0.0,), ("empty-cover",))
+    logs = [_log_of_big(count) for count in counts]
     xs = np.asarray(depths, dtype=float)
     ys = np.asarray(logs)
     slope, intercept = np.polyfit(xs, ys, 1)

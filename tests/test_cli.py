@@ -120,6 +120,40 @@ def test_budget_exhaustion_exits_3_and_marks_csv(tmp_path):
     assert "# incomplete=true" in comments
 
 
+def window_entropy_config(system, window, depths, method):
+    return {"command": "entropy", "experiment_id": "win", "system": system,
+            "subset": {"kind": "frequency-window", "symbol": window[0],
+                       "lo": window[1], "hi": window[2]},
+            "depths": depths, "method": method}
+
+
+FULL_SHIFT_2 = {"kind": "full-shift", "k": 2}
+GOLDEN_MEAN = {"kind": "markov-shift", "k": 2, "adjacency": [[1, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("depths, method", [
+    ([0, 10], "caratheodory"),    # a depth-0 cylinder has no span
+    ([40], "spanning"),           # one depth fits no growth rate
+    ([100, 100], "spanning"),     # nor do two equal ones
+])
+def test_an_entropy_depth_grid_that_fits_nothing_exits_2(tmp_path, depths, method):
+    cfg = window_entropy_config(FULL_SHIFT_2, (0, 0.2, 0.3), depths, method)
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "Traceback" not in res.stderr
+    assert not (tmp_path / "win.csv").exists()
+
+
+def test_exact_markov_window_past_its_depth_cap_exits_3(tmp_path):
+    cfg = window_entropy_config(GOLDEN_MEAN, (1, 0.2, 0.3), [100, 395], "both")
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 3, res.stderr
+    assert "depth 400" in res.stderr and "Traceback" not in res.stderr
+    comments, rows = read_rows(tmp_path, "win")
+    assert "# incomplete=true" in comments
+    assert [r["quantity"] for r in rows] == ["bowen_entropy"]
+
+
 def test_env_seed_overrides_and_reproduces(tmp_path):
     cfg = {
         "command": "birkhoff",

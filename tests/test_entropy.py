@@ -33,10 +33,12 @@ from ergode.entropy import (
     cover_weight,
     spanning_entropy,
     word_count_rate,
+    _markov_window_log_counts,
 )
 
 GOLDEN = (1 + 5**0.5) / 2
 GOLDEN_MEAN = MarkovShift(2, ((1, 1), (1, 0)))
+THREE_STATE = MarkovShift(3, ((1, 1, 0), (0, 1, 1), (1, 0, 1)))
 
 
 def in_window(freq, lo, hi):
@@ -106,6 +108,119 @@ def test_oscillation_count_matches_enumeration():
     brute = sum(ok(w) for w in itertools.product((0, 1), repeat=n))
     got = word_count_rate(FullShift(2), OscillationWindows(0, windows), n).count
     assert got == brute
+
+
+def window_counts(n, lo, hi):
+    return [m for m in range(n + 1) if lo * n - 1e-9 <= m <= hi * n + 1e-9]
+
+
+@st.composite
+def full_shift_windows(draw):
+    """(k, n, lo, hi) with random, empty, one-point and full windows."""
+    k = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3000))
+    kind = draw(st.sampled_from(("random", "empty", "one-point", "full")))
+    if kind == "full":
+        return k, n, 0.0, 1.0
+    m = draw(st.integers(0, n))
+    if kind == "one-point":
+        return k, n, m / n, m / n
+    if kind == "empty":
+        return k, n, min((m + 0.5) / n, 1.0), min((m + 0.5) / n, 1.0)
+    m2 = draw(st.integers(0, n))
+    return k, n, min(m, m2) / n, max(m, m2) / n
+
+
+@given(full_shift_windows(), st.integers(0, 4))
+@settings(deadline=None, max_examples=40)
+def test_full_shift_window_count_is_the_binomial_sum(case, symbol):
+    k, n, lo, hi = case
+    got = word_count_rate(FullShift(k), FrequencyWindow(symbol % k, lo, hi), n).count
+    assert got == sum(math.comb(n, m) * (k - 1) ** (n - m) for m in window_counts(n, lo, hi))
+
+
+def markov_window_count_reference(system, depth, symbol, lo, hi):
+    """Window count by one list of counts per (state, symbol count), one
+    depth at a time: the plain dynamic program the packed-integer route
+    replaces."""
+    k, A = system.k, system.adjacency
+    table = [[0] * (depth + 1) for _ in range(k)]
+    for s in range(k):
+        table[s][1 if s == symbol else 0] = 1
+    for _ in range(depth - 1):
+        nxt = [[0] * (depth + 1) for _ in range(k)]
+        for s in range(k):
+            for s2 in range(k):
+                if A[s][s2]:
+                    shift = 1 if s2 == symbol else 0
+                    for m in range(depth + 1 - shift):
+                        nxt[s2][m + shift] += table[s][m]
+        table = nxt
+    return sum(table[s][m] for s in range(k) for m in window_counts(depth, lo, hi))
+
+
+@pytest.mark.parametrize("system, symbol, lo, hi", [
+    (GOLDEN_MEAN, 1, 0.2, 0.3),
+    (GOLDEN_MEAN, 0, 0.5, 0.5),
+    (GOLDEN_MEAN, 1, 0.6, 0.7),
+    (THREE_STATE, 2, 0.3, 0.34),
+    (THREE_STATE, 0, 0.0, 1.0),
+])
+def test_exact_markov_window_counts_match_the_list_dynamic_program(system, symbol, lo, hi):
+    window = FrequencyWindow(symbol, lo, hi)
+    for n in (1, 2, 7, 136, 266, 396):
+        got = word_count_rate(system, window, n).count
+        assert got == markov_window_count_reference(system, n, symbol, lo, hi)
+
+
+@pytest.mark.parametrize("system, symbol, lo, hi", [
+    (GOLDEN_MEAN, 1, 0.2, 0.3),
+    (THREE_STATE, 2, 0.3, 0.34),
+    (THREE_STATE, 0, 0.0, 1.0),
+])
+def test_float_window_counts_on_a_grid_match_the_exact_counts(system, symbol, lo, hi):
+    depths = (150, 7, 396, 40)
+    per_depth = _markov_window_log_counts(system, depths, symbol, lo, hi)
+    for n, lcs in zip(depths, per_depth):
+        exact = word_count_rate(system, FrequencyWindow(symbol, lo, hi), n).count
+        expected = math.log(exact) if exact else -math.inf
+        assert np.logaddexp.reduce(lcs) == pytest.approx(expected, rel=1e-9)
+
+
+def test_exact_markov_window_counts_past_depth_400_exhaust_the_budget():
+    with pytest.raises(BudgetExhausted, match="depth 400"):
+        word_count_rate(GOLDEN_MEAN, FrequencyWindow(1, 0.2, 0.3), 401)
+    with pytest.raises(BudgetExhausted):
+        spanning_entropy(GOLDEN_MEAN, FrequencyWindow(1, 0.2, 0.3), depths=(100, 395))
+
+
+@pytest.mark.parametrize("system, window", [
+    (GOLDEN_MEAN, FrequencyWindow(1, 0.2, 0.3)),
+    (THREE_STATE, FrequencyWindow(2, 0.3, 0.34)),
+    (FullShift(2), FrequencyWindow(0, 0.28, 0.32)),
+])
+@pytest.mark.parametrize("depths", [(500, 1000, 2000), (100, 50, 75)])
+def test_a_depth_grid_reads_what_single_depths_read(system, window, depths):
+    grid = bowen_entropy_symbolic(system, window, depths=depths)
+    single = [bowen_entropy_symbolic(system, window, depths=(n,)).alphas[0] for n in depths]
+    assert grid.alphas == tuple(single)
+    flow = Suspension(system, RoofFunction.constant(2.0))
+    grid = bowen_entropy_flow(flow, window, depths=depths)
+    assert grid.alphas == tuple(bowen_entropy_flow(flow, window, depths=(n,)).alphas[0]
+                                for n in depths)
+
+
+def test_a_spanning_grid_reads_the_single_depth_counts():
+    window = FrequencyWindow(1, 0.2, 0.3)
+    est = spanning_entropy(GOLDEN_MEAN, window, depths=(100, 50, 75), resolution_bits=6)
+    assert est.alphas == tuple(word_count_rate(GOLDEN_MEAN, window, n + 6).rate
+                               for n in (100, 50, 75))
+
+
+def test_spanning_needs_two_distinct_depths():
+    for depths in ((40,), (100, 100)):
+        with pytest.raises(ValueError, match="two distinct depths"):
+            spanning_entropy(FullShift(2), FrequencyWindow(0, 0.2, 0.3), depths=depths)
 
 
 def test_oscillation_scale_beyond_depth_is_rejected():
