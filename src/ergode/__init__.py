@@ -28,10 +28,9 @@ from .birkhoff import (
     flow_average_profile, limit_point_set,
 )
 from .entropy import (
-    ArcBody, ComponentWindow, CoverElement, CylinderBody, EntropyEstimate,
-    FrequencyWindow, OscillationWindows, ProductBody, SampleCloud, WholeSpace,
-    WordCount, bowen_entropy_flow, bowen_entropy_symbolic, caratheodory_sum,
-    cover_weight, spanning_entropy, word_count_rate,
+    ComponentWindow, EntropyEstimate, FrequencyWindow, OscillationWindows,
+    SampleCloud, WholeSpace, WordCount, bowen_entropy_flow,
+    bowen_entropy_symbolic, caratheodory_sum, spanning_entropy, word_count_rate,
 )
 from .constructions import (
     GluedOrbit, GluingError, IrregularRecipe, MistakeBallReport,

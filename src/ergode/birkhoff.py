@@ -30,9 +30,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, CircleRotation, CircleRotationFlow,
-    Coordinate, DisjointUnion, FullShift, MarkovShift, Point, Suspension,
-    TimeTMap, TorusTranslation, alphabet_of, symbolic_kind, time_t_map,
+    BudgetExhausted, CircleMult, CircleRotation, Coordinate, DisjointUnion,
+    Point, Suspension, TimeTMap,
 )
 from .measures import (
     Atomic, Constant, CylinderIndicator, FiberProfile, Harmonic,
@@ -112,16 +111,13 @@ def _orbit_coords(system, x: Point, n: int) -> np.ndarray:
             out[j] = c
             c = (c * system.n) % 1.0
         return out
-    if isinstance(system, TimeTMap) and isinstance(system.flow, (CircleRotationFlow, TorusTranslation)):
-        speed = 1.0 if isinstance(system.flow, CircleRotationFlow) else system.flow.velocity[0]
-        return (x.coords[0] + system.t * speed * np.arange(n)) % 1.0
+    if isinstance(system, TimeTMap) and system.flow.is_flow and system.flow.isometric:
+        return (x.coords[0] + system.t * system.flow.speed * np.arange(n)) % 1.0
     raise TypeError(f"no coordinate orbit for {type(system).__name__}")
 
 
 def _is_symbolic_path(system, x: Point) -> bool:
-    if symbolic_kind(system):
-        return True
-    return isinstance(system, TimeTMap) and isinstance(system.flow, Suspension)
+    return system.symbolic or (isinstance(system, TimeTMap) and isinstance(system.flow, Suspension))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +170,7 @@ def _map_cells(system, x: Point, n: int, depth: int):
     last read, extends it when a longer one is asked for, and every read
     takes a slice of it.
     """
-    if symbolic_kind(system):
+    if system.symbolic:
         return np.asarray(x.prefix(n + depth - 1)), np.arange(n + 1)
     flow, t = system.flow, system.t
     if t < 0:
@@ -378,14 +374,11 @@ def _family_profiles_symbolic(system, x, obs, cps) -> np.ndarray:
 
 
 def _alphabet_for_profiles(system, x: Point) -> int:
-    if isinstance(system, DisjointUnion):
-        return alphabet_of(system.side(x.component))
     if isinstance(system, TimeTMap):
-        base = system.flow.base
-        if isinstance(base, DisjointUnion):
-            return alphabet_of(base.side(x.component))
-        return alphabet_of(base)
-    return alphabet_of(system)
+        system = system.flow.base
+    if isinstance(system, DisjointUnion):
+        system = system.side(x.component)
+    return system.alphabet
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +392,9 @@ def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     Ts = schedule.checkpoints
     if isinstance(phi, Constant):
         return np.full(len(Ts), phi.value)
-    if isinstance(flow, (CircleRotationFlow, TorusTranslation)):
-        speed = 1.0 if isinstance(flow, CircleRotationFlow) else flow.velocity[0]
+    if flow.is_flow and flow.isometric:
         if isinstance(phi, Harmonic):
-            return np.array([_harmonic_line_average(phi, x.coords[0], speed, T) for T in Ts])
+            return np.array([_harmonic_line_average(phi, x.coords[0], flow.speed, T) for T in Ts])
         raise TypeError(f"{type(phi).__name__} is not a rotation-flow observable")
     if isinstance(flow, Suspension):
         return _suspension_profile(flow, x, phi, Ts)
@@ -599,15 +591,11 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
 
 
 def _profiles_any(system, x, fam: TestFamily, schedule: Schedule) -> np.ndarray:
-    if _is_flow(system):
+    if system.is_flow:
         return np.stack([
             flow_average_profile(system, x, phi, schedule) for phi in fam.observables
         ], axis=1)
     return _family_profiles(system, x, fam, schedule)
-
-
-def _is_flow(system) -> bool:
-    return isinstance(system, (CircleRotationFlow, TorusTranslation, Suspension))
 
 
 # ---------------------------------------------------------------------------
@@ -628,7 +616,7 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
-        schedule = Schedule.for_flow() if _is_flow(system) else Schedule.for_map()
+        schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
     if len(schedule.checkpoints) < 2:
         raise ValueError("classification needs at least two checkpoints")
     A = _profiles_any(system, x, fam, schedule)
@@ -661,8 +649,8 @@ def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = Non
     the running average over the tail half of the schedule decides: Regular
     below tol, Irregular above 3*tol, Inconclusive between."""
     if schedule is None:
-        schedule = Schedule.for_flow() if _is_flow(system) else Schedule.for_map()
-    if _is_flow(system):
+        schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
+    if system.is_flow:
         prof = flow_average_profile(system, x, phi, schedule)
     else:
         prof = birkhoff_profile(system, x, phi, schedule)

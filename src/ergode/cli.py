@@ -21,14 +21,14 @@ import numpy as np
 from .systems import (
     BlockSchedule, BudgetExhausted, Coordinate, DisjointUnion, ExplicitWord,
     FullShift, Point, SeededIID, SteeredBlocks, Suspension, TimeTMap,
-    alphabet_of, random_point,
+    random_point,
 )
 from .measures import (
     Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _fiber, _is_flow, birkhoff_profile, classify_generic, family_targets,
+    Schedule, _fiber, birkhoff_profile, classify_generic, family_targets,
     classify_irregular, flow_average_profile, limit_point_set,
 )
 from .entropy import (
@@ -121,7 +121,7 @@ def _cmd_entropy(cfg, ctx, rows):
                           "at least two distinct values")
     if method in ("caratheodory", "both"):
         with timed() as t:
-            est = (bowen_entropy_flow(system, subset, depths) if _is_flow(system)
+            est = (bowen_entropy_flow(system, subset, depths) if system.is_flow
                    else bowen_entropy_symbolic(system, subset, depths))
         p = dict(params)
         if est.flags:
@@ -142,11 +142,11 @@ def _cmd_birkhoff(cfg, ctx, rows):
     system = build_system(cfg["system"])
     point = _resolve_point(require(cfg, "point"), system, ctx["rng"])
     phi = build_observable(require(cfg, "observable"))
-    schedule = build_schedule(cfg.get("schedule"), _is_flow(system))
+    schedule = build_schedule(cfg.get("schedule"), system.is_flow)
     eid = cfg["experiment_id"]
     with timed() as t:
         prof = (flow_average_profile(system, point, phi, schedule)
-                if _is_flow(system) else birkhoff_profile(system, point, phi, schedule))
+                if system.is_flow else birkhoff_profile(system, point, phi, schedule))
     per = t.ms / len(prof)
     for c, v in zip(schedule.checkpoints, prof):
         rows.append(Row(eid, "birkhoff_average", float(v), None, None,
@@ -156,7 +156,7 @@ def _cmd_birkhoff(cfg, ctx, rows):
 def _cmd_classify(cfg, ctx, rows):
     system = build_system(cfg["system"])
     point = _resolve_point(require(cfg, "point"), system, ctx["rng"])
-    schedule = build_schedule(cfg.get("schedule"), _is_flow(system))
+    schedule = build_schedule(cfg.get("schedule"), system.is_flow)
     tol = cfg.get("tolerance", 0.02)
     mode = cfg.get("mode", "generic")
     eid = cfg["experiment_id"]
@@ -275,7 +275,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     eid = cfg["experiment_id"]
     tol = cfg.get("tolerance", 0.02)
     depths = tuple(cfg["depths"]) if "depths" in cfg else (500, 1000, 2000)
-    flow = _is_flow(system)
+    flow = system.is_flow
     inner = system.base if isinstance(system, Suspension) else system
     with timed() as t:
         h_mu = metric_entropy(mu, inner)
@@ -340,7 +340,7 @@ def _cmd_verify_irregular(cfg, ctx, rows):
     depths = tuple(sorted({max(d, s_max) for d in (depth // 4, depth // 2, depth)}))
     with timed() as t:
         est = bowen_entropy_symbolic(system, windows, depths=depths)
-    k = alphabet_of(system)
+    k = system.alphabet
     rows.append(Row(eid, "irregular_set_entropy", est.value, est.lower, est.upper,
                     {"depth": depth}, t.ms))
     rows.append(Row(eid, "entropy_fraction_of_max", est.value / math.log(k),

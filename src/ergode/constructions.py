@@ -33,11 +33,10 @@ import numpy as np
 
 from .systems import (
     BlockSchedule, DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point,
-    SeededIID, SteeredBlocks, Suspension, RoofFunction, alphabet_of,
-    symbolic_kind,
+    SeededIID, SteeredBlocks, Suspension, RoofFunction,
 )
 from .measures import (
-    Bernoulli, Markov, Mixture, _cylinder_masses,
+    Bernoulli, Markov, Mixture, _cylinder_masses, _untagged,
 )
 from .birkhoff import Schedule
 from .entropy import OscillationWindows
@@ -174,7 +173,7 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
         raise ValueError("eps must be positive")
     if g is None:
         g = MistakeFunction.zero()
-    if not symbolic_kind(system):
+    if not system.symbolic:
         raise TypeError("mistake balls are implemented on shift spaces")
     L = _resolution_length(eps)
     if x.component != y.component:
@@ -277,9 +276,9 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
         g = MistakeFunction.zero()
     if len(segments) < 2:
         raise ValueError("gluing needs at least two segments")
-    if not symbolic_kind(system) or isinstance(system, DisjointUnion):
+    if not system.symbolic or isinstance(system, DisjointUnion):
         raise TypeError("gluing is implemented on a single shift space")
-    k = alphabet_of(system)
+    k = system.alphabet
     L = _resolution_length(eps)
     lengths = [int(t) for _, t in segments]
     if any(t < 1 for t in lengths):
@@ -375,13 +374,13 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         comp = getattr(mu, "component", None)
         if comp is None:
             raise ValueError("a generic point on a disjoint union needs a tagged measure")
-        inner = generic_point(system.side(comp), _strip_component(mu), kind, seed,
+        inner = generic_point(system.side(comp), _untagged(mu), kind, seed,
                               horizon, first_stage)
         return Point(inner.rule, inner.offset, component=comp)
     if not isinstance(system, (FullShift, MarkovShift)):
         raise TypeError("generic points are built on shift spaces")
     mu = _measure_for_masses(mu)
-    k = alphabet_of(system)
+    k = system.alphabet
     if mu.k != k:
         raise ValueError("measure alphabet does not match the system")
     if kind == "seeded-iid":
@@ -421,14 +420,6 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         else:
             blocks.append((body + cross_conn, 1) if cross_conn else (body, 1))
     return Point(BlockSchedule(tuple(blocks)))
-
-
-def _strip_component(mu):
-    if isinstance(mu, Bernoulli):
-        return Bernoulli(mu.probs)
-    if isinstance(mu, Markov):
-        return Markov(mu.transitions, mu.stationary)
-    return mu
 
 
 def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:

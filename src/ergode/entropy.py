@@ -1,13 +1,15 @@
 """Topological entropy of (possibly noncompact) subsets via outer covers.
 
-The construction: a cover element B carries the largest span N(B) for which
-every image of B up to that span still fits inside one element of the
-reference cover (N = 0 if it never fits, infinite if it always does), and
-the weight D(B) = exp(-N(B)).  For a family of elements covering the target
-set, the order-alpha sum is sum D^alpha; the entropy estimate at a given
-refinement depth is the critical alpha where that sum crosses 1, and the
-reported value is the critical alpha at the deepest refinement, bracketed by
-the spread over the last few depths.
+The construction (Bowen's Caratheodory dimension): a cover element B carries
+the largest span N(B) for which every image of B up to that span still fits
+inside one element of the reference cover.  For a family of elements
+covering the target set, the order-alpha sum is sum exp(-alpha N(B)); the
+entropy estimate at a given refinement depth is the critical alpha where
+that sum crosses 1, and the reported value is the critical alpha at the
+deepest refinement, bracketed by the spread over the last few depths.
+Elements of equal span are counted together, so a cover is a list of
+(log_count, span) groups and `caratheodory_sum` is the logarithm of the sum,
+which crosses 0 where the sum crosses 1.
 
 On shift spaces the refinement at depth n is the family of admissible
 n-cylinders meeting the target set, so everything reduces to counting words
@@ -21,10 +23,11 @@ to the deepest depth and read every shallower depth on the way, and the
 exact route packs each state's counts by symbol count into one integer.
 
 Suspension flows are handled for word-independent roofs: each depth-n
-cylinder times a half-roof fiber interval is a cover body whose span is
+cylinder times a half-roof fiber interval is a cover element whose span is
 read off the rolled-out flow-box geometry (the span of ([w], [a,b)) under a
-constant roof c is |w| c + c/4 - b).  Rotation flows and rotation maps have
-zero expansion, so every span is infinite and the entropy is exactly 0.
+constant roof c is |w| c + c/4 - b).  Isometric systems (rotations and
+translations, and their time-t maps) have zero expansion, so every span is
+infinite and the entropy is exactly 0.
 """
 
 from __future__ import annotations
@@ -36,16 +39,13 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .systems import (
-    BudgetExhausted,
-    CircleMult, CircleRotation, CircleRotationFlow, DisjointUnion, FullShift,
-    MarkovShift, Point, Suspension, TimeTMap, TorusTranslation, alphabet_of,
-    symbolic_kind,
+    BudgetExhausted, CircleMult, DisjointUnion, FullShift, MarkovShift, Point,
+    Suspension, TimeTMap,
 )
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
-    "SampleCloud", "CylinderBody", "ArcBody", "ProductBody", "CoverElement",
-    "cover_weight", "caratheodory_sum", "EntropyEstimate", "bowen_entropy_symbolic",
+    "SampleCloud", "caratheodory_sum", "EntropyEstimate", "bowen_entropy_symbolic",
     "bowen_entropy_flow", "spanning_entropy", "word_count_rate", "WordCount",
 ]
 
@@ -116,42 +116,8 @@ class SampleCloud:
             raise ValueError("sample cloud must be nonempty")
 
 
-SubsetSpec = object
-
-
 # ---------------------------------------------------------------------------
-# cover bodies and weights
-
-
-@dataclass(frozen=True)
-class CylinderBody:
-    word: Tuple[int, ...]
-    component: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class ArcBody:
-    center: float
-    radius: float
-
-
-@dataclass(frozen=True)
-class ProductBody:
-    """Cylinder times the fiber interval [lo, hi) of a suspension."""
-
-    word: Tuple[int, ...]
-    lo: float
-    hi: float
-
-
-@dataclass(frozen=True)
-class CoverElement:
-    body: object
-    span: float            # N: how long every image stays inside one reference element
-    weight: float          # D = exp(-span)
-
-
-_FORCED_CAP_EXTRA = None   # computed per system: alphabet size + 1
+# cover spans
 
 
 def _forced_extension(adjacency, state: int, cap: int) -> int:
@@ -167,93 +133,12 @@ def _forced_extension(adjacency, state: int, cap: int) -> int:
     return cap
 
 
-def _cylinder_span(system, word) -> float:
-    if not word:
-        return 0.0    # the whole space is not inside any single cover member
-    if isinstance(system, FullShift):
-        return float(len(word))
-    if isinstance(system, MarkovShift):
-        cap = system.k + 1
-        return float(len(word) + _forced_extension(system.adjacency, word[-1], cap))
-    raise TypeError(f"no cylinder span for {type(system).__name__}")
-
-
 def _box_span(steps, c: float, hi: float) -> float:
     """Flow time that a box over a cylinder of `steps` base steps, with fiber
     below hi, stays certain under the constant roof c: the accumulated roof
     time plus a quarter of the final roof, less hi.  Past that the base
     shadow is no longer a single cylinder."""
     return steps * c + 0.25 * c - hi
-
-
-def _flow_body_span(flow: Suspension, word, hi: float) -> float:
-    """Span of ([word], fiber below hi) under the rolled flow-box cover."""
-    roof = flow.roof
-    if roof.depth > 0:
-        raise TypeError("flow spans are implemented for word-independent roofs only")
-    c = roof.roof_max
-    if not (0.0 <= hi <= c):
-        raise ValueError("fiber interval must sit under the roof")
-    return _box_span(len(word), c, hi)
-
-
-def cover_weight(system, body, cover=None) -> CoverElement:
-    """Attach the span and weight to a cover body.
-
-    `cover` names the reference open cover; None selects the canonical one
-    (depth-1 cylinders on shifts, half-roof boxes over them on suspensions,
-    same-scale arcs on the circle), which is the only kind implemented.
-    """
-    if cover is not None:
-        raise TypeError("only the canonical reference cover is implemented")
-    if isinstance(body, CylinderBody):
-        target = system
-        if isinstance(system, DisjointUnion):
-            if body.component is None:
-                raise ValueError("cylinder bodies on a disjoint union need a component")
-            target = system.side(body.component)
-        if isinstance(system, TimeTMap) and isinstance(system.flow, Suspension):
-            base = system.flow.base
-            sp = _cylinder_span(base, body.word)
-            stride = _integer_stride(system, strict=False)
-            if stride is not None:
-                span = math.ceil(sp / stride)
-            else:
-                c = system.flow.roof.roof_max
-                span = max(math.ceil((sp * c - 0.75 * c) / system.t), 0)
-            return CoverElement(body, float(span), math.exp(-span))
-        span = _cylinder_span(target, body.word)
-        return CoverElement(body, span, math.exp(-span))
-    if isinstance(body, ProductBody):
-        if not isinstance(system, Suspension):
-            raise TypeError("product bodies live on suspension spaces")
-        span = _flow_body_span(system, body.word, body.hi)
-        return CoverElement(body, span, math.exp(-span))
-    if isinstance(body, ArcBody):
-        if isinstance(system, CircleRotation) or (
-            isinstance(system, TimeTMap)
-            and isinstance(system.flow, (CircleRotationFlow, TorusTranslation))
-        ) or isinstance(system, (CircleRotationFlow, TorusTranslation)):
-            return CoverElement(body, math.inf, 0.0)   # isometries never expand
-        if isinstance(system, CircleMult):
-            if body.radius <= 0:
-                raise ValueError("arc radius must be positive")
-            # arc doubles by factor n each step; span ends when it outgrows an arc of the same scale
-            span = max(1, math.ceil(math.log(1.0 / (2.0 * body.radius)) / math.log(system.n)))
-            return CoverElement(body, float(span), math.exp(-span))
-    raise TypeError(f"no weight rule for {type(body).__name__} on {type(system).__name__}")
-
-
-def caratheodory_sum(elements: Sequence[CoverElement], alpha: float) -> float:
-    """Order-alpha sum of the weights; weight-0 elements contribute nothing
-    at every order, so the sum is nonincreasing in alpha."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    total = 0.0
-    for el in elements:
-        if el.weight > 0.0:
-            total += el.weight ** alpha
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +265,18 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
     return [found[n] for n in depths]
 
 
-# groups: list of (log_count, span) pairs; the critical alpha solves
-# sum count_i * exp(-alpha * span_i) = 1
+def caratheodory_sum(groups: Sequence[Tuple[float, float]], alpha: float) -> float:
+    """log of the order-alpha sum sum_i count_i * exp(-alpha * span_i) over
+    (log_count, span) groups with finite spans; -inf for no groups.  The
+    estimators bisect for the alpha where it crosses 0.  Spans are
+    nonnegative, so the sum is nonincreasing in alpha."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    return _logsumexp([lc - alpha * sp for lc, sp in groups])
 
 
 def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
+    """The alpha where `caratheodory_sum` crosses 0 over the nonempty, finite-span groups."""
     groups = [(lc, sp) for lc, sp in groups if lc > _LOG_EMPTY and math.isfinite(sp)]
     if not groups:
         return 0.0
@@ -393,13 +285,13 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
         return max(lc / sp, 0.0)
     hi = max(max(lc / sp for lc, sp in groups), 0.0) + 1.0
     lo = 0.0
-    if _logsumexp([lc for lc, _ in groups]) <= 0.0:
+    if caratheodory_sum(groups, 0.0) <= 0.0:
         return 0.0
     for _ in range(200):
         if hi - lo <= alpha_tol:
             break
         mid = 0.5 * (lo + hi)
-        s = _logsumexp([lc - mid * sp for lc, sp in groups])
+        s = caratheodory_sum(groups, mid)
         if s > 0.0:
             lo = mid
         else:
@@ -482,17 +374,14 @@ def _distinct_prefixes(subset: SampleCloud, depth: int) -> int:
     return len(seen)
 
 
-def _integer_stride(system: TimeTMap, strict: bool = True):
+def _integer_stride(system: TimeTMap):
     """The map time as a whole number of roof crossings, or None when the
-    time is fractional (only allowed with strict=False)."""
-    flow = system.flow
-    roof = flow.roof
+    time is fractional."""
+    roof = system.flow.roof
     if roof.depth > 0:
         raise TypeError("time-t maps are handled for word-independent roofs only")
     m = system.t / roof.roof_max
     if abs(m - round(m)) > 1e-9 or round(m) < 1:
-        if strict:
-            raise ValueError("the map time must be a positive multiple of the roof height")
         if system.t <= 0:
             raise ValueError("the map time must be positive")
         return None
@@ -515,6 +404,16 @@ class EntropyEstimate:
 
 
 _DEFAULT_DEPTHS = (16, 24, 36, 54, 80, 120)
+_SPANNING_DEPTHS = (20, 30, 40, 50, 60)
+
+
+def _depth_grid(depths: Optional[Sequence[int]], default: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The refinement depths of an estimate (`default` when none are given);
+    every depth is a word length, so at least 1."""
+    grid = tuple(depths) if depths else default
+    if any(d < 1 for d in grid):
+        raise ValueError("depths must be >= 1")
+    return grid
 
 
 def _finish(depths, alphas, flags, details=None) -> EntropyEstimate:
@@ -533,21 +432,15 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
     exponent of the cylinder covers at each refinement depth.  The reported
     value is the deepest critical exponent; lower/upper give the spread over
     the last three depths (a stability report, not a certificate)."""
-    if isinstance(system, (CircleRotation,)) or (
-        isinstance(system, TimeTMap)
-        and isinstance(system.flow, (CircleRotationFlow, TorusTranslation))
-    ):
+    depths = _depth_grid(depths, _DEFAULT_DEPTHS)
+    if system.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if isinstance(system, CircleMult):
         return _mult_entropy(system, subset, depths)
     if isinstance(system, TimeTMap) and isinstance(system.flow, Suspension):
-        roof = system.flow.roof
-        if roof.depth > 0:
-            raise TypeError("time-t maps are handled for word-independent roofs only")
-        c = roof.roof_max
-        stride = _integer_stride(system, strict=False)
+        stride = _integer_stride(system)
+        c = system.flow.roof.roof_max
         inner = system.flow.base
-        depths = tuple(depths) if depths else _DEFAULT_DEPTHS
         alphas, flags = [], []
         for groups, f in _map_groups(inner, subset, depths):
             if stride is not None:
@@ -563,9 +456,8 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
             alphas.append(_critical_alpha(scaled, alpha_tol))
             flags += f
         return _finish(depths, alphas, flags)
-    if not symbolic_kind(system):
+    if not system.symbolic:
         raise TypeError(f"no entropy backend for {type(system).__name__}")
-    depths = tuple(depths) if depths else _DEFAULT_DEPTHS
     alphas, flags = [], []
     for groups, f in _map_groups(system, subset, depths):
         alphas.append(_critical_alpha(groups, alpha_tol))
@@ -576,7 +468,6 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
 def _mult_entropy(system: CircleMult, subset, depths) -> EntropyEstimate:
     if not isinstance(subset, WholeSpace):
         raise TypeError("circle multiplication entropy is implemented for the whole space")
-    depths = tuple(depths) if depths else _DEFAULT_DEPTHS
     # n-adic arcs at depth j: n^j of them, each surviving j - O(1) steps
     slack = max(1, math.ceil(math.log(4.0) / math.log(system.n)))
     alphas = [
@@ -590,11 +481,13 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
                        depths: Optional[Sequence[int]] = None) -> EntropyEstimate:
     """Entropy of the subset under a flow, per unit time.
 
-    Rotation-type flows are isometric: every span is infinite and the value
-    is exactly 0.  Suspensions with word-independent roofs are covered by
-    cylinder-times-half-roof flow boxes whose spans come from the rolled-out
-    box geometry; the critical exponent then carries units of 1/time."""
-    if isinstance(flow, (CircleRotationFlow, TorusTranslation)):
+    Isometric flows (rotation flow, torus translations): every span is
+    infinite and the value is exactly 0.  Suspensions with word-independent
+    roofs are covered by cylinder-times-half-roof flow boxes whose spans come
+    from the rolled-out box geometry; the critical exponent then carries
+    units of 1/time."""
+    depths = _depth_grid(depths, _DEFAULT_DEPTHS)
+    if flow.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if not isinstance(flow, Suspension):
         raise TypeError(f"no flow entropy backend for {type(flow).__name__}")
@@ -602,7 +495,6 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
     if roof.depth > 0:
         raise TypeError("flow entropy is implemented for word-independent roofs only")
     c = roof.roof_max
-    depths = tuple(depths) if depths else _DEFAULT_DEPTHS
     alphas, flags = [], []
     for groups, f in _map_groups(flow.base, subset, depths):
         boxed = []
@@ -764,28 +656,24 @@ def spanning_entropy(system, subset=WholeSpace(),
     eps = 2**-resolution_bits.  On a shift space every (n, eps)-ball is a
     cylinder of length n + resolution_bits, so the minimal spanning count is
     the exact word count at that depth; the growth rate is the slope of its
-    logarithm in n, fitted by least squares.  Isometric circle systems have
+    logarithm in n, fitted by least squares.  Isometric systems have
     n-independent spanning counts, so their rate is exactly 0.  Independent
     of the critical-exponent route."""
-    if isinstance(system, CircleRotation) or (
-        isinstance(system, TimeTMap)
-        and isinstance(system.flow, (CircleRotationFlow, TorusTranslation))
-    ):
+    depths = _depth_grid(depths, _SPANNING_DEPTHS)
+    if system.isometric:
         if not isinstance(subset, (WholeSpace, SampleCloud)):
             raise TypeError("rotation spanning counts cover the whole space or a cloud")
         # orbit metric equals the base metric, so one eps-grid spans every n
         eps = 2.0 ** -resolution_bits
         count = math.ceil(1.0 / (2.0 * eps))
-        depths = tuple(depths) if depths else (20, 30, 40, 50, 60)
         per_depth = tuple(math.log(count) / n for n in depths)
         return EntropyEstimate(
             value=0.0, lower=0.0, upper=max(per_depth),
-            depths=tuple(depths), alphas=per_depth,
+            depths=depths, alphas=per_depth,
             flags=("zero-expansion",), details={"resolution_bits": resolution_bits},
         )
-    if not symbolic_kind(system):
+    if not system.symbolic:
         raise TypeError("the spanning route is implemented for shift spaces")
-    depths = tuple(depths) if depths else (20, 30, 40, 50, 60)
     if max(depths) + resolution_bits > budget:
         raise BudgetExhausted("spanning depth grid exceeds the counting budget")
     if len(set(depths)) < 2:

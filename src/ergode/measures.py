@@ -10,8 +10,7 @@ nodes).  Symbolic measures used on a suspension space are understood as
 sitting on the fiber-zero copy of the base.
 
 Integration is exact for every built-in pair; the only generic fallback is a
-midpoint quadrature on the circle, which reports its step through the
-optional ``receipt`` argument.
+midpoint quadrature on the circle.
 """
 
 from __future__ import annotations
@@ -25,8 +24,8 @@ import numpy as np
 
 from .systems import (
     BudgetExhausted, CircleMult, CircleRotation, CircleRotationFlow, Coordinate,
-    DisjointUnion, FullShift, MarkovShift, Point, Suspension, TimeTMap,
-    TorusTranslation, alphabet_of, time_t_map,
+    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Suspension,
+    TimeTMap, TorusTranslation, time_t_map,
 )
 
 __all__ = [
@@ -36,7 +35,7 @@ __all__ = [
     "evaluate", "evaluate_on_circle", "integrate", "pushforward",
     "time_average_measure", "weak_star_distance", "metric_entropy",
     "partition_entropy_estimate", "compose_with_flow", "InvarianceWarning",
-    "PartitionWarning", "window_count",
+    "PartitionWarning",
 ]
 
 _MASS_TOL = 1e-9
@@ -309,14 +308,12 @@ class _Composed:
 
 
 def compose_with_flow(flow, t: float, phi) -> object:
-    """The observable x -> phi(flow_t(x))."""
+    """The observable x -> phi(flow_t(x)); a harmonic under an isometric
+    (straight-line) flow is the same harmonic moved along by speed * t."""
     if isinstance(phi, Constant):
         return phi
-    if isinstance(phi, Harmonic):
-        if isinstance(flow, CircleRotationFlow):
-            return Harmonic(phi.frequency, phi.phase, phi.offset + t)
-        if isinstance(flow, TorusTranslation):
-            return Harmonic(phi.frequency, phi.phase, phi.offset + flow.velocity[0] * t)
+    if isinstance(phi, Harmonic) and flow.is_flow and flow.isometric:
+        return Harmonic(phi.frequency, phi.phase, phi.offset + flow.speed * t)
     return _Composed(flow, t, phi)
 
 
@@ -420,7 +417,7 @@ def _words_of_length(k: int, length: int):
 
 def _default_observables(space, depth, max_frequency):
     if isinstance(space, (FullShift, MarkovShift)):
-        k = alphabet_of(space)
+        k = space.alphabet
         out = []
         for length in range(1, depth + 1):
             for word in _words_of_length(k, length):
@@ -430,7 +427,7 @@ def _default_observables(space, depth, max_frequency):
         out = []
         for length in range(1, depth + 1):
             for comp, side in ((0, space.left), (1, space.right)):
-                for word in _words_of_length(alphabet_of(side), length):
+                for word in _words_of_length(side.alphabet, length):
                     out.append(CylinderIndicator(word, component=comp))
         return out
     if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow, TorusTranslation)):
@@ -450,7 +447,7 @@ def _default_observables(space, depth, max_frequency):
 
 def _separation_probes(space):
     if isinstance(space, (FullShift, MarkovShift)):
-        k = alphabet_of(space)
+        k = space.alphabet
         uniform = tuple(1.0 / k for _ in range(k))
         skew = tuple(
             (0.5 + 0.4 * (i == 0) - 0.4 / (k - 1) * (i != 0)) * 2.0 / k for i in range(k)
@@ -482,27 +479,24 @@ def _separation_probes(space):
 # integration
 
 
-def integrate(mu, phi, receipt: Optional[dict] = None) -> float:
+def integrate(mu, phi) -> float:
     """Exact integral of `phi` against `mu` for all built-in pairs."""
-    hook = getattr(mu, "integrate_observable", None)
-    if hook is not None:
-        return hook(phi)
     if isinstance(phi, Constant):
         return phi.value
     if isinstance(mu, Mixture):
-        return math.fsum(w * integrate(m, phi, receipt) for m, w in mu.components)
+        return math.fsum(w * integrate(m, phi) for m, w in mu.components)
     if isinstance(mu, Atomic):
         return math.fsum(w * evaluate(phi, x) for x, w in zip(mu.points, mu.weights))
     if isinstance(mu, TimeShifted):
-        return _integrate_shifted(mu.flow, mu.t, mu.base, phi, receipt)
+        return _integrate_shifted(mu.flow, mu.t, mu.base, phi)
     if isinstance(mu, TimeAveraged):
         return math.fsum(
-            _integrate_shifted(mu.flow, s, mu.base, phi, receipt) for s in mu.nodes()
+            _integrate_shifted(mu.flow, s, mu.base, phi) for s in mu.nodes()
         ) / mu.m
     if isinstance(phi, _Composed):
-        return _integrate_shifted(phi.flow, phi.t, mu, phi.base, receipt)
+        return _integrate_shifted(phi.flow, phi.t, mu, phi.base)
     if isinstance(phi, SymbolFrequency):
-        return integrate(mu, CylinderIndicator((phi.symbol,), phi.component), receipt)
+        return integrate(mu, CylinderIndicator((phi.symbol,), phi.component))
     if isinstance(mu, Bernoulli):
         if isinstance(phi, CylinderIndicator):
             if phi.component is not None and mu.component is not None \
@@ -532,7 +526,7 @@ def integrate(mu, phi, receipt: Optional[dict] = None) -> float:
         if isinstance(phi, Harmonic):
             return 0.0
         if mu.dim == 1:
-            return _circle_quadrature(phi, receipt)
+            return _circle_quadrature(phi)
         raise TypeError(f"cannot integrate {type(phi).__name__} against Lebesgue")
     raise TypeError(f"cannot integrate against {type(mu).__name__}")
 
@@ -540,23 +534,21 @@ def integrate(mu, phi, receipt: Optional[dict] = None) -> float:
 _QUAD_CELLS = 4096
 
 
-def _circle_quadrature(phi, receipt) -> float:
+def _circle_quadrature(phi) -> float:
     # last-resort midpoint rule for observables with no exact rule
     grid = (np.arange(_QUAD_CELLS) + 0.5) / _QUAD_CELLS
     try:
         values = evaluate_on_circle(phi, grid)
     except TypeError:
         values = np.array([evaluate(phi, Point(Coordinate((g,)))) for g in grid])
-    if receipt is not None:
-        receipt["quadrature_step"] = 1.0 / _QUAD_CELLS
     return float(values.mean())
 
 
-def _integrate_shifted(flow, s, base, phi, receipt=None) -> float:
+def _integrate_shifted(flow, s, base, phi) -> float:
     """integral of phi(flow_s(x)) d base(x)."""
     if isinstance(base, Mixture):
         return math.fsum(
-            w * _integrate_shifted(flow, s, m, phi, receipt) for m, w in base.components
+            w * _integrate_shifted(flow, s, m, phi) for m, w in base.components
         )
     if isinstance(base, Atomic):
         return math.fsum(
@@ -564,11 +556,11 @@ def _integrate_shifted(flow, s, base, phi, receipt=None) -> float:
             for x, w in zip(base.points, base.weights)
         )
     if isinstance(base, TimeShifted):
-        return _integrate_shifted(flow, s + base.t, base.base, phi, receipt)
-    if isinstance(base, Lebesgue) and isinstance(flow, (CircleRotationFlow, TorusTranslation)):
-        return integrate(base, compose_with_flow(flow, s, phi), receipt)
+        return _integrate_shifted(flow, s + base.t, base.base, phi)
+    if isinstance(base, Lebesgue) and flow.is_flow and flow.isometric:
+        return integrate(base, compose_with_flow(flow, s, phi))
     if isinstance(base, (Bernoulli, Markov)) and isinstance(flow, Suspension):
-        return _integrate_shifted_symbolic(flow, s, base, phi, receipt)
+        return _integrate_shifted_symbolic(flow, s, base, phi)
     raise TypeError(
         f"cannot integrate the time-shifted pair ({type(base).__name__}, {type(flow).__name__})"
     )
@@ -580,14 +572,14 @@ def _with_default_fiber(flow, x: Point) -> Point:
     return x
 
 
-def _integrate_shifted_symbolic(flow: Suspension, s, base, phi, receipt) -> float:
+def _integrate_shifted_symbolic(flow: Suspension, s, base, phi) -> float:
     roof = flow.roof
     if s < roof.roof_min:
         # no roof crossing: the fiber lands at s and the base is untouched
         if isinstance(phi, FiberProfile):
-            return phi.profile(s) * integrate(base, phi.base, receipt)
+            return phi.profile(s) * integrate(base, phi.base)
         if _word_depth(phi) is not None:
-            return integrate(base, phi, receipt)
+            return integrate(base, phi)
     depth = _word_depth(phi.base if isinstance(phi, _Composed) else phi)
     if depth is None:
         raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
@@ -595,13 +587,12 @@ def _integrate_shifted_symbolic(flow: Suspension, s, base, phi, receipt) -> floa
         raise TypeError("time shifts beyond the roof are not supported over disjoint unions")
     crossings = int(s / roof.roof_min) + 1
     need = crossings + depth + roof.depth + 1
-    k = alphabet_of(flow.base)
+    k = flow.base.alphabet
     if k ** need > 1 << 16:
         raise BudgetExhausted(
             f"cylinder decomposition depth {need} exceeds the enumeration budget"
         )
     total = 0.0
-    from .systems import ExplicitWord  # local to avoid a cluttered module top
     for word in _words_of_length(k, need):
         mass = integrate(base, CylinderIndicator(word))
         if mass == 0.0:
@@ -615,7 +606,7 @@ def pushforward(flow, t: float, mu):
     """Image measure under the time-t map of the flow."""
     if isinstance(flow, Suspension) and t < 0:
         raise ValueError("suspension flows run forward in time only")
-    if isinstance(mu, Lebesgue) and isinstance(flow, (CircleRotationFlow, TorusTranslation)):
+    if isinstance(mu, Lebesgue) and flow.is_flow and flow.isometric:
         return mu
     if isinstance(mu, Atomic):
         moved = tuple(time_t_map(flow, t, _with_default_fiber(flow, x)) for x in mu.points)
@@ -638,18 +629,6 @@ def weak_star_distance(mu, nu, fam: TestFamily) -> float:
     ])
     terms = np.abs(gaps) / (1.0 + np.abs(gaps))
     return float(np.dot(fam.weights(), terms))
-
-
-def window_count(arr: np.ndarray, word: Tuple[int, ...], n: int) -> int:
-    """Number of offsets j < n at which `word` occurs in `arr` (arr must hold
-    at least n + len(word) - 1 symbols)."""
-    L = len(word)
-    if len(arr) < n + L - 1:
-        raise ValueError("symbol array too short for the requested window count")
-    match = arr[:n] == word[0]
-    for i in range(1, L):
-        match = match & (arr[i:n + i] == word[i])
-    return int(match.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +685,9 @@ def _check_invariance(mu, system) -> None:
 def metric_entropy(mu, system) -> float:
     """Entropy of the measure under the system, natural log.
 
-    Closed form for Bernoulli and Markov measures, 0 for Lebesgue under a
-    rotation, and the affine combination for mixtures of closed-form
+    Closed form for Bernoulli and Markov measures, 0 for Lebesgue under an
+    isometric system (rotation, rotation flow, torus translation), and the
+    affine combination for mixtures of closed-form
     components (entropy is affine in the measure).  Everything else falls
     back to the partition estimate at depth 12.
     """
@@ -728,7 +708,7 @@ def _closed_form_entropy(mu, system) -> Optional[float]:
             for j in range(mu.k)
             if mu.transitions[i][j] > 0
         )
-    if isinstance(mu, Lebesgue) and isinstance(system, (CircleRotation, CircleRotationFlow)):
+    if isinstance(mu, Lebesgue) and system.isometric:
         return 0.0
     if isinstance(mu, Mixture):
         sides = []
@@ -770,11 +750,8 @@ def partition_entropy_estimate(mu, system, depth: int) -> float:
 
 
 def _partition_masses(mu, system, depth: int) -> np.ndarray:
-    hook = getattr(mu, "partition_masses", None)
-    if hook is not None:
-        return hook(system, depth)
     if isinstance(system, (FullShift, MarkovShift)):
-        return _cylinder_masses(mu, alphabet_of(system), depth)
+        return _cylinder_masses(mu, system.alphabet, depth)
     if isinstance(system, DisjointUnion):
         return _union_masses(mu, system, depth)
     if isinstance(system, CircleMult):
@@ -837,8 +814,8 @@ def _cylinder_masses(mu, k: int, depth: int) -> np.ndarray:
 
 
 def _union_masses(mu, system: DisjointUnion, depth: int) -> np.ndarray:
-    kl = alphabet_of(system.left)
-    kr = alphabet_of(system.right)
+    kl = system.left.alphabet
+    kr = system.right.alphabet
     left = np.zeros(kl ** depth)
     right = np.zeros(kr ** depth)
 
@@ -912,7 +889,7 @@ def _suspension_partition_masses(mu, flow: Suspension, depth: int) -> np.ndarray
     if isinstance(base, DisjointUnion):
         inner = mu.base if isinstance(mu, (TimeAveraged, TimeShifted)) else mu
         return _union_masses(inner, base, depth)
-    k = alphabet_of(base)
+    k = base.alphabet
     if isinstance(mu, (TimeAveraged, TimeShifted)):
         return _suspension_base_masses(mu, k, depth)
     return _cylinder_masses(mu, k, depth)

@@ -25,8 +25,7 @@ __all__ = [
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
     "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "SteeredBlocks",
     "Coordinate", "Point", "Distance", "MetricSpec", "metric_for", "distance",
-    "step", "iterate", "time_t_map", "alphabet_of", "symbolic_kind",
-    "random_point", "suspension_point", "rotation_orbit", "BudgetExhausted",
+    "step", "iterate", "time_t_map", "random_point", "BudgetExhausted",
 ]
 
 
@@ -38,8 +37,32 @@ class BudgetExhausted(RuntimeError):
 # system descriptors
 
 
+class _Descriptor:
+    """The questions every module asks of a space, answered once: `is_flow`
+    (continuous time), `isometric` (distances never grow, so every entropy
+    is exactly 0), `symbolic` (points are symbol streams, the map is the
+    shift) and `alphabet` (symbol count of a single shift space; TypeError
+    elsewhere).  Read-only on the frozen descriptors."""
+
+    is_flow = False
+    isometric = False
+    symbolic = False
+
+    @property
+    def alphabet(self) -> int:
+        raise TypeError(f"no single alphabet for {type(self).__name__}")
+
+
+class _Shift(_Descriptor):
+    symbolic = True
+
+    @property
+    def alphabet(self) -> int:
+        return self.k
+
+
 @dataclass(frozen=True)
-class FullShift:
+class FullShift(_Shift):
     """One-sided full shift on k symbols."""
 
     k: int
@@ -50,7 +73,7 @@ class FullShift:
 
 
 @dataclass(frozen=True)
-class MarkovShift:
+class MarkovShift(_Shift):
     """One-sided vertex shift: words w with adjacency[w_i][w_{i+1}] == 1."""
 
     k: int
@@ -72,7 +95,7 @@ class MarkovShift:
 
 
 @dataclass(frozen=True)
-class CircleMult:
+class CircleMult(_Descriptor):
     """x -> n*x mod 1 on the circle."""
 
     n: int
@@ -83,10 +106,11 @@ class CircleMult:
 
 
 @dataclass(frozen=True)
-class CircleRotation:
+class CircleRotation(_Descriptor):
     """x -> x + theta mod 1 on the circle."""
 
     theta: float
+    isometric = True
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
@@ -95,11 +119,19 @@ class CircleRotation:
 
 
 @dataclass(frozen=True)
-class DisjointUnion:
+class DisjointUnion(_Descriptor):
     """Two systems side by side; orbits never change component."""
 
     left: "SystemDescriptor"
     right: "SystemDescriptor"
+
+    @property
+    def isometric(self) -> bool:
+        return self.left.isometric and self.right.isometric
+
+    @property
+    def symbolic(self) -> bool:
+        return self.left.symbolic and self.right.symbolic
 
     def side(self, component: int) -> "SystemDescriptor":
         if component not in (0, 1):
@@ -115,15 +147,26 @@ SystemDescriptor = Union[FullShift, MarkovShift, CircleMult, CircleRotation, Dis
 
 
 @dataclass(frozen=True)
-class CircleRotationFlow:
+class CircleRotationFlow(_Descriptor):
     """Unit-speed rotation flow on the circle: (t, x) -> x + t mod 1."""
+
+    is_flow = True
+    isometric = True
+    speed = 1.0     # of the first coordinate, as for a torus translation
 
 
 @dataclass(frozen=True)
-class TorusTranslation:
+class TorusTranslation(_Descriptor):
     """Straight-line translation flow on the d-torus with fixed velocity."""
 
     velocity: Tuple[float, ...]
+    is_flow = True
+    isometric = True
+
+    @property
+    def speed(self) -> float:
+        """Speed of the first coordinate, the one circle observables read."""
+        return self.velocity[0]
 
     def __post_init__(self):
         if not self.velocity or any(not math.isfinite(v) for v in self.velocity):
@@ -185,19 +228,20 @@ class RoofFunction:
 
 
 @dataclass(frozen=True)
-class Suspension:
+class Suspension(_Descriptor):
     """Suspension flow over a symbolic base under a roof function."""
 
     base: SystemDescriptor
     roof: RoofFunction
+    is_flow = True
 
     def __post_init__(self):
-        if not symbolic_kind(self.base):
+        if not self.base.symbolic:
             raise ValueError("suspension base must be a symbolic system")
         if self.roof.depth > 0:
             if isinstance(self.base, DisjointUnion):
                 raise ValueError("word-dependent roofs over disjoint unions are not supported")
-            if self.roof.k != alphabet_of(self.base):
+            if self.roof.k != self.base.alphabet:
                 raise ValueError("roof alphabet must match the base alphabet")
 
 
@@ -205,7 +249,7 @@ FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
 
 
 @dataclass(frozen=True)
-class TimeTMap:
+class TimeTMap(_Descriptor):
     """The time-t map of a flow, used as a discrete system.
 
     `_grid` holds (fiber, grid) for the fiber read last: the cell grid that
@@ -222,22 +266,12 @@ class TimeTMap:
         if self.t == 0.0 or not math.isfinite(self.t):
             raise ValueError("time-t map needs a nonzero finite t")
 
+    @property
+    def isometric(self) -> bool:
+        return self.flow.isometric
+
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
-
-
-def symbolic_kind(system) -> bool:
-    if isinstance(system, (FullShift, MarkovShift)):
-        return True
-    if isinstance(system, DisjointUnion):
-        return symbolic_kind(system.left) and symbolic_kind(system.right)
-    return False
-
-
-def alphabet_of(system) -> int:
-    if isinstance(system, (FullShift, MarkovShift)):
-        return system.k
-    raise TypeError(f"no single alphabet for {type(system).__name__}")
 
 
 # ---------------------------------------------------------------------------
@@ -483,18 +517,11 @@ class Point:
             raise TypeError("coordinate points have no symbol stream")
         return self.rule.materialise(self.offset + n)[self.offset:self.offset + n]
 
-    def symbol_at(self, i: int) -> int:
-        return int(self.prefix(i + 1)[i])
-
     def shifted(self, steps: int = 1) -> "Point":
         return Point(self.rule, self.offset + steps, self.component, self.fiber)
 
     def with_fiber(self, fiber: float) -> "Point":
         return Point(self.rule, self.offset, self.component, fiber)
-
-
-def suspension_point(base: Point, fiber: float) -> Point:
-    return base.with_fiber(fiber)
 
 
 # ---------------------------------------------------------------------------
@@ -524,18 +551,11 @@ def step(system, x: Point) -> Point:
 def iterate(system, x: Point, n: int) -> Point:
     if n < 0:
         raise ValueError("iterate needs n >= 0")
-    if isinstance(system, (FullShift, MarkovShift)) or (
-        isinstance(system, DisjointUnion) and symbolic_kind(system)
-    ):
+    if system.symbolic:
         return x.shifted(n)
     for _ in range(n):
         x = step(system, x)
     return x
-
-
-def _base_step(base, x: Point) -> Point:
-    # suspension bases are symbolic, so stepping is an offset move
-    return x.shifted(1)
 
 
 def time_t_map(flow, t: float, x: Point) -> Point:
@@ -590,14 +610,9 @@ def _suspension_advance(flow: Suspension, x: Point, t: float) -> Point:
         folded = rem + carry
         carry = carry - (folded - rem)
         rem = folded
-        cur = _base_step(flow.base, cur)
+        cur = cur.shifted(1)          # suspension bases are symbolic
     rem = max(rem + carry, 0.0)
     return Point(cur.rule, cur.offset, cur.component, rem)
-
-
-def rotation_orbit(x0: float, theta: float, n: int) -> np.ndarray:
-    """Coordinates of x0, x0+theta, ..., x0+(n-1)*theta, all mod 1."""
-    return (x0 + theta * np.arange(n, dtype=float)) % 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -695,13 +710,11 @@ def _suspension_distance(flow: Suspension, x: Point, y: Point, horizon: int) -> 
 def random_point(space, rng: np.random.Generator, horizon: int = 0) -> Point:
     """A uniformly seeded point of the space (symbol streams are iid uniform)."""
     if isinstance(space, (FullShift, MarkovShift)):
-        k = alphabet_of(space)
+        k = space.alphabet
         seed = int(rng.integers(0, 2 ** 63 - 1))
         probs = tuple(1.0 / k for _ in range(k))
         return Point(SeededIID(seed, probs))
-    if isinstance(space, (CircleMult, CircleRotation)):
-        return Point(Coordinate((float(rng.random()),)))
-    if isinstance(space, CircleRotationFlow):
+    if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow)):
         return Point(Coordinate((float(rng.random()),)))
     if isinstance(space, TorusTranslation):
         return Point(Coordinate(tuple(float(v) for v in rng.random(len(space.velocity)))))

@@ -16,7 +16,6 @@ from ergode.systems import (
     Suspension,
     TimeTMap,
     step,
-    suspension_point,
 )
 from ergode.measures import (
     Bernoulli,
@@ -81,7 +80,7 @@ def test_rotation_average_matches_trigonometric_sum():
 
 def test_flow_average_matches_midpoint_quadrature():
     susp = Suspension(FullShift(2), RoofFunction.constant(1.5))
-    x = suspension_point(Point(SeededIID(5, (0.5, 0.5))), 0.0)
+    x = Point(SeededIID(5, (0.5, 0.5))).with_fiber(0.0)
     tent = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.75, 1.0), (1.5, 0.0)))
     T = 30.0
     got = birkhoff_average_flow(susp, x, tent, T)
@@ -93,13 +92,13 @@ def test_flow_average_matches_midpoint_quadrature():
 def test_flow_average_over_word_dependent_roof():
     """Segment accounting: average of the constant 1 is 1 whatever the roof."""
     susp = Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2))
-    x = suspension_point(Point(SeededIID(9, (0.5, 0.5))), 0.3)
+    x = Point(SeededIID(9, (0.5, 0.5))).with_fiber(0.3)
     assert birkhoff_average_flow(susp, x, Constant(1.0), 57.3) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_flow_profile_is_consistent_with_single_calls():
     susp = Suspension(FullShift(2), RoofFunction.constant(1.0))
-    x = suspension_point(Point(SeededIID(5, (0.5, 0.5))), 0.0)
+    x = Point(SeededIID(5, (0.5, 0.5))).with_fiber(0.0)
     phi = CylinderIndicator((1,))
     sched = Schedule((4.0, 8.0, 16.0))
     prof = flow_average_profile(susp, x, phi, sched)

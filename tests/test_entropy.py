@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ergode.systems import (
     BudgetExhausted,
     CircleRotation,
+    CircleRotationFlow,
     DisjointUnion,
     ExplicitWord,
     FullShift,
@@ -17,12 +18,10 @@ from ergode.systems import (
     SeededIID,
     Suspension,
     TimeTMap,
+    TorusTranslation,
 )
 from ergode.entropy import (
-    ArcBody,
     ComponentWindow,
-    CoverElement,
-    CylinderBody,
     FrequencyWindow,
     OscillationWindows,
     SampleCloud,
@@ -30,7 +29,6 @@ from ergode.entropy import (
     bowen_entropy_flow,
     bowen_entropy_symbolic,
     caratheodory_sum,
-    cover_weight,
     spanning_entropy,
     word_count_rate,
     _markov_window_log_counts,
@@ -246,42 +244,81 @@ def test_union_counts_add_and_split_by_component():
 
 
 # ---------------------------------------------------------------------------
-# cover machinery
+# the Caratheodory sum over (log_count, span) groups
 
 
-def test_cover_weight_of_a_cylinder():
-    el = cover_weight(FullShift(2), CylinderBody((0, 1, 1)))
-    assert el.span == 3.0
-    assert el.weight == pytest.approx(math.exp(-3.0))
-
-
-def test_cover_weight_of_the_whole_space_cylinder():
-    el = cover_weight(FullShift(2), CylinderBody(()))
-    assert el.span == 0.0 and el.weight == 1.0
-
-
-def test_cover_weight_rejects_foreign_covers():
-    with pytest.raises(TypeError):
-        cover_weight(FullShift(2), CylinderBody((0,)), cover="finer")
-
-
-def test_cover_weight_arc_on_rotation():
-    el = cover_weight(CircleRotation(0.3), ArcBody(0.5, 1 / 16))
-    assert el.weight == pytest.approx(math.exp(-el.span))
-
-
-@given(st.lists(st.integers(0, 12), min_size=1, max_size=8),
+@given(st.lists(st.tuples(st.floats(-5.0, 40.0), st.integers(0, 12)), min_size=1, max_size=8),
        st.floats(0.0, 2.0), st.floats(0.0, 2.0))
 @settings(deadline=None, max_examples=60)
-def test_caratheodory_sum_nonincreasing_in_alpha(spans, a1, a2):
-    els = [CoverElement(None, s, math.exp(-s)) for s in spans]
+def test_caratheodory_sum_nonincreasing_in_alpha(groups, a1, a2):
     lo, hi = sorted((a1, a2))
-    assert caratheodory_sum(els, hi) <= caratheodory_sum(els, lo) + 1e-12
+    assert caratheodory_sum(groups, hi) <= caratheodory_sum(groups, lo) + 1e-12
 
 
 def test_caratheodory_sum_rejects_negative_alpha():
     with pytest.raises(ValueError):
-        caratheodory_sum([CoverElement(None, 1.0, 0.5)], -0.1)
+        caratheodory_sum([(0.0, 1.0)], -0.1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_caratheodory_sum_crosses_zero_at_the_full_shift_entropy(k):
+    """The depth-n cover of the full shift is k**n cylinders of span n: one
+    group (n log k, n), whose sum crosses 0 at the reported entropy."""
+    n = 24
+    alpha = bowen_entropy_symbolic(FullShift(k), WholeSpace(), depths=(n,)).value
+    groups = [(n * math.log(k), float(n))]
+    assert caratheodory_sum(groups, alpha) == pytest.approx(0.0, abs=1e-12)
+    assert caratheodory_sum(groups, alpha - 1e-6) > 0.0 > caratheodory_sum(groups, alpha + 1e-6)
+
+
+def test_flow_entropy_is_the_zero_of_the_caratheodory_sum():
+    """Under the constant roof c each depth-n cylinder gives two flow boxes,
+    fibers below c/2 and below c, of spans n c + c/4 - c/2 and n c + c/4 - c;
+    the bisection stops where their sum crosses 0."""
+    n, c = 30, 2.0
+    est = bowen_entropy_flow(Suspension(FullShift(2), RoofFunction.constant(c)),
+                             WholeSpace(), depths=(n,))
+    groups = [(n * math.log(2), n * c - 0.25 * c), (n * math.log(2), n * c - 0.75 * c)]
+    assert caratheodory_sum(groups, est.value) == pytest.approx(0.0, abs=1e-9)
+    assert caratheodory_sum(groups, est.value - 1e-6) > 0.0 > caratheodory_sum(
+        groups, est.value + 1e-6)
+
+
+_UNIT_ROOF = Suspension(FullShift(2), RoofFunction.constant(1.0))
+
+
+@pytest.mark.parametrize("estimate", [
+    lambda depths: bowen_entropy_symbolic(FullShift(2), WholeSpace(), depths),
+    lambda depths: bowen_entropy_flow(_UNIT_ROOF, WholeSpace(), depths),
+    lambda depths: spanning_entropy(FullShift(2), WholeSpace(), depths, resolution_bits=0),
+], ids=["symbolic", "flow", "spanning"])
+@pytest.mark.parametrize("depths", [(0, 10), (-3, 10)])
+def test_estimators_reject_depths_below_one(estimate, depths):
+    with pytest.raises(ValueError, match="depths must be >= 1"):
+        estimate(depths)
+
+
+_ROTATIONS = DisjointUnion(CircleRotation(0.1), CircleRotation(0.2))
+
+
+@pytest.mark.parametrize("estimator, space", [
+    (bowen_entropy_symbolic, CircleRotationFlow()),
+    (bowen_entropy_symbolic, TorusTranslation((0.3, 0.7))),
+    (bowen_entropy_symbolic, _ROTATIONS),
+    (bowen_entropy_flow, CircleRotation(0.3)),
+    (bowen_entropy_flow, TimeTMap(CircleRotationFlow(), 0.5)),
+    (bowen_entropy_flow, TimeTMap(TorusTranslation((0.3, 0.7)), 2.0)),
+    (bowen_entropy_flow, _ROTATIONS),
+    (spanning_entropy, CircleRotationFlow()),
+    (spanning_entropy, TorusTranslation((0.3, 0.7))),
+    (spanning_entropy, _ROTATIONS),
+])
+def test_every_isometric_kind_has_zero_entropy(estimator, space):
+    """Each estimator asks the descriptor whether it is isometric, so no
+    isometric kind is left to a missing backend."""
+    est = estimator(space, WholeSpace())
+    assert est.value == 0.0 and est.lower == 0.0
+    assert est.flags == ("zero-expansion",)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergode.systems import (
     BudgetExhausted,
+    CircleRotationFlow,
     Coordinate,
     DisjointUnion,
     ExplicitWord,
@@ -14,6 +15,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     Suspension,
+    TorusTranslation,
 )
 from ergode.measures import (
     Atomic,
@@ -33,7 +35,6 @@ from ergode.measures import (
     partition_entropy_estimate,
     time_average_measure,
     weak_star_distance,
-    window_count,
 )
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -90,6 +91,14 @@ def test_integrate_harmonics_vanish_under_lebesgue():
         assert abs(integrate(leb, Harmonic(q, "sin", offset=0.25))) < 1e-12
 
 
+@pytest.mark.parametrize("flow, dim", [(CircleRotationFlow(), 1),
+                                       (TorusTranslation((0.3, 0.7)), 2),
+                                       (TorusTranslation((0.4,)), 1)])
+def test_lebesgue_entropy_is_zero_under_every_isometric_flow(flow, dim):
+    assert metric_entropy(Lebesgue(dim), flow) == 0.0
+    assert metric_entropy(Mixture(((Lebesgue(dim), 0.5), (Lebesgue(dim), 0.5))), flow) == 0.0
+
+
 def test_atomic_integration_is_a_weighted_sum():
     at = Atomic((Point(Coordinate((0.1,))), Point(Coordinate((0.3,)))), (0.25, 0.75))
     want = 0.25 * math.cos(2 * math.pi * 0.1) + 0.75 * math.cos(2 * math.pi * 0.3)
@@ -123,12 +132,6 @@ def test_partition_entropy_nonincreasing_in_depth():
     vals = [partition_entropy_estimate(gm, sys, d) for d in (1, 2, 4, 8, 16)]
     for a, b in zip(vals, vals[1:]):
         assert b <= a + 1e-12
-
-
-def test_window_count_counts_sliding_occurrences():
-    arr = np.array([0, 1, 1, 0, 1, 1, 0, 1])
-    assert window_count(arr, (1, 1), 7) == 2
-    assert window_count(arr, (0,), 8) == 3
 
 
 def test_time_averaged_measure_integrates_fiber_profiles():

@@ -21,15 +21,11 @@ from ergode.systems import (
     Suspension,
     TimeTMap,
     TorusTranslation,
-    alphabet_of,
     distance,
     iterate,
     metric_for,
     random_point,
-    rotation_orbit,
     step,
-    suspension_point,
-    symbolic_kind,
     time_t_map,
 )
 
@@ -77,10 +73,10 @@ def test_shift_distance_truncates_at_horizon():
 
 
 def test_rotation_orbit_closed_form():
-    orb = rotation_orbit(0.25, 0.3, 5)
-    assert np.allclose(orb, [0.25, 0.55, 0.85, 0.15, 0.45])
-    q = iterate(CircleRotation(0.3), Point(Coordinate((0.25,))), 4)
-    assert abs(q.coords[0] - 0.45) < 1e-12
+    x = Point(Coordinate((0.25,)))
+    for n in range(6):
+        q = iterate(CircleRotation(0.3), x, n)
+        assert abs(q.coords[0] - (0.25 + 0.3 * n) % 1.0) < 1e-12
 
 
 def test_circle_mult_doubles_mod_one():
@@ -98,7 +94,7 @@ def test_rotation_flow_and_torus_translation():
 def test_suspension_advance_constant_roof():
     # 4.0 + 0.2 = 2 * 1.5 + 1.2: two roof crossings, fiber lands at 1.2
     susp = Suspension(FullShift(2), RoofFunction.constant(1.5))
-    x = suspension_point(Point(ExplicitWord((1, 0, 1, 1, 0, 0, 1, 0))), 0.2)
+    x = Point(ExplicitWord((1, 0, 1, 1, 0, 0, 1, 0))).with_fiber(0.2)
     y = time_t_map(susp, 4.0, x)
     assert y.offset == 2
     assert abs(y.fiber - 1.2) < 1e-9
@@ -109,7 +105,7 @@ def test_suspension_advance_word_dependent_roof():
     roof = RoofFunction(1, (1.0, 2.0), 2)
     assert roof.roof_min == 1.0 and roof.roof_max == 2.0
     susp = Suspension(FullShift(2), roof)
-    x = suspension_point(Point(ExplicitWord((1, 0, 1, 1, 0, 0, 1, 0))), 0.0)
+    x = Point(ExplicitWord((1, 0, 1, 1, 0, 0, 1, 0))).with_fiber(0.0)
     y = time_t_map(susp, 3.5, x)
     assert y.offset == 2 and abs(y.fiber - 0.5) < 1e-9
 
@@ -118,7 +114,7 @@ def test_suspension_advance_word_dependent_roof():
 @settings(deadline=None, max_examples=60)
 def test_suspension_flow_is_additive(s, t):
     susp = Suspension(FullShift(2), RoofFunction(1, (1.0, 1.75), 2))
-    x = suspension_point(Point(SeededIID(3, (0.5, 0.5))), 0.0)
+    x = Point(SeededIID(3, (0.5, 0.5))).with_fiber(0.0)
     one = time_t_map(susp, s + t, x)
     two = time_t_map(susp, t, time_t_map(susp, s, x))
     assert one.offset == two.offset
@@ -128,7 +124,7 @@ def test_suspension_flow_is_additive(s, t):
 def test_time_t_map_wraps_flow():
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
     tmap = TimeTMap(flow, 2.0)
-    x = suspension_point(Point(ExplicitWord((1, 0, 1, 1))), 0.0)
+    x = Point(ExplicitWord((1, 0, 1, 1))).with_fiber(0.0)
     assert step(tmap, x).offset == 2
 
 
@@ -143,13 +139,49 @@ def test_union_points_keep_their_component():
     x = Point(ExplicitWord((0, 1)), component=0)
     assert step(du, x).component == 0
     with pytest.raises(TypeError):
-        alphabet_of(du)
+        du.alphabet
 
 
-def test_symbolic_kind_split():
-    assert symbolic_kind(FullShift(2))
-    assert symbolic_kind(MarkovShift(2, ((1, 1), (1, 0))))
-    assert not symbolic_kind(CircleRotation(0.1))
+_FLOW = Suspension(FullShift(2), RoofFunction.constant(1.0))
+_ROTATIONS = DisjointUnion(CircleRotation(0.1), CircleRotation(0.2))
+
+# descriptor -> (is_flow, isometric, symbolic, alphabet or None, speed or None);
+# None for the alphabet means it raises TypeError, for the speed that the
+# descriptor has no speed
+DESCRIPTOR_TABLE = {
+    "full-shift": (FullShift(3), (False, False, True, 3, None)),
+    "vertex-shift": (MarkovShift(2, ((1, 1), (1, 0))), (False, False, True, 2, None)),
+    "circle-mult": (CircleMult(2), (False, False, False, None, None)),
+    "rotation": (CircleRotation(0.1), (False, True, False, None, None)),
+    "union-of-shifts": (DisjointUnion(FullShift(2), FullShift(3)),
+                        (False, False, True, None, None)),
+    "union-shift-rotation": (DisjointUnion(FullShift(2), CircleRotation(0.1)),
+                             (False, False, False, None, None)),
+    "union-of-rotations": (_ROTATIONS, (False, True, False, None, None)),
+    "rotation-flow": (CircleRotationFlow(), (True, True, False, None, 1.0)),
+    "torus-translation": (TorusTranslation((0.3, 0.7)), (True, True, False, None, 0.3)),
+    "suspension": (_FLOW, (True, False, False, None, None)),
+    "time-t-suspension": (TimeTMap(_FLOW, 0.5), (False, False, False, None, None)),
+    "time-t-rotation-flow": (TimeTMap(CircleRotationFlow(), 0.5),
+                             (False, True, False, None, None)),
+    "time-t-translation": (TimeTMap(TorusTranslation((0.3, 0.7)), 2.0),
+                           (False, True, False, None, None)),
+}
+
+
+@pytest.mark.parametrize("space, expected", DESCRIPTOR_TABLE.values(),
+                         ids=DESCRIPTOR_TABLE.keys())
+def test_descriptor_answers(space, expected):
+    is_flow, isometric, symbolic, alphabet, speed = expected
+    assert (space.is_flow, space.isometric, space.symbolic) == (is_flow, isometric, symbolic)
+    if alphabet is None:
+        with pytest.raises(TypeError):
+            space.alphabet
+    else:
+        assert space.alphabet == alphabet
+    assert getattr(space, "speed", None) == speed
+    with pytest.raises(AttributeError):      # read-only on the frozen descriptor
+        space.isometric = not isometric
 
 
 def test_markov_rejects_dead_states():
