@@ -1,19 +1,23 @@
 """Orbit averages along checkpoint schedules, empirical measures, and the
 classification of points as generic / not generic / irregular.
 
-Every average profile is read from one vectorised pass per orbit, so a
-whole geometric schedule of checkpoints costs the same as its largest entry.
-Circle and torus maps sum the observable along the materialised orbit.
-Symbolic orbits are read one base cell (symbol offset) at a time: shifts,
-the flow of a suspension and the time-t map of a suspension all weigh the
-word hits of each cell by what the orbit spends in it (map steps, or flow
-time under the roof).  The checkpoints cut the cells into intervals, and
-integer counts over each interval, taken in bounded chunks, answer every
-checkpoint without a full-length temporary.  A time-t map of a
-constant-roof suspension keeps the cell grid of the fiber it read last, so
-every point read through one map at one fiber shares it.  Flow averages are
-exact: closed-form antiderivatives on rotation flows, and full cells plus
-the two partial end cells on suspensions.
+Every average is read by one function, `_profiles(system, x, observables,
+schedule)`, which returns A[checkpoint, observable] for a whole family from
+one pass over the orbit, so a schedule of checkpoints costs the same as its
+largest entry.  The public readers (`birkhoff_profile`,
+`flow_average_profile`, the classifiers and `limit_point_set`) all call it.
+Constants are their value.  Rotation and translation flows integrate
+harmonics in closed form; circle and torus maps sum the observable along
+the materialised orbit.  Symbolic orbits (shifts, suspension flows and the
+time-t maps of suspensions) are cut into base cells (symbol offsets), and
+each full cell weighs its word hits by what the orbit spends in it: map
+steps, or the mass of the observable's fiber profile under the cell's roof.
+Word hits are counted per (word code, weight class) between consecutive
+checkpoints, in bounded chunks, so no full-length temporary is held; the
+partial first cell of a flow (from its fiber) and the partial last cell are
+added on top, which makes suspension flow averages exact.  A time-t map of
+a constant-roof suspension keeps the cell grid of the fiber it read last,
+so every point read through one map at one fiber shares it.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -24,7 +28,7 @@ is far (three tolerances) at both.  Everything in between is inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,7 +39,7 @@ from .systems import (
 )
 from .measures import (
     Atomic, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    SymbolFrequency, TestFamily, evaluate, evaluate_on_circle, integrate,
+    SymbolFrequency, TestFamily, evaluate_on_circle, integrate,
 )
 
 __all__ = [
@@ -111,12 +115,12 @@ def _orbit_coords(system, x: Point, n: int) -> np.ndarray:
             out[j] = c
             c = (c * system.n) % 1.0
         return out
-    if isinstance(system, TimeTMap) and system.flow.is_flow and system.flow.isometric:
+    if isinstance(system, TimeTMap) and system.flow.isometric:
         return (x.coords[0] + system.t * system.flow.speed * np.arange(n)) % 1.0
     raise TypeError(f"no coordinate orbit for {type(system).__name__}")
 
 
-def _is_symbolic_path(system, x: Point) -> bool:
+def _is_symbolic_path(system) -> bool:
     return system.symbolic or (isinstance(system, TimeTMap) and isinstance(system.flow, Suspension))
 
 
@@ -132,7 +136,7 @@ def _is_symbolic_path(system, x: Point) -> bool:
 # hits of a word per cell, weighted by what the orbit spends in the cell,
 # summed over the cells between consecutive checkpoints.
 
-_CELL_CHUNK = 1 << 14   # cells per vectorised step in `_map_cells`; its temporaries stay in cache
+_CELL_CHUNK = 1 << 16   # cells per vectorised step; an int64 temporary of a step is 512 KB
 
 
 def _fiber(flow: Suspension, x: Point) -> float:
@@ -232,18 +236,7 @@ def _cell_of_step(first: np.ndarray, n: int) -> int:
     return int(np.searchsorted(first, n - 1, side="right")) - 1
 
 
-def _hits(arr: np.ndarray, word, cells: int) -> np.ndarray:
-    """Boolean hits of `word` read at base cells 0..cells-1 of the symbols
-    `arr` (all true for the empty word)."""
-    if not word:
-        return np.ones(cells, dtype=bool)
-    hit = arr[:cells] == word[0]
-    for i, s in enumerate(word[1:], start=1):
-        hit &= arr[i:cells + i] == s
-    return hit
-
-
-def _running_totals(ends, total_of, start: int = 0, zero=0):
+def _running_totals(ends, total_of, start: int, zero):
     """The sum of total_of(lo, hi) over the cells [start, e), for each e of
     the ascending `ends`.  Each call covers at most `_CELL_CHUNK` cells, so
     no per-cell array outlives its chunk; integer totals stay exact."""
@@ -265,36 +258,196 @@ def _word_of(phi):
 
 
 # ---------------------------------------------------------------------------
-# map averages
+# the orbit reader
+
+
+def _profiles(system, x: Point, observables, schedule: Schedule) -> np.ndarray:
+    """A[c, i]: the average of observable i along the orbit of x up to
+    checkpoint c, over map steps on a map and over flow time on a flow.
+
+    Constants are their value.  Straight-line flows integrate harmonics in
+    closed form, circle maps sum along the coordinate orbit, and symbolic
+    orbits (shifts, suspension flows and their time-t maps) are read once
+    for the whole family by `_cell_profiles`."""
+    obs = tuple(observables)
+    flow = system.is_flow
+    Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
+    out = np.empty((len(Ts), len(obs)))
+    rest = []
+    for i, phi in enumerate(obs):
+        if isinstance(phi, Constant):
+            out[:, i] = phi.value
+        else:
+            rest.append(i)
+    if not rest:
+        return out
+    if flow and system.isometric:
+        for i in rest:
+            if not isinstance(obs[i], Harmonic):
+                raise TypeError(f"{type(obs[i]).__name__} is not a rotation-flow observable")
+            out[:, i] = [_harmonic_line_average(obs[i], x.coords[0], system.speed, T) for T in Ts]
+    elif flow or _is_symbolic_path(system):
+        _cell_profiles(system, x, [(i, obs[i]) for i in rest], Ts, out)
+    else:
+        coords = _orbit_coords(system, x, Ts[-1])
+        for i in rest:
+            cs = np.cumsum(evaluate_on_circle(obs[i], coords))
+            out[:, i] = [cs[n - 1] / n for n in Ts]
+    return out
+
+
+def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
+    """Fill the columns `reads` (column, observable) of `out` from one pass
+    over the base cells of a symbolic orbit.
+
+    The word codes of the full cells, at the deepest word length D, are
+    counted per (code, weight class) between consecutive checkpoints, in
+    chunks; a shorter word reads the codes that start with it.  A map has
+    one class, and each cell counts the map steps spent in it (whole
+    numbers, exact also where np.bincount sums them as floats).  A
+    suspension flow counts cells; its classes are its roof values, and an
+    observable weighs a class by the mass of its fiber profile under that
+    roof.  On top come the partial last cell, from its bottom (or its first
+    map step) to the checkpoint, and on a flow the partial first cell, from
+    the fiber f0 to its roof.
+    """
+    flow = system.is_flow
+    suspension = system if flow else getattr(system, "flow", None)
+    base = system if suspension is None else suspension.base
+    sides = (base.left, base.right) if isinstance(base, DisjointUnion) else (base,)
+    k = max(side.alphabet for side in sides)     # a code base above every symbol
+    words = []                  # (column, word code, word length, scale, mass)
+    for i, phi in reads:
+        inner = phi.base if flow and isinstance(phi, FiberProfile) else phi
+        if flow and isinstance(inner, Constant):
+            word, comp, scale = (), None, inner.value
+        else:
+            (word, comp), scale = _word_of(inner), 1.0
+        if word is None:
+            raise TypeError(f"{type(phi).__name__} does not read symbols")
+        code = _code(word, k)
+        if code is None or (comp is not None and x.component != comp):
+            out[:, i] = 0.0     # never hit
+            continue
+        mass = phi.profile_integral if isinstance(phi, FiberProfile) else _length
+        words.append((i, code, len(word), scale, mass))
+    if not words:
+        return
+    depth = max(1, max(w[2] for w in words))
+    inv = None
+    if flow:
+        f0 = _fiber(system, x)
+        taus = [f0 + T for T in Ts]         # times from the bottom of cell 0
+        roof = system.roof
+        if roof.depth == 0:
+            c = roof.table[0]
+            ends = []
+            for tau in taus:                # the cell whose top reaches tau
+                L = max(math.ceil(tau / c) - 1, 0)
+                while (L + 1) * c < tau:
+                    L += 1
+                while L > 0 and L * c >= tau:
+                    L -= 1
+                ends.append(L)
+            roof0, entry, classes = c, [L * c for L in ends], [c]
+        else:
+            vals = _roof_values(roof, x, taus[-1])
+            entries = np.concatenate(([0.0], np.cumsum(vals)))
+            ends = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
+            if ends[-1] >= len(vals):
+                raise BudgetExhausted("flow horizon exceeds the prepared roof window")
+            roof0, entry = vals[0], [entries[L] for L in ends]
+            classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
+        arr = np.asarray(x.prefix(ends[-1] + depth))
+    else:
+        arr, first = _map_cells(system, x, Ts[-1], depth)
+        ends = [_cell_of_step(first, n) for n in Ts]
+        ns = np.asarray(Ts)
+        last_steps = ns - first[ends]       # map steps in the partial last cell
+    n_cls = len(classes) if flow else 1
+
+    def codes(lo, hi):
+        if depth == 1:
+            return arr[lo:hi]
+        c = arr[lo:hi].astype(np.int64)
+        for d in range(1, depth):
+            c *= k
+            c += arr[lo + d:hi + d]
+        return c
+
+    def counts(lo, hi):
+        keys = codes(lo, hi) if inv is None else codes(lo, hi) * np.int64(n_cls) + inv[lo:hi]
+        # a shift and a flow count cells; a time-t map counts the steps in them
+        steps = None if flow or system.symbolic else np.diff(first[lo:hi + 1])
+        return _key_counts(keys, k ** depth * n_cls, steps)
+
+    counted = _running_totals(ends, counts, start=1 if flow else 0,
+                              zero=np.zeros(k ** depth * n_cls, dtype=np.int64))
+    # a word of length d is the depth-D codes [code*span, (code+1)*span)
+    cum = np.zeros((len(Ts), k ** depth + 1, n_cls), dtype=np.result_type(*counted))
+    np.cumsum(np.stack(counted).reshape(len(Ts), k ** depth, n_cls), axis=1, out=cum[:, 1:])
+    cols, wcodes, spans = (np.array(v) for v in zip(*[(w[0], w[1], k ** (depth - w[2]))
+                                                     for w in words]))
+    full = cum[:, (wcodes + 1) * spans] - cum[:, wcodes * spans]   # (checkpoint, word, class)
+    edge = np.array([_code(arr[i:i + depth].tolist(), k) for i in (0, *ends)])
+    hit_last = edge[1:, None] // spans == wcodes
+    if not flow:
+        out[:, cols] = (full[..., 0] + hit_last * last_steps[:, None]) / ns[:, None]
+        return
+    hit0 = edge[0] // spans == wcodes
+    for j, (i, _, _, scale, mass) in enumerate(words):
+        masses = np.array([mass(0.0, v) for v in classes])
+        for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
+            if L == 0:
+                total = hit0[j] * mass(f0, tau)
+            else:
+                total = (hit0[j] * mass(f0, roof0) + float(np.dot(full[ci, j], masses))
+                         + hit_last[ci, j] * mass(0.0, tau - entry[ci]))
+            out[ci, i] = scale * total / T
+
+
+def _code(word, k: int):
+    """The base-k code of a word, or None when a symbol is outside range(k)."""
+    code = 0
+    for s in word:
+        if not 0 <= s < k:
+            return None
+        code = code * k + int(s)
+    return code
+
+
+_FEW_KEYS = 4   # up to this many keys, comparisons count a chunk faster than np.bincount
+
+
+def _key_counts(keys: np.ndarray, size: int, weights=None) -> np.ndarray:
+    """How many of `keys` take each value in range(size), or with how much
+    total weight.  A single word read over a long orbit has two keys, where
+    np.bincount's scalar loop costs several comparisons."""
+    if size > _FEW_KEYS:
+        return np.bincount(keys, weights=weights, minlength=size)
+    if weights is None:
+        part = [np.count_nonzero(keys == v) for v in range(size - 1)]
+        total = len(keys)
+    else:
+        part = [int(np.dot(keys == v, weights)) for v in range(size - 1)]
+        total = int(weights.sum())
+    return np.array(part + [total - sum(part)], dtype=np.int64)   # the last key has the rest
+
+
+def _length(lo: float, hi: float) -> float:
+    """The mass under a roof of a fiber-constant observable."""
+    return hi - lo
+
+
+# ---------------------------------------------------------------------------
+# averages
 
 
 def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """Running averages of phi along the orbit at each checkpoint."""
-    cps = schedule.integer_checkpoints()
-    n_max = cps[-1]
-    if isinstance(phi, Constant):
-        return np.full(len(cps), phi.value)
-    if _is_symbolic_path(system, x):
-        word, comp = _word_of(phi)
-        if word is None:
-            raise TypeError(f"{type(phi).__name__} does not read symbols")
-        if comp is not None and x.component != comp:
-            return np.zeros(len(cps))
-        arr, first = _map_cells(system, x, n_max, len(word))
-        cells = [_cell_of_step(first, n) for n in cps]
-
-        def steps_on_hits(lo, hi):
-            return int(np.dot(_hits(arr[lo:], word, hi - lo), np.diff(first[lo:hi + 1])))
-
-        done = _running_totals(cells, steps_on_hits)   # over the cells before i
-        return np.array([
-            (d + int(_hits(arr[i:], word, 1)[0]) * (n - int(first[i]))) / n
-            for d, i, n in zip(done, cells, cps)
-        ])
-    coords = _orbit_coords(system, x, n_max)
-    values = evaluate_on_circle(phi, coords)
-    cs = np.cumsum(values)
-    return np.array([cs[n - 1] / n for n in cps])
+    if system.is_flow:
+        raise TypeError(f"{type(system).__name__} is a flow; take flow_average_profile")
+    return _profiles(system, x, (phi,), schedule)[:, 0]
 
 
 def birkhoff_average_map(system, x: Point, phi, n: int) -> float:
@@ -304,101 +457,13 @@ def birkhoff_average_map(system, x: Point, phi, n: int) -> float:
     return float(birkhoff_profile(system, x, phi, Schedule((n,)))[0])
 
 
-def _family_profiles(system, x: Point, fam: TestFamily, schedule: Schedule) -> np.ndarray:
-    """Matrix A[c, i]: average of observable i at checkpoint c.
-
-    Symbolic families share one pass: sliding word codes at the maximal depth
-    are histogrammed once over the cells between consecutive checkpoints,
-    weighted by the map steps spent in each cell, and marginalised down to
-    each word length, so a hundred cylinder observables cost little more than
-    one.
-    """
-    cps = schedule.integer_checkpoints()
-    obs = fam.observables
-    if _is_symbolic_path(system, x):
-        return _family_profiles_symbolic(system, x, obs, cps)
-    n_max = cps[-1]
-    coords = _orbit_coords(system, x, n_max)
-    out = np.empty((len(cps), len(obs)))
-    for i, phi in enumerate(obs):
-        cs = np.cumsum(evaluate_on_circle(phi, coords))
-        out[:, i] = [cs[n - 1] / n for n in cps]
-    return out
-
-
-def _family_profiles_symbolic(system, x, obs, cps) -> np.ndarray:
-    n_max = cps[-1]
-    words = []
-    for phi in obs:
-        word, comp = _word_of(phi)
-        if word is None:
-            raise TypeError(f"{type(phi).__name__} does not read symbols")
-        words.append((word, comp))
-    depth = max(len(w) for w, _ in words)
-    k = _alphabet_for_profiles(system, x)
-    arr, first = _map_cells(system, x, n_max, depth)
-
-    def codes(lo, hi):
-        out = np.zeros(hi - lo, dtype=np.int64)
-        for d in range(depth):
-            out = out * k + arr[lo + d:hi + d]
-        return out
-
-    def weighted_words(lo, hi):
-        return np.bincount(codes(lo, hi), weights=np.diff(first[lo:hi + 1]),
-                           minlength=k ** depth)
-
-    cells = [_cell_of_step(first, n) for n in cps]
-    counted = _running_totals(cells, weighted_words, zero=np.zeros(k ** depth))
-    out = np.empty((len(cps), len(obs)))
-    for ci, n in enumerate(cps):
-        i = cells[ci]
-        counts = counted[ci].copy()   # word counts over the cells before i
-        counts[codes(i, i + 1)[0]] += n - first[i]
-        per_depth = {depth: counts}
-        for d in range(depth - 1, 0, -1):
-            per_depth[d] = per_depth[d + 1].reshape(-1, k).sum(axis=1)
-        for oi, (word, comp) in enumerate(words):
-            if comp is not None and x.component != comp:
-                out[ci, oi] = 0.0
-                continue
-            code = 0
-            ok = True
-            for s in word:
-                if s < 0 or s >= k:
-                    ok = False
-                    break
-                code = code * k + s
-            out[ci, oi] = per_depth[len(word)][code] / n if ok else 0.0
-    return out
-
-
-def _alphabet_for_profiles(system, x: Point) -> int:
-    if isinstance(system, TimeTMap):
-        system = system.flow.base
-    if isinstance(system, DisjointUnion):
-        system = system.side(x.component)
-    return system.alphabet
-
-
-# ---------------------------------------------------------------------------
-# flow averages
-
-
 def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """(1/T) * integral of phi along the flow orbit of x over [0, T], at each
     checkpoint T.  Exact for harmonics under rotation flows and for
     symbolic/fiber observables under suspensions."""
-    Ts = schedule.checkpoints
-    if isinstance(phi, Constant):
-        return np.full(len(Ts), phi.value)
-    if flow.is_flow and flow.isometric:
-        if isinstance(phi, Harmonic):
-            return np.array([_harmonic_line_average(phi, x.coords[0], flow.speed, T) for T in Ts])
-        raise TypeError(f"{type(phi).__name__} is not a rotation-flow observable")
-    if isinstance(flow, Suspension):
-        return _suspension_profile(flow, x, phi, Ts)
-    raise TypeError(f"no flow average for {type(flow).__name__}")
+    if not flow.is_flow:
+        raise TypeError(f"no flow average for {type(flow).__name__}")
+    return _profiles(flow, x, (phi,), schedule)[:, 0]
 
 
 def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
@@ -420,79 +485,6 @@ def _harmonic_line_average(phi: Harmonic, x0: float, speed: float, T: float) -> 
     return (math.cos(a) - math.cos(a + b * T)) / (b * T)
 
 
-def _suspension_profile(flow: Suspension, x: Point, phi, Ts) -> np.ndarray:
-    """Flow averages under a suspension, from one pass over the base cells.
-
-    The integral up to time T is cell 0 from the fiber f0 to its roof, the
-    full cells 1..L-1 (base value times the integral of the fiber profile up
-    to the roof, which depends only on the roof value), and cell L from the
-    bottom to where time T leaves the flow.
-    """
-    base_phi = phi.base if isinstance(phi, FiberProfile) else phi
-    if isinstance(base_phi, Constant):
-        word, comp, scale = (), None, base_phi.value
-    else:
-        (word, comp), scale = _word_of(base_phi), 1.0
-    if word is None:
-        raise TypeError(f"{type(phi).__name__} is not a suspension observable")
-    if comp is not None and x.component != comp:
-        return np.zeros(len(Ts))
-    f0 = _fiber(flow, x)
-    if isinstance(phi, FiberProfile):
-        mass = phi.profile_integral
-    else:
-        def mass(lo, hi):
-            return hi - lo
-    roof = flow.roof
-    taus = [f0 + T for T in Ts]        # times from the bottom of cell 0
-    if roof.depth == 0:
-        c = roof.table[0]
-        last = []
-        for tau in taus:               # the cell whose top reaches tau
-            L = max(math.ceil(tau / c) - 1, 0)
-            while (L + 1) * c < tau:
-                L += 1
-            while L > 0 and L * c >= tau:
-                L -= 1
-            last.append(L)
-        roof0, entry = c, [L * c for L in last]
-    else:
-        vals = _roof_values(roof, x, taus[-1])
-        entries = np.concatenate(([0.0], np.cumsum(vals)))
-        last = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
-        if last[-1] >= len(vals):
-            raise BudgetExhausted("flow horizon exceeds the prepared roof window")
-        roof0, entry = vals[0], [entries[L] for L in last]
-    arr = np.asarray(x.prefix(last[-1] + len(word)))
-
-    def hits(lo, hi=None):
-        return _hits(arr[lo:], word, 1 if hi is None else hi - lo)
-
-    # the hit cells among the full cells 1..L-1, counted exactly
-    if roof.depth == 0:
-        unit = mass(0.0, roof0)
-        full = _running_totals(last, lambda lo, hi: np.count_nonzero(hits(lo, hi)), start=1)
-    else:
-        # a full cell weighs the mass under its roof: count per roof value
-        uniq, inv = np.unique(vals[:last[-1]], return_inverse=True)
-        masses = np.array([mass(0.0, v) for v in uniq])
-        per_value = _running_totals(
-            last, lambda lo, hi: np.bincount(inv[lo:hi][hits(lo, hi)], minlength=len(uniq)),
-            start=1, zero=np.zeros(len(uniq), dtype=np.int64),
-        )
-        unit, full = 1.0, [float(np.dot(counts, masses)) for counts in per_value]
-    hit0 = hits(0)[0]
-    out = np.empty(len(Ts))
-    for ci, (T, tau, L) in enumerate(zip(Ts, taus, last)):
-        if L == 0:
-            total = hit0 * mass(f0, tau)
-        else:
-            total = (hit0 * mass(f0, roof0) + unit * full[ci]
-                     + hits(L)[0] * mass(0.0, tau - entry[ci]))
-        out[ci] = scale * total / T
-    return out
-
-
 # ---------------------------------------------------------------------------
 # empirical measures and limit sets
 
@@ -506,7 +498,7 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
     symbols, or 1e-12 in coordinates)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if _is_symbolic_path(system, x):
+    if _is_symbolic_path(system):
         arr, cell_first = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
         idx = np.repeat(np.arange(len(cell_first) - 1), np.diff(cell_first))[:n]
         steps = np.diff(idx)
@@ -559,7 +551,7 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     horizon is the signature of a convergent (generic-type) orbit."""
     if schedule is None:
         schedule = Schedule.for_map()
-    A = _profiles_any(system, x, fam, schedule)
+    A = _profiles(system, x, fam.observables, schedule)
     cps = schedule.checkpoints
     tail = len(cps) // 2
     A = A[tail:]
@@ -590,14 +582,6 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     return tuple(out)
 
 
-def _profiles_any(system, x, fam: TestFamily, schedule: Schedule) -> np.ndarray:
-    if system.is_flow:
-        return np.stack([
-            flow_average_profile(system, x, phi, schedule) for phi in fam.observables
-        ], axis=1)
-    return _family_profiles(system, x, fam, schedule)
-
-
 # ---------------------------------------------------------------------------
 # classification
 
@@ -619,7 +603,7 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
     if len(schedule.checkpoints) < 2:
         raise ValueError("classification needs at least two checkpoints")
-    A = _profiles_any(system, x, fam, schedule)
+    A = _profiles(system, x, fam.observables, schedule)
     if targets is None:
         targets = family_targets(mu, fam)
     g_last = np.abs(A[-1] - targets)
@@ -650,10 +634,7 @@ def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = Non
     below tol, Irregular above 3*tol, Inconclusive between."""
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    if system.is_flow:
-        prof = flow_average_profile(system, x, phi, schedule)
-    else:
-        prof = birkhoff_profile(system, x, phi, schedule)
+    prof = _profiles(system, x, (phi,), schedule)[:, 0]
     tail = prof[len(prof) // 2:]
     osc = float(tail.max() - tail.min())
     out_profile = tuple(prof) if keep_profile else None

@@ -359,28 +359,27 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     fam = TestFamily.default_for(system, depth=cfg.get("family_depth", 4))
     schedule = build_schedule(cfg.get("schedule"), False)
     targets = family_targets(mu, fam)
+    n_limit = min(n_samples, 10)
 
     def mu_sample(i):
+        # the first samples also give their limit sets, from the same draw
         x = _sample_from(system, mu, ctx["seed"] + i)
-        return classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
+        verdict = classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
+        return verdict, limit_point_set(system, x, fam, schedule, tol) if i < n_limit else None
 
-    verdicts = _pmap(mu_sample, range(n_samples), ctx["threads"])
+    results = _pmap(mu_sample, range(n_samples), ctx["threads"])
     counts = {"Generic": 0, "NotGeneric": 0, "Inconclusive": 0}
-    for v in verdicts:
+    for v, _ in results:
         counts[v.label] += 1
     for label, n in counts.items():
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(n), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
     # limit sets of mu samples should form one cluster at mu's integrals
     w = fam.weights()
-    good_limit = 0
-    for i in range(min(n_samples, 10)):
-        x = _sample_from(system, mu, ctx["seed"] + i)
-        classes = limit_point_set(system, x, fam, schedule, tol)
-        if len(classes) == 1 and classes[0].distance_to(targets, w) <= tol:
-            good_limit += 1
+    good_limit = sum(1 for _, classes in results[:n_limit]
+                     if len(classes) == 1 and classes[0].distance_to(targets, w) <= tol)
     rows.append(Row(eid, "single_limit_class_count", float(good_limit), None, None,
-                    {"sample_count": min(n_samples, 10), "suite": "limit-sets"}, 0.0))
+                    {"sample_count": n_limit, "suite": "limit-sets"}, 0.0))
     # points generic for a different measure must be caught
     other = _different_measure(mu)
     if other is not None:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import math
 from typing import Optional
 
 import jsonschema
@@ -24,7 +23,7 @@ from .systems import (
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    Lebesgue, Markov, Mixture, SymbolFrequency, TestFamily,
+    Lebesgue, Markov, Mixture, SymbolFrequency,
 )
 from .birkhoff import Schedule
 from .entropy import (

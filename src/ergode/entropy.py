@@ -660,6 +660,8 @@ def spanning_entropy(system, subset=WholeSpace(),
     n-independent spanning counts, so their rate is exactly 0.  Independent
     of the critical-exponent route."""
     depths = _depth_grid(depths, _SPANNING_DEPTHS)
+    if resolution_bits < 0:
+        raise ValueError("resolution_bits must be >= 0 (eps = 2**-resolution_bits <= 1)")
     if system.isometric:
         if not isinstance(subset, (WholeSpace, SampleCloud)):
             raise TypeError("rotation spanning counts cover the whole space or a cloud")

@@ -263,6 +263,8 @@ class TimeTMap(_Descriptor):
     _grid: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     def __post_init__(self):
+        if not self.flow.is_flow:
+            raise ValueError(f"{type(self.flow).__name__} is not a flow")
         if self.t == 0.0 or not math.isfinite(self.t):
             raise ValueError("time-t map needs a nonzero finite t")
 

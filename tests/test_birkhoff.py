@@ -448,3 +448,43 @@ def test_precomputed_targets_give_the_same_verdicts():
             assert given == plain
             labels.add(plain.label)
     assert {"Generic", "NotGeneric"} <= labels
+
+
+FLOW_FAMILIES = {
+    "default": lambda flow: TestFamily.default_for(flow, depth=3),   # cylinders and the hat
+    "observables": lambda flow: TestFamily(tuple(OBSERVABLES)),
+}
+
+
+@pytest.mark.parametrize("roof", ROOFS, ids=_grid_id)
+@pytest.mark.parametrize("fiber", [0.0, 0.1])
+@pytest.mark.parametrize("point", sorted(POINTS))
+@pytest.mark.parametrize("family", sorted(FLOW_FAMILIES))
+def test_flow_family_profiles_match_the_single_profiles(roof, fiber, point, family):
+    flow = Suspension(FullShift(2), roof)
+    x = POINTS[point].with_fiber(fiber)
+    fam = FLOW_FAMILIES[family](flow)
+    sched = Schedule((0.05, 1.0, 7.3, 40.0, 168.0, 680.0, 1000.5, 2728.0, 6000.25))
+    # the verdict is not under test: zero targets skip integrating a measure
+    A = classify_generic(flow, x, None, fam, sched, keep_profile=True,
+                         targets=np.zeros(len(fam.observables))).profile
+    for i, phi in enumerate(fam.observables):
+        want = flow_average_profile(flow, x, phi, sched)
+        assert np.array([row[i] for row in A]).tobytes() == want.tobytes(), phi
+
+
+def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
+    flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
+    fam = TestFamily.default_for(FullShift(2), depth=3)
+    assert len(fam.observables) == 14
+    calls = []
+    original = Point.prefix
+
+    def counted(self, n):
+        calls.append(n)
+        return original(self, n)
+
+    monkeypatch.setattr(Point, "prefix", counted)
+    classify_generic(flow, POINTS["iid"].with_fiber(0.0), None, fam,
+                     Schedule((1000.0, 2000.0, 4000.0)), targets=np.zeros(14))
+    assert 1 <= len(calls) <= 2

@@ -411,6 +411,16 @@ def test_time_t_map_of_a_suspension_with_negative_t_exits_2(tmp_path, roof):
     assert "Traceback" not in res.stderr
 
 
+def test_time_t_map_of_a_map_exits_2(tmp_path):
+    cfg = entropy_config("tt-rotation", "caratheodory")
+    cfg["system"] = {"kind": "time-t-map", "flow": {"kind": "circle-rotation", "theta": 0.3},
+                     "t": 1.0}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "not a flow" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 @pytest.mark.parametrize("t", [-1.0, 0.0])
 def test_verify_thm_a_with_a_time_at_or_below_zero_exits_2(tmp_path, t):
     cfg = {"command": "verify-thm-a", "experiment_id": "thm-a",
@@ -479,6 +489,29 @@ def test_a_suite_integrates_each_observable_once(tmp_path, monkeypatch, cfg):
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
     assert calls and set(calls.values()) == {1}
+
+
+def test_map_inclusion_suite_draws_each_sample_once(tmp_path, monkeypatch):
+    """The limit-set rows reuse the first samples drawn for the verdicts."""
+    from ergode import cli
+
+    seeds = []
+    original = cli._sample_from
+
+    def counted(system, mu, seed):
+        seeds.append(seed)
+        return original(system, mu, seed)
+
+    monkeypatch.setattr(cli, "_sample_from", counted)
+    cfg = INTEGRATE_SUITES[1]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    # samples of mu and of the foreign measure, each drawn once
+    assert len(seeds) == 2 * cfg["sample_count"] and len(set(seeds)) == len(seeds)
+    _, rows = read_rows(tmp_path, cfg["experiment_id"])
+    by_q = {r["quantity"]: float(r["value"]) for r in rows}
+    assert by_q["single_limit_class_count"] == cfg["sample_count"]
 
 
 def test_inclusion_suite_peak_memory_stays_within_its_gate(tmp_path):

@@ -298,6 +298,13 @@ def test_estimators_reject_depths_below_one(estimate, depths):
         estimate(depths)
 
 
+@pytest.mark.parametrize("bits", [-1, -6])
+def test_spanning_entropy_rejects_negative_resolution_bits(bits):
+    # eps = 2**-bits would exceed 1: -1 counted at eps = 2, -6 asked for a word length of -1
+    with pytest.raises(ValueError, match="resolution_bits"):
+        spanning_entropy(FullShift(2), WholeSpace(), (5, 10), resolution_bits=bits)
+
+
 _ROTATIONS = DisjointUnion(CircleRotation(0.1), CircleRotation(0.2))
 
 

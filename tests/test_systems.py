@@ -121,6 +121,14 @@ def test_suspension_flow_is_additive(s, t):
     assert abs(one.fiber - two.fiber) < 1e-7
 
 
+@pytest.mark.parametrize("space", [CircleRotation(0.3), CircleMult(2), FullShift(2)],
+                         ids=lambda s: type(s).__name__)
+def test_time_t_map_needs_a_flow(space):
+    # a map is not a flow: its "time-t map" would be read as an isometry or a shift
+    with pytest.raises(ValueError, match="not a flow"):
+        TimeTMap(space, 1.0)
+
+
 def test_time_t_map_wraps_flow():
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
     tmap = TimeTMap(flow, 2.0)
