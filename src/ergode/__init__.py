@@ -17,10 +17,10 @@ from .systems import (
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    InvarianceWarning, Lebesgue, Markov, Mixture, PartitionWarning,
-    SymbolFrequency, TestFamily, TimeAveraged, TimeShifted, integrate,
-    metric_entropy, partition_entropy_estimate, pushforward,
-    time_average_measure, weak_star_distance,
+    InvarianceWarning, Lebesgue, Markov, Mixture, SymbolFrequency, TestFamily,
+    TimeAveraged, TimeShifted, integrate, metric_entropy,
+    partition_entropy_estimate, pushforward, time_average_measure,
+    weak_star_distance,
 )
 from .birkhoff import (
     LimitClass, Schedule, Verdict, birkhoff_average_flow, birkhoff_average_map,

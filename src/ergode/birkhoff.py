@@ -552,11 +552,15 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     if schedule is None:
         schedule = Schedule.for_map()
     A = _profiles(system, x, fam.observables, schedule)
-    cps = schedule.checkpoints
-    tail = len(cps) // 2
-    A = A[tail:]
-    cps = cps[tail:]
-    w = fam.weights()
+    return _limit_classes(A, schedule.checkpoints, fam.weights(), tol)
+
+
+def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClass, ...]:
+    """The clusters of `limit_point_set`, from a profile already read (one
+    row of family averages per checkpoint)."""
+    tail = len(checkpoints) // 2
+    A = np.asarray(A)[tail:]
+    cps = checkpoints[tail:]
     m = len(cps)
     parent = list(range(m))
 

@@ -28,8 +28,8 @@ from .measures import (
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _fiber, birkhoff_profile, classify_generic, family_targets,
-    classify_irregular, flow_average_profile, limit_point_set,
+    Schedule, _fiber, _limit_classes, birkhoff_profile, classify_generic,
+    family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
     ComponentWindow, FrequencyWindow, WholeSpace, bowen_entropy_flow,
@@ -54,9 +54,16 @@ def _pmap(fn, items, threads: int):
         return list(ex.map(fn, items))
 
 
+def _random_point(space, rng):
+    try:
+        return random_point(space, rng)
+    except ValueError as exc:
+        raise ConfigError(f"bad point: {exc}") from None
+
+
 def _resolve_point(obj, system, rng):
     if obj.get("kind") == "random":
-        return random_point(system, rng)
+        return _random_point(system, rng)
     point = build_point(obj)
     flow = system.flow if isinstance(system, TimeTMap) else system
     if isinstance(flow, Suspension):
@@ -294,7 +301,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         targets = family_targets(mu, fam)
 
         def one(i):
-            x = random_point(inner, np.random.default_rng(ctx["seed"] + i))
+            x = _random_point(inner, np.random.default_rng(ctx["seed"] + i))
             return classify_generic(inner, x, mu, fam, schedule, tol, targets=targets)
 
         verdicts = _pmap(one, range(n_samples), ctx["threads"])
@@ -306,7 +313,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     if not isinstance(mu, (Bernoulli, Markov)):
         raise ConfigError("verify-thm-b handles Bernoulli, Markov, or the mixture case")
     delta = cfg.get("lo", 0.005)   # window half-width
-    freq0 = (mu.probs[0] if isinstance(mu, Bernoulli) else mu.stationary[0])
+    freq0 = mu.stationary[0]
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
     with timed() as t:
         est = (bowen_entropy_flow(system, window, depths) if flow
@@ -360,12 +367,16 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     schedule = build_schedule(cfg.get("schedule"), False)
     targets = family_targets(mu, fam)
     n_limit = min(n_samples, 10)
+    w = fam.weights()
 
     def mu_sample(i):
-        # the first samples also give their limit sets, from the same draw
+        # the first samples also give their limit sets, from the same profile
         x = _sample_from(system, mu, ctx["seed"] + i)
-        verdict = classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
-        return verdict, limit_point_set(system, x, fam, schedule, tol) if i < n_limit else None
+        keep = i < n_limit
+        verdict = classify_generic(system, x, mu, fam, schedule, tol,
+                                   keep_profile=keep, targets=targets)
+        classes = _limit_classes(verdict.profile, schedule.checkpoints, w, tol) if keep else None
+        return verdict, classes
 
     results = _pmap(mu_sample, range(n_samples), ctx["threads"])
     counts = {"Generic": 0, "NotGeneric": 0, "Inconclusive": 0}
@@ -375,7 +386,6 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(n), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
     # limit sets of mu samples should form one cluster at mu's integrals
-    w = fam.weights()
     good_limit = sum(1 for _, classes in results[:n_limit]
                      if len(classes) == 1 and classes[0].distance_to(targets, w) <= tol)
     rows.append(Row(eid, "single_limit_class_count", float(good_limit), None, None,

@@ -361,7 +361,7 @@ def build_measure(obj: dict):
     _fail(f"unknown measure kind '{kind}'")
 
 
-def build_point(obj: dict, rng=None):
+def build_point(obj: dict):
     kind = obj["kind"]
     try:
         if kind == "random":

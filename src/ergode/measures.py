@@ -9,23 +9,25 @@ averaged over one unit of flow time, discretised by a midpoint rule with m
 nodes).  Symbolic measures used on a suspension space are understood as
 sitting on the fiber-zero copy of the base.
 
-Integration is exact for every built-in pair; the only generic fallback is a
-midpoint quadrature on the circle.
+A Bernoulli measure is the Markov chain whose rows all equal its
+probabilities, so cylinder masses, invariance and component tags read both
+kinds through `stationary` and `transitions`.  Integration is exact for every
+pair it accepts and raises TypeError for the rest; there is no quadrature
+fallback.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, CircleRotation, CircleRotationFlow, Coordinate,
-    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Suspension,
-    TimeTMap, TorusTranslation, time_t_map,
+    BudgetExhausted, CircleMult, Coordinate, DisjointUnion, ExplicitWord,
+    MarkovShift, Point, Suspension, TimeTMap, time_t_map,
 )
 
 __all__ = [
@@ -35,7 +37,6 @@ __all__ = [
     "evaluate", "evaluate_on_circle", "integrate", "pushforward",
     "time_average_measure", "weak_star_distance", "metric_entropy",
     "partition_entropy_estimate", "compose_with_flow", "InvarianceWarning",
-    "PartitionWarning",
 ]
 
 _MASS_TOL = 1e-9
@@ -45,16 +46,15 @@ class InvarianceWarning(UserWarning):
     """Measure accepted without an invariance check (atomic input)."""
 
 
-class PartitionWarning(UserWarning):
-    """No generating partition for this system; estimate is indicative only."""
-
-
 # ---------------------------------------------------------------------------
 # measures
 
 
 @dataclass(frozen=True)
 class Bernoulli:
+    """Independent symbols drawn from `probs`: the Markov chain whose
+    stationary vector and every transition row are `probs`."""
+
     probs: Tuple[float, ...]
     component: Optional[int] = None
 
@@ -69,6 +69,14 @@ class Bernoulli:
     @property
     def k(self) -> int:
         return len(self.probs)
+
+    @property
+    def stationary(self) -> Tuple[float, ...]:
+        return self.probs
+
+    @property
+    def transitions(self) -> Tuple[Tuple[float, ...], ...]:
+        return (self.probs,) * self.k
 
 
 @dataclass(frozen=True)
@@ -204,10 +212,6 @@ Measure = Union[Bernoulli, Markov, Lebesgue, Atomic, Mixture, TimeAveraged, Time
 class Constant:
     value: float
 
-    @property
-    def sup_norm(self) -> float:
-        return abs(self.value)
-
 
 @dataclass(frozen=True)
 class CylinderIndicator:
@@ -221,10 +225,6 @@ class CylinderIndicator:
         if not self.word:
             raise ValueError("cylinder word must be nonempty")
 
-    @property
-    def sup_norm(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class SymbolFrequency:
@@ -232,10 +232,6 @@ class SymbolFrequency:
 
     symbol: int
     component: Optional[int] = None
-
-    @property
-    def sup_norm(self) -> float:
-        return 1.0
 
 
 @dataclass(frozen=True)
@@ -252,10 +248,6 @@ class Harmonic:
         if self.phase not in ("cos", "sin"):
             raise ValueError("phase must be 'cos' or 'sin'")
 
-    @property
-    def sup_norm(self) -> float:
-        return 1.0
-
 
 @dataclass(frozen=True)
 class FiberProfile:
@@ -268,10 +260,6 @@ class FiberProfile:
         pts = self.breakpoints
         if len(pts) < 2 or any(pts[i][0] >= pts[i + 1][0] for i in range(len(pts) - 1)):
             raise ValueError("profile breakpoints must be >= 2 and strictly increasing")
-
-    @property
-    def sup_norm(self) -> float:
-        return self.base.sup_norm * max(abs(v) for _, v in self.breakpoints)
 
     def profile(self, s: float) -> float:
         xs = [p[0] for p in self.breakpoints]
@@ -301,10 +289,6 @@ class _Composed:
     flow: object
     t: float
     base: "Observable"
-
-    @property
-    def sup_norm(self) -> float:
-        return self.base.sup_norm
 
 
 def compose_with_flow(flow, t: float, phi) -> object:
@@ -416,63 +400,47 @@ def _words_of_length(k: int, length: int):
 
 
 def _default_observables(space, depth, max_frequency):
-    if isinstance(space, (FullShift, MarkovShift)):
-        k = space.alphabet
-        out = []
-        for length in range(1, depth + 1):
-            for word in _words_of_length(k, length):
-                out.append(CylinderIndicator(word))
-        return out
-    if isinstance(space, DisjointUnion):
-        out = []
-        for length in range(1, depth + 1):
-            for comp, side in ((0, space.left), (1, space.right)):
-                for word in _words_of_length(side.alphabet, length):
-                    out.append(CylinderIndicator(word, component=comp))
-        return out
-    if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow, TorusTranslation)):
-        out = []
-        for q in range(1, max_frequency + 1):
-            out.append(Harmonic(q, "cos"))
-            out.append(Harmonic(q, "sin"))
-        return out
+    if space.torus_dim:
+        return [Harmonic(q, phase) for q in range(1, max_frequency + 1)
+                for phase in ("cos", "sin")]
+    if isinstance(space, TimeTMap):
+        return _default_observables(space.flow, depth, max_frequency)
     if isinstance(space, Suspension):
         base = _default_observables(space.base, depth, max_frequency)
         hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
         return base + [hat]
-    if isinstance(space, TimeTMap):
-        return _default_observables(space.flow, depth, max_frequency)
-    raise TypeError(f"no default family for {type(space).__name__}")
+    if isinstance(space, DisjointUnion):
+        return [CylinderIndicator(word, component=comp)
+                for length in range(1, depth + 1)
+                for comp, side in ((0, space.left), (1, space.right))
+                for word in _words_of_length(side.alphabet, length)]
+    k = space.alphabet                  # a single shift space; TypeError elsewhere
+    return [CylinderIndicator(word) for length in range(1, depth + 1)
+            for word in _words_of_length(k, length)]
 
 
 def _separation_probes(space):
-    if isinstance(space, (FullShift, MarkovShift)):
-        k = space.alphabet
-        uniform = tuple(1.0 / k for _ in range(k))
-        skew = tuple(
-            (0.5 + 0.4 * (i == 0) - 0.4 / (k - 1) * (i != 0)) * 2.0 / k for i in range(k)
-        )
-        total = sum(skew)
-        return [Bernoulli(uniform), Bernoulli(tuple(s / total for s in skew))]
+    if space.torus_dim:
+        dim = space.torus_dim
+        return [Lebesgue(dim), Atomic((Point(Coordinate((1.0 / 3,) * dim)),), (1.0,))]
+    if isinstance(space, TimeTMap):
+        return _separation_probes(space.flow)
+    if isinstance(space, Suspension):
+        return [TimeAveraged(space, mu, 4) for mu in _separation_probes(space.base)]
     if isinstance(space, DisjointUnion):
-        left = _separation_probes(space.left)[0]
-        right = _separation_probes(space.right)[0]
-        tl = Bernoulli(left.probs, component=0)
-        tr = Bernoulli(right.probs, component=1)
+        tl = replace(_separation_probes(space.left)[0], component=0)
+        tr = replace(_separation_probes(space.right)[0], component=1)
         return [
             Mixture(((tl, 0.7), (tr, 0.3))),
             Mixture(((tl, 0.3), (tr, 0.7))),
         ]
-    if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow, TorusTranslation)):
-        dim = len(space.velocity) if isinstance(space, TorusTranslation) else 1
-        atom = Atomic((Point(Coordinate(tuple(1.0 / 3 for _ in range(dim)))),), (1.0,))
-        return [Lebesgue(dim), atom]
-    if isinstance(space, Suspension):
-        inner = _separation_probes(space.base)
-        return [TimeAveraged(space, mu, 4) for mu in inner]
-    if isinstance(space, TimeTMap):
-        return _separation_probes(space.flow)
-    return []
+    k = space.alphabet
+    uniform = tuple(1.0 / k for _ in range(k))
+    skew = tuple(
+        (0.5 + 0.4 * (i == 0) - 0.4 / (k - 1) * (i != 0)) * 2.0 / k for i in range(k)
+    )
+    total = sum(skew)
+    return [Bernoulli(uniform), Bernoulli(tuple(s / total for s in skew))]
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +448,8 @@ def _separation_probes(space):
 
 
 def integrate(mu, phi) -> float:
-    """Exact integral of `phi` against `mu` for all built-in pairs."""
+    """Exact integral of `phi` against `mu`; TypeError for a pair with no
+    exact rule."""
     if isinstance(phi, Constant):
         return phi.value
     if isinstance(mu, Mixture):
@@ -497,51 +466,21 @@ def integrate(mu, phi) -> float:
         return _integrate_shifted(phi.flow, phi.t, mu, phi.base)
     if isinstance(phi, SymbolFrequency):
         return integrate(mu, CylinderIndicator((phi.symbol,), phi.component))
-    if isinstance(mu, Bernoulli):
-        if isinstance(phi, CylinderIndicator):
-            if phi.component is not None and mu.component is not None \
-                    and phi.component != mu.component:
-                return 0.0
-            out = 1.0
-            for s in phi.word:
-                if s < 0 or s >= mu.k:
-                    return 0.0
-                out *= mu.probs[s]
-            return out
-        raise TypeError(f"cannot integrate {type(phi).__name__} against a Bernoulli measure")
-    if isinstance(mu, Markov):
-        if isinstance(phi, CylinderIndicator):
-            if phi.component is not None and mu.component is not None \
-                    and phi.component != mu.component:
-                return 0.0
-            w = phi.word
-            if any(s < 0 or s >= mu.k for s in w):
-                return 0.0
-            out = mu.stationary[w[0]]
-            for a, b in zip(w[:-1], w[1:]):
-                out *= mu.transitions[a][b]
-            return out
-        raise TypeError(f"cannot integrate {type(phi).__name__} against a Markov measure")
-    if isinstance(mu, Lebesgue):
-        if isinstance(phi, Harmonic):
+    if isinstance(mu, (Bernoulli, Markov)) and isinstance(phi, CylinderIndicator):
+        if phi.component is not None and mu.component is not None \
+                and phi.component != mu.component:
             return 0.0
-        if mu.dim == 1:
-            return _circle_quadrature(phi)
-        raise TypeError(f"cannot integrate {type(phi).__name__} against Lebesgue")
-    raise TypeError(f"cannot integrate against {type(mu).__name__}")
-
-
-_QUAD_CELLS = 4096
-
-
-def _circle_quadrature(phi) -> float:
-    # last-resort midpoint rule for observables with no exact rule
-    grid = (np.arange(_QUAD_CELLS) + 0.5) / _QUAD_CELLS
-    try:
-        values = evaluate_on_circle(phi, grid)
-    except TypeError:
-        values = np.array([evaluate(phi, Point(Coordinate((g,)))) for g in grid])
-    return float(values.mean())
+        w = phi.word
+        if any(s < 0 or s >= mu.k for s in w):
+            return 0.0
+        P = mu.transitions
+        out = mu.stationary[w[0]]
+        for a, b in zip(w[:-1], w[1:]):
+            out *= P[a][b]
+        return out
+    if isinstance(mu, Lebesgue) and isinstance(phi, Harmonic):
+        return 0.0
+    raise TypeError(f"cannot integrate {type(phi).__name__} against {type(mu).__name__}")
 
 
 def _integrate_shifted(flow, s, base, phi) -> float:
@@ -558,7 +497,8 @@ def _integrate_shifted(flow, s, base, phi) -> float:
     if isinstance(base, TimeShifted):
         return _integrate_shifted(flow, s + base.t, base.base, phi)
     if isinstance(base, Lebesgue) and flow.is_flow and flow.isometric:
-        return integrate(base, compose_with_flow(flow, s, phi))
+        # an isometric flow keeps Lebesgue measure, so phi integrates unmoved
+        return integrate(base, phi)
     if isinstance(base, (Bernoulli, Markov)) and isinstance(flow, Suspension):
         return _integrate_shifted_symbolic(flow, s, base, phi)
     raise TypeError(
@@ -636,48 +576,38 @@ def weak_star_distance(mu, nu, fam: TestFamily) -> float:
 
 
 def _check_invariance(mu, system) -> None:
-    if isinstance(mu, Bernoulli):
-        if isinstance(system, FullShift):
-            if mu.k != system.k:
-                raise ValueError("alphabet mismatch")
-            return
-        if isinstance(system, MarkovShift):
-            if any(e == 0 for row in system.adjacency for e in row):
-                raise ValueError("Bernoulli measures are not invariant on a proper vertex shift")
-            return
-        if isinstance(system, DisjointUnion):
-            if mu.component is None:
-                raise ValueError("measures on a disjoint union must carry a component tag")
-            _check_invariance(Bernoulli(mu.probs), system.side(mu.component))
-            return
-        raise TypeError("Bernoulli measures live on shift spaces")
-    if isinstance(mu, Markov):
-        if isinstance(system, FullShift):
-            if mu.k != system.k:
-                raise ValueError("alphabet mismatch")
-            return
-        if isinstance(system, MarkovShift):
-            for i in range(mu.k):
-                for j in range(mu.k):
-                    if mu.transitions[i][j] > 0 and system.adjacency[i][j] == 0:
-                        raise ValueError("Markov measure charges a forbidden transition")
-            return
-        if isinstance(system, DisjointUnion):
-            if mu.component is None:
-                raise ValueError("measures on a disjoint union must carry a component tag")
-            _check_invariance(Markov(mu.transitions, mu.stationary), system.side(mu.component))
-            return
-        raise TypeError("Markov measures live on shift spaces")
-    if isinstance(mu, Lebesgue):
-        if isinstance(system, (CircleMult, CircleRotation, CircleRotationFlow, TorusTranslation)):
-            return
-        raise TypeError("Lebesgue lives on the circle/torus")
+    """Raise unless mu is invariant under the system.  A Bernoulli or Markov
+    measure needs the system's alphabet and may charge no transition that a
+    vertex shift forbids; Lebesgue needs a circle or torus of its dimension."""
     if isinstance(mu, Mixture):
         for m, _ in mu.components:
             _check_invariance(m, system)
         return
     if isinstance(mu, Atomic):
         warnings.warn("atomic measure accepted without an invariance check", InvarianceWarning)
+        return
+    if isinstance(mu, (Bernoulli, Markov)):
+        if isinstance(system, DisjointUnion):
+            if mu.component is None:
+                raise ValueError("measures on a disjoint union must carry a component tag")
+            _check_invariance(_untagged(mu), system.side(mu.component))
+            return
+        if not system.symbolic:
+            raise TypeError(f"{type(mu).__name__} measures live on shift spaces")
+        if mu.k != system.alphabet:
+            raise ValueError("alphabet mismatch")
+        if isinstance(system, MarkovShift) and any(
+            p > 0 and allowed == 0
+            for row, adj in zip(mu.transitions, system.adjacency)
+            for p, allowed in zip(row, adj)
+        ):
+            raise ValueError(f"{type(mu).__name__} measure charges a forbidden transition")
+        return
+    if isinstance(mu, Lebesgue):
+        if not system.torus_dim:
+            raise TypeError("Lebesgue lives on the circle/torus")
+        if mu.dim != system.torus_dim:
+            raise ValueError(f"Lebesgue({mu.dim}) on a {system.torus_dim}-dimensional space")
         return
     # TimeAveraged / TimeShifted wrappers inherit invariance from their construction
 
@@ -686,10 +616,12 @@ def metric_entropy(mu, system) -> float:
     """Entropy of the measure under the system, natural log.
 
     Closed form for Bernoulli and Markov measures, 0 for Lebesgue under an
-    isometric system (rotation, rotation flow, torus translation), and the
-    affine combination for mixtures of closed-form
-    components (entropy is affine in the measure).  Everything else falls
-    back to the partition estimate at depth 12.
+    isometric system (rotation, rotation flow, torus translation, or a
+    time-t map of one), log n for Lebesgue under circle multiplication, and
+    the affine combination for mixtures of closed-form components (entropy
+    is affine in the measure).  Any other measure on a full or vertex shift
+    (atomic, or a mixture with an atomic part) gets the partition estimate at
+    depth 12; anything else raises TypeError.
     """
     _check_invariance(mu, system)
     closed = _closed_form_entropy(mu, system)
@@ -708,8 +640,10 @@ def _closed_form_entropy(mu, system) -> Optional[float]:
             for j in range(mu.k)
             if mu.transitions[i][j] > 0
         )
-    if isinstance(mu, Lebesgue) and system.isometric:
-        return 0.0
+    if isinstance(mu, Lebesgue):
+        # an invariant Lebesgue lives on a circle or torus, and x -> n*x is
+        # the one such system that is not isometric
+        return math.log(system.n) if isinstance(system, CircleMult) else 0.0
     if isinstance(mu, Mixture):
         sides = []
         for m, w in mu.components:
@@ -726,70 +660,28 @@ def _closed_form_entropy(mu, system) -> Optional[float]:
 
 
 def _untagged(mu):
-    if isinstance(mu, Bernoulli):
-        return Bernoulli(mu.probs)
-    if isinstance(mu, Markov):
-        return Markov(mu.transitions, mu.stationary)
+    if isinstance(mu, (Bernoulli, Markov)):
+        return replace(mu, component=None)
     return mu
 
 
 def partition_entropy_estimate(mu, system, depth: int) -> float:
-    """H_mu of the depth-fold join of the canonical partition, divided by depth.
-
-    Canonical partitions: 1-cylinders for shifts (per component on a disjoint
-    union), the n-adic arcs for circle multiplication, and the base
-    1-cylinders for the time-1 map of a suspension.  Circle rotations have no
-    generating partition; a fixed 16-arc partition is used and flagged.
-    """
+    """H_mu of the depth-fold join of the 1-cylinder partition of a full or
+    vertex shift, divided by depth.  Any other system raises TypeError."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     _check_invariance(mu, system)
-    masses = _partition_masses(mu, system, depth)
+    masses = _cylinder_masses(mu, system.alphabet, depth)   # TypeError off a single shift
     masses = masses[masses > 0]
     return float(-(masses * np.log(masses)).sum() / depth)
 
 
-def _partition_masses(mu, system, depth: int) -> np.ndarray:
-    if isinstance(system, (FullShift, MarkovShift)):
-        return _cylinder_masses(mu, system.alphabet, depth)
-    if isinstance(system, DisjointUnion):
-        return _union_masses(mu, system, depth)
-    if isinstance(system, CircleMult):
-        cells = system.n ** depth
-        if isinstance(mu, Lebesgue):
-            return np.full(cells, 1.0 / cells)
-        if isinstance(mu, Atomic):
-            idx = np.array([int(x.coords[0] * cells) % cells for x in mu.points])
-            out = np.zeros(cells)
-            np.add.at(out, idx, np.asarray(mu.weights))
-            return out
-        if isinstance(mu, Mixture):
-            return np.sum(
-                [w * _partition_masses(m, system, depth) for m, w in mu.components], axis=0
-            )
-    if isinstance(system, CircleRotation):
-        warnings.warn(
-            "circle rotations have no generating partition; fixed 16-arc estimate",
-            PartitionWarning,
-        )
-        return _rotation_arc_masses(mu, system, depth)
-    if isinstance(system, (Suspension, TimeTMap)):
-        flow = system.flow if isinstance(system, TimeTMap) else system
-        if isinstance(flow, Suspension):
-            return _suspension_partition_masses(mu, flow, depth)
-    raise TypeError(f"no canonical partition for {type(system).__name__}")
-
-
 def _cylinder_masses(mu, k: int, depth: int) -> np.ndarray:
-    if isinstance(mu, Bernoulli):
-        out = np.array([1.0])
-        p = np.asarray(mu.probs)
-        for _ in range(depth):
-            out = np.kron(out, p)
-        return out
-    if isinstance(mu, Markov):
+    """Masses of the k**depth cylinders, indexed by word code (last symbol
+    cycling fastest)."""
+    if isinstance(mu, (Bernoulli, Markov)):
         P = np.asarray(mu.transitions)
-        out = np.asarray(mu.stationary)       # indexed by (word code); last symbol cycles fastest
+        out = np.asarray(mu.stationary)
         last = np.arange(k)
         for _ in range(depth - 1):
             out = (out[:, None] * P[last]).ravel()
@@ -808,88 +700,4 @@ def _cylinder_masses(mu, k: int, depth: int) -> np.ndarray:
         return np.sum(
             [w * _cylinder_masses(m, k, depth) for m, w in mu.components], axis=0
         )
-    if isinstance(mu, (TimeAveraged, TimeShifted)):
-        return _suspension_base_masses(mu, k, depth)
     raise TypeError(f"no cylinder masses for {type(mu).__name__}")
-
-
-def _union_masses(mu, system: DisjointUnion, depth: int) -> np.ndarray:
-    kl = system.left.alphabet
-    kr = system.right.alphabet
-    left = np.zeros(kl ** depth)
-    right = np.zeros(kr ** depth)
-
-    def add(m, weight):
-        if isinstance(m, Mixture):
-            for inner, w in m.components:
-                add(inner, weight * w)
-            return
-        comp = getattr(m, "component", None)
-        if comp is None:
-            raise ValueError("measures on a disjoint union must carry component tags")
-        target = left if comp == 0 else right
-        target += weight * _cylinder_masses(_untagged(m), kl if comp == 0 else kr, depth)
-
-    add(mu, 1.0)
-    return np.concatenate([left, right])
-
-
-def _rotation_arc_masses(mu, system: CircleRotation, depth: int, arcs: int = 16) -> np.ndarray:
-    # cells of the depth-fold join: the circle cut along all rotated arc edges
-    cuts = np.asarray(sorted(
-        {(j / arcs - i * system.theta) % 1.0 for j in range(arcs) for i in range(depth)}
-    ))
-    if isinstance(mu, Lebesgue):
-        wrap = 1.0 - cuts[-1] + cuts[0]
-        return np.concatenate([np.diff(cuts), [wrap]])
-    if isinstance(mu, Atomic):
-        out = np.zeros(len(cuts))
-        for x, w in zip(mu.points, mu.weights):
-            cell = int(np.searchsorted(cuts, x.coords[0], side="right")) - 1
-            out[cell % len(cuts)] += w
-        return out
-    if isinstance(mu, Mixture):
-        return np.sum(
-            [w * _rotation_arc_masses(m, system, depth, arcs) for m, w in mu.components],
-            axis=0,
-        )
-    raise TypeError(f"no rotation partition masses for {type(mu).__name__}")
-
-
-def _suspension_base_masses(mu, k: int, depth: int) -> np.ndarray:
-    """Base-cylinder masses of a time-shifted/averaged symbolic measure.
-
-    Built-in base measures are shift invariant, so the base marginal of each
-    node is the base measure itself; only atomic bases need their nodes moved.
-    """
-    if isinstance(mu, TimeAveraged):
-        nodes = mu.nodes()
-        parts = [_node_base_masses(mu.flow, s, mu.base, k, depth) for s in nodes]
-        return np.mean(parts, axis=0)
-    return _node_base_masses(mu.flow, mu.t, mu.base, k, depth)
-
-
-def _node_base_masses(flow, s, base, k, depth) -> np.ndarray:
-    if isinstance(base, (Bernoulli, Markov)):
-        return _cylinder_masses(base, k, depth)
-    if isinstance(base, Mixture):
-        return np.sum(
-            [w * _node_base_masses(flow, s, m, k, depth) for m, w in base.components], axis=0
-        )
-    if isinstance(base, Atomic):
-        moved = tuple(
-            time_t_map(flow, s, _with_default_fiber(flow, x)) for x in base.points
-        )
-        return _cylinder_masses(Atomic(moved, base.weights), k, depth)
-    raise TypeError(f"no base masses for {type(base).__name__}")
-
-
-def _suspension_partition_masses(mu, flow: Suspension, depth: int) -> np.ndarray:
-    base = flow.base
-    if isinstance(base, DisjointUnion):
-        inner = mu.base if isinstance(mu, (TimeAveraged, TimeShifted)) else mu
-        return _union_masses(inner, base, depth)
-    k = base.alphabet
-    if isinstance(mu, (TimeAveraged, TimeShifted)):
-        return _suspension_base_masses(mu, k, depth)
-    return _cylinder_masses(mu, k, depth)

@@ -41,12 +41,14 @@ class _Descriptor:
     """The questions every module asks of a space, answered once: `is_flow`
     (continuous time), `isometric` (distances never grow, so every entropy
     is exactly 0), `symbolic` (points are symbol streams, the map is the
-    shift) and `alphabet` (symbol count of a single shift space; TypeError
-    elsewhere).  Read-only on the frozen descriptors."""
+    shift), `torus_dim` (coordinate count of a circle or torus point, 0 for
+    every other space) and `alphabet` (symbol count of a single shift space;
+    TypeError elsewhere).  Read-only on the frozen descriptors."""
 
     is_flow = False
     isometric = False
     symbolic = False
+    torus_dim = 0
 
     @property
     def alphabet(self) -> int:
@@ -99,6 +101,7 @@ class CircleMult(_Descriptor):
     """x -> n*x mod 1 on the circle."""
 
     n: int
+    torus_dim = 1
 
     def __post_init__(self):
         if self.n < 2:
@@ -111,6 +114,7 @@ class CircleRotation(_Descriptor):
 
     theta: float
     isometric = True
+    torus_dim = 1
 
     def __post_init__(self):
         if not math.isfinite(self.theta):
@@ -152,6 +156,7 @@ class CircleRotationFlow(_Descriptor):
 
     is_flow = True
     isometric = True
+    torus_dim = 1
     speed = 1.0     # of the first coordinate, as for a torus translation
 
 
@@ -167,6 +172,10 @@ class TorusTranslation(_Descriptor):
     def speed(self) -> float:
         """Speed of the first coordinate, the one circle observables read."""
         return self.velocity[0]
+
+    @property
+    def torus_dim(self) -> int:
+        return len(self.velocity)
 
     def __post_init__(self):
         if not self.velocity or any(not math.isfinite(v) for v in self.velocity):
@@ -271,6 +280,10 @@ class TimeTMap(_Descriptor):
     @property
     def isometric(self) -> bool:
         return self.flow.isometric
+
+    @property
+    def torus_dim(self) -> int:
+        return self.flow.torus_dim
 
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
@@ -669,9 +682,7 @@ def distance(metric: MetricSpec, x: Point, y: Point, horizon: int = 256) -> Dist
     space = metric.space
     if isinstance(space, (FullShift, MarkovShift)):
         return _symbolic_distance(x, y, horizon)
-    if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow)):
-        return Distance(_arc(x.coords[0], y.coords[0]), False)
-    if isinstance(space, TorusTranslation):
+    if space.torus_dim:
         return Distance(max(_arc(a, b) for a, b in zip(x.coords, y.coords)), False)
     if isinstance(space, DisjointUnion):
         if x.component not in (0, 1) or y.component not in (0, 1):
@@ -709,25 +720,27 @@ def _suspension_distance(flow: Suspension, x: Point, y: Point, horizon: int) -> 
 # sampling
 
 
-def random_point(space, rng: np.random.Generator, horizon: int = 0) -> Point:
-    """A uniformly seeded point of the space (symbol streams are iid uniform)."""
+def random_point(space, rng: np.random.Generator) -> Point:
+    """A uniformly seeded point of the space (symbol streams are iid uniform,
+    so a vertex shift that forbids a transition has none: ValueError)."""
+    if space.torus_dim:
+        return Point(Coordinate(tuple(float(v) for v in rng.random(space.torus_dim))))
+    if isinstance(space, MarkovShift) and not all(map(all, space.adjacency)):
+        raise ValueError("an iid uniform stream leaves a vertex shift that "
+                         "forbids a transition; give the point explicitly")
     if isinstance(space, (FullShift, MarkovShift)):
         k = space.alphabet
         seed = int(rng.integers(0, 2 ** 63 - 1))
         probs = tuple(1.0 / k for _ in range(k))
         return Point(SeededIID(seed, probs))
-    if isinstance(space, (CircleMult, CircleRotation, CircleRotationFlow)):
-        return Point(Coordinate((float(rng.random()),)))
-    if isinstance(space, TorusTranslation):
-        return Point(Coordinate(tuple(float(v) for v in rng.random(len(space.velocity)))))
     if isinstance(space, DisjointUnion):
         component = int(rng.integers(0, 2))
-        inner = random_point(space.side(component), rng, horizon)
+        inner = random_point(space.side(component), rng)
         return Point(inner.rule, inner.offset, component)
     if isinstance(space, Suspension):
-        base = random_point(space.base, rng, horizon)
+        base = random_point(space.base, rng)
         roof = space.roof.value_at(base)
         return base.with_fiber(float(rng.random()) * roof)
     if isinstance(space, TimeTMap):
-        return random_point(space.flow, rng, horizon)
+        return random_point(space.flow, rng)
     raise TypeError(f"cannot sample from {type(space).__name__}")

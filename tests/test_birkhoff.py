@@ -35,6 +35,7 @@ from ergode.birkhoff import (
     birkhoff_profile,
     classify_generic,
     classify_irregular,
+    _limit_classes,
     _map_cells,
     empirical_measure,
     family_targets,
@@ -174,6 +175,17 @@ def test_limit_point_set_single_class_for_generic_orbit():
                               Schedule.geometric(1000, 64000), tol=0.05)
     assert len(classes) == 1
     assert classes[0].integrals[0] == pytest.approx(0.5, abs=0.05)
+
+
+def test_limit_classes_of_a_kept_profile_match_limit_point_set():
+    fs = FullShift(2)
+    rec = irregular_point(fs, 0, 0.3, 0.7, ratio=4)
+    fam = TestFamily.default_for(fs, depth=2)
+    sched = rec.schedule()
+    kept = classify_generic(fs, rec.point, Bernoulli((0.5, 0.5)), fam, sched,
+                            keep_profile=True).profile
+    assert _limit_classes(kept, sched.checkpoints, fam.weights(), 0.05) == \
+        limit_point_set(fs, rec.point, fam, sched, tol=0.05)
 
 
 # ---------------------------------------------------------------------------

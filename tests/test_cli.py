@@ -369,6 +369,76 @@ def test_verify_inclusions_on_a_map_screens_samples(tmp_path):
     assert by_q["foreign_rejected_count"] == 6
 
 
+def test_verify_inclusions_reads_each_limit_sample_once(tmp_path, monkeypatch):
+    """The first samples' limit sets cluster the profile their classification
+    read: 6 mu samples and 6 foreign samples read 12 profiles, not 18."""
+    from ergode import birkhoff, cli
+
+    calls = []
+    profiles = birkhoff._profiles
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return profiles(*args, **kwargs)
+
+    monkeypatch.setattr(birkhoff, "_profiles", counted)
+    cfg = {
+        "command": "verify-inclusions",
+        "experiment_id": "incl",
+        "system": {"kind": "full-shift", "k": 2},
+        "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]},
+        "sample_count": 6,
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == 12
+    _, rows = read_rows(tmp_path, "incl")
+    assert [(r["quantity"], r["value"]) for r in rows] == [
+        ("mu_sample_generic", "6"), ("mu_sample_notgeneric", "0"),
+        ("mu_sample_inconclusive", "0"), ("single_limit_class_count", "6"),
+        ("foreign_rejected_count", "6"),
+    ]
+
+
+GOLDEN_MEAN_SYSTEM = {"kind": "markov-shift", "k": 2, "adjacency": [[1, 1], [1, 0]]}
+
+
+def test_random_point_on_a_proper_vertex_shift_is_a_config_error(tmp_path):
+    cfg = {
+        "command": "birkhoff",
+        "experiment_id": "birk",
+        "system": GOLDEN_MEAN_SYSTEM,
+        "point": {"kind": "random"},
+        "observable": {"kind": "symbol-frequency", "symbol": 1},
+        "schedule": {"kind": "explicit", "checkpoints": [64, 128]},
+    }
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "forbids a transition" in res.stderr
+
+
+def test_thm_b_mixture_samples_on_a_proper_vertex_shift_are_a_config_error(tmp_path):
+    cfg = {
+        "command": "verify-thm-b",
+        "experiment_id": "thm-b",
+        "system": {"kind": "disjoint-union", "left": GOLDEN_MEAN_SYSTEM,
+                   "right": GOLDEN_MEAN_SYSTEM},
+        "measure": {"kind": "mixture", "components": [
+            [{"kind": "markov", "transitions": [[0.6, 0.4], [1.0, 0.0]],
+              "component": 0}, 0.5],
+            [{"kind": "markov", "transitions": [[0.6, 0.4], [1.0, 0.0]],
+              "component": 1}, 0.5],
+        ]},
+        "depths": [64, 128],
+        "family_depth": 2,
+        "sample_count": 2,
+    }
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "forbids a transition" in res.stderr
+
+
 def test_verify_inclusions_on_a_suspension_checks_both_dynamics(tmp_path):
     cfg = {
         "command": "verify-inclusions",

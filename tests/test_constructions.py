@@ -17,7 +17,8 @@ from ergode.systems import (
     metric_for,
     random_point,
 )
-from ergode.measures import Bernoulli, Markov, Mixture, SymbolFrequency
+from ergode.measures import Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily
+from ergode.birkhoff import Schedule, classify_generic
 from ergode.constructions import (
     GluingError,
     MistakeFunction,
@@ -113,8 +114,8 @@ def test_zero_budget_ball_equals_exact_bowen_ball():
     rng = np.random.default_rng(7)
     g0 = MistakeFunction.zero()
     for _ in range(300):
-        x = random_point(fs, rng, horizon=64)
-        y = random_point(fs, rng, horizon=64)
+        x = random_point(fs, rng)
+        y = random_point(fs, rng)
         rep = mistake_ball_membership(fs, x, y, 10, 0.25, g0)
         assert rep.member == exact_bowen_ball(fs, x, y, 10, 0.25)
 
@@ -231,6 +232,17 @@ def test_markov_walk_matches_the_per_step_loop(mu, horizon, seed):
     word = _sample_markov(mu, seed, horizon)
     assert word.dtype == np.int64
     assert np.array_equal(word, markov_reference(mu, seed, horizon))
+
+
+def test_golden_mean_block_point_is_admissible_and_generic():
+    """Stage rounds of a vertex shift get junction and seam connectors."""
+    x = generic_point(GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, "deterministic-blocks")
+    word = x.prefix(1 << 20)
+    assert not ((word[:-1] == 1) & (word[1:] == 1)).any()
+    fam = TestFamily.default_for(GOLDEN_MEAN, depth=3)
+    sched = Schedule((1 << 16, 1 << 18, 1 << 20))
+    verdict = classify_generic(GOLDEN_MEAN, x, GOLDEN_MEAN_CHAIN, fam, sched, 0.02)
+    assert verdict.label == "Generic"
 
 
 def test_markov_walk_of_no_steps_is_empty():

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from ergode.systems import (
     BudgetExhausted,
+    CircleMult,
+    CircleRotation,
     CircleRotationFlow,
     Coordinate,
     DisjointUnion,
@@ -15,6 +17,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     Suspension,
+    TimeTMap,
     TorusTranslation,
 )
 from ergode.measures import (
@@ -29,6 +32,8 @@ from ergode.measures import (
     Mixture,
     SymbolFrequency,
     TestFamily,
+    TimeShifted,
+    _cylinder_masses,
     evaluate,
     integrate,
     metric_entropy,
@@ -186,3 +191,76 @@ def test_component_tagged_observables_on_a_union():
     assert integrate(mix, left_cyl) == pytest.approx(0.25)
     x = Point(ExplicitWord((1, 0)), component=1)
     assert evaluate(left_cyl, x) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one answer per question: a Bernoulli measure read as a chain
+
+
+def test_bernoulli_reads_as_the_chain_with_equal_rows():
+    mu = Bernoulli((0.2, 0.3, 0.5))
+    assert mu.stationary == mu.probs
+    assert mu.transitions == (mu.probs,) * 3
+    with pytest.raises(AttributeError):
+        mu.transitions = ((1.0, 0.0, 0.0),) * 3
+
+
+def test_chain_form_cylinder_masses_keep_the_product_order():
+    mu = Bernoulli((0.2, 0.3, 0.5))
+    want = np.array([1.0])
+    for _ in range(5):
+        want = np.kron(want, np.asarray(mu.probs))
+    assert np.array_equal(_cylinder_masses(mu, 3, 5), want)
+    word = (2, 0, 1, 1, 2)
+    prod = 1.0
+    for s in word:
+        prod *= mu.probs[s]
+    assert integrate(mu, CylinderIndicator(word)) == prod
+
+
+def test_invariance_needs_the_system_alphabet():
+    chain = Markov.from_transitions(((0.6, 0.4), (1.0, 0.0)))
+    three = MarkovShift(3, ((1, 1, 0), (1, 0, 1), (1, 1, 1)))
+    with pytest.raises(ValueError, match="alphabet"):
+        metric_entropy(chain, three)
+    all_ones = MarkovShift(3, ((1, 1, 1),) * 3)
+    with pytest.raises(ValueError, match="alphabet"):
+        metric_entropy(Bernoulli((0.5, 0.5)), all_ones)
+
+
+def test_bernoulli_charging_only_allowed_transitions_is_invariant():
+    golden = MarkovShift(2, ((1, 1), (1, 0)))
+    assert metric_entropy(Bernoulli((1.0, 0.0)), golden) == 0.0
+    with pytest.raises(ValueError, match="forbidden transition"):
+        metric_entropy(Bernoulli((0.5, 0.5)), golden)
+
+
+def test_lebesgue_needs_the_space_dimension():
+    with pytest.raises(ValueError):
+        metric_entropy(Lebesgue(2), CircleRotation(0.3))
+    with pytest.raises(TypeError):
+        metric_entropy(Lebesgue(), FullShift(2))
+    assert metric_entropy(Lebesgue(), TimeTMap(CircleRotationFlow(), 0.5)) == 0.0
+    assert metric_entropy(Lebesgue(2), TimeTMap(TorusTranslation((0.3, 0.7)), 0.5)) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_lebesgue_entropy_under_circle_multiplication_is_log_n(n):
+    assert metric_entropy(Lebesgue(), CircleMult(n)) == math.log(n)
+
+
+def test_partition_estimate_covers_single_shifts_only():
+    with pytest.raises(TypeError):
+        partition_entropy_estimate(Lebesgue(), CircleMult(2), 4)
+    du = DisjointUnion(FullShift(2), FullShift(2))
+    with pytest.raises(TypeError):
+        partition_entropy_estimate(Bernoulli((0.5, 0.5), component=0), du, 4)
+
+
+@pytest.mark.parametrize("phi", [SymbolFrequency(0), CylinderIndicator((0, 1)),
+                                 FiberProfile(Harmonic(1), ((0.0, 0.0), (1.0, 1.0)))])
+def test_time_shifted_lebesgue_refuses_non_harmonic_observables(phi):
+    mu = TimeShifted(CircleRotationFlow(), 0.3, Lebesgue())
+    with pytest.raises(TypeError):
+        integrate(mu, phi)
+    assert integrate(mu, Harmonic(2)) == 0.0

@@ -198,13 +198,50 @@ def test_markov_rejects_dead_states():
 
 
 def test_random_point_reproducible_from_seeded_rng():
-    a = random_point(FullShift(2), np.random.default_rng(0), horizon=16)
-    b = random_point(FullShift(2), np.random.default_rng(0), horizon=16)
+    a = random_point(FullShift(2), np.random.default_rng(0))
+    b = random_point(FullShift(2), np.random.default_rng(0))
     assert np.array_equal(a.prefix(16), b.prefix(16))
 
 
 def test_random_point_on_union_lands_in_a_component():
     du = DisjointUnion(FullShift(2), FullShift(2))
-    pts = [random_point(du, np.random.default_rng(s), horizon=4) for s in range(20)]
+    pts = [random_point(du, np.random.default_rng(s)) for s in range(20)]
     assert {p.component for p in pts} <= {0, 1}
     assert len({p.component for p in pts}) == 2
+
+
+def test_random_point_on_a_proper_vertex_shift_raises():
+    # an iid uniform stream would hold the forbidden word 11 at once
+    golden = MarkovShift(2, ((1, 1), (1, 0)))
+    with pytest.raises(ValueError, match="forbids a transition"):
+        random_point(golden, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        random_point(DisjointUnion(golden, golden), np.random.default_rng(0))
+    whole = random_point(MarkovShift(2, ((1, 1), (1, 1))), np.random.default_rng(0))
+    assert whole.prefix(8).shape == (8,)
+
+
+@pytest.mark.parametrize("space, dim", [
+    (FullShift(2), 0),
+    (MarkovShift(2, ((1, 1), (1, 0))), 0),
+    (DisjointUnion(CircleRotation(0.1), CircleRotation(0.2)), 0),
+    (CircleMult(3), 1),
+    (CircleRotation(0.3), 1),
+    (CircleRotationFlow(), 1),
+    (TorusTranslation((0.3, 0.7, 0.1)), 3),
+    (Suspension(FullShift(2), RoofFunction.constant(1.0)), 0),
+    (TimeTMap(TorusTranslation((0.3, 0.7)), 0.5), 2),
+    (TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), 0.5), 0),
+])
+def test_every_descriptor_answers_its_torus_dimension(space, dim):
+    assert space.torus_dim == dim
+    if dim:
+        x = random_point(space, np.random.default_rng(0))
+        assert len(x.coords) == dim
+        assert distance(metric_for(space), x, x).value == 0.0
+
+
+def test_a_circle_point_is_the_one_uniform_draw():
+    for seed in range(5):
+        x = random_point(CircleRotation(0.3), np.random.default_rng(seed))
+        assert x.coords == (float(np.random.default_rng(seed).random()),)
