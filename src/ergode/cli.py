@@ -106,12 +106,6 @@ def _point_json(p: Point) -> dict:
     return out
 
 
-def _witness_name(obs) -> str:
-    if obs is None:
-        return ""
-    return repr(obs)
-
-
 # ---------------------------------------------------------------------------
 # command handlers (each appends Row objects to `rows` as it goes)
 
@@ -179,7 +173,8 @@ def _cmd_classify(cfg, ctx, rows):
             verdict = classify_irregular(system, point, phi, schedule, tol,
                                          keep_profile=ctx["diagnostics"])
     rows.append(Row(eid, "classification", verdict.gap, None, None,
-                    {"label": verdict.label, "witness": _witness_name(verdict.witness),
+                    {"label": verdict.label,
+                     "witness": "" if verdict.witness is None else repr(verdict.witness),
                      "checkpoint": verdict.checkpoint, "tolerance": tol}, t.ms))
     if ctx["diagnostics"] and verdict.profile:
         for c, entry in zip(schedule.checkpoints, verdict.profile):
@@ -244,8 +239,7 @@ def _cmd_construct(cfg, ctx, rows):
 def _write_point(path: str, p: Point) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(_point_json(p), fh)
-        fh.write("\n")
+        fh.write(json.dumps(_point_json(p)) + "\n")   # dumps runs the C encoder, dump does not
 
 
 def _cmd_verify_thm_a(cfg, ctx, rows):

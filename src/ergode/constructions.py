@@ -33,7 +33,7 @@ import numpy as np
 
 from .systems import (
     BlockSchedule, DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point,
-    SeededIID, SteeredBlocks, Suspension, RoofFunction,
+    SeededIID, SteeredBlocks, Suspension, RoofFunction, _count_at_or_below,
 )
 from .measures import (
     Bernoulli, Markov, Mixture, _cylinder_masses, _untagged,
@@ -427,7 +427,7 @@ def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:
 
     One uniform picks the start state from the stationary vector, then
     uniform i moves state s to the number of cumulative masses of row s at
-    or below it.  Only the k - 1 inner thresholds are searched, so a row whose
+    or below it.  Only the k - 1 inner thresholds are counted, so a row whose
     cumulative sum rounds below 1 cannot step past state k - 1.
 
     The walk is a blocked scan (Blelloch, Prefix sums and their applications,
@@ -446,7 +446,7 @@ def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:
     # step[j, b, s]: the state after step b * width + j taken from state s
     step = np.zeros((blocks * width, k), dtype=dtype)
     for s in range(k):
-        step[:horizon, s] = np.searchsorted(inner[s], u, side="right")
+        step[:horizon, s] = _count_at_or_below(inner[s], u, dtype)
     step = step.reshape(blocks, width, k).transpose(1, 0, 2)
     # walk[j, b, s]: the state at step b * width + j when block b starts at s
     walk = np.empty((width, blocks, k), dtype=dtype)

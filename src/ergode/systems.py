@@ -296,11 +296,18 @@ _GROW = 1024  # materialisation granularity
 _STEER_CHUNK = 1 << 16  # block positions `SteeredBlocks` writes per vectorised step
 
 
-def _grown(n: int) -> int:
-    size = _GROW
-    while size < n:
-        size *= 2
-    return size
+def _grown(n: int, arr: Optional[np.ndarray]) -> int:
+    # n up to a multiple of _GROW, and at least double a buffer being regrown
+    return -(-max(n, 1, 0 if arr is None else 2 * len(arr)) // _GROW) * _GROW
+
+
+def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
+    """The count of `thresholds` at or below each uniform of `u`: for nondecreasing
+    thresholds `searchsorted(side="right")`, at one compare per threshold."""
+    out = np.zeros(len(u), dtype=dtype)
+    for c in thresholds:
+        out += u >= c
+    return out
 
 
 @dataclass(frozen=True)
@@ -317,10 +324,9 @@ class ExplicitWord:
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
         if arr is None or len(arr) < n:
-            size = _grown(n)
+            size = _grown(n, arr)
             base = np.asarray(self.symbols, dtype=np.int16)
-            reps = -(-size // len(base))
-            arr = np.tile(base, reps)[:size]
+            arr = np.tile(base, -(-size // len(base)))[:size]
             self._buf["arr"] = arr
         return arr[:n]
 
@@ -329,7 +335,9 @@ class ExplicitWord:
 class SeededIID:
     """Independent draws from `probs`, reproducible from `seed`.
 
-    Uses the raw uniform stream of the seeded generator, so a longer
+    Draw i counts the inner cumulative masses at or below uniform i of the
+    seeded generator's raw stream, so it stays below k.  The buffer is built
+    as long as asked and at least doubles on regrowth; a longer
     materialisation always extends a shorter one bit-exactly.
     """
 
@@ -346,11 +354,9 @@ class SeededIID:
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
         if arr is None or len(arr) < n:
-            size = _grown(n)
+            size = _grown(n, arr)
             u = np.random.default_rng(self.seed).random(size)
-            cum = np.cumsum(self.probs)
-            cum[-1] = 1.0
-            arr = np.searchsorted(cum, u, side="right").astype(np.int16)
+            arr = _count_at_or_below(np.cumsum(self.probs)[:-1], u, np.int16)
             self._buf["arr"] = arr
         return arr[:n]
 
@@ -383,7 +389,7 @@ class BlockSchedule:
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
         if arr is None or len(arr) < n:
-            size = _grown(n)
+            size = _grown(n, arr)
             parts = []
             total = 0
             for pattern, reps in self.blocks:
@@ -468,7 +474,7 @@ class SteeredBlocks:
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
         if arr is None or len(arr) < n:
-            size = _grown(n)
+            size = _grown(n, arr)
             arr = np.empty(size, dtype=np.int16)
             last = start = 0
             for end, want in zip(self.ends, self._wants()):

@@ -10,7 +10,10 @@ import pytest
 
 from ergode.config import build_measure, build_point, build_system
 from ergode.constructions import generic_point, irregular_point
-from ergode.systems import FullShift
+from ergode.cli import _point_json, _write_point
+from ergode.systems import (
+    BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
+)
 
 # the program as `python -m ergode`, which needs no installed console script
 ERGODE = [sys.executable, "-m", "ergode"]
@@ -247,6 +250,31 @@ def test_construct_irregular_point_writes_its_recipe(tmp_path):
     n = 1 << 22
     expected = irregular_point(FullShift(2), 1, 0.3, 0.7).point.prefix(n)
     assert np.array_equal(build_point(spec).prefix(n), expected)
+
+
+# one point of every rule kind `_point_json` writes, with offsets, components
+# and floats that have no short binary form
+WRITTEN_POINTS = {
+    "block-schedule": Point(BlockSchedule((((0, 1), 3), ((1, 1, 0), 2))), offset=5,
+                            fiber=1 / 3),
+    "steered-blocks": Point(SteeredBlocks(3, 2, (10, 50, 250), (1 / 3, 0.7, 2 / 7)),
+                            component=1, fiber=math.pi / 10),
+    "explicit-word": Point(ExplicitWord((0, 1, 1)), offset=2, component=0),
+    "seeded-iid": Point(SeededIID(7, (1 / 3, 2 / 3)), offset=1, component=1, fiber=0.1),
+    "coordinate": Point(Coordinate((1 / 3, math.sqrt(2) - 1)), component=0),
+}
+
+
+@pytest.mark.parametrize("point", WRITTEN_POINTS.values(), ids=WRITTEN_POINTS.keys())
+def test_a_point_file_holds_the_bytes_of_a_streamed_json_dump(point, tmp_path):
+    streamed = tmp_path / "streamed.point.json"
+    with open(streamed, "w", encoding="utf-8") as fh:
+        json.dump(_point_json(point), fh)
+        fh.write("\n")
+    written = tmp_path / "out" / "written.point.json"
+    _write_point(str(written), point)
+    assert written.read_bytes() == streamed.read_bytes()
+    assert build_point(json.loads(written.read_text())) == point
 
 
 def test_construct_seeded_markov_point_writes_readable_json(tmp_path):

@@ -18,6 +18,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     SeededIID,
+    SteeredBlocks,
     Suspension,
     TimeTMap,
     TorusTranslation,
@@ -27,7 +28,10 @@ from ergode.systems import (
     random_point,
     step,
     time_t_map,
+    _count_at_or_below,
 )
+from ergode.measures import Markov
+from ergode.constructions import _sample_markov
 
 
 def test_step_advances_offset():
@@ -245,3 +249,144 @@ def test_a_circle_point_is_the_one_uniform_draw():
     for seed in range(5):
         x = random_point(CircleRotation(0.3), np.random.default_rng(seed))
         assert x.coords == (float(np.random.default_rng(seed).random()),)
+
+
+# ---------------------------------------------------------------------------
+# drawing symbols by counting thresholds
+
+
+def searchsorted_draw(probs, u):
+    """The draw as a binary search over the cumulative sum with its last
+    entry patched to 1, the kernel threshold counting replaced."""
+    cum = np.cumsum(probs)
+    cum[-1] = 1.0
+    return np.searchsorted(cum, u, side="right")
+
+
+# k = 2, 3 and 5; a zero mass in the middle and at the end; and a row whose
+# cumulative sum rounds to 0.9999999999999999
+DRAW_ROWS = [
+    (0.3, 0.7),
+    (0.2, 0.5, 0.3),
+    (0.1, 0.2, 0.3, 0.25, 0.15),
+    (0.4, 0.0, 0.6),
+    (0.5, 0.5, 0.0),
+    (0.2, 0.0, 0.3, 0.5, 0.0),
+    (1 / 6, 2 / 3, 1 / 6, 0.0),
+]
+
+
+def test_a_draw_row_sums_below_one():
+    assert np.cumsum(DRAW_ROWS[-1])[-1] == 1.0 - 2.0 ** -53
+
+
+def edge_uniforms(probs):
+    """Every inner threshold, the floats either side of it, 0 and the
+    largest float below 1."""
+    inner = np.cumsum(probs)[:-1]
+    u = np.concatenate([inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0),
+                        [0.0, 1.0 - 2.0 ** -53]])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@st.composite
+def draw_rows(draw):
+    """Probability rows with k in {2, 3, 5}, zero masses allowed."""
+    k = draw(st.sampled_from((2, 3, 5)))
+    weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)
+                   .filter(lambda w: sum(w) > 0))
+    return tuple(w / sum(weights) for w in weights)
+
+
+@given(st.one_of(st.sampled_from(DRAW_ROWS), draw_rows()), st.integers(0, 2 ** 32 - 1))
+@settings(deadline=None, max_examples=200)
+def test_threshold_count_draw_matches_the_binary_search(probs, seed):
+    u = np.concatenate([edge_uniforms(probs), np.random.default_rng(seed).random(500)])
+    got = _count_at_or_below(np.cumsum(probs)[:-1], u, np.int16)
+    assert np.array_equal(got, searchsorted_draw(probs, u))
+
+
+@pytest.mark.parametrize("probs", DRAW_ROWS)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_seeded_iid_draws_what_the_binary_search_drew(probs, seed):
+    u = np.random.default_rng(seed).random(5000)
+    got = SeededIID(seed, probs).materialise(5000)
+    assert got.dtype == np.int16
+    assert np.array_equal(got, searchsorted_draw(probs, u))
+
+
+class _ScriptedUniforms:
+    """A generator that deals out the edge uniforms of a row, cycling."""
+
+    def __init__(self, probs):
+        self.u = edge_uniforms(probs)
+
+    def random(self, size=None):
+        return self.u[0] if size is None else np.resize(self.u, size)
+
+
+def markov_walk_by_search(mu, rng, horizon):
+    """The chain walk one step at a time, each step the binary search draw
+    on the row of the current state."""
+    state = int(searchsorted_draw(mu.stationary, rng.random()))
+    u = rng.random(horizon)
+    out = np.empty(horizon, dtype=np.int64)
+    for i in range(horizon):
+        out[i] = state
+        state = int(searchsorted_draw(mu.transitions[state], u[i]))
+    return out
+
+
+@pytest.mark.parametrize("probs", DRAW_ROWS)
+@pytest.mark.parametrize("uniforms", ["seeded", "edges"])
+def test_markov_step_rows_draw_what_the_binary_search_drew(probs, uniforms, monkeypatch):
+    # the rotations of a row: a doubly stochastic chain, so uniform is stationary
+    k = len(probs)
+    mu = Markov(tuple(probs[i:] + probs[:i] for i in range(k)), (1 / k,) * k)
+    horizon = 3000
+    if uniforms == "seeded":
+        want = markov_walk_by_search(mu, np.random.default_rng(5), horizon)
+        got = _sample_markov(mu, 5, horizon)
+    else:
+        want = markov_walk_by_search(mu, _ScriptedUniforms(probs), horizon)
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedUniforms(probs))
+        got = _sample_markov(mu, 0, horizon)
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# stream buffers grow to the length asked and keep their prefixes
+
+GROWING_RULES = {
+    "seeded-iid": lambda: SeededIID(3, (0.2, 0.5, 0.3)),
+    "explicit-word": lambda: ExplicitWord((0, 1, 1, 2, 0, 1, 2)),
+    "block-schedule": lambda: BlockSchedule((((0, 1), 5000), ((1, 1, 0), 30000), ((2, 0), 7))),
+    "steered-blocks-2": lambda: SteeredBlocks(2, 1, (100, 900, 70000, 150000),
+                                              (0.2, 0.6, 0.3, 0.5)),
+    "steered-blocks-3": lambda: SteeredBlocks(3, 0, (100, 900, 70000, 150000),
+                                              (0.2, 0.6, 0.3, 0.5)),
+}
+
+
+@pytest.mark.parametrize("make", GROWING_RULES.values(), ids=GROWING_RULES.keys())
+def test_regrown_streams_keep_their_prefixes(make):
+    rule = make()
+    for n in (65539, 10, 200000, 70000):
+        assert np.array_equal(rule.materialise(n), make().materialise(n))
+
+
+def test_a_stream_is_built_as_long_as_asked_and_doubles_on_regrowth():
+    rule = SeededIID(0, (0.3, 0.7))
+    assert rule.materialise(65539).shape == (65539,)
+    assert len(rule._buf["arr"]) == 66560          # 65 blocks of 1024
+    rule.materialise(66561)
+    assert len(rule._buf["arr"]) == 133120         # at least double
+    rule.materialise(300000)
+    assert len(rule._buf["arr"]) == 300032         # the length asked, rounded up
+
+
+@pytest.mark.parametrize("make", GROWING_RULES.values(), ids=GROWING_RULES.keys())
+def test_a_stream_of_no_symbols_is_empty(make):
+    rule = make()
+    assert rule.materialise(0).shape == (0,)
+    assert len(rule._buf["arr"]) == 1024
