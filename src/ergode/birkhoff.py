@@ -15,9 +15,9 @@ steps, or the mass of the observable's fiber profile under the cell's roof.
 Word hits are counted per (word code, weight class) between consecutive
 checkpoints, in bounded chunks, so no full-length temporary is held; the
 partial first cell of a flow (from its fiber) and the partial last cell are
-added on top, which makes suspension flow averages exact.  A time-t map of
-a constant-roof suspension keeps the cell grid of the fiber it read last,
-so every point read through one map at one fiber shares it.
+added on top, which makes suspension flow averages exact.  A shift and the
+time-t map of a constant-roof suspension read their cells from an exact
+integer chart, so a map's cells cost no table and no float rounding.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -27,8 +27,10 @@ is far (three tolerances) at both.  Everything in between is inconclusive.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -86,10 +88,6 @@ class Schedule:
     def integer_checkpoints(self) -> Tuple[int, ...]:
         return tuple(int(round(c)) for c in self.checkpoints)
 
-    @property
-    def horizon(self):
-        return self.checkpoints[-1]
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -137,6 +135,68 @@ def _is_symbolic_path(system) -> bool:
 # summed over the cells between consecutive checkpoints.
 
 _CELL_CHUNK = 1 << 16   # cells per vectorised step; an int64 temporary of a step is 512 KB
+_INT64_CHART = 1 << 46  # a chunk of chart integers below it fits int64: 2^16 * 2^46 < 2^63
+
+
+@dataclass(frozen=True)
+class _Chart:
+    """Step j reads base cell (f + j*tt) // cc, in exact integers: a shift is
+    (0, 1, 1), and `_chart` gives the time-t map of a constant-roof suspension.
+    Cell i >= 1 holds the steps first(i) .. first(i+1)-1, and cell 0 first(1)."""
+
+    f: int
+    tt: int
+    cc: int
+
+    def cell(self, j: int) -> int:
+        return (self.f + j * self.tt) // self.cc
+
+    def first(self, i: int) -> int:
+        return max(0, -((self.f - i * self.cc) // self.tt))
+
+    def steps(self, lo: int, hi: int):
+        """The steps in each of the cells lo..hi-1 (lo >= 1): the one number
+        cc // tt when tt divides cc, else from first(i) relative to the chunk,
+        in int64 while it fits and in Python integers above."""
+        if self.cc % self.tt == 0:
+            return self.cc // self.tt
+        small = max(self.cc, self.tt) < _INT64_CHART
+        r = np.arange(hi - lo + 1, dtype=np.int64 if small else object)
+        num = r * self.cc + (lo * self.cc - self.f) % self.tt
+        return np.diff(-(-num // self.tt)).astype(np.int64)
+
+    def cells(self, n: int) -> np.ndarray:
+        j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
+        return ((self.f + j * self.tt) // self.cc).astype(np.int64)
+
+
+@functools.lru_cache(maxsize=64)
+def _chart(f0: float, t: float, c: float) -> _Chart:
+    """The chart of the time-t map of a suspension under the constant roof c
+    from the fiber f0, each read as the decimal it prints as (0.7 is 7/10)."""
+    f, tt, cc = (Fraction(repr(float(v))) for v in (f0, t, c))
+    d = math.lcm(f.denominator, tt.denominator, cc.denominator)
+    return _Chart(int(f * d), int(tt * d), int(cc * d))
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The `_Chart` answers of a time-t map under a word-dependent roof, from
+    first_steps[i], the first step that reads cell i or a later one."""
+
+    first_steps: np.ndarray
+
+    def cell(self, j: int) -> int:
+        return int(np.searchsorted(self.first_steps, j, side="right")) - 1
+
+    def first(self, i: int) -> int:
+        return int(self.first_steps[i])
+
+    def steps(self, lo: int, hi: int) -> np.ndarray:
+        return np.diff(self.first_steps[lo:hi + 1])
+
+    def cells(self, n: int) -> np.ndarray:
+        return np.repeat(np.arange(len(self.first_steps) - 1), np.diff(self.first_steps))[:n]
 
 
 def _fiber(flow: Suspension, x: Point) -> float:
@@ -157,73 +217,37 @@ def _roof_values(roof, x: Point, horizon: float) -> np.ndarray:
 
 
 def _map_cells(system, x: Point, n: int, depth: int):
-    """(symbols, first) for the first n map steps of a symbolic orbit.
-
-    L is the cell read at step n-1; `symbols` holds the base symbols of the
-    cells 0..L and the depth-1 after them.  first[i], for i = 0..L+1, is the
-    first map step that reads cell i or a later one, so step j reads cell i
-    exactly when first[i] <= j < first[i+1].  Callers only read `first`.
-
-    On a time-t map of a suspension, step j reads the cell
-    floor((f0 + t*j)/c + 1e-12) under a constant roof c, and the last cell
-    entered at or before time f0 + t*j otherwise.  first[i] starts from the
-    real root of f0 + t*j = entry_i and is moved until that very float test
-    agrees, so the counts per cell are the exact integers that a step-by-step
-    reading gives.  Under a constant roof first[i] depends only on c, t and
-    f0, not on the point or on n, so the map keeps the grid of the fiber it
-    last read, extends it when a longer one is asked for, and every read
-    takes a slice of it.
-    """
+    """(symbols, cells) for the first n map steps of a symbolic orbit: the
+    base symbols up to the cell read at step n-1 and the depth-1 after it,
+    and a `_Chart` (a shift, or the time-t map of a suspension under a
+    constant roof, cached per fiber, t and roof) or, under a word-dependent
+    roof, a `_Grid` (step j reads the last cell entered by time f0 + t*j)."""
     if system.symbolic:
-        return np.asarray(x.prefix(n + depth - 1)), np.arange(n + 1)
+        return np.asarray(x.prefix(n + depth - 1)), _Chart(0, 1, 1)
     flow, t = system.flow, system.t
     if t < 0:
         raise ValueError("suspension flows run forward in time only")
     f0 = _fiber(flow, x)
-    roof = flow.roof
-    last = f0 + t * (n - 1)
-    if roof.depth == 0:
-        c = roof.table[0]
-        m = int(last / c + 1e-12) + 2
-        symbols = np.asarray(x.prefix(m + depth - 2))   # before the cell arrays
-        kept = system._grid[0]                        # (fiber, grid) of the last read
-        if kept is not None and kept[0] == f0:
-            grid = kept[1]
-        else:
-            grid = np.zeros(1, dtype=np.int64)        # first[0] = 0
-        if len(grid) < m:
-            longer = np.zeros(m, dtype=np.int64)
-            longer[:len(grid)] = grid
-            _fill_first(
-                longer, len(grid), f0, t,
-                levels=lambda lo, hi: np.arange(lo, hi, dtype=float),
-                reached=lambda tau, level: tau / c + 1e-12 >= level,
-                entry=lambda level: level * c,
-            )
-            longer.flags.writeable = False
-            grid = longer
-            system._grid[0] = (f0, grid)
-        return symbols, grid[:m]
-    entries = np.concatenate(([0.0], np.cumsum(_roof_values(roof, x, last))))
-    m = int(np.searchsorted(entries, last, side="right")) + 1
-    symbols = np.asarray(x.prefix(m + depth - 2))
-    first = np.zeros(m, dtype=np.int64)
-    _fill_first(first, 1, f0, t, levels=lambda lo, hi: entries[lo:hi],
-                reached=lambda tau, level: tau >= level, entry=lambda level: level)
-    return symbols, first
+    if flow.roof.depth == 0:
+        cells = _chart(f0, t, flow.roof.table[0])
+    else:
+        last = f0 + t * (n - 1)
+        entries = np.concatenate(([0.0], np.cumsum(_roof_values(flow.roof, x, last))))
+        first = np.zeros(int(np.searchsorted(entries, last, side="right")) + 1, dtype=np.int64)
+        _fill_first(first, f0, t, entries)
+        cells = _Grid(first)
+    return np.asarray(x.prefix(cells.cell(n - 1) + depth)), cells
 
 
-def _fill_first(first: np.ndarray, lo: int, f0: float, t: float,
-                levels, reached, entry) -> None:
-    """first[i] for i >= lo, `_CELL_CHUNK` cells at a time: cell i has level
-    levels(i, i+1) and is entered at time entry(level), and time tau reads
-    it or a later cell when reached(tau, level)."""
-    for start in range(lo, len(first), _CELL_CHUNK):
-        level = levels(start, min(start + _CELL_CHUNK, len(first)))
-        j = np.ceil((entry(level) - f0) / t)
+def _fill_first(first: np.ndarray, f0: float, t: float, entries: np.ndarray) -> None:
+    """first[i] for i >= 1, `_CELL_CHUNK` cells at a time: the first step j with
+    f0 + t*j >= entries[i], from the real root moved until that float test agrees."""
+    for start in range(1, len(first), _CELL_CHUNK):
+        level = entries[start:min(start + _CELL_CHUNK, len(first))]
+        j = np.ceil((level - f0) / t)
         while True:
-            back = (j > 0) & reached(f0 + t * (j - 1), level)
-            ahead = ~reached(f0 + t * j, level)
+            back = (j > 0) & (f0 + t * (j - 1) >= level)
+            ahead = f0 + t * j < level
             if not (back.any() or ahead.any()):
                 break
             j += ahead
@@ -231,16 +255,11 @@ def _fill_first(first: np.ndarray, lo: int, f0: float, t: float,
         first[start:start + len(j)] = j
 
 
-def _cell_of_step(first: np.ndarray, n: int) -> int:
-    """The cell read at map step n-1."""
-    return int(np.searchsorted(first, n - 1, side="right")) - 1
-
-
-def _running_totals(ends, total_of, start: int, zero):
-    """The sum of total_of(lo, hi) over the cells [start, e), for each e of
-    the ascending `ends`.  Each call covers at most `_CELL_CHUNK` cells, so
-    no per-cell array outlives its chunk; integer totals stay exact."""
-    out, total, upto = [], zero, start
+def _running_totals(ends, total_of, zero):
+    """The sum of total_of(lo, hi) over the cells [1, e), for each e of the
+    ascending `ends`.  Each call covers at most `_CELL_CHUNK` cells, so no
+    per-cell array outlives its chunk; integer totals stay exact."""
+    out, total, upto = [], zero, 1
     for e in ends:
         for lo in range(upto, e, _CELL_CHUNK):
             total = total + total_of(lo, min(lo + _CELL_CHUNK, e))
@@ -300,16 +319,15 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
     """Fill the columns `reads` (column, observable) of `out` from one pass
     over the base cells of a symbolic orbit.
 
-    The word codes of the full cells, at the deepest word length D, are
-    counted per (code, weight class) between consecutive checkpoints, in
-    chunks; a shorter word reads the codes that start with it.  A map has
-    one class, and each cell counts the map steps spent in it (whole
-    numbers, exact also where np.bincount sums them as floats).  A
-    suspension flow counts cells; its classes are its roof values, and an
-    observable weighs a class by the mass of its fiber profile under that
-    roof.  On top come the partial last cell, from its bottom (or its first
-    map step) to the checkpoint, and on a flow the partial first cell, from
-    the fiber f0 to its roof.
+    The word codes of the full cells after cell 0, at the deepest word
+    length D, are counted per (code, weight class) between consecutive
+    checkpoints, in chunks; a shorter word reads the codes that start with
+    it.  A map has one class, and each cell counts the map steps spent in it
+    (the `steps` of its cells).  A suspension flow counts cells; its classes are its
+    roof values, and an observable weighs a class by the mass of its fiber
+    profile under that roof.  On top come cell 0, from the fiber f0 to its
+    roof on a flow, and the partial last cell, from its bottom (or its first
+    map step) to the checkpoint.
     """
     flow = system.is_flow
     suspension = system if flow else getattr(system, "flow", None)
@@ -360,10 +378,11 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
             classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
         arr = np.asarray(x.prefix(ends[-1] + depth))
     else:
-        arr, first = _map_cells(system, x, Ts[-1], depth)
-        ends = [_cell_of_step(first, n) for n in Ts]
+        arr, cells = _map_cells(system, x, Ts[-1], depth)
+        ends = [cells.cell(n - 1) for n in Ts]
         ns = np.asarray(Ts)
-        last_steps = ns - first[ends]       # map steps in the partial last cell
+        last_steps = ns - [cells.first(L) for L in ends]   # map steps in the partial last cell
+        steps0 = (np.asarray(ends) > 0) * cells.first(1)   # in cell 0 while it is full
     n_cls = len(classes) if flow else 1
 
     def codes(lo, hi):
@@ -377,12 +396,11 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
 
     def counts(lo, hi):
         keys = codes(lo, hi) if inv is None else codes(lo, hi) * np.int64(n_cls) + inv[lo:hi]
-        # a shift and a flow count cells; a time-t map counts the steps in them
-        steps = None if flow or system.symbolic else np.diff(first[lo:hi + 1])
-        return _key_counts(keys, k ** depth * n_cls, steps)
+        # a flow counts cells; a map counts the steps in them
+        return _key_counts(keys, k ** depth * n_cls, 1 if flow else cells.steps(lo, hi))
 
-    counted = _running_totals(ends, counts, start=1 if flow else 0,
-                              zero=np.zeros(k ** depth * n_cls, dtype=np.int64))
+    # cell 0 is counted apart: a flow enters it at f0, a map may spend fewer steps in it
+    counted = _running_totals(ends, counts, np.zeros(k ** depth * n_cls, dtype=np.int64))
     # a word of length d is the depth-D codes [code*span, (code+1)*span)
     cum = np.zeros((len(Ts), k ** depth + 1, n_cls), dtype=np.result_type(*counted))
     np.cumsum(np.stack(counted).reshape(len(Ts), k ** depth, n_cls), axis=1, out=cum[:, 1:])
@@ -391,10 +409,11 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
     full = cum[:, (wcodes + 1) * spans] - cum[:, wcodes * spans]   # (checkpoint, word, class)
     edge = np.array([_code(arr[i:i + depth].tolist(), k) for i in (0, *ends)])
     hit_last = edge[1:, None] // spans == wcodes
-    if not flow:
-        out[:, cols] = (full[..., 0] + hit_last * last_steps[:, None]) / ns[:, None]
-        return
     hit0 = edge[0] // spans == wcodes
+    if not flow:
+        out[:, cols] = (full[..., 0] + hit0 * steps0[:, None]
+                        + hit_last * last_steps[:, None]) / ns[:, None]
+        return
     for j, (i, _, _, scale, mass) in enumerate(words):
         masses = np.array([mass(0.0, v) for v in classes])
         for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
@@ -419,19 +438,17 @@ def _code(word, k: int):
 _FEW_KEYS = 4   # up to this many keys, comparisons count a chunk faster than np.bincount
 
 
-def _key_counts(keys: np.ndarray, size: int, weights=None) -> np.ndarray:
-    """How many of `keys` take each value in range(size), or with how much
-    total weight.  A single word read over a long orbit has two keys, where
-    np.bincount's scalar loop costs several comparisons."""
-    if size > _FEW_KEYS:
+def _key_counts(keys: np.ndarray, size: int, weights=1) -> np.ndarray:
+    """How many of `keys` take each value in range(size), times `weights`, or
+    with how much total weight when `weights` holds one per key.  A single word
+    read over a long orbit has two keys, where np.bincount's loop costs more."""
+    if np.ndim(weights):
         return np.bincount(keys, weights=weights, minlength=size)
-    if weights is None:
-        part = [np.count_nonzero(keys == v) for v in range(size - 1)]
-        total = len(keys)
-    else:
-        part = [int(np.dot(keys == v, weights)) for v in range(size - 1)]
-        total = int(weights.sum())
-    return np.array(part + [total - sum(part)], dtype=np.int64)   # the last key has the rest
+    if size > _FEW_KEYS:
+        return np.bincount(keys, minlength=size) * weights
+    part = [np.count_nonzero(keys == v) for v in range(size - 1)]
+    part.append(len(keys) - sum(part))    # the last key has the rest
+    return np.array(part, dtype=np.int64) * weights
 
 
 def _length(lo: float, hi: float) -> float:
@@ -498,36 +515,26 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
     symbols, or 1e-12 in coordinates)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if _is_symbolic_path(system):
-        arr, cell_first = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
-        idx = np.repeat(np.arange(len(cell_first) - 1), np.diff(cell_first))[:n]
+    symbolic = _is_symbolic_path(system)
+    if symbolic:
+        arr, cells = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
+        idx = cells.cells(n)
         steps = np.diff(idx)
-        if idx[0] != 0 or (steps.size and (steps != steps[0]).any()):
+        if (steps != steps[:1]).any():
             # fractional strides revisit base coordinates at changing fibers;
             # the symbol-window key cannot tell those orbit points apart
             raise TypeError("empirical measures need whole-base-step orbits")
-        windows = np.lib.stride_tricks.sliding_window_view(
-            arr, _EMPIRICAL_KEY_DEPTH
-        )[idx]
-        uniq, first, counts = np.unique(
-            windows, axis=0, return_index=True, return_counts=True
-        )
-        if len(uniq) > _EMPIRICAL_BUDGET:
-            raise BudgetExhausted(
-                f"empirical measure needs {len(uniq)} atoms (budget {_EMPIRICAL_BUDGET})"
-            )
-        pts = tuple(
-            Point(x.rule, x.offset + int(idx[j]), x.component, x.fiber) for j in first
-        )
-        return Atomic(pts, tuple(counts / n))
-    coords = _orbit_coords(system, x, n)
-    keys = np.round(coords * 1e12).astype(np.int64)
-    uniq, first, counts = np.unique(keys, return_index=True, return_counts=True)
+        keys = np.lib.stride_tricks.sliding_window_view(arr, _EMPIRICAL_KEY_DEPTH)[idx]
+    else:
+        coords = _orbit_coords(system, x, n)
+        keys = np.round(coords * 1e12).astype(np.int64)
+    uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
     if len(uniq) > _EMPIRICAL_BUDGET:
         raise BudgetExhausted(
             f"empirical measure needs {len(uniq)} atoms (budget {_EMPIRICAL_BUDGET})"
         )
-    pts = tuple(Point(Coordinate((coords[int(j)],))) for j in first)
+    pts = tuple(Point(x.rule, x.offset + int(idx[j]), x.component, x.fiber) if symbolic
+                else Point(Coordinate((coords[int(j)],))) for j in first)
     return Atomic(pts, tuple(counts / n))
 
 

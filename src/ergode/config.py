@@ -48,7 +48,6 @@ COMMANDS = (
 
 _NUM = {"type": "number"}
 _INT = {"type": "integer"}
-_STR = {"type": "string"}
 
 _SYSTEM = {
     "type": "object",

@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from .birkhoff import _chart
 from .systems import (
     BudgetExhausted, CircleMult, DisjointUnion, FullShift, MarkovShift, Point,
     Suspension, TimeTMap,
@@ -376,16 +377,15 @@ def _distinct_prefixes(subset: SampleCloud, depth: int) -> int:
 
 def _integer_stride(system: TimeTMap):
     """The map time as a whole number of roof crossings, or None when the
-    time is fractional."""
+    time is fractional: exactly, on t and the roof as `birkhoff._chart`
+    reads them."""
     roof = system.flow.roof
     if roof.depth > 0:
         raise TypeError("time-t maps are handled for word-independent roofs only")
-    m = system.t / roof.roof_max
-    if abs(m - round(m)) > 1e-9 or round(m) < 1:
-        if system.t <= 0:
-            raise ValueError("the map time must be positive")
-        return None
-    return int(round(m))
+    if system.t <= 0:
+        raise ValueError("the map time must be positive")
+    chart = _chart(0.0, system.t, roof.roof_max)
+    return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
 
 
 # ---------------------------------------------------------------------------

@@ -259,17 +259,10 @@ FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
 
 @dataclass(frozen=True)
 class TimeTMap(_Descriptor):
-    """The time-t map of a flow, used as a discrete system.
-
-    `_grid` holds (fiber, grid) for the fiber read last: the cell grid that
-    `birkhoff` reads the orbits of a constant-roof suspension through.  It
-    depends only on the roof, t and the fiber, so every point read through
-    this map at that fiber shares it.
-    """
+    """The time-t map of a flow, used as a discrete system."""
 
     flow: FlowDescriptor
     t: float
-    _grid: list = field(default_factory=lambda: [None], compare=False, repr=False)
 
     def __post_init__(self):
         if not self.flow.is_flow:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -248,14 +249,36 @@ def map_steps_reference(tmap, x, n):
     return np.searchsorted(entry_times, times, side="right") - 1
 
 
-def map_profile_reference(tmap, x, phi, cps):
+def map_steps_exact(tmap, x, n):
+    """idx[j]: the base cell read at map step j under a constant roof, in
+    rational arithmetic on the short decimals that t, the roof and the fiber
+    print as."""
+    f0 = x.fiber if x.fiber is not None else 0.0
+    f, t, c = (Fraction(repr(v)) for v in (f0, tmap.t, tmap.flow.roof.table[0]))
+    return np.array([(f + t * j) // c for j in range(n)], dtype=np.int64)
+
+
+def assert_cells_match(cells, idx):
+    """The cells of a `_map_cells` read against the cell read at each step."""
+    n, held = len(idx), np.bincount(idx)
+    L = len(held) - 1
+    assert cells.cell(n - 1) == L and cells.cells(n).tolist() == idx.tolist()
+    assert cells.first(0) == 0 and cells.first(L + 1) >= n
+    if L > 0:
+        assert cells.first(1) == held[0]
+        # one number when every cell after cell 0 holds as many steps
+        assert np.broadcast_to(cells.steps(1, L), (L - 1,)).tolist() == held[1:L].tolist()
+    assert n - cells.first(L) == held[L]
+
+
+def map_profile_reference(tmap, x, phi, cps, steps=map_steps_reference):
     """Running map averages from a per-step gather of the base symbols."""
     if isinstance(phi, Constant):
         return np.full(len(cps), phi.value)
     word = phi.word if isinstance(phi, CylinderIndicator) else (phi.symbol,)
     if phi.component is not None and x.component != phi.component:
         return np.zeros(len(cps))
-    idx = map_steps_reference(tmap, x, cps[-1])
+    idx = steps(tmap, x, cps[-1])
     arr = np.asarray(x.prefix(int(idx[-1]) + len(word) + 1))
     hit = arr[idx] == word[0]
     for i, s in enumerate(word[1:], start=1):
@@ -313,10 +336,9 @@ def test_time_t_map_profile_matches_per_step_reference(roof, t, fiber, point):
     cps = (1, 2, 7, 40, 168, 680, 1001, 2728, 6000)
     n = cps[-1]
     idx = map_steps_reference(tmap, x, n)
-    _, first = _map_cells(tmap, x, n, 1)
-    assert len(first) == idx[-1] + 2 and first[-1] >= n
-    assert np.diff(first)[:-1].tolist() == np.bincount(idx)[:-1].tolist()
-    assert n - first[-2] == np.bincount(idx)[-1]
+    assert_cells_match(_map_cells(tmap, x, n, 1)[1], idx)
+    if roof.depth == 0:
+        assert idx.tolist() == map_steps_exact(tmap, x, n).tolist()
     for phi in OBSERVABLES[:3]:
         got = birkhoff_profile(tmap, x, phi, Schedule(cps))
         assert got.tolist() == map_profile_reference(tmap, x, phi, cps).tolist(), phi
@@ -325,8 +347,6 @@ def test_time_t_map_profile_matches_per_step_reference(roof, t, fiber, point):
 def test_flow_profile_matches_exact_rational_arithmetic():
     """Cell entries i*c are not summed one roof at a time, so a roof like 0.3
     gathers no rounding drift over long horizons."""
-    from fractions import Fraction
-
     flow = Suspension(FullShift(2), RoofFunction.constant(0.3))
     rule = irregular_point(FullShift(2), 1, 0.3, 0.7, first_block=8, ratio=4, horizon=1 << 16)
     x = rule.point.with_fiber(0.002316833146874575)
@@ -415,32 +435,87 @@ def test_one_time_t_map_shares_its_cell_grid_across_points_and_lengths(roof, t, 
         idx = map_steps_reference(shared, x, n)
         got_arr, got = _map_cells(shared, x, n, 2)
         want_arr, want = _map_cells(TimeTMap(flow, t), x, n, 2)
-        assert got.tolist() == want.tolist() and np.array_equal(got_arr, want_arr)
-        assert len(got) == idx[-1] + 2 and got[-1] >= n
-        assert np.diff(got)[:-1].tolist() == np.bincount(idx)[:-1].tolist()
+        assert got == want and np.array_equal(got_arr, want_arr)
+        assert_cells_match(got, idx)
         cps = (7, n // 3, n)
         for phi in OBSERVABLES[:3]:
             assert birkhoff_profile(shared, x, phi, Schedule(cps)).tolist() == \
                 map_profile_reference(shared, x, phi, cps).tolist(), phi
-    # the map keeps the grid of the fiber it read last; points read at that
-    # fiber get slices of it
-    fiber, grid = shared._grid[0]
-    assert fiber == reads[-1][1]
+    # the grid is the chart of (fiber, t, roof): every point and every length
+    # read through any map with those numbers gets the same one
+    fiber = reads[-1][1]
+    _, chart = _map_cells(shared, POINTS["iid"].with_fiber(fiber), 300, 2)
     for point in sorted(POINTS):
-        _, first = _map_cells(shared, POINTS[point].with_fiber(fiber), 300, 2)
-        assert np.shares_memory(first, grid)
+        assert _map_cells(TimeTMap(flow, t), POINTS[point].with_fiber(fiber), 9000, 2)[1] is chart
     assert shared == TimeTMap(flow, t) and hash(shared) == hash(TimeTMap(flow, t))
 
 
 def test_the_shared_cell_grid_is_read_only():
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(2.0)), 1.0)
     x = POINTS["iid"].with_fiber(0.0)
-    _, first = _map_cells(tmap, x, 5000, 1)
-    assert not first.flags.writeable
-    with pytest.raises(ValueError):
-        first[1] = 7
+    _, chart = _map_cells(tmap, x, 5000, 1)
+    with pytest.raises(AttributeError):
+        chart.f = 7
     _, again = _map_cells(tmap, x, 100, 1)
-    assert not again.flags.writeable and again.tolist() == first[:len(again)].tolist()
+    assert again == chart and again.steps(1, 60) == 2
+    assert [again.first(i) for i in range(60)] == [2 * i for i in range(60)]
+
+
+@st.composite
+def short_decimals(draw):
+    """(t, c, f0) that print as short decimals (c with at most 3 places, t and
+    f0 with at most 5), with t/c at most 5 (at most 5 * 10^4 cells in 10^4
+    steps) and f0 < c."""
+    i, p = draw(st.integers(1, 999)), draw(st.integers(0, 3))
+    j, q = draw(st.integers(1, 50)), draw(st.integers(1, 2))
+    c, t = float(f"{i}e-{p}"), float(f"{i * j}e-{p + q}")
+    f0 = float(f"{draw(st.integers(0, 999))}e-{draw(st.integers(0, 5))}")
+    return t, c, f0 if f0 < c else 0.0
+
+
+@given(tcf=short_decimals(), point=st.sampled_from(sorted(POINTS)))
+@settings(deadline=None, max_examples=30)
+def test_time_t_map_cells_match_exact_arithmetic_on_short_decimals(tcf, point):
+    t, c, f0 = tcf
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(c)), t)
+    x = POINTS[point].with_fiber(f0)
+    n = 10_000
+    idx = map_steps_exact(tmap, x, n)
+    assert_cells_match(_map_cells(tmap, x, n, 1)[1], idx)
+    cps = (1, 7, 1001, n)
+    for phi in OBSERVABLES[:3]:
+        assert birkhoff_profile(tmap, x, phi, Schedule(cps)).tolist() == \
+            map_profile_reference(tmap, x, phi, cps, lambda *_: idx).tolist(), phi
+
+
+def test_time_t_map_cells_under_a_non_dyadic_roof_are_exact_far_out():
+    """t = 0.7 over the roof 0.3: the step i*3/7 lands exactly on an entry
+    whenever 7 divides i, and cell i is first read at step ceil(3i/7)."""
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.3)), 0.7)
+    n = 2_000_000
+    _, chart = _map_cells(tmap, POINTS["iid"].with_fiber(0.0), n, 1)
+    L = chart.cell(n - 1)
+    assert L == 7 * (n - 1) // 3 and chart.first(1) == 1
+    for lo in range(1, L + 1, 1 << 16):
+        hi = min(lo + (1 << 16), L + 1)
+        i = np.arange(lo, hi + 1, dtype=np.int64)
+        assert np.array_equal(chart.steps(lo, hi), np.diff(-((-3 * i) // 7))), lo
+    assert [chart.first(i) for i in (23_904, 23_905, 23_906)] == [10_245, 10_245, 10_246]
+
+
+def test_a_long_decimal_fiber_reads_through_python_integers():
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.3)), 0.7)
+    x = POINTS["steered"].with_fiber(0.002316833146874575)
+    n = 10_000
+    _, chart = _map_cells(tmap, x, n, 1)
+    # a denominator of 10^18: chunks pass the int64 bound, and the steps the int64 range
+    assert chart.cc >= 1 << 46 and chart.f + n * chart.tt >= 1 << 63
+    idx = map_steps_exact(tmap, x, n)
+    assert_cells_match(chart, idx)
+    cps = (1, 7, 1001, n)
+    for phi in OBSERVABLES[:3]:
+        assert birkhoff_profile(tmap, x, phi, Schedule(cps)).tolist() == \
+            map_profile_reference(tmap, x, phi, cps, lambda *_: idx).tolist(), phi
 
 
 def test_precomputed_targets_give_the_same_verdicts():

@@ -31,6 +31,7 @@ from ergode.entropy import (
     caratheodory_sum,
     spanning_entropy,
     word_count_rate,
+    _integer_stride,
     _markov_window_log_counts,
 )
 
@@ -401,6 +402,22 @@ def test_time_t_map_entropy_with_integer_stride_is_exact():
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
     est = bowen_entropy_symbolic(TimeTMap(flow, 2.0), WholeSpace(), depths=(10, 20, 30))
     assert est.value == pytest.approx(2 * math.log(2), abs=1e-9)
+
+
+@pytest.mark.parametrize("t, roof, stride", [
+    (1.0000000001, 1.0, None),   # was taken as stride 1 within a 1e-9 tolerance
+    (0.3, 0.1, 3),               # 0.3 / 0.1 is 2.9999999999999996 in floats
+    (2.0, 1.0, 2), (0.5, 1.0, None), (0.75, 0.25, 3), (0.25, 0.75, None),
+])
+def test_the_integer_stride_is_an_exact_quotient(t, roof, stride):
+    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(roof)), t)
+    assert _integer_stride(tmap) == stride
+
+
+def test_a_stride_of_three_tenths_over_one_tenth_is_three_roofs():
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.1))
+    est = bowen_entropy_symbolic(TimeTMap(flow, 0.3), WholeSpace(), depths=(30, 60, 90))
+    assert est.value == pytest.approx(3 * math.log(2), abs=1e-9)
 
 
 def test_time_t_map_entropy_with_fractional_stride_converges():
