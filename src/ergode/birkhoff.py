@@ -169,6 +169,10 @@ class _Chart:
         j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
         return ((self.f + j * self.tt) // self.cc).astype(np.int64)
 
+    def whole_steps(self, n: int) -> bool:
+        """Does every step move a whole number of cells (t/c is a whole number)?"""
+        return self.tt % self.cc == 0
+
 
 @functools.lru_cache(maxsize=64)
 def _chart(f0: float, t: float, c: float) -> _Chart:
@@ -198,6 +202,11 @@ class _Grid:
     def cells(self, n: int) -> np.ndarray:
         return np.repeat(np.arange(len(self.first_steps) - 1), np.diff(self.first_steps))[:n]
 
+    def whole_steps(self, n: int) -> bool:
+        """Do the first n steps all move alike?"""
+        steps = np.diff(self.cells(n))
+        return not (steps != steps[:1]).any()
+
 
 def _fiber(flow: Suspension, x: Point) -> float:
     """The fiber coordinate of a suspension point (0 when unset), checked to
@@ -216,26 +225,31 @@ def _roof_values(roof, x: Point, horizon: float) -> np.ndarray:
     return roof.values_along(np.asarray(x.prefix(count + roof.depth)), count)
 
 
-def _map_cells(system, x: Point, n: int, depth: int):
-    """(symbols, cells) for the first n map steps of a symbolic orbit: the
-    base symbols up to the cell read at step n-1 and the depth-1 after it,
-    and a `_Chart` (a shift, or the time-t map of a suspension under a
-    constant roof, cached per fiber, t and roof) or, under a word-dependent
-    roof, a `_Grid` (step j reads the last cell entered by time f0 + t*j)."""
+def _map_chart(system, x: Point, n: int):
+    """The cells of the first n map steps of a symbolic orbit: a `_Chart` (a
+    shift, or the time-t map of a suspension under a constant roof, cached
+    per fiber, t and roof) or, under a word-dependent roof, a `_Grid` (step j
+    reads the last cell entered by time f0 + t*j)."""
     if system.symbolic:
-        return np.asarray(x.prefix(n + depth - 1)), _Chart(0, 1, 1)
+        return _Chart(0, 1, 1)
     flow, t = system.flow, system.t
     if t < 0:
         raise ValueError("suspension flows run forward in time only")
     f0 = _fiber(flow, x)
     if flow.roof.depth == 0:
-        cells = _chart(f0, t, flow.roof.table[0])
-    else:
-        last = f0 + t * (n - 1)
-        entries = np.concatenate(([0.0], np.cumsum(_roof_values(flow.roof, x, last))))
-        first = np.zeros(int(np.searchsorted(entries, last, side="right")) + 1, dtype=np.int64)
-        _fill_first(first, f0, t, entries)
-        cells = _Grid(first)
+        return _chart(f0, t, flow.roof.table[0])
+    last = f0 + t * (n - 1)
+    entries = np.concatenate(([0.0], np.cumsum(_roof_values(flow.roof, x, last))))
+    first = np.zeros(int(np.searchsorted(entries, last, side="right")) + 1, dtype=np.int64)
+    _fill_first(first, f0, t, entries)
+    return _Grid(first)
+
+
+def _map_cells(system, x: Point, n: int, depth: int):
+    """(symbols, cells) for the first n map steps of a symbolic orbit: the
+    base symbols up to the cell read at step n-1 and the depth-1 after it,
+    and the `_map_chart` of the steps."""
+    cells = _map_chart(system, x, n)
     return np.asarray(x.prefix(cells.cell(n - 1) + depth)), cells
 
 
@@ -328,6 +342,11 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
     profile under that roof.  On top come cell 0, from the fiber f0 to its
     roof on a flow, and the partial last cell, from its bottom (or its first
     map step) to the checkpoint.
+
+    A depth-1 read in which every full cell weighs the same (a shift, a
+    constant-roof flow, a constant-roof time-t map whose t divides the roof)
+    of a point whose rule has `counts` builds no symbols: the counts of the
+    full cells and the symbols of the edge cells come from the rule's recipe.
     """
     flow = system.is_flow
     suspension = system if flow else getattr(system, "flow", None)
@@ -376,38 +395,50 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
                 raise BudgetExhausted("flow horizon exceeds the prepared roof window")
             roof0, entry = vals[0], [entries[L] for L in ends]
             classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
-        arr = np.asarray(x.prefix(ends[-1] + depth))
     else:
-        arr, cells = _map_cells(system, x, Ts[-1], depth)
+        cells = _map_chart(system, x, Ts[-1])
         ends = [cells.cell(n - 1) for n in Ts]
         ns = np.asarray(Ts)
         last_steps = ns - [cells.first(L) for L in ends]   # map steps in the partial last cell
         steps0 = (np.asarray(ends) > 0) * cells.first(1)   # in cell 0 while it is full
     n_cls = len(classes) if flow else 1
+    # a flow counts cells; a map counts the steps in them, one number when
+    # every cell takes the same.  Cell 0 is counted apart: a flow enters it at
+    # f0, a map may spend fewer steps in it.
+    weight = 1 if flow else cells.steps(1, 1)
+    tally = getattr(x.rule, "counts", None)
+    if depth == 1 and n_cls == 1 and np.ndim(weight) == 0 and tally and x.rule.k == k:
+        # the rule counts its symbols from its recipe, so nothing is built:
+        # the full cells [1, e) hold at(e) - at(1) of each symbol
+        def at(i):
+            return tally(x.offset + i)
 
-    def codes(lo, hi):
-        if depth == 1:
-            return arr[lo:hi]
-        c = arr[lo:hi].astype(np.int64)
-        for d in range(1, depth):
-            c *= k
-            c += arr[lo + d:hi + d]
-        return c
+        counted = [(at(max(e, 1)) - at(1)) * weight for e in ends]
+        edge = np.array([int(np.argmax(at(i + 1) - at(i))) for i in (0, *ends)])
+    else:
+        arr = np.asarray(x.prefix(ends[-1] + depth))
 
-    def counts(lo, hi):
-        keys = codes(lo, hi) if inv is None else codes(lo, hi) * np.int64(n_cls) + inv[lo:hi]
-        # a flow counts cells; a map counts the steps in them
-        return _key_counts(keys, k ** depth * n_cls, 1 if flow else cells.steps(lo, hi))
+        def codes(lo, hi):
+            if depth == 1:
+                return arr[lo:hi]
+            c = arr[lo:hi].astype(np.int64)
+            for d in range(1, depth):
+                c *= k
+                c += arr[lo + d:hi + d]
+            return c
 
-    # cell 0 is counted apart: a flow enters it at f0, a map may spend fewer steps in it
-    counted = _running_totals(ends, counts, np.zeros(k ** depth * n_cls, dtype=np.int64))
+        def counts(lo, hi):
+            keys = codes(lo, hi) if inv is None else codes(lo, hi) * np.int64(n_cls) + inv[lo:hi]
+            return _key_counts(keys, k ** depth * n_cls, 1 if flow else cells.steps(lo, hi))
+
+        counted = _running_totals(ends, counts, np.zeros(k ** depth * n_cls, dtype=np.int64))
+        edge = np.array([_code(arr[i:i + depth].tolist(), k) for i in (0, *ends)])
     # a word of length d is the depth-D codes [code*span, (code+1)*span)
     cum = np.zeros((len(Ts), k ** depth + 1, n_cls), dtype=np.result_type(*counted))
     np.cumsum(np.stack(counted).reshape(len(Ts), k ** depth, n_cls), axis=1, out=cum[:, 1:])
     cols, wcodes, spans = (np.array(v) for v in zip(*[(w[0], w[1], k ** (depth - w[2]))
                                                      for w in words]))
     full = cum[:, (wcodes + 1) * spans] - cum[:, wcodes * spans]   # (checkpoint, word, class)
-    edge = np.array([_code(arr[i:i + depth].tolist(), k) for i in (0, *ends)])
     hit_last = edge[1:, None] // spans == wcodes
     hit0 = edge[0] // spans == wcodes
     if not flow:
@@ -518,12 +549,11 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
     symbolic = _is_symbolic_path(system)
     if symbolic:
         arr, cells = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
-        idx = cells.cells(n)
-        steps = np.diff(idx)
-        if (steps != steps[:1]).any():
+        if not cells.whole_steps(n):
             # fractional strides revisit base coordinates at changing fibers;
             # the symbol-window key cannot tell those orbit points apart
             raise TypeError("empirical measures need whole-base-step orbits")
+        idx = cells.cells(n)
         keys = np.lib.stride_tricks.sliding_window_view(arr, _EMPIRICAL_KEY_DEPTH)[idx]
     else:
         coords = _orbit_coords(system, x, n)

@@ -1,4 +1,4 @@
-"""State spaces, maps, flows and their metrics.
+"""State spaces, maps and flows, and the points they act on.
 
 Discrete systems: full shifts, vertex shifts given by an adjacency matrix,
 circle multiplication x -> n*x mod 1, circle rotation x -> x + theta mod 1,
@@ -14,9 +14,10 @@ an offset into the shared stream.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -24,8 +25,8 @@ __all__ = [
     "FullShift", "MarkovShift", "CircleMult", "CircleRotation", "DisjointUnion",
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
     "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "SteeredBlocks",
-    "Coordinate", "Point", "Distance", "MetricSpec", "metric_for", "distance",
-    "step", "iterate", "time_t_map", "random_point", "BudgetExhausted",
+    "Coordinate", "Point", "step", "iterate", "time_t_map", "random_point",
+    "BudgetExhausted",
 ]
 
 
@@ -411,10 +412,12 @@ class SteeredBlocks:
     other position takes others[(j - 1 - marks_{j-1}) % (k - 1)], the next of
     the remaining symbols in increasing order, cycling and restarting at each
     block.  Past the last block end the last block repeats forever, as in
-    `BlockSchedule`.  Blocks are written `_STEER_CHUNK` positions at a time,
-    so building a stream holds little more than the stream.  The recipe is a
-    few numbers, so irregular points serialise and replay in this form
-    without ever holding their symbols as Python objects.
+    `BlockSchedule`.  The recipe is a few numbers, so irregular points
+    serialise and replay in this form without ever holding their symbols as
+    Python objects, and `counts(n)` answers how often each symbol occurs in a
+    prefix from the recipe alone, so a depth-1 orbit read builds no stream.
+    `materialise` writes blocks `_STEER_CHUNK` positions at a time, so
+    building a stream holds little more than the stream.
     """
 
     k: int
@@ -449,20 +452,41 @@ class SteeredBlocks:
     def _write_block(self, out: np.ndarray, L: int, want: int) -> None:
         """Positions 1..len(out) of a block of length L adding `want` copies."""
         others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
-        # with two letters a position is 1 exactly where marks step (symbol 1)
-        # or where they do not (symbol 0); one compare in place of the
-        # modulo and gather builds a stream in a third of the time
-        ones_at = np.not_equal if self.symbol == 1 else np.equal
         for a in range(0, len(out), _STEER_CHUNK):
             b = min(a + _STEER_CHUNK, len(out))
             marks = (np.arange(a, b + 1, dtype=np.int64) * want) // L
             part = out[a:b]
-            if self.k == 2:
-                ones_at(marks[1:], marks[:-1], out=part)
-                continue
             filled = np.arange(a, b, dtype=np.int64) - marks[:-1]
             part[:] = others[filled % len(others)]
             part[marks[1:] > marks[:-1]] = self.symbol
+
+    def _block_counts(self, L: int, want: int, p: int) -> list:
+        """Symbol counts over positions 1..p of a block of length L adding
+        `want` copies: floor(p * want / L) marks, and the other positions
+        dealt to the other symbols in turn."""
+        marks = p * want // L
+        q, r = divmod(p - marks, self.k - 1)
+        out = [q + (i < r) for i in range(self.k - 1)]
+        out.insert(self.symbol, marks)
+        return out
+
+    def counts(self, n: int) -> np.ndarray:
+        """How often each symbol occurs at positions 0..n-1: the counts before
+        the block holding position n, plus its first p positions.  The first
+        call tallies the whole blocks, O(#blocks); the symbol at position i is
+        the one where counts(i + 1) - counts(i) is 1."""
+        table = self._buf.get("blocks")
+        if table is None:         # each block's start and want, and the counts before it
+            starts, wants = (0,) + self.ends[:-1], tuple(self._wants())
+            whole = [self._block_counts(e - s, w, e - s)
+                     for s, e, w in zip(starts, self.ends, wants)]
+            before = np.cumsum([[0] * self.k] + whole, axis=0)
+            table = self._buf["blocks"] = (starts, wants, before)
+        starts, wants, before = table
+        i = min(bisect.bisect_right(self.ends, n), len(wants) - 1)
+        L = self.ends[i] - starts[i]
+        q, p = divmod(n - starts[i], L)           # q > 0 only where the last block repeats
+        return before[i] + q * (before[i + 1] - before[i]) + self._block_counts(L, wants[i], p)
 
     def materialise(self, n: int) -> np.ndarray:
         arr = self._buf.get("arr")
@@ -627,92 +651,6 @@ def _suspension_advance(flow: Suspension, x: Point, t: float) -> Point:
         cur = cur.shifted(1)          # suspension bases are symbolic
     rem = max(rem + carry, 0.0)
     return Point(cur.rule, cur.offset, cur.component, rem)
-
-
-# ---------------------------------------------------------------------------
-# metrics
-
-
-class Distance(NamedTuple):
-    value: float
-    truncated: bool
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Names the metric of a space; `distance` dispatches on it.
-
-    Symbolic: 2**-(first disagreement index), so <= 1 with index 0 giving 1.
-    Circle/torus: (max) arc distance.  Disjoint union: 1 across components.
-    Suspension: max of base distance and fiber gap, also compared through the
-    next roof crossing on either side, clamped at the cell diameter 1.
-    """
-
-    space: SpaceDescriptor
-
-
-def metric_for(space) -> MetricSpec:
-    if isinstance(space, TimeTMap):
-        return MetricSpec(space.flow)
-    return MetricSpec(space)
-
-
-def _symbolic_distance(x: Point, y: Point, horizon: int) -> Distance:
-    a = x.prefix(horizon)
-    b = y.prefix(horizon)
-    neq = a != b
-    if not neq.any():
-        return Distance(0.0, True)
-    return Distance(2.0 ** -int(np.argmax(neq)), False)
-
-
-def _arc(a: float, b: float) -> float:
-    d = abs(a - b) % 1.0
-    return min(d, 1.0 - d)
-
-
-def distance(metric: MetricSpec, x: Point, y: Point, horizon: int = 256) -> Distance:
-    """Distance truncated at `horizon` symbols for symbolic comparisons.
-
-    When no disagreement is found within the horizon the reported value is 0
-    with the truncation flag set, so callers can tell "equal as far as we
-    looked" from a genuine zero.
-    """
-    space = metric.space
-    if isinstance(space, (FullShift, MarkovShift)):
-        return _symbolic_distance(x, y, horizon)
-    if space.torus_dim:
-        return Distance(max(_arc(a, b) for a, b in zip(x.coords, y.coords)), False)
-    if isinstance(space, DisjointUnion):
-        if x.component not in (0, 1) or y.component not in (0, 1):
-            raise ValueError("disjoint-union points must carry a component tag")
-        if x.component != y.component:
-            return Distance(1.0, False)
-        side = space.side(x.component)
-        return distance(MetricSpec(side), Point(x.rule, x.offset), Point(y.rule, y.offset), horizon)
-    if isinstance(space, Suspension):
-        return _suspension_distance(space, x, y, horizon)
-    raise TypeError(f"no metric for {type(space).__name__}")
-
-
-def _suspension_distance(flow: Suspension, x: Point, y: Point, horizon: int) -> Distance:
-    if x.fiber is None or y.fiber is None:
-        raise ValueError("suspension points need a fiber coordinate")
-    base_metric = MetricSpec(flow.base)
-    bx = Point(x.rule, x.offset, x.component)
-    by = Point(y.rule, y.offset, y.component)
-    rx = flow.roof.value_at(x)
-    ry = flow.roof.value_at(y)
-    d_xy = distance(base_metric, bx, by, horizon)
-    d_sx = distance(base_metric, step(flow.base, bx), by, horizon)
-    d_sy = distance(base_metric, bx, step(flow.base, by), horizon)
-    candidates = (
-        max(d_xy.value, abs(x.fiber - y.fiber)),
-        max(d_sx.value, (rx - x.fiber) + y.fiber),   # x crosses its roof first
-        max(d_sy.value, (ry - y.fiber) + x.fiber),   # y crosses its roof first
-    )
-    truncated = d_xy.truncated or d_sx.truncated or d_sy.truncated
-    return Distance(min(1.0, *candidates), truncated)
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     SeededIID,
+    SteeredBlocks,
     Suspension,
     TimeTMap,
     step,
@@ -381,21 +382,22 @@ def test_suspension_readers_respect_the_component():
         map_profile_reference(TimeTMap(flow, 0.3), x, own, (3, 30, 300)).tolist()
 
 
+@pytest.mark.parametrize("point", sorted(POINTS))
 @pytest.mark.parametrize("fiber", [1.0, 5.0])
-def test_fiber_outside_the_roof_is_refused_on_both_paths(fiber):
+def test_fiber_outside_the_roof_is_refused_on_both_paths(fiber, point):
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
-    x = Point(SeededIID(5, (0.5, 0.5)), fiber=fiber)
+    x = POINTS[point].with_fiber(fiber)
     with pytest.raises(ValueError, match="fiber coordinate"):
         flow_average_profile(flow, x, SymbolFrequency(0), Schedule((10.0,)))
     with pytest.raises(ValueError, match="fiber coordinate"):
         birkhoff_profile(TimeTMap(flow, 1.0), x, SymbolFrequency(0), Schedule((10,)))
 
 
-def test_time_t_map_of_a_suspension_refuses_negative_t():
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_time_t_map_of_a_suspension_refuses_negative_t(point):
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), -1.0)
     with pytest.raises(ValueError, match="forward in time"):
-        birkhoff_profile(tmap, Point(SeededIID(5, (0.5, 0.5)), fiber=0.0),
-                         SymbolFrequency(0), Schedule((10,)))
+        birkhoff_profile(tmap, POINTS[point].with_fiber(0.0), SymbolFrequency(0), Schedule((10,)))
 
 
 def test_family_profiles_on_a_time_t_map_match_the_single_profiles():
@@ -575,3 +577,83 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
     classify_generic(flow, POINTS["iid"].with_fiber(0.0), None, fam,
                      Schedule((1000.0, 2000.0, 4000.0)), targets=np.zeros(14))
     assert 1 <= len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# depth-1 reads of steered points count from the recipe
+
+
+def steered_case(k, symbol):
+    """A steered point and an `ExplicitWord` of a prefix of its stream long
+    enough for every read below, so the word reads through the chunked path."""
+    rec = irregular_point(FullShift(k), symbol, 0.3, 0.6, horizon=1 << 12)
+    twin = SteeredBlocks(k, symbol, rec.block_ends, rec.targets)
+    return rec, ExplicitWord(tuple(twin.materialise(1 << 16).tolist()))
+
+
+def steered_systems(k):
+    """name -> (system over the k-symbol shift, whether a depth-1 read of a
+    steered point counts from the recipe rather than building its stream)."""
+    shift = FullShift(k)
+    out = {"shift": (shift, True)}
+    for c in (1.0, 2.0, 0.75):
+        out[f"flow-{c}"] = (Suspension(shift, RoofFunction.constant(c)), True)
+        for t in (1.0, 0.25, 0.3):     # counted where t divides the roof
+            tmap = TimeTMap(Suspension(shift, RoofFunction.constant(c)), t)
+            out[f"time-{t}-roof-{c}"] = (tmap, (c / t).is_integer())
+    return out
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("k, symbol", [(2, 0), (2, 1), (3, 2)])
+@pytest.mark.parametrize("name", sorted(steered_systems(2)))
+def test_steered_profiles_are_those_of_the_chunked_path(name, k, symbol, offset):
+    system, counted = steered_systems(k)[name]
+    rec, word = steered_case(k, symbol)
+    fiber = None if system.symbolic else 0.0
+    x = Point(rec.point.rule, offset, fiber=fiber)
+    ref = Point(word, offset, fiber=fiber)
+    obs = [SymbolFrequency(s) for s in range(k)] + [Constant(0.75)]
+    if system.is_flow:
+        obs.append(FiberProfile(SymbolFrequency(symbol), TENT))
+    cps = rec.block_ends + (12_000, 20_001)    # the last two where the last block repeats
+    sched = Schedule(tuple(float(e) for e in cps)) if system.is_flow else Schedule(cps)
+    fam = TestFamily(tuple(obs))
+    got = classify_generic(system, x, None, fam, sched, keep_profile=True,
+                           targets=np.zeros(len(obs))).profile
+    want = classify_generic(system, ref, None, fam, sched, keep_profile=True,
+                            targets=np.zeros(len(obs))).profile
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    phi = SymbolFrequency(symbol)
+    got, want = (classify_irregular(system, p, phi, sched, keep_profile=True) for p in (x, ref))
+    assert (got.label, got.gap, np.array(got.profile).tobytes()) == \
+        (want.label, want.gap, np.array(want.profile).tobytes())
+    assert ("arr" not in x.rule._buf) == counted
+
+
+@pytest.mark.parametrize("system", [
+    Suspension(FullShift(2), RoofFunction.constant(1.0)),
+    TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), 1.0),
+], ids=["unit-roof-flow", "time-1-map"])
+def test_an_irregular_read_of_a_default_steered_point_builds_no_long_stream(system):
+    rec = irregular_point(FullShift(2), 0, 0.3, 0.7)
+    assert rec.block_ends[-1] > 1 << 21
+    sched = rec.schedule()
+    if not system.is_flow:
+        sched = Schedule(tuple(int(c) for c in sched.checkpoints))
+    verdict = classify_irregular(system, rec.point.with_fiber(0.0), SymbolFrequency(0), sched)
+    assert verdict.label == "Irregular"
+    held = [a for v in rec.point.rule._buf.values()
+            for a in (v if isinstance(v, tuple) else (v,))]
+    assert max(np.size(a) for a in held) <= 1 << 16
+
+
+def test_empirical_measure_refuses_a_fractional_stride_at_every_length():
+    flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
+    x = Point(ExplicitWord((0, 1, 1, 0)), fiber=0.0)
+    for n in (2, 3, 8):   # n = 2 reads cells [0, 0], which merged two orbit points
+        with pytest.raises(TypeError, match="whole-base-step"):
+            empirical_measure(TimeTMap(flow, 0.5), x, n)
+    emp = empirical_measure(TimeTMap(flow, 2.0), x, 5)
+    assert sum(emp.weights) == pytest.approx(1.0)
+    assert sorted(p.offset for p in emp.points) == [0, 2]

@@ -12,9 +12,7 @@ from ergode.systems import (
     Point,
     SteeredBlocks,
     Suspension,
-    distance,
     iterate,
-    metric_for,
     random_point,
 )
 from ergode.measures import Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily
@@ -29,6 +27,8 @@ from ergode.constructions import (
     irregular_point,
     mistake_ball_membership,
 )
+
+from metrics import distance, metric_for
 
 GOLDEN_MEAN = MarkovShift(2, ((1, 1), (1, 0)))
 

@@ -22,9 +22,7 @@ from ergode.systems import (
     Suspension,
     TimeTMap,
     TorusTranslation,
-    distance,
     iterate,
-    metric_for,
     random_point,
     step,
     time_t_map,
@@ -32,6 +30,8 @@ from ergode.systems import (
 )
 from ergode.measures import Markov
 from ergode.constructions import _sample_markov
+
+from metrics import distance, metric_for
 
 
 def test_step_advances_offset():
@@ -390,3 +390,26 @@ def test_a_stream_of_no_symbols_is_empty(make):
     rule = make()
     assert rule.materialise(0).shape == (0,)
     assert len(rule._buf["arr"]) == 1024
+
+
+# ---------------------------------------------------------------------------
+# steered streams count their symbols from the recipe
+
+STEER_ENDS, STEER_TARGETS = (8, 40, 168, 680), (0.3, 0.7, 0.3, 0.7)
+
+
+@pytest.mark.parametrize("offset", [0, 3])
+@pytest.mark.parametrize("k, symbol", [(k, s) for k in (2, 3, 4) for s in range(k)])
+def test_steered_counts_equal_the_cumulative_counts_of_the_stream(k, symbol, offset):
+    rule = SteeredBlocks(k, symbol, STEER_ENDS, STEER_TARGETS)
+    n = 3000                                   # past the last end, where the last block repeats
+    built = SteeredBlocks(k, symbol, STEER_ENDS, STEER_TARGETS).materialise(offset + n)
+    cum = np.zeros((offset + n + 1, k), dtype=np.int64)
+    cum[1:] = np.cumsum(np.eye(k, dtype=np.int64)[built], axis=0)
+    ends = [e - offset for e in STEER_ENDS]
+    for m in (0, 1, 5, *ends, *(e + 1 for e in ends), 1000, 1192, 2039, n):
+        got = rule.counts(offset + m)
+        assert got.dtype == np.int64 and got.tolist() == cum[offset + m].tolist(), m
+    for i in range(offset, offset + 200):      # the symbol at i
+        assert int(np.argmax(rule.counts(i + 1) - rule.counts(i))) == built[i]
+    assert list(rule._buf) == ["blocks"]       # counting built no stream
