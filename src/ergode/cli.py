@@ -32,8 +32,8 @@ from .birkhoff import (
     family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
-    ComponentWindow, FrequencyWindow, WholeSpace, bowen_entropy_flow,
-    bowen_entropy_symbolic, spanning_entropy,
+    ComponentWindow, FrequencyWindow, UnsupportedSubset, WholeSpace,
+    bowen_entropy_flow, bowen_entropy_symbolic, spanning_entropy,
 )
 from .constructions import generic_point, glue_orbits, irregular_point
 from .config import (
@@ -65,12 +65,19 @@ def _resolve_point(obj, system, rng):
     if obj.get("kind") == "random":
         return _random_point(system, rng)
     point = build_point(obj)
-    flow = system.flow if isinstance(system, TimeTMap) else system
-    if isinstance(flow, Suspension):
+    space = system.flow if isinstance(system, TimeTMap) else system
+    if isinstance(space, Suspension):
         try:
-            _fiber(flow, point)
+            _fiber(space, point)
         except ValueError as exc:
             raise ConfigError(f"bad point: {exc}") from None
+        space = space.base
+    if isinstance(space, DisjointUnion):    # the point's side; an untagged point has none
+        space = space.side(point.component) if point.component in (0, 1) else None
+    used = {*obj.get("symbols", ()), *(s for pattern, _ in obj.get("blocks", ()) for s in pattern)}
+    k = space.alphabet if space is not None and space.symbolic else math.inf
+    if any(not 0 <= s < k for s in used):
+        raise ConfigError(f"bad point: symbols {sorted(used)} outside the alphabet of {space}")
     return point
 
 
@@ -575,7 +582,7 @@ def main(argv=None) -> int:
     rows = []
     try:
         _HANDLERS[cfg["command"]](cfg, ctx, rows)
-    except ConfigError as exc:
+    except (ConfigError, UnsupportedSubset) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:

@@ -12,15 +12,22 @@ Elements of equal span are counted together, so a cover is a list of
 which crosses 0 where the sum crosses 1.
 
 On shift spaces the refinement at depth n is the family of admissible
-n-cylinders meeting the target set, so everything reduces to counting words
-under constraints.  Two independent routes are kept deliberately separate:
-the float backends here (log-gamma sums, log-scaled matrix powers and
-dynamic programs) and the exact big-integer counts in `word_count_rate`,
-which also drive the spanning-set growth estimate.  Tests compare the
-routes; neither calls the other.  Each backend is handed an estimate's whole
-depth grid and counts it in one pass: the window dynamic programs run once
-to the deepest depth and read every shallower depth on the way, and the
-exact route packs each state's counts by symbol count into one integer.
+n-cylinders meeting the target set, so everything reduces to counting words.
+Every shift subset has one form: count windows (scale, lo, hi) on one symbol,
+`at(depth)` (none for `WholeSpace`, one at the depth for `FrequencyWindow`,
+its own list for `OscillationWindows`), plus a component choice on a disjoint
+union (`ComponentWindow`, or a frequency window's tag).  `_shift_pairs` splits
+a (system, subset) pair into (shift, subset) pairs for both routes: a full
+shift counts any window list, a vertex shift the whole space and a frequency
+window; a `SampleCloud` counts distinct prefixes on any shift space.  Every
+other pair raises `UnsupportedSubset`, on every route (exit 2 from the CLI).
+
+The float route (log-gamma sums, log-scaled matrix powers, dynamic programs)
+and the exact big-integer counts of `word_count_rate`, which also drive the
+spanning-set growth estimate, share only the window list; tests compare them.
+Each backend counts an estimate's whole depth grid in one pass: the window
+dynamic programs run to the deepest depth, reading shallower ones on the way,
+and the exact route packs each state's counts by symbol count into one integer.
 
 Suspension flows are handled for word-independent roofs: each depth-n
 cylinder times a half-roof fiber interval is a cover element whose span is
@@ -33,7 +40,7 @@ infinite and the entropy is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,8 +53,9 @@ from .systems import (
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
-    "SampleCloud", "caratheodory_sum", "EntropyEstimate", "bowen_entropy_symbolic",
-    "bowen_entropy_flow", "spanning_entropy", "word_count_rate", "WordCount",
+    "SampleCloud", "UnsupportedSubset", "caratheodory_sum", "EntropyEstimate",
+    "bowen_entropy_symbolic", "bowen_entropy_flow", "spanning_entropy",
+    "word_count_rate", "WordCount",
 ]
 
 
@@ -55,9 +63,15 @@ __all__ = [
 # target-set descriptions
 
 
+class UnsupportedSubset(TypeError, ValueError):
+    """No counting route for this subset of this system (both error types the
+    estimators once raised for such pairs, so handlers of either catch it)."""
+
+
 @dataclass(frozen=True)
 class WholeSpace:
-    pass
+    def at(self, depth: int) -> tuple:
+        return ()
 
 
 @dataclass(frozen=True)
@@ -72,6 +86,9 @@ class FrequencyWindow:
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError("need 0 <= lo <= hi <= 1")
+
+    def at(self, depth: int) -> tuple:
+        return ((depth, self.lo, self.hi),)
 
 
 @dataclass(frozen=True)
@@ -90,6 +107,11 @@ class OscillationWindows:
             raise ValueError("window scales must be strictly increasing")
         if any(not (0.0 <= lo <= hi <= 1.0) for _, lo, hi in ws):
             raise ValueError("windows must satisfy 0 <= lo <= hi <= 1")
+
+    def at(self, depth: int) -> tuple:
+        if self.windows[-1][0] > depth:
+            raise ValueError("window scale exceeds the requested depth")
+        return self.windows
 
 
 @dataclass(frozen=True)
@@ -117,29 +139,62 @@ class SampleCloud:
             raise ValueError("sample cloud must be nonempty")
 
 
+# the subsets each kind of shift counts, on both routes
+_COUNTED = {FullShift: (WholeSpace, FrequencyWindow, OscillationWindows),
+            MarkovShift: (WholeSpace, FrequencyWindow)}
+
+
+def _shift_pairs(system, subset) -> list:
+    """The (shift, subset) pairs whose word counts add up to the subset's.
+    A disjoint union splits by component: the whole space into both sides,
+    a component window into the sides its fractions keep, a tagged
+    frequency window into its side.  Every other pair raises here."""
+    if isinstance(system, DisjointUnion):
+        tag = getattr(subset, "component", None)
+        if tag in (0, 1):
+            return _shift_pairs(system.side(tag), replace(subset, component=None))
+        if isinstance(subset, ComponentWindow):
+            kept = (subset.lo <= 0.0, subset.hi >= 1.0)
+        elif isinstance(subset, WholeSpace):
+            kept = (True, True)
+        else:
+            raise UnsupportedSubset(f"no count of {type(subset).__name__} on a disjoint "
+                                    "union (a frequency window needs a component tag 0 or 1)")
+        return [pair for side, keep in zip((system.left, system.right), kept) if keep
+                for pair in _shift_pairs(side, WholeSpace())]
+    if getattr(subset, "component", None) is not None:
+        raise UnsupportedSubset(f"a component tag needs a disjoint union, not {system}")
+    if type(subset) not in _COUNTED.get(type(system), ()):
+        raise UnsupportedSubset(f"no count of {type(subset).__name__} on {system}")
+    return [(system, subset)]
+
+
 # ---------------------------------------------------------------------------
 # cover spans
 
 
 def _forced_extension(adjacency, state: int, cap: int) -> int:
     """Extra steps the cylinder keeps determining symbols (forced transitions)."""
-    extra = 0
-    cur = state
-    while extra < cap:
-        row = adjacency[cur]
-        if sum(row) != 1:
+    for extra in range(cap):
+        if sum(adjacency[state]) != 1:
             return extra
-        cur = row.index(1)
-        extra += 1
+        state = adjacency[state].index(1)
     return cap
 
 
-def _box_span(steps, c: float, hi: float) -> float:
-    """Flow time that a box over a cylinder of `steps` base steps, with fiber
-    below hi, stays certain under the constant roof c: the accumulated roof
-    time plus a quarter of the final roof, less hi.  Past that the base
-    shadow is no longer a single cylinder."""
-    return steps * c + 0.25 * c - hi
+def _constant_roof(flow: Suspension) -> float:
+    """The roof height of a suspension whose roof reads no word."""
+    if flow.roof.depth > 0:
+        raise TypeError("entropy is implemented for word-independent roofs only")
+    return flow.roof.roof_max
+
+
+def _flow_boxes(groups, c: float) -> list:
+    """Each (log_count, steps) cylinder group as two flow boxes under the
+    constant roof c, fibers below hi = c/2 and below hi = c.  A box stays
+    certain for the accumulated roof time plus a quarter of the final roof,
+    less hi; past that its base shadow is no longer a single cylinder."""
+    return [(lc, steps * c + 0.25 * c - hi) for lc, steps in groups for hi in (0.5 * c, c)]
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +204,8 @@ _LOG_EMPTY = -math.inf
 
 
 def _logsumexp(values) -> float:
+    if len(values) == 1:                # as is: bit-identical, and no numpy round trip
+        return float(values[0])
     arr = np.asarray(values, dtype=float)
     arr = arr[arr > _LOG_EMPTY]
     if arr.size == 0:
@@ -157,61 +214,39 @@ def _logsumexp(values) -> float:
     return float(m + math.log(np.exp(arr - m).sum()))
 
 
-def _log_binom(n: int, m: int) -> float:
-    if m < 0 or m > n:
-        return _LOG_EMPTY
-    return math.lgamma(n + 1) - math.lgamma(m + 1) - math.lgamma(n - m + 1)
-
-
 def _count_range(n: int, lo: float, hi: float) -> range:
     lo_m = math.ceil(lo * n - 1e-9)
     hi_m = math.floor(hi * n + 1e-9)
     return range(max(lo_m, 0), min(hi_m, n) + 1)
 
 
-def _log_window_count_full(k: int, n: int, lo: float, hi: float) -> float:
-    """log of the number of length-n words over k symbols whose count of one
-    fixed symbol m satisfies m/n in [lo, hi]."""
-    other = math.log(k - 1) if k > 1 else _LOG_EMPTY
-    terms = []
-    for m in _count_range(n, lo, hi):
-        t = _log_binom(n, m)
-        if m < n:
-            t += (n - m) * other if k > 1 else _LOG_EMPTY
-        terms.append(t)
-    return _logsumexp(terms)
+def _jumps(allowed: range, prev, step: int) -> range:
+    """The count jumps d in [0, step] that lead from a count in `prev` into `allowed`."""
+    return range(max(allowed.start - max(prev), 0), min(allowed.stop - 1 - min(prev), step) + 1)
 
 
-def _log_oscillation_count(k: int, depth: int, windows) -> float:
-    """Log count of words whose running symbol frequency passes through each
-    window at its scale, free beyond the last scale."""
-    other = math.log(k - 1) if k > 1 else _LOG_EMPTY
-    prev_n = 0
-    prev = {0: 0.0}                     # count-at-boundary -> log ways
+def _log_comb_jump(k: int, depth: int, windows) -> float:
+    """Log count of the length-`depth` words over k symbols whose running
+    count of one symbol lies in each window's range at its scale, free past
+    the last scale.  Between scales the count jumps by d in C(step, d)
+    (k-1)^(step-d) ways."""
+    other = math.log(k - 1)
+    prev_n, prev = 0, {0: 0.0}          # count at the last scale -> log ways
     for n_j, lo, hi in windows:
-        if n_j > depth:
-            raise ValueError("window scale exceeds the requested depth")
-        allowed = _count_range(n_j, lo, hi)
-        step = n_j - prev_n
+        step, allowed = n_j - prev_n, _count_range(n_j, lo, hi)
+        log_steps = math.lgamma(step + 1)
+        row = {d: log_steps - math.lgamma(d + 1) - math.lgamma(step - d + 1)
+               for d in _jumps(allowed, prev, step)}                    # log C(step, d)
         nxt = {}
         for m2 in allowed:
-            terms = []
-            for m1, lw in prev.items():
-                d = m2 - m1
-                if d < 0 or d > step:
-                    continue
-                t = lw + _log_binom(step, d)
-                if step - d > 0:
-                    t += (step - d) * other if k > 1 else _LOG_EMPTY
-                terms.append(t)
-            v = _logsumexp(terms)
+            v = _logsumexp([lw + row[m2 - m1] + (step - m2 + m1) * other
+                            for m1, lw in prev.items() if m2 - m1 in row])
             if v > _LOG_EMPTY:
                 nxt[m2] = v
         if not nxt:
             return _LOG_EMPTY
         prev, prev_n = nxt, n_j
-    tail = (depth - prev_n) * math.log(k)
-    return _logsumexp(list(prev.values())) + tail
+    return _logsumexp(list(prev.values())) + (depth - prev_n) * math.log(k)
 
 
 def _markov_state_log_counts(system: MarkovShift, n: int) -> np.ndarray:
@@ -266,6 +301,32 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
     return [found[n] for n in depths]
 
 
+def _shift_groups(shift, subset, depths) -> list:
+    """The (log_count, span) groups of one shift's depth-n cylinders meeting
+    the subset, at each depth."""
+    if isinstance(shift, FullShift):
+        return [[(_log_comb_jump(shift.k, n, subset.at(n)), float(n))] for n in depths]
+    if isinstance(subset, FrequencyWindow):
+        per_depth = _markov_window_log_counts(shift, depths, subset.symbol,
+                                              subset.lo, subset.hi)
+    else:
+        per_depth = [_markov_state_log_counts(shift, n) for n in depths]
+    extra = [_forced_extension(shift.adjacency, s, shift.k + 1) for s in range(shift.k)]
+    return [list(zip(lcs, (float(n + e) for e in extra))) for n, lcs in zip(depths, per_depth)]
+
+
+def _map_groups(system, subset, depths):
+    """One (groups, flags) pair per depth: the (log_count, span) groups of
+    the depth-n cylinder cover of the subset, plus flags."""
+    if isinstance(subset, SampleCloud) and system.symbolic:
+        return [([(math.log(_distinct_prefixes(subset, n)), float(n))], ["upper-bound-only"])
+                for n in depths]
+    parts = [_shift_groups(shift, sub, depths) for shift, sub in _shift_pairs(system, subset)]
+    merged = [[g for part in parts for g in part[i]] for i in range(len(depths))]
+    return [(groups, [] if any(lc > _LOG_EMPTY for lc, _ in groups) else ["empty-cover"])
+            for groups in merged]
+
+
 def caratheodory_sum(groups: Sequence[Tuple[float, float]], alpha: float) -> float:
     """log of the order-alpha sum sum_i count_i * exp(-alpha * span_i) over
     (log_count, span) groups with finite spans; -inf for no groups.  The
@@ -300,77 +361,9 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _map_groups(system, subset, depths):
-    """One (groups, flags) pair per depth: the (log_count, span) groups of
-    the depth-n cylinder cover of the subset, plus flags."""
-    if isinstance(system, DisjointUnion):
-        return _union_groups(system, subset, depths)
-    if not isinstance(system, (FullShift, MarkovShift)):
-        raise TypeError(f"no cylinder backend for {type(system).__name__}")
-    if isinstance(subset, SampleCloud):
-        return _cloud_groups(subset, depths)
-    if isinstance(subset, FrequencyWindow) and subset.component is not None:
-        raise ValueError("component windows need a disjoint union")
-    if isinstance(system, FullShift):
-        k = system.k
-        if isinstance(subset, WholeSpace):
-            return [([(n * math.log(k), float(n))], []) for n in depths]
-        if isinstance(subset, FrequencyWindow):
-            lcs = [_log_window_count_full(k, n, subset.lo, subset.hi) for n in depths]
-        elif isinstance(subset, OscillationWindows):
-            lcs = [_log_oscillation_count(k, n, subset.windows) for n in depths]
-        else:
-            raise TypeError(f"no counting backend for {type(subset).__name__} on a full shift")
-        return [([(lc, float(n))], ["empty-cover"] if lc == _LOG_EMPTY else [])
-                for n, lc in zip(depths, lcs)]
-    if isinstance(subset, WholeSpace):
-        per_depth = [_markov_state_log_counts(system, n) for n in depths]
-    elif isinstance(subset, FrequencyWindow):
-        per_depth = _markov_window_log_counts(system, depths, subset.symbol,
-                                              subset.lo, subset.hi)
-    else:
-        raise TypeError(f"no counting backend for {type(subset).__name__} on a vertex shift")
-    cap = system.k + 1
-    extra = [_forced_extension(system.adjacency, s, cap) for s in range(system.k)]
-    return [
-        (list(zip(lcs, (float(n + e) for e in extra))),
-         ["empty-cover"] if all(lc == _LOG_EMPTY for lc in lcs) else [])
-        for n, lcs in zip(depths, per_depth)
-    ]
-
-
-def _cloud_groups(subset: SampleCloud, depths):
-    return [([(math.log(_distinct_prefixes(subset, n)), float(n))], ["upper-bound-only"])
-            for n in depths]
-
-
-def _union_groups(system: DisjointUnion, subset, depths):
-    if isinstance(subset, (WholeSpace, ComponentWindow)):
-        sides = [system.left, system.right]
-        if isinstance(subset, ComponentWindow):
-            sides = [side for side, kept in zip(sides, (subset.lo <= 0.0, subset.hi >= 1.0))
-                     if kept]
-        if not sides:
-            return [([], ["empty-cover"]) for _ in depths]
-        per_side = [_map_groups(side, WholeSpace(), depths) for side in sides]
-        return [([g for groups, _ in pairs for g in groups], [f for _, fl in pairs for f in fl])
-                for pairs in zip(*per_side)]
-    if isinstance(subset, FrequencyWindow):
-        if subset.component is None:
-            raise ValueError("frequency windows on a disjoint union need a component tag")
-        side = system.side(subset.component)
-        inner = FrequencyWindow(subset.symbol, subset.lo, subset.hi)
-        return _map_groups(side, inner, depths)
-    if isinstance(subset, SampleCloud):
-        return _cloud_groups(subset, depths)
-    raise TypeError(f"no counting backend for {type(subset).__name__} on a disjoint union")
-
-
 def _distinct_prefixes(subset: SampleCloud, depth: int) -> int:
     seen = set()
-    for p in subset.points:
-        if not p.is_symbolic:
-            raise TypeError("sample-cloud backend needs symbolic points")
+    for p in subset.points:            # a coordinate point has no prefix: TypeError
         seen.add((p.component,) + tuple(int(s) for s in p.prefix(depth)))
     return len(seen)
 
@@ -379,12 +372,10 @@ def _integer_stride(system: TimeTMap):
     """The map time as a whole number of roof crossings, or None when the
     time is fractional: exactly, on t and the roof as `birkhoff._chart`
     reads them."""
-    roof = system.flow.roof
-    if roof.depth > 0:
-        raise TypeError("time-t maps are handled for word-independent roofs only")
+    c = _constant_roof(system.flow)
     if system.t <= 0:
         raise ValueError("the map time must be positive")
-    chart = _chart(0.0, system.t, roof.roof_max)
+    chart = _chart(0.0, system.t, c)
     return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
 
 
@@ -425,6 +416,16 @@ def _finish(depths, alphas, flags, details=None) -> EntropyEstimate:
     )
 
 
+def _estimate(system, subset, depths, spans, alpha_tol=1e-12, details=None):
+    """The critical exponent at each depth of the cylinder cover, its spans
+    rewritten by `spans`."""
+    alphas, flags = [], []
+    for groups, f in _map_groups(system, subset, depths):
+        alphas.append(_critical_alpha(spans(groups), alpha_tol))
+        flags += f
+    return _finish(depths, alphas, flags, details)
+
+
 def bowen_entropy_symbolic(system, subset=WholeSpace(),
                            depths: Optional[Sequence[int]] = None,
                            alpha_tol: float = 1e-12) -> EntropyEstimate:
@@ -437,43 +438,27 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if isinstance(system, CircleMult):
         return _mult_entropy(system, subset, depths)
-    if isinstance(system, TimeTMap) and isinstance(system.flow, Suspension):
-        stride = _integer_stride(system)
-        c = system.flow.roof.roof_max
-        inner = system.flow.base
-        alphas, flags = [], []
-        for groups, f in _map_groups(inner, subset, depths):
-            if stride is not None:
-                # t is a whole number of roofs: the map is a shift power
-                scaled = [(lc, math.ceil(sp / stride)) for lc, sp in groups]
-            else:
-                # fractional time: count map steps until the flow box escapes
-                scaled = [
-                    (lc, max(math.ceil(_box_span(sp, c, hi) / system.t), 1))
-                    for lc, sp in groups
-                    for hi in (0.5 * c, c)
-                ]
-            alphas.append(_critical_alpha(scaled, alpha_tol))
-            flags += f
-        return _finish(depths, alphas, flags)
-    if not system.symbolic:
-        raise TypeError(f"no entropy backend for {type(system).__name__}")
-    alphas, flags = [], []
-    for groups, f in _map_groups(system, subset, depths):
-        alphas.append(_critical_alpha(groups, alpha_tol))
-        flags += f
-    return _finish(depths, alphas, flags)
+    if not (isinstance(system, TimeTMap) and isinstance(system.flow, Suspension)):
+        return _estimate(system, subset, depths, lambda groups: groups, alpha_tol)
+    stride, t = _integer_stride(system), system.t
+    c = system.flow.roof.roof_max
+
+    def spans(groups):
+        if stride is not None:          # t is a whole number of roofs: a shift power
+            return [(lc, math.ceil(sp / stride)) for lc, sp in groups]
+        # fractional time: count map steps until the flow box escapes
+        return [(lc, max(math.ceil(sp / t), 1)) for lc, sp in _flow_boxes(groups, c)]
+
+    return _estimate(system.flow.base, subset, depths, spans, alpha_tol)
 
 
 def _mult_entropy(system: CircleMult, subset, depths) -> EntropyEstimate:
     if not isinstance(subset, WholeSpace):
-        raise TypeError("circle multiplication entropy is implemented for the whole space")
+        raise UnsupportedSubset("circle multiplication entropy is implemented for the whole space")
     # n-adic arcs at depth j: n^j of them, each surviving j - O(1) steps
     slack = max(1, math.ceil(math.log(4.0) / math.log(system.n)))
-    alphas = [
-        _critical_alpha([(j * math.log(system.n), float(max(j - slack, 1)))])
-        for j in depths
-    ]
+    alphas = [_critical_alpha([(j * math.log(system.n), float(max(j - slack, 1)))])
+              for j in depths]
     return _finish(depths, alphas, [])
 
 
@@ -491,20 +476,9 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if not isinstance(flow, Suspension):
         raise TypeError(f"no flow entropy backend for {type(flow).__name__}")
-    roof = flow.roof
-    if roof.depth > 0:
-        raise TypeError("flow entropy is implemented for word-independent roofs only")
-    c = roof.roof_max
-    alphas, flags = [], []
-    for groups, f in _map_groups(flow.base, subset, depths):
-        boxed = []
-        for lc, sp in groups:
-            for hi in (0.5 * c, c):
-                boxed.append((lc, _box_span(sp, c, hi)))
-        alphas.append(_critical_alpha(boxed))
-        flags += f
-    details = {"time_scale": c}
-    return _finish(depths, alphas, flags, details)
+    c = _constant_roof(flow)
+    return _estimate(flow.base, subset, depths, lambda groups: _flow_boxes(groups, c),
+                     details={"time_scale": c})
 
 
 # ---------------------------------------------------------------------------
@@ -531,59 +505,47 @@ def word_count_rate(system, subset, depth: int) -> WordCount:
 
 def _exact_counts(system, subset, depths) -> list:
     """Exact count at each depth of the grid."""
-    if isinstance(subset, SampleCloud) and isinstance(
-            system, (FullShift, MarkovShift, DisjointUnion)):
+    if isinstance(subset, SampleCloud) and system.symbolic:
         return [_distinct_prefixes(subset, n) for n in depths]
-    if isinstance(system, FullShift):
-        k = system.k
-        if isinstance(subset, WholeSpace):
-            return [k ** n for n in depths]
-        if isinstance(subset, FrequencyWindow):
-            return [_exact_window_count_full(k, n, subset.lo, subset.hi) for n in depths]
-        if isinstance(subset, OscillationWindows):
-            return [_exact_oscillation_count(k, n, subset.windows) for n in depths]
-    if isinstance(system, MarkovShift):
-        if isinstance(subset, WholeSpace):
-            return [_exact_markov_count(system, n) for n in depths]
-        if isinstance(subset, FrequencyWindow):
-            if max(depths) > 400:
-                raise BudgetExhausted("exact windowed Markov counts are limited to depth 400")
-            return _exact_markov_window_counts(system, depths, subset)
-    if isinstance(system, DisjointUnion):
-        if isinstance(subset, WholeSpace):
-            return [a + b for a, b in zip(_exact_counts(system.left, subset, depths),
-                                          _exact_counts(system.right, subset, depths))]
-        if isinstance(subset, ComponentWindow):
-            totals = [0] * len(depths)
-            for side, kept in ((system.left, subset.lo <= 0.0), (system.right, subset.hi >= 1.0)):
-                if kept:
-                    counts = _exact_counts(side, WholeSpace(), depths)
-                    totals = [t + c for t, c in zip(totals, counts)]
-            return totals
-        if isinstance(subset, FrequencyWindow):
-            if subset.component is None:
-                raise ValueError("frequency windows on a disjoint union need a component tag")
-            side = system.side(subset.component)
-            inner = FrequencyWindow(subset.symbol, subset.lo, subset.hi)
-            return _exact_counts(side, inner, depths)
-    raise TypeError(
-        f"no exact count for {type(subset).__name__} on {type(system).__name__}"
-    )
+    totals = [0] * len(depths)
+    for shift, sub in _shift_pairs(system, subset):
+        totals = [t + c for t, c in zip(totals, _exact_shift_counts(shift, sub, depths))]
+    return totals
 
 
-def _exact_window_count_full(k: int, n: int, lo: float, hi: float) -> int:
-    """Sum of C(n, m) (k-1)^(n-m) over the window's counts m, walking m
-    downwards with C(n, m-1) = C(n, m) m / (n-m+1), an exact division."""
-    ms = _count_range(n, lo, hi)
-    if not ms:
-        return 0
-    c, p = math.comb(n, ms[-1]), (k - 1) ** (n - ms[-1])
-    total = 0
-    for m in reversed(ms):
-        total += c * p
-        c = c * m // (n - m + 1)
-        p *= k - 1
-    return total
+def _exact_shift_counts(shift, subset, depths) -> list:
+    if isinstance(shift, FullShift):
+        return [_comb_jump(shift.k, n, subset.at(n)) for n in depths]
+    if isinstance(subset, WholeSpace):
+        return [_exact_markov_count(shift, n) for n in depths]
+    if max(depths) > 400:
+        raise BudgetExhausted("exact windowed Markov counts are limited to depth 400")
+    return _exact_markov_window_counts(shift, depths, subset)
+
+
+def _comb_jump(k: int, depth: int, windows) -> int:
+    """The integer count `_log_comb_jump` takes the log of.  Each step's row
+    C(step, d) (k-1)^(step-d) over the reachable jumps d is walked downwards
+    with C(step, d-1) = C(step, d) d / (step-d+1), an exact division."""
+    prev_n, prev = 0, {0: 1}
+    for n_j, lo, hi in windows:
+        step, allowed = n_j - prev_n, _count_range(n_j, lo, hi)
+        jumps, row = _jumps(allowed, prev, step), {}
+        if jumps:
+            c, p = math.comb(step, jumps[-1]), (k - 1) ** (step - jumps[-1])
+            for d in reversed(jumps):
+                row[d] = c * p
+                c = c * d // (step - d + 1)
+                p *= k - 1
+        nxt = {}
+        for m2 in allowed:
+            total = sum([ways * row[m2 - m1] for m1, ways in prev.items() if m2 - m1 in row])
+            if total:
+                nxt[m2] = total
+        if not nxt:
+            return 0
+        prev, prev_n = nxt, n_j
+    return sum(prev.values()) * k ** (depth - prev_n)
 
 
 def _exact_markov_count(system: MarkovShift, depth: int) -> int:
@@ -622,28 +584,6 @@ def _exact_markov_window_counts(system: MarkovShift, depths, subset: FrequencyWi
     return [found[n] for n in depths]
 
 
-def _exact_oscillation_count(k: int, depth: int, windows) -> int:
-    prev = {0: 1}
-    prev_n = 0
-    for n_j, lo, hi in windows:
-        if n_j > depth:
-            raise ValueError("window scale exceeds the requested depth")
-        step = n_j - prev_n
-        nxt = {}
-        for m2 in _count_range(n_j, lo, hi):
-            total = 0
-            for m1, ways in prev.items():
-                d = m2 - m1
-                if 0 <= d <= step:
-                    total += ways * math.comb(step, d) * (k - 1) ** (step - d)
-            if total:
-                nxt[m2] = total
-        if not nxt:
-            return 0
-        prev, prev_n = nxt, n_j
-    return sum(prev.values()) * k ** (depth - prev_n)
-
-
 # ---------------------------------------------------------------------------
 # spanning-growth route
 
@@ -664,7 +604,7 @@ def spanning_entropy(system, subset=WholeSpace(),
         raise ValueError("resolution_bits must be >= 0 (eps = 2**-resolution_bits <= 1)")
     if system.isometric:
         if not isinstance(subset, (WholeSpace, SampleCloud)):
-            raise TypeError("rotation spanning counts cover the whole space or a cloud")
+            raise UnsupportedSubset("rotation spanning counts cover the whole space or a cloud")
         # orbit metric equals the base metric, so one eps-grid spans every n
         eps = 2.0 ** -resolution_bits
         count = math.ceil(1.0 / (2.0 * eps))
@@ -674,8 +614,6 @@ def spanning_entropy(system, subset=WholeSpace(),
             depths=depths, alphas=per_depth,
             flags=("zero-expansion",), details={"resolution_bits": resolution_bits},
         )
-    if not system.symbolic:
-        raise TypeError("the spanning route is implemented for shift spaces")
     if max(depths) + resolution_bits > budget:
         raise BudgetExhausted("spanning depth grid exceeds the counting budget")
     if len(set(depths)) < 2:
@@ -684,9 +622,8 @@ def spanning_entropy(system, subset=WholeSpace(),
     counts = _exact_counts(system, subset, [n + m for n in depths])
     if 0 in counts:
         return EntropyEstimate(0.0, 0.0, 0.0, tuple(depths), (0.0,), ("empty-cover",))
-    logs = [_log_of_big(count) for count in counts]
     xs = np.asarray(depths, dtype=float)
-    ys = np.asarray(logs)
+    ys = np.asarray([_log_of_big(count) for count in counts])
     slope, intercept = np.polyfit(xs, ys, 1)
     resid = ys - (slope * xs + intercept)
     spread = float(np.abs(resid).max())

@@ -147,6 +147,29 @@ def test_an_entropy_depth_grid_that_fits_nothing_exits_2(tmp_path, depths, metho
     assert not (tmp_path / "win.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["spanning", "caratheodory"])
+def test_a_component_tag_on_a_single_shift_exits_2(tmp_path, method):
+    cfg = window_entropy_config(FULL_SHIFT_2, (0, 0.2, 0.4), [20, 40], method)
+    cfg["subset"]["component"] = 1
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "component tag" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "win.csv").exists()
+
+
+def test_verify_thm_a_with_an_untagged_window_on_a_union_exits_2(tmp_path):
+    union = {"kind": "disjoint-union", "left": FULL_SHIFT_2, "right": FULL_SHIFT_2}
+    cfg = {"command": "verify-thm-a", "experiment_id": "thm-a",
+           "system": {"kind": "suspension", "base": union, "roof": {"constant": 1.0}},
+           "subset": {"kind": "frequency-window", "symbol": 0, "lo": 0.2, "hi": 0.4},
+           "depths": [20, 40]}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "component tag" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_exact_markov_window_past_its_depth_cap_exits_3(tmp_path):
     cfg = window_entropy_config(GOLDEN_MEAN, (1, 0.2, 0.3), [100, 395], "both")
     res = run_cli(cfg, tmp_path)
@@ -498,6 +521,39 @@ def suspension_birkhoff_config(system, fiber):
 
 def suspension(roof):
     return {"kind": "suspension", "base": {"kind": "full-shift", "k": 2}, "roof": roof}
+
+
+def symbol_frequency_config(system, point):
+    return {"command": "birkhoff", "experiment_id": "birk", "system": system, "point": point,
+            "observable": {"kind": "symbol-frequency", "symbol": 1},
+            "schedule": {"kind": "explicit", "checkpoints": [1000]}}
+
+
+F2_F3 = {"kind": "disjoint-union", "left": FULL_SHIFT_2, "right": {"kind": "full-shift", "k": 3}}
+
+
+@pytest.mark.parametrize("system, point", [
+    (FULL_SHIFT_2, {"kind": "explicit-word", "symbols": [0, 1, 2]}),
+    (FULL_SHIFT_2, {"kind": "explicit-word", "symbols": [0, -1]}),
+    (FULL_SHIFT_2, {"kind": "block-schedule", "blocks": [[[0, 1], 3], [[1, 2], 2]]}),
+    (suspension({"constant": 1.0}), {"kind": "explicit-word", "symbols": [0, 1, 2],
+                                     "fiber": 0.0}),
+    (F2_F3, {"kind": "explicit-word", "symbols": [0, 1, 2], "component": 0}),
+], ids=["explicit-word", "negative", "block-schedule", "suspension", "union-side"])
+def test_a_point_symbol_outside_the_alphabet_exits_2(tmp_path, system, point):
+    # [0, 1, 2] on two symbols was read as frequency 0.666 of symbol 1, not 1/3
+    res = run_cli(symbol_frequency_config(system, point), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "outside the alphabet" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_a_point_symbol_inside_its_union_side_is_read(tmp_path):
+    point = {"kind": "explicit-word", "symbols": [0, 1, 2], "component": 1}
+    res = run_cli(symbol_frequency_config(F2_F3, point), tmp_path)
+    assert res.returncode == 0, res.stderr
+    _, rows = read_rows(tmp_path, "birk")
+    assert float(rows[0]["value"]) == pytest.approx(1 / 3, abs=1e-3)
 
 
 @pytest.mark.parametrize("roof", [{"constant": 1.0}, {"depth": 1, "table": [1.0, 2.0], "k": 2}])

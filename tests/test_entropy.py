@@ -25,13 +25,16 @@ from ergode.entropy import (
     FrequencyWindow,
     OscillationWindows,
     SampleCloud,
+    UnsupportedSubset,
     WholeSpace,
     bowen_entropy_flow,
     bowen_entropy_symbolic,
     caratheodory_sum,
     spanning_entropy,
     word_count_rate,
+    _comb_jump,
     _integer_stride,
+    _log_comb_jump,
     _markov_window_log_counts,
 )
 
@@ -107,6 +110,47 @@ def test_oscillation_count_matches_enumeration():
     brute = sum(ok(w) for w in itertools.product((0, 1), repeat=n))
     got = word_count_rate(FullShift(2), OscillationWindows(0, windows), n).count
     assert got == brute
+
+
+def test_oscillation_count_matches_enumeration_on_three_symbols():
+    windows = ((3, 0.3, 0.7), (6, 0.0, 0.5))
+    n = 8
+
+    def ok(w):
+        return all(in_window(w[:nj].count(2) / nj, lo, hi) for nj, lo, hi in windows)
+
+    brute = sum(ok(w) for w in itertools.product(range(3), repeat=n))
+    got = word_count_rate(FullShift(3), OscillationWindows(2, windows), n).count
+    assert got == brute == _comb_jump(3, n, windows)
+    assert _log_comb_jump(3, n, windows) == pytest.approx(math.log(brute), rel=1e-12)
+
+
+@st.composite
+def comb_jump_cases(draw):
+    """(k, depth, windows): 0-3 windows at strictly increasing scales, the
+    last one mostly at the depth itself, else below it (a free tail)."""
+    k = draw(st.sampled_from((2, 3, 5)))
+    depth = draw(st.integers(2, 400))
+    scales = sorted(draw(st.sets(st.integers(1, depth - 1), max_size=3)))
+    if scales and draw(st.booleans()):
+        scales[-1] = depth
+    windows = []
+    for n_j in scales:
+        a, b = sorted(draw(st.integers(0, n_j)) for _ in range(2))
+        windows.append((n_j, a / n_j, b / n_j))
+    return k, depth, tuple(windows)
+
+
+@given(comb_jump_cases())
+@settings(deadline=None, max_examples=80)
+def test_the_float_full_shift_kernel_is_the_log_of_the_exact_one(case):
+    k, depth, windows = case
+    exact = _comb_jump(k, depth, windows)
+    got = _log_comb_jump(k, depth, windows)
+    if exact == 0:
+        assert got == -math.inf
+    else:
+        assert got == pytest.approx(math.log(exact), rel=1e-9)
 
 
 def window_counts(n, lo, hi):
@@ -242,6 +286,36 @@ def test_union_counts_add_and_split_by_component():
     assert word_count_rate(du, ComponentWindow(0.0, 0.4), 4).count == 2**4
     left = FrequencyWindow(1, 0.4, 0.6, component=0)
     assert word_count_rate(du, left, 4).count == brute_window_count(2, 4, 1, 0.4, 0.6)
+
+
+_ESTIMATORS = [
+    lambda system, subset: bowen_entropy_symbolic(system, subset, depths=(10, 20)),
+    lambda system, subset: spanning_entropy(system, subset, depths=(10, 20)),
+    lambda system, subset: word_count_rate(system, subset, 20),
+]
+
+
+@pytest.mark.parametrize("estimate", _ESTIMATORS, ids=["symbolic", "spanning", "exact"])
+@pytest.mark.parametrize("system, subset", [
+    (FullShift(2), FrequencyWindow(0, 0.2, 0.4, component=1)),
+    (GOLDEN_MEAN, FrequencyWindow(1, 0.2, 0.4, component=0)),
+    (DisjointUnion(FullShift(2), FullShift(3)), FrequencyWindow(0, 0.2, 0.4)),
+    (DisjointUnion(FullShift(2), FullShift(3)), FrequencyWindow(0, 0.2, 0.4, component=2)),
+    (DisjointUnion(FullShift(2), FullShift(3)), OscillationWindows(0, ((4, 0.0, 0.5),))),
+    (GOLDEN_MEAN, OscillationWindows(0, ((4, 0.0, 0.5),))),
+    (FullShift(2), ComponentWindow(0.0, 1.0)),
+], ids=["tag-on-full-shift", "tag-on-vertex-shift", "untagged-on-union", "tag-2-on-union",
+        "oscillation-on-union", "oscillation-on-vertex-shift", "component-on-full-shift"])
+def test_a_mismatched_subset_fails_the_same_way_on_every_route(estimate, system, subset):
+    with pytest.raises(UnsupportedSubset):
+        estimate(system, subset)
+
+
+def test_a_tagged_window_on_a_union_counts_its_side_on_every_route():
+    union, tagged = DisjointUnion(GOLDEN_MEAN, FullShift(3)), FrequencyWindow(1, 0.2, 0.4, 1)
+    plain = FrequencyWindow(1, 0.2, 0.4)
+    for estimate in _ESTIMATORS:
+        assert estimate(union, tagged) == estimate(FullShift(3), plain)
 
 
 # ---------------------------------------------------------------------------
