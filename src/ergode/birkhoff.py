@@ -40,8 +40,8 @@ from .systems import (
     Point, Suspension, TimeTMap,
 )
 from .measures import (
-    Atomic, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    SymbolFrequency, TestFamily, evaluate_on_circle, integrate,
+    _CYLINDERS, Atomic, Constant, FiberProfile, Harmonic, TestFamily,
+    evaluate_on_circle, integrate,
 )
 
 __all__ = [
@@ -282,14 +282,6 @@ def _running_totals(ends, total_of, zero):
     return out
 
 
-def _word_of(phi):
-    if isinstance(phi, CylinderIndicator):
-        return phi.word, phi.component
-    if isinstance(phi, SymbolFrequency):
-        return (phi.symbol,), phi.component
-    return None, None
-
-
 # ---------------------------------------------------------------------------
 # the orbit reader
 
@@ -341,7 +333,8 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
     roof values, and an observable weighs a class by the mass of its fiber
     profile under that roof.  On top come cell 0, from the fiber f0 to its
     roof on a flow, and the partial last cell, from its bottom (or its first
-    map step) to the checkpoint.
+    map step) to the checkpoint, in array ops over (checkpoint, word); a flow
+    weighs its cells by mass in `_flow_averages`.
 
     A depth-1 read in which every full cell weighs the same (a shift, a
     constant-roof flow, a constant-roof time-t map whose t divides the roof)
@@ -358,9 +351,9 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
         inner = phi.base if flow and isinstance(phi, FiberProfile) else phi
         if flow and isinstance(inner, Constant):
             word, comp, scale = (), None, inner.value
+        elif isinstance(inner, _CYLINDERS):
+            word, comp, scale = inner.word, inner.component, 1.0
         else:
-            (word, comp), scale = _word_of(inner), 1.0
-        if word is None:
             raise TypeError(f"{type(phi).__name__} does not read symbols")
         code = _code(word, k)
         if code is None or (comp is not None and x.component != comp):
@@ -445,15 +438,26 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
         out[:, cols] = (full[..., 0] + hit0 * steps0[:, None]
                         + hit_last * last_steps[:, None]) / ns[:, None]
         return
-    for j, (i, _, _, scale, mass) in enumerate(words):
-        masses = np.array([mass(0.0, v) for v in classes])
-        for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
-            if L == 0:
-                total = hit0[j] * mass(f0, tau)
-            else:
-                total = (hit0[j] * mass(f0, roof0) + float(np.dot(full[ci, j], masses))
-                         + hit_last[ci, j] * mass(0.0, tau - entry[ci]))
-            out[ci, i] = scale * total / T
+    out[:, cols] = _flow_averages(words, full, hit0, hit_last, Ts,
+                                  f0, roof0, classes, taus, ends, entry)
+
+
+def _flow_averages(words, full, hit0, hit_last, Ts, f0, roof0, classes, taus, ends, entry):
+    """A[checkpoint, word] of a suspension flow, in array ops.  At checkpoint
+    T, tau = f0 + T lies in cell L = ends[c], entered at entry[c], and a word
+    integrates to hit0 * mass(f0, roof0) + full . mass(0, class) + hit_last *
+    mass(0, tau - entry), or to hit0 * mass(f0, tau) while L == 0.  Each mass
+    function is read once per roof class and once per checkpoint."""
+    reads = {mass: ([mass(0.0, v) for v in classes], mass(f0, roof0),
+                    [mass(f0, tau) if L == 0 else mass(0.0, tau - e)
+                     for tau, L, e in zip(taus, ends, entry)])
+             for mass in {w[4] for w in words}}
+    masses, m0, edge = (np.array([reads[w[4]][part] for w in words]) for part in range(3))
+    # a (1, classes) @ (classes, 1) product per (checkpoint, word) sums as np.dot does
+    cells = np.matmul(full[..., None, :].astype(float), masses[..., None])[..., 0, 0]
+    total = np.where((np.asarray(ends) == 0)[:, None], hit0 * edge.T,
+                     hit0 * m0 + cells + hit_last * edge.T)
+    return np.array([w[3] for w in words]) * total / np.asarray(Ts, dtype=float)[:, None]
 
 
 def _code(word, k: int):
@@ -629,7 +633,7 @@ def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClas
 
 def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
                      schedule: Optional[Schedule] = None, tol: float = 0.02,
-                     keep_profile: bool = False, targets=None) -> Verdict:
+                     keep_profile: bool = False, targets=None, profile=None) -> Verdict:
     """Is x generic for mu?  Answers only when the last two checkpoints agree:
     Generic when every observable is within tol at both, NotGeneric when some
     observable is at least 3*tol away at both (the first such observable in
@@ -637,30 +641,32 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
 
     `targets` are the integrals of the family's observables against mu; a
     loop that classifies many points against one (mu, fam) passes
-    `family_targets(mu, fam)` once instead of integrating on every call."""
+    `family_targets(mu, fam)` once instead of integrating on every call.
+    `profile` is the family's A[checkpoint, observable] along the schedule
+    when it was already read, as one read that also serves another verdict."""
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
     if len(schedule.checkpoints) < 2:
         raise ValueError("classification needs at least two checkpoints")
-    A = _profiles(system, x, fam.observables, schedule)
+    A = _profiles(system, x, fam.observables, schedule) if profile is None else profile
     if targets is None:
         targets = family_targets(mu, fam)
     g_last = np.abs(A[-1] - targets)
     g_prev = np.abs(A[-2] - targets)
     gap = float(g_last.max())
-    profile = tuple(map(tuple, A)) if keep_profile else None
+    kept = tuple(map(tuple, A)) if keep_profile else None
     if (g_last < tol).all() and (g_prev < tol).all():
-        return Verdict("Generic", gap, None, schedule.checkpoints[-1], profile)
+        return Verdict("Generic", gap, None, schedule.checkpoints[-1], kept)
     far = (g_last >= 3.0 * tol) & (g_prev >= 3.0 * tol)
     if far.any():
         i = int(np.argmax(far))
         return Verdict(
             "NotGeneric", float(g_last[i]), fam.observables[i],
-            schedule.checkpoints[-1], profile,
+            schedule.checkpoints[-1], kept,
         )
-    return Verdict("Inconclusive", gap, None, schedule.checkpoints[-1], profile)
+    return Verdict("Inconclusive", gap, None, schedule.checkpoints[-1], kept)
 
 
 def family_targets(mu, fam: TestFamily) -> np.ndarray:
@@ -669,13 +675,14 @@ def family_targets(mu, fam: TestFamily) -> np.ndarray:
 
 
 def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = None,
-                       tol: float = 0.02, keep_profile: bool = False) -> Verdict:
+                       tol: float = 0.02, keep_profile: bool = False, profile=None) -> Verdict:
     """Does the average of phi along the orbit converge?  The oscillation of
     the running average over the tail half of the schedule decides: Regular
-    below tol, Irregular above 3*tol, Inconclusive between."""
+    below tol, Irregular above 3*tol, Inconclusive between.  `profile` is the
+    running average at each checkpoint when it was already read."""
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    prof = _profiles(system, x, (phi,), schedule)[:, 0]
+    prof = _profiles(system, x, (phi,), schedule)[:, 0] if profile is None else profile
     tail = prof[len(prof) // 2:]
     osc = float(tail.max() - tail.min())
     out_profile = tuple(prof) if keep_profile else None

@@ -28,7 +28,7 @@ from .measures import (
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _fiber, _limit_classes, birkhoff_profile, classify_generic,
+    Schedule, _fiber, _limit_classes, _profiles, birkhoff_profile, classify_generic,
     family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
@@ -428,11 +428,13 @@ def _inclusion_suite_points(base, mu_base, seed: int, n_total: int):
 
 
 def _inclusions_flow_suite(cfg, ctx, rows, flow):
-    """Cross-check classifications under the time-c map against the flow.
+    """Cross-check classifications under the time-1 map against the flow.
 
     The inclusion being tested: a point generic under the map cannot be
     non-generic under the flow, and a point whose map averages oscillate
-    cannot have convergent flow averages.
+    cannot have convergent flow averages.  One read of the family and the
+    frequency of symbol 0 serves both verdicts of a dynamics; a constructed
+    irregular point reads its frequency again, on its own block schedule.
     """
     eid = cfg["experiment_id"]
     tol = cfg.get("tolerance", 0.02)
@@ -469,34 +471,32 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     freq = SymbolFrequency(0)
     targets = family_targets(mubar, fam)
 
+    def verdicts(system, x, sched, isched):
+        """The generic and irregular labels of x under one dynamics, from one
+        read of the family and the frequency; a frequency on a schedule of
+        its own (`isched`) is read again."""
+        A = _profiles(system, x, fam.observables + (freq,), sched)
+        vg = classify_generic(system, x, mubar, fam, sched, tol, targets=targets,
+                              profile=A[:, :-1])
+        vi = classify_irregular(system, x, freq, isched or sched, tol,
+                                profile=None if isched else A[:, -1])
+        return vg.label, vi.label
+
     def judge(item):
-        tag, x, blocks = item
-        vg_map = classify_generic(tmap, x, mubar, fam, map_sched, tol, targets=targets)
-        vg_flow = classify_generic(flow, x, mubar, fam, flow_sched, tol, targets=targets)
-        isched = blocks or base_sched
-        vi_map = classify_irregular(tmap, x, freq, in_time_units(isched, True), tol)
-        vi_flow = classify_irregular(flow, x, freq, in_time_units(isched, False), tol)
-        return tag, vg_map.label, vg_flow.label, vi_map.label, vi_flow.label
+        _, x, blocks = item
+        return (verdicts(tmap, x, map_sched, blocks and in_time_units(blocks, True)),
+                verdicts(flow, x, flow_sched, blocks and in_time_units(blocks, False)))
 
     results = _pmap(judge, _inclusion_suite_points(base, mu_base, ctx["seed"], n_total),
                     ctx["threads"])
-    generic_breaks = sum(1 for _, gm, gf, _, _ in results
-                         if gm == "Generic" and gf == "NotGeneric")
-    irregular_breaks = sum(1 for _, _, _, im, if_ in results
-                           if im == "Irregular" and if_ == "Regular")
-    agree_generic = sum(1 for _, gm, gf, _, _ in results if gm == gf)
-    agree_irregular = sum(1 for _, _, _, im, if_ in results if im == if_)
-    n = len(results)
-    rows.append(Row(eid, "suite_size", float(n), None, None,
-                    {"suite": "map-vs-flow"}, 0.0))
-    rows.append(Row(eid, "generic_inclusion_breaks", float(generic_breaks), None, None,
-                    {"suite": "map-vs-flow"}, 0.0))
-    rows.append(Row(eid, "irregular_inclusion_breaks", float(irregular_breaks), None,
-                    None, {"suite": "map-vs-flow"}, 0.0))
-    rows.append(Row(eid, "generic_label_agreement", float(agree_generic), None, None,
-                    {"suite": "map-vs-flow"}, 0.0))
-    rows.append(Row(eid, "irregular_label_agreement", float(agree_irregular), None,
-                    None, {"suite": "map-vs-flow"}, 0.0))
+    generic = [(m[0], f[0]) for m, f in results]      # (map, flow) labels per point
+    irregular = [(m[1], f[1]) for m, f in results]
+    for quantity, n in (("suite_size", len(results)),
+                        ("generic_inclusion_breaks", generic.count(("Generic", "NotGeneric"))),
+                        ("irregular_inclusion_breaks", irregular.count(("Irregular", "Regular"))),
+                        ("generic_label_agreement", sum(m == f for m, f in generic)),
+                        ("irregular_label_agreement", sum(m == f for m, f in irregular))):
+        rows.append(Row(eid, quantity, float(n), None, None, {"suite": "map-vs-flow"}, 0.0))
 
 
 def _sample_from(system, mu, seed: int) -> Point:

@@ -160,6 +160,16 @@ def _resolution_length(eps: float) -> int:
     return int(math.floor(math.log2(1.0 / eps))) + 1
 
 
+def _window_mismatches(a: np.ndarray, b: np.ndarray, n: int, L: int) -> int:
+    """The times j < n at which the length-L windows of a and b starting at
+    j differ; a and b hold at least n + L - 1 symbols."""
+    neq = np.asarray(a[:n + L - 1]) != np.asarray(b[:n + L - 1])
+    bad = neq[:n].copy()
+    for i in range(1, L):
+        bad |= neq[i:n + i]
+    return int(bad.sum())
+
+
 def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
                             g: Optional[MistakeFunction] = None) -> MistakeBallReport:
     """Is y in the n-step mistake ball around x at resolution eps?
@@ -178,16 +188,8 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
     L = _resolution_length(eps)
     if x.component != y.component:
         mismatches = n if (L > 0 or eps <= 1.0) else 0
-    elif L == 0:
-        mismatches = 0
     else:
-        ax = np.asarray(x.prefix(n + L - 1))
-        ay = np.asarray(y.prefix(n + L - 1))
-        neq = ax != ay
-        bad = neq[:n].copy()
-        for i in range(1, L):
-            bad |= neq[i:n + i]
-        mismatches = int(bad.sum())
+        mismatches = _window_mismatches(x.prefix(n + L - 1), y.prefix(n + L - 1), n, L) if L else 0
     allowance = g.budget(n, eps)
     return MistakeBallReport(mismatches <= allowance, mismatches, allowance, n)
 
@@ -306,25 +308,10 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
             raise GluingError("glued word is not admissible")
     else:
         connector_lengths = [0] * len(boundaries)
-    # mistake accounting: windows that disagree with the segment's own stream
-    mismatches = []
-    start = 0
-    for i, ((p, t), arr) in enumerate(zip(segments, arrs)):
-        own = np.asarray(p.prefix(t + max(L - 1, 0)))
-        here = glued[start:start + t + max(L - 1, 0)]
-        m = min(len(own), len(here))
-        neq = own[:m] != here[:m]
-        span = min(t, m)
-        if L == 0:
-            mismatches.append(0)
-        else:
-            bad = np.zeros(span, dtype=bool)
-            for off in range(L):
-                upper = min(span, m - off)
-                if upper > 0:
-                    bad[:upper] |= neq[off:off + upper]
-            mismatches.append(int(bad.sum()))
-        start += t
+    # mistake accounting: windows that disagree with the segment's own stream;
+    # the glued word holds L + 8 symbols past the last segment
+    mismatches = [_window_mismatches(p.prefix(t + L - 1), glued[s:], t, L) if L else 0
+                  for (p, t), s in zip(segments, (0, *boundaries))]
     within = all(
         mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths)
     )

@@ -64,8 +64,9 @@ __all__ = [
 
 
 class UnsupportedSubset(TypeError, ValueError):
-    """No counting route for this subset of this system (both error types the
-    estimators once raised for such pairs, so handlers of either catch it)."""
+    """No counting route for this subset of this system, or for any subset of
+    it (a suspension under a word-dependent roof).  It is both error types the
+    estimators once raised for such pairs, so handlers of either catch it."""
 
 
 @dataclass(frozen=True)
@@ -148,7 +149,8 @@ def _shift_pairs(system, subset) -> list:
     """The (shift, subset) pairs whose word counts add up to the subset's.
     A disjoint union splits by component: the whole space into both sides,
     a component window into the sides its fractions keep, a tagged
-    frequency window into its side.  Every other pair raises here."""
+    frequency window into its side.  Every other pair, and a window on a
+    symbol outside the shift's alphabet, raises here."""
     if isinstance(system, DisjointUnion):
         tag = getattr(subset, "component", None)
         if tag in (0, 1):
@@ -166,6 +168,8 @@ def _shift_pairs(system, subset) -> list:
         raise UnsupportedSubset(f"a component tag needs a disjoint union, not {system}")
     if type(subset) not in _COUNTED.get(type(system), ()):
         raise UnsupportedSubset(f"no count of {type(subset).__name__} on {system}")
+    if not 0 <= getattr(subset, "symbol", 0) < system.alphabet:
+        raise UnsupportedSubset(f"symbol {subset.symbol} is outside the alphabet of {system}")
     return [(system, subset)]
 
 
@@ -185,7 +189,8 @@ def _forced_extension(adjacency, state: int, cap: int) -> int:
 def _constant_roof(flow: Suspension) -> float:
     """The roof height of a suspension whose roof reads no word."""
     if flow.roof.depth > 0:
-        raise TypeError("entropy is implemented for word-independent roofs only")
+        raise UnsupportedSubset("entropy is implemented for word-independent roofs "
+                                f"only, not {flow.roof}")
     return flow.roof.roof_max
 
 

@@ -228,10 +228,18 @@ class CylinderIndicator:
 
 @dataclass(frozen=True)
 class SymbolFrequency:
-    """Indicator of reading `symbol` at the current position."""
+    """Indicator of reading `symbol` at the current position: the cylinder
+    indicator of the one-symbol word."""
 
     symbol: int
     component: Optional[int] = None
+
+    @property
+    def word(self) -> Tuple[int, ...]:
+        return (self.symbol,)
+
+
+_CYLINDERS = (CylinderIndicator, SymbolFrequency)    # the observables that read one word
 
 
 @dataclass(frozen=True)
@@ -305,10 +313,8 @@ def _word_depth(phi) -> Optional[int]:
     """Symbol depth a symbolic observable reads, or None if not symbolic."""
     if isinstance(phi, Constant):
         return 0
-    if isinstance(phi, CylinderIndicator):
+    if isinstance(phi, _CYLINDERS):
         return len(phi.word)
-    if isinstance(phi, SymbolFrequency):
-        return 1
     if isinstance(phi, FiberProfile):
         return _word_depth(phi.base)
     return None
@@ -318,9 +324,7 @@ def evaluate(phi, x: Point) -> float:
     """Value of the observable at a point."""
     if isinstance(phi, Constant):
         return phi.value
-    if isinstance(phi, SymbolFrequency):
-        return evaluate(CylinderIndicator((phi.symbol,), phi.component), x)
-    if isinstance(phi, CylinderIndicator):
+    if isinstance(phi, _CYLINDERS):
         if phi.component is not None and x.component != phi.component:
             return 0.0
         word = x.prefix(len(phi.word))
@@ -464,9 +468,7 @@ def integrate(mu, phi) -> float:
         ) / mu.m
     if isinstance(phi, _Composed):
         return _integrate_shifted(phi.flow, phi.t, mu, phi.base)
-    if isinstance(phi, SymbolFrequency):
-        return integrate(mu, CylinderIndicator((phi.symbol,), phi.component))
-    if isinstance(mu, (Bernoulli, Markov)) and isinstance(phi, CylinderIndicator):
+    if isinstance(mu, (Bernoulli, Markov)) and isinstance(phi, _CYLINDERS):
         if phi.component is not None and mu.component is not None \
                 and phi.component != mu.component:
             return 0.0

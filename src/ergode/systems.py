@@ -219,11 +219,7 @@ class RoofFunction:
     def value_at(self, x: "Point") -> float:
         if self.depth == 0:
             return self.table[0]
-        word = x.prefix(self.depth)
-        code = 0
-        for s in word:
-            code = code * self.k + int(s)
-        return self.table[code]
+        return float(self.values_along(np.asarray(x.prefix(self.depth)), 1)[0])
 
     def values_along(self, symbols: np.ndarray, count: int) -> np.ndarray:
         """Roof values at offsets 0..count-1 of a symbol array."""

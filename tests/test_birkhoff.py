@@ -30,8 +30,10 @@ from ergode.measures import (
     evaluate,
     time_average_measure,
 )
+from ergode import birkhoff
 from ergode.birkhoff import (
     Schedule,
+    _profiles,
     birkhoff_average_flow,
     birkhoff_average_map,
     birkhoff_profile,
@@ -577,6 +579,61 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
     classify_generic(flow, POINTS["iid"].with_fiber(0.0), None, fam,
                      Schedule((1000.0, 2000.0, 4000.0)), targets=np.zeros(14))
     assert 1 <= len(calls) <= 2
+
+
+# ---------------------------------------------------------------------------
+# the flow tail of a read: cell 0, the full cells and the partial last cell
+
+
+def reference_flow_averages(words, full, hit0, hit_last, Ts, f0, roof0, classes, taus,
+                            ends, entry):
+    """The per-(word, checkpoint) loop that `birkhoff._flow_averages` replaced."""
+    out = np.empty((len(Ts), len(words)))
+    for j, (_, _, _, scale, mass) in enumerate(words):
+        masses = np.array([mass(0.0, v) for v in classes])
+        for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
+            if L == 0:
+                total = hit0[j] * mass(f0, tau)
+            else:
+                total = (hit0[j] * mass(f0, roof0) + float(np.dot(full[ci, j], masses))
+                         + hit_last[ci, j] * mass(0.0, tau - entry[ci]))
+            out[ci, j] = scale * total / T
+    return out
+
+
+TAIL_ROOFS = [RoofFunction.constant(v) for v in (1.0, 2.0, 0.75, 0.3)] + [
+    RoofFunction(2, (0.7, 1.3, 1.1, 0.45), 2),
+]
+TAIL_OBSERVABLES = TestFamily.default_for(FullShift(2), depth=3).observables + (
+    SymbolFrequency(0), FiberProfile(SymbolFrequency(1), TENT),
+)
+
+
+def ulps_apart(a, b):
+    return np.abs(a - b) / np.spacing(np.maximum(np.abs(a), np.abs(b)))
+
+
+@pytest.mark.parametrize("roof", TAIL_ROOFS, ids=_grid_id)
+@pytest.mark.parametrize("fiber", ["0", "0.1", "half-roof"])
+@pytest.mark.parametrize("point", sorted(POINTS))
+def test_flow_averages_match_the_per_checkpoint_loop(roof, fiber, point, monkeypatch):
+    flow = Suspension(FullShift(2), roof)
+    f0 = {"0": 0.0, "0.1": 0.1, "half-roof": roof.roof_min / 2}[fiber]
+    x = POINTS[point].with_fiber(f0)
+    # the first checkpoints end inside cell 0 (L == 0), the others past it
+    sched = Schedule((0.05, 0.1, 1.0, 7.3, 40.0, 168.0, 1000.5, 2728.0, 6000.25))
+    got = _profiles(flow, x, TAIL_OBSERVABLES, sched)
+    monkeypatch.setattr(birkhoff, "_flow_averages", reference_flow_averages)
+    want = _profiles(flow, x, TAIL_OBSERVABLES, sched)
+    if roof.depth == 0:
+        assert got.tobytes() == want.tobytes()
+    else:   # the sum over roof classes may round in another order
+        assert ulps_apart(got, want).max() <= 4
+    # the time-1 map reads the same columns alone as within the family
+    tmap, cps = TimeTMap(flow, 1.0), Schedule((1, 7, 40, 168, 1001, 2728, 6000))
+    shared = _profiles(tmap, x, TAIL_OBSERVABLES[:-1], cps)
+    for i, phi in enumerate(TAIL_OBSERVABLES[:-1]):
+        assert shared[:, i].tobytes() == birkhoff_profile(tmap, x, phi, cps).tobytes(), phi
 
 
 # ---------------------------------------------------------------------------

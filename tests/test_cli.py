@@ -158,6 +158,30 @@ def test_a_component_tag_on_a_single_shift_exits_2(tmp_path, method):
     assert not (tmp_path / "win.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["spanning", "caratheodory"])
+@pytest.mark.parametrize("system", [FULL_SHIFT_2, GOLDEN_MEAN], ids=["full-shift", "golden-mean"])
+def test_a_window_on_a_symbol_outside_the_alphabet_exits_2(tmp_path, system, method):
+    # the full shift counted 11 of its 1024 words for symbol 5 and wrote 0.314
+    res = run_cli(window_entropy_config(system, (5, 0.0, 0.1), [10, 20], method), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "symbol 5 is outside" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "win.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["entropy", "verify-thm-a"])
+def test_entropy_on_a_word_dependent_roof_exits_2(tmp_path, command):
+    # caratheodory died with a TypeError traceback and exit 1
+    roof = {"depth": 1, "k": 2, "table": [1.0, 2.0]}
+    cfg = {"command": command, "experiment_id": "word-roof",
+           "system": {"kind": "suspension", "base": FULL_SHIFT_2, "roof": roof},
+           "depths": [10, 20]}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "word-independent roofs" in res.stderr
+    assert "table=(1.0, 2.0)" in res.stderr and "Traceback" not in res.stderr
+
+
 def test_verify_thm_a_with_an_untagged_window_on_a_union_exits_2(tmp_path):
     union = {"kind": "disjoint-union", "left": FULL_SHIFT_2, "right": FULL_SHIFT_2}
     cfg = {"command": "verify-thm-a", "experiment_id": "thm-a",
@@ -666,6 +690,66 @@ def test_map_inclusion_suite_draws_each_sample_once(tmp_path, monkeypatch):
     _, rows = read_rows(tmp_path, cfg["experiment_id"])
     by_q = {r["quantity"]: float(r["value"]) for r in rows}
     assert by_q["single_limit_class_count"] == cfg["sample_count"]
+
+
+COMMITTED = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", ["inclusions_unit_roof", "inclusions_roof2"])
+def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, name, seed):
+    """One read of the family and the frequency serves both verdicts of a
+    dynamics; the four labels are those of four separate verdicts."""
+    from ergode import birkhoff, cli
+    from ergode.birkhoff import Schedule, classify_generic, classify_irregular
+    from ergode.measures import Bernoulli, SymbolFrequency, TestFamily, time_average_measure
+    from ergode.systems import TimeTMap
+
+    reads, judged = [], []
+    profiles, pmap = birkhoff._profiles, cli._pmap
+
+    def counted(*args):
+        reads.append(args[0])
+        return profiles(*args)
+
+    def recorded(fn, items, threads):
+        items = list(items)
+        out = pmap(fn, items, threads)
+        judged.extend(zip(items, out))
+        return out
+
+    monkeypatch.setattr(birkhoff, "_profiles", counted)
+    monkeypatch.setattr(cli, "_profiles", counted)
+    monkeypatch.setattr(cli, "_pmap", recorded)
+    monkeypatch.setenv("ERGODE_SEED", str(seed))
+    path = os.path.join(COMMITTED, f"{name}.json")
+    assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
+    # 46 points on the base schedule read once per dynamics, the 4 constructed
+    # irregular points twice (the family, then the frequency on their blocks)
+    assert len(judged) == 50 and len(reads) == 2 * 46 + 4 * 4
+
+    with open(path) as fh:
+        cfg = json.load(fh)
+    assert "measure" not in cfg and "family_depth" not in cfg and "tolerance" not in cfg
+    flow = build_system(cfg["system"])
+    tmap, c = TimeTMap(flow, 1.0), flow.roof.roof_max
+    fam = TestFamily.default_for(flow.base, depth=3)
+    mubar = time_average_measure(flow, Bernoulli((0.5, 0.5)), 16)
+    freq = SymbolFrequency(0)
+    base = cfg["schedule"]["checkpoints"]
+
+    def sched(checkpoints, integral):
+        return Schedule(tuple(int(round(cp * c)) if integral else cp * c for cp in checkpoints))
+
+    labels = set()
+    for (tag, x, blocks), got in judged:
+        irregular = blocks.checkpoints if blocks else base
+        want = tuple((classify_generic(system, x, mubar, fam, sched(base, integral)).label,
+                      classify_irregular(system, x, freq, sched(irregular, integral)).label)
+                     for system, integral in ((tmap, True), (flow, False)))
+        assert got == want, tag
+        labels.update(*want)
+    assert {"Generic", "Irregular"} <= labels
 
 
 def test_inclusion_suite_peak_memory_stays_within_its_gate(tmp_path):

@@ -304,11 +304,35 @@ _ESTIMATORS = [
     (DisjointUnion(FullShift(2), FullShift(3)), OscillationWindows(0, ((4, 0.0, 0.5),))),
     (GOLDEN_MEAN, OscillationWindows(0, ((4, 0.0, 0.5),))),
     (FullShift(2), ComponentWindow(0.0, 1.0)),
+    # a window on a symbol the shift lacks: FullShift(2) counted 11 words of
+    # length 10 for symbol 5, where all 1024 have none of it
+    (FullShift(2), FrequencyWindow(5, 0.0, 0.1)),
+    (FullShift(2), FrequencyWindow(-1, 0.0, 0.1)),
+    (FullShift(2), OscillationWindows(2, ((4, 0.0, 0.5),))),
+    (GOLDEN_MEAN, FrequencyWindow(5, 0.0, 0.1)),
+    (DisjointUnion(FullShift(2), FullShift(3)), FrequencyWindow(2, 0.0, 0.1, component=0)),
 ], ids=["tag-on-full-shift", "tag-on-vertex-shift", "untagged-on-union", "tag-2-on-union",
-        "oscillation-on-union", "oscillation-on-vertex-shift", "component-on-full-shift"])
+        "oscillation-on-union", "oscillation-on-vertex-shift", "component-on-full-shift",
+        "symbol-past-full-shift", "negative-symbol", "oscillation-symbol-past-full-shift",
+        "symbol-past-vertex-shift", "symbol-past-union-side"])
 def test_a_mismatched_subset_fails_the_same_way_on_every_route(estimate, system, subset):
     with pytest.raises(UnsupportedSubset):
         estimate(system, subset)
+
+
+@pytest.mark.parametrize("subset", [WholeSpace(), FrequencyWindow(5, 0.0, 0.1)],
+                         ids=["whole", "symbol-past-alphabet"])
+def test_flow_entropy_refuses_what_it_cannot_count(subset):
+    word_roof = Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2))
+    unit_roof = Suspension(FullShift(2), RoofFunction.constant(1.0))
+    estimates = [lambda: bowen_entropy_flow(word_roof, subset, (10, 20)),
+                 lambda: bowen_entropy_symbolic(TimeTMap(word_roof, 1.0), subset, (10, 20))]
+    if not isinstance(subset, WholeSpace):
+        estimates += [lambda: bowen_entropy_flow(unit_roof, subset, (10, 20)),
+                      lambda: bowen_entropy_symbolic(TimeTMap(unit_roof, 0.5), subset, (10, 20))]
+    for estimate in estimates:
+        with pytest.raises(UnsupportedSubset):
+            estimate()
 
 
 def test_a_tagged_window_on_a_union_counts_its_side_on_every_route():
