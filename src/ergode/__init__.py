@@ -16,8 +16,8 @@ from .systems import (
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    InvarianceWarning, Lebesgue, Markov, Mixture, SymbolFrequency, TestFamily,
-    TimeAveraged, TimeShifted, integrate, metric_entropy,
+    Lebesgue, Markov, Mixture, SymbolFrequency, TestFamily, TimeAveraged,
+    TimeShifted, check_invariance, integrate, metric_entropy,
     partition_entropy_estimate, pushforward, time_average_measure,
     weak_star_distance,
 )

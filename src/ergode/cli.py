@@ -24,7 +24,7 @@ from .systems import (
     random_point,
 )
 from .measures import (
-    Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily,
+    Bernoulli, Markov, SymbolFrequency, TestFamily, check_invariance,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
@@ -81,10 +81,15 @@ def _resolve_point(obj, system, rng):
     return point
 
 
-def _invariant_measure_for(system, mu):
-    """Wrap a base measure so its integrals make sense under a flow."""
-    if isinstance(system, Suspension) and isinstance(mu, (Bernoulli, Markov, Mixture)):
-        return time_average_measure(system, mu, 16)
+def _measure(cfg, system):
+    """The config's measure, refused unless it is invariant on the space it
+    lives on: the base of a suspension, the flow of a time-t map."""
+    mu = build_measure(require(cfg, "measure"))
+    space = system.flow if isinstance(system, TimeTMap) else system
+    try:
+        check_invariance(mu, space.base if isinstance(space, Suspension) else space)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad measure: {exc}") from None
     return mu
 
 
@@ -169,7 +174,9 @@ def _cmd_classify(cfg, ctx, rows):
     mode = cfg.get("mode", "generic")
     eid = cfg["experiment_id"]
     if mode == "generic":
-        mu = _invariant_measure_for(system, build_measure(require(cfg, "measure")))
+        mu = _measure(cfg, system)
+        if isinstance(system, Suspension):      # a base measure, averaged along the flow
+            mu = time_average_measure(system, mu, 16)
         fam = TestFamily.default_for(system, depth=cfg.get("family_depth", 4))
         with timed() as t:
             verdict = classify_generic(system, point, mu, fam, schedule, tol,
@@ -196,7 +203,7 @@ def _cmd_construct(cfg, ctx, rows):
     eid = cfg["experiment_id"]
     out_path = os.path.join(ctx["out"], f"{eid}.point.json")
     if what == "generic-point":
-        mu = build_measure(require(cfg, "measure"))
+        mu = _measure(cfg, system)
         kind = cfg.get("construction_kind", "deterministic-blocks")
         with timed() as t:
             p = generic_point(system, mu, kind, seed=ctx["seed"],
@@ -279,7 +286,7 @@ def _cmd_verify_thm_a(cfg, ctx, rows):
 
 def _cmd_verify_thm_b(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    mu = build_measure(require(cfg, "measure"))
+    mu = _measure(cfg, system)
     eid = cfg["experiment_id"]
     tol = cfg.get("tolerance", 0.02)
     depths = tuple(cfg["depths"]) if "depths" in cfg else (500, 1000, 2000)
@@ -288,8 +295,8 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     with timed() as t:
         h_mu = metric_entropy(mu, inner)
     rows.append(Row(eid, "metric_entropy", h_mu, h_mu, h_mu, {}, t.ms))
-    if isinstance(mu, Mixture) and isinstance(inner, DisjointUnion):
-        # nonergodic strict case: the generic set is empty
+    if isinstance(inner, DisjointUnion) and len({p.component for w, p in mu.pieces if w}) > 1:
+        # nonergodic strict case: mu charges both sides, so the generic set is empty
         window = ComponentWindow(0.25, 0.75)
         with timed() as t:
             est = (bowen_entropy_flow(system, window, depths) if flow
@@ -312,7 +319,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         return
     # ergodic route: window the dominant symbol frequency around its mean
     if not isinstance(mu, (Bernoulli, Markov)):
-        raise ConfigError("verify-thm-b handles Bernoulli, Markov, or the mixture case")
+        raise ConfigError("verify-thm-b handles Bernoulli, Markov, or a mixture on both union sides")
     delta = cfg.get("lo", 0.005)   # window half-width
     freq0 = mu.stationary[0]
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
@@ -360,7 +367,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     if isinstance(system, Suspension):
         _inclusions_flow_suite(cfg, ctx, rows, system)
         return
-    mu = build_measure(require(cfg, "measure"))
+    mu = _measure(cfg, system)
     eid = cfg["experiment_id"]
     tol = cfg.get("tolerance", 0.02)
     n_samples = cfg.get("sample_count", 50)
@@ -444,8 +451,10 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
         raise ConfigError("the flow inclusion suite runs over full-shift suspensions")
     c = flow.roof.roof_max
     tmap = TimeTMap(flow, 1.0)
-    mu_base = (build_measure(cfg["measure"]) if "measure" in cfg
+    mu_base = (_measure(cfg, flow) if "measure" in cfg
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
+    if not isinstance(mu_base, Bernoulli):       # its samples are seeded iid streams
+        raise ConfigError("the flow inclusion suite samples Bernoulli measures only")
     mubar = time_average_measure(flow, mu_base, 16)
     # a family both dynamics can read: the fiber foliation is invariant under
     # the time-1 map, so fiber-graded observables would make the map side vacuous
@@ -500,6 +509,12 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
 
 def _sample_from(system, mu, seed: int) -> Point:
+    """A point drawn from mu; a measure of several pieces first draws one."""
+    if len(mu.pieces) > 1:
+        weights = [w for w, _ in mu.pieces]
+        idx = int(np.random.default_rng(seed).choice(len(weights), p=weights))
+        return _sample_from(system, mu.pieces[idx][1], seed + 1)
+    mu = mu.pieces[0][1]
     if isinstance(mu, Bernoulli):
         comp = mu.component
         return Point(SeededIID(seed, mu.probs), component=comp)
@@ -507,11 +522,6 @@ def _sample_from(system, mu, seed: int) -> Point:
         from .constructions import _sample_markov
         word = _sample_markov(mu, seed, 1 << 21)
         return Point(ExplicitWord(tuple(word.tolist())), component=mu.component)
-    if isinstance(mu, Mixture):
-        rng = np.random.default_rng(seed)
-        weights = [w for _, w in mu.components]
-        idx = int(rng.choice(len(weights), p=weights))
-        return _sample_from(system, mu.components[idx][0], seed + 1)
     raise ConfigError("sampling is implemented for Bernoulli, Markov and mixtures")
 
 

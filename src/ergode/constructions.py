@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -35,9 +35,7 @@ from .systems import (
     BlockSchedule, DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point,
     SeededIID, SteeredBlocks, Suspension, RoofFunction, _count_at_or_below,
 )
-from .measures import (
-    Bernoulli, Markov, Mixture, _cylinder_masses, _untagged,
-)
+from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
 from .entropy import OscillationWindows
 
@@ -343,12 +341,6 @@ def _all_words(k: int, length: int) -> np.ndarray:
     return out
 
 
-def _measure_for_masses(mu):
-    if isinstance(mu, (Bernoulli, Markov)):
-        return mu
-    raise TypeError("generic points are built for Bernoulli and Markov targets")
-
-
 def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
                   horizon: int = 1 << 21, first_stage: int = 6) -> Point:
     """A point whose orbit averages converge to the integrals of mu.
@@ -357,19 +349,14 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     randomness; convergence is by construction).  'seeded-iid' samples the
     coordinates from mu with a fixed seed: almost-sure genericity, checked a
     posteriori by the classifier like any other point."""
+    if not isinstance(mu, (Bernoulli, Markov)):
+        raise TypeError("generic points are built for Bernoulli and Markov targets")
+    check_invariance(mu, system)        # a shift (a tagged union side) that carries mu
     if isinstance(system, DisjointUnion):
-        comp = getattr(mu, "component", None)
-        if comp is None:
-            raise ValueError("a generic point on a disjoint union needs a tagged measure")
-        inner = generic_point(system.side(comp), _untagged(mu), kind, seed,
-                              horizon, first_stage)
-        return Point(inner.rule, inner.offset, component=comp)
-    if not isinstance(system, (FullShift, MarkovShift)):
-        raise TypeError("generic points are built on shift spaces")
-    mu = _measure_for_masses(mu)
+        inner = generic_point(system.side(mu.component), replace(mu, component=None), kind,
+                              seed, horizon, first_stage)
+        return Point(inner.rule, inner.offset, component=mu.component)
     k = system.alphabet
-    if mu.k != k:
-        raise ValueError("measure alphabet does not match the system")
     if kind == "seeded-iid":
         if isinstance(mu, Bernoulli):
             return Point(SeededIID(seed, mu.probs))
@@ -451,7 +438,7 @@ def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:
 def _stage_round(mu, k: int, L: int, adjacency) -> np.ndarray:
     """One round of a stage: every length-L word laid out in order with
     multiplicities quantised against the measure, junctions repaired."""
-    masses = _cylinder_masses(mu, k, L)
+    masses = mu.cylinder_masses(k, L)
     counts = _bresenham_counts(masses, k ** L)
     words = _all_words(k, L)
     flat = np.repeat(words, counts, axis=0).reshape(-1)

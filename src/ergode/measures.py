@@ -1,26 +1,26 @@
 """Invariant measures, observables and measure-level operations.
 
-Measure kinds: Bernoulli and Markov measures on shift spaces (optionally
-tagged with a disjoint-union component), Lebesgue on the circle/torus, finite
-atomic measures, mixtures, and two lazy wrappers used on suspension spaces:
-``TimeShifted`` (image of a measure under the time-t map, evaluated by
-integrating the composed observable) and ``TimeAveraged`` (the measure
-averaged over one unit of flow time, discretised by a midpoint rule with m
-nodes).  Symbolic measures used on a suspension space are understood as
-sitting on the fiber-zero copy of the base.
-
-A Bernoulli measure is the Markov chain whose rows all equal its
-probabilities, so cylinder masses, invariance and component tags read both
-kinds through `stationary` and `transitions`.  Integration is exact for every
-pair it accepts and raises TypeError for the rest; there is no quadrature
-fallback.
+A measure is a weighted sum of pieces: `pieces` is a flat tuple of
+(weight, piece), built once per measure.  Bernoulli, Markov and Lebesgue
+measures are one piece each, an atomic measure gives a point mass per atom,
+a mixture concatenates the weighted pieces of its parts, ``TimeShifted``
+moves each base piece by the time-t map (two shifts collapse into one, by
+s + t), and ``TimeAveraged`` (a midpoint rule with m nodes over one flow
+period) gives weight w/m to each node and base piece.  Integrals,
+pushforwards, invariance, entropy and cylinder masses are affine in the
+measure (Walters, An Introduction to Ergodic Theory, Thm 8.1), so each is a
+sum or map over the pieces plus one rule per piece kind.  Symbolic measures
+on a suspension sit on the fiber-zero copy of the base.  Point masses on a
+full or vertex shift are invariant when they make up whole periodic orbits,
+one weight along each, and their entropy is 0.  Integration is exact for
+every pair it accepts and raises TypeError for the rest.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -35,15 +35,171 @@ __all__ = [
     "TimeShifted", "Measure", "Constant", "CylinderIndicator",
     "SymbolFrequency", "Harmonic", "FiberProfile", "Observable", "TestFamily",
     "evaluate", "evaluate_on_circle", "integrate", "pushforward",
-    "time_average_measure", "weak_star_distance", "metric_entropy",
-    "partition_entropy_estimate", "compose_with_flow", "InvarianceWarning",
+    "time_average_measure", "weak_star_distance", "check_invariance",
+    "metric_entropy", "partition_entropy_estimate", "compose_with_flow",
 ]
 
 _MASS_TOL = 1e-9
 
 
-class InvarianceWarning(UserWarning):
-    """Measure accepted without an invariance check (atomic input)."""
+def _normalised(weights, what: str) -> Tuple[float, ...]:
+    """Nonnegative `weights` summing to 1 up to rounding, divided by their sum."""
+    if any(w < 0 for w in weights):
+        raise ValueError(f"{what} must be nonnegative")
+    total = math.fsum(weights)
+    if abs(total - 1.0) > _MASS_TOL:
+        raise ValueError(f"{what} must sum to 1")
+    return tuple(w / total for w in weights)
+
+
+# ---------------------------------------------------------------------------
+# pieces: one rule per kind for each question a measure sums over its pieces
+
+
+class _Piece:
+    """A piece answers `integral(phi)`, `shifted_integral(flow, s, phi)` (of
+    phi after the time-s map), `check(system)` and, once checked, `entropy`
+    and `cylinder_masses`; a rule its kind lacks raises TypeError."""
+
+    component = None            # the disjoint-union side of a tagged piece
+
+    @property
+    def pieces(self):
+        return ((1.0, self),)
+
+    def shifted(self, flow, t: float) -> "TimeShifted":
+        return TimeShifted(flow, t, self)
+
+    def integral(self, phi) -> float:
+        if isinstance(phi, _Composed):          # change of variables: move the piece
+            return integrate(self.shifted(phi.flow, phi.t), phi.base)
+        raise TypeError(f"cannot integrate {type(phi).__name__} against {type(self).__name__}")
+
+    def shifted_integral(self, flow, s: float, phi) -> float:
+        raise TypeError(f"cannot integrate the time-shifted pair "
+                        f"({type(self).__name__}, {type(flow).__name__})")
+
+    def check(self, system):
+        raise TypeError(f"no invariance rule for a {type(self).__name__} piece")
+
+
+def _shift_of(system, component):
+    """The shift a piece tagged `component` lives on (its side of a union)."""
+    if not isinstance(system, DisjointUnion):
+        return system
+    if component is None:
+        raise ValueError("measures on a disjoint union must carry a component tag")
+    return system.side(component)
+
+
+def _forbids(shift, a: int, b: int) -> bool:
+    return isinstance(shift, MarkovShift) and shift.adjacency[a][b] == 0
+
+
+class _Chain(_Piece):
+    """The rules of Bernoulli and Markov pieces."""
+
+    def integral(self, phi) -> float:
+        if not isinstance(phi, _CYLINDERS):
+            return super().integral(phi)
+        w = phi.word
+        if len({self.component, phi.component} - {None}) > 1 or \
+                any(s < 0 or s >= self.k for s in w):
+            return 0.0                  # another side's cylinder, or another alphabet's
+        P = self.transitions
+        return math.prod((self.stationary[w[0]], *(P[a][b] for a, b in zip(w, w[1:]))))
+
+    def shifted_integral(self, flow, s: float, phi) -> float:
+        if not isinstance(flow, Suspension):
+            return super().shifted_integral(flow, s, phi)
+        roof = flow.roof
+        if s < roof.roof_min:
+            # no roof crossing: the fiber lands at s and the base is untouched
+            if isinstance(phi, FiberProfile):
+                return phi.profile(s) * integrate(self, phi.base)
+            if _word_depth(phi) is not None:
+                return integrate(self, phi)
+        inner, composed_t = (phi.base, phi.t) if isinstance(phi, _Composed) else (phi, 0.0)
+        depth = _word_depth(inner)
+        if depth is None:
+            raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
+        need = int((s + composed_t) / roof.roof_min) + 1 + depth + roof.depth + 1
+        k = flow.base.alphabet              # TypeError over a disjoint union
+        if k ** need > 1 << 16:
+            raise BudgetExhausted(
+                f"cylinder decomposition depth {need} exceeds the enumeration budget"
+            )
+        total = 0.0
+        for word in _words_of_length(k, need):
+            mass = integrate(self, CylinderIndicator(word))
+            if mass != 0.0:
+                x = Point(ExplicitWord(word), fiber=0.0)
+                total += mass * evaluate(phi, time_t_map(flow, s, x))
+        return total
+
+    def check(self, system) -> None:
+        shift = _shift_of(system, self.component)
+        if not shift.symbolic:
+            raise TypeError(f"{type(self).__name__} measures live on shift spaces")
+        if self.k != shift.alphabet:
+            raise ValueError("alphabet mismatch")
+        if any(p > 0 and _forbids(shift, a, b)
+               for a, row in enumerate(self.transitions) for b, p in enumerate(row)):
+            raise ValueError(f"{type(self).__name__} measure charges a forbidden transition")
+
+    def cylinder_masses(self, k: int, depth: int) -> np.ndarray:
+        """Masses of the k**depth cylinders, indexed by word code (last
+        symbol cycling fastest)."""
+        P = np.asarray(self.transitions)
+        out = np.asarray(self.stationary)
+        last = np.arange(k)
+        for _ in range(depth - 1):
+            out = (out[:, None] * P[last]).ravel()
+            last = np.tile(np.arange(k), len(last))
+        return out
+
+
+@dataclass(frozen=True)
+class _PointMass(_Piece):
+    """The unit mass at one point: an atom of an atomic measure."""
+
+    point: Point
+
+    @property
+    def component(self):
+        return self.point.component
+
+    def integral(self, phi) -> float:
+        return evaluate(phi, self.point)
+
+    def shifted_integral(self, flow, s: float, phi) -> float:
+        x = self.point          # a symbolic atom flows from the zero fiber
+        x = x.with_fiber(0.0) if x.is_symbolic and x.fiber is None else x
+        return evaluate(phi, time_t_map(flow, s, x))
+
+    def check(self, system):
+        """The atom's place: (component, its minimal period read from the point)."""
+        shift = _shift_of(system, self.component)
+        if not shift.symbolic:
+            raise TypeError("atomic measures have an invariance rule on shift spaces only")
+        if not isinstance(self.point.rule, ExplicitWord):
+            raise ValueError(f"an atom on a shift must be a periodic point given by an "
+                             f"explicit word, not {type(self.point.rule).__name__}")
+        n = len(self.point.rule.symbols)
+        word = tuple(int(s) for s in self.point.prefix(n))
+        word = word[:next(p for p in range(1, n + 1) if word[p:] + word[:p] == word)]
+        if any(not 0 <= s < shift.alphabet for s in word) or any(
+                _forbids(shift, a, b) for a, b in zip(word, word[1:] + word[:1])):
+            raise ValueError(f"the periodic atom {list(word)} is not a point of {shift}")
+        return self.component, word
+
+    def entropy(self, system) -> float:
+        return 0.0
+
+    def cylinder_masses(self, k: int, depth: int) -> np.ndarray:
+        out = np.zeros(k ** depth)
+        out[sum(int(s) * k ** i for i, s in enumerate(self.point.prefix(depth)[::-1]))] = 1.0
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +207,7 @@ class InvarianceWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class Bernoulli:
+class Bernoulli(_Chain):
     """Independent symbols drawn from `probs`: the Markov chain whose
     stationary vector and every transition row are `probs`."""
 
@@ -59,12 +215,9 @@ class Bernoulli:
     component: Optional[int] = None
 
     def __post_init__(self):
-        if len(self.probs) < 2 or any(p < 0 for p in self.probs):
-            raise ValueError("Bernoulli needs >= 2 nonnegative probabilities")
-        total = math.fsum(self.probs)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError("Bernoulli probabilities must sum to 1")
-        object.__setattr__(self, "probs", tuple(p / total for p in self.probs))
+        if len(self.probs) < 2:
+            raise ValueError("Bernoulli needs >= 2 probabilities")
+        object.__setattr__(self, "probs", _normalised(self.probs, "Bernoulli probabilities"))
 
     @property
     def k(self) -> int:
@@ -78,9 +231,12 @@ class Bernoulli:
     def transitions(self) -> Tuple[Tuple[float, ...], ...]:
         return (self.probs,) * self.k
 
+    def entropy(self, system) -> float:
+        return -math.fsum(p * math.log(p) for p in self.probs if p > 0)
+
 
 @dataclass(frozen=True)
-class Markov:
+class Markov(_Chain):
     transitions: Tuple[Tuple[float, ...], ...]
     stationary: Tuple[float, ...]
     component: Optional[int] = None
@@ -123,14 +279,35 @@ class Markov:
             component,
         )
 
+    def entropy(self, system) -> float:
+        return -math.fsum(self.stationary[i] * p * math.log(p)
+                          for i, row in enumerate(self.transitions) for p in row if p > 0)
+
 
 @dataclass(frozen=True)
-class Lebesgue:
+class Lebesgue(_Piece):
     dim: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("Lebesgue dimension must be >= 1")
+
+    def integral(self, phi) -> float:
+        return 0.0 if isinstance(phi, Harmonic) else super().integral(phi)
+
+    def shifted(self, flow, t: float):
+        # an isometric flow keeps Lebesgue measure
+        return self if flow.is_flow and flow.isometric else super().shifted(flow, t)
+
+    def check(self, system) -> None:
+        if not system.torus_dim:
+            raise TypeError("Lebesgue lives on the circle/torus")
+        if self.dim != system.torus_dim:
+            raise ValueError(f"Lebesgue({self.dim}) on a {system.torus_dim}-dimensional space")
+
+    def entropy(self, system) -> float:
+        # x -> n*x is the one circle or torus system that is not isometric
+        return math.log(system.n) if isinstance(system, CircleMult) else 0.0
 
 
 @dataclass(frozen=True)
@@ -141,12 +318,11 @@ class Atomic:
     def __post_init__(self):
         if not self.points or len(self.points) != len(self.weights):
             raise ValueError("atomic measure needs matching nonempty points and weights")
-        if any(w < 0 for w in self.weights):
-            raise ValueError("atomic weights must be nonnegative")
-        total = math.fsum(self.weights)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError("atomic weights must sum to 1")
-        object.__setattr__(self, "weights", tuple(w / total for w in self.weights))
+        object.__setattr__(self, "weights", _normalised(self.weights, "atomic weights"))
+
+    @cached_property
+    def pieces(self):
+        return tuple((w, _PointMass(x)) for x, w in zip(self.points, self.weights))
 
 
 @dataclass(frozen=True)
@@ -156,23 +332,20 @@ class Mixture:
     def __post_init__(self):
         if not self.components:
             raise ValueError("mixture needs at least one component")
-        if any(w < 0 for _, w in self.components):
-            raise ValueError("mixture weights must be nonnegative")
-        total = math.fsum(w for _, w in self.components)
-        if abs(total - 1.0) > _MASS_TOL:
-            raise ValueError("mixture weights must sum to 1")
-        object.__setattr__(
-            self, "components", tuple((m, w / total) for m, w in self.components)
-        )
+        measures, weights = zip(*self.components)
+        weights = _normalised(weights, "mixture weights")
+        object.__setattr__(self, "components", tuple(zip(measures, weights)))
+
+    @cached_property
+    def pieces(self):
+        return tuple((w * v, p) for m, w in self.components for v, p in m.pieces)
 
 
 @dataclass(frozen=True)
 class TimeAveraged:
-    """Midpoint average of the images of `base` over one flow period.
-
-    For a suspension the period is one sweep of the fiber (the roof height);
-    for rotation flows it is one turn of the circle.
-    """
+    """Midpoint average of the images of `base` over one flow period: one
+    sweep of the fiber (the roof height) for a suspension, one turn of the
+    circle for rotation flows."""
 
     flow: object
     base: "Measure"
@@ -182,23 +355,30 @@ class TimeAveraged:
         if self.m < 1:
             raise ValueError("quadrature node count must be >= 1")
 
-    def period(self) -> float:
-        if isinstance(self.flow, Suspension):
-            return self.flow.roof.roof_max
-        return 1.0
-
-    def nodes(self) -> Tuple[float, ...]:
-        c = self.period()
-        return tuple(c * (j + 0.5) / self.m for j in range(self.m))
+    @cached_property
+    def pieces(self):
+        c = self.flow.roof.roof_max if isinstance(self.flow, Suspension) else 1.0
+        return tuple((w / self.m, p.shifted(self.flow, c * (j + 0.5) / self.m))
+                     for j in range(self.m) for w, p in self.base.pieces)
 
 
 @dataclass(frozen=True)
-class TimeShifted:
-    """Image of `base` under the time-t map, integrated by composition."""
+class TimeShifted(_Piece):
+    """Image of `base` under the time-t map; as a piece, of an unshifted piece."""
 
     flow: object
     t: float
     base: "Measure"
+
+    @cached_property
+    def pieces(self):
+        return tuple((w, p.shifted(self.flow, self.t)) for w, p in self.base.pieces)
+
+    def shifted(self, flow, t: float) -> "TimeShifted":
+        return TimeShifted(flow, self.t + t, self.base)
+
+    def integral(self, phi) -> float:
+        return self.base.shifted_integral(self.flow, self.t, phi)
 
 
 Measure = Union[Bernoulli, Markov, Lebesgue, Atomic, Mixture, TimeAveraged, TimeShifted]
@@ -452,111 +632,17 @@ def _separation_probes(space):
 
 
 def integrate(mu, phi) -> float:
-    """Exact integral of `phi` against `mu`; TypeError for a pair with no
-    exact rule."""
+    """Exact integral of `phi` against `mu`: the weighted sum of its pieces'
+    integrals; TypeError for a pair with no exact rule."""
     if isinstance(phi, Constant):
         return phi.value
-    if isinstance(mu, Mixture):
-        return math.fsum(w * integrate(m, phi) for m, w in mu.components)
-    if isinstance(mu, Atomic):
-        return math.fsum(w * evaluate(phi, x) for x, w in zip(mu.points, mu.weights))
-    if isinstance(mu, TimeShifted):
-        return _integrate_shifted(mu.flow, mu.t, mu.base, phi)
-    if isinstance(mu, TimeAveraged):
-        return math.fsum(
-            _integrate_shifted(mu.flow, s, mu.base, phi) for s in mu.nodes()
-        ) / mu.m
-    if isinstance(phi, _Composed):
-        return _integrate_shifted(phi.flow, phi.t, mu, phi.base)
-    if isinstance(mu, (Bernoulli, Markov)) and isinstance(phi, _CYLINDERS):
-        if phi.component is not None and mu.component is not None \
-                and phi.component != mu.component:
-            return 0.0
-        w = phi.word
-        if any(s < 0 or s >= mu.k for s in w):
-            return 0.0
-        P = mu.transitions
-        out = mu.stationary[w[0]]
-        for a, b in zip(w[:-1], w[1:]):
-            out *= P[a][b]
-        return out
-    if isinstance(mu, Lebesgue) and isinstance(phi, Harmonic):
-        return 0.0
-    raise TypeError(f"cannot integrate {type(phi).__name__} against {type(mu).__name__}")
+    return math.fsum(w * p.integral(phi) for w, p in mu.pieces)
 
 
-def _integrate_shifted(flow, s, base, phi) -> float:
-    """integral of phi(flow_s(x)) d base(x)."""
-    if isinstance(base, Mixture):
-        return math.fsum(
-            w * _integrate_shifted(flow, s, m, phi) for m, w in base.components
-        )
-    if isinstance(base, Atomic):
-        return math.fsum(
-            w * evaluate(phi, time_t_map(flow, s, _with_default_fiber(flow, x)))
-            for x, w in zip(base.points, base.weights)
-        )
-    if isinstance(base, TimeShifted):
-        return _integrate_shifted(flow, s + base.t, base.base, phi)
-    if isinstance(base, Lebesgue) and flow.is_flow and flow.isometric:
-        # an isometric flow keeps Lebesgue measure, so phi integrates unmoved
-        return integrate(base, phi)
-    if isinstance(base, (Bernoulli, Markov)) and isinstance(flow, Suspension):
-        return _integrate_shifted_symbolic(flow, s, base, phi)
-    raise TypeError(
-        f"cannot integrate the time-shifted pair ({type(base).__name__}, {type(flow).__name__})"
-    )
-
-
-def _with_default_fiber(flow, x: Point) -> Point:
-    if isinstance(flow, Suspension) and x.fiber is None:
-        return x.with_fiber(0.0)
-    return x
-
-
-def _integrate_shifted_symbolic(flow: Suspension, s, base, phi) -> float:
-    roof = flow.roof
-    if s < roof.roof_min:
-        # no roof crossing: the fiber lands at s and the base is untouched
-        if isinstance(phi, FiberProfile):
-            return phi.profile(s) * integrate(base, phi.base)
-        if _word_depth(phi) is not None:
-            return integrate(base, phi)
-    depth = _word_depth(phi.base if isinstance(phi, _Composed) else phi)
-    if depth is None:
-        raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
-    if isinstance(flow.base, DisjointUnion):
-        raise TypeError("time shifts beyond the roof are not supported over disjoint unions")
-    crossings = int(s / roof.roof_min) + 1
-    need = crossings + depth + roof.depth + 1
-    k = flow.base.alphabet
-    if k ** need > 1 << 16:
-        raise BudgetExhausted(
-            f"cylinder decomposition depth {need} exceeds the enumeration budget"
-        )
-    total = 0.0
-    for word in _words_of_length(k, need):
-        mass = integrate(base, CylinderIndicator(word))
-        if mass == 0.0:
-            continue
-        x = Point(ExplicitWord(word), fiber=0.0)
-        total += mass * evaluate(phi, time_t_map(flow, s, x))
-    return total
-
-
-def pushforward(flow, t: float, mu):
-    """Image measure under the time-t map of the flow."""
+def pushforward(flow, t: float, mu) -> TimeShifted:
+    """Image measure under the time-t map of the flow: each piece moved by t."""
     if isinstance(flow, Suspension) and t < 0:
         raise ValueError("suspension flows run forward in time only")
-    if isinstance(mu, Lebesgue) and flow.is_flow and flow.isometric:
-        return mu
-    if isinstance(mu, Atomic):
-        moved = tuple(time_t_map(flow, t, _with_default_fiber(flow, x)) for x in mu.points)
-        return Atomic(moved, mu.weights)
-    if isinstance(mu, Mixture):
-        return Mixture(tuple((pushforward(flow, t, m), w) for m, w in mu.components))
-    if isinstance(mu, TimeShifted):
-        return TimeShifted(flow, mu.t + t, mu.base)
     return TimeShifted(flow, t, mu)
 
 
@@ -577,129 +663,46 @@ def weak_star_distance(mu, nu, fam: TestFamily) -> float:
 # entropy of a measure
 
 
-def _check_invariance(mu, system) -> None:
-    """Raise unless mu is invariant under the system.  A Bernoulli or Markov
-    measure needs the system's alphabet and may charge no transition that a
-    vertex shift forbids; Lebesgue needs a circle or torus of its dimension."""
-    if isinstance(mu, Mixture):
-        for m, _ in mu.components:
-            _check_invariance(m, system)
-        return
-    if isinstance(mu, Atomic):
-        warnings.warn("atomic measure accepted without an invariance check", InvarianceWarning)
-        return
-    if isinstance(mu, (Bernoulli, Markov)):
-        if isinstance(system, DisjointUnion):
-            if mu.component is None:
-                raise ValueError("measures on a disjoint union must carry a component tag")
-            _check_invariance(_untagged(mu), system.side(mu.component))
-            return
-        if not system.symbolic:
-            raise TypeError(f"{type(mu).__name__} measures live on shift spaces")
-        if mu.k != system.alphabet:
-            raise ValueError("alphabet mismatch")
-        if isinstance(system, MarkovShift) and any(
-            p > 0 and allowed == 0
-            for row, adj in zip(mu.transitions, system.adjacency)
-            for p, allowed in zip(row, adj)
-        ):
-            raise ValueError(f"{type(mu).__name__} measure charges a forbidden transition")
-        return
-    if isinstance(mu, Lebesgue):
-        if not system.torus_dim:
-            raise TypeError("Lebesgue lives on the circle/torus")
-        if mu.dim != system.torus_dim:
-            raise ValueError(f"Lebesgue({mu.dim}) on a {system.torus_dim}-dimensional space")
-        return
-    # TimeAveraged / TimeShifted wrappers inherit invariance from their construction
+def check_invariance(mu, system) -> None:
+    """Raise unless mu is invariant under the system, piece by piece: a
+    Bernoulli or Markov piece needs the alphabet (of its tagged union side)
+    and no forbidden transition, Lebesgue a circle or torus of its dimension,
+    and the point masses must make up whole periodic orbits of a shift (each
+    atom an explicit word in the alphabet whose cyclic transitions, the
+    wrap-around included, are allowed; every rotation of its minimal period
+    charged alike).  ValueError when a piece does not fit, TypeError for a
+    kind the system cannot carry."""
+    atoms = {}
+    for w, p in mu.pieces:
+        place = p.check(system)
+        if place is not None:
+            atoms[place] = atoms.get(place, 0.0) + w
+    for (comp, word), w in atoms.items():       # the shift moves each place one rotation on
+        if abs(atoms.get((comp, word[1:] + word[:1]), 0.0) - w) > _MASS_TOL:
+            raise ValueError(f"atomic measure is not invariant: the orbit of "
+                             f"{list(word)} is not charged evenly")
 
 
 def metric_entropy(mu, system) -> float:
-    """Entropy of the measure under the system, natural log.
-
-    Closed form for Bernoulli and Markov measures, 0 for Lebesgue under an
-    isometric system (rotation, rotation flow, torus translation, or a
-    time-t map of one), log n for Lebesgue under circle multiplication, and
-    the affine combination for mixtures of closed-form components (entropy
-    is affine in the measure).  Any other measure on a full or vertex shift
-    (atomic, or a mixture with an atomic part) gets the partition estimate at
-    depth 12; anything else raises TypeError.
-    """
-    _check_invariance(mu, system)
-    closed = _closed_form_entropy(mu, system)
-    if closed is not None:
-        return closed
-    return partition_entropy_estimate(mu, system, depth=12)
-
-
-def _closed_form_entropy(mu, system) -> Optional[float]:
-    if isinstance(mu, Bernoulli):
-        return -math.fsum(p * math.log(p) for p in mu.probs if p > 0)
-    if isinstance(mu, Markov):
-        return -math.fsum(
-            mu.stationary[i] * mu.transitions[i][j] * math.log(mu.transitions[i][j])
-            for i in range(mu.k)
-            for j in range(mu.k)
-            if mu.transitions[i][j] > 0
-        )
-    if isinstance(mu, Lebesgue):
-        # an invariant Lebesgue lives on a circle or torus, and x -> n*x is
-        # the one such system that is not isometric
-        return math.log(system.n) if isinstance(system, CircleMult) else 0.0
-    if isinstance(mu, Mixture):
-        sides = []
-        for m, w in mu.components:
-            inner_system = system
-            if isinstance(system, DisjointUnion) and getattr(m, "component", None) is not None:
-                inner_system = system.side(m.component)
-                m = _untagged(m)
-            inner = _closed_form_entropy(m, inner_system)
-            if inner is None:
-                return None
-            sides.append(w * inner)
-        return math.fsum(sides)
-    return None
-
-
-def _untagged(mu):
-    if isinstance(mu, (Bernoulli, Markov)):
-        return replace(mu, component=None)
-    return mu
+    """Entropy of the measure under the system, natural log: once
+    `check_invariance` accepts it, the weighted sum of its pieces' entropies
+    (the closed forms for Bernoulli and Markov, 0 for Lebesgue under an
+    isometric system, log n under circle multiplication, and exactly 0 for
+    point masses making up whole periodic orbits of a shift).  Any other
+    atomic measure on a shift raises ValueError; atoms off a shift, and
+    time-shifted or time-averaged measures, raise TypeError."""
+    check_invariance(mu, system)
+    return math.fsum(w * p.entropy(system) for w, p in mu.pieces)
 
 
 def partition_entropy_estimate(mu, system, depth: int) -> float:
     """H_mu of the depth-fold join of the 1-cylinder partition of a full or
-    vertex shift, divided by depth.  Any other system raises TypeError."""
+    vertex shift, divided by depth, from the pieces' summed cylinder masses.
+    Any other system raises TypeError."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    _check_invariance(mu, system)
-    masses = _cylinder_masses(mu, system.alphabet, depth)   # TypeError off a single shift
+    check_invariance(mu, system)
+    k = system.alphabet                      # TypeError off a single shift
+    masses = sum(w * p.cylinder_masses(k, depth) for w, p in mu.pieces)
     masses = masses[masses > 0]
     return float(-(masses * np.log(masses)).sum() / depth)
-
-
-def _cylinder_masses(mu, k: int, depth: int) -> np.ndarray:
-    """Masses of the k**depth cylinders, indexed by word code (last symbol
-    cycling fastest)."""
-    if isinstance(mu, (Bernoulli, Markov)):
-        P = np.asarray(mu.transitions)
-        out = np.asarray(mu.stationary)
-        last = np.arange(k)
-        for _ in range(depth - 1):
-            out = (out[:, None] * P[last]).ravel()
-            last = np.tile(np.arange(k), len(last))
-        return out
-    if isinstance(mu, Atomic):
-        out = np.zeros(k ** depth)
-        for x, w in zip(mu.points, mu.weights):
-            word = x.prefix(depth)
-            code = 0
-            for s in word:
-                code = code * k + int(s)
-            out[code] += w
-        return out
-    if isinstance(mu, Mixture):
-        return np.sum(
-            [w * _cylinder_masses(m, k, depth) for m, w in mu.components], axis=0
-        )
-    raise TypeError(f"no cylinder masses for {type(mu).__name__}")

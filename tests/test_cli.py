@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,7 +11,7 @@ import pytest
 
 from ergode.config import build_measure, build_point, build_system
 from ergode.constructions import generic_point, irregular_point
-from ergode.cli import _point_json, _write_point
+from ergode.cli import _measure, _point_json, _write_point
 from ergode.systems import (
     BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
 )
@@ -512,6 +513,58 @@ def test_thm_b_mixture_samples_on_a_proper_vertex_shift_are_a_config_error(tmp_p
     res = run_cli(cfg, tmp_path)
     assert res.returncode == 2, res.stderr
     assert "forbids a transition" in res.stderr
+
+
+FOREIGN_MEASURE = {"kind": "bernoulli", "probs": [0.2, 0.3, 0.5]}    # three symbols
+HALF_ORBIT = {"kind": "atomic", "points": [{"kind": "explicit-word", "symbols": [0, 1]}],
+              "weights": [1.0]}                                   # not invariant
+SHIFT_2 = {"kind": "full-shift", "k": 2}
+UNIT_ROOF = {"kind": "suspension", "base": SHIFT_2, "roof": {"constant": 1.0}}
+
+
+@pytest.mark.parametrize("command, system, extra", [
+    pytest.param(command, system, extra, id=f"{command}-{name}")
+    for command, extra in (
+        ("classify", {"point": {"kind": "explicit-word", "symbols": [0, 1]}}),
+        ("construct", {"construction": "generic-point"}),
+        ("verify-inclusions", {"sample_count": 6}),
+        ("verify-thm-b", {"depths": [64, 128]}),
+    )
+    for name, system in (("shift", SHIFT_2), ("suspension", UNIT_ROOF))
+    if (command, name) != ("construct", "suspension")     # generic points need a shift
+])
+@pytest.mark.parametrize("measure", [FOREIGN_MEASURE, HALF_ORBIT], ids=["k3", "half-orbit"])
+def test_a_measure_that_is_not_invariant_on_its_system_exits_2(tmp_path, command, system,
+                                                               extra, measure):
+    cfg = {"command": command, "experiment_id": "foreign", "system": system,
+           "measure": measure, **extra}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: bad measure:"), res.stderr
+    assert "Traceback" not in res.stderr
+
+
+REPO = pathlib.Path(__file__).resolve().parents[1]
+MEASURE_CONFIGS = sorted(
+    p for d in ("scripts/configs", "perfbench/configs") for p in (REPO / d).glob("*.json")
+    if "measure" in json.loads(p.read_text())
+)
+
+
+@pytest.mark.parametrize("path", MEASURE_CONFIGS, ids=lambda p: p.stem)
+def test_every_committed_measure_is_invariant_on_its_system(path):
+    cfg = json.loads(path.read_text())
+    assert _measure(cfg, build_system(cfg["system"])) == build_measure(cfg["measure"])
+
+
+def test_a_flow_inclusion_suite_of_a_markov_measure_exits_2(tmp_path):
+    cfg = {"command": "verify-inclusions", "experiment_id": "flow-markov",
+           "system": UNIT_ROOF, "sample_count": 6,
+           "measure": {"kind": "markov", "transitions": [[0.6, 0.4], [0.5, 0.5]]}}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "samples Bernoulli measures only" in res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_verify_inclusions_on_a_suspension_checks_both_dynamics(tmp_path):
