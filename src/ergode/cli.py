@@ -32,14 +32,14 @@ from .birkhoff import (
     family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
-    ComponentWindow, FrequencyWindow, UnsupportedSubset, WholeSpace,
+    ComponentWindow, FrequencyWindow, UnsupportedSubset,
     bowen_entropy_flow, bowen_entropy_symbolic, spanning_entropy,
 )
 from .constructions import generic_point, glue_orbits, irregular_point
 from .config import (
     COMMANDS, ConfigError, build_measure, build_mistake_function,
     build_observable, build_point, build_schedule, build_subset, build_system,
-    config_digest, load_config, require,
+    config_digest, load_config,
 )
 from .reporting import Row, timed, write_csv
 
@@ -84,7 +84,9 @@ def _resolve_point(obj, system, rng):
 def _measure(cfg, system):
     """The config's measure, refused unless it is invariant on the space it
     lives on: the base of a suspension, the flow of a time-t map."""
-    mu = build_measure(require(cfg, "measure"))
+    if cfg.get("measure") is None:        # a map's inclusion suite has no default
+        raise ConfigError(f"command '{cfg['command']}' requires field 'measure'")
+    mu = build_measure(cfg["measure"])
     space = system.flow if isinstance(system, TimeTMap) else system
     try:
         check_invariance(mu, space.base if isinstance(space, Suspension) else space)
@@ -124,11 +126,11 @@ def _point_json(p: Point) -> dict:
 
 def _cmd_entropy(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    subset = build_subset(cfg["subset"]) if "subset" in cfg else WholeSpace()
-    depths = tuple(cfg["depths"]) if "depths" in cfg else None
-    method = cfg.get("method", "caratheodory")
+    subset = build_subset(cfg["subset"])
+    depths = None if cfg["depths"] is None else tuple(cfg["depths"])
+    method = cfg["method"]
     eid = cfg["experiment_id"]
-    params = {"subset": cfg.get("subset", {"kind": "whole"})["kind"]}
+    params = {"subset": cfg["subset"]["kind"]}
     if method in ("spanning", "both") and depths is not None and len(set(depths)) < 2:
         raise ConfigError("the spanning method fits a growth rate: depths needs "
                           "at least two distinct values")
@@ -153,9 +155,9 @@ def _cmd_entropy(cfg, ctx, rows):
 
 def _cmd_birkhoff(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    point = _resolve_point(require(cfg, "point"), system, ctx["rng"])
-    phi = build_observable(require(cfg, "observable"))
-    schedule = build_schedule(cfg.get("schedule"), system.is_flow)
+    point = _resolve_point(cfg["point"], system, ctx["rng"])
+    phi = build_observable(cfg["observable"])
+    schedule = build_schedule(cfg["schedule"], system.is_flow)
     eid = cfg["experiment_id"]
     with timed() as t:
         prof = (flow_average_profile(system, point, phi, schedule)
@@ -168,21 +170,20 @@ def _cmd_birkhoff(cfg, ctx, rows):
 
 def _cmd_classify(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    point = _resolve_point(require(cfg, "point"), system, ctx["rng"])
-    schedule = build_schedule(cfg.get("schedule"), system.is_flow)
-    tol = cfg.get("tolerance", 0.02)
-    mode = cfg.get("mode", "generic")
+    point = _resolve_point(cfg["point"], system, ctx["rng"])
+    schedule = build_schedule(cfg["schedule"], system.is_flow)
+    tol = cfg["tolerance"]
     eid = cfg["experiment_id"]
-    if mode == "generic":
+    if cfg["mode"] == "generic":
         mu = _measure(cfg, system)
         if isinstance(system, Suspension):      # a base measure, averaged along the flow
             mu = time_average_measure(system, mu, 16)
-        fam = TestFamily.default_for(system, depth=cfg.get("family_depth", 4))
+        fam = TestFamily.default_for(system, depth=cfg["family_depth"])
         with timed() as t:
             verdict = classify_generic(system, point, mu, fam, schedule, tol,
                                        keep_profile=ctx["diagnostics"])
     else:
-        phi = build_observable(require(cfg, "observable"))
+        phi = build_observable(cfg["observable"])
         with timed() as t:
             verdict = classify_irregular(system, point, phi, schedule, tol,
                                          keep_profile=ctx["diagnostics"])
@@ -199,44 +200,41 @@ def _cmd_classify(cfg, ctx, rows):
 
 def _cmd_construct(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    what = require(cfg, "construction")
+    what = cfg["construction"]
     eid = cfg["experiment_id"]
     out_path = os.path.join(ctx["out"], f"{eid}.point.json")
     if what == "generic-point":
         mu = _measure(cfg, system)
-        kind = cfg.get("construction_kind", "deterministic-blocks")
+        kind = cfg["construction_kind"]
         with timed() as t:
-            p = generic_point(system, mu, kind, seed=ctx["seed"],
-                              horizon=cfg.get("horizon", 1 << 21))
+            try:
+                p = generic_point(system, mu, kind, seed=ctx["seed"], horizon=cfg["horizon"])
+            except TypeError as exc:    # a mixture target, a suspension
+                raise ConfigError(f"bad construction '{what}': {exc}") from None
         verdict = classify_generic(system, p, mu,
                                    TestFamily.default_for(system, depth=4),
-                                   build_schedule(cfg.get("schedule"), False),
-                                   cfg.get("tolerance", 0.02))
+                                   build_schedule(cfg["schedule"], False), cfg["tolerance"])
         rows.append(Row(eid, "construction_gap", verdict.gap, None, None,
                         {"label": verdict.label, "kind": kind}, t.ms))
         _write_point(out_path, p)
         return
     if what == "irregular-point":
         with timed() as t:
-            rec = irregular_point(
-                system, cfg.get("symbol", 0), cfg.get("lo", 0.2), cfg.get("hi", 0.65),
-                cfg.get("first_block", 8), cfg.get("block_ratio", 4),
-                cfg.get("horizon", 1 << 21),
-            )
+            rec = _irregular_point(cfg, system)
         verdict = classify_irregular(system, rec.point,
                                      build_observable({"kind": "symbol-frequency",
                                                        "symbol": rec.symbol}),
-                                     rec.schedule(), cfg.get("tolerance", 0.02))
+                                     rec.schedule(), cfg["tolerance"])
         rows.append(Row(eid, "oscillation_gap", verdict.gap, None, None,
                         {"label": verdict.label,
                          "block_ends": list(rec.block_ends[:6])}, t.ms))
         _write_point(out_path, rec.point)
         return
     if what == "glued-orbit":
-        segs = [(build_point(p), int(n)) for p, n in require(cfg, "segments")]
-        g = build_mistake_function(cfg.get("mistake_function"))
+        segs = [(build_point(p), int(n)) for p, n in cfg["segments"]]
+        g = build_mistake_function(cfg["mistake_function"])
         with timed() as t:
-            glued = glue_orbits(system, segs, cfg.get("eps", 0.75), g)
+            glued = glue_orbits(system, segs, cfg["eps"], g)
         for i, (T, c) in enumerate(zip(glued.junction_times, glued.connector_lengths)):
             rows.append(Row(eid, "connector_length", float(c), None, None,
                             {"junction": i, "time": T}, 0.0))
@@ -246,8 +244,11 @@ def _cmd_construct(cfg, ctx, rows):
         rows.append(Row(eid, "within_budget", 1.0 if glued.within_budget else 0.0,
                         None, None, {}, t.ms))
         _write_point(out_path, glued.point)
-        return
-    raise ConfigError(f"unknown construction '{what}'")
+
+
+def _irregular_point(cfg, system):
+    return irregular_point(system, cfg["symbol"], cfg["lo"], cfg["hi"], cfg["first_block"],
+                           cfg["block_ratio"], cfg["horizon"])
 
 
 def _write_point(path: str, p: Point) -> None:
@@ -260,9 +261,9 @@ def _cmd_verify_thm_a(cfg, ctx, rows):
     flow = build_system(cfg["system"])
     if not isinstance(flow, Suspension):
         raise ConfigError("verify-thm-a expects a suspension flow system")
-    subset = build_subset(cfg["subset"]) if "subset" in cfg else WholeSpace()
-    depths = tuple(cfg["depths"]) if "depths" in cfg else (60, 120, 240)
-    times = cfg.get("times", [0.5, 1.0, 2.0])
+    subset = build_subset(cfg["subset"])
+    depths = tuple(cfg["depths"])
+    times = cfg["times"]
     eid = cfg["experiment_id"]
     with timed() as t:
         base_est = bowen_entropy_flow(flow, subset, depths)
@@ -288,8 +289,8 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     system = build_system(cfg["system"])
     mu = _measure(cfg, system)
     eid = cfg["experiment_id"]
-    tol = cfg.get("tolerance", 0.02)
-    depths = tuple(cfg["depths"]) if "depths" in cfg else (500, 1000, 2000)
+    tol = cfg["tolerance"]
+    depths = tuple(cfg["depths"])
     flow = system.is_flow
     inner = system.base if isinstance(system, Suspension) else system
     with timed() as t:
@@ -303,9 +304,9 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
                    else bowen_entropy_symbolic(system, window, depths))
         rows.append(Row(eid, "generic_set_entropy", est.value, est.lower, est.upper,
                         {"flags": list(est.flags)}, t.ms))
-        n_samples = cfg.get("sample_count", 100)
-        fam = TestFamily.default_for(inner, depth=cfg.get("family_depth", 3))
-        schedule = build_schedule(cfg.get("schedule"), False)
+        n_samples = cfg["sample_count"]
+        fam = TestFamily.default_for(inner, depth=cfg["family_depth"])
+        schedule = build_schedule(cfg["schedule"], False)
         targets = family_targets(mu, fam)
 
         def one(i):
@@ -320,7 +321,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     # ergodic route: window the dominant symbol frequency around its mean
     if not isinstance(mu, (Bernoulli, Markov)):
         raise ConfigError("verify-thm-b handles Bernoulli, Markov, or a mixture on both union sides")
-    delta = cfg.get("lo", 0.005)   # window half-width
+    delta = cfg["lo"]   # window half-width
     freq0 = mu.stationary[0]
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
     with timed() as t:
@@ -337,19 +338,15 @@ def _cmd_verify_irregular(cfg, ctx, rows):
     system = build_system(cfg["system"])
     eid = cfg["experiment_id"]
     with timed() as t:
-        rec = irregular_point(
-            system, cfg.get("symbol", 0), cfg.get("lo", 0.2), cfg.get("hi", 0.65),
-            cfg.get("first_block", 8), cfg.get("block_ratio", 4),
-            cfg.get("horizon", 1 << 21),
-        )
+        rec = _irregular_point(cfg, system)
     verdict = classify_irregular(
         system, rec.point,
         build_observable({"kind": "symbol-frequency", "symbol": rec.symbol}),
-        rec.schedule(), cfg.get("tolerance", 0.02),
+        rec.schedule(), cfg["tolerance"],
     )
     rows.append(Row(eid, "oscillation_gap", verdict.gap, None, None,
                     {"label": verdict.label}, t.ms))
-    depth = max(tuple(cfg["depths"])) if "depths" in cfg else 2000
+    depth = max(cfg["depths"])
     windows = rec.oscillation_windows(scales=4, slack=0.1)
     s_max = windows.windows[-1][0]
     depths = tuple(sorted({max(d, s_max) for d in (depth // 4, depth // 2, depth)}))
@@ -369,10 +366,10 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
         return
     mu = _measure(cfg, system)
     eid = cfg["experiment_id"]
-    tol = cfg.get("tolerance", 0.02)
-    n_samples = cfg.get("sample_count", 50)
-    fam = TestFamily.default_for(system, depth=cfg.get("family_depth", 4))
-    schedule = build_schedule(cfg.get("schedule"), False)
+    tol = cfg["tolerance"]
+    n_samples = cfg["sample_count"]
+    fam = TestFamily.default_for(system, depth=cfg["family_depth"] or 4)
+    schedule = build_schedule(cfg["schedule"], False)
     targets = family_targets(mu, fam)
     n_limit = min(n_samples, 10)
     w = fam.weights()
@@ -444,24 +441,24 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     irregular point reads its frequency again, on its own block schedule.
     """
     eid = cfg["experiment_id"]
-    tol = cfg.get("tolerance", 0.02)
-    n_total = cfg.get("sample_count", 50)
+    tol = cfg["tolerance"]
+    n_total = cfg["sample_count"]
     base = flow.base
     if not isinstance(base, FullShift):
         raise ConfigError("the flow inclusion suite runs over full-shift suspensions")
     c = flow.roof.roof_max
     tmap = TimeTMap(flow, 1.0)
-    mu_base = (_measure(cfg, flow) if "measure" in cfg
+    mu_base = (_measure(cfg, flow) if cfg["measure"] is not None
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
     if not isinstance(mu_base, Bernoulli):       # its samples are seeded iid streams
         raise ConfigError("the flow inclusion suite samples Bernoulli measures only")
     mubar = time_average_measure(flow, mu_base, 16)
     # a family both dynamics can read: the fiber foliation is invariant under
     # the time-1 map, so fiber-graded observables would make the map side vacuous
-    fam = TestFamily.default_for(base, depth=cfg.get("family_depth", 3))
+    fam = TestFamily.default_for(base, depth=cfg["family_depth"] or 3)
     # config checkpoints count base steps; base step j happens at time j*c,
     # which is j*c steps of the time-1 map
-    base_sched = build_schedule(cfg.get("schedule"), False)
+    base_sched = build_schedule(cfg["schedule"], False)
 
     def in_time_units(sched, integral):
         cps = tuple(cp * c for cp in sched.checkpoints)
@@ -579,7 +576,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    seed = int(os.environ.get("ERGODE_SEED", cfg.get("seed", 0)))
+    seed = int(os.environ.get("ERGODE_SEED", cfg["seed"]))
     ctx = {
         "seed": seed,
         "rng": np.random.default_rng(seed),

@@ -1,10 +1,12 @@
-"""Config files: JSON schema, validation, and builders for every object kind.
+"""Config files: one field table per section, a validator, and the builders.
 
-A config is one experiment: a command name, an experiment id, and the
-objects the command needs.  Validation is strict; unknown fields anywhere
-are a config error, as is any semantic problem the schema cannot see
-(a measure on the wrong alphabet, say).  Both surface as ConfigError and
-exit code 2 in the CLI.
+A config is one experiment: a command, an experiment id, and the objects the
+command needs.  Each section (the top level, a system, a roof, a measure, ...)
+has a table of kinds; each kind lists the fields it reads, the defaults of
+the optional ones, and the builder that turns a checked dict into an object.
+A missing field, a wrong type or bound, an unknown kind, a field the kind does
+not read, and a problem only a constructor sees (a measure on the wrong
+alphabet, say) are all a ConfigError, which the CLI turns into exit code 2.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-from typing import Optional
-
-import jsonschema
+from typing import Callable, NamedTuple, Optional
 
 from .systems import (
     BlockSchedule, CircleMult, CircleRotation, CircleRotationFlow, Coordinate,
@@ -32,7 +32,7 @@ from .entropy import (
 )
 from .constructions import MistakeFunction
 
-__all__ = ["ConfigError", "load_config", "config_digest", "COMMANDS",
+__all__ = ["ConfigError", "load_config", "config_digest", "COMMANDS", "build",
            "build_system", "build_measure", "build_point", "build_observable",
            "build_subset", "build_schedule", "build_mistake_function"]
 
@@ -41,236 +41,110 @@ class ConfigError(ValueError):
     """The config file is malformed or semantically invalid."""
 
 
-COMMANDS = (
-    "entropy", "birkhoff", "classify", "construct",
-    "verify-thm-a", "verify-thm-b", "verify-irregular", "verify-inclusions",
-)
-
-_NUM = {"type": "number"}
-_INT = {"type": "integer"}
-
-_SYSTEM = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": [
-            "full-shift", "markov-shift", "circle-mult", "circle-rotation",
-            "disjoint-union", "rotation-flow", "torus-translation",
-            "suspension", "time-t-map",
-        ]},
-        "k": _INT,
-        "adjacency": {"type": "array", "items": {"type": "array", "items": _INT}},
-        "n": _INT,
-        "theta": _NUM,
-        "left": {"$ref": "#/$defs/system"},
-        "right": {"$ref": "#/$defs/system"},
-        "velocity": {"type": "array", "items": _NUM},
-        "base": {"$ref": "#/$defs/system"},
-        "roof": {
-            "type": "object",
-            "properties": {
-                "constant": _NUM,
-                "depth": _INT,
-                "table": {"type": "array", "items": _NUM},
-                "k": _INT,
-            },
-            "additionalProperties": False,
-        },
-        "flow": {"$ref": "#/$defs/system"},
-        "t": _NUM,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_MEASURE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["bernoulli", "markov", "lebesgue", "atomic", "mixture"]},
-        "probs": {"type": "array", "items": _NUM},
-        "component": {"type": ["integer", "null"]},
-        "transitions": {"type": "array", "items": {"type": "array", "items": _NUM}},
-        "stationary": {"type": ["array", "null"], "items": _NUM},
-        "dim": _INT,
-        "points": {"type": "array", "items": {"$ref": "#/$defs/point"}},
-        "weights": {"type": "array", "items": _NUM},
-        "components": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [{"$ref": "#/$defs/measure"}, _NUM],
-                "minItems": 2, "maxItems": 2,
-            },
-        },
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_POINT = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["explicit-word", "seeded-iid", "block-schedule",
-                          "steered-blocks", "coordinate", "random"]},
-        "symbols": {"type": "array", "items": _INT},
-        "seed": _INT,
-        "probs": {"type": "array", "items": _NUM},
-        "blocks": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [{"type": "array", "items": _INT}, _INT],
-                "minItems": 2, "maxItems": 2,
-            },
-        },
-        "k": _INT,
-        "symbol": _INT,
-        "ends": {"type": "array", "items": _INT},
-        "targets": {"type": "array", "items": _NUM},
-        "coords": {"type": "array", "items": _NUM},
-        "offset": _INT,
-        "component": {"type": ["integer", "null"]},
-        "fiber": {"type": ["number", "null"]},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_OBSERVABLE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["constant", "cylinder", "symbol-frequency",
-                          "harmonic", "fiber-profile"]},
-        "value": _NUM,
-        "word": {"type": "array", "items": _INT},
-        "component": {"type": ["integer", "null"]},
-        "symbol": _INT,
-        "frequency": _INT,
-        "phase": {"enum": ["cos", "sin"]},
-        "offset": _NUM,
-        "base": {"$ref": "#/$defs/observable"},
-        "breakpoints": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        },
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_SUBSET = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["whole", "frequency-window", "oscillation-windows",
-                          "component-window", "sample-cloud"]},
-        "symbol": _INT,
-        "lo": _NUM,
-        "hi": _NUM,
-        "component": {"type": ["integer", "null"]},
-        "windows": {
-            "type": "array",
-            "items": {"type": "array", "prefixItems": [_INT, _NUM, _NUM],
-                      "minItems": 3, "maxItems": 3},
-        },
-        "points": {"type": "array", "items": {"$ref": "#/$defs/point"}},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_SCHEDULE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["geometric", "explicit"]},
-        "start": _NUM,
-        "stop": _NUM,
-        "ratio": _NUM,
-        "checkpoints": {"type": "array", "items": _NUM},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-_MISTAKE = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["power", "log", "zero"]},
-        "coeff_table": {
-            "type": "array",
-            "items": {"type": "array", "items": _NUM, "minItems": 2, "maxItems": 2},
-        },
-        "beta": _NUM,
-        "eps0": _NUM,
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
-
-SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "$defs": {
-        "system": _SYSTEM,
-        "measure": _MEASURE,
-        "point": _POINT,
-        "observable": _OBSERVABLE,
-        "subset": _SUBSET,
-        "schedule": _SCHEDULE,
-        "mistake": _MISTAKE,
-    },
-    "properties": {
-        "command": {"enum": list(COMMANDS)},
-        "experiment_id": {"type": "string", "minLength": 1},
-        "seed": _INT,
-        "system": {"$ref": "#/$defs/system"},
-        "measure": {"$ref": "#/$defs/measure"},
-        "point": {"$ref": "#/$defs/point"},
-        "points": {"type": "array", "items": {"$ref": "#/$defs/point"}},
-        "observable": {"$ref": "#/$defs/observable"},
-        "subset": {"$ref": "#/$defs/subset"},
-        "schedule": {"$ref": "#/$defs/schedule"},
-        "depths": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-        "tolerance": {"type": "number", "exclusiveMinimum": 0},
-        "method": {"enum": ["caratheodory", "spanning", "both"]},
-        "mode": {"enum": ["generic", "irregular"]},
-        "construction": {"enum": ["generic-point", "irregular-point", "glued-orbit"]},
-        "construction_kind": {"enum": ["deterministic-blocks", "seeded-iid"]},
-        "horizon": {"type": "integer", "minimum": 1},
-        "times": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0},
-                  "minItems": 1},
-        "sample_count": {"type": "integer", "minimum": 1},
-        "segments": {
-            "type": "array",
-            "items": {
-                "type": "array",
-                "prefixItems": [{"$ref": "#/$defs/point"}, _INT],
-                "minItems": 2, "maxItems": 2,
-            },
-        },
-        "eps": {"type": "number", "exclusiveMinimum": 0},
-        "mistake_function": {"$ref": "#/$defs/mistake"},
-        "family_depth": {"type": "integer", "minimum": 1},
-        "symbol": _INT,
-        "lo": _NUM,
-        "hi": _NUM,
-        "first_block": {"type": "integer", "minimum": 2},
-        "block_ratio": {"type": "integer", "minimum": 2},
-    },
-    "required": ["command", "experiment_id", "system"],
-    "additionalProperties": False,
-}
+# Field specs are tuples headed by what they check.  ("integer", lo) is an
+# integer >= lo and ("number", lo) a number > lo; a lo of None is no bound.
+INT, NUM, POSITIVE, COUNT = ("integer", None), ("number", None), ("number", 0), ("integer", 1)
+SYSTEM, MEASURE, POINT = ("ref", "system"), ("ref", "measure"), ("ref", "point")
+OBSERVABLE, SUBSET, SCHEDULE = ("ref", "observable"), ("ref", "subset"), ("ref", "schedule")
+COMPONENT = (("nullable", INT), None)     # an optional union-side tag, none by default
 
 
-@functools.cache
-def _validator():
-    """The SCHEMA validator, checked against its metaschema once, on first use.
+def listof(item, min_items=0):
+    return ("list", item, min_items)
 
-    `jsonschema.validate` would check the schema again on every call."""
-    cls = jsonschema.validators.validator_for(SCHEMA)
-    cls.check_schema(SCHEMA)
-    return cls(SCHEMA)
+
+def tupleof(*items):
+    return ("tuple", items)
+
+
+class Kind(NamedTuple):
+    build: Optional[Callable]     # checked fields -> object; None at the top level
+    required: dict                # field -> spec
+    optional: dict = {}           # field -> (spec, default)
+
+
+class Pick(NamedTuple):
+    """The kinds of a section, picked by the value of one field (by a
+    function of the dict for the roof); a kind may itself be a Pick."""
+    field: object
+    kinds: dict
+    default: Optional[str] = None
+
+
+def _reject(path, msg):
+    where = "/".join(str(p) for p in path) or "(top level)"
+    raise ConfigError(f"config rejected at {where}: {msg}")
+
+
+def _pick(section: str, obj: dict, path=()):
+    """(kind names, Kind, picking fields, obj with the kind's defaults) of a section dict."""
+    pick, names, picked = SECTIONS[section], [], {}
+    while type(pick) is Pick:
+        if callable(pick.field):
+            name = pick.field(obj)
+        else:
+            name = obj.get(pick.field, pick.default)
+            if name is None and pick.field not in obj:
+                _reject(path, f"{pick.field!r} is a required property")
+            if type(name) is not str or name not in pick.kinds:
+                _reject((*path, pick.field), f"{name!r} is not one of {list(pick.kinds)!r}")
+            picked[pick.field] = name
+        names.append(name)
+        pick = pick.kinds[name]
+    return names, pick, picked, {**{f: d for f, (_, d) in pick.optional.items()}, **picked, **obj}
+
+
+def _check_object(section: str, obj, path=()) -> dict:
+    """obj checked against its kind's fields, with the kind's defaults filled in."""
+    if type(obj) is not dict:
+        _reject(path, f"{obj!r} is not of type 'object'")
+    names, kind, picked, filled = _pick(section, obj, path)
+    for field in kind.required:
+        if field not in obj:
+            _reject(path, f"{field!r} is a required property")
+    for field, value in obj.items():
+        spec = kind.required.get(field) or kind.optional.get(field, (None,))[0]
+        if spec is not None:
+            _check(spec, value, (*path, field))
+        elif field not in picked:
+            _reject(path, f"{field!r} is not read by {section} {' '.join(names)!r}")
+    return filled
+
+
+_TYPES = {"integer": (int, float), "number": (int, float), "string": (str,),
+          "list": (list,), "tuple": (list,)}
+
+
+def _check(spec, v, path, null=""):
+    tag = spec[0]
+    if tag == "nullable":
+        if v is not None:
+            _check(spec[1], v, path, ", 'null'")
+    elif tag == "ref":
+        _check_object(spec[1], v, path)
+    elif tag == "enum":
+        if type(v) is not str or v not in spec[1]:
+            _reject(path, f"{v!r} is not one of {list(spec[1])!r}")
+    elif type(v) not in _TYPES[tag] or tag == "integer" and type(v) is float and not v.is_integer():
+        _reject(path, f"{v!r} is not of type {'array' if tag in ('list', 'tuple') else tag!r}{null}")
+    elif tag == "integer" and spec[1] is not None and v < spec[1]:
+        _reject(path, f"{v!r} is less than the minimum of {spec[1]!r}")
+    elif tag == "number" and spec[1] is not None and v <= spec[1]:
+        _reject(path, f"{v!r} is less than or equal to the minimum of {spec[1]!r}")
+    elif tag == "string" and not v:
+        _reject(path, f"{v!r} should be non-empty")
+    elif tag == "list" and len(v) < spec[2]:
+        _reject(path, f"{v!r} should be non-empty")
+    elif tag == "tuple" and len(v) != len(spec[1]):
+        _reject(path, f"{v!r} is too {'short' if len(v) < len(spec[1]) else 'long'}")
+    elif tag in ("list", "tuple"):
+        items = spec[1] if tag == "tuple" else (spec[1],) * len(v)
+        for i, (item_spec, item) in enumerate(zip(items, v)):
+            _check(item_spec, item, (*path, i))
 
 
 def load_config(path: str) -> dict:
+    """The checked top level of a config file, its command's defaults filled in."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.read()
@@ -280,10 +154,7 @@ def load_config(path: str) -> dict:
         cfg = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(cfg))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "(top level)"
-        raise ConfigError(f"config rejected at {where}: {error.message}") from error
+    cfg = _check_object("command", cfg)
     cfg["_sha256"] = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     return cfg
 
@@ -292,182 +163,198 @@ def config_digest(cfg: dict) -> str:
     return cfg.get("_sha256", "unknown")
 
 
-def _fail(msg: str) -> None:
-    raise ConfigError(msg)
-
-
-def build_system(obj: dict):
-    kind = obj["kind"]
+def build(section: str, obj: dict):
+    """The object a checked dict of the section describes."""
+    names, kind, _, fields = _pick(section, obj)
     try:
-        if kind == "full-shift":
-            return FullShift(obj["k"])
-        if kind == "markov-shift":
-            return MarkovShift(obj["k"], tuple(tuple(r) for r in obj["adjacency"]))
-        if kind == "circle-mult":
-            return CircleMult(obj["n"])
-        if kind == "circle-rotation":
-            return CircleRotation(obj["theta"])
-        if kind == "disjoint-union":
-            return DisjointUnion(build_system(obj["left"]), build_system(obj["right"]))
-        if kind == "rotation-flow":
-            return CircleRotationFlow()
-        if kind == "torus-translation":
-            return TorusTranslation(tuple(obj["velocity"]))
-        if kind == "suspension":
-            return Suspension(build_system(obj["base"]), _build_roof(obj["roof"]))
-        if kind == "time-t-map":
-            flow = build_system(obj["flow"])
-            if isinstance(flow, Suspension) and obj["t"] < 0:
-                _fail("a time-t map of a suspension needs t > 0: its symbol stream is one-sided")
-            return TimeTMap(flow, obj["t"])
-    except KeyError as exc:
-        _fail(f"system '{kind}' is missing field {exc}")
+        return kind.build(fields)
     except (ValueError, TypeError) as exc:
-        _fail(f"bad system '{kind}': {exc}")
-    _fail(f"unknown system kind '{kind}'")
+        raise ConfigError(f"bad {section} '{names[-1]}': {exc}") from exc
 
 
-def _build_roof(obj: dict) -> RoofFunction:
-    if "constant" in obj:
-        return RoofFunction.constant(obj["constant"])
-    return RoofFunction(obj["depth"], tuple(obj["table"]), obj.get("k", 1))
-
-
-def build_measure(obj: dict):
-    kind = obj["kind"]
-    try:
-        if kind == "bernoulli":
-            return Bernoulli(tuple(obj["probs"]), obj.get("component"))
-        if kind == "markov":
-            P = tuple(tuple(r) for r in obj["transitions"])
-            pi = obj.get("stationary")
-            if pi is None:
-                return Markov.from_transitions(P, obj.get("component"))
-            return Markov(P, tuple(pi), obj.get("component"))
-        if kind == "lebesgue":
-            return Lebesgue(obj.get("dim", 1))
-        if kind == "atomic":
-            pts = tuple(build_point(p) for p in obj["points"])
-            return Atomic(pts, tuple(obj["weights"]))
-        if kind == "mixture":
-            return Mixture(tuple(
-                (build_measure(m), w) for m, w in obj["components"]
-            ))
-    except KeyError as exc:
-        _fail(f"measure '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad measure '{kind}': {exc}")
-    _fail(f"unknown measure kind '{kind}'")
-
-
-def build_point(obj: dict):
-    kind = obj["kind"]
-    try:
-        if kind == "random":
-            _fail("random points are resolved by the command, not the builder")
-        if kind == "explicit-word":
-            rule = ExplicitWord(tuple(obj["symbols"]))
-        elif kind == "seeded-iid":
-            rule = SeededIID(obj["seed"], tuple(obj["probs"]))
-        elif kind == "block-schedule":
-            rule = BlockSchedule(tuple(
-                (tuple(pat), reps) for pat, reps in obj["blocks"]
-            ))
-        elif kind == "steered-blocks":
-            rule = SteeredBlocks(obj["k"], obj["symbol"], tuple(obj["ends"]),
-                                 tuple(obj["targets"]))
-        elif kind == "coordinate":
-            rule = Coordinate(tuple(obj["coords"]))
-        else:
-            _fail(f"unknown point kind '{kind}'")
-        return Point(
-            rule, obj.get("offset", 0), obj.get("component"), obj.get("fiber"),
-        )
-    except KeyError as exc:
-        _fail(f"point '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad point '{kind}': {exc}")
-
-
-def build_observable(obj: dict):
-    kind = obj["kind"]
-    try:
-        if kind == "constant":
-            return Constant(obj["value"])
-        if kind == "cylinder":
-            return CylinderIndicator(tuple(obj["word"]), obj.get("component"))
-        if kind == "symbol-frequency":
-            return SymbolFrequency(obj["symbol"], obj.get("component"))
-        if kind == "harmonic":
-            return Harmonic(obj["frequency"], obj.get("phase", "cos"),
-                            obj.get("offset", 0.0))
-        if kind == "fiber-profile":
-            return FiberProfile(
-                build_observable(obj["base"]),
-                tuple((float(s), float(v)) for s, v in obj["breakpoints"]),
-            )
-    except KeyError as exc:
-        _fail(f"observable '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad observable '{kind}': {exc}")
-    _fail(f"unknown observable kind '{kind}'")
-
-
-def build_subset(obj: dict):
-    kind = obj["kind"]
-    try:
-        if kind == "whole":
-            return WholeSpace()
-        if kind == "frequency-window":
-            return FrequencyWindow(obj["symbol"], obj["lo"], obj["hi"],
-                                   obj.get("component"))
-        if kind == "oscillation-windows":
-            return OscillationWindows(obj["symbol"], tuple(
-                (int(n), float(lo), float(hi)) for n, lo, hi in obj["windows"]
-            ))
-        if kind == "component-window":
-            return ComponentWindow(obj["lo"], obj["hi"])
-        if kind == "sample-cloud":
-            return SampleCloud(tuple(build_point(p) for p in obj["points"]))
-    except KeyError as exc:
-        _fail(f"subset '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad subset '{kind}': {exc}")
-    _fail(f"unknown subset kind '{kind}'")
+build_system = functools.partial(build, "system")
+build_measure = functools.partial(build, "measure")
+build_point = functools.partial(build, "point")
+build_observable = functools.partial(build, "observable")
+build_subset = functools.partial(build, "subset")
 
 
 def build_schedule(obj: Optional[dict], flow: bool) -> Schedule:
     if obj is None:
         return Schedule.for_flow() if flow else Schedule.for_map()
-    kind = obj["kind"]
-    try:
-        if kind == "geometric":
-            return Schedule.geometric(obj["start"], obj["stop"], obj.get("ratio", 2.0))
-        if kind == "explicit":
-            return Schedule(tuple(obj["checkpoints"]))
-    except KeyError as exc:
-        _fail(f"schedule '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad schedule '{kind}': {exc}")
-    _fail(f"unknown schedule kind '{kind}'")
+    return build("schedule", obj)
 
 
 def build_mistake_function(obj: Optional[dict]) -> MistakeFunction:
-    if obj is None:
-        return MistakeFunction.zero()
-    kind = obj["kind"]
-    try:
-        if kind == "zero":
-            return MistakeFunction.zero()
-        table = tuple((float(e), float(c)) for e, c in obj["coeff_table"])
-        return MistakeFunction(kind, table, obj.get("beta", 0.0), obj.get("eps0", 1.0))
-    except KeyError as exc:
-        _fail(f"mistake function '{kind}' is missing field {exc}")
-    except (ValueError, TypeError) as exc:
-        _fail(f"bad mistake function '{kind}': {exc}")
+    return MistakeFunction.zero() if obj is None else build("mistake function", obj)
 
 
-def require(cfg: dict, field_name: str):
-    if field_name not in cfg:
-        raise ConfigError(f"command '{cfg['command']}' requires field '{field_name}'")
-    return cfg[field_name]
+def _time_t_map(f):
+    flow = build_system(f["flow"])
+    if isinstance(flow, Suspension) and f["t"] < 0:
+        raise ValueError("a time-t map of a suspension needs t > 0: its symbol stream is one-sided")
+    return TimeTMap(flow, f["t"])
+
+
+def _markov(f):
+    P = tuple(tuple(r) for r in f["transitions"])
+    if f["stationary"] is None:
+        return Markov.from_transitions(P, f["component"])
+    return Markov(P, tuple(f["stationary"]), f["component"])
+
+
+def _random(f):
+    raise ValueError("random points are resolved by the command, not the builder")
+
+
+_POINT_EXTRAS = {"offset": (INT, 0), "component": COMPONENT, "fiber": (("nullable", NUM), None)}
+
+
+def _point(rule, required):
+    """A point kind: the rule the fields give, placed by offset, component and fiber."""
+    return Kind(lambda f: Point(rule(f), f["offset"], f["component"], f["fiber"]),
+                required, _POINT_EXTRAS)
+
+
+def _command(required, optional):
+    """A top-level kind: every command reads an experiment id, a system and a seed."""
+    return Kind(None, {"experiment_id": ("string",), "system": SYSTEM, **required},
+                {"seed": (INT, 0), **optional})
+
+
+_MISTAKE = Kind(lambda f: MistakeFunction(f["kind"], tuple(
+    (float(e), float(c)) for e, c in f["coeff_table"]), f["beta"], f["eps0"]),
+    {"coeff_table": listof(tupleof(NUM, NUM))}, {"beta": (NUM, 0.0), "eps0": (NUM, 1.0)})
+_DEPTHS = listof(COUNT, 1)
+_TOLERANCE = {"tolerance": (POSITIVE, 0.02)}
+_NO_SCHEDULE = {"schedule": (SCHEDULE, None)}
+_WHOLE = {"subset": (SUBSET, {"kind": "whole"})}
+_IRREGULAR = {"symbol": (INT, 0), "lo": (NUM, 0.2), "hi": (NUM, 0.65),
+              "first_block": (("integer", 2), 8), "block_ratio": (("integer", 2), 4),
+              "horizon": (COUNT, 1 << 21), **_TOLERANCE}
+
+SECTIONS = {
+    "command": Pick("command", {
+        "entropy": _command({}, {**_WHOLE, "depths": (_DEPTHS, None), "method": (
+            ("enum", ("caratheodory", "spanning", "both")), "caratheodory")}),
+        "birkhoff": _command({"point": POINT, "observable": OBSERVABLE}, _NO_SCHEDULE),
+        "classify": Pick("mode", {
+            "generic": _command({"point": POINT, "measure": MEASURE}, {
+                **_NO_SCHEDULE, **_TOLERANCE, "family_depth": (COUNT, 4)}),
+            "irregular": _command({"point": POINT, "observable": OBSERVABLE},
+                                  {**_NO_SCHEDULE, **_TOLERANCE}),
+        }, default="generic"),
+        "construct": Pick("construction", {
+            "generic-point": _command({"measure": MEASURE}, {
+                "construction_kind": (("enum", ("deterministic-blocks", "seeded-iid")),
+                                      "deterministic-blocks"),
+                "horizon": (COUNT, 1 << 21), **_NO_SCHEDULE, **_TOLERANCE}),
+            "irregular-point": _command({}, _IRREGULAR),
+            "glued-orbit": _command({"segments": listof(tupleof(POINT, INT))}, {
+                "mistake_function": (("ref", "mistake function"), None),
+                "eps": (POSITIVE, 0.75)}),
+        }),
+        "verify-thm-a": _command({}, {**_WHOLE, "depths": (_DEPTHS, (60, 120, 240)),
+                                      "times": (listof(POSITIVE, 1), (0.5, 1.0, 2.0))}),
+        "verify-thm-b": _command({"measure": MEASURE}, {
+            **_TOLERANCE, "depths": (_DEPTHS, (500, 1000, 2000)), **_NO_SCHEDULE,
+            "sample_count": (COUNT, 100), "family_depth": (COUNT, 3), "lo": (NUM, 0.005)}),
+        "verify-irregular": _command({}, {**_IRREGULAR, "depths": (_DEPTHS, (2000,))}),
+        # a map's suite needs a measure and reads 4-deep families; a flow's
+        # suite defaults to the uniform Bernoulli measure and 3-deep families
+        "verify-inclusions": _command({}, {
+            "measure": (MEASURE, None), **_TOLERANCE, "sample_count": (COUNT, 50),
+            "family_depth": (COUNT, None), **_NO_SCHEDULE}),
+    }),
+    "system": Pick("kind", {
+        "full-shift": Kind(lambda f: FullShift(f["k"]), {"k": INT}),
+        "markov-shift": Kind(
+            lambda f: MarkovShift(f["k"], tuple(tuple(r) for r in f["adjacency"])),
+            {"k": INT, "adjacency": listof(listof(INT))}),
+        "circle-mult": Kind(lambda f: CircleMult(f["n"]), {"n": INT}),
+        "circle-rotation": Kind(lambda f: CircleRotation(f["theta"]), {"theta": NUM}),
+        "disjoint-union": Kind(
+            lambda f: DisjointUnion(build_system(f["left"]), build_system(f["right"])),
+            {"left": SYSTEM, "right": SYSTEM}),
+        "rotation-flow": Kind(lambda f: CircleRotationFlow(), {}),
+        "torus-translation": Kind(lambda f: TorusTranslation(tuple(f["velocity"])),
+                                  {"velocity": listof(NUM)}),
+        "suspension": Kind(
+            lambda f: Suspension(build_system(f["base"]), build("roof", f["roof"])),
+            {"base": SYSTEM, "roof": ("ref", "roof")}),
+        "time-t-map": Kind(_time_t_map, {"flow": SYSTEM, "t": NUM}),
+    }),
+    # a roof has no kind field: it is constant when it names a constant
+    "roof": Pick(lambda obj: "constant" if "constant" in obj else "table", {
+        "constant": Kind(lambda f: RoofFunction.constant(f["constant"]), {"constant": NUM}),
+        "table": Kind(lambda f: RoofFunction(f["depth"], tuple(f["table"]), f["k"]),
+                      {"depth": INT, "table": listof(NUM)}, {"k": (INT, 1)}),
+    }),
+    "measure": Pick("kind", {
+        "bernoulli": Kind(lambda f: Bernoulli(tuple(f["probs"]), f["component"]),
+                          {"probs": listof(NUM)}, {"component": COMPONENT}),
+        "markov": Kind(_markov, {"transitions": listof(listof(NUM))}, {
+            "stationary": (("nullable", listof(NUM)), None), "component": COMPONENT}),
+        "lebesgue": Kind(lambda f: Lebesgue(f["dim"]), {}, {"dim": (INT, 1)}),
+        "atomic": Kind(
+            lambda f: Atomic(tuple(build_point(p) for p in f["points"]), tuple(f["weights"])),
+            {"points": listof(POINT), "weights": listof(NUM)}),
+        "mixture": Kind(
+            lambda f: Mixture(tuple((build_measure(m), w) for m, w in f["components"])),
+            {"components": listof(tupleof(MEASURE, NUM))}),
+    }),
+    "point": Pick("kind", {
+        "explicit-word": _point(lambda f: ExplicitWord(tuple(f["symbols"])),
+                                {"symbols": listof(INT)}),
+        "seeded-iid": _point(lambda f: SeededIID(f["seed"], tuple(f["probs"])),
+                             {"seed": INT, "probs": listof(NUM)}),
+        "block-schedule": _point(
+            lambda f: BlockSchedule(tuple((tuple(pat), reps) for pat, reps in f["blocks"])),
+            {"blocks": listof(tupleof(listof(INT), INT))}),
+        "steered-blocks": _point(
+            lambda f: SteeredBlocks(f["k"], f["symbol"], tuple(f["ends"]), tuple(f["targets"])),
+            {"k": INT, "symbol": INT, "ends": listof(INT), "targets": listof(NUM)}),
+        "coordinate": _point(lambda f: Coordinate(tuple(f["coords"])), {"coords": listof(NUM)}),
+        "random": Kind(_random, {}),
+    }),
+    "observable": Pick("kind", {
+        "constant": Kind(lambda f: Constant(f["value"]), {"value": NUM}),
+        "cylinder": Kind(lambda f: CylinderIndicator(tuple(f["word"]), f["component"]),
+                         {"word": listof(INT)}, {"component": COMPONENT}),
+        "symbol-frequency": Kind(lambda f: SymbolFrequency(f["symbol"], f["component"]),
+                                 {"symbol": INT}, {"component": COMPONENT}),
+        "harmonic": Kind(lambda f: Harmonic(f["frequency"], f["phase"], f["offset"]),
+                         {"frequency": INT},
+                         {"phase": (("enum", ("cos", "sin")), "cos"), "offset": (NUM, 0.0)}),
+        "fiber-profile": Kind(
+            lambda f: FiberProfile(build_observable(f["base"]), tuple(
+                (float(s), float(v)) for s, v in f["breakpoints"])),
+            {"base": OBSERVABLE, "breakpoints": listof(tupleof(NUM, NUM))}),
+    }),
+    "subset": Pick("kind", {
+        "whole": Kind(lambda f: WholeSpace(), {}),
+        "frequency-window": Kind(
+            lambda f: FrequencyWindow(f["symbol"], f["lo"], f["hi"], f["component"]),
+            {"symbol": INT, "lo": NUM, "hi": NUM}, {"component": COMPONENT}),
+        "oscillation-windows": Kind(
+            lambda f: OscillationWindows(f["symbol"], tuple(
+                (int(n), float(lo), float(hi)) for n, lo, hi in f["windows"])),
+            {"symbol": INT, "windows": listof(tupleof(INT, NUM, NUM))}),
+        "component-window": Kind(lambda f: ComponentWindow(f["lo"], f["hi"]),
+                                 {"lo": NUM, "hi": NUM}),
+        "sample-cloud": Kind(lambda f: SampleCloud(tuple(build_point(p) for p in f["points"])),
+                             {"points": listof(POINT)}),
+    }),
+    "schedule": Pick("kind", {
+        "geometric": Kind(lambda f: Schedule.geometric(f["start"], f["stop"], f["ratio"]),
+                          {"start": NUM, "stop": NUM}, {"ratio": (NUM, 2.0)}),
+        "explicit": Kind(lambda f: Schedule(tuple(f["checkpoints"])),
+                         {"checkpoints": listof(NUM)}),
+    }),
+    "mistake function": Pick("kind", {
+        "power": _MISTAKE, "log": _MISTAKE,
+        "zero": Kind(lambda f: MistakeFunction.zero(), {}),
+    }),
+}
+
+COMMANDS = tuple(SECTIONS["command"].kinds)

@@ -363,6 +363,43 @@ def test_construct_with_a_horizon_below_one_exits_2(tmp_path, construction, hori
     assert "Traceback" not in res.stderr
 
 
+UNION_2_2 = {"kind": "disjoint-union", "left": {"kind": "full-shift", "k": 2},
+             "right": {"kind": "full-shift", "k": 2}}
+HALVES = {"kind": "mixture", "components": [
+    [{"kind": "bernoulli", "probs": [0.5, 0.5], "component": 0}, 0.5],
+    [{"kind": "bernoulli", "probs": [0.5, 0.5], "component": 1}, 0.5]]}
+
+
+@pytest.mark.parametrize("system, measure, reason", [
+    (UNION_2_2, HALVES, "built for Bernoulli and Markov targets"),
+    ({"kind": "suspension", "base": {"kind": "full-shift", "k": 2}, "roof": {"constant": 1.0}},
+     {"kind": "bernoulli", "probs": [0.5, 0.5]}, "live on shift spaces"),
+], ids=["mixture", "suspension"])
+def test_a_generic_point_no_construction_covers_exits_2(tmp_path, system, measure, reason):
+    # both died with a TypeError traceback and exit 1
+    cfg = {"command": "construct", "experiment_id": "g", "construction": "generic-point",
+           "system": system, "measure": measure}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: bad construction 'generic-point': ")
+    assert reason in res.stderr and "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("cfg, where", [
+    ({"command": "verify-thm-a", "experiment_id": "r", "system": {
+        "kind": "suspension", "base": {"kind": "full-shift", "k": 2},
+        "roof": {"constant": 1.0, "depth": 1, "table": [1.0, 2.0], "k": 2}}}, "system/roof"),
+    ({"command": "entropy", "experiment_id": "f", "system": {
+        "kind": "full-shift", "k": 2, "adjacency": [[1, 1], [1, 0]], "n": 3}}, "system"),
+], ids=["mixed-roof", "full-shift-adjacency"])
+def test_a_field_of_another_kind_exits_2(tmp_path, cfg, where):
+    # both ran as if the field were absent, and exited 0
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith(f"config error: config rejected at {where}: ")
+    assert "is not read by" in res.stderr
+
+
 def test_diagnostics_flag_adds_rows(tmp_path):
     plain = run_cli(entropy_config("diag"), tmp_path)
     assert plain.returncode == 0
