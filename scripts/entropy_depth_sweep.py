@@ -2,9 +2,9 @@
 """Depth-convergence study for the cylinder-cover entropy backend.
 
 Prints the critical exponent at each refinement depth for the reference
-systems, plus a frequency-window sweep on the binary shift, so the rate at
-which the estimates settle is visible.  Plot-ready CSV goes to stdout with
-`--csv`.
+systems, plus frequency-window sweeps on the binary shift and, at deeper
+depths, on the golden mean, so the rate at which the estimates settle is
+visible.  Plot-ready CSV goes to stdout with `--csv`.
 """
 
 import argparse
@@ -15,6 +15,13 @@ from ergode.entropy import FrequencyWindow, WholeSpace, bowen_entropy_symbolic
 from ergode.systems import CircleRotation, FullShift, MarkovShift
 
 DEPTHS = (16, 24, 36, 54, 80, 120, 180, 270)
+DEEP_DEPTHS = (480, 960, 1920)
+GOLDEN = (1 + 5 ** 0.5) / 2
+PARRY = 1 / (1 + GOLDEN ** 2)   # the golden mean's typical frequency of symbol 1
+
+
+def binary_entropy(p):
+    return -sum(q * math.log(q) for q in (p, 1 - p) if q > 0)
 
 
 def rows():
@@ -35,10 +42,20 @@ def rows():
         window = FrequencyWindow(0, lo, hi)
         # the window's rate is the binary entropy at the edge nearest 1/2
         edge = hi if hi < 0.5 else (lo if lo > 0.5 else 0.5)
-        target = -(edge * math.log(edge) + (1 - edge) * math.log(1 - edge))
+        target = binary_entropy(edge)
         est = bowen_entropy_symbolic(shift, window, DEPTHS)
         for depth, alpha in zip(est.depths, est.alphas):
             yield "full-shift-2", f"window-{lo:g}-{hi:g}", depth, alpha, target
+    golden = MarkovShift(2, ((1, 1), (1, 0)))
+    for lo, hi in ((0.15, 0.25), (0.3, 0.4), (0.45, 0.5)):
+        window = FrequencyWindow(1, lo, hi)
+        # m ones in n no-11 symbols: C(n - m + 1, m) words, so the rate at the
+        # frequency p is (1 - p) H(p / (1 - p)), taken at the edge nearest PARRY
+        edge = min(max(PARRY, lo), hi)
+        target = (1 - edge) * binary_entropy(edge / (1 - edge))
+        est = bowen_entropy_symbolic(golden, window, DEEP_DEPTHS)
+        for depth, alpha in zip(est.depths, est.alphas):
+            yield "golden-mean", f"window-{lo:g}-{hi:g}", depth, alpha, target
 
 
 def main() -> int:

@@ -12,7 +12,7 @@ from .systems import (
     BlockSchedule, BudgetExhausted, CircleMult, CircleRotation,
     CircleRotationFlow, Coordinate, DisjointUnion, ExplicitWord, FullShift,
     MarkovShift, Point, RoofFunction, SeededIID, SteeredBlocks, Suspension,
-    TimeTMap, TorusTranslation, iterate, random_point, step, time_t_map,
+    TimeTMap, TorusTranslation, random_point, time_t_map,
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,

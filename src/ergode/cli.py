@@ -95,6 +95,15 @@ def _measure(cfg, system):
     return mu
 
 
+def _averaged(flow, mu):
+    """A base measure averaged along the flow, refused where that average
+    is not the flow-invariant measure (a word-dependent roof)."""
+    try:
+        return time_average_measure(flow, mu, 16)
+    except ValueError as exc:
+        raise ConfigError(f"bad measure: {exc}") from None
+
+
 def _point_json(p: Point) -> dict:
     rule = p.rule
     if isinstance(rule, BlockSchedule):
@@ -176,9 +185,9 @@ def _cmd_classify(cfg, ctx, rows):
     eid = cfg["experiment_id"]
     if cfg["mode"] == "generic":
         mu = _measure(cfg, system)
-        if isinstance(system, Suspension):      # a base measure, averaged along the flow
-            mu = time_average_measure(system, mu, 16)
         fam = TestFamily.default_for(system, depth=cfg["family_depth"])
+        if isinstance(system, Suspension):      # a base measure, averaged along the flow
+            mu = _averaged(system, mu)
         with timed() as t:
             verdict = classify_generic(system, point, mu, fam, schedule, tol,
                                        keep_profile=ctx["diagnostics"])
@@ -452,7 +461,7 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
     if not isinstance(mu_base, Bernoulli):       # its samples are seeded iid streams
         raise ConfigError("the flow inclusion suite samples Bernoulli measures only")
-    mubar = time_average_measure(flow, mu_base, 16)
+    mubar = _averaged(flow, mu_base)
     # a family both dynamics can read: the fiber foliation is invariant under
     # the time-1 map, so fiber-graded observables would make the map side vacuous
     fam = TestFamily.default_for(base, depth=cfg["family_depth"] or 3)

@@ -111,33 +111,6 @@ class MistakeFunction:
             return c * t ** self.beta
         return c * math.log1p(t)
 
-    def is_zero(self) -> bool:
-        return all(c == 0.0 for _, c in self.coeff_table)
-
-    def first_time_with_budget(self, eps: float, amount: float, cap: int = 1 << 62) -> int:
-        """Smallest integer t with budget(t, eps) >= amount.
-
-        Bisection on the monotone predicate; a closed-form guess would need a
-        float-plateau walk at large t, which can spin."""
-        if amount <= 0:
-            return 0
-        c = self.coefficient(eps)
-        if c == 0.0:
-            raise ValueError("a zero budget never reaches a positive amount")
-        if self.budget(cap, eps) < amount:
-            raise ValueError("budget never reaches the requested amount")
-        hi = 1
-        while self.budget(hi, eps) < amount:
-            hi = min(hi * 2, cap)
-        lo = 0
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.budget(mid, eps) >= amount:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
 
 # ---------------------------------------------------------------------------
 # mistake balls

@@ -270,39 +270,82 @@ def _markov_state_log_counts(system: MarkovShift, n: int) -> np.ndarray:
         return np.where(v > 0, np.log(np.maximum(v, 1e-300)) + scale, _LOG_EMPTY)
 
 
+_BLOCK = 64                                 # steps the window program takes at a time
+
+
+def _window_tilt(A: np.ndarray, symbol: int, lo: float, hi: float):
+    """(theta, log rho(theta)), rho(theta) the Perron root of A diag(e^(theta 1_symbol)),
+    for the grid tilt whose symbol frequency, the slope of log rho, is nearest
+    clamp(p*, lo, hi), p* the untilted frequency (the least tilt on a tie).  log rho,
+    which the steps and reads need only to share, comes from the 2^16-th power by
+    squaring (eigvals would add LAPACK's 1 MB to the resident size of a run)."""
+    tilts = np.linspace(-8.0, 8.0, 129)     # e^(8 _BLOCK) and its inverse fit a double
+    power, tops = A * np.exp(np.outer(tilts, np.arange(len(A)) == symbol))[:, None, :], []
+    for _ in range(16):
+        power = (power[:, :, :, None] * power[:, None, :, :]).sum(axis=2)
+        tops.append(power.max(axis=(1, 2)))
+        power /= tops[-1][:, None, None]
+    log_rho = (np.log(tops) / 2.0 ** np.arange(1, 17)[:, None]).sum(axis=0)
+    freq = (log_rho[2:] - log_rho[:-2]) / (tilts[2] - tilts[0])     # at tilts[1:-1]
+    target = min(max(freq[len(freq) // 2], lo), hi)
+    i = 1 + np.argmin(np.abs(freq - target) + 1e-9 * np.abs(tilts[1:-1]))
+    return float(tilts[i]), float(log_rho[i])
+
+
+def _propagate(table, exps, kernel, width: int):
+    """Row s2 after the paths of `kernel`: the sum over s of table[s] 2^exps[s]
+    convolved with kernel[s, s2], top value scaled into [1/2, 1) by its exponent."""
+    live, reach = np.flatnonzero(table.any(axis=1)), kernel.any(axis=2)
+    rows, out = np.zeros_like(table), np.zeros_like(exps)
+    for s2 in range(len(table)):
+        src = [s for s in live if reach[s, s2]]
+        if src:
+            top = max(exps[s] for s in src)
+            for s in src:
+                rows[s2] += np.ldexp(np.convolve(table[s], kernel[s, s2])[:width], exps[s] - top)
+            e = math.frexp(rows[s2].max())[1]
+            rows[s2], out[s2] = np.ldexp(rows[s2], -e), top + e
+    return rows, out
+
+
 def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
                               lo: float, hi: float) -> list:
     """Per-end-state log counts of admissible words with the symbol frequency
-    in the window, one array per depth, from one dynamic program run to the
-    deepest depth.  A step to length n + 1 updates only the counts 0..n + 1 a
-    word can reach, and none above the highest count a window reads (counts
-    never fall, so those never feed a read column); the rest stay -inf."""
-    k = system.k
-    A = system.adjacency
-    N = max(depths)
-    L = np.full((k, N + 1), _LOG_EMPTY)
-    nxt = L.copy()
-    for s in range(k):
-        L[s, 1 if s == symbol else 0] = 0.0
-    top = max(_count_range(n, lo, hi).stop for n in depths)    # columns read
-    found = {}
-    for n in range(1, N + 1):
-        if n in depths:
-            r = _count_range(n, lo, hi)
-            found[n] = np.array([_logsumexp(row[r.start:r.stop]) for row in L])
-        if n == N:
-            break
-        c = min(n + 2, top)
-        nxt[:, :c] = _LOG_EMPTY
-        for s in range(k):
-            for s2 in range(k):
-                if A[s][s2] == 0:
-                    continue
-                if s2 == symbol:
-                    np.logaddexp(nxt[s2, 1:c], L[s, :c - 1], out=nxt[s2, 1:c])
-                else:
-                    np.logaddexp(nxt[s2, :c], L[s, :c], out=nxt[s2, :c])
-        L, nxt = nxt, L
+    in the window, one array per depth, from one linear-space program over
+    (end state, symbol count) run _BLOCK steps at a time to the deepest depth.
+
+    A length-n word with m symbols weighs e^(theta m - (n - 1) log rho), which
+    centres the weights on the window point nearest the untilted frequency,
+    where the largest counts lie (untilted, a far window underflows to 0); a
+    read takes the tilt off column by column in log space.  A read is the same
+    on any depth grid: blocks end at n = 1 + j _BLOCK, a read applies the
+    partial kernel from the last block end without advancing the table and
+    splits each value into mantissa and exponent, and a wider table only adds
+    columns (counts never fall; at least _BLOCK + 2 wide, no swap in `np.convolve`)."""
+    k, A = system.k, system.adjacency_array().astype(float)
+    theta, log_rho = _window_tilt(A, symbol, lo, hi)
+    into = A * np.exp(np.where(np.arange(k) == symbol, theta, 0.0) - log_rho)
+    kernels = np.zeros((_BLOCK + 1, k, k, _BLOCK + 1))  # [steps, s, s2, symbol arrivals]
+    kernels[0, range(k), range(k), 0] = 1.0
+    for r in range(_BLOCK):
+        step = (kernels[r][:, :, None, :] * into[None, :, :, None]).sum(axis=1)
+        step[:, symbol] = np.roll(step[:, symbol], 1, axis=-1)  # an arrival; column _BLOCK is 0
+        kernels[r + 1] = step
+    width = max(max(_count_range(n, lo, hi).stop for n in depths), _BLOCK + 2)
+    table, exps, done, found = np.zeros((k, width)), np.zeros(k, dtype=int), 1, {}
+    table[:, 0] = 1.0                                   # the length-`done` words
+    table[symbol, :2] = 0.0, math.exp(theta)
+    for n in sorted(set(depths)):
+        while done + _BLOCK <= n:
+            table, exps = _propagate(table, exps, kernels[_BLOCK], width)
+            done += _BLOCK
+        rows, rexps = _propagate(table, exps, kernels[n - done], width)
+        cols = _count_range(n, lo, hi)
+        mant, e = np.frexp(rows[:, cols.start:cols.stop])
+        with np.errstate(divide="ignore"):
+            logs = np.log(mant) + (e + rexps[:, None]) * math.log(2) \
+                + ((n - 1) * log_rho - theta * np.arange(cols.start, cols.stop))
+        found[n] = np.array([_logsumexp(row) for row in logs])
     return [found[n] for n in depths]
 
 

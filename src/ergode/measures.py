@@ -344,8 +344,8 @@ class Mixture:
 @dataclass(frozen=True)
 class TimeAveraged:
     """Midpoint average of the images of `base` over one flow period: one
-    sweep of the fiber (the roof height) for a suspension, one turn of the
-    circle for rotation flows."""
+    sweep of the fiber for a suspension under a constant roof, one turn of
+    the circle for rotation flows."""
 
     flow: object
     base: "Measure"
@@ -354,6 +354,9 @@ class TimeAveraged:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("quadrature node count must be >= 1")
+        if isinstance(self.flow, Suspension) and self.flow.roof.depth > 0:
+            raise ValueError(f"no time average under the word-dependent {self.flow.roof}: "
+                             "the flow-invariant measure weighs each base point by its roof")
 
     @cached_property
     def pieces(self):
@@ -610,7 +613,9 @@ def _separation_probes(space):
     if isinstance(space, TimeTMap):
         return _separation_probes(space.flow)
     if isinstance(space, Suspension):
-        return [TimeAveraged(space, mu, 4) for mu in _separation_probes(space.base)]
+        # inside the first fiber, where a base probe keeps its base integrals
+        return [TimeShifted(space, 0.5 * space.roof.roof_min, mu)
+                for mu in _separation_probes(space.base)]
     if isinstance(space, DisjointUnion):
         tl = replace(_separation_probes(space.left)[0], component=0)
         tr = replace(_separation_probes(space.right)[0], component=1)

@@ -25,7 +25,7 @@ __all__ = [
     "FullShift", "MarkovShift", "CircleMult", "CircleRotation", "DisjointUnion",
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
     "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "SteeredBlocks",
-    "Coordinate", "Point", "step", "iterate", "time_t_map", "random_point",
+    "Coordinate", "Point", "time_t_map", "random_point",
     "BudgetExhausted",
 ]
 
@@ -560,36 +560,6 @@ class Point:
 
 # ---------------------------------------------------------------------------
 # dynamics
-
-
-def step(system, x: Point) -> Point:
-    """One application of the map."""
-    if isinstance(system, (FullShift, MarkovShift)):
-        if not x.is_symbolic:
-            raise TypeError("shift systems act on symbolic points")
-        return x.shifted(1)
-    if isinstance(system, CircleMult):
-        return Point(Coordinate(((system.n * x.coords[0]) % 1.0,)))
-    if isinstance(system, CircleRotation):
-        return Point(Coordinate(((x.coords[0] + system.theta) % 1.0,)))
-    if isinstance(system, DisjointUnion):
-        if x.component not in (0, 1):
-            raise ValueError("disjoint-union points must carry a component tag")
-        inner = step(system.side(x.component), Point(x.rule, x.offset))
-        return Point(inner.rule, inner.offset, x.component, x.fiber)
-    if isinstance(system, TimeTMap):
-        return time_t_map(system.flow, system.t, x)
-    raise TypeError(f"cannot step {type(system).__name__}")
-
-
-def iterate(system, x: Point, n: int) -> Point:
-    if n < 0:
-        raise ValueError("iterate needs n >= 0")
-    if system.symbolic:
-        return x.shifted(n)
-    for _ in range(n):
-        x = step(system, x)
-    return x
 
 
 def time_t_map(flow, t: float, x: Point) -> Point:

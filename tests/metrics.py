@@ -8,8 +8,9 @@ import numpy as np
 
 from ergode.systems import (
     DisjointUnion, FullShift, MarkovShift, Point, SpaceDescriptor, Suspension,
-    TimeTMap, step,
+    TimeTMap,
 )
+from stepping import step
 
 
 class Distance(NamedTuple):

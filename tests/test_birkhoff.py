@@ -17,7 +17,6 @@ from ergode.systems import (
     SteeredBlocks,
     Suspension,
     TimeTMap,
-    step,
 )
 from ergode.measures import (
     Bernoulli,
@@ -47,6 +46,7 @@ from ergode.birkhoff import (
     limit_point_set,
 )
 from ergode.constructions import irregular_point
+from stepping import step
 
 
 def naive_average(system, x, phi, n):

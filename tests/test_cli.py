@@ -604,6 +604,26 @@ def test_a_flow_inclusion_suite_of_a_markov_measure_exits_2(tmp_path):
     assert "Traceback" not in res.stderr
 
 
+WORD_ROOF = {"kind": "suspension", "base": SHIFT_2,
+             "roof": {"depth": 1, "table": [1.0, 2.0], "k": 2}}
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("classify", {"point": {"kind": "seeded-iid", "seed": 5, "probs": [0.5, 0.5]},
+                  "mode": "generic", "tolerance": 0.02}),
+    ("verify-inclusions", {"sample_count": 6}),
+])
+def test_a_time_average_under_a_word_dependent_roof_exits_2(tmp_path, command, extra):
+    # the flow-invariant measure weighs each base point by its roof, which
+    # the time average does not: a typical point read Inconclusive, exit 0
+    cfg = {"command": command, "experiment_id": "word-roof", "system": WORD_ROOF,
+           "measure": {"kind": "bernoulli", "probs": [0.5, 0.5]}, **extra}
+    res = run_cli(cfg, tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert res.stderr.startswith("config error: bad measure:"), res.stderr
+    assert "word-dependent" in res.stderr
+
+
 def test_verify_inclusions_on_a_suspension_checks_both_dynamics(tmp_path):
     cfg = {
         "command": "verify-inclusions",

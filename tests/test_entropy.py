@@ -33,8 +33,10 @@ from ergode.entropy import (
     spanning_entropy,
     word_count_rate,
     _comb_jump,
+    _count_range,
     _integer_stride,
     _log_comb_jump,
+    _logsumexp,
     _markov_window_log_counts,
 )
 
@@ -228,6 +230,122 @@ def test_float_window_counts_on_a_grid_match_the_exact_counts(system, symbol, lo
         exact = word_count_rate(system, FrequencyWindow(symbol, lo, hi), n).count
         expected = math.log(exact) if exact else -math.inf
         assert np.logaddexp.reduce(lcs) == pytest.approx(expected, rel=1e-9)
+
+
+def reference_window_log_counts(system, depths, symbol, lo, hi):
+    """`_markov_window_log_counts` as a log-space dynamic program, one step
+    at a time: log counts combine by `np.logaddexp`, so no count under- or
+    overflows and an empty count is exactly -inf."""
+    k, A = system.k, system.adjacency
+    N = max(depths)
+    L = np.full((k, N + 1), -math.inf)
+    nxt = L.copy()
+    for s in range(k):
+        L[s, 1 if s == symbol else 0] = 0.0
+    top = max(_count_range(n, lo, hi).stop for n in depths)    # columns read
+    found = {}
+    for n in range(1, N + 1):
+        if n in depths:
+            r = _count_range(n, lo, hi)
+            found[n] = np.array([_logsumexp(row[r.start:r.stop]) for row in L])
+        if n == N:
+            break
+        c = min(n + 2, top)
+        nxt[:, :c] = -math.inf
+        for s in range(k):
+            for s2 in range(k):
+                if A[s][s2] == 0:
+                    continue
+                if s2 == symbol:
+                    np.logaddexp(nxt[s2, 1:c], L[s, :c - 1], out=nxt[s2, 1:c])
+                else:
+                    np.logaddexp(nxt[s2, :c], L[s, :c], out=nxt[s2, :c])
+        L, nxt = nxt, L
+    return [found[n] for n in depths]
+
+
+def assert_same_log_counts(got, want):
+    """Per state: -inf exactly where the reference is empty, else equal to a
+    relative 1e-12 (an absolute 1e-12 for the log 1 = 0 of one word)."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert np.array_equal(np.isneginf(g), np.isneginf(w)), (g, w)
+        full = np.isfinite(w)
+        np.testing.assert_allclose(g[full], w[full], rtol=1e-12, atol=1e-12)
+
+
+# a reducible shift: a full 2-shift on {0, 1} (symbol 0 at frequency 1/2)
+# leading into a golden mean on {2, 3} that never reads it
+TWO_COMPONENTS = MarkovShift(4, ((1, 1, 1, 0), (1, 1, 0, 0), (0, 0, 1, 1), (0, 0, 1, 0)))
+FOUR_STATE = MarkovShift(4, ((0, 1, 1, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 0)))
+BLOCK_DEPTHS = (1, 2, 7, 64, 65, 66, 129, 500, 1000, 2000)     # both sides of block ends
+
+
+@pytest.mark.parametrize("system, symbol, lo, hi", [
+    (GOLDEN_MEAN, 1, 0.2, 0.3),
+    (GOLDEN_MEAN, 1, 0.49, 0.5),
+    (GOLDEN_MEAN, 1, 0.0, 0.01),
+    (THREE_STATE, 2, 0.3, 0.34),
+    (THREE_STATE, 2, 0.0, 0.02),
+    (THREE_STATE, 2, 0.9, 1.0),
+    (TWO_COMPONENTS, 0, 0.2, 0.3),
+    (TWO_COMPONENTS, 0, 0.0, 0.05),
+    (FOUR_STATE, 3, 0.1, 0.2),
+])
+def test_window_log_counts_match_the_log_space_reference(system, symbol, lo, hi):
+    assert_same_log_counts(_markov_window_log_counts(system, BLOCK_DEPTHS, symbol, lo, hi),
+                           reference_window_log_counts(system, BLOCK_DEPTHS, symbol, lo, hi))
+
+
+@pytest.mark.parametrize("system, symbol, lo, hi", [
+    (GOLDEN_MEAN, 1, 0.2, 0.3),
+    (GOLDEN_MEAN, 1, 0.49, 0.5),
+    (THREE_STATE, 2, 0.3, 0.34),
+    (TWO_COMPONENTS, 0, 0.0, 0.05),
+])
+def test_window_log_counts_on_a_grid_are_the_single_depth_counts_bit_for_bit(system, symbol,
+                                                                            lo, hi):
+    depths = (70, 500, 129, 1000, 2000)
+    grid = _markov_window_log_counts(system, depths, symbol, lo, hi)
+    for n, lcs in zip(depths, grid):
+        single, = _markov_window_log_counts(system, (n,), symbol, lo, hi)
+        assert lcs.tobytes() == single.tobytes()
+
+
+def test_a_window_far_from_the_typical_frequency_keeps_every_state():
+    # untilted, a linear-space program loses these counts to underflow
+    lcs, = _markov_window_log_counts(GOLDEN_MEAN, (2000,), 1, 0.49, 0.5)
+    assert lcs == pytest.approx([166.008, 169.183], abs=1e-3)
+
+
+@pytest.mark.parametrize("symbol, lo, hi", [(1, 0.6, 0.7), (0, 0.2, 0.3)])
+def test_an_empty_window_reads_exactly_minus_infinity(symbol, lo, hi):
+    # no golden-mean word of these lengths has more 1s than 0s plus one
+    for lcs in _markov_window_log_counts(GOLDEN_MEAN, (500, 1000, 2000), symbol, lo, hi):
+        assert list(lcs) == [-math.inf, -math.inf]
+
+
+@st.composite
+def vertex_shift_windows(draw):
+    k = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    for s in range(k):                  # every state needs a way in and a way out
+        if not any(rows[s]):
+            rows[s][draw(st.integers(0, k - 1))] = 1
+        if not any(row[s] for row in rows):
+            rows[draw(st.integers(0, k - 1))][s] = 1
+    a, b = sorted(draw(st.floats(0.0, 1.0)) for _ in range(2))
+    depths = tuple(draw(st.lists(st.integers(1, 300), min_size=1, max_size=4)))
+    return MarkovShift(k, tuple(map(tuple, rows))), draw(st.integers(0, k - 1)), a, b, depths
+
+
+@given(vertex_shift_windows())
+@settings(deadline=None, max_examples=40)
+def test_window_log_counts_match_the_reference_on_random_shifts(case):
+    system, symbol, lo, hi, depths = case
+    assert_same_log_counts(_markov_window_log_counts(system, depths, symbol, lo, hi),
+                           reference_window_log_counts(system, depths, symbol, lo, hi))
 
 
 def test_exact_markov_window_counts_past_depth_400_exhaust_the_budget():

@@ -160,6 +160,17 @@ def test_time_averaged_measure_keeps_base_cylinder_mass():
     assert integrate(bar, CylinderIndicator((1,))) == pytest.approx(0.7, abs=1e-12)
 
 
+def test_a_time_average_under_a_word_dependent_roof_is_refused():
+    """The flow-invariant measure weighs each base point by its roof: under
+    the roof (1, 2) the time share over symbol 0 is 1/3, where the midpoint
+    average from the zero fiber read 0.375."""
+    flow = Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2))
+    with pytest.raises(ValueError, match="word-dependent"):
+        integrate(time_average_measure(flow, Bernoulli((0.5, 0.5))), SymbolFrequency(0))
+    with pytest.raises(ValueError, match="word-dependent"):
+        TimeAveraged(flow, Bernoulli((0.5, 0.5)), 4)
+
+
 def test_fiber_profile_interpolates_breakpoints():
     tent = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
     x = Point(ExplicitWord((0,)), fiber=0.25)

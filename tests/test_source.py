@@ -19,7 +19,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # the ratchet: lines and lines naming `isinstance` in src/ergode/*.py
 MAX_LINES = 4379
-MAX_ISINSTANCE_LINES = 103
+MAX_ISINSTANCE_LINES = 99
 
 
 def unused_imports(source: str):

@@ -22,9 +22,7 @@ from ergode.systems import (
     Suspension,
     TimeTMap,
     TorusTranslation,
-    iterate,
     random_point,
-    step,
     time_t_map,
     _count_at_or_below,
 )
@@ -32,6 +30,7 @@ from ergode.measures import Markov
 from ergode.constructions import _sample_markov
 
 from metrics import distance, metric_for
+from stepping import iterate, step
 
 
 def test_step_advances_offset():
