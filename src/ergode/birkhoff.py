@@ -1,23 +1,26 @@
 """Orbit averages along checkpoint schedules, empirical measures, and the
 classification of points as generic / not generic / irregular.
 
-Every average is read by one function, `_profiles(system, x, observables,
-schedule)`, which returns A[checkpoint, observable] for a whole family from
-one pass over the orbit, so a schedule of checkpoints costs the same as its
-largest entry.  The public readers (`birkhoff_profile`,
-`flow_average_profile`, the classifiers and `limit_point_set`) all call it.
-Constants are their value.  Rotation and translation flows integrate
-harmonics in closed form; circle and torus maps sum the observable along
-the materialised orbit.  Symbolic orbits (shifts, suspension flows and the
+Every average is read by one function, `_profiles(system, points,
+observables, schedule)`, which returns A[point, checkpoint, observable] for a
+whole family from one pass over each orbit, so a schedule of checkpoints
+costs the same as its largest entry.  The public readers
+(`birkhoff_profile`, `flow_average_profile`, the classifiers and
+`limit_point_set`) pass it one point; a suite passes all of its points, and
+those that share a chart are read together, one count per chunk.  Constants
+are their value.  Rotation and translation flows integrate harmonics in
+closed form; circle and torus maps sum the observable along the
+materialised orbit.  Symbolic orbits (shifts, suspension flows and the
 time-t maps of suspensions) are cut into base cells (symbol offsets), and
 each full cell weighs its word hits by what the orbit spends in it: map
 steps, or the mass of the observable's fiber profile under the cell's roof.
-Word hits are counted per (word code, weight class) between consecutive
-checkpoints, in bounded chunks, so no full-length temporary is held; the
-partial first cell of a flow (from its fiber) and the partial last cell are
-added on top, which makes suspension flow averages exact.  A shift and the
-time-t map of a constant-roof suspension read their cells from an exact
-integer chart, so a map's cells cost no table and no float rounding.
+Word hits are counted per (point, word code, weight class) between
+consecutive checkpoints, in bounded chunks, so no full-length temporary is
+held; the partial first cell of a flow (from its fiber) and the partial
+last cell are added on top, which makes suspension flow averages exact.  A
+shift and the time-t map of a constant-roof suspension read their cells
+from an exact integer chart, so a map's cells cost no table and no float
+rounding.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -269,85 +272,71 @@ def _fill_first(first: np.ndarray, f0: float, t: float, entries: np.ndarray) -> 
         first[start:start + len(j)] = j
 
 
-def _running_totals(ends, total_of, zero):
-    """The sum of total_of(lo, hi) over the cells [1, e), for each e of the
-    ascending `ends`.  Each call covers at most `_CELL_CHUNK` cells, so no
-    per-cell array outlives its chunk; integer totals stay exact."""
-    out, total, upto = [], zero, 1
-    for e in ends:
-        for lo in range(upto, e, _CELL_CHUNK):
-            total = total + total_of(lo, min(lo + _CELL_CHUNK, e))
-        upto = max(upto, e)
-        out.append(total)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the orbit reader
 
 
-def _profiles(system, x: Point, observables, schedule: Schedule) -> np.ndarray:
-    """A[c, i]: the average of observable i along the orbit of x up to
-    checkpoint c, over map steps on a map and over flow time on a flow.
-
-    Constants are their value.  Straight-line flows integrate harmonics in
-    closed form, circle maps sum along the coordinate orbit, and symbolic
-    orbits (shifts, suspension flows and their time-t maps) are read once
-    for the whole family by `_cell_profiles`."""
+def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
+    """A[p, c, i]: the average of observable i along the orbit of the p-th
+    point up to checkpoint c, over map steps on a map and over flow time on
+    a flow.  Constants are their value.  Straight-line flows and circle maps
+    are read point by point, symbolic orbits by `_cell_profiles` a group of
+    points at a time; `points` is iterated once, so a generator of points
+    never has more than one group alive."""
     obs = tuple(observables)
     flow = system.is_flow
     Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
-    out = np.empty((len(Ts), len(obs)))
-    rest = []
-    for i, phi in enumerate(obs):
-        if isinstance(phi, Constant):
-            out[:, i] = phi.value
-        else:
-            rest.append(i)
-    if not rest:
-        return out
-    if flow and system.isometric:
-        for i in rest:
-            if not isinstance(obs[i], Harmonic):
-                raise TypeError(f"{type(obs[i]).__name__} is not a rotation-flow observable")
-            out[:, i] = [_harmonic_line_average(obs[i], x.coords[0], system.speed, T) for T in Ts]
-    elif flow or _is_symbolic_path(system):
-        _cell_profiles(system, x, [(i, obs[i]) for i in rest], Ts, out)
+    constant = [isinstance(phi, Constant) for phi in obs]
+    reads = [phi for phi, c in zip(obs, constant) if not c]
+    if reads and (flow and not system.isometric or _is_symbolic_path(system)):
+        groups = _cell_profiles(system, points, reads, Ts)
     else:
-        coords = _orbit_coords(system, x, Ts[-1])
-        for i in rest:
-            cs = np.cumsum(evaluate_on_circle(obs[i], coords))
-            out[:, i] = [cs[n - 1] / n for n in Ts]
+        groups = (_line_profiles(system, x, reads, Ts) for x in points)
+    A = np.concatenate([np.empty((0, len(Ts), len(reads))), *groups])
+    out = np.tile([phi.value if c else 0.0 for phi, c in zip(obs, constant)], (len(A), len(Ts), 1))
+    out[:, :, np.flatnonzero(np.logical_not(constant))] = A
     return out
 
 
-def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
-    """Fill the columns `reads` (column, observable) of `out` from one pass
-    over the base cells of a symbolic orbit.
+def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
+    """A[0, c, j] of the observables phis along the orbit of x: harmonics in closed
+    form under a straight-line flow, sums along the orbit of a circle or torus map."""
+    if system.is_flow:
+        for phi in phis:
+            if not isinstance(phi, Harmonic):
+                raise TypeError(f"{type(phi).__name__} is not a rotation-flow observable")
+        return np.array([[[_harmonic_line_average(phi, x.coords[0], system.speed, T)
+                           for phi in phis] for T in Ts]])
+    coords = _orbit_coords(system, x, Ts[-1]) if phis else None
+    sums = [np.cumsum(evaluate_on_circle(phi, coords)) for phi in phis]
+    return np.array([[[cs[n - 1] / n for cs in sums] for n in Ts]])
 
-    The word codes of the full cells after cell 0, at the deepest word
-    length D, are counted per (code, weight class) between consecutive
-    checkpoints, in chunks; a shorter word reads the codes that start with
-    it.  A map has one class, and each cell counts the map steps spent in it
-    (the `steps` of its cells).  A suspension flow counts cells; its classes are its
-    roof values, and an observable weighs a class by the mass of its fiber
-    profile under that roof.  On top come cell 0, from the fiber f0 to its
-    roof on a flow, and the partial last cell, from its bottom (or its first
-    map step) to the checkpoint, in array ops over (checkpoint, word); a flow
-    weighs its cells by mass in `_flow_averages`.
 
-    A depth-1 read in which every full cell weighs the same (a shift, a
-    constant-roof flow, a constant-roof time-t map whose t divides the roof)
-    of a point whose rule has `counts` builds no symbols: the counts of the
-    full cells and the symbols of the edge cells come from the rule's recipe.
+def _cell_profiles(system, points, observables, Ts):
+    """A[p, c, j] of `points` along a symbolic orbit, yielded group by group.
+
+    A group is a run of points that share a chart (a shift, or one fiber
+    under a constant roof), so each checkpoint ends in the same cell for all
+    of them.  It stacks at most `_CELL_CHUNK` symbols; a longer read, or a
+    point under a word-dependent roof, is a group of one.  In each checkpoint
+    segment, one `np.bincount` per step of at most `_CELL_CHUNK` (point,
+    cell) pairs counts the word codes of the full cells at the deepest word
+    length per (point, code, weight class); a shorter word reads the codes
+    that start with it, and a word of the other side of a disjoint union
+    reads 0.  A map has one class, each cell weighing the map steps spent in
+    it; a flow's classes are its roof values, each weighing the mass of an
+    observable's fiber profile under it.  Cell 0 (from the fiber f0 on a
+    flow) and the partial last cell are added in array ops over (point,
+    checkpoint, word).  A depth-1 read in which every full cell weighs the
+    same counts a rule that has `counts` from its recipe, building no symbols.
     """
     flow = system.is_flow
     suspension = system if flow else getattr(system, "flow", None)
     base = system if suspension is None else suspension.base
     sides = (base.left, base.right) if isinstance(base, DisjointUnion) else (base,)
     k = max(side.alphabet for side in sides)     # a code base above every symbol
-    words = []                  # (column, word code, word length, scale, mass)
-    for i, phi in reads:
+    words = []                  # (word code or None, word length, scale, mass, component)
+    for phi in observables:
         inner = phi.base if flow and isinstance(phi, FiberProfile) else phi
         if flow and isinstance(inner, Constant):
             word, comp, scale = (), None, inner.value
@@ -355,135 +344,146 @@ def _cell_profiles(system, x: Point, reads, Ts, out: np.ndarray) -> None:
             word, comp, scale = inner.word, inner.component, 1.0
         else:
             raise TypeError(f"{type(phi).__name__} does not read symbols")
-        code = _code(word, k)
-        if code is None or (comp is not None and x.component != comp):
-            out[:, i] = 0.0     # never hit
-            continue
         mass = phi.profile_integral if isinstance(phi, FiberProfile) else _length
-        words.append((i, code, len(word), scale, mass))
-    if not words:
-        return
-    depth = max(1, max(w[2] for w in words))
-    inv = None
-    if flow:
-        f0 = _fiber(system, x)
-        taus = [f0 + T for T in Ts]         # times from the bottom of cell 0
-        roof = system.roof
-        if roof.depth == 0:
-            c = roof.table[0]
-            ends = []
-            for tau in taus:                # the cell whose top reaches tau
-                L = max(math.ceil(tau / c) - 1, 0)
-                while (L + 1) * c < tau:
-                    L += 1
-                while L > 0 and L * c >= tau:
-                    L -= 1
-                ends.append(L)
-            roof0, entry, classes = c, [L * c for L in ends], [c]
-        else:
-            vals = _roof_values(roof, x, taus[-1])
-            entries = np.concatenate(([0.0], np.cumsum(vals)))
-            ends = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
-            if ends[-1] >= len(vals):
-                raise BudgetExhausted("flow horizon exceeds the prepared roof window")
-            roof0, entry = vals[0], [entries[L] for L in ends]
-            classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
-    else:
+        code = functools.reduce(lambda c, s: c * k + int(s), word, 0)
+        words.append((code if all(0 <= s < k for s in word) else None,   # None: never hit
+                      len(word), scale, mass, comp))
+    depth = max(1, *(w[1] for w in words))
+    group, rows, key = [], [], None
+    for x in points:
+        shared = 0 if suspension is None else (     # the fiber, under a constant roof
+            _fiber(suspension, x) if suspension.roof.depth == 0 else object())
+        if group and (shared != key or (len(group) + 1) * need > _CELL_CHUNK):
+            yield _group_profiles(system, group, rows, words, depth, k, Ts, ends, chart)
+            group, rows = [], []
+        if not group:
+            ends, chart = _cell_plan(system, x, Ts)
+            key, need = shared, ends[-1] + depth
+            recipe = depth == 1 and (len(chart[4]) == 1 if flow
+                                     else np.ndim(chart.steps(1, 1)) == 0)
+        tally = getattr(x.rule, "counts", None) if recipe and getattr(x.rule, "k", 0) == k else None
+        group.append((x.component, tally, x.offset))
+        if tally is None:
+            rows.append(x.prefix(need))
+    if group:
+        yield _group_profiles(system, group, rows, words, depth, k, Ts, ends, chart)
+
+
+def _cell_plan(system, x: Point, Ts):
+    """(ends, chart) of the group of x: ends[c] is the cell that checkpoint c
+    ends in; the chart is a map's `_map_chart` or a flow's (f0, taus = f0 + T,
+    roof0, entry to ends[c], roof classes, each cell's class or None)."""
+    if not system.is_flow:
         cells = _map_chart(system, x, Ts[-1])
-        ends = [cells.cell(n - 1) for n in Ts]
-        ns = np.asarray(Ts)
-        last_steps = ns - [cells.first(L) for L in ends]   # map steps in the partial last cell
-        steps0 = (np.asarray(ends) > 0) * cells.first(1)   # in cell 0 while it is full
-    n_cls = len(classes) if flow else 1
-    # a flow counts cells; a map counts the steps in them, one number when
-    # every cell takes the same.  Cell 0 is counted apart: a flow enters it at
-    # f0, a map may spend fewer steps in it.
-    weight = 1 if flow else cells.steps(1, 1)
-    tally = getattr(x.rule, "counts", None)
-    if depth == 1 and n_cls == 1 and np.ndim(weight) == 0 and tally and x.rule.k == k:
-        # the rule counts its symbols from its recipe, so nothing is built:
-        # the full cells [1, e) hold at(e) - at(1) of each symbol
-        def at(i):
-            return tally(x.offset + i)
+        return [cells.cell(n - 1) for n in Ts], cells
+    f0 = _fiber(system, x)
+    taus = [f0 + T for T in Ts]
+    roof = system.roof
+    if roof.depth == 0:
+        c = roof.table[0]
+        ends = []
+        for tau in taus:                # the cell whose top reaches tau
+            L = max(math.ceil(tau / c) - 1, 0)
+            while (L + 1) * c < tau:
+                L += 1
+            while L > 0 and L * c >= tau:
+                L -= 1
+            ends.append(L)
+        return ends, (f0, taus, c, [L * c for L in ends], [c], None)
+    vals = _roof_values(roof, x, taus[-1])
+    entries = np.concatenate(([0.0], np.cumsum(vals)))
+    ends = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
+    if ends[-1] >= len(vals):
+        raise BudgetExhausted("flow horizon exceeds the prepared roof window")
+    classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
+    return ends, (f0, taus, vals[0], [entries[L] for L in ends], classes, inv)
 
-        counted = [(at(max(e, 1)) - at(1)) * weight for e in ends]
-        edge = np.array([int(np.argmax(at(i + 1) - at(i))) for i in (0, *ends)])
-    else:
-        arr = np.asarray(x.prefix(ends[-1] + depth))
 
-        def codes(lo, hi):
-            if depth == 1:
-                return arr[lo:hi]
-            c = arr[lo:hi].astype(np.int64)
-            for d in range(1, depth):
-                c *= k
-                c += arr[lo + d:hi + d]
-            return c
-
-        def counts(lo, hi):
-            keys = codes(lo, hi) if inv is None else codes(lo, hi) * np.int64(n_cls) + inv[lo:hi]
-            return _key_counts(keys, k ** depth * n_cls, 1 if flow else cells.steps(lo, hi))
-
-        counted = _running_totals(ends, counts, np.zeros(k ** depth * n_cls, dtype=np.int64))
-        edge = np.array([_code(arr[i:i + depth].tolist(), k) for i in (0, *ends)])
+def _group_profiles(system, members, rows, words, depth: int, k: int, Ts, ends, chart):
+    """A[p, c, j] of one group of `_cell_profiles`: `members` holds each
+    point's (component, tally, offset), and `rows` the symbols of the points
+    without a tally, which this stacks and clears."""
+    flow = system.is_flow
+    inv, n_cls = (chart[5], len(chart[4])) if flow else (None, 1)
+    # a flow counts cells; a map counts the steps in them, one number when every
+    # cell takes the same.  Cell 0 is apart: a flow enters it at f0, a map may
+    # spend fewer steps in it.
+    weight = 1 if flow else chart.steps(1, 1)
+    P, C, size = len(members), len(Ts), k ** depth * n_cls
+    counted = np.empty((P, C, size), dtype=float if np.ndim(weight) else np.int64)
+    edge = np.empty((P, C + 1), dtype=np.int64)     # the word codes at cells 0 and ends
+    for p, (_, tally, offset) in enumerate(members):
+        if tally is not None:   # the full cells [1, e) hold tally(e) - tally(1)
+            first = tally(offset + 1)
+            counted[p] = [(tally(offset + max(e, 1)) - first) * weight for e in ends]
+            edge[p] = [int(np.argmax(tally(offset + i + 1) - tally(offset + i)))
+                       for i in (0, *ends)]
+    if rows:
+        arr, S = np.stack(rows), len(rows)
+        rows.clear()
+        total = np.zeros((C, S * size), dtype=counted.dtype)
+        bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
+        for c in range(C):
+            for lo in range(bounds[c], bounds[c + 1], max(1, _CELL_CHUNK // S)):
+                hi = min(lo + max(1, _CELL_CHUNK // S), bounds[c + 1])
+                keys = _word_codes(arr, lo, hi, depth, k)
+                if inv is not None:
+                    keys *= n_cls
+                    keys += inv[lo:hi]
+                keys += np.arange(0, S * size, size)[:, None]    # (point, code, class)
+                steps = np.tile(chart.steps(lo, hi), S) if np.ndim(weight) else None
+                total[c] += np.bincount(keys.ravel(), steps, S * size)
+                del keys            # before the next step builds its own
+        stacked = [p for p, m in enumerate(members) if m[1] is None]
+        counted[stacked] = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2) * (
+            1 if np.ndim(weight) else weight)       # a weight the same for every cell
+        edge[stacked] = _word_codes(arr[:, np.add.outer((0, *ends), np.arange(depth))],
+                                    0, 1, depth, k)[..., 0]
     # a word of length d is the depth-D codes [code*span, (code+1)*span)
-    cum = np.zeros((len(Ts), k ** depth + 1, n_cls), dtype=np.result_type(*counted))
-    np.cumsum(np.stack(counted).reshape(len(Ts), k ** depth, n_cls), axis=1, out=cum[:, 1:])
-    cols, wcodes, spans = (np.array(v) for v in zip(*[(w[0], w[1], k ** (depth - w[2]))
-                                                     for w in words]))
-    full = cum[:, (wcodes + 1) * spans] - cum[:, wcodes * spans]   # (checkpoint, word, class)
-    hit_last = edge[1:, None] // spans == wcodes
-    hit0 = edge[0] // spans == wcodes
-    if not flow:
-        out[:, cols] = (full[..., 0] + hit0 * steps0[:, None]
-                        + hit_last * last_steps[:, None]) / ns[:, None]
-        return
-    out[:, cols] = _flow_averages(words, full, hit0, hit_last, Ts,
-                                  f0, roof0, classes, taus, ends, entry)
+    cum = np.zeros((P, C, k ** depth + 1, n_cls), dtype=counted.dtype)
+    np.cumsum(counted.reshape(P, C, k ** depth, n_cls), axis=2, out=cum[:, :, 1:])
+    wcodes = np.array([w[0] or 0 for w in words])
+    spans = np.array([k ** (depth - w[1]) for w in words])
+    full = cum[:, :, (wcodes + 1) * spans] - cum[:, :, wcodes * spans]  # (p, c, word, class)
+    hit_last = edge[:, 1:, None] // spans == wcodes
+    hit0 = (edge[:, :1] // spans == wcodes)[:, None]      # (point, 1, word)
+    if flow:
+        A = _flow_averages(words, full, hit0, hit_last, Ts, ends, *chart[:5])
+    else:
+        ns = np.asarray(Ts)
+        last_steps = ns - [chart.first(L) for L in ends]   # map steps in the partial last cell
+        steps0 = (np.asarray(ends) > 0) * chart.first(1)   # in cell 0 while it is full
+        A = (full[..., 0] + hit0 * steps0[:, None]
+             + hit_last * last_steps[:, None]) / ns[:, None]
+    hits = [[w[0] is not None and w[4] in (None, m[0]) for w in words] for m in members]
+    return np.where(np.array(hits)[:, None, :], A, 0.0)
 
 
-def _flow_averages(words, full, hit0, hit_last, Ts, f0, roof0, classes, taus, ends, entry):
-    """A[checkpoint, word] of a suspension flow, in array ops.  At checkpoint
-    T, tau = f0 + T lies in cell L = ends[c], entered at entry[c], and a word
-    integrates to hit0 * mass(f0, roof0) + full . mass(0, class) + hit_last *
-    mass(0, tau - entry), or to hit0 * mass(f0, tau) while L == 0.  Each mass
-    function is read once per roof class and once per checkpoint."""
+def _word_codes(arr: np.ndarray, lo: int, hi: int, depth: int, k: int) -> np.ndarray:
+    """The base-k codes of the words arr[..., i:i+depth] for i in lo..hi-1, in int64."""
+    c = arr[..., lo:hi].astype(np.int64)
+    for d in range(1, depth):
+        c *= k
+        c += arr[..., lo + d:hi + d]
+    return c
+
+
+def _flow_averages(words, full, hit0, hit_last, Ts, ends, f0, taus, roof0, entry, classes):
+    """A[point, checkpoint, word] of a suspension flow, in array ops.  At
+    checkpoint T, tau = f0 + T lies in cell L = ends[c], entered at entry[c],
+    and a word integrates to hit0 * mass(f0, roof0) + full . mass(0, class) +
+    hit_last * mass(0, tau - entry), or to hit0 * mass(f0, tau) while L == 0.
+    Each mass function is read once per roof class and once per checkpoint."""
     reads = {mass: ([mass(0.0, v) for v in classes], mass(f0, roof0),
                     [mass(f0, tau) if L == 0 else mass(0.0, tau - e)
                      for tau, L, e in zip(taus, ends, entry)])
-             for mass in {w[4] for w in words}}
-    masses, m0, edge = (np.array([reads[w[4]][part] for w in words]) for part in range(3))
-    # a (1, classes) @ (classes, 1) product per (checkpoint, word) sums as np.dot does
+             for mass in {w[3] for w in words}}
+    masses, m0, edge = (np.array([reads[w[3]][part] for w in words]) for part in range(3))
+    # a (1, classes) @ (classes, 1) product per (point, checkpoint, word) sums as np.dot does
     cells = np.matmul(full[..., None, :].astype(float), masses[..., None])[..., 0, 0]
     total = np.where((np.asarray(ends) == 0)[:, None], hit0 * edge.T,
                      hit0 * m0 + cells + hit_last * edge.T)
-    return np.array([w[3] for w in words]) * total / np.asarray(Ts, dtype=float)[:, None]
-
-
-def _code(word, k: int):
-    """The base-k code of a word, or None when a symbol is outside range(k)."""
-    code = 0
-    for s in word:
-        if not 0 <= s < k:
-            return None
-        code = code * k + int(s)
-    return code
-
-
-_FEW_KEYS = 4   # up to this many keys, comparisons count a chunk faster than np.bincount
-
-
-def _key_counts(keys: np.ndarray, size: int, weights=1) -> np.ndarray:
-    """How many of `keys` take each value in range(size), times `weights`, or
-    with how much total weight when `weights` holds one per key.  A single word
-    read over a long orbit has two keys, where np.bincount's loop costs more."""
-    if np.ndim(weights):
-        return np.bincount(keys, weights=weights, minlength=size)
-    if size > _FEW_KEYS:
-        return np.bincount(keys, minlength=size) * weights
-    part = [np.count_nonzero(keys == v) for v in range(size - 1)]
-    part.append(len(keys) - sum(part))    # the last key has the rest
-    return np.array(part, dtype=np.int64) * weights
+    return np.array([w[2] for w in words]) * total / np.asarray(Ts, dtype=float)[:, None]
 
 
 def _length(lo: float, hi: float) -> float:
@@ -499,7 +499,7 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """Running averages of phi along the orbit at each checkpoint."""
     if system.is_flow:
         raise TypeError(f"{type(system).__name__} is a flow; take flow_average_profile")
-    return _profiles(system, x, (phi,), schedule)[:, 0]
+    return _profiles(system, (x,), (phi,), schedule)[0, :, 0]
 
 
 def birkhoff_average_map(system, x: Point, phi, n: int) -> float:
@@ -515,7 +515,7 @@ def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     symbolic/fiber observables under suspensions."""
     if not flow.is_flow:
         raise TypeError(f"no flow average for {type(flow).__name__}")
-    return _profiles(flow, x, (phi,), schedule)[:, 0]
+    return _profiles(flow, (x,), (phi,), schedule)[0, :, 0]
 
 
 def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
@@ -592,7 +592,7 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     horizon is the signature of a convergent (generic-type) orbit."""
     if schedule is None:
         schedule = Schedule.for_map()
-    A = _profiles(system, x, fam.observables, schedule)
+    A = _profiles(system, (x,), fam.observables, schedule)[0]
     return _limit_classes(A, schedule.checkpoints, fam.weights(), tol)
 
 
@@ -643,14 +643,14 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
     loop that classifies many points against one (mu, fam) passes
     `family_targets(mu, fam)` once instead of integrating on every call.
     `profile` is the family's A[checkpoint, observable] along the schedule
-    when it was already read, as one read that also serves another verdict."""
+    when it was already read (x is then not read), as from a suite's read."""
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
     if len(schedule.checkpoints) < 2:
         raise ValueError("classification needs at least two checkpoints")
-    A = _profiles(system, x, fam.observables, schedule) if profile is None else profile
+    A = _profiles(system, (x,), fam.observables, schedule)[0] if profile is None else profile
     if targets is None:
         targets = family_targets(mu, fam)
     g_last = np.abs(A[-1] - targets)
@@ -682,7 +682,7 @@ def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = Non
     running average at each checkpoint when it was already read."""
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    prof = _profiles(system, x, (phi,), schedule)[:, 0] if profile is None else profile
+    prof = _profiles(system, (x,), (phi,), schedule)[0, :, 0] if profile is None else profile
     tail = prof[len(prof) // 2:]
     osc = float(tail.max() - tail.min())
     out_profile = tuple(prof) if keep_profile else None

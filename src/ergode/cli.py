@@ -66,18 +66,16 @@ def _resolve_point(obj, system, rng):
         return _random_point(system, rng)
     point = build_point(obj)
     space = system.flow if isinstance(system, TimeTMap) else system
-    if isinstance(space, Suspension):
-        try:
+    try:
+        if isinstance(space, Suspension):
             _fiber(space, point)
-        except ValueError as exc:
-            raise ConfigError(f"bad point: {exc}") from None
-        space = space.base
-    if isinstance(space, DisjointUnion):    # the point's side; an untagged point has none
-        space = space.side(point.component) if point.component in (0, 1) else None
-    used = {*obj.get("symbols", ()), *(s for pattern, _ in obj.get("blocks", ()) for s in pattern)}
-    k = space.alphabet if space is not None and space.symbolic else math.inf
-    if any(not 0 <= s < k for s in used):
-        raise ConfigError(f"bad point: symbols {sorted(used)} outside the alphabet of {space}")
+            space = space.base
+        if isinstance(space, DisjointUnion):    # the point's side; an untagged point has none
+            space = space.side(point.component) if point.component in (0, 1) else None
+        if space is not None and space.symbolic and point.is_symbolic:
+            space.admits(point.rule)
+    except ValueError as exc:
+        raise ConfigError(f"bad point: {exc}") from None
     return point
 
 
@@ -316,15 +314,11 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         n_samples = cfg["sample_count"]
         fam = TestFamily.default_for(inner, depth=cfg["family_depth"])
         schedule = build_schedule(cfg["schedule"], False)
-        targets = family_targets(mu, fam)
-
-        def one(i):
-            x = _random_point(inner, np.random.default_rng(ctx["seed"] + i))
-            return classify_generic(inner, x, mu, fam, schedule, tol, targets=targets)
-
-        verdicts = _pmap(one, range(n_samples), ctx["threads"])
-        bad = sum(1 for v in verdicts if v.label == "NotGeneric")
-        rows.append(Row(eid, "not_generic_count", float(bad), None, None,
+        samples = (_random_point(inner, np.random.default_rng(ctx["seed"] + i))
+                   for i in range(n_samples))
+        _, labels = _generic_labels(inner, samples, mu, fam, schedule, tol,
+                                    family_targets(mu, fam))
+        rows.append(Row(eid, "not_generic_count", float(labels.count("NotGeneric")), None, None,
                         {"sample_count": n_samples}, 0.0))
         return
     # ergodic route: window the dominant symbol frequency around its mean
@@ -382,48 +376,39 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     targets = family_targets(mu, fam)
     n_limit = min(n_samples, 10)
     w = fam.weights()
-
-    def mu_sample(i):
-        # the first samples also give their limit sets, from the same profile
-        x = _sample_from(system, mu, ctx["seed"] + i)
-        keep = i < n_limit
-        verdict = classify_generic(system, x, mu, fam, schedule, tol,
-                                   keep_profile=keep, targets=targets)
-        classes = _limit_classes(verdict.profile, schedule.checkpoints, w, tol) if keep else None
-        return verdict, classes
-
-    results = _pmap(mu_sample, range(n_samples), ctx["threads"])
-    counts = {"Generic": 0, "NotGeneric": 0, "Inconclusive": 0}
-    for v, _ in results:
-        counts[v.label] += 1
-    for label, n in counts.items():
-        rows.append(Row(eid, f"mu_sample_{label.lower()}", float(n), None, None,
+    samples = (_sample_from(system, mu, ctx["seed"] + i) for i in range(n_samples))
+    A, labels = _generic_labels(system, samples, mu, fam, schedule, tol, targets)
+    for label in ("Generic", "NotGeneric", "Inconclusive"):
+        rows.append(Row(eid, f"mu_sample_{label.lower()}", float(labels.count(label)), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
-    # limit sets of mu samples should form one cluster at mu's integrals
-    good_limit = sum(1 for _, classes in results[:n_limit]
+    # the first samples' limit sets, from the same profiles, should be one cluster at mu
+    limits = [_limit_classes(a, schedule.checkpoints, w, tol) for a in A[:n_limit]]
+    good_limit = sum(1 for classes in limits
                      if len(classes) == 1 and classes[0].distance_to(targets, w) <= tol)
     rows.append(Row(eid, "single_limit_class_count", float(good_limit), None, None,
                     {"sample_count": n_limit, "suite": "limit-sets"}, 0.0))
     # points generic for a different measure must be caught
     other = _different_measure(mu)
     if other is not None:
-        def other_sample(i):
-            x = _sample_from(system, other, ctx["seed"] + 7919 + i)
-            return classify_generic(system, x, mu, fam, schedule, tol, targets=targets)
-        rejected = sum(
-            1 for v in _pmap(other_sample, range(n_samples), ctx["threads"])
-            if v.label == "NotGeneric"
-        )
+        samples = (_sample_from(system, other, ctx["seed"] + 7919 + i) for i in range(n_samples))
+        rejected = _generic_labels(system, samples, mu, fam, schedule, tol,
+                                   targets)[1].count("NotGeneric")
         rows.append(Row(eid, "foreign_rejected_count", float(rejected), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-other"}, 0.0))
+
+
+def _generic_labels(system, points, mu, fam, schedule, tol, targets):
+    """The family profiles of `points`, read in one pass, and their generic labels."""
+    A = _profiles(system, points, fam.observables, schedule)
+    return A, [classify_generic(system, None, mu, fam, schedule, tol, targets=targets,
+                                profile=a).label for a in A]
 
 
 def _inclusion_suite_points(base, mu_base, seed: int, n_total: int):
     """Generic constructions, oscillating constructions, and random points,
     each lifted to the zero fiber.  Yields (tag, point, irregular_schedule)."""
-    out = []
     p = generic_point(base, mu_base, "deterministic-blocks", seed=seed)
-    out.append(("constructed-generic", p.with_fiber(0.0), None))
+    out = [("constructed-generic", p.with_fiber(0.0), None)]
     for symbol in (0, 1):
         for lo, hi in ((0.2, 0.65), (0.3, 0.7)):
             rec = irregular_point(base, symbol, lo, hi)
@@ -445,9 +430,9 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
     The inclusion being tested: a point generic under the map cannot be
     non-generic under the flow, and a point whose map averages oscillate
-    cannot have convergent flow averages.  One read of the family and the
-    frequency of symbol 0 serves both verdicts of a dynamics; a constructed
-    irregular point reads its frequency again, on its own block schedule.
+    cannot have convergent flow averages.  One read per dynamics of the
+    family and the frequency of symbol 0 serves both verdicts of every point;
+    a constructed irregular point reads its frequency again, on its blocks.
     """
     eid = cfg["experiment_id"]
     tol = cfg["tolerance"]
@@ -481,32 +466,22 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
                 f"time-1 map checkpoints {list(cps)}: {exc}"
             ) from None
 
-    map_sched = in_time_units(base_sched, True)
-    flow_sched = in_time_units(base_sched, False)
     freq = SymbolFrequency(0)
     targets = family_targets(mubar, fam)
-
-    def verdicts(system, x, sched, isched):
-        """The generic and irregular labels of x under one dynamics, from one
-        read of the family and the frequency; a frequency on a schedule of
-        its own (`isched`) is read again."""
-        A = _profiles(system, x, fam.observables + (freq,), sched)
-        vg = classify_generic(system, x, mubar, fam, sched, tol, targets=targets,
-                              profile=A[:, :-1])
-        vi = classify_irregular(system, x, freq, isched or sched, tol,
-                                profile=None if isched else A[:, -1])
-        return vg.label, vi.label
-
-    def judge(item):
-        _, x, blocks = item
-        return (verdicts(tmap, x, map_sched, blocks and in_time_units(blocks, True)),
-                verdicts(flow, x, flow_sched, blocks and in_time_units(blocks, False)))
-
-    results = _pmap(judge, _inclusion_suite_points(base, mu_base, ctx["seed"], n_total),
-                    ctx["threads"])
-    generic = [(m[0], f[0]) for m, f in results]      # (map, flow) labels per point
-    irregular = [(m[1], f[1]) for m, f in results]
-    for quantity, n in (("suite_size", len(results)),
+    points = _inclusion_suite_points(base, mu_base, ctx["seed"], n_total)
+    results = []        # the generic and the irregular label, per dynamics
+    for system, integral in ((tmap, True), (flow, False)):
+        sched = in_time_units(base_sched, integral)
+        A = _profiles(system, (x for _, x, _ in points), fam.observables + (freq,), sched)
+        results.append([
+            (classify_generic(system, x, mubar, fam, sched, tol, targets=targets,
+                              profile=a[:, :-1]).label,
+             classify_irregular(system, x, freq, in_time_units(blocks, integral) if blocks
+                                else sched, tol, profile=None if blocks else a[:, -1]).label)
+            for (_, x, blocks), a in zip(points, A)])
+    generic = [(m[0], f[0]) for m, f in zip(*results)]      # (map, flow) labels per point
+    irregular = [(m[1], f[1]) for m, f in zip(*results)]
+    for quantity, n in (("suite_size", len(points)),
                         ("generic_inclusion_breaks", generic.count(("Generic", "NotGeneric"))),
                         ("irregular_inclusion_breaks", irregular.count(("Irregular", "Regular"))),
                         ("generic_label_agreement", sum(m == f for m, f in generic)),

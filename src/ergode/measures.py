@@ -26,8 +26,8 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, Coordinate, DisjointUnion, ExplicitWord,
-    MarkovShift, Point, Suspension, TimeTMap, time_t_map,
+    BudgetExhausted, CircleMult, Coordinate, DisjointUnion, ExplicitWord, Point,
+    Suspension, TimeTMap, time_t_map,
 )
 
 __all__ = [
@@ -92,10 +92,6 @@ def _shift_of(system, component):
     return system.side(component)
 
 
-def _forbids(shift, a: int, b: int) -> bool:
-    return isinstance(shift, MarkovShift) and shift.adjacency[a][b] == 0
-
-
 class _Chain(_Piece):
     """The rules of Bernoulli and Markov pieces."""
 
@@ -143,7 +139,7 @@ class _Chain(_Piece):
             raise TypeError(f"{type(self).__name__} measures live on shift spaces")
         if self.k != shift.alphabet:
             raise ValueError("alphabet mismatch")
-        if any(p > 0 and _forbids(shift, a, b)
+        if any(p > 0 and not shift.allows(a, b)
                for a, row in enumerate(self.transitions) for b, p in enumerate(row)):
             raise ValueError(f"{type(self).__name__} measure charges a forbidden transition")
 
@@ -188,9 +184,7 @@ class _PointMass(_Piece):
         n = len(self.point.rule.symbols)
         word = tuple(int(s) for s in self.point.prefix(n))
         word = word[:next(p for p in range(1, n + 1) if word[p:] + word[:p] == word)]
-        if any(not 0 <= s < shift.alphabet for s in word) or any(
-                _forbids(shift, a, b) for a, b in zip(word, word[1:] + word[:1])):
-            raise ValueError(f"the periodic atom {list(word)} is not a point of {shift}")
+        shift.admits(ExplicitWord(word))    # in the alphabet, wrap-around included
         return self.component, word
 
     def entropy(self, system) -> float:

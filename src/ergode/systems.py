@@ -63,6 +63,34 @@ class _Shift(_Descriptor):
     def alphabet(self) -> int:
         return self.k
 
+    def allows(self, a: int, b: int) -> bool:
+        """May symbol b follow symbol a?  Always, on a full shift."""
+        return True
+
+    def admits(self, rule) -> None:
+        """ValueError unless every symbol of the rule's stream is in the
+        alphabet and every consecutive pair is allowed.  A word repeats, its
+        wrap-around included; blocks add their junctions and the repeat of
+        the last pattern; iid draws pair any two symbols of positive
+        probability; a steered rule is checked for its alphabet only."""
+        if hasattr(rule, "probs"):
+            used = [s for s, p in enumerate(rule.probs) if p > 0]
+            pairs = [(a, b) for a in used for b in used]
+        elif hasattr(rule, "ends"):
+            used, pairs = range(rule.k), []
+        else:
+            blocks = getattr(rule, "blocks", None) or ((rule.symbols, 1),)
+            used, pairs = [s for pattern, _ in blocks for s in pattern], []
+            for i, (pattern, reps) in enumerate(blocks):
+                after = blocks[i + 1][0] if i + 1 < len(blocks) else pattern   # the last repeats
+                pairs += [*zip(pattern, pattern[1:]), (pattern[-1], after[0])]
+                pairs += [(pattern[-1], pattern[0])] * (reps > 1)
+        if any(not 0 <= s < self.k for s in used):
+            raise ValueError(f"symbols {sorted(set(used))} outside the alphabet of {self}")
+        forbidden = sorted({(a, b) for a, b in pairs if not self.allows(a, b)})
+        if forbidden:
+            raise ValueError(f"transitions {forbidden} are forbidden in {self}")
+
 
 @dataclass(frozen=True)
 class FullShift(_Shift):
@@ -92,6 +120,9 @@ class MarkovShift(_Shift):
             raise ValueError("every symbol needs out-degree >= 1")
         if any(sum(row[j] for row in a) == 0 for j in range(self.k)):
             raise ValueError("every symbol needs in-degree >= 1")
+
+    def allows(self, a: int, b: int) -> bool:
+        return self.adjacency[a][b] == 1
 
     def adjacency_array(self) -> np.ndarray:
         return np.array(self.adjacency, dtype=np.int64)

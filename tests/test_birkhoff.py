@@ -1,11 +1,14 @@
+import functools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergode.systems import (
+    BlockSchedule,
     CircleRotation,
     Coordinate,
     DisjointUnion,
@@ -585,19 +588,20 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
 # the flow tail of a read: cell 0, the full cells and the partial last cell
 
 
-def reference_flow_averages(words, full, hit0, hit_last, Ts, f0, roof0, classes, taus,
-                            ends, entry):
-    """The per-(word, checkpoint) loop that `birkhoff._flow_averages` replaced."""
-    out = np.empty((len(Ts), len(words)))
-    for j, (_, _, _, scale, mass) in enumerate(words):
-        masses = np.array([mass(0.0, v) for v in classes])
-        for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
-            if L == 0:
-                total = hit0[j] * mass(f0, tau)
-            else:
-                total = (hit0[j] * mass(f0, roof0) + float(np.dot(full[ci, j], masses))
-                         + hit_last[ci, j] * mass(0.0, tau - entry[ci]))
-            out[ci, j] = scale * total / T
+def reference_flow_averages(words, full, hit0, hit_last, Ts, ends, f0, taus, roof0, entry,
+                            classes):
+    """The per-(point, word, checkpoint) loop that `birkhoff._flow_averages` replaced."""
+    out = np.empty((len(full), len(Ts), len(words)))
+    for p in range(len(full)):
+        for j, (_, _, scale, mass, _) in enumerate(words):
+            masses = np.array([mass(0.0, v) for v in classes])
+            for ci, (T, tau, L) in enumerate(zip(Ts, taus, ends)):
+                if L == 0:
+                    total = hit0[p, 0, j] * mass(f0, tau)
+                else:
+                    total = (hit0[p, 0, j] * mass(f0, roof0) + float(np.dot(full[p, ci, j], masses))
+                             + hit_last[p, ci, j] * mass(0.0, tau - entry[ci]))
+                out[p, ci, j] = scale * total / T
     return out
 
 
@@ -622,16 +626,16 @@ def test_flow_averages_match_the_per_checkpoint_loop(roof, fiber, point, monkeyp
     x = POINTS[point].with_fiber(f0)
     # the first checkpoints end inside cell 0 (L == 0), the others past it
     sched = Schedule((0.05, 0.1, 1.0, 7.3, 40.0, 168.0, 1000.5, 2728.0, 6000.25))
-    got = _profiles(flow, x, TAIL_OBSERVABLES, sched)
+    got = _profiles(flow, (x,), TAIL_OBSERVABLES, sched)[0]
     monkeypatch.setattr(birkhoff, "_flow_averages", reference_flow_averages)
-    want = _profiles(flow, x, TAIL_OBSERVABLES, sched)
+    want = _profiles(flow, (x,), TAIL_OBSERVABLES, sched)[0]
     if roof.depth == 0:
         assert got.tobytes() == want.tobytes()
     else:   # the sum over roof classes may round in another order
         assert ulps_apart(got, want).max() <= 4
     # the time-1 map reads the same columns alone as within the family
     tmap, cps = TimeTMap(flow, 1.0), Schedule((1, 7, 40, 168, 1001, 2728, 6000))
-    shared = _profiles(tmap, x, TAIL_OBSERVABLES[:-1], cps)
+    shared = _profiles(tmap, (x,), TAIL_OBSERVABLES[:-1], cps)[0]
     for i, phi in enumerate(TAIL_OBSERVABLES[:-1]):
         assert shared[:, i].tobytes() == birkhoff_profile(tmap, x, phi, cps).tobytes(), phi
 
@@ -714,3 +718,97 @@ def test_empirical_measure_refuses_a_fractional_stride_at_every_length():
     emp = empirical_measure(TimeTMap(flow, 2.0), x, 5)
     assert sum(emp.weights) == pytest.approx(1.0)
     assert sorted(p.offset for p in emp.points) == [0, 2]
+
+
+# ---------------------------------------------------------------------------
+# a batch of points reads as its points one by one
+
+
+@functools.lru_cache(maxsize=None)
+def batch_family(space, depth):
+    """The default cylinders of a base shift (union sides tagged) with a
+    constant and a symbol frequency; a flow adds fiber-graded observables."""
+    base = space.flow.base if isinstance(space, TimeTMap) else getattr(space, "base", space)
+    obs = TestFamily.default_for(base, depth=depth).observables + (
+        Constant(0.75), SymbolFrequency(0))
+    if space.is_flow:
+        obs += (FiberProfile(SymbolFrequency(1), TENT), FiberProfile(Constant(2.0), TENT))
+    return obs
+
+
+@st.composite
+def batch_rules(draw, k):
+    """Rules over k symbols: seeded, periodic, block and steered streams."""
+    kind = draw(st.sampled_from(["iid", "word", "blocks", "steered"]))
+    symbols = st.integers(0, k - 1)
+    if kind == "iid":
+        return SeededIID(draw(st.integers(0, 99)), tuple([1.0 / k] * k))
+    if kind == "word":
+        return ExplicitWord(tuple(draw(st.lists(symbols, min_size=1, max_size=7))))
+    if kind == "blocks":
+        return BlockSchedule(tuple(draw(st.lists(
+            st.tuples(st.lists(symbols, min_size=1, max_size=4).map(tuple), st.integers(1, 40)),
+            min_size=1, max_size=4))))
+    ends = tuple(8 << i for i in range(draw(st.integers(1, 11))))    # feasible: the block doubles
+    return SteeredBlocks(k, draw(symbols), ends, tuple((0.3, 0.6)[i % 2] for i in range(len(ends))))
+
+
+SHIFT_SYSTEMS = ["shift-2", "shift-3", "union"]
+ROOF_SYSTEMS = ["flow", "time-t"]
+
+
+@given(data=st.data(), kind=st.sampled_from(SHIFT_SYSTEMS + ROOF_SYSTEMS),
+       roof=st.sampled_from([RoofFunction.constant(c) for c in (1.0, 2.0, 0.75)]
+                            + [RoofFunction(1, (1.0, 2.0), 2)]),
+       t=st.sampled_from([1.0, 0.25, 0.3]), depth=st.integers(1, 4),
+       shared_fiber=st.booleans(), chunk=st.sampled_from([birkhoff._CELL_CHUNK, 700, 64]))
+@settings(max_examples=60, deadline=None)
+def test_a_batch_reads_bit_for_bit_as_its_points_one_by_one(data, kind, roof, t, depth,
+                                                            shared_fiber, chunk):
+    k = 3 if kind == "shift-3" else 2
+    if kind in ROOF_SYSTEMS:
+        flow = Suspension(FullShift(2), roof)
+        system = flow if kind == "flow" else TimeTMap(flow, t)
+    else:
+        system = {"shift-2": FullShift(2), "shift-3": FullShift(3),
+                  "union": DisjointUnion(FullShift(2), FullShift(3))}[kind]
+    depth = min(depth, 3) if k == 3 or kind == "union" else depth
+    n = data.draw(st.integers(1, 30), label="points")
+    points = []
+    for _ in range(n):
+        comp = data.draw(st.sampled_from([0, 1, None])) if kind == "union" else None
+        rule = data.draw(batch_rules(3 if comp == 1 else k))
+        offset = data.draw(st.integers(0, 12))
+        fiber = None
+        if kind in ROOF_SYSTEMS:
+            fiber = 0.1 if shared_fiber else data.draw(st.sampled_from([0.0, 0.1, 0.55]))
+        points.append(Point(rule, offset, comp, fiber))
+    last = data.draw(st.integers(2, 3000), label="horizon")
+    cps = sorted({max(1, last >> i) for i in range(data.draw(st.integers(1, 5)))})
+    sched = Schedule(tuple(float(c) for c in cps) if system.is_flow else tuple(cps))
+    obs = batch_family(system, depth)
+    # a long read crosses steps; a small chunk splits the batch into many groups
+    with mock.patch.object(birkhoff, "_CELL_CHUNK", chunk):
+        batch = _profiles(system, iter(points), obs, sched)
+    single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+    assert batch.shape == (n, len(cps), len(obs))
+    assert batch.tobytes() == single.tobytes()
+
+
+def test_a_batch_larger_than_one_step_reads_as_its_points():
+    """60 points of 2,000 cells stack more symbols than one `_CELL_CHUNK` step
+    covers, so the batch is read in groups; a depth-1 read of a steered point
+    among them counts from its recipe."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(2.0))
+    steered = irregular_point(FullShift(2), 1, 0.3, 0.6, first_block=8, horizon=1 << 13).point
+    points = [Point(SeededIID(i, (0.5, 0.5)), i % 3, fiber=0.0) for i in range(59)]
+    points.insert(30, steered.with_fiber(0.0))
+    assert 60 * 2000 > birkhoff._CELL_CHUNK
+    for depth in (1, 4):
+        for system, sched in ((flow, Schedule((500.0, 1999.5, 4000.0))),
+                              (TimeTMap(flow, 1.0), Schedule((500, 2000, 4000)))):
+            obs = batch_family(system, depth)
+            batch = _profiles(system, points, obs, sched)
+            single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+            assert batch.tobytes() == single.tobytes()
+        assert ("arr" in steered.rule._buf) == (depth > 1)

@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import math
@@ -482,19 +483,30 @@ def test_verify_inclusions_on_a_map_screens_samples(tmp_path):
     assert by_q["foreign_rejected_count"] == 6
 
 
-def test_verify_inclusions_reads_each_limit_sample_once(tmp_path, monkeypatch):
-    """The first samples' limit sets cluster the profile their classification
-    read: 6 mu samples and 6 foreign samples read 12 profiles, not 18."""
+def reading_points(monkeypatch, reads):
+    """Patch `_profiles` where the package reads it so that every point it
+    reads lands in `reads` as (system, point), as the reader takes it."""
     from ergode import birkhoff, cli
-
-    calls = []
     profiles = birkhoff._profiles
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return profiles(*args, **kwargs)
+    def counted(system, points, *args):
+        def each():
+            for x in points:
+                reads.append((system, x))
+                yield x
+        return profiles(system, each(), *args)
 
     monkeypatch.setattr(birkhoff, "_profiles", counted)
+    monkeypatch.setattr(cli, "_profiles", counted)
+
+
+def test_verify_inclusions_reads_each_limit_sample_once(tmp_path, monkeypatch):
+    """The first samples' limit sets cluster the profile their classification
+    read: 6 mu samples and 6 foreign samples are 12 points read, not 18."""
+    from ergode import cli
+
+    reads = []
+    reading_points(monkeypatch, reads)
     cfg = {
         "command": "verify-inclusions",
         "experiment_id": "incl",
@@ -505,7 +517,7 @@ def test_verify_inclusions_reads_each_limit_sample_once(tmp_path, monkeypatch):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert cli.main(["run", str(path), "--out", str(tmp_path)]) == 0
-    assert len(calls) == 12
+    assert len(reads) == 12 and len({id(x) for _, x in reads}) == 12
     _, rows = read_rows(tmp_path, "incl")
     assert [(r["quantity"], r["value"]) for r in rows] == [
         ("mu_sample_generic", "6"), ("mu_sample_notgeneric", "0"),
@@ -682,6 +694,29 @@ def test_a_point_symbol_outside_the_alphabet_exits_2(tmp_path, system, point):
     assert "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("point", [
+    {"kind": "explicit-word", "symbols": [1, 1, 1, 1]},
+    {"kind": "explicit-word", "symbols": [1, 0, 1]},
+    {"kind": "block-schedule", "blocks": [[[0, 1], 1], [[1, 0], 3]]},
+    {"kind": "block-schedule", "blocks": [[[0, 1, 0], 2], [[1], 1]]},
+], ids=["word", "wrap-around", "junction", "last-repeat"])
+def test_a_point_outside_a_vertex_shift_exits_2(tmp_path, point):
+    # [1, 1, 1, 1] on the golden mean read as frequency 1 of symbol 1 and exited 0
+    res = run_cli(symbol_frequency_config(GOLDEN_MEAN, point), tmp_path)
+    assert res.returncode == 2, res.stderr
+    assert "config error:" in res.stderr and "forbidden" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "birk.csv").exists()
+
+
+def test_a_point_inside_a_vertex_shift_is_read(tmp_path):
+    point = {"kind": "explicit-word", "symbols": [0, 1, 0]}
+    res = run_cli(symbol_frequency_config(GOLDEN_MEAN, point), tmp_path)
+    assert res.returncode == 0, res.stderr
+    _, rows = read_rows(tmp_path, "birk")
+    assert float(rows[0]["value"]) == pytest.approx(1 / 3, abs=1e-3)
+
+
 def test_a_point_symbol_inside_its_union_side_is_read(tmp_path):
     point = {"kind": "explicit-word", "symbols": [0, 1, 2], "component": 1}
     res = run_cli(symbol_frequency_config(F2_F3, point), tmp_path)
@@ -810,33 +845,40 @@ COMMITTED = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, name, seed):
     """One read of the family and the frequency serves both verdicts of a
     dynamics; the four labels are those of four separate verdicts."""
-    from ergode import birkhoff, cli
+    from ergode import cli
     from ergode.birkhoff import Schedule, classify_generic, classify_irregular
     from ergode.measures import Bernoulli, SymbolFrequency, TestFamily, time_average_measure
     from ergode.systems import TimeTMap
 
-    reads, judged = [], []
-    profiles, pmap = birkhoff._profiles, cli._pmap
+    reads, suite, verdicts = [], [], {}
+    reading_points(monkeypatch, reads)
+    points_of = cli._inclusion_suite_points
 
-    def counted(*args):
-        reads.append(args[0])
-        return profiles(*args)
-
-    def recorded(fn, items, threads):
-        items = list(items)
-        out = pmap(fn, items, threads)
-        judged.extend(zip(items, out))
+    def listed(*args):
+        out = points_of(*args)
+        suite.extend(out)
         return out
 
-    monkeypatch.setattr(birkhoff, "_profiles", counted)
-    monkeypatch.setattr(cli, "_profiles", counted)
-    monkeypatch.setattr(cli, "_pmap", recorded)
+    def recorded(kind, classify):
+        def verdict(system, x, *args, **kwargs):
+            v = classify(system, x, *args, **kwargs)
+            verdicts[kind, system.is_flow, id(x)] = v.label
+            return v
+        return verdict
+
+    monkeypatch.setattr(cli, "_inclusion_suite_points", listed)
+    monkeypatch.setattr(cli, "classify_generic", recorded("generic", cli.classify_generic))
+    monkeypatch.setattr(cli, "classify_irregular", recorded("irregular", cli.classify_irregular))
     monkeypatch.setenv("ERGODE_SEED", str(seed))
     path = os.path.join(COMMITTED, f"{name}.json")
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
-    # 46 points on the base schedule read once per dynamics, the 4 constructed
-    # irregular points twice (the family, then the frequency on their blocks)
-    assert len(judged) == 50 and len(reads) == 2 * 46 + 4 * 4
+    # each of the 50 points is read once per dynamics, and the 4 constructed
+    # irregular points once more (the frequency on their own blocks)
+    assert len(suite) == 50 and len(reads) == 2 * 50 + 2 * 4
+    for is_flow in (False, True):
+        times = collections.Counter(id(x) for system, x in reads if system.is_flow == is_flow)
+        assert [times[id(x)] for _, x, _ in suite] == \
+            [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
 
     with open(path) as fh:
         cfg = json.load(fh)
@@ -852,8 +894,10 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
         return Schedule(tuple(int(round(cp * c)) if integral else cp * c for cp in checkpoints))
 
     labels = set()
-    for (tag, x, blocks), got in judged:
+    for tag, x, blocks in suite:
         irregular = blocks.checkpoints if blocks else base
+        got = tuple((verdicts["generic", is_flow, id(x)], verdicts["irregular", is_flow, id(x)])
+                    for is_flow in (False, True))
         want = tuple((classify_generic(system, x, mubar, fam, sched(base, integral)).label,
                       classify_irregular(system, x, freq, sched(irregular, integral)).label)
                      for system, integral in ((tmap, True), (flow, False)))

@@ -224,6 +224,33 @@ def test_random_point_on_a_proper_vertex_shift_raises():
     assert whole.prefix(8).shape == (8,)
 
 
+GOLDEN = MarkovShift(2, ((1, 1), (1, 0)))
+
+
+@pytest.mark.parametrize("rule, refused", [
+    (ExplicitWord((1, 1, 1, 1)), "transitions"),                 # 11 inside the word
+    (ExplicitWord((1, 0, 1)), "transitions"),                    # 11 at the wrap-around
+    (BlockSchedule((((0, 1), 1), ((1, 0), 3))), "transitions"),  # 11 at the junction
+    (BlockSchedule((((0, 1, 0), 2), ((1,), 1))), "transitions"),  # the last pattern repeats
+    (BlockSchedule((((1, 0, 1), 2), ((0,), 1))), "transitions"),  # 11 where a block repeats
+    (SeededIID(0, (0.5, 0.5)), "transitions"),                   # iid draws may pair 1 and 1
+    (ExplicitWord((0, 2)), "alphabet"),
+    (SteeredBlocks(3, 0, (4,), (0.5,)), "alphabet"),
+    (ExplicitWord((0, 1, 0)), None),
+    (BlockSchedule((((0, 1), 3), ((0,), 2), ((1, 0), 1))), None),
+    (SeededIID(0, (1.0, 0.0)), None),
+])
+def test_a_vertex_shift_admits_only_streams_that_keep_its_transitions(rule, refused):
+    if refused is None:
+        GOLDEN.admits(rule)
+        FullShift(2).admits(rule)
+        return
+    with pytest.raises(ValueError, match=refused):
+        GOLDEN.admits(rule)
+    if refused == "transitions":        # every pair is allowed on the full shift
+        FullShift(2).admits(rule)
+
+
 @pytest.mark.parametrize("space, dim", [
     (FullShift(2), 0),
     (MarkovShift(2, ((1, 1), (1, 0))), 0),
