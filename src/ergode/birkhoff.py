@@ -18,9 +18,9 @@ Word hits are counted per (point, word code, weight class) between
 consecutive checkpoints, in bounded chunks, so no full-length temporary is
 held; the partial first cell of a flow (from its fiber) and the partial
 last cell are added on top, which makes suspension flow averages exact.  A
-shift and the time-t map of a constant-roof suspension read their cells
-from an exact integer chart, so a map's cells cost no table and no float
-rounding.
+shift and the time-t map of a suspension read their cells from the exact
+integer chart of `systems` (the one `time_t_map` steps by), so a map's
+cells carry no float rounding, and under a constant roof cost no table.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -33,14 +33,13 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .systems import (
     BudgetExhausted, CircleMult, CircleRotation, Coordinate, DisjointUnion,
-    Point, Suspension, TimeTMap,
+    Point, Suspension, TimeTMap, _fiber, _map_chart,
 )
 from .measures import (
     _CYLINDERS, Atomic, Constant, FiberProfile, Harmonic, TestFamily,
@@ -132,120 +131,12 @@ def _is_symbolic_path(system) -> bool:
 # shift spends one map step in each cell.  The flow of a suspension spends the
 # roof value over cell i in it; measured from the bottom of cell 0, cell i is
 # entered at the sum of the roof values before it.  The time-t map of a
-# suspension reads the cell over which time f0 + t*j lies at step j, so it can
-# spend several steps in one cell and skip others.  Every average is then the
-# hits of a word per cell, weighted by what the orbit spends in the cell,
-# summed over the cells between consecutive checkpoints.
+# suspension reads the cell over which time f0 + t*j lies at step j (its
+# `systems._map_chart`), so it can spend several steps in one cell and skip
+# others.  Every average is then the hits of a word per cell, weighted by
+# what the orbit spends in the cell, summed over the cells between checkpoints.
 
 _CELL_CHUNK = 1 << 16   # cells per vectorised step; an int64 temporary of a step is 512 KB
-_INT64_CHART = 1 << 46  # a chunk of chart integers below it fits int64: 2^16 * 2^46 < 2^63
-
-
-@dataclass(frozen=True)
-class _Chart:
-    """Step j reads base cell (f + j*tt) // cc, in exact integers: a shift is
-    (0, 1, 1), and `_chart` gives the time-t map of a constant-roof suspension.
-    Cell i >= 1 holds the steps first(i) .. first(i+1)-1, and cell 0 first(1)."""
-
-    f: int
-    tt: int
-    cc: int
-
-    def cell(self, j: int) -> int:
-        return (self.f + j * self.tt) // self.cc
-
-    def first(self, i: int) -> int:
-        return max(0, -((self.f - i * self.cc) // self.tt))
-
-    def steps(self, lo: int, hi: int):
-        """The steps in each of the cells lo..hi-1 (lo >= 1): the one number
-        cc // tt when tt divides cc, else from first(i) relative to the chunk,
-        in int64 while it fits and in Python integers above."""
-        if self.cc % self.tt == 0:
-            return self.cc // self.tt
-        small = max(self.cc, self.tt) < _INT64_CHART
-        r = np.arange(hi - lo + 1, dtype=np.int64 if small else object)
-        num = r * self.cc + (lo * self.cc - self.f) % self.tt
-        return np.diff(-(-num // self.tt)).astype(np.int64)
-
-    def cells(self, n: int) -> np.ndarray:
-        j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
-        return ((self.f + j * self.tt) // self.cc).astype(np.int64)
-
-    def whole_steps(self, n: int) -> bool:
-        """Does every step move a whole number of cells (t/c is a whole number)?"""
-        return self.tt % self.cc == 0
-
-
-@functools.lru_cache(maxsize=64)
-def _chart(f0: float, t: float, c: float) -> _Chart:
-    """The chart of the time-t map of a suspension under the constant roof c
-    from the fiber f0, each read as the decimal it prints as (0.7 is 7/10)."""
-    f, tt, cc = (Fraction(repr(float(v))) for v in (f0, t, c))
-    d = math.lcm(f.denominator, tt.denominator, cc.denominator)
-    return _Chart(int(f * d), int(tt * d), int(cc * d))
-
-
-@dataclass(frozen=True, eq=False)
-class _Grid:
-    """The `_Chart` answers of a time-t map under a word-dependent roof, from
-    first_steps[i], the first step that reads cell i or a later one."""
-
-    first_steps: np.ndarray
-
-    def cell(self, j: int) -> int:
-        return int(np.searchsorted(self.first_steps, j, side="right")) - 1
-
-    def first(self, i: int) -> int:
-        return int(self.first_steps[i])
-
-    def steps(self, lo: int, hi: int) -> np.ndarray:
-        return np.diff(self.first_steps[lo:hi + 1])
-
-    def cells(self, n: int) -> np.ndarray:
-        return np.repeat(np.arange(len(self.first_steps) - 1), np.diff(self.first_steps))[:n]
-
-    def whole_steps(self, n: int) -> bool:
-        """Do the first n steps all move alike?"""
-        steps = np.diff(self.cells(n))
-        return not (steps != steps[:1]).any()
-
-
-def _fiber(flow: Suspension, x: Point) -> float:
-    """The fiber coordinate of a suspension point (0 when unset), checked to
-    lie under the roof over its base point."""
-    f0 = x.fiber if x.fiber is not None else 0.0
-    roof = flow.roof.value_at(x)
-    if not 0.0 <= f0 < roof:
-        raise ValueError(f"fiber coordinate {f0} is outside [0, {roof}) under the roof")
-    return f0
-
-
-def _roof_values(roof, x: Point, horizon: float) -> np.ndarray:
-    """Word-dependent roof values over base cells 0, 1, ..., enough of them
-    to pass `horizon` (a time from the bottom of cell 0) by a whole roof."""
-    count = int(horizon / roof.roof_min) + 2
-    return roof.values_along(np.asarray(x.prefix(count + roof.depth)), count)
-
-
-def _map_chart(system, x: Point, n: int):
-    """The cells of the first n map steps of a symbolic orbit: a `_Chart` (a
-    shift, or the time-t map of a suspension under a constant roof, cached
-    per fiber, t and roof) or, under a word-dependent roof, a `_Grid` (step j
-    reads the last cell entered by time f0 + t*j)."""
-    if system.symbolic:
-        return _Chart(0, 1, 1)
-    flow, t = system.flow, system.t
-    if t < 0:
-        raise ValueError("suspension flows run forward in time only")
-    f0 = _fiber(flow, x)
-    if flow.roof.depth == 0:
-        return _chart(f0, t, flow.roof.table[0])
-    last = f0 + t * (n - 1)
-    entries = np.concatenate(([0.0], np.cumsum(_roof_values(flow.roof, x, last))))
-    first = np.zeros(int(np.searchsorted(entries, last, side="right")) + 1, dtype=np.int64)
-    _fill_first(first, f0, t, entries)
-    return _Grid(first)
 
 
 def _map_cells(system, x: Point, n: int, depth: int):
@@ -254,22 +145,6 @@ def _map_cells(system, x: Point, n: int, depth: int):
     and the `_map_chart` of the steps."""
     cells = _map_chart(system, x, n)
     return np.asarray(x.prefix(cells.cell(n - 1) + depth)), cells
-
-
-def _fill_first(first: np.ndarray, f0: float, t: float, entries: np.ndarray) -> None:
-    """first[i] for i >= 1, `_CELL_CHUNK` cells at a time: the first step j with
-    f0 + t*j >= entries[i], from the real root moved until that float test agrees."""
-    for start in range(1, len(first), _CELL_CHUNK):
-        level = entries[start:min(start + _CELL_CHUNK, len(first))]
-        j = np.ceil((level - f0) / t)
-        while True:
-            back = (j > 0) & (f0 + t * (j - 1) >= level)
-            ahead = f0 + t * j < level
-            if not (back.any() or ahead.any()):
-                break
-            j += ahead
-            j -= back
-        first[start:start + len(j)] = j
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +265,8 @@ def _cell_plan(system, x: Point, Ts):
                 L -= 1
             ends.append(L)
         return ends, (f0, taus, c, [L * c for L in ends], [c], None)
-    vals = _roof_values(roof, x, taus[-1])
+    count = int(taus[-1] / roof.roof_min) + 2     # enough cells to pass taus[-1]
+    vals = roof.values_along(x.prefix(count + roof.depth), count)
     entries = np.concatenate(([0.0], np.cumsum(vals)))
     ends = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
     if ends[-1] >= len(vals):

@@ -21,14 +21,14 @@ import numpy as np
 from .systems import (
     BlockSchedule, BudgetExhausted, Coordinate, DisjointUnion, ExplicitWord,
     FullShift, Point, SeededIID, SteeredBlocks, Suspension, TimeTMap,
-    random_point,
+    _fiber, random_point,
 )
 from .measures import (
     Bernoulli, Markov, SymbolFrequency, TestFamily, check_invariance,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _fiber, _limit_classes, _profiles, birkhoff_profile, classify_generic,
+    Schedule, _limit_classes, _profiles, birkhoff_profile, classify_generic,
     family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
@@ -66,14 +66,16 @@ def _resolve_point(obj, system, rng):
         return _random_point(system, rng)
     point = build_point(obj)
     space = system.flow if isinstance(system, TimeTMap) else system
+    side = space.base if isinstance(space, Suspension) else space
+    if isinstance(side, DisjointUnion):     # the point's side; an untagged point has none
+        side = side.side(point.component) if point.component in (0, 1) else None
     try:
-        if isinstance(space, Suspension):
+        if side is not None and point.is_symbolic != side.symbolic:
+            raise ValueError(f"a {obj['kind']} point is not a point of {type(side).__name__}")
+        if space.is_flow and point.is_symbolic:     # a suspension point, under the roof
             _fiber(space, point)
-            space = space.base
-        if isinstance(space, DisjointUnion):    # the point's side; an untagged point has none
-            space = space.side(point.component) if point.component in (0, 1) else None
-        if space is not None and space.symbolic and point.is_symbolic:
-            space.admits(point.rule)
+        if side is not None and side.symbolic:
+            side.admits(point.rule)
     except ValueError as exc:
         raise ConfigError(f"bad point: {exc}") from None
     return point
@@ -167,8 +169,8 @@ def _cmd_birkhoff(cfg, ctx, rows):
     schedule = build_schedule(cfg["schedule"], system.is_flow)
     eid = cfg["experiment_id"]
     with timed() as t:
-        prof = (flow_average_profile(system, point, phi, schedule)
-                if system.is_flow else birkhoff_profile(system, point, phi, schedule))
+        prof = _read(flow_average_profile if system.is_flow else birkhoff_profile,
+                     system, point, phi, schedule)
     per = t.ms / len(prof)
     for c, v in zip(schedule.checkpoints, prof):
         rows.append(Row(eid, "birkhoff_average", float(v), None, None,
@@ -192,8 +194,8 @@ def _cmd_classify(cfg, ctx, rows):
     else:
         phi = build_observable(cfg["observable"])
         with timed() as t:
-            verdict = classify_irregular(system, point, phi, schedule, tol,
-                                         keep_profile=ctx["diagnostics"])
+            verdict = _read(classify_irregular, system, point, phi, schedule, tol,
+                            keep_profile=ctx["diagnostics"])
     rows.append(Row(eid, "classification", verdict.gap, None, None,
                     {"label": verdict.label,
                      "witness": "" if verdict.witness is None else repr(verdict.witness),
@@ -203,6 +205,15 @@ def _cmd_classify(cfg, ctx, rows):
             v = float(np.max(entry)) if np.ndim(entry) else float(entry)
             rows.append(Row(eid, "profile_at_checkpoint", v, None, None,
                             {"checkpoint": c}, 0.0))
+
+
+def _read(reader, system, point, phi, *args, **kwargs):
+    """reader(system, point, phi, ...), refusing an observable that the
+    system's orbits cannot read."""
+    try:
+        return reader(system, point, phi, *args, **kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"bad observable: {exc}") from None
 
 
 def _cmd_construct(cfg, ctx, rows):

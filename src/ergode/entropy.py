@@ -45,10 +45,9 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .birkhoff import _chart
 from .systems import (
     BudgetExhausted, CircleMult, DisjointUnion, FullShift, MarkovShift, Point,
-    Suspension, TimeTMap,
+    Suspension, TimeTMap, _chart,
 )
 
 __all__ = [
@@ -418,7 +417,7 @@ def _distinct_prefixes(subset: SampleCloud, depth: int) -> int:
 
 def _integer_stride(system: TimeTMap):
     """The map time as a whole number of roof crossings, or None when the
-    time is fractional: exactly, on t and the roof as `birkhoff._chart`
+    time is fractional: exactly, on t and the roof as `systems._chart`
     reads them."""
     c = _constant_roof(system.flow)
     if system.t <= 0:

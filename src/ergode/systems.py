@@ -6,6 +6,10 @@ and disjoint unions of two systems.  Flows: the unit-speed circle rotation
 flow, straight-line torus translations, and suspension flows over a symbolic
 base under a positive roof function.
 
+Where a suspension point is after time t is read from one exact time chart
+(the fiber, t and every roof value as the decimals they print as, over one
+denominator), by the time-t map readers and by `time_t_map` alike.
+
 Points are immutable views into lazily materialised symbol streams (or real
 coordinate vectors).  Every consumer declares a horizon; nothing here ever
 builds an infinite object.  Stepping a symbolic point is O(1): it only moves
@@ -15,8 +19,10 @@ an offset into the shared stream.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -72,12 +78,16 @@ class _Shift(_Descriptor):
         alphabet and every consecutive pair is allowed.  A word repeats, its
         wrap-around included; blocks add their junctions and the repeat of
         the last pattern; iid draws pair any two symbols of positive
-        probability; a steered rule is checked for its alphabet only."""
+        probability; a steered rule, where some pair is forbidden, pairs the
+        symbols of its stream up to the first repeat of its last block."""
         if hasattr(rule, "probs"):
             used = [s for s, p in enumerate(rule.probs) if p > 0]
             pairs = [(a, b) for a in used for b in used]
         elif hasattr(rule, "ends"):
             used, pairs = range(rule.k), []
+            if not all(self.allows(a, b) for a in range(self.k) for b in range(self.k)):
+                s = rule.materialise(rule.ends[-1] + 1).astype(np.int64)
+                pairs = [divmod(int(c), rule.k) for c in np.unique(s[:-1] * rule.k + s[1:])]
         else:
             blocks = getattr(rule, "blocks", None) or ((rule.symbols, 1),)
             used, pairs = [s for pattern, _ in blocks for s in pattern], []
@@ -247,13 +257,14 @@ class RoofFunction:
     def roof_max(self) -> float:
         return max(self.table)
 
-    def value_at(self, x: "Point") -> float:
-        if self.depth == 0:
-            return self.table[0]
-        return float(self.values_along(np.asarray(x.prefix(self.depth)), 1)[0])
+    def value_at(self, x: "Point", i: int = 0) -> float:
+        """The roof over base cell i of the orbit of x."""
+        word = x.prefix(i + self.depth)[i:] if self.depth else ()   # builds no symbols
+        return float(self.table[functools.reduce(lambda c, s: c * self.k + int(s), word, 0)])
 
-    def values_along(self, symbols: np.ndarray, count: int) -> np.ndarray:
-        """Roof values at offsets 0..count-1 of a symbol array."""
+    def values_along(self, symbols: np.ndarray, count: int, table=None) -> np.ndarray:
+        """Roof values at offsets 0..count-1 of a symbol array, read from
+        `table` (the roof's own, or an array of its values rescaled)."""
         if self.depth == 0:
             return np.full(count, self.table[0])
         if len(symbols) < count + self.depth - 1:
@@ -261,7 +272,7 @@ class RoofFunction:
         codes = np.zeros(count, dtype=np.int64)
         for i in range(self.depth):
             codes = codes * self.k + symbols[i:count + i].astype(np.int64)
-        return np.asarray(self.table, dtype=float)[codes]
+        return (np.asarray(self.table, dtype=float) if table is None else table)[codes]
 
 
 @dataclass(frozen=True)
@@ -308,6 +319,124 @@ class TimeTMap(_Descriptor):
 
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
+
+
+# ---------------------------------------------------------------------------
+# the time chart of a suspension: step j of its time-t map reads the base cell
+# over which time f0 + t*j lies; cell i is entered at the sum E_i of the roof
+# values before it.  Step 1 is where `time_t_map` lands.
+
+_INT64_CHART = 1 << 46  # a chunk of chart integers below it fits int64: 2^16 * 2^46 < 2^63
+
+
+def _decimals(*values):
+    """(d, [v*d for each v]): each value read as the decimal it prints as
+    (0.7 is 7/10), over their least common denominator d."""
+    exact = [Fraction(repr(float(v))) for v in values]
+    d = math.lcm(*(q.denominator for q in exact))
+    return d, [int(q * d) for q in exact]
+
+
+@dataclass(frozen=True)
+class _Chart:
+    """Step j reads base cell (f + j*tt) // cc, in exact integers over the
+    denominator d: a shift is (0, 1, 1), and `_chart` gives the time-t map
+    of a constant-roof suspension.  Cell i >= 1 holds the steps
+    first(i) .. first(i+1)-1, and cell 0 first(1)."""
+
+    f: int
+    tt: int
+    cc: int
+    d: int = 1
+
+    def cell(self, j: int) -> int:
+        return (self.f + j * self.tt) // self.cc
+
+    def first(self, i: int) -> int:
+        return max(0, -((self.f - i * self.cc) // self.tt))
+
+    def steps(self, lo: int, hi: int):
+        """The steps in each of the cells lo..hi-1 (lo >= 1): the one number
+        cc // tt when tt divides cc, else from first(i) relative to the chunk,
+        in int64 while it fits and in Python integers above."""
+        if self.cc % self.tt == 0:
+            return self.cc // self.tt
+        small = max(self.cc, self.tt) < _INT64_CHART
+        r = np.arange(hi - lo + 1, dtype=np.int64 if small else object)
+        num = r * self.cc + (lo * self.cc - self.f) % self.tt
+        return np.diff(-(-num // self.tt)).astype(np.int64)
+
+    def cells(self, n: int) -> np.ndarray:
+        j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
+        return ((self.f + j * self.tt) // self.cc).astype(np.int64)
+
+    def whole_steps(self, n: int) -> bool:
+        """Does every step move a whole number of cells (t/c is a whole number)?"""
+        return self.tt % self.cc == 0
+
+
+@functools.lru_cache(maxsize=64)
+def _chart(f0: float, t: float, c: float) -> _Chart:
+    """The chart of the time-t map of a suspension under the constant roof c
+    from the fiber f0."""
+    d, (f, tt, cc) = _decimals(f0, t, c)
+    return _Chart(f, tt, cc, d)
+
+
+@dataclass(frozen=True, eq=False)
+class _Grid:
+    """The `_Chart` answers of a time-t map under a word-dependent roof, from
+    first_steps[i], the first step that reads cell i or a later one (n, the
+    length of the read, when none does)."""
+
+    first_steps: np.ndarray
+
+    def cell(self, j: int) -> int:
+        return int(np.searchsorted(self.first_steps, j, side="right")) - 1
+
+    def first(self, i: int) -> int:
+        return int(self.first_steps[i])
+
+    def steps(self, lo: int, hi: int) -> np.ndarray:
+        return np.diff(self.first_steps[lo:hi + 1])
+
+    def cells(self, n: int) -> np.ndarray:
+        return np.searchsorted(self.first_steps, np.arange(n), side="right") - 1
+
+    def whole_steps(self, n: int) -> bool:
+        """Do the first n steps all move alike?"""
+        return len(np.unique(np.diff(self.cells(n)))) <= 1
+
+
+def _fiber(flow: Suspension, x: "Point") -> float:
+    """The fiber coordinate of a suspension point (0 when unset), checked to
+    lie under the roof over its base point."""
+    f0 = x.fiber if x.fiber is not None else 0.0
+    roof = flow.roof.value_at(x)
+    if not 0.0 <= f0 < roof:
+        raise ValueError(f"fiber coordinate {f0} is outside [0, {roof}) under the roof")
+    return f0
+
+
+def _map_chart(system, x: "Point", n: int):
+    """The cells of the first n map steps of a symbolic orbit: a `_Chart` (a
+    shift, or a constant roof, cached per fiber, t and roof) or a `_Grid`
+    that first reads cell i at step ceil((E_i - f) / tt), capped at n, from
+    integer entry times E (int64 while they fit) under a word-dependent roof."""
+    if system.symbolic:
+        return _Chart(0, 1, 1)
+    flow, t = system.flow, system.t
+    if t < 0:
+        raise ValueError("suspension flows run forward in time only")
+    f0, roof = _fiber(flow, x), flow.roof
+    if roof.depth == 0:
+        return _chart(f0, t, roof.table[0])
+    _, (f, tt, *table) = _decimals(f0, t, *roof.table)
+    count = (f + tt * (n - 1)) // min(table) + 2    # cells enough to pass the last step
+    table = np.array(table, dtype=np.int64 if max(count * max(table), tt) < 1 << 63 else object)
+    entries = np.concatenate(([0], np.cumsum(roof.values_along(x.prefix(count + roof.depth),
+                                                               count, table))))
+    return _Grid(np.clip(-((f - entries) // tt), 0, n).astype(np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -597,7 +726,9 @@ def time_t_map(flow, t: float, x: Point) -> Point:
     """Flow the point for time t.
 
     Negative t is supported only for the invertible kinds (rotation flow,
-    torus translation).  Suspension points must carry a fiber coordinate.
+    torus translation).  Suspension points must carry a fiber coordinate
+    under the roof; they land in the cell that step 1 of the time-t chart
+    reads, at the exact fiber rounded once to a float.
     """
     if not math.isfinite(t):
         raise ValueError("flow time must be finite")
@@ -613,41 +744,17 @@ def time_t_map(flow, t: float, x: Point) -> Point:
             raise ValueError("suspension flows run forward in time only")
         if x.fiber is None:
             raise ValueError("suspension points need a fiber coordinate")
-        return _suspension_advance(flow, x, t)
+        f0, roof = _fiber(flow, x), flow.roof
+        if roof.depth == 0:
+            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
+            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
+        else:       # walk the cells the step crosses, in the same integers
+            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
+            scaled, rest, m = dict(zip(roof.table, table)), f + tt, 0
+            while rest >= (r := scaled[roof.value_at(x, m)]):
+                rest, m = rest - r, m + 1
+        return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
     raise TypeError(f"cannot flow {type(flow).__name__}")
-
-
-def _suspension_advance(flow: Suspension, x: Point, t: float) -> Point:
-    roof = flow.roof
-    total = x.fiber + t
-    if roof.depth == 0:
-        c = roof.table[0]
-        m = int(total // c)
-        rem = total - m * c
-        if rem >= c:       # guard the floor/multiply rounding edge
-            m += 1
-            rem -= c
-        if rem < 0.0:
-            rem = 0.0
-        return Point(x.rule, x.offset + m, x.component, rem)
-    # word-dependent roof: compensated subtraction keeps long advances honest
-    rem = total
-    carry = 0.0
-    cur = x
-    cap = int(total / roof.roof_min) + 2
-    for _ in range(cap):
-        r = roof.value_at(cur)
-        if rem + carry < r:
-            break
-        new = rem - r
-        carry += (rem - new) - r
-        rem = new
-        folded = rem + carry
-        carry = carry - (folded - rem)
-        rem = folded
-        cur = cur.shifted(1)          # suspension bases are symbolic
-    rem = max(rem + carry, 0.0)
-    return Point(cur.rule, cur.offset, cur.component, rem)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ergode.systems import (
     BlockSchedule,
@@ -20,8 +20,10 @@ from ergode.systems import (
     SteeredBlocks,
     Suspension,
     TimeTMap,
+    time_t_map,
 )
 from ergode.measures import (
+    Atomic,
     Bernoulli,
     Constant,
     CylinderIndicator,
@@ -30,6 +32,8 @@ from ergode.measures import (
     SymbolFrequency,
     TestFamily,
     evaluate,
+    integrate,
+    pushforward,
     time_average_measure,
 )
 from ergode import birkhoff
@@ -243,25 +247,36 @@ def flow_average_reference(flow, x, phi, T):
 
 
 def map_steps_reference(tmap, x, n):
-    """idx[j]: the base cell read at map step j, one float test per step."""
+    """idx[j]: the base cell read at map step j, one float test per step
+    under a constant roof; a word-dependent roof is read by `map_steps_exact`."""
     roof = tmap.flow.roof
+    if roof.depth:
+        return map_steps_exact(tmap, x, n)
     f0 = x.fiber if x.fiber is not None else 0.0
     times = f0 + tmap.t * np.arange(n, dtype=float)
-    if roof.depth == 0:
-        return np.floor(times / roof.roof_max + 1e-12).astype(np.int64)
-    crossings = int(times[-1] / roof.roof_min) + 2
-    vals = roof.values_along(np.asarray(x.prefix(crossings + roof.depth)), crossings)
-    entry_times = np.concatenate(([0.0], np.cumsum(vals)))
-    return np.searchsorted(entry_times, times, side="right") - 1
+    return np.floor(times / roof.roof_max + 1e-12).astype(np.int64)
 
 
 def map_steps_exact(tmap, x, n):
-    """idx[j]: the base cell read at map step j under a constant roof, in
-    rational arithmetic on the short decimals that t, the roof and the fiber
-    print as."""
+    """idx[j]: the base cell read at map step j, in rational arithmetic on
+    the short decimals that t, the fiber and each roof value print as: the
+    last cell entered by time f + t*j, its entry the sum of the roofs before it."""
+    roof = tmap.flow.roof
     f0 = x.fiber if x.fiber is not None else 0.0
-    f, t, c = (Fraction(repr(v)) for v in (f0, tmap.t, tmap.flow.roof.table[0]))
-    return np.array([(f + t * j) // c for j in range(n)], dtype=np.int64)
+    f, t = Fraction(repr(f0)), Fraction(repr(tmap.t))
+    if roof.depth == 0:
+        c = Fraction(repr(roof.table[0]))
+        return np.array([(f + t * j) // c for j in range(n)], dtype=np.int64)
+    count = int((f0 + tmap.t * n) / roof.roof_min) + 2
+    vals = roof.values_along(np.asarray(x.prefix(count + roof.depth)), count).tolist()
+    exact = {v: Fraction(repr(v)) for v in set(vals)}
+    entries, idx, time = [Fraction(0)], [], f
+    for _ in range(n):
+        while entries[-1] <= time:
+            entries.append(entries[-1] + exact[vals[len(entries) - 1]])
+        idx.append(len(entries) - 2)
+        time += t
+    return np.array(idx, dtype=np.int64)
 
 
 def assert_cells_match(cells, idx):
@@ -341,13 +356,14 @@ def test_time_t_map_profile_matches_per_step_reference(roof, t, fiber, point):
     x = POINTS[point].with_fiber(fiber)
     cps = (1, 2, 7, 40, 168, 680, 1001, 2728, 6000)
     n = cps[-1]
-    idx = map_steps_reference(tmap, x, n)
+    idx = map_steps_exact(tmap, x, n)
     assert_cells_match(_map_cells(tmap, x, n, 1)[1], idx)
     if roof.depth == 0:
-        assert idx.tolist() == map_steps_exact(tmap, x, n).tolist()
+        assert idx.tolist() == map_steps_reference(tmap, x, n).tolist()
     for phi in OBSERVABLES[:3]:
         got = birkhoff_profile(tmap, x, phi, Schedule(cps))
-        assert got.tolist() == map_profile_reference(tmap, x, phi, cps).tolist(), phi
+        assert got.tolist() == \
+            map_profile_reference(tmap, x, phi, cps, lambda *_: idx).tolist(), phi
 
 
 def test_flow_profile_matches_exact_rational_arithmetic():
@@ -493,6 +509,80 @@ def test_time_t_map_cells_match_exact_arithmetic_on_short_decimals(tcf, point):
     for phi in OBSERVABLES[:3]:
         assert birkhoff_profile(tmap, x, phi, Schedule(cps)).tolist() == \
             map_profile_reference(tmap, x, phi, cps, lambda *_: idx).tolist(), phi
+
+
+def short_decimal(places):
+    """Positive floats of at most 3 significant digits and `places` decimals."""
+    return st.builds(lambda i, p: float(f"{i}e-{p}"), st.integers(1, 999), st.integers(0, places))
+
+
+@given(data=st.data(), word=st.booleans(), point=st.sampled_from(sorted(POINTS)))
+@settings(deadline=None, max_examples=80)
+def test_time_t_map_lands_where_the_chart_reads_step_one(data, word, point):
+    """Both roof kinds: `time_t_map` moves to the cell that step 1 of the time-t
+    chart reads, and its fiber is the exact remainder, rounded once."""
+    table = tuple(data.draw(st.lists(short_decimal(3), min_size=2 if word else 1,
+                                     max_size=2 if word else 1)))
+    roof = RoofFunction(1, table, 2) if word else RoofFunction.constant(table[0])
+    t = data.draw(short_decimal(5))
+    assume(not word or t <= 100 * roof.roof_min)
+    f0 = data.draw(st.one_of(st.just(0.0), short_decimal(5)))
+    x = POINTS[point].with_fiber(f0 if f0 < roof.value_at(POINTS[point]) else 0.0)
+    flow = Suspension(FullShift(2), roof)
+    rest, cell = Fraction(repr(x.fiber)) + Fraction(repr(t)), 0
+    count = int((x.fiber + t) / roof.roof_min) + 2
+    vals = roof.values_along(np.asarray(x.prefix(count + 1)), count)
+    if word:
+        while rest >= Fraction(repr(float(vals[cell]))):
+            rest, cell = rest - Fraction(repr(float(vals[cell]))), cell + 1
+    else:
+        cell = int(rest // Fraction(repr(table[0])))
+        rest -= cell * Fraction(repr(table[0]))
+    y = time_t_map(flow, t, x)
+    assert (y.rule, y.offset, y.component, y.fiber) == (x.rule, cell, None, float(rest))
+    assert _map_cells(TimeTMap(flow, t), x, 2, 1)[1].cell(1) == cell
+
+
+def test_time_t_map_and_the_map_readers_agree_on_an_exact_tie():
+    """0.7 + 0.2 is 0.9 exactly: after time 0.2 the point has reached the roof
+    0.9 and sits at the bottom of cell 1, under either roof kind."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.9))
+    x = Point(ExplicitWord((0, 1)), fiber=0.7)
+    tmap, phi = TimeTMap(flow, 0.2), CylinderIndicator((0,))
+    assert birkhoff_average_map(tmap, x, phi, 2) == naive_average(tmap, x, phi, 2) == 0.5
+    assert time_t_map(flow, 0.2, x) == Point(x.rule, 1, None, 0.0)
+    assert integrate(pushforward(flow, 0.2, Atomic((x,), (1.0,))), phi) == 0.0
+    word = Suspension(FullShift(2), RoofFunction(1, (0.9, 0.3), 2))
+    assert _map_cells(TimeTMap(word, 0.2), x, 2, 1)[1].cell(1) == 1
+    assert time_t_map(word, 0.2, x) == Point(x.rule, 1, None, 0.0)
+
+
+@pytest.mark.parametrize("t", [0.7, 0.3, 1.0, 2.5])
+@pytest.mark.parametrize("fiber", [0.0, 0.1, 0.25])
+def test_a_word_roof_that_is_constant_along_the_orbit_reads_the_constant_cells(t, fiber):
+    """Over the all-ones point the word roof (0.45, 0.3) is the constant 0.3."""
+    x = Point(ExplicitWord((1,)), fiber=fiber)
+    constant = Suspension(FullShift(2), RoofFunction.constant(0.3))
+    word = Suspension(FullShift(2), RoofFunction(1, (0.45, 0.3), 2))
+    n = 5000
+    want = _map_cells(TimeTMap(constant, t), x, n, 1)[1]
+    got = _map_cells(TimeTMap(word, t), x, n, 1)[1]
+    assert got.cells(n).tolist() == want.cells(n).tolist()
+    assert [got.first(i) for i in range(want.cell(n - 1) + 1)] == \
+        [want.first(i) for i in range(want.cell(n - 1) + 1)]
+    for s in (t, 10 * t, 0.05):
+        assert time_t_map(word, s, x) == time_t_map(constant, s, x)
+
+
+def test_a_tiny_time_reads_every_step_in_cell_0():
+    """t = 1e-17 puts the step count that leaves cell 0 past 2^53; the chart
+    counts it in integers, so the read returns."""
+    flow = Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2))
+    x = Point(ExplicitWord((0, 1)), fiber=0.0)
+    sched = Schedule.for_map()
+    assert birkhoff_profile(TimeTMap(flow, 1e-17), x, SymbolFrequency(0), sched).tolist() == \
+        [1.0] * len(sched.checkpoints)
+    assert time_t_map(flow, 5e-324, x) == x.with_fiber(5e-324)
 
 
 def test_time_t_map_cells_under_a_non_dyadic_roof_are_exact_far_out():

@@ -12,7 +12,7 @@ import pytest
 
 from ergode.config import build_measure, build_point, build_system
 from ergode.constructions import generic_point, irregular_point
-from ergode.cli import _measure, _point_json, _write_point
+from ergode.cli import _measure, _point_json, _write_point, main
 from ergode.systems import (
     BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
 )
@@ -33,6 +33,14 @@ def run_cli(config, tmp_path, *extra, env=None, name="cfg.json"):
         [*ERGODE, "run", str(path), "--out", str(tmp_path), *extra],
         capture_output=True, text=True, env=full_env,
     )
+
+
+def run_main(config, tmp_path, capsys):
+    """(exit code, stderr) of the config run in-process, which a traceback would end."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = main(["run", str(path), "--out", str(tmp_path)])
+    return code, capsys.readouterr().err
 
 
 def read_rows(tmp_path, eid):
@@ -699,7 +707,8 @@ def test_a_point_symbol_outside_the_alphabet_exits_2(tmp_path, system, point):
     {"kind": "explicit-word", "symbols": [1, 0, 1]},
     {"kind": "block-schedule", "blocks": [[[0, 1], 1], [[1, 0], 3]]},
     {"kind": "block-schedule", "blocks": [[[0, 1, 0], 2], [[1], 1]]},
-], ids=["word", "wrap-around", "junction", "last-repeat"])
+    {"kind": "steered-blocks", "k": 2, "symbol": 1, "ends": [8, 16], "targets": [0.75, 0.75]},
+], ids=["word", "wrap-around", "junction", "last-repeat", "steered"])
 def test_a_point_outside_a_vertex_shift_exits_2(tmp_path, point):
     # [1, 1, 1, 1] on the golden mean read as frequency 1 of symbol 1 and exited 0
     res = run_cli(symbol_frequency_config(GOLDEN_MEAN, point), tmp_path)
@@ -715,6 +724,16 @@ def test_a_point_inside_a_vertex_shift_is_read(tmp_path):
     assert res.returncode == 0, res.stderr
     _, rows = read_rows(tmp_path, "birk")
     assert float(rows[0]["value"]) == pytest.approx(1 / 3, abs=1e-3)
+
+
+def test_a_steered_point_that_keeps_the_vertex_shift_transitions_is_read(tmp_path, capsys):
+    # frequency 0.25 of symbol 1 in blocks of 8: every 1 sits between 0s
+    point = {"kind": "steered-blocks", "k": 2, "symbol": 1, "ends": [8, 16],
+             "targets": [0.25, 0.25]}
+    code, err = run_main(symbol_frequency_config(GOLDEN_MEAN, point), tmp_path, capsys)
+    assert code == 0, err
+    _, rows = read_rows(tmp_path, "birk")
+    assert float(rows[0]["value"]) == 0.25
 
 
 def test_a_point_symbol_inside_its_union_side_is_read(tmp_path):
@@ -762,6 +781,35 @@ def test_fiber_outside_the_roof_exits_2(tmp_path, path):
     assert res.returncode == 2, res.stderr
     assert "config error" in res.stderr and "fiber coordinate" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+ROTATION = {"kind": "circle-rotation", "theta": 0.3}
+COORDINATE = {"kind": "coordinate", "coords": [0.1]}
+IID = {"kind": "seeded-iid", "seed": 1, "probs": [0.5, 0.5]}
+FREQUENCY = {"kind": "symbol-frequency", "symbol": 0}
+HARMONIC = {"kind": "harmonic", "frequency": 1}
+
+
+@pytest.mark.parametrize("command, system, point, observable", [
+    ("birkhoff", FULL_SHIFT_2, COORDINATE, FREQUENCY),
+    ("birkhoff", suspension({"constant": 1.0}), {**COORDINATE, "fiber": 0.0}, FREQUENCY),
+    ("birkhoff", ROTATION, {"kind": "explicit-word", "symbols": [0, 1]}, HARMONIC),
+    ("birkhoff", FULL_SHIFT_2, IID, HARMONIC),
+    ("classify", FULL_SHIFT_2, IID, HARMONIC),
+    ("birkhoff", ROTATION, COORDINATE, {"kind": "cylinder", "word": [0]}),
+    ("birkhoff", FULL_SHIFT_2, IID, {"kind": "fiber-profile", "base": FREQUENCY,
+                                     "breakpoints": [[0.0, 1.0], [1.0, 1.0]]}),
+], ids=["coordinate-on-shift", "coordinate-on-suspension", "word-on-rotation",
+        "harmonic-on-shift", "harmonic-irregular", "cylinder-on-rotation", "fiber-profile-on-map"])
+def test_a_point_or_observable_its_system_cannot_read_exits_2(tmp_path, capsys, command,
+                                                              system, point, observable):
+    # each ended in a traceback and exit 1
+    cfg = {"command": command, "experiment_id": "unread", "system": system, "point": point,
+           "observable": observable, "schedule": {"kind": "explicit", "checkpoints": [10, 20]}}
+    if command == "classify":
+        cfg["mode"] = "irregular"
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 2 and err.startswith("config error: bad "), err
 
 
 @pytest.mark.parametrize("checkpoints", [[1, 2, 3], [5, 6]])

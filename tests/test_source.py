@@ -18,7 +18,7 @@ SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ergode"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 # the ratchet: lines and lines naming `isinstance` in src/ergode/*.py
-MAX_LINES = 4379
+MAX_LINES = 4372
 MAX_ISINSTANCE_LINES = 98
 
 

@@ -124,6 +124,18 @@ def test_suspension_flow_is_additive(s, t):
     assert abs(one.fiber - two.fiber) < 1e-7
 
 
+@pytest.mark.parametrize("roof", [RoofFunction.constant(1.0), RoofFunction(1, (1.0, 2.0), 2)],
+                         ids=["constant", "word"])
+@pytest.mark.parametrize("fiber", [1.0, 5.0])
+def test_time_t_map_refuses_a_fiber_at_or_above_the_roof(roof, fiber):
+    # the point's first symbol is 0: the roof over it is 1.0 either way
+    susp = Suspension(FullShift(2), roof)
+    x = Point(ExplicitWord((0, 1))).with_fiber(fiber)
+    with pytest.raises(ValueError, match="fiber coordinate"):
+        time_t_map(susp, 0.5, x)
+    assert time_t_map(susp, 0.5, x.with_fiber(0.75)) == x.shifted(1).with_fiber(0.25)
+
+
 @pytest.mark.parametrize("space", [CircleRotation(0.3), CircleMult(2), FullShift(2)],
                          ids=lambda s: type(s).__name__)
 def test_time_t_map_needs_a_flow(space):
@@ -239,6 +251,9 @@ GOLDEN = MarkovShift(2, ((1, 1), (1, 0)))
     (ExplicitWord((0, 1, 0)), None),
     (BlockSchedule((((0, 1), 3), ((0,), 2), ((1, 0), 1))), None),
     (SeededIID(0, (1.0, 0.0)), None),
+    (SteeredBlocks(2, 1, (8, 16), (0.75, 0.75)), "transitions"),  # frequency 0.75 of 1 needs 11
+    (SteeredBlocks(2, 0, (4, 5), (0.5, 0.4)), "transitions"),     # 1010 1, 11 where 1 repeats
+    (SteeredBlocks(2, 1, (8, 16), (0.25, 0.25)), None),           # 0001 0001 ...
 ])
 def test_a_vertex_shift_admits_only_streams_that_keep_its_transitions(rule, refused):
     if refused is None:
