@@ -16,7 +16,7 @@ from .systems import (
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    Lebesgue, Markov, Mixture, SymbolFrequency, TestFamily, TimeAveraged,
+    Lebesgue, Markov, Mixture, TestFamily, TimeAveraged,
     TimeShifted, check_invariance, integrate, metric_entropy,
     partition_entropy_estimate, pushforward, time_average_measure,
     weak_star_distance,

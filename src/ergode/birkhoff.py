@@ -7,13 +7,15 @@ whole family from one pass over each orbit, so a schedule of checkpoints
 costs the same as its largest entry.  The public readers
 (`birkhoff_profile`, `flow_average_profile`, the classifiers and
 `limit_point_set`) pass it one point; a suite passes all of its points, and
-those that share a chart are read together, one count per chunk.  Constants
-are their value.  Rotation and translation flows integrate harmonics in
-closed form; circle and torus maps sum the observable along the
-materialised orbit.  Symbolic orbits (shifts, suspension flows and the
-time-t maps of suspensions) are cut into base cells (symbol offsets), and
-each full cell weighs its word hits by what the orbit spends in it: map
-steps, or the mass of the observable's fiber profile under the cell's roof.
+those that share a chart are read together, one count per chunk.  The
+reader asks each observable (see `measures.Observable`), never its kind: a
+`constant` is its value; rotation and translation flows take its
+`line_average` (a harmonic's, in closed form); circle and torus maps sum its
+values `along` the materialised orbit.  Symbolic orbits (shifts, suspension
+flows and the time-t maps of suspensions) are cut into base cells (symbol
+offsets), and each full cell weighs the hits of the word the observable has
+`counted` by what the orbit spends in it: map steps, or its fiber `mass`
+under the cell's roof.
 Word hits are counted per (point, word code, weight class) between
 consecutive checkpoints, in bounded chunks, so no full-length temporary is
 held; the partial first cell of a flow (from its fiber) and the partial
@@ -31,7 +33,6 @@ is far (three tolerances) at both.  Everything in between is inconclusive.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -39,12 +40,9 @@ import numpy as np
 
 from .systems import (
     BudgetExhausted, CircleMult, CircleRotation, Coordinate, DisjointUnion,
-    Point, Suspension, TimeTMap, _fiber, _map_chart,
+    Point, Suspension, TimeTMap, _decimals, _entries, _fiber, _map_chart,
 )
-from .measures import (
-    _CYLINDERS, Atomic, Constant, FiberProfile, Harmonic, TestFamily,
-    evaluate_on_circle, integrate,
-)
+from .measures import Atomic, TestFamily, integrate
 
 __all__ = [
     "Schedule", "Verdict", "LimitClass", "birkhoff_average_map",
@@ -161,15 +159,15 @@ def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
     obs = tuple(observables)
     flow = system.is_flow
     Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
-    constant = [isinstance(phi, Constant) for phi in obs]
-    reads = [phi for phi, c in zip(obs, constant) if not c]
+    fixed = [phi.constant for phi in obs]
+    reads = [phi for phi, c in zip(obs, fixed) if c is None]
     if reads and (flow and not system.isometric or _is_symbolic_path(system)):
         groups = _cell_profiles(system, points, reads, Ts)
     else:
         groups = (_line_profiles(system, x, reads, Ts) for x in points)
     A = np.concatenate([np.empty((0, len(Ts), len(reads))), *groups])
-    out = np.tile([phi.value if c else 0.0 for phi, c in zip(obs, constant)], (len(A), len(Ts), 1))
-    out[:, :, np.flatnonzero(np.logical_not(constant))] = A
+    out = np.tile([0.0 if c is None else c for c in fixed], (len(A), len(Ts), 1))
+    out[:, :, [i for i, c in enumerate(fixed) if c is None]] = A
     return out
 
 
@@ -177,13 +175,10 @@ def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
     """A[0, c, j] of the observables phis along the orbit of x: harmonics in closed
     form under a straight-line flow, sums along the orbit of a circle or torus map."""
     if system.is_flow:
-        for phi in phis:
-            if not isinstance(phi, Harmonic):
-                raise TypeError(f"{type(phi).__name__} is not a rotation-flow observable")
-        return np.array([[[_harmonic_line_average(phi, x.coords[0], system.speed, T)
+        return np.array([[[phi.line_average(x.coords[0], system.speed, T)
                            for phi in phis] for T in Ts]])
     coords = _orbit_coords(system, x, Ts[-1]) if phis else None
-    sums = [np.cumsum(evaluate_on_circle(phi, coords)) for phi in phis]
+    sums = [np.cumsum(phi.along(coords)) for phi in phis]
     return np.array([[[cs[n - 1] / n for cs in sums] for n in Ts]])
 
 
@@ -212,17 +207,10 @@ def _cell_profiles(system, points, observables, Ts):
     k = max(side.alphabet for side in sides)     # a code base above every symbol
     words = []                  # (word code or None, word length, scale, mass, component)
     for phi in observables:
-        inner = phi.base if flow and isinstance(phi, FiberProfile) else phi
-        if flow and isinstance(inner, Constant):
-            word, comp, scale = (), None, inner.value
-        elif isinstance(inner, _CYLINDERS):
-            word, comp, scale = inner.word, inner.component, 1.0
-        else:
-            raise TypeError(f"{type(phi).__name__} does not read symbols")
-        mass = phi.profile_integral if isinstance(phi, FiberProfile) else _length
+        word, comp, scale = phi.counted(flow)
         code = functools.reduce(lambda c, s: c * k + int(s), word, 0)
         words.append((code if all(0 <= s < k for s in word) else None,   # None: never hit
-                      len(word), scale, mass, comp))
+                      len(word), scale, phi.mass, comp))
     depth = max(1, *(w[1] for w in words))
     group, rows, key = [], [], None
     for x in points:
@@ -246,33 +234,28 @@ def _cell_profiles(system, points, observables, Ts):
 
 def _cell_plan(system, x: Point, Ts):
     """(ends, chart) of the group of x: ends[c] is the cell that checkpoint c
-    ends in; the chart is a map's `_map_chart` or a flow's (f0, taus = f0 + T,
-    roof0, entry to ends[c], roof classes, each cell's class or None)."""
+    ends in (on a flow, the first whose top reaches f0 + T, read in decimals);
+    the chart is a map's `_map_chart` or a flow's (f0, taus = f0 + T, roof0,
+    entry to ends[c], roof classes, each cell's class or None)."""
     if not system.is_flow:
         cells = _map_chart(system, x, Ts[-1])
         return [cells.cell(n - 1) for n in Ts], cells
-    f0 = _fiber(system, x)
-    taus = [f0 + T for T in Ts]
-    roof = system.roof
+    f0, roof = _fiber(system, x), system.roof
+    d, (f, *scaled) = _decimals(f0, *Ts, *roof.table)
+    tops, table = [f + T for T in scaled[:len(Ts)]], scaled[len(Ts):]
     if roof.depth == 0:
-        c = roof.table[0]
-        ends = []
-        for tau in taus:                # the cell whose top reaches tau
-            L = max(math.ceil(tau / c) - 1, 0)
-            while (L + 1) * c < tau:
-                L += 1
-            while L > 0 and L * c >= tau:
-                L -= 1
-            ends.append(L)
-        return ends, (f0, taus, c, [L * c for L in ends], [c], None)
-    count = int(taus[-1] / roof.roof_min) + 2     # enough cells to pass taus[-1]
-    vals = roof.values_along(x.prefix(count + roof.depth), count)
-    entries = np.concatenate(([0.0], np.cumsum(vals)))
-    ends = [int(L) for L in np.searchsorted(entries[1:], taus, side="left")]
-    if ends[-1] >= len(vals):
-        raise BudgetExhausted("flow horizon exceeds the prepared roof window")
-    classes, inv = np.unique(vals[:ends[-1]], return_inverse=True)
-    return ends, (f0, taus, vals[0], [entries[L] for L in ends], classes, inv)
+        c = roof0 = roof.table[0]
+        ends = [max((top - 1) // table[0], 0) for top in tops]
+        entry, classes, inv = [L * c for L in ends], [c], None
+    else:
+        entries = _entries(roof, x, table, tops[-1])
+        ends = np.searchsorted(entries[1:], tops).tolist()
+        vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
+        classes, inv = np.unique(vals, return_inverse=True)
+        roof0, entry = roof.value_at(x), [int(entries[L]) / d for L in ends]
+    taus = [f0 + T for T in Ts]
+    # an end read exactly can have its float entry a rounding past f0 + T
+    return ends, (f0, taus, roof0, [min(e, tau) for e, tau in zip(entry, taus)], classes, inv)
 
 
 def _group_profiles(system, members, rows, words, depth: int, k: int, Ts, ends, chart):
@@ -362,11 +345,6 @@ def _flow_averages(words, full, hit0, hit_last, Ts, ends, f0, taus, roof0, entry
     return np.array([w[2] for w in words]) * total / np.asarray(Ts, dtype=float)[:, None]
 
 
-def _length(lo: float, hi: float) -> float:
-    """The mass under a roof of a fiber-constant observable."""
-    return hi - lo
-
-
 # ---------------------------------------------------------------------------
 # averages
 
@@ -399,18 +377,6 @@ def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
     if T <= 0:
         raise ValueError("need T > 0")
     return float(flow_average_profile(flow, x, phi, Schedule((T,)))[0])
-
-
-def _harmonic_line_average(phi: Harmonic, x0: float, speed: float, T: float) -> float:
-    q = phi.frequency
-    w = 2.0 * math.pi * q
-    a = w * (x0 + phi.offset)
-    if abs(speed) < 1e-15:
-        return math.cos(a) if phi.phase == "cos" else math.sin(a)
-    b = w * speed
-    if phi.phase == "cos":
-        return (math.sin(a + b * T) - math.sin(a)) / (b * T)
-    return (math.cos(a) - math.cos(a + b * T)) / (b * T)
 
 
 # ---------------------------------------------------------------------------

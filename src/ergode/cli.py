@@ -24,7 +24,7 @@ from .systems import (
     _fiber, random_point,
 )
 from .measures import (
-    Bernoulli, Markov, SymbolFrequency, TestFamily, check_invariance,
+    Bernoulli, CylinderIndicator, Markov, TestFamily, check_invariance,
     metric_entropy, time_average_measure,
 )
 from .birkhoff import (
@@ -477,7 +477,7 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
                 f"time-1 map checkpoints {list(cps)}: {exc}"
             ) from None
 
-    freq = SymbolFrequency(0)
+    freq = CylinderIndicator((0,))
     targets = family_targets(mubar, fam)
     points = _inclusion_suite_points(base, mu_base, ctx["seed"], n_total)
     results = []        # the generic and the irregular label, per dynamics

@@ -23,7 +23,7 @@ from .systems import (
 )
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
-    Lebesgue, Markov, Mixture, SymbolFrequency,
+    Lebesgue, Markov, Mixture,
 )
 from .birkhoff import Schedule
 from .entropy import (
@@ -321,7 +321,7 @@ SECTIONS = {
         "constant": Kind(lambda f: Constant(f["value"]), {"value": NUM}),
         "cylinder": Kind(lambda f: CylinderIndicator(tuple(f["word"]), f["component"]),
                          {"word": listof(INT)}, {"component": COMPONENT}),
-        "symbol-frequency": Kind(lambda f: SymbolFrequency(f["symbol"], f["component"]),
+        "symbol-frequency": Kind(lambda f: CylinderIndicator((f["symbol"],), f["component"]),
                                  {"symbol": INT}, {"component": COMPONENT}),
         "harmonic": Kind(lambda f: Harmonic(f["frequency"], f["phase"], f["offset"]),
                          {"frequency": INT},

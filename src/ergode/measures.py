@@ -14,13 +14,17 @@ on a suspension sit on the fiber-zero copy of the base.  Point masses on a
 full or vertex shift are invariant when they make up whole periodic orbits,
 one weight along each, and their entropy is 0.  Integration is exact for
 every pair it accepts and raises TypeError for the rest.
-"""
+
+Observables answer for themselves: each kind answers the questions of
+`Observable`, so neither the pieces' rules nor the orbit readers of
+`birkhoff` test an observable's kind."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import product
 from typing import Optional, Tuple, Union
 
 import numpy as np
@@ -32,8 +36,8 @@ from .systems import (
 
 __all__ = [
     "Bernoulli", "Markov", "Lebesgue", "Atomic", "Mixture", "TimeAveraged",
-    "TimeShifted", "Measure", "Constant", "CylinderIndicator",
-    "SymbolFrequency", "Harmonic", "FiberProfile", "Observable", "TestFamily",
+    "TimeShifted", "Measure", "Constant", "CylinderIndicator", "Harmonic",
+    "FiberProfile", "Observable", "TestFamily",
     "evaluate", "evaluate_on_circle", "integrate", "pushforward",
     "time_average_measure", "weak_star_distance", "check_invariance",
     "metric_entropy", "partition_entropy_estimate", "compose_with_flow",
@@ -59,7 +63,8 @@ def _normalised(weights, what: str) -> Tuple[float, ...]:
 class _Piece:
     """A piece answers `integral(phi)`, `shifted_integral(flow, s, phi)` (of
     phi after the time-s map), `check(system)` and, once checked, `entropy`
-    and `cylinder_masses`; a rule its kind lacks raises TypeError."""
+    and `cylinder_masses`; a rule its kind lacks raises TypeError.  No rule
+    sees a composed observable: its `integral` moves the piece instead."""
 
     component = None            # the disjoint-union side of a tagged piece
 
@@ -71,8 +76,6 @@ class _Piece:
         return TimeShifted(flow, t, self)
 
     def integral(self, phi) -> float:
-        if isinstance(phi, _Composed):          # change of variables: move the piece
-            return integrate(self.shifted(phi.flow, phi.t), phi.base)
         raise TypeError(f"cannot integrate {type(phi).__name__} against {type(self).__name__}")
 
     def shifted_integral(self, flow, s: float, phi) -> float:
@@ -96,10 +99,8 @@ class _Chain(_Piece):
     """The rules of Bernoulli and Markov pieces."""
 
     def integral(self, phi) -> float:
-        if not isinstance(phi, _CYLINDERS):
-            return super().integral(phi)
-        w = phi.word
-        if len({self.component, phi.component} - {None}) > 1 or \
+        w, component, _ = phi.counted(False)     # the word a shift reads; TypeError off one
+        if len({self.component, component} - {None}) > 1 or \
                 any(s < 0 or s >= self.k for s in w):
             return 0.0                  # another side's cylinder, or another alphabet's
         P = self.transitions
@@ -109,28 +110,21 @@ class _Chain(_Piece):
         if not isinstance(flow, Suspension):
             return super().shifted_integral(flow, s, phi)
         roof = flow.roof
+        if phi.depth is None:
+            raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
         if s < roof.roof_min:
             # no roof crossing: the fiber lands at s and the base is untouched
-            if isinstance(phi, FiberProfile):
-                return phi.profile(s) * integrate(self, phi.base)
-            if _word_depth(phi) is not None:
-                return integrate(self, phi)
-        inner, composed_t = (phi.base, phi.t) if isinstance(phi, _Composed) else (phi, 0.0)
-        depth = _word_depth(inner)
-        if depth is None:
-            raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
-        need = int((s + composed_t) / roof.roof_min) + 1 + depth + roof.depth + 1
+            factor, base = phi.on_fiber(s)
+            return factor * integrate(self, base)
+        need = int(s / roof.roof_min) + 1 + phi.depth + roof.depth + 1
         k = flow.base.alphabet              # TypeError over a disjoint union
         if k ** need > 1 << 16:
-            raise BudgetExhausted(
-                f"cylinder decomposition depth {need} exceeds the enumeration budget"
-            )
+            raise BudgetExhausted(f"cylinder decomposition depth {need} exceeds "
+                                  "the enumeration budget")
         total = 0.0
-        for word in _words_of_length(k, need):
-            mass = integrate(self, CylinderIndicator(word))
-            if mass != 0.0:
-                x = Point(ExplicitWord(word), fiber=0.0)
-                total += mass * evaluate(phi, time_t_map(flow, s, x))
+        for word in product(range(k), repeat=need):
+            if (mass := self.integral(CylinderIndicator(word))) != 0.0:
+                total += mass * phi.at(time_t_map(flow, s, Point(ExplicitWord(word), fiber=0.0)))
         return total
 
     def check(self, system) -> None:
@@ -166,12 +160,12 @@ class _PointMass(_Piece):
         return self.point.component
 
     def integral(self, phi) -> float:
-        return evaluate(phi, self.point)
+        return phi.at(self.point)
 
     def shifted_integral(self, flow, s: float, phi) -> float:
         x = self.point          # a symbolic atom flows from the zero fiber
         x = x.with_fiber(0.0) if x.is_symbolic and x.fiber is None else x
-        return evaluate(phi, time_t_map(flow, s, x))
+        return phi.at(time_t_map(flow, s, x))
 
     def check(self, system):
         """The atom's place: (component, its minimal period read from the point)."""
@@ -287,7 +281,7 @@ class Lebesgue(_Piece):
             raise ValueError("Lebesgue dimension must be >= 1")
 
     def integral(self, phi) -> float:
-        return 0.0 if isinstance(phi, Harmonic) else super().integral(phi)
+        return super().integral(phi) if phi.circle_mean is None else phi.circle_mean
 
     def shifted(self, flow, t: float):
         # an isometric flow keeps Lebesgue measure
@@ -382,50 +376,92 @@ Measure = Union[Bernoulli, Markov, Lebesgue, Atomic, Mixture, TimeAveraged, Time
 
 
 # ---------------------------------------------------------------------------
-# observables
+# observables: each kind answers its readers' questions, or raises TypeError
+
+
+class Observable:
+    """The questions its readers ask: `depth` (symbols read, None when not
+    read from symbols), `constant` (its one value), `at(x)`, `along(coords)`
+    (circle coordinates), `line_average(x0, speed, T)`, `mass(lo, hi)` over a
+    fiber interval, `on_fiber(s)` ((factor, base observable) at fiber s),
+    `after(flow, t)` (composed with the time-t map), `counted(flow)` (the cell
+    reader's word, component and scale), `integral(mu)` and `circle_mean`."""
+
+    depth = constant = circle_mean = None
+
+    def along(self, coords: np.ndarray) -> np.ndarray:
+        raise TypeError(f"{type(self).__name__} is not a circle observable")
+
+    def line_average(self, x0: float, speed: float, T: float) -> float:
+        raise TypeError(f"{type(self).__name__} is not a rotation-flow observable")
+
+    @staticmethod
+    def mass(lo: float, hi: float) -> float:
+        return hi - lo                  # it does not read the fiber
+
+    def on_fiber(self, s: float):
+        return 1.0, self
+
+    def after(self, flow, t: float):
+        return self if self.constant is not None else _Composed(flow, t, self)
+
+    def counted(self, flow: bool):
+        raise TypeError(f"{type(self).__name__} does not read symbols")
+
+    def integral(self, mu) -> float:
+        if self.constant is not None:
+            return self.constant
+        return math.fsum(w * p.integral(self) for w, p in mu.pieces)
 
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(Observable):
     value: float
+    depth = 0
+    constant = property(lambda self: self.value)
+
+    def at(self, x: Point) -> float:
+        return self.value
+
+    def along(self, coords: np.ndarray) -> np.ndarray:
+        return np.full(len(coords), self.value)
+
+    def counted(self, flow: bool):
+        return (), None, self.value
 
 
 @dataclass(frozen=True)
-class CylinderIndicator:
+class CylinderIndicator(Observable):
     """Indicator of the set of streams starting with `word` (optionally
-    restricted to one disjoint-union component)."""
+    restricted to one disjoint-union component); a one-symbol word reads the
+    frequency of its symbol."""
 
     word: Tuple[int, ...]
     component: Optional[int] = None
+    depth = property(lambda self: len(self.word))
 
     def __post_init__(self):
         if not self.word:
             raise ValueError("cylinder word must be nonempty")
 
+    def at(self, x: Point) -> float:
+        if self.component is not None and x.component != self.component:
+            return 0.0
+        word = x.prefix(len(self.word))
+        return 1.0 if all(int(a) == b for a, b in zip(word, self.word)) else 0.0
 
-@dataclass(frozen=True)
-class SymbolFrequency:
-    """Indicator of reading `symbol` at the current position: the cylinder
-    indicator of the one-symbol word."""
-
-    symbol: int
-    component: Optional[int] = None
-
-    @property
-    def word(self) -> Tuple[int, ...]:
-        return (self.symbol,)
-
-
-_CYLINDERS = (CylinderIndicator, SymbolFrequency)    # the observables that read one word
+    def counted(self, flow: bool):
+        return self.word, self.component, 1.0
 
 
 @dataclass(frozen=True)
-class Harmonic:
+class Harmonic(Observable):
     """cos or sin of 2*pi*frequency*(x + offset) on the circle."""
 
     frequency: int
     phase: str = "cos"
     offset: float = 0.0
+    circle_mean = 0.0
 
     def __post_init__(self):
         if self.frequency < 1:
@@ -433,13 +469,38 @@ class Harmonic:
         if self.phase not in ("cos", "sin"):
             raise ValueError("phase must be 'cos' or 'sin'")
 
+    def _wave(self, lib, x):
+        angle = 2.0 * math.pi * self.frequency * (x + self.offset)
+        return lib.cos(angle) if self.phase == "cos" else lib.sin(angle)
+
+    def at(self, x: Point) -> float:
+        return self._wave(math, x.coords[0])
+
+    def along(self, coords: np.ndarray) -> np.ndarray:
+        return self._wave(np, coords)
+
+    def line_average(self, x0: float, speed: float, T: float) -> float:
+        if abs(speed) < 1e-15:
+            return self._wave(math, x0)
+        w = 2.0 * math.pi * self.frequency
+        a, b = w * (x0 + self.offset), w * speed
+        if self.phase == "cos":
+            return (math.sin(a + b * T) - math.sin(a)) / (b * T)
+        return (math.cos(a) - math.cos(a + b * T)) / (b * T)
+
+    def after(self, flow, t: float):
+        if flow.is_flow and flow.isometric:     # a straight-line flow moves it along
+            return replace(self, offset=self.offset + flow.speed * t)
+        return super().after(flow, t)
+
 
 @dataclass(frozen=True)
-class FiberProfile:
+class FiberProfile(Observable):
     """Base observable times a piecewise-linear profile of the fiber."""
 
     base: "Observable"
     breakpoints: Tuple[Tuple[float, float], ...]
+    depth = property(lambda self: self.base.depth)
 
     def __post_init__(self):
         pts = self.breakpoints
@@ -447,84 +508,63 @@ class FiberProfile:
             raise ValueError("profile breakpoints must be >= 2 and strictly increasing")
 
     def profile(self, s: float) -> float:
-        xs = [p[0] for p in self.breakpoints]
-        ys = [p[1] for p in self.breakpoints]
-        return float(np.interp(s, xs, ys))
+        return float(np.interp(s, *zip(*self.breakpoints)))
 
     def profile_integral(self, lo: float, hi: float) -> float:
         """Exact integral of the profile over [lo, hi] (constant outside the
         breakpoint range, matching `profile`)."""
         if hi < lo:
             raise ValueError("need lo <= hi")
-        xs = [p[0] for p in self.breakpoints]
-        knots = sorted({lo, hi, *[x for x in xs if lo < x < hi]})
+        knots = sorted({lo, hi, *(x for x, _ in self.breakpoints if lo < x < hi)})
         total = 0.0
-        for a, b in zip(knots[:-1], knots[1:]):
+        for a, b in zip(knots, knots[1:]):
             total += 0.5 * (self.profile(a) + self.profile(b)) * (b - a)
         return total
 
+    mass = profile_integral
 
-Observable = Union[Constant, CylinderIndicator, SymbolFrequency, Harmonic, FiberProfile]
+    def at(self, x: Point) -> float:
+        return self.base.at(x) * self.profile(x.fiber if x.fiber is not None else 0.0)
+
+    def on_fiber(self, s: float):
+        return self.profile(s), self.base
+
+    def counted(self, flow: bool):
+        # a map weighs no fiber; a flow reads the base as a map does
+        return self.base.counted(False) if flow else super().counted(flow)
 
 
 @dataclass(frozen=True)
-class _Composed:
-    """phi composed with the time-t map of a flow (internal)."""
+class _Composed(Observable):
+    """phi composed with the time-t map of a flow (internal); integrated by
+    change of variables, each piece moved by t."""
 
     flow: object
     t: float
     base: "Observable"
 
+    def at(self, x: Point) -> float:
+        return self.base.at(time_t_map(self.flow, self.t, x))
+
+    def integral(self, mu) -> float:
+        return math.fsum(w * integrate(p.shifted(self.flow, self.t), self.base)
+                         for w, p in mu.pieces)
+
 
 def compose_with_flow(flow, t: float, phi) -> object:
-    """The observable x -> phi(flow_t(x)); a harmonic under an isometric
-    (straight-line) flow is the same harmonic moved along by speed * t."""
-    if isinstance(phi, Constant):
-        return phi
-    if isinstance(phi, Harmonic) and flow.is_flow and flow.isometric:
-        return Harmonic(phi.frequency, phi.phase, phi.offset + flow.speed * t)
-    return _Composed(flow, t, phi)
-
-
-def _word_depth(phi) -> Optional[int]:
-    """Symbol depth a symbolic observable reads, or None if not symbolic."""
-    if isinstance(phi, Constant):
-        return 0
-    if isinstance(phi, _CYLINDERS):
-        return len(phi.word)
-    if isinstance(phi, FiberProfile):
-        return _word_depth(phi.base)
-    return None
+    """The observable x -> phi(flow_t(x)); a constant is itself, and a
+    harmonic under an isometric flow is the same harmonic moved along."""
+    return phi.after(flow, t)
 
 
 def evaluate(phi, x: Point) -> float:
     """Value of the observable at a point."""
-    if isinstance(phi, Constant):
-        return phi.value
-    if isinstance(phi, _CYLINDERS):
-        if phi.component is not None and x.component != phi.component:
-            return 0.0
-        word = x.prefix(len(phi.word))
-        return 1.0 if all(int(a) == b for a, b in zip(word, phi.word)) else 0.0
-    if isinstance(phi, Harmonic):
-        angle = 2.0 * math.pi * phi.frequency * (x.coords[0] + phi.offset)
-        return math.cos(angle) if phi.phase == "cos" else math.sin(angle)
-    if isinstance(phi, FiberProfile):
-        fiber = x.fiber if x.fiber is not None else 0.0
-        return evaluate(phi.base, x) * phi.profile(fiber)
-    if isinstance(phi, _Composed):
-        return evaluate(phi.base, time_t_map(phi.flow, phi.t, x))
-    raise TypeError(f"cannot evaluate {type(phi).__name__}")
+    return phi.at(x)
 
 
 def evaluate_on_circle(phi, coords: np.ndarray) -> np.ndarray:
     """Vectorised evaluation on an array of circle coordinates."""
-    if isinstance(phi, Constant):
-        return np.full(len(coords), phi.value)
-    if isinstance(phi, Harmonic):
-        angle = 2.0 * math.pi * phi.frequency * (coords + phi.offset)
-        return np.cos(angle) if phi.phase == "cos" else np.sin(angle)
-    raise TypeError(f"{type(phi).__name__} is not a circle observable")
+    return phi.along(coords)
 
 
 # ---------------------------------------------------------------------------
@@ -567,19 +607,6 @@ class TestFamily:
         return fam
 
 
-def _words_of_length(k: int, length: int):
-    word = [0] * length
-    while True:
-        yield tuple(word)
-        i = length - 1
-        while i >= 0 and word[i] == k - 1:
-            word[i] = 0
-            i -= 1
-        if i < 0:
-            return
-        word[i] += 1
-
-
 def _default_observables(space, depth, max_frequency):
     if space.torus_dim:
         return [Harmonic(q, phase) for q in range(1, max_frequency + 1)
@@ -594,10 +621,10 @@ def _default_observables(space, depth, max_frequency):
         return [CylinderIndicator(word, component=comp)
                 for length in range(1, depth + 1)
                 for comp, side in ((0, space.left), (1, space.right))
-                for word in _words_of_length(side.alphabet, length)]
+                for word in product(range(side.alphabet), repeat=length)]
     k = space.alphabet                  # a single shift space; TypeError elsewhere
     return [CylinderIndicator(word) for length in range(1, depth + 1)
-            for word in _words_of_length(k, length)]
+            for word in product(range(k), repeat=length)]
 
 
 def _separation_probes(space):
@@ -632,10 +659,9 @@ def _separation_probes(space):
 
 def integrate(mu, phi) -> float:
     """Exact integral of `phi` against `mu`: the weighted sum of its pieces'
-    integrals; TypeError for a pair with no exact rule."""
-    if isinstance(phi, Constant):
-        return phi.value
-    return math.fsum(w * p.integral(phi) for w, p in mu.pieces)
+    integrals (a constant is its value, and a composed observable moves each
+    piece instead); TypeError for a pair with no exact rule."""
+    return phi.integral(mu)
 
 
 def pushforward(flow, t: float, mu) -> TimeShifted:

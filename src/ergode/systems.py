@@ -22,6 +22,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -332,9 +333,9 @@ _INT64_CHART = 1 << 46  # a chunk of chart integers below it fits int64: 2^16 * 
 def _decimals(*values):
     """(d, [v*d for each v]): each value read as the decimal it prints as
     (0.7 is 7/10), over their least common denominator d."""
-    exact = [Fraction(repr(float(v))) for v in values]
-    d = math.lcm(*(q.denominator for q in exact))
-    return d, [int(q * d) for q in exact]
+    exact = [Decimal(repr(float(v))).as_integer_ratio() for v in values]
+    d = math.lcm(*(q for _, q in exact))
+    return d, [p * (d // q) for p, q in exact]
 
 
 @dataclass(frozen=True)
@@ -422,7 +423,7 @@ def _map_chart(system, x: "Point", n: int):
     """The cells of the first n map steps of a symbolic orbit: a `_Chart` (a
     shift, or a constant roof, cached per fiber, t and roof) or a `_Grid`
     that first reads cell i at step ceil((E_i - f) / tt), capped at n, from
-    integer entry times E (int64 while they fit) under a word-dependent roof."""
+    the integer entry times E of `_entries` under a word-dependent roof."""
     if system.symbolic:
         return _Chart(0, 1, 1)
     flow, t = system.flow, system.t
@@ -432,11 +433,17 @@ def _map_chart(system, x: "Point", n: int):
     if roof.depth == 0:
         return _chart(f0, t, roof.table[0])
     _, (f, tt, *table) = _decimals(f0, t, *roof.table)
-    count = (f + tt * (n - 1)) // min(table) + 2    # cells enough to pass the last step
-    table = np.array(table, dtype=np.int64 if max(count * max(table), tt) < 1 << 63 else object)
-    entries = np.concatenate(([0], np.cumsum(roof.values_along(x.prefix(count + roof.depth),
-                                                               count, table))))
+    entries = _entries(roof, x, table, f + tt * n)      # cells enough to pass step n
     return _Grid(np.clip(-((f - entries) // tt), 0, n).astype(np.int64))
+
+
+def _entries(roof: RoofFunction, x: "Point", table, top: int) -> np.ndarray:
+    """The integer entry times E_0 = 0, E_1, ... of the cells along x under the
+    roof values scaled to `table`, past `top` (int64 while they and `top` fit)."""
+    count = top // min(table) + 2
+    table = np.array(table, dtype=np.int64 if max(count * max(table), top) < 1 << 63 else object)
+    return np.concatenate(([0], np.cumsum(roof.values_along(x.prefix(count + roof.depth),
+                                                            count, table))))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ from ergode.measures import (
     Mixture,
     Harmonic,
     CylinderIndicator,
-    SymbolFrequency,
     FiberProfile,
     Constant,
     TimeShifted,
@@ -174,7 +173,7 @@ def test_map_flow_classification_inclusions():
             cps = tuple(cp * c for cp in sched.checkpoints)
             return Schedule(tuple(int(round(v)) for v in cps) if integral else cps)
 
-        freq = SymbolFrequency(0)
+        freq = CylinderIndicator((0,))
         suite = _inclusion_suite_points(FullShift(2), mu, seed=2000 + int(c), n_total=50)
         g_breaks = i_breaks = 0
         for tag, x, blocks in suite:
@@ -220,7 +219,7 @@ def test_rotation_flow_generic_but_rational_time_map_not():
 def test_oscillating_point_is_irregular_with_high_entropy_level_set():
     shift = FullShift(2)
     rec = irregular_point(shift, 0, 0.3, 0.7, first_block=8, ratio=4)
-    v = classify_irregular(shift, rec.point, SymbolFrequency(0), rec.schedule(), 0.02)
+    v = classify_irregular(shift, rec.point, CylinderIndicator((0,)), rec.schedule(), 0.02)
     windows = rec.oscillation_windows(scales=4, slack=0.1)
     s_max = windows.windows[-1][0]
     est = bowen_entropy_symbolic(shift, windows, depths=(s_max, 1000, 2000))
@@ -326,7 +325,7 @@ def _change_of_variable_pairs():
              Point(ExplicitWord((1, 0)), fiber=0.8 * c)),
             (0.35, 0.65),
         )
-        obs = (CylinderIndicator((0,)), CylinderIndicator((1, 0)), SymbolFrequency(0), hat)
+        obs = (CylinderIndicator((0,)), CylinderIndicator((1, 0)), CylinderIndicator((0,)), hat)
         for t in (0.25 * c, 0.5 * c, 1.0 * c, 1.75 * c):
             for phi in obs:
                 pairs.append((flow, t, mu0, phi))

@@ -29,7 +29,6 @@ from ergode.measures import (
     CylinderIndicator,
     FiberProfile,
     Harmonic,
-    SymbolFrequency,
     TestFamily,
     evaluate,
     integrate,
@@ -150,12 +149,12 @@ def test_classify_generic_labels():
 def test_classify_irregular_and_regular():
     fs = FullShift(2)
     rec = irregular_point(fs, 0, 0.3, 0.7, ratio=4)
-    osc = classify_irregular(fs, rec.point, SymbolFrequency(0), rec.schedule())
+    osc = classify_irregular(fs, rec.point, CylinderIndicator((0,)), rec.schedule())
     assert osc.label == "Irregular"
     assert osc.gap >= 0.18
 
     tame = classify_irregular(
-        fs, Point(SeededIID(2, (0.5, 0.5))), SymbolFrequency(0),
+        fs, Point(SeededIID(2, (0.5, 0.5))), CylinderIndicator((0,)),
         Schedule((1000, 2000, 4000, 8000)),
     )
     assert tame.label == "Regular"
@@ -171,7 +170,7 @@ def test_empirical_measure_merges_repeated_orbit_points():
 def test_limit_point_set_sees_both_oscillation_targets():
     fs = FullShift(2)
     rec = irregular_point(fs, 0, 0.3, 0.7, ratio=4)
-    fam = TestFamily((SymbolFrequency(0),))
+    fam = TestFamily((CylinderIndicator((0,)),))
     classes = limit_point_set(fs, rec.point, fam, rec.schedule(), tol=0.05)
     got = sorted(c.integrals[0] for c in classes)
     assert len(classes) == 2
@@ -181,7 +180,7 @@ def test_limit_point_set_sees_both_oscillation_targets():
 
 def test_limit_point_set_single_class_for_generic_orbit():
     fs = FullShift(2)
-    fam = TestFamily((SymbolFrequency(0),))
+    fam = TestFamily((CylinderIndicator((0,)),))
     classes = limit_point_set(fs, Point(SeededIID(4, (0.5, 0.5))), fam,
                               Schedule.geometric(1000, 64000), tol=0.05)
     assert len(classes) == 1
@@ -222,7 +221,7 @@ def flow_average_reference(flow, x, phi, T):
     if isinstance(base_phi, Constant):
         base_vals = np.full(last + 1, base_phi.value)
     else:
-        word = base_phi.word if isinstance(base_phi, CylinderIndicator) else (base_phi.symbol,)
+        word = base_phi.word
         if base_phi.component is not None and x.component != base_phi.component:
             return 0.0
         arr = np.asarray(x.prefix(last + 1 + len(word)))
@@ -296,7 +295,7 @@ def map_profile_reference(tmap, x, phi, cps, steps=map_steps_reference):
     """Running map averages from a per-step gather of the base symbols."""
     if isinstance(phi, Constant):
         return np.full(len(cps), phi.value)
-    word = phi.word if isinstance(phi, CylinderIndicator) else (phi.symbol,)
+    word = phi.word
     if phi.component is not None and x.component != phi.component:
         return np.zeros(len(cps))
     idx = steps(tmap, x, cps[-1])
@@ -318,8 +317,8 @@ POINTS = {
 }
 TENT = ((0.0, 0.0), (0.3, 1.0), (0.5, 0.25), (2.0, 0.5))
 OBSERVABLES = [
-    SymbolFrequency(1), CylinderIndicator((1, 0, 1)), Constant(0.75),
-    FiberProfile(SymbolFrequency(0), TENT), FiberProfile(Constant(2.0), TENT),
+    CylinderIndicator((1,)), CylinderIndicator((1, 0, 1)), Constant(0.75),
+    FiberProfile(CylinderIndicator((0,)), TENT), FiberProfile(Constant(2.0), TENT),
 ]
 
 
@@ -387,15 +386,45 @@ def test_flow_profile_matches_exact_rational_arithmetic():
         assert got == pytest.approx(float(total / Fraction(T)), rel=2e-15, abs=0.0)
 
 
+@pytest.mark.parametrize("fiber", [0.0, 0.1, 0.2])
+@pytest.mark.parametrize("roof", [RoofFunction.constant(c) for c in (0.3, 0.7, 0.75, 1.1)]
+                         + [RoofFunction(1, (0.7, 1.3), 2)], ids=_grid_id)
+def test_a_flow_checkpoint_on_a_cell_top_ends_in_that_cell(roof, fiber):
+    """A checkpoint T with f + T exactly the top of cell m, in the decimals
+    that f, T and the roof values print as, ends in cell m: the cell whose
+    top first reaches f + T, read from the `Fraction` sums of the roofs."""
+    flow, count = Suspension(FullShift(2), roof), 120
+    x = Point(SeededIID(11, (0.5, 0.5)), fiber=fiber)
+    vals = roof.values_along(np.asarray(x.prefix(count + roof.depth)), count).tolist()
+    tops = np.cumsum([Fraction(repr(v)) for v in vals]) - Fraction(repr(fiber))
+    cps = tuple(float(top) for top in tops)
+    assert [Fraction(repr(T)) for T in cps] == tops.tolist()
+    ends, _ = birkhoff._cell_plan(flow, x, cps)
+    assert list(ends) == list(range(count))
+
+
+def test_a_checkpoint_a_rounding_past_a_cell_top_reads_an_empty_last_cell():
+    """In decimals f0 + T is 4.200000000000000058, just past the top 14 * 0.3
+    of cell 13, so it ends in cell 14; the float sum f0 + T lies below the
+    float 14 * 0.3, and a fiber profile must still read that cell as empty."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.3))
+    x = Point(SeededIID(11, (0.5, 0.5)), fiber=0.010531594784353058)
+    T = 4.189468405215647
+    assert birkhoff._cell_plan(flow, x, (T,))[0] == [14]
+    phi = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.15, 1.0), (0.3, 0.0)))
+    assert flow_average_profile(flow, x, phi, Schedule((T,)))[0] == \
+        pytest.approx(flow_average_reference(flow, x, phi, T), rel=1e-12)
+
+
 def test_suspension_readers_respect_the_component():
     union = DisjointUnion(FullShift(2), FullShift(2))
     flow = Suspension(union, RoofFunction.constant(0.75))
     x = Point(SeededIID(5, (0.5, 0.5)), component=1, fiber=0.1)
     sched = Schedule((3.0, 30.0, 300.0))
-    for phi in (SymbolFrequency(0, component=0), CylinderIndicator((1, 1), component=0)):
+    for phi in (CylinderIndicator((0,), component=0), CylinderIndicator((1, 1), component=0)):
         assert flow_average_profile(flow, x, phi, sched).tolist() == [0.0] * 3
         assert birkhoff_profile(TimeTMap(flow, 0.3), x, phi, Schedule((3, 30, 300))).tolist() == [0.0] * 3
-    own = SymbolFrequency(0, component=1)
+    own = CylinderIndicator((0,), component=1)
     np.testing.assert_allclose(
         flow_average_profile(flow, x, own, sched),
         [flow_average_reference(flow, x, own, T) for T in sched.checkpoints], rtol=1e-12)
@@ -409,16 +438,17 @@ def test_fiber_outside_the_roof_is_refused_on_both_paths(fiber, point):
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
     x = POINTS[point].with_fiber(fiber)
     with pytest.raises(ValueError, match="fiber coordinate"):
-        flow_average_profile(flow, x, SymbolFrequency(0), Schedule((10.0,)))
+        flow_average_profile(flow, x, CylinderIndicator((0,)), Schedule((10.0,)))
     with pytest.raises(ValueError, match="fiber coordinate"):
-        birkhoff_profile(TimeTMap(flow, 1.0), x, SymbolFrequency(0), Schedule((10,)))
+        birkhoff_profile(TimeTMap(flow, 1.0), x, CylinderIndicator((0,)), Schedule((10,)))
 
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_time_t_map_of_a_suspension_refuses_negative_t(point):
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), -1.0)
     with pytest.raises(ValueError, match="forward in time"):
-        birkhoff_profile(tmap, POINTS[point].with_fiber(0.0), SymbolFrequency(0), Schedule((10,)))
+        birkhoff_profile(tmap, POINTS[point].with_fiber(0.0), CylinderIndicator((0,)),
+                         Schedule((10,)))
 
 
 def test_family_profiles_on_a_time_t_map_match_the_single_profiles():
@@ -580,7 +610,7 @@ def test_a_tiny_time_reads_every_step_in_cell_0():
     flow = Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2))
     x = Point(ExplicitWord((0, 1)), fiber=0.0)
     sched = Schedule.for_map()
-    assert birkhoff_profile(TimeTMap(flow, 1e-17), x, SymbolFrequency(0), sched).tolist() == \
+    assert birkhoff_profile(TimeTMap(flow, 1e-17), x, CylinderIndicator((0,)), sched).tolist() == \
         [1.0] * len(sched.checkpoints)
     assert time_t_map(flow, 5e-324, x) == x.with_fiber(5e-324)
 
@@ -699,7 +729,7 @@ TAIL_ROOFS = [RoofFunction.constant(v) for v in (1.0, 2.0, 0.75, 0.3)] + [
     RoofFunction(2, (0.7, 1.3, 1.1, 0.45), 2),
 ]
 TAIL_OBSERVABLES = TestFamily.default_for(FullShift(2), depth=3).observables + (
-    SymbolFrequency(0), FiberProfile(SymbolFrequency(1), TENT),
+    CylinderIndicator((0,)), FiberProfile(CylinderIndicator((1,)), TENT),
 )
 
 
@@ -764,9 +794,9 @@ def test_steered_profiles_are_those_of_the_chunked_path(name, k, symbol, offset)
     fiber = None if system.symbolic else 0.0
     x = Point(rec.point.rule, offset, fiber=fiber)
     ref = Point(word, offset, fiber=fiber)
-    obs = [SymbolFrequency(s) for s in range(k)] + [Constant(0.75)]
+    obs = [CylinderIndicator((s,)) for s in range(k)] + [Constant(0.75)]
     if system.is_flow:
-        obs.append(FiberProfile(SymbolFrequency(symbol), TENT))
+        obs.append(FiberProfile(CylinderIndicator((symbol,)), TENT))
     cps = rec.block_ends + (12_000, 20_001)    # the last two where the last block repeats
     sched = Schedule(tuple(float(e) for e in cps)) if system.is_flow else Schedule(cps)
     fam = TestFamily(tuple(obs))
@@ -775,7 +805,7 @@ def test_steered_profiles_are_those_of_the_chunked_path(name, k, symbol, offset)
     want = classify_generic(system, ref, None, fam, sched, keep_profile=True,
                             targets=np.zeros(len(obs))).profile
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    phi = SymbolFrequency(symbol)
+    phi = CylinderIndicator((symbol,))
     got, want = (classify_irregular(system, p, phi, sched, keep_profile=True) for p in (x, ref))
     assert (got.label, got.gap, np.array(got.profile).tobytes()) == \
         (want.label, want.gap, np.array(want.profile).tobytes())
@@ -792,7 +822,7 @@ def test_an_irregular_read_of_a_default_steered_point_builds_no_long_stream(syst
     sched = rec.schedule()
     if not system.is_flow:
         sched = Schedule(tuple(int(c) for c in sched.checkpoints))
-    verdict = classify_irregular(system, rec.point.with_fiber(0.0), SymbolFrequency(0), sched)
+    verdict = classify_irregular(system, rec.point.with_fiber(0.0), CylinderIndicator((0,)), sched)
     assert verdict.label == "Irregular"
     held = [a for v in rec.point.rule._buf.values()
             for a in (v if isinstance(v, tuple) else (v,))]
@@ -820,9 +850,9 @@ def batch_family(space, depth):
     constant and a symbol frequency; a flow adds fiber-graded observables."""
     base = space.flow.base if isinstance(space, TimeTMap) else getattr(space, "base", space)
     obs = TestFamily.default_for(base, depth=depth).observables + (
-        Constant(0.75), SymbolFrequency(0))
+        Constant(0.75), CylinderIndicator((0,)))
     if space.is_flow:
-        obs += (FiberProfile(SymbolFrequency(1), TENT), FiberProfile(Constant(2.0), TENT))
+        obs += (FiberProfile(CylinderIndicator((1,)), TENT), FiberProfile(Constant(2.0), TENT))
     return obs
 
 

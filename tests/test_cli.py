@@ -895,7 +895,7 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     dynamics; the four labels are those of four separate verdicts."""
     from ergode import cli
     from ergode.birkhoff import Schedule, classify_generic, classify_irregular
-    from ergode.measures import Bernoulli, SymbolFrequency, TestFamily, time_average_measure
+    from ergode.measures import Bernoulli, CylinderIndicator, TestFamily, time_average_measure
     from ergode.systems import TimeTMap
 
     reads, suite, verdicts = [], [], {}
@@ -935,7 +935,7 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     tmap, c = TimeTMap(flow, 1.0), flow.roof.roof_max
     fam = TestFamily.default_for(flow.base, depth=3)
     mubar = time_average_measure(flow, Bernoulli((0.5, 0.5)), 16)
-    freq = SymbolFrequency(0)
+    freq = CylinderIndicator((0,))
     base = cfg["schedule"]["checkpoints"]
 
     def sched(checkpoints, integral):

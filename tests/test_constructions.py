@@ -14,7 +14,7 @@ from ergode.systems import (
     Suspension,
     random_point,
 )
-from ergode.measures import Bernoulli, Markov, Mixture, SymbolFrequency, TestFamily
+from ergode.measures import Bernoulli, Markov, Mixture, TestFamily
 from ergode.birkhoff import Schedule, classify_generic
 from ergode.constructions import (
     GluingError,

@@ -172,7 +172,7 @@ EXPECTED = {
         'TypeError',
         'TypeError',
         '0x1.da81b4e81b4eap-1 0x1.d6c33e1f67155p-1',
-        '0x1.c20c49ba5e352p-1 0x1.bc54a69217360p-1',
+        '0x1.c20c49ba5e353p-1 0x1.bc54a69217362p-1',     # exact cell entries, not a float cumsum
         'TypeError',
     ),
     'composed-suspension': (
@@ -182,7 +182,7 @@ EXPECTED = {
         '0x1.ae147ae147ae1p-3',
         '0x1.5f15f15f15f17p-3',
         'TypeError',
-        'ValueError',
+        '0x1.0000000000000p+0',     # an atom flows from the zero fiber
         '0x1.ae147ae147ae1p-3',
         'TypeError',
         'TypeError',
@@ -216,3 +216,12 @@ EXPECTED = {
 def test_each_reader_answers_each_observable_kind_as_pinned(observable, reader):
     want = EXPECTED[observable][list(READERS).index(reader)]
     assert outcome(READERS[reader], OBSERVABLES[observable]) == want
+
+
+@pytest.mark.parametrize("t", [0.3, 0.9])
+def test_an_atom_integrates_a_composed_observable_as_its_pushforward_does(t):
+    """integrate(mu, phi o flow_t) is integrate(flow_t mu, phi) for an atom too:
+    a symbolic atom moves from the zero fiber, as under `TimeShifted`."""
+    phi = CylinderIndicator((0, 1))
+    lhs = integrate(ATOM, compose_with_flow(FLOW, t, phi))
+    assert lhs == integrate(TimeShifted(FLOW, t, ATOM), phi) == (1.0 if t < 0.75 else 0.0)
