@@ -110,12 +110,12 @@ class _Chain(_Piece):
         if not isinstance(flow, Suspension):
             return super().shifted_integral(flow, s, phi)
         roof = flow.roof
-        if phi.depth is None:
-            raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
         if s < roof.roof_min:
             # no roof crossing: the fiber lands at s and the base is untouched
             factor, base = phi.on_fiber(s)
             return factor * integrate(self, base)
+        if phi.depth is None:
+            raise TypeError(f"cannot integrate {type(phi).__name__} on a suspension space")
         need = int(s / roof.roof_min) + 1 + phi.depth + roof.depth + 1
         k = flow.base.alphabet              # TypeError over a disjoint union
         if k ** need > 1 << 16:
