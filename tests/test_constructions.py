@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ergode.systems import (
+    BlockSchedule,
     DisjointUnion,
     ExplicitWord,
     FullShift,
@@ -272,6 +274,28 @@ def test_golden_mean_block_point_is_admissible_and_generic():
     sched = Schedule((1 << 16, 1 << 18, 1 << 20))
     verdict = classify_generic(GOLDEN_MEAN, x, GOLDEN_MEAN_CHAIN, fam, sched, 0.02)
     assert verdict.label == "Generic"
+
+
+# a vertex shift whose rounds end in 2 and start with 0, where 2 -> 0 is
+# forbidden: every stage seam and many junctions inside a round need a connector
+SEAMED = MarkovShift(3, ((1, 1, 0), (1, 0, 1), (0, 1, 1)))
+SEAMED_CHAIN = Markov.from_transitions(((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)))
+
+
+@pytest.mark.parametrize("system, mu, shape, digest", [
+    (GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, [(9, 1), (24, 2), (66, 4), (163, 8), (390, 16)],
+     "3c255d3781f484c2f273b64db79ec31b6a308dc8aef11b180ff338ec5538ebcb"),
+    (SEAMED, SEAMED_CHAIN, [(20, 1), (90, 2), (343, 4), (1296, 8)],
+     "8722ef2ee0310fbe153edcae26c4bc2b1207be298e2f4b873c3ef1f6b910488f"),
+])
+def test_block_schedule_of_a_vertex_shift_is_as_pinned(system, mu, shape, digest):
+    """The stage rounds, their junction connectors and their seam connectors,
+    pinned by each block's (length, repeats) and the sha256 of the blocks' repr."""
+    blocks = generic_point(system, mu, "deterministic-blocks", horizon=3000,
+                           first_stage=2).rule.blocks
+    assert [(len(pattern), reps) for pattern, reps in blocks] == shape
+    assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
+    system.admits(BlockSchedule(blocks))
 
 
 def test_markov_walk_of_no_steps_is_empty():
