@@ -11,18 +11,18 @@ those that share a chart are read together, one count per chunk.  The
 reader asks each observable (see `measures.Observable`), never its kind: a
 `constant` is its value; rotation and translation flows take its
 `line_average` (a harmonic's, in closed form); circle and torus maps sum its
-values `along` the materialised orbit.  Symbolic orbits (shifts, suspension
-flows and the time-t maps of suspensions) are cut into base cells (symbol
-offsets), and each full cell weighs the hits of the word the observable has
-`counted` by what the orbit spends in it: map steps, or its fiber `mass`
-under the cell's roof.
-Word hits are counted per (point, word code, weight class) between
-consecutive checkpoints, in bounded chunks, so no full-length temporary is
-held; the partial first cell of a flow (from its fiber) and the partial
-last cell are added on top, which makes suspension flow averages exact.  A
-shift and the time-t map of a suspension read their cells from the exact
-integer chart of `systems` (the one `time_t_map` steps by), so a map's
-cells carry no float rounding, and under a constant roof cost no table.
+values `along` the system's `orbit` (exact under circle multiplication).  A
+system whose `carrier` is symbolic (a shift, a suspension or its time-t map)
+is read in base cells (symbol offsets), and each full cell weighs the hits of
+the word the observable has `counted` by what the orbit spends in it: map
+steps, or its fiber `mass` under the cell's roof.  Word hits are counted
+per (point, word code, weight class) between consecutive checkpoints, in
+bounded chunks, so no full-length temporary is held; the partial first cell
+of a flow (from its fiber) and the partial last cell are added on top, which
+makes suspension flow averages exact.  A shift and the time-t map of a
+suspension read their cells from the exact integer chart of `systems` (the
+one `time_t_map` steps by), so a map's cells carry no float rounding, and
+under a constant roof cost no table.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -39,8 +39,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, CircleRotation, Coordinate, DisjointUnion,
-    Point, Suspension, TimeTMap, _decimals, _entries, _fiber, _map_chart,
+    BudgetExhausted, Coordinate, Point, _decimals, _entries, _fiber, _map_chart,
 )
 from .measures import Atomic, TestFamily, integrate
 
@@ -99,30 +98,6 @@ class Verdict:
 
 
 # ---------------------------------------------------------------------------
-# orbit materialisation
-
-
-def _orbit_coords(system, x: Point, n: int) -> np.ndarray:
-    if isinstance(system, CircleRotation):
-        return (x.coords[0] + system.theta * np.arange(n)) % 1.0
-    if isinstance(system, CircleMult):
-        # chaotic; this is the usual shadow orbit in double precision
-        out = np.empty(n)
-        c = x.coords[0]
-        for j in range(n):
-            out[j] = c
-            c = (c * system.n) % 1.0
-        return out
-    if isinstance(system, TimeTMap) and system.flow.isometric:
-        return (x.coords[0] + system.t * system.flow.speed * np.arange(n)) % 1.0
-    raise TypeError(f"no coordinate orbit for {type(system).__name__}")
-
-
-def _is_symbolic_path(system) -> bool:
-    return system.symbolic or (isinstance(system, TimeTMap) and isinstance(system.flow, Suspension))
-
-
-# ---------------------------------------------------------------------------
 # base cells
 #
 # A symbolic orbit is read one base cell (one symbol offset) at a time.  A
@@ -161,7 +136,7 @@ def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
     Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
     fixed = [phi.constant for phi in obs]
     reads = [phi for phi, c in zip(obs, fixed) if c is None]
-    if reads and (flow and not system.isometric or _is_symbolic_path(system)):
+    if reads and system.carrier.symbolic:
         groups = _cell_profiles(system, points, reads, Ts)
     else:
         groups = (_line_profiles(system, x, reads, Ts) for x in points)
@@ -177,7 +152,7 @@ def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
     if system.is_flow:
         return np.array([[[phi.line_average(x.coords[0], system.speed, T)
                            for phi in phis] for T in Ts]])
-    coords = _orbit_coords(system, x, Ts[-1]) if phis else None
+    coords = system.orbit(x, Ts[-1]) if phis else None
     sums = [np.cumsum(phi.along(coords)) for phi in phis]
     return np.array([[[cs[n - 1] / n for cs in sums] for n in Ts]])
 
@@ -200,11 +175,8 @@ def _cell_profiles(system, points, observables, Ts):
     checkpoint, word).  A depth-1 read in which every full cell weighs the
     same counts a rule that has `counts` from its recipe, building no symbols.
     """
-    flow = system.is_flow
-    suspension = system if flow else getattr(system, "flow", None)
-    base = system if suspension is None else suspension.base
-    sides = (base.left, base.right) if isinstance(base, DisjointUnion) else (base,)
-    k = max(side.alphabet for side in sides)     # a code base above every symbol
+    flow, space = system.is_flow, system.space      # a time-t map reads its flow's fibers
+    k = max(side.alphabet for side in system.carrier.sides)     # a code base above every symbol
     words = []                  # (word code or None, word length, scale, mass, component)
     for phi in observables:
         word, comp, scale = phi.counted(flow)
@@ -214,8 +186,8 @@ def _cell_profiles(system, points, observables, Ts):
     depth = max(1, *(w[1] for w in words))
     group, rows, key = [], [], None
     for x in points:
-        shared = 0 if suspension is None else (     # the fiber, under a constant roof
-            _fiber(suspension, x) if suspension.roof.depth == 0 else object())
+        shared = 0 if not space.is_flow else (     # the fiber, under a constant roof
+            _fiber(space, x) if space.roof.depth == 0 else object())
         if group and (shared != key or (len(group) + 1) * need > _CELL_CHUNK):
             yield _group_profiles(system, group, rows, words, depth, k, Ts, ends, chart)
             group, rows = [], []
@@ -392,7 +364,7 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
     symbols, or 1e-12 in coordinates)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    symbolic = _is_symbolic_path(system)
+    symbolic = system.carrier.symbolic and not system.is_flow   # a flow has no orbit
     if symbolic:
         arr, cells = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
         if not cells.whole_steps(n):
@@ -402,7 +374,7 @@ def empirical_measure(system, x: Point, n: int) -> Atomic:
         idx = cells.cells(n)
         keys = np.lib.stride_tricks.sliding_window_view(arr, _EMPIRICAL_KEY_DEPTH)[idx]
     else:
-        coords = _orbit_coords(system, x, n)
+        coords = system.orbit(x, n)
         keys = np.round(coords * 1e12).astype(np.int64)
     uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
     if len(uniq) > _EMPIRICAL_BUDGET:

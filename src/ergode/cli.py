@@ -19,9 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .systems import (
-    BlockSchedule, BudgetExhausted, Coordinate, DisjointUnion, ExplicitWord,
-    FullShift, Point, SeededIID, SteeredBlocks, Suspension, TimeTMap,
-    _fiber, random_point,
+    BlockSchedule, BudgetExhausted, Coordinate, ExplicitWord, FullShift, Point,
+    SeededIID, SteeredBlocks, Suspension, TimeTMap, _fiber, random_point,
 )
 from .measures import (
     Bernoulli, CylinderIndicator, Markov, TestFamily, check_invariance,
@@ -65,15 +64,12 @@ def _resolve_point(obj, system, rng):
     if obj.get("kind") == "random":
         return _random_point(system, rng)
     point = build_point(obj)
-    space = system.flow if isinstance(system, TimeTMap) else system
-    side = space.base if isinstance(space, Suspension) else space
-    if isinstance(side, DisjointUnion):     # the point's side; an untagged point has none
-        side = side.side(point.component) if point.component in (0, 1) else None
     try:
+        side = system.carrier.side(point.component)     # None for an untagged union point
         if side is not None and point.is_symbolic != side.symbolic:
             raise ValueError(f"a {obj['kind']} point is not a point of {type(side).__name__}")
-        if space.is_flow and point.is_symbolic:     # a suspension point, under the roof
-            _fiber(space, point)
+        if system.space.is_flow and point.is_symbolic:  # a suspension point, under the roof
+            _fiber(system.space, point)
         if side is not None and side.symbolic:
             side.admits(point.rule)
     except ValueError as exc:
@@ -87,9 +83,8 @@ def _measure(cfg, system):
     if cfg.get("measure") is None:        # a map's inclusion suite has no default
         raise ConfigError(f"command '{cfg['command']}' requires field 'measure'")
     mu = build_measure(cfg["measure"])
-    space = system.flow if isinstance(system, TimeTMap) else system
     try:
-        check_invariance(mu, space.base if isinstance(space, Suspension) else space)
+        check_invariance(mu, system.carrier)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad measure: {exc}") from None
     return mu
@@ -310,11 +305,11 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     tol = cfg["tolerance"]
     depths = tuple(cfg["depths"])
     flow = system.is_flow
-    inner = system.base if isinstance(system, Suspension) else system
+    inner = system.carrier if flow else system
     with timed() as t:
         h_mu = metric_entropy(mu, inner)
     rows.append(Row(eid, "metric_entropy", h_mu, h_mu, h_mu, {}, t.ms))
-    if isinstance(inner, DisjointUnion) and len({p.component for w, p in mu.pieces if w}) > 1:
+    if len(inner.sides) > 1 and len({p.component for w, p in mu.pieces if w}) > 1:
         # nonergodic strict case: mu charges both sides, so the generic set is empty
         window = ComponentWindow(0.25, 0.75)
         with timed() as t:

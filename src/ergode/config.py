@@ -189,13 +189,6 @@ def build_mistake_function(obj: Optional[dict]) -> MistakeFunction:
     return MistakeFunction.zero() if obj is None else build("mistake function", obj)
 
 
-def _time_t_map(f):
-    flow = build_system(f["flow"])
-    if isinstance(flow, Suspension) and f["t"] < 0:
-        raise ValueError("a time-t map of a suspension needs t > 0: its symbol stream is one-sided")
-    return TimeTMap(flow, f["t"])
-
-
 def _markov(f):
     P = tuple(tuple(r) for r in f["transitions"])
     if f["stationary"] is None:
@@ -282,7 +275,8 @@ SECTIONS = {
         "suspension": Kind(
             lambda f: Suspension(build_system(f["base"]), build("roof", f["roof"])),
             {"base": SYSTEM, "roof": ("ref", "roof")}),
-        "time-t-map": Kind(_time_t_map, {"flow": SYSTEM, "t": NUM}),
+        "time-t-map": Kind(lambda f: TimeTMap(build_system(f["flow"]), f["t"]),
+                           {"flow": SYSTEM, "t": NUM}),
     }),
     # a roof has no kind field: it is constant when it names a constant
     "roof": Pick(lambda obj: "constant" if "constant" in obj else "table", {

@@ -25,7 +25,6 @@ budget; an inadmissible result is a bug and raises.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
@@ -182,34 +181,12 @@ class GluedOrbit:
     within_budget: bool
 
 
-def _shortest_connector(adjacency, a: int, target: int, cap: int):
-    """Shortest state word v_1..v_r with a->v_1->...->v_r->target admissible
-    (r may be 0).  None if no route within cap steps."""
-    k = len(adjacency)
-    if adjacency[a][target]:
-        return ()
-    seen = {a}
-    queue = deque([(a, ())])
-    while queue:
-        state, path = queue.popleft()
-        if len(path) >= cap:
-            continue
-        for nxt in range(k):
-            if not adjacency[state][nxt]:
-                continue
-            if adjacency[nxt][target]:
-                return path + (nxt,)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, path + (nxt,)))
-    return None
-
-
 def _overwrite_connector(adjacency, a: int, glued: np.ndarray, T: int, cap: int):
     """Replacement v_1..v_r for glued[T:T+r] making a -> v_1 -> ... -> v_r ->
     glued[T+r] admissible, with r as small as possible.  The layer-by-layer
     walk keeps exact path lengths, so the overwritten zone never shifts the
-    segment alignment.  None if nothing works within cap."""
+    segment alignment.  None if nothing works within cap.  On a constant
+    target b it is a shortest connector from a to b of at most cap - 1 states."""
     k = len(adjacency)
     layers = [{a: None}]
     for r in range(cap):
@@ -249,7 +226,7 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
         g = MistakeFunction.zero()
     if len(segments) < 2:
         raise ValueError("gluing needs at least two segments")
-    if not system.symbolic or isinstance(system, DisjointUnion):
+    if not system.symbolic or len(system.sides) > 1:
         raise TypeError("gluing is implemented on a single shift space")
     k = system.alphabet
     L = _resolution_length(eps)
@@ -325,7 +302,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     if not isinstance(mu, (Bernoulli, Markov)):
         raise TypeError("generic points are built for Bernoulli and Markov targets")
     check_invariance(mu, system)        # a shift (a tagged union side) that carries mu
-    if isinstance(system, DisjointUnion):
+    if len(system.sides) > 1:
         inner = generic_point(system.side(mu.component), replace(mu, component=None), kind,
                               seed, horizon, first_stage)
         return Point(inner.rule, inner.offset, component=mu.component)
@@ -337,6 +314,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     if kind != "deterministic-blocks":
         raise ValueError("kind must be 'deterministic-blocks' or 'seeded-iid'")
     adjacency = system.adjacency if isinstance(system, MarkovShift) else None
+    cap = 2 * k + 3                   # a connector holds at most 2k + 2 states
     rounds = []                       # (round array, repeats) per stage
     total = 0
     L = first_stage
@@ -354,8 +332,8 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         # seam connectors keep the tiling admissible: within the stage a round
         # feeds back into itself, at the stage end it feeds the next stage
         nxt_first = int(rounds[i + 1][0][0]) if i + 1 < len(rounds) else int(flat[0])
-        self_conn = _shortest_connector(adjacency, int(flat[-1]), int(flat[0]), 2 * k + 2)
-        cross_conn = _shortest_connector(adjacency, int(flat[-1]), nxt_first, 2 * k + 2)
+        self_conn, cross_conn = (_overwrite_connector(adjacency, int(flat[-1]), np.full(cap, b),
+                                                      0, cap) for b in (int(flat[0]), nxt_first))
         if self_conn is None or cross_conn is None:
             raise GluingError("no connector exists between stages")
         body = tuple(flat.tolist())
@@ -422,7 +400,7 @@ def _stage_round(mu, k: int, L: int, adjacency) -> np.ndarray:
 
 def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
     """Insert shortest connectors wherever consecutive symbols are forbidden."""
-    k = len(adjacency)
+    cap = 2 * len(adjacency) + 3
     adj = np.asarray(adjacency)
     bad = np.nonzero(adj[flat[:-1], flat[1:]] == 0)[0]
     if len(bad) == 0:
@@ -434,7 +412,7 @@ def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
         pieces.append(flat[prev:idx + 1])
         pair = (int(flat[idx]), int(flat[idx + 1]))
         if pair not in connectors:
-            conn = _shortest_connector(adjacency, pair[0], pair[1], 2 * k + 2)
+            conn = _overwrite_connector(adjacency, pair[0], np.full(cap, pair[1]), 0, cap)
             if conn is None:
                 raise GluingError("no connector exists between stage words")
             connectors[pair] = np.asarray(conn, dtype=flat.dtype)

@@ -46,8 +46,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, DisjointUnion, FullShift, MarkovShift, Point,
-    Suspension, TimeTMap, _chart,
+    BudgetExhausted, CircleMult, FullShift, MarkovShift, Point, Suspension, TimeTMap,
+    _chart,
 )
 
 __all__ = [
@@ -150,7 +150,7 @@ def _shift_pairs(system, subset) -> list:
     a component window into the sides its fractions keep, a tagged
     frequency window into its side.  Every other pair, and a window on a
     symbol outside the shift's alphabet, raises here."""
-    if isinstance(system, DisjointUnion):
+    if len(system.sides) > 1:
         tag = getattr(subset, "component", None)
         if tag in (0, 1):
             return _shift_pairs(system.side(tag), replace(subset, component=None))
@@ -161,7 +161,7 @@ def _shift_pairs(system, subset) -> list:
         else:
             raise UnsupportedSubset(f"no count of {type(subset).__name__} on a disjoint "
                                     "union (a frequency window needs a component tag 0 or 1)")
-        return [pair for side, keep in zip((system.left, system.right), kept) if keep
+        return [pair for side, keep in zip(system.sides, kept) if keep
                 for pair in _shift_pairs(side, WholeSpace())]
     if getattr(subset, "component", None) is not None:
         raise UnsupportedSubset(f"a component tag needs a disjoint union, not {system}")
@@ -420,8 +420,6 @@ def _integer_stride(system: TimeTMap):
     time is fractional: exactly, on t and the roof as `systems._chart`
     reads them."""
     c = _constant_roof(system.flow)
-    if system.t <= 0:
-        raise ValueError("the map time must be positive")
     chart = _chart(0.0, system.t, c)
     return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
 
@@ -483,9 +481,9 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
     depths = _depth_grid(depths, _DEFAULT_DEPTHS)
     if system.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
-    if isinstance(system, CircleMult):
+    if system.torus_dim:        # circle multiplication, the one circle map that expands
         return _mult_entropy(system, subset, depths)
-    if not (isinstance(system, TimeTMap) and isinstance(system.flow, Suspension)):
+    if system.space is system:  # not a time-t map, whose points live in a suspension
         return _estimate(system, subset, depths, lambda groups: groups, alpha_tol)
     stride, t = _integer_stride(system), system.t
     c = system.flow.roof.roof_max

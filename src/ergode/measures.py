@@ -30,8 +30,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, CircleMult, Coordinate, DisjointUnion, ExplicitWord, Point,
-    Suspension, TimeTMap, time_t_map,
+    BudgetExhausted, CircleMult, Coordinate, ExplicitWord, Point, Suspension, time_t_map,
 )
 
 __all__ = [
@@ -88,11 +87,10 @@ class _Piece:
 
 def _shift_of(system, component):
     """The shift a piece tagged `component` lives on (its side of a union)."""
-    if not isinstance(system, DisjointUnion):
-        return system
-    if component is None:
+    shift = system.side(component)
+    if shift is None:
         raise ValueError("measures on a disjoint union must carry a component tag")
-    return system.side(component)
+    return shift
 
 
 class _Chain(_Piece):
@@ -163,9 +161,7 @@ class _PointMass(_Piece):
         return phi.at(self.point)
 
     def shifted_integral(self, flow, s: float, phi) -> float:
-        x = self.point          # a symbolic atom flows from the zero fiber
-        x = x.with_fiber(0.0) if x.is_symbolic and x.fiber is None else x
-        return phi.at(time_t_map(flow, s, x))
+        return phi.at(time_t_map(flow, s, self.point))
 
     def check(self, system):
         """The atom's place: (component, its minimal period read from the point)."""
@@ -608,38 +604,29 @@ class TestFamily:
 
 
 def _default_observables(space, depth, max_frequency):
+    """Harmonics on a circle or torus; else the cylinders of each side of
+    the carrier (tagged on a union), and a fiber hat on a suspension."""
     if space.torus_dim:
         return [Harmonic(q, phase) for q in range(1, max_frequency + 1)
                 for phase in ("cos", "sin")]
-    if isinstance(space, TimeTMap):
-        return _default_observables(space.flow, depth, max_frequency)
-    if isinstance(space, Suspension):
-        base = _default_observables(space.base, depth, max_frequency)
-        hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
-        return base + [hat]
-    if isinstance(space, DisjointUnion):
-        return [CylinderIndicator(word, component=comp)
-                for length in range(1, depth + 1)
-                for comp, side in ((0, space.left), (1, space.right))
-                for word in product(range(side.alphabet), repeat=length)]
-    k = space.alphabet                  # a single shift space; TypeError elsewhere
-    return [CylinderIndicator(word) for length in range(1, depth + 1)
-            for word in product(range(k), repeat=length)]
+    sides = space.carrier.sides         # each a single shift space; TypeError elsewhere
+    hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
+    return [CylinderIndicator(word, component=comp if len(sides) > 1 else None)
+            for length in range(1, depth + 1) for comp, side in enumerate(sides)
+            for word in product(range(side.alphabet), repeat=length)] + [hat] * space.space.is_flow
 
 
 def _separation_probes(space):
     if space.torus_dim:
         dim = space.torus_dim
         return [Lebesgue(dim), Atomic((Point(Coordinate((1.0 / 3,) * dim)),), (1.0,))]
-    if isinstance(space, TimeTMap):
-        return _separation_probes(space.flow)
-    if isinstance(space, Suspension):
+    flow, sides = space.space, space.carrier.sides
+    if flow.is_flow:
         # inside the first fiber, where a base probe keeps its base integrals
-        return [TimeShifted(space, 0.5 * space.roof.roof_min, mu)
-                for mu in _separation_probes(space.base)]
-    if isinstance(space, DisjointUnion):
-        tl = replace(_separation_probes(space.left)[0], component=0)
-        tr = replace(_separation_probes(space.right)[0], component=1)
+        return [TimeShifted(flow, 0.5 * flow.roof.roof_min, mu)
+                for mu in _separation_probes(space.carrier)]
+    if len(sides) > 1:
+        tl, tr = (replace(_separation_probes(side)[0], component=c) for c, side in enumerate(sides))
         return [
             Mixture(((tl, 0.7), (tr, 0.3))),
             Mixture(((tl, 0.3), (tr, 0.7))),

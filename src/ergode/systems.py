@@ -6,9 +6,12 @@ and disjoint unions of two systems.  Flows: the unit-speed circle rotation
 flow, straight-line torus translations, and suspension flows over a symbolic
 base under a positive roof function.
 
-Where a suspension point is after time t is read from one exact time chart
-(the fiber, t and every roof value as the decimals they print as, over one
-denominator), by the time-t map readers and by `time_t_map` alike.
+Each system answers its callers' questions itself, so no other module
+unwraps a time-t map, a flow, a suspension or a union side.  Where a
+suspension point is after time t is read from one exact time chart (the
+fiber, t and every roof value as the decimals they print as, over one
+denominator), by the time-t map readers and by `time_t_map` alike; circle
+multiplication steps the exact orbit of the decimal its coordinate prints as.
 
 Points are immutable views into lazily materialised symbol streams (or real
 coordinate vectors).  Every consumer declares a horizon; nothing here ever
@@ -50,8 +53,13 @@ class _Descriptor:
     (continuous time), `isometric` (distances never grow, so every entropy
     is exactly 0), `symbolic` (points are symbol streams, the map is the
     shift), `torus_dim` (coordinate count of a circle or torus point, 0 for
-    every other space) and `alphabet` (symbol count of a single shift space;
-    TypeError elsewhere).  Read-only on the frozen descriptors."""
+    every other space), `alphabet` (symbol count of a single shift space),
+    `space` (where its points live: a time-t map's flow), `carrier` (where
+    their symbols and its measures live: a suspension's base), `sides` and
+    `side(component)` (a union's two, None for an untagged point),
+    `random_point(rng)`, a flow's `advance(t, x)` and a circle or torus map's
+    `orbit(x, n)` of the first coordinate.  A kind that cannot answer raises
+    TypeError.  Read-only on the frozen descriptors."""
 
     is_flow = False
     isometric = False
@@ -61,6 +69,33 @@ class _Descriptor:
     @property
     def alphabet(self) -> int:
         raise TypeError(f"no single alphabet for {type(self).__name__}")
+
+    @property
+    def space(self) -> "SpaceDescriptor":
+        return self
+
+    @property
+    def carrier(self) -> "SpaceDescriptor":
+        return self
+
+    @property
+    def sides(self) -> tuple:
+        return (self,)
+
+    def side(self, component: Optional[int]) -> "SpaceDescriptor":
+        return self
+
+    def random_point(self, rng: np.random.Generator) -> "Point":
+        """Uniform coordinates on a circle or torus."""
+        if not self.torus_dim:
+            raise TypeError(f"cannot sample from {type(self).__name__}")
+        return Point(Coordinate(tuple(float(v) for v in rng.random(self.torus_dim))))
+
+    def advance(self, t: float, x: "Point") -> "Point":
+        raise TypeError(f"cannot flow {type(self).__name__}")
+
+    def orbit(self, x: "Point", n: int) -> np.ndarray:
+        raise TypeError(f"no coordinate orbit for {type(self).__name__}")
 
 
 class _Shift(_Descriptor):
@@ -73,6 +108,14 @@ class _Shift(_Descriptor):
     def allows(self, a: int, b: int) -> bool:
         """May symbol b follow symbol a?  Always, on a full shift."""
         return True
+
+    def random_point(self, rng: np.random.Generator) -> "Point":
+        """iid uniform symbols: ValueError on a vertex shift that forbids a transition."""
+        if not all(self.allows(a, b) for a in range(self.k) for b in range(self.k)):
+            raise ValueError("an iid uniform stream leaves a vertex shift that "
+                             "forbids a transition; give the point explicitly")
+        seed = int(rng.integers(0, 2 ** 63 - 1))
+        return Point(SeededIID(seed, tuple(1.0 / self.k for _ in range(self.k))))
 
     def admits(self, rule) -> None:
         """ValueError unless every symbol of the rule's stream is in the
@@ -150,6 +193,15 @@ class CircleMult(_Descriptor):
         if self.n < 2:
             raise ValueError("circle multiplication needs n >= 2")
 
+    def orbit(self, x: "Point", n: int) -> np.ndarray:
+        """The exact orbit of the decimal the coordinate prints as (0.217 is
+        217/1000): r/q steps to (self.n * r mod q)/q, each point rounded once."""
+        q, (r,) = _decimals(x.coords[0])
+        out = np.empty(n)
+        for j in range(n):
+            out[j], r = r / q, r * self.n % q
+        return out
+
 
 @dataclass(frozen=True)
 class CircleRotation(_Descriptor):
@@ -163,6 +215,9 @@ class CircleRotation(_Descriptor):
         if not math.isfinite(self.theta):
             raise ValueError("rotation angle must be finite")
         object.__setattr__(self, "theta", self.theta % 1.0)
+
+    def orbit(self, x: "Point", n: int) -> np.ndarray:
+        return (x.coords[0] + self.theta * np.arange(n)) % 1.0
 
 
 @dataclass(frozen=True)
@@ -180,10 +235,19 @@ class DisjointUnion(_Descriptor):
     def symbolic(self) -> bool:
         return self.left.symbolic and self.right.symbolic
 
-    def side(self, component: int) -> "SystemDescriptor":
-        if component not in (0, 1):
+    @property
+    def sides(self) -> tuple:
+        return (self.left, self.right)
+
+    def side(self, component: Optional[int]) -> Optional["SystemDescriptor"]:
+        if component not in (None, 0, 1):
             raise ValueError("component must be 0 (left) or 1 (right)")
-        return self.left if component == 0 else self.right
+        return None if component is None else self.sides[component]
+
+    def random_point(self, rng: np.random.Generator) -> "Point":
+        component = int(rng.integers(0, 2))
+        inner = self.side(component).random_point(rng)
+        return Point(inner.rule, inner.offset, component)
 
 
 SystemDescriptor = Union[FullShift, MarkovShift, CircleMult, CircleRotation, DisjointUnion]
@@ -201,6 +265,9 @@ class CircleRotationFlow(_Descriptor):
     isometric = True
     torus_dim = 1
     speed = 1.0     # of the first coordinate, as for a torus translation
+
+    def advance(self, t: float, x: "Point") -> "Point":
+        return Point(Coordinate(((x.coords[0] + t) % 1.0,)))
 
 
 @dataclass(frozen=True)
@@ -223,6 +290,11 @@ class TorusTranslation(_Descriptor):
     def __post_init__(self):
         if not self.velocity or any(not math.isfinite(v) for v in self.velocity):
             raise ValueError("velocity must be a nonempty finite vector")
+
+    def advance(self, t: float, x: "Point") -> "Point":
+        if len(x.coords) != len(self.velocity):
+            raise ValueError("point dimension does not match the translation velocity")
+        return Point(Coordinate(tuple((c + t * v) % 1.0 for c, v in zip(x.coords, self.velocity))))
 
 
 @dataclass(frozen=True)
@@ -288,10 +360,37 @@ class Suspension(_Descriptor):
         if not self.base.symbolic:
             raise ValueError("suspension base must be a symbolic system")
         if self.roof.depth > 0:
-            if isinstance(self.base, DisjointUnion):
+            if len(self.base.sides) > 1:
                 raise ValueError("word-dependent roofs over disjoint unions are not supported")
             if self.roof.k != self.base.alphabet:
                 raise ValueError("roof alphabet must match the base alphabet")
+
+    @property
+    def carrier(self) -> SystemDescriptor:
+        return self.base
+
+    def random_point(self, rng: np.random.Generator) -> "Point":
+        base = self.base.random_point(rng)
+        return base.with_fiber(float(rng.random()) * self.roof.value_at(base))
+
+    def advance(self, t: float, x: "Point") -> "Point":
+        """Where x is after time t >= 0: in the cell that step 1 of the time-t
+        chart reads, at the exact fiber rounded once to a float.  An unset
+        fiber reads as 0; a coordinate point has no symbols to flow along."""
+        if t < 0:
+            raise ValueError("suspension flows run forward in time only")
+        if not x.is_symbolic:
+            raise TypeError("coordinate points have no symbol stream")
+        f0, roof = _fiber(self, x), self.roof
+        if roof.depth == 0:
+            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
+            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
+        else:       # walk the cells the step crosses, in the same integers
+            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
+            scaled, rest, m = dict(zip(roof.table, table)), f + tt, 0
+            while rest >= (r := scaled[roof.value_at(x, m)]):
+                rest, m = rest - r, m + 1
+        return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
 
 
 FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
@@ -307,6 +406,9 @@ class TimeTMap(_Descriptor):
     def __post_init__(self):
         if not self.flow.is_flow:
             raise ValueError(f"{type(self.flow).__name__} is not a flow")
+        if self.t < 0 and self.flow.carrier.symbolic:
+            raise ValueError("a time-t map of a suspension needs t > 0: "
+                             "its symbol stream is one-sided")
         if self.t == 0.0 or not math.isfinite(self.t):
             raise ValueError("time-t map needs a nonzero finite t")
 
@@ -317,6 +419,21 @@ class TimeTMap(_Descriptor):
     @property
     def torus_dim(self) -> int:
         return self.flow.torus_dim
+
+    @property
+    def space(self) -> FlowDescriptor:
+        return self.flow
+
+    @property
+    def carrier(self) -> "SpaceDescriptor":
+        return self.flow.carrier
+
+    def random_point(self, rng: np.random.Generator) -> "Point":
+        return self.flow.random_point(rng)
+
+    def orbit(self, x: "Point", n: int) -> np.ndarray:
+        """Along a straight-line flow, the first coordinate moves t * speed a step."""
+        return (x.coords[0] + self.t * self.flow.speed * np.arange(n)) % 1.0
 
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
@@ -427,8 +544,6 @@ def _map_chart(system, x: "Point", n: int):
     if system.symbolic:
         return _Chart(0, 1, 1)
     flow, t = system.flow, system.t
-    if t < 0:
-        raise ValueError("suspension flows run forward in time only")
     f0, roof = _fiber(flow, x), flow.roof
     if roof.depth == 0:
         return _chart(f0, t, roof.table[0])
@@ -730,65 +845,14 @@ class Point:
 
 
 def time_t_map(flow, t: float, x: Point) -> Point:
-    """Flow the point for time t.
-
-    Negative t is supported only for the invertible kinds (rotation flow,
-    torus translation).  Suspension points must carry a fiber coordinate
-    under the roof; they land in the cell that step 1 of the time-t chart
-    reads, at the exact fiber rounded once to a float.
-    """
+    """Flow the point for time t by the flow's `advance`; negative t only
+    under the invertible kinds (rotation flow, torus translation)."""
     if not math.isfinite(t):
         raise ValueError("flow time must be finite")
-    if isinstance(flow, CircleRotationFlow):
-        return Point(Coordinate(((x.coords[0] + t) % 1.0,)))
-    if isinstance(flow, TorusTranslation):
-        if len(x.coords) != len(flow.velocity):
-            raise ValueError("point dimension does not match the translation velocity")
-        moved = tuple((c + t * v) % 1.0 for c, v in zip(x.coords, flow.velocity))
-        return Point(Coordinate(moved))
-    if isinstance(flow, Suspension):
-        if t < 0:
-            raise ValueError("suspension flows run forward in time only")
-        if x.fiber is None:
-            raise ValueError("suspension points need a fiber coordinate")
-        f0, roof = _fiber(flow, x), flow.roof
-        if roof.depth == 0:
-            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
-            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
-        else:       # walk the cells the step crosses, in the same integers
-            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
-            scaled, rest, m = dict(zip(roof.table, table)), f + tt, 0
-            while rest >= (r := scaled[roof.value_at(x, m)]):
-                rest, m = rest - r, m + 1
-        return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
-    raise TypeError(f"cannot flow {type(flow).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# sampling
+    return flow.advance(t, x)
 
 
 def random_point(space, rng: np.random.Generator) -> Point:
     """A uniformly seeded point of the space (symbol streams are iid uniform,
     so a vertex shift that forbids a transition has none: ValueError)."""
-    if space.torus_dim:
-        return Point(Coordinate(tuple(float(v) for v in rng.random(space.torus_dim))))
-    if isinstance(space, MarkovShift) and not all(map(all, space.adjacency)):
-        raise ValueError("an iid uniform stream leaves a vertex shift that "
-                         "forbids a transition; give the point explicitly")
-    if isinstance(space, (FullShift, MarkovShift)):
-        k = space.alphabet
-        seed = int(rng.integers(0, 2 ** 63 - 1))
-        probs = tuple(1.0 / k for _ in range(k))
-        return Point(SeededIID(seed, probs))
-    if isinstance(space, DisjointUnion):
-        component = int(rng.integers(0, 2))
-        inner = random_point(space.side(component), rng)
-        return Point(inner.rule, inner.offset, component)
-    if isinstance(space, Suspension):
-        base = random_point(space.base, rng)
-        roof = space.roof.value_at(base)
-        return base.with_fiber(float(rng.random()) * roof)
-    if isinstance(space, TimeTMap):
-        return random_point(space.flow, rng)
-    raise TypeError(f"cannot sample from {type(space).__name__}")
+    return space.random_point(rng)

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from ergode.systems import (
     BlockSchedule,
+    CircleMult,
     CircleRotation,
     Coordinate,
     DisjointUnion,
@@ -20,6 +21,7 @@ from ergode.systems import (
     SteeredBlocks,
     Suspension,
     TimeTMap,
+    random_point,
     time_t_map,
 )
 from ergode.measures import (
@@ -29,6 +31,7 @@ from ergode.measures import (
     CylinderIndicator,
     FiberProfile,
     Harmonic,
+    Lebesgue,
     TestFamily,
     evaluate,
     integrate,
@@ -87,6 +90,36 @@ def test_rotation_average_matches_trigonometric_sum():
     n = 50
     want = np.mean([math.cos(2 * math.pi * ((0.2 + j * 0.31) % 1.0)) for j in range(n)])
     assert birkhoff_average_map(rot, x, Harmonic(1), n) == pytest.approx(want, abs=1e-10)
+
+
+def exact_doubling_average(x0: str, cps):
+    """The average of cos 2*pi*x along the orbit of the decimal x0 under
+    x -> 2x, each point exact as a Fraction, at each checkpoint."""
+    r, total, out = Fraction(x0), 0.0, []
+    for j in range(1, cps[-1] + 1):
+        total += math.cos(2 * math.pi * r)
+        r = 2 * r % 1
+        if j in cps:
+            out.append(total / j)
+    return out
+
+
+def test_circle_doubling_reads_the_exact_orbit_of_the_decimal():
+    """0.217 is 217/1000, whose doubling orbit is periodic; the float orbit
+    of 0.217 collapses to 0 within 60 steps, where every average tends to 1."""
+    cps = (1000, 5000, 10000)
+    got = birkhoff_profile(CircleMult(2), Point(Coordinate((0.217,))), Harmonic(1), Schedule(cps))
+    want = exact_doubling_average("0.217", cps)
+    assert np.abs(got - want).max() < 1e-12
+    assert got == pytest.approx([1.0759e-3, 2.1518e-4, 1.0759e-4], rel=1e-4)
+
+
+def test_lebesgue_random_points_are_generic_under_circle_doubling():
+    rng = np.random.default_rng(0)
+    sched = Schedule((1000, 2000, 4000, 8000, 16000))
+    labels = {classify_generic(CircleMult(2), random_point(CircleMult(2), rng), Lebesgue(),
+                               schedule=sched, tol=0.05).label for _ in range(20)}
+    assert labels == {"Generic"}
 
 
 def test_flow_average_matches_midpoint_quadrature():
@@ -445,8 +478,8 @@ def test_fiber_outside_the_roof_is_refused_on_both_paths(fiber, point):
 
 @pytest.mark.parametrize("point", sorted(POINTS))
 def test_time_t_map_of_a_suspension_refuses_negative_t(point):
-    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), -1.0)
-    with pytest.raises(ValueError, match="forward in time"):
+    with pytest.raises(ValueError, match="needs t > 0"):     # refused when it is built
+        tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(1.0)), -1.0)
         birkhoff_profile(tmap, POINTS[point].with_fiber(0.0), CylinderIndicator((0,)),
                          Schedule((10,)))
 

@@ -744,6 +744,14 @@ def test_a_point_symbol_inside_its_union_side_is_read(tmp_path):
     assert float(rows[0]["value"]) == pytest.approx(1 / 3, abs=1e-3)
 
 
+def test_a_point_tagged_with_no_side_of_its_union_exits_2(tmp_path, capsys):
+    # a union has sides 0 and 1; a point tagged 5 was read as if untagged
+    point = {"kind": "explicit-word", "symbols": [0, 1], "component": 5}
+    code, err = run_main(symbol_frequency_config(F2_F3, point), tmp_path, capsys)
+    assert code == 2
+    assert err == "config error: bad point: component must be 0 (left) or 1 (right)\n"
+
+
 @pytest.mark.parametrize("roof", [{"constant": 1.0}, {"depth": 1, "table": [1.0, 2.0], "k": 2}])
 def test_time_t_map_of_a_suspension_with_negative_t_exits_2(tmp_path, roof):
     system = {"kind": "time-t-map", "flow": suspension(roof), "t": -1.0}

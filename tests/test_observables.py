@@ -136,7 +136,7 @@ EXPECTED = {
         'TypeError',
         'TypeError',
         '-0x1.b333333333333p-53 -0x1.4000000000000p-52',
-        '-0x1.059103be9b147p-6 -0x1.0e497ac4b5c3ep-5',
+        '-0x1.059103be9b5d6p-6 -0x1.0e497ae30b1b6p-5',   # the exact orbit of 217/1000
         'TypeError',
         'TypeError',
         '0x1.8723a1d588a37p-58 -0x1.04c26be3b06cfp-60',
@@ -176,9 +176,9 @@ EXPECTED = {
         'TypeError',
     ),
     'composed-suspension': (
-        'ValueError',
+        '0x0.0p+0',     # from the zero fiber: 1, 1, 1, 0 is outside the cylinder (0, 1)
         '0x0.0p+0',
-        'ValueError',
+        'TypeError',    # a coordinate point has no symbols to flow along
         '0x1.ae147ae147ae1p-3',
         '0x1.5f15f15f15f17p-3',
         'TypeError',
@@ -204,7 +204,7 @@ EXPECTED = {
         'TypeError',
         'TypeError',
         '0x1.899999999999ap-52 0x1.799999999999ap-54',
-        '0x1.80d6261779568p-3 0x1.fbdc877e98850p-5',
+        '0x1.80d626177957ap-3 0x1.fbdc87919f7bep-5',     # the exact orbit of 217/1000
         'TypeError',
         'TypeError',
         '0x1.235134885f19bp-55 0x1.5476d95e091a4p-53',

@@ -136,6 +136,18 @@ def test_time_t_map_refuses_a_fiber_at_or_above_the_roof(roof, fiber):
     assert time_t_map(susp, 0.5, x.with_fiber(0.75)) == x.shifted(1).with_fiber(0.25)
 
 
+@pytest.mark.parametrize("roof", [RoofFunction.constant(1.0), RoofFunction(1, (1.0, 2.0), 2)],
+                         ids=["constant", "word"])
+def test_time_t_map_reads_an_unset_fiber_as_zero_and_refuses_a_coordinate_point(roof):
+    susp = Suspension(FullShift(2), roof)
+    x = Point(ExplicitWord((0, 1)))
+    assert time_t_map(susp, 1.5, x) == time_t_map(susp, 1.5, x.with_fiber(0.0)) \
+        == x.shifted(1).with_fiber(0.5)
+    # under a constant roof the coordinate point would otherwise move like a symbol stream
+    with pytest.raises(TypeError, match="no symbol stream"):
+        time_t_map(susp, 1.5, Point(Coordinate((0.2,)), fiber=0.1))
+
+
 @pytest.mark.parametrize("space", [CircleRotation(0.3), CircleMult(2), FullShift(2)],
                          ids=lambda s: type(s).__name__)
 def test_time_t_map_needs_a_flow(space):
