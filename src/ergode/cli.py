@@ -19,8 +19,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .systems import (
-    BlockSchedule, BudgetExhausted, Coordinate, ExplicitWord, FullShift, Point,
-    SeededIID, SteeredBlocks, Suspension, TimeTMap, _fiber, random_point,
+    BlockSchedule, BudgetExhausted, Coordinate, ExplicitWord, Point, SeededIID, SteeredBlocks,
+    TimeTMap, _fiber, random_point,
 )
 from .measures import (
     Bernoulli, CylinderIndicator, Markov, TestFamily, check_invariance,
@@ -90,11 +90,14 @@ def _measure(cfg, system):
     return mu
 
 
-def _averaged(flow, mu):
-    """A base measure averaged along the flow, refused where that average
-    is not the flow-invariant measure (a word-dependent roof)."""
+def _averaged(system, mu):
+    """mu on the system's carrier lifted to the space its points live on: a
+    suspension's base measure averaged along the flow (Abramov), refused
+    where that is not the flow-invariant measure (a word-dependent roof)."""
+    if system.carrier is system.space:
+        return mu
     try:
-        return time_average_measure(flow, mu, 16)
+        return time_average_measure(system.space, mu, 16)
     except ValueError as exc:
         raise ConfigError(f"bad measure: {exc}") from None
 
@@ -181,8 +184,7 @@ def _cmd_classify(cfg, ctx, rows):
     if cfg["mode"] == "generic":
         mu = _measure(cfg, system)
         fam = TestFamily.default_for(system, depth=cfg["family_depth"])
-        if isinstance(system, Suspension):      # a base measure, averaged along the flow
-            mu = _averaged(system, mu)
+        mu = _averaged(system, mu)
         with timed() as t:
             verdict = classify_generic(system, point, mu, fam, schedule, tol,
                                        keep_profile=ctx["diagnostics"])
@@ -220,10 +222,8 @@ def _cmd_construct(cfg, ctx, rows):
         mu = _measure(cfg, system)
         kind = cfg["construction_kind"]
         with timed() as t:
-            try:
-                p = generic_point(system, mu, kind, seed=ctx["seed"], horizon=cfg["horizon"])
-            except TypeError as exc:    # a mixture target, a suspension
-                raise ConfigError(f"bad construction '{what}': {exc}") from None
+            p = _construction(what, generic_point, system, mu, kind, seed=ctx["seed"],
+                              horizon=cfg["horizon"])
         verdict = classify_generic(system, p, mu,
                                    TestFamily.default_for(system, depth=4),
                                    build_schedule(cfg["schedule"], False), cfg["tolerance"])
@@ -247,7 +247,7 @@ def _cmd_construct(cfg, ctx, rows):
         segs = [(build_point(p), int(n)) for p, n in cfg["segments"]]
         g = build_mistake_function(cfg["mistake_function"])
         with timed() as t:
-            glued = glue_orbits(system, segs, cfg["eps"], g)
+            glued = _construction(what, glue_orbits, system, segs, cfg["eps"], g)
         for i, (T, c) in enumerate(zip(glued.junction_times, glued.connector_lengths)):
             rows.append(Row(eid, "connector_length", float(c), None, None,
                             {"junction": i, "time": T}, 0.0))
@@ -259,9 +259,17 @@ def _cmd_construct(cfg, ctx, rows):
         _write_point(out_path, glued.point)
 
 
+def _construction(what, build, system, *args, **kwargs):
+    """build(system, ...), refusing a system or target it does not build on."""
+    try:
+        return build(system, *args, **kwargs)
+    except TypeError as exc:
+        raise ConfigError(f"bad construction '{what}': {exc}") from None
+
+
 def _irregular_point(cfg, system):
-    return irregular_point(system, cfg["symbol"], cfg["lo"], cfg["hi"], cfg["first_block"],
-                           cfg["block_ratio"], cfg["horizon"])
+    return _construction("irregular-point", irregular_point, system, cfg["symbol"], cfg["lo"],
+                         cfg["hi"], cfg["first_block"], cfg["block_ratio"], cfg["horizon"])
 
 
 def _write_point(path: str, p: Point) -> None:
@@ -272,7 +280,7 @@ def _write_point(path: str, p: Point) -> None:
 
 def _cmd_verify_thm_a(cfg, ctx, rows):
     flow = build_system(cfg["system"])
-    if not isinstance(flow, Suspension):
+    if not flow.is_flow or flow.carrier is flow:
         raise ConfigError("verify-thm-a expects a suspension flow system")
     subset = build_subset(cfg["subset"])
     depths = tuple(cfg["depths"])
@@ -300,12 +308,14 @@ def _cmd_verify_thm_a(cfg, ctx, rows):
 
 def _cmd_verify_thm_b(cfg, ctx, rows):
     system = build_system(cfg["system"])
+    if system.space is not system:      # its entropies are t times the flow's
+        raise ConfigError("verify-thm-b takes a map or a flow, not a time-t map: give the flow")
     mu = _measure(cfg, system)
     eid = cfg["experiment_id"]
     tol = cfg["tolerance"]
     depths = tuple(cfg["depths"])
     flow = system.is_flow
-    inner = system.carrier if flow else system
+    inner = system.carrier
     with timed() as t:
         h_mu = metric_entropy(mu, inner)
     rows.append(Row(eid, "metric_entropy", h_mu, h_mu, h_mu, {}, t.ms))
@@ -370,7 +380,7 @@ def _cmd_verify_irregular(cfg, ctx, rows):
 
 def _cmd_verify_inclusions(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    if isinstance(system, Suspension):
+    if system.is_flow and system.carrier is not system:
         _inclusions_flow_suite(cfg, ctx, rows, system)
         return
     mu = _measure(cfg, system)
@@ -379,11 +389,12 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     n_samples = cfg["sample_count"]
     fam = TestFamily.default_for(system, depth=cfg["family_depth"] or 4)
     schedule = build_schedule(cfg["schedule"], False)
-    targets = family_targets(mu, fam)
+    mubar = _averaged(system, mu)       # samples are drawn from mu, on the carrier
+    targets = family_targets(mubar, fam)
     n_limit = min(n_samples, 10)
     w = fam.weights()
     samples = (_sample_from(system, mu, ctx["seed"] + i) for i in range(n_samples))
-    A, labels = _generic_labels(system, samples, mu, fam, schedule, tol, targets)
+    A, labels = _generic_labels(system, samples, mubar, fam, schedule, tol, targets)
     for label in ("Generic", "NotGeneric", "Inconclusive"):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(labels.count(label)), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
@@ -397,7 +408,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     other = _different_measure(mu)
     if other is not None:
         samples = (_sample_from(system, other, ctx["seed"] + 7919 + i) for i in range(n_samples))
-        rejected = _generic_labels(system, samples, mu, fam, schedule, tol,
+        rejected = _generic_labels(system, samples, mubar, fam, schedule, tol,
                                    targets)[1].count("NotGeneric")
         rows.append(Row(eid, "foreign_rejected_count", float(rejected), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-other"}, 0.0))
@@ -443,9 +454,9 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     eid = cfg["experiment_id"]
     tol = cfg["tolerance"]
     n_total = cfg["sample_count"]
-    base = flow.base
-    if not isinstance(base, FullShift):
-        raise ConfigError("the flow inclusion suite runs over full-shift suspensions")
+    base = flow.carrier
+    if len(base.sides) > 1 or not base.forbids_nothing:
+        raise ConfigError("the flow inclusion suite needs a base shift that forbids nothing")
     c = flow.roof.roof_max
     tmap = TimeTMap(flow, 1.0)
     mu_base = (_measure(cfg, flow) if cfg["measure"] is not None

@@ -31,8 +31,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .systems import (
-    BlockSchedule, DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point,
-    SeededIID, SteeredBlocks, Suspension, RoofFunction, _count_at_or_below,
+    BlockSchedule, DisjointUnion, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
+    Suspension, RoofFunction, _count_at_or_below,
 )
 from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
@@ -241,21 +241,15 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
     glued = np.concatenate(arrs)
     boundaries = np.cumsum(lengths)[:-1]
     connector_lengths = []
-    if isinstance(system, MarkovShift):
-        A = system.adjacency
-        cap = 2 * k + 2
-        for T in boundaries:
-            conn = _overwrite_connector(A, int(glued[T - 1]), glued, int(T), cap)
-            if conn is None:
-                raise GluingError("no admissible connector found")
-            if conn:
-                glued[T:T + len(conn)] = conn
-            connector_lengths.append(len(conn))
-        adj = np.asarray(A)
-        if not adj[glued[:-1], glued[1:]].all():
-            raise GluingError("glued word is not admissible")
-    else:
-        connector_lengths = [0] * len(boundaries)
+    A = system.adjacency
+    for T in boundaries:          # a shift that forbids nothing gets () connectors
+        conn = _overwrite_connector(A, int(glued[T - 1]), glued, int(T), 2 * k + 2)
+        if conn is None:
+            raise GluingError("no admissible connector found")
+        glued[T:T + len(conn)] = conn
+        connector_lengths.append(len(conn))
+    if not np.asarray(A)[glued[:-1], glued[1:]].all():
+        raise GluingError("glued word is not admissible")
     # mistake accounting: windows that disagree with the segment's own stream;
     # the glued word holds L + 8 symbols past the last segment
     mismatches = [_window_mismatches(p.prefix(t + L - 1), glued[s:], t, L) if L else 0
@@ -313,7 +307,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         return Point(ExplicitWord(tuple(_sample_markov(mu, seed, horizon).tolist())))
     if kind != "deterministic-blocks":
         raise ValueError("kind must be 'deterministic-blocks' or 'seeded-iid'")
-    adjacency = system.adjacency if isinstance(system, MarkovShift) else None
+    adjacency = system.adjacency
     cap = 2 * k + 3                   # a connector holds at most 2k + 2 states
     rounds = []                       # (round array, repeats) per stage
     total = 0
@@ -326,11 +320,9 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         L += 1
     blocks = []
     for i, (flat, reps) in enumerate(rounds):
-        if adjacency is None:
-            blocks.append((tuple(flat.tolist()), reps))
-            continue
         # seam connectors keep the tiling admissible: within the stage a round
-        # feeds back into itself, at the stage end it feeds the next stage
+        # feeds back into itself, at the stage end it feeds the next stage; a
+        # shift that forbids nothing gets () connectors, so a block is its round
         nxt_first = int(rounds[i + 1][0][0]) if i + 1 < len(rounds) else int(flat[0])
         self_conn, cross_conn = (_overwrite_connector(adjacency, int(flat[-1]), np.full(cap, b),
                                                       0, cap) for b in (int(flat[0]), nxt_first))
@@ -340,10 +332,8 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
         if reps > 1 and self_conn != cross_conn:
             blocks.append((body + self_conn, reps - 1))
             blocks.append((body + cross_conn, 1))
-        elif reps > 1:
-            blocks.append((body + self_conn, reps) if self_conn else (body, reps))
         else:
-            blocks.append((body + cross_conn, 1) if cross_conn else (body, 1))
+            blocks.append((body + (self_conn if reps > 1 else cross_conn), reps))
     return Point(BlockSchedule(tuple(blocks)))
 
 
@@ -392,10 +382,7 @@ def _stage_round(mu, k: int, L: int, adjacency) -> np.ndarray:
     masses = mu.cylinder_masses(k, L)
     counts = _bresenham_counts(masses, k ** L)
     words = _all_words(k, L)
-    flat = np.repeat(words, counts, axis=0).reshape(-1)
-    if adjacency is not None:
-        flat = _repair_junctions(flat, adjacency)
-    return flat
+    return _repair_junctions(np.repeat(words, counts, axis=0).reshape(-1), adjacency)
 
 
 def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
@@ -460,8 +447,8 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
     lo >= (hi-lo)/(ratio-1); the defaults satisfy both with slack.  Block
     ends are laid down until they pass `horizon`; the point's rule is the
     `SteeredBlocks` recipe, so symbols are built only when read."""
-    if not isinstance(system, FullShift):
-        raise TypeError("irregular points are built on full shifts")
+    if not system.symbolic or len(system.sides) > 1 or not system.forbids_nothing:
+        raise TypeError("irregular points are built on a shift that forbids no transition")
     k = system.k
     if not (0 <= symbol < k):
         raise ValueError("symbol out of range")

@@ -17,10 +17,12 @@ Every shift subset has one form: count windows (scale, lo, hi) on one symbol,
 `at(depth)` (none for `WholeSpace`, one at the depth for `FrequencyWindow`,
 its own list for `OscillationWindows`), plus a component choice on a disjoint
 union (`ComponentWindow`, or a frequency window's tag).  `_shift_pairs` splits
-a (system, subset) pair into (shift, subset) pairs for both routes: a full
-shift counts any window list, a vertex shift the whole space and a frequency
-window; a `SampleCloud` counts distinct prefixes on any shift space.  Every
-other pair raises `UnsupportedSubset`, on every route (exit 2 from the CLI).
+a (system, subset) pair into (shift, subset) pairs for both routes, circle
+multiplication counted on its n-ary digits: a shift that forbids no
+transition counts any window list, one that forbids some the whole space and
+a frequency window; a `SampleCloud` counts distinct prefixes on any shift
+space.  Every other pair raises `UnsupportedSubset`, on every route (exit 2
+from the CLI).
 
 The float route (log-gamma sums, log-scaled matrix powers, dynamic programs)
 and the exact big-integer counts of `word_count_rate`, which also drive the
@@ -45,10 +47,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (
-    BudgetExhausted, CircleMult, FullShift, MarkovShift, Point, Suspension, TimeTMap,
-    _chart,
-)
+from .systems import BudgetExhausted, MarkovShift, Point, Suspension, TimeTMap, _chart
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
@@ -139,17 +138,13 @@ class SampleCloud:
             raise ValueError("sample cloud must be nonempty")
 
 
-# the subsets each kind of shift counts, on both routes
-_COUNTED = {FullShift: (WholeSpace, FrequencyWindow, OscillationWindows),
-            MarkovShift: (WholeSpace, FrequencyWindow)}
-
-
 def _shift_pairs(system, subset) -> list:
     """The (shift, subset) pairs whose word counts add up to the subset's.
     A disjoint union splits by component: the whole space into both sides,
     a component window into the sides its fractions keep, a tagged
-    frequency window into its side.  Every other pair, and a window on a
-    symbol outside the shift's alphabet, raises here."""
+    frequency window into its side; circle multiplication counts its digit
+    shift.  Every other pair, and a window on a symbol outside the shift's
+    alphabet, raises here."""
     if len(system.sides) > 1:
         tag = getattr(subset, "component", None)
         if tag in (0, 1):
@@ -165,7 +160,9 @@ def _shift_pairs(system, subset) -> list:
                 for pair in _shift_pairs(side, WholeSpace())]
     if getattr(subset, "component", None) is not None:
         raise UnsupportedSubset(f"a component tag needs a disjoint union, not {system}")
-    if type(subset) not in _COUNTED.get(type(system), ()):
+    system = system.digits
+    counted = (WholeSpace, FrequencyWindow, OscillationWindows)   # the last if none is forbidden
+    if not system.symbolic or type(subset) not in counted[:3 if system.forbids_nothing else 2]:
         raise UnsupportedSubset(f"no count of {type(subset).__name__} on {system}")
     if not 0 <= getattr(subset, "symbol", 0) < system.alphabet:
         raise UnsupportedSubset(f"symbol {subset.symbol} is outside the alphabet of {system}")
@@ -255,7 +252,7 @@ def _log_comb_jump(k: int, depth: int, windows) -> float:
 
 def _markov_state_log_counts(system: MarkovShift, n: int) -> np.ndarray:
     """log of the number of admissible length-n words ending in each state."""
-    A = system.adjacency_array().astype(float)
+    A = np.array(system.adjacency, dtype=float)
     v = np.ones(system.k)
     scale = 0.0
     for _ in range(n - 1):
@@ -321,7 +318,7 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
     partial kernel from the last block end without advancing the table and
     splits each value into mantissa and exponent, and a wider table only adds
     columns (counts never fall; at least _BLOCK + 2 wide, no swap in `np.convolve`)."""
-    k, A = system.k, system.adjacency_array().astype(float)
+    k, A = system.k, np.array(system.adjacency, dtype=float)
     theta, log_rho = _window_tilt(A, symbol, lo, hi)
     into = A * np.exp(np.where(np.arange(k) == symbol, theta, 0.0) - log_rho)
     kernels = np.zeros((_BLOCK + 1, k, k, _BLOCK + 1))  # [steps, s, s2, symbol arrivals]
@@ -351,7 +348,7 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
 def _shift_groups(shift, subset, depths) -> list:
     """The (log_count, span) groups of one shift's depth-n cylinders meeting
     the subset, at each depth."""
-    if isinstance(shift, FullShift):
+    if shift.forbids_nothing:
         return [[(_log_comb_jump(shift.k, n, subset.at(n)), float(n))] for n in depths]
     if isinstance(subset, FrequencyWindow):
         per_depth = _markov_window_log_counts(shift, depths, subset.symbol,
@@ -481,8 +478,6 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
     depths = _depth_grid(depths, _DEFAULT_DEPTHS)
     if system.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
-    if system.torus_dim:        # circle multiplication, the one circle map that expands
-        return _mult_entropy(system, subset, depths)
     if system.space is system:  # not a time-t map, whose points live in a suspension
         return _estimate(system, subset, depths, lambda groups: groups, alpha_tol)
     stride, t = _integer_stride(system), system.t
@@ -497,16 +492,6 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
     return _estimate(system.flow.base, subset, depths, spans, alpha_tol)
 
 
-def _mult_entropy(system: CircleMult, subset, depths) -> EntropyEstimate:
-    if not isinstance(subset, WholeSpace):
-        raise UnsupportedSubset("circle multiplication entropy is implemented for the whole space")
-    # n-adic arcs at depth j: n^j of them, each surviving j - O(1) steps
-    slack = max(1, math.ceil(math.log(4.0) / math.log(system.n)))
-    alphas = [_critical_alpha([(j * math.log(system.n), float(max(j - slack, 1)))])
-              for j in depths]
-    return _finish(depths, alphas, [])
-
-
 def bowen_entropy_flow(flow, subset=WholeSpace(),
                        depths: Optional[Sequence[int]] = None) -> EntropyEstimate:
     """Entropy of the subset under a flow, per unit time.
@@ -519,7 +504,7 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
     depths = _depth_grid(depths, _DEFAULT_DEPTHS)
     if flow.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
-    if not isinstance(flow, Suspension):
+    if not flow.is_flow or flow.carrier is flow:     # not a suspension
         raise TypeError(f"no flow entropy backend for {type(flow).__name__}")
     c = _constant_roof(flow)
     return _estimate(flow.base, subset, depths, lambda groups: _flow_boxes(groups, c),
@@ -559,7 +544,7 @@ def _exact_counts(system, subset, depths) -> list:
 
 
 def _exact_shift_counts(shift, subset, depths) -> list:
-    if isinstance(shift, FullShift):
+    if shift.forbids_nothing:
         return [_comb_jump(shift.k, n, subset.at(n)) for n in depths]
     if isinstance(subset, WholeSpace):
         return [_exact_markov_count(shift, n) for n in depths]

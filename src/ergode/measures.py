@@ -29,9 +29,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .systems import (
-    BudgetExhausted, CircleMult, Coordinate, ExplicitWord, Point, Suspension, time_t_map,
-)
+from .systems import BudgetExhausted, Coordinate, ExplicitWord, Point, time_t_map
 
 __all__ = [
     "Bernoulli", "Markov", "Lebesgue", "Atomic", "Mixture", "TimeAveraged",
@@ -105,7 +103,7 @@ class _Chain(_Piece):
         return math.prod((self.stationary[w[0]], *(P[a][b] for a, b in zip(w, w[1:]))))
 
     def shifted_integral(self, flow, s: float, phi) -> float:
-        if not isinstance(flow, Suspension):
+        if not flow.is_flow or flow.carrier is flow:        # not a suspension
             return super().shifted_integral(flow, s, phi)
         roof = flow.roof
         if s < roof.roof_min:
@@ -131,7 +129,7 @@ class _Chain(_Piece):
             raise TypeError(f"{type(self).__name__} measures live on shift spaces")
         if self.k != shift.alphabet:
             raise ValueError("alphabet mismatch")
-        if any(p > 0 and not shift.allows(a, b)
+        if any(p > 0 and not shift.adjacency[a][b]
                for a, row in enumerate(self.transitions) for b, p in enumerate(row)):
             raise ValueError(f"{type(self).__name__} measure charges a forbidden transition")
 
@@ -290,8 +288,8 @@ class Lebesgue(_Piece):
             raise ValueError(f"Lebesgue({self.dim}) on a {system.torus_dim}-dimensional space")
 
     def entropy(self, system) -> float:
-        # x -> n*x is the one circle or torus system that is not isometric
-        return math.log(system.n) if isinstance(system, CircleMult) else 0.0
+        # x -> n*x, the one circle or torus system that is not isometric, is its digit shift
+        return 0.0 if system.isometric else math.log(system.digits.alphabet)
 
 
 @dataclass(frozen=True)
@@ -338,24 +336,27 @@ class TimeAveraged:
     def __post_init__(self):
         if self.m < 1:
             raise ValueError("quadrature node count must be >= 1")
-        if isinstance(self.flow, Suspension) and self.flow.roof.depth > 0:
-            raise ValueError(f"no time average under the word-dependent {self.flow.roof}: "
-                             "the flow-invariant measure weighs each base point by its roof")
+        self.flow.period        # ValueError under a word-dependent roof
 
     @cached_property
     def pieces(self):
-        c = self.flow.roof.roof_max if isinstance(self.flow, Suspension) else 1.0
+        c = self.flow.period
         return tuple((w / self.m, p.shifted(self.flow, c * (j + 0.5) / self.m))
                      for j in range(self.m) for w, p in self.base.pieces)
 
 
 @dataclass(frozen=True)
 class TimeShifted(_Piece):
-    """Image of `base` under the time-t map; as a piece, of an unshifted piece."""
+    """Image of `base` under the time-t map; as a piece, of an unshifted piece.
+    A suspension's symbol streams are one-sided, so it refuses t < 0 there."""
 
     flow: object
     t: float
     base: "Measure"
+
+    def __post_init__(self):
+        if self.t < 0 and self.flow.carrier.symbolic:
+            raise ValueError("suspension flows run forward in time only")
 
     @cached_property
     def pieces(self):
@@ -605,7 +606,8 @@ class TestFamily:
 
 def _default_observables(space, depth, max_frequency):
     """Harmonics on a circle or torus; else the cylinders of each side of
-    the carrier (tagged on a union), and a fiber hat on a suspension."""
+    the carrier (tagged on a union), and a fiber hat on a suspension flow
+    (not on its time-t map, whose readers count cells and weigh no fiber)."""
     if space.torus_dim:
         return [Harmonic(q, phase) for q in range(1, max_frequency + 1)
                 for phase in ("cos", "sin")]
@@ -613,7 +615,7 @@ def _default_observables(space, depth, max_frequency):
     hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
     return [CylinderIndicator(word, component=comp if len(sides) > 1 else None)
             for length in range(1, depth + 1) for comp, side in enumerate(sides)
-            for word in product(range(side.alphabet), repeat=length)] + [hat] * space.space.is_flow
+            for word in product(range(side.alphabet), repeat=length)] + [hat] * space.is_flow
 
 
 def _separation_probes(space):
@@ -653,8 +655,6 @@ def integrate(mu, phi) -> float:
 
 def pushforward(flow, t: float, mu) -> TimeShifted:
     """Image measure under the time-t map of the flow: each piece moved by t."""
-    if isinstance(flow, Suspension) and t < 0:
-        raise ValueError("suspension flows run forward in time only")
     return TimeShifted(flow, t, mu)
 
 

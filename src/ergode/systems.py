@@ -53,13 +53,14 @@ class _Descriptor:
     (continuous time), `isometric` (distances never grow, so every entropy
     is exactly 0), `symbolic` (points are symbol streams, the map is the
     shift), `torus_dim` (coordinate count of a circle or torus point, 0 for
-    every other space), `alphabet` (symbol count of a single shift space),
-    `space` (where its points live: a time-t map's flow), `carrier` (where
-    their symbols and its measures live: a suspension's base), `sides` and
-    `side(component)` (a union's two, None for an untagged point),
-    `random_point(rng)`, a flow's `advance(t, x)` and a circle or torus map's
-    `orbit(x, n)` of the first coordinate.  A kind that cannot answer raises
-    TypeError.  Read-only on the frozen descriptors."""
+    every other space), `alphabet` (symbol count of a single shift space), a
+    shift's `adjacency` and `forbids_nothing`, `space` (where its points
+    live: a time-t map's flow), `carrier` (where their symbols and its
+    measures live: a suspension's base), `digits` (circle multiplication's
+    n-ary digit shift, else itself), `sides` and `side(component)` (a union's
+    two, None for an untagged point), `random_point(rng)`, a flow's `period`
+    and `advance(t, x)`, and a circle or torus map's `orbit(x, n)` of the
+    first coordinate.  A kind that cannot answer raises TypeError.  Read-only."""
 
     is_flow = False
     isometric = False
@@ -78,6 +79,8 @@ class _Descriptor:
     def carrier(self) -> "SpaceDescriptor":
         return self
 
+    digits = property(lambda self: self)
+
     @property
     def sides(self) -> tuple:
         return (self,)
@@ -90,6 +93,10 @@ class _Descriptor:
         if not self.torus_dim:
             raise TypeError(f"cannot sample from {type(self).__name__}")
         return Point(Coordinate(tuple(float(v) for v in rng.random(self.torus_dim))))
+
+    @property
+    def period(self) -> float:
+        raise TypeError(f"{type(self).__name__} is not a flow")
 
     def advance(self, t: float, x: "Point") -> "Point":
         raise TypeError(f"cannot flow {type(self).__name__}")
@@ -105,13 +112,14 @@ class _Shift(_Descriptor):
     def alphabet(self) -> int:
         return self.k
 
-    def allows(self, a: int, b: int) -> bool:
-        """May symbol b follow symbol a?  Always, on a full shift."""
-        return True
+    @functools.cached_property
+    def forbids_nothing(self) -> bool:
+        """Is every entry of `adjacency` 1, so any symbol may follow any other?"""
+        return all(map(all, self.adjacency))
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         """iid uniform symbols: ValueError on a vertex shift that forbids a transition."""
-        if not all(self.allows(a, b) for a in range(self.k) for b in range(self.k)):
+        if not self.forbids_nothing:
             raise ValueError("an iid uniform stream leaves a vertex shift that "
                              "forbids a transition; give the point explicitly")
         seed = int(rng.integers(0, 2 ** 63 - 1))
@@ -129,7 +137,7 @@ class _Shift(_Descriptor):
             pairs = [(a, b) for a in used for b in used]
         elif hasattr(rule, "ends"):
             used, pairs = range(rule.k), []
-            if not all(self.allows(a, b) for a in range(self.k) for b in range(self.k)):
+            if not self.forbids_nothing:
                 s = rule.materialise(rule.ends[-1] + 1).astype(np.int64)
                 pairs = [divmod(int(c), rule.k) for c in np.unique(s[:-1] * rule.k + s[1:])]
         else:
@@ -141,7 +149,8 @@ class _Shift(_Descriptor):
                 pairs += [(pattern[-1], pattern[0])] * (reps > 1)
         if any(not 0 <= s < self.k for s in used):
             raise ValueError(f"symbols {sorted(set(used))} outside the alphabet of {self}")
-        forbidden = sorted({(a, b) for a, b in pairs if not self.allows(a, b)})
+        A = self.adjacency
+        forbidden = sorted({(a, b) for a, b in pairs if not A[a][b]})
         if forbidden:
             raise ValueError(f"transitions {forbidden} are forbidden in {self}")
 
@@ -151,6 +160,7 @@ class FullShift(_Shift):
     """One-sided full shift on k symbols."""
 
     k: int
+    adjacency = property(lambda self: ((1,) * self.k,) * self.k)
 
     def __post_init__(self):
         if self.k < 2:
@@ -175,12 +185,6 @@ class MarkovShift(_Shift):
         if any(sum(row[j] for row in a) == 0 for j in range(self.k)):
             raise ValueError("every symbol needs in-degree >= 1")
 
-    def allows(self, a: int, b: int) -> bool:
-        return self.adjacency[a][b] == 1
-
-    def adjacency_array(self) -> np.ndarray:
-        return np.array(self.adjacency, dtype=np.int64)
-
 
 @dataclass(frozen=True)
 class CircleMult(_Descriptor):
@@ -188,6 +192,7 @@ class CircleMult(_Descriptor):
 
     n: int
     torus_dim = 1
+    digits = property(lambda self: FullShift(self.n))   # finite-to-one: keeps every entropy
 
     def __post_init__(self):
         if self.n < 2:
@@ -265,6 +270,7 @@ class CircleRotationFlow(_Descriptor):
     isometric = True
     torus_dim = 1
     speed = 1.0     # of the first coordinate, as for a torus translation
+    period = 1.0    # one turn of the circle
 
     def advance(self, t: float, x: "Point") -> "Point":
         return Point(Coordinate(((x.coords[0] + t) % 1.0,)))
@@ -277,6 +283,7 @@ class TorusTranslation(_Descriptor):
     velocity: Tuple[float, ...]
     is_flow = True
     isometric = True
+    period = 1.0    # one unit of time
 
     @property
     def speed(self) -> float:
@@ -368,6 +375,14 @@ class Suspension(_Descriptor):
     @property
     def carrier(self) -> SystemDescriptor:
         return self.base
+
+    @property
+    def period(self) -> float:
+        """The time of one sweep of the fiber: the roof, which must read no word."""
+        if self.roof.depth > 0:
+            raise ValueError(f"no time average under the word-dependent {self.roof}: "
+                             "the flow-invariant measure weighs each base point by its roof")
+        return self.roof.table[0]
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         base = self.base.random_point(rng)

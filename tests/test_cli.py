@@ -985,3 +985,71 @@ def test_inclusion_suite_peak_memory_stays_within_its_gate(tmp_path):
     code, peak_kb = res.stdout.split()[-2:]
     assert code == "0"
     assert int(peak_kb) / 1024.0 <= 150.0
+
+
+# ---------------------------------------------------------------------------
+# time-t maps of a suspension: the base measure is lifted to the flow's space
+
+def time_half(roof):
+    return {"kind": "time-t-map", "t": 0.5,
+            "flow": {"kind": "suspension", "base": SHIFT_2, "roof": roof}}
+
+
+COIN_37 = {"kind": "bernoulli", "probs": [0.3, 0.7]}
+TIME_T_CONFIGS = {
+    "classify": {"command": "classify", "experiment_id": "tt", "measure": COIN_37,
+                 "point": {"kind": "seeded-iid", "seed": 11, "probs": [0.3, 0.7]}},
+    "verify-inclusions": {"command": "verify-inclusions", "experiment_id": "tt",
+                          "measure": COIN_37, "sample_count": 4},
+}
+
+
+def test_a_time_t_map_classifies_a_point_of_its_lifted_measure(tmp_path, capsys):
+    # its family had the flow's fiber hat, which the map's reader refuses: a traceback
+    cfg = {**TIME_T_CONFIGS["classify"], "system": time_half({"constant": 1.0})}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 0, err
+    (row,) = read_rows(tmp_path, "tt")[1]
+    assert json.loads(row["params"])["label"] == "Generic"
+
+
+def test_a_time_t_map_inclusion_suite_counts_its_samples(tmp_path, capsys):
+    cfg = {**TIME_T_CONFIGS["verify-inclusions"], "system": time_half({"constant": 1.0})}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 0, err
+    by_q = {r["quantity"]: float(r["value"]) for r in read_rows(tmp_path, "tt")[1]}
+    assert (by_q["mu_sample_generic"], by_q["foreign_rejected_count"]) == (4.0, 4.0)
+
+
+@pytest.mark.parametrize("command", TIME_T_CONFIGS)
+def test_a_time_t_map_under_a_word_dependent_roof_exits_2(tmp_path, capsys, command):
+    # with no fiber hat alone, a 1/2-1/2 point read NotGeneric against the
+    # midpoint average, which is not the flow-invariant measure there
+    cfg = {**TIME_T_CONFIGS[command], "system": time_half({"depth": 1, "table": [1.0, 2.0],
+                                                           "k": 2})}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("config error: bad measure:") and "word-dependent" in err
+
+
+def test_verify_thm_b_on_a_time_t_map_exits_2(tmp_path, capsys):
+    # it ended in a TypeError traceback: the base measure was checked on the map itself
+    cfg = {"command": "verify-thm-b", "experiment_id": "tt", "measure": COIN_37,
+           "system": time_half({"constant": 1.0}), "depths": [60, 120]}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("config error:") and "time-t map" in err
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "construct", "construction": "irregular-point", "system": GOLDEN_MEAN},
+    {"command": "verify-irregular", "system": GOLDEN_MEAN},
+    {"command": "construct", "construction": "glued-orbit", "system": UNIT_ROOF,
+     "segments": [[{"kind": "explicit-word", "symbols": [0, 1]}, 5],
+                  [{"kind": "explicit-word", "symbols": [1]}, 5]]},
+], ids=["irregular-point-on-a-vertex-shift", "verify-irregular-on-a-vertex-shift",
+        "glued-orbit-on-a-suspension"])
+def test_a_construction_refused_by_its_system_exits_2(tmp_path, capsys, cfg):
+    code, err = run_main({**cfg, "experiment_id": "refused"}, tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("config error: bad construction"), err

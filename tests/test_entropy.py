@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ergode.systems import (
     BudgetExhausted,
+    CircleMult,
     CircleRotation,
     CircleRotationFlow,
     DisjointUnion,
@@ -561,6 +562,33 @@ def test_two_routes_agree_on_full_shifts():
         b = spanning_entropy(FullShift(k), WholeSpace())
         assert a.value == pytest.approx(math.log(k), abs=0.02)
         assert b.value == pytest.approx(math.log(k), abs=0.02)
+
+
+ALL_ONES = MarkovShift(2, ((1, 1), (1, 1)))
+
+
+@pytest.mark.parametrize("subset", [
+    WholeSpace(), FrequencyWindow(0, 0.2, 0.3),
+    OscillationWindows(0, ((10, 0.1, 0.4), (40, 0.5, 0.7))),
+], ids=["whole", "frequency-window", "oscillation-windows"])
+def test_an_all_ones_vertex_shift_counts_as_the_full_shift(subset):
+    """A vertex shift that forbids nothing is counted as the full shift, on
+    both routes: its window value once differed in the 14th digit, and
+    oscillation windows were refused."""
+    depths = (40, 60, 80)
+    assert bowen_entropy_symbolic(ALL_ONES, subset, depths) == \
+        bowen_entropy_symbolic(FullShift(2), subset, depths)
+    assert word_count_rate(ALL_ONES, subset, 80) == word_count_rate(FullShift(2), subset, 80)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_circle_multiplication_entropy_is_log_n_on_its_digits(n):
+    """x -> n*x is counted on its n-ary digit shift: log n at every depth,
+    where its own arc count read 0.7049 in [0.7049, 0.7198] for n = 2."""
+    est = bowen_entropy_symbolic(CircleMult(n))
+    assert est.alphas == (math.log(n),) * len(est.alphas)
+    assert est.lower <= math.log(n) <= est.upper
+    assert spanning_entropy(CircleMult(n)).value == pytest.approx(math.log(n), abs=1e-12)
 
 
 def test_golden_mean_entropy_hits_log_golden_ratio():

@@ -170,6 +170,18 @@ def test_a_time_average_under_a_word_dependent_roof_is_refused():
         TimeAveraged(flow, Bernoulli((0.5, 0.5)), 4)
 
 
+@pytest.mark.parametrize("read", [
+    lambda flow, mu, phi: integrate(TimeShifted(flow, -0.2, mu), phi),
+    lambda flow, mu, phi: integrate(mu, compose_with_flow(flow, -0.2, phi)),
+], ids=["time-shifted", "composed"])
+def test_negative_time_on_a_suspension_measure_is_refused(read):
+    """A suspension's symbol streams are one-sided: both read 0.21, the
+    unshifted integral, before the refusal."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.75))
+    with pytest.raises(ValueError, match="suspension flows run forward in time only"):
+        read(flow, Bernoulli((0.3, 0.7)), CylinderIndicator((0, 1)))
+
+
 def test_fiber_profile_interpolates_breakpoints():
     tent = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
     x = Point(ExplicitWord((0,)), fiber=0.25)

@@ -248,6 +248,35 @@ def test_random_point_on_a_proper_vertex_shift_raises():
     assert whole.prefix(8).shape == (8,)
 
 
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_a_full_shift_answers_an_all_ones_adjacency(k):
+    assert np.array_equal(FullShift(k).adjacency, np.ones((k, k), dtype=int))
+
+
+@pytest.mark.parametrize("shift, forbids_nothing", [
+    (FullShift(3), True),
+    (MarkovShift(2, ((1, 1), (1, 0))), False),
+    (MarkovShift(3, ((1,) * 3,) * 3), True),
+], ids=["full-shift", "golden-mean", "all-ones-vertex-shift"])
+def test_a_shift_answers_whether_it_forbids_a_transition(shift, forbids_nothing):
+    assert shift.forbids_nothing is forbids_nothing
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_circle_multiplication_answers_its_digit_shift(n):
+    assert CircleMult(n).digits == FullShift(n)
+    assert FullShift(n).digits == FullShift(n)
+
+
+def test_a_flow_answers_its_period():
+    assert Suspension(FullShift(2), RoofFunction.constant(0.75)).period == 0.75
+    assert CircleRotationFlow().period == TorusTranslation((0.3, 0.7)).period == 1.0
+    with pytest.raises(ValueError, match="word-dependent"):
+        Suspension(FullShift(2), RoofFunction(1, (1.0, 2.0), 2)).period
+    with pytest.raises(TypeError, match="not a flow"):
+        TimeTMap(CircleRotationFlow(), 0.5).period
+
+
 GOLDEN = MarkovShift(2, ((1, 1), (1, 0)))
 
 

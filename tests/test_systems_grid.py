@@ -222,7 +222,8 @@ EXPECTED = {
     },
     'time-t-suspension': {
         'random-point': 'Point(rule=SeededIID(seed=5765488047046174020, probs=(0.5, 0.5)), offset=0, component=None, fiber=0.6729103507271816) 0x1.5887b49b06b9ap-1',
-        'default-family': 'TestFamily(observables=(CylinderIndicator(word=(0,), component=None), CylinderIndicator(word=(1,), component=None), CylinderIndicator(word=(0, 0), component=None), CylinderIndicator(word=(0, 1), component=None), CylinderIndicator(word=(1, 0), component=None), CylinderIndicator(word=(1, 1), component=None), FiberProfile(base=Constant(value=1.0), breakpoints=((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))))',
+        # re-pinned: no fiber hat, which the map's cell reader refuses (the flow keeps it)
+        'default-family': 'TestFamily(observables=(CylinderIndicator(word=(0,), component=None), CylinderIndicator(word=(1,), component=None), CylinderIndicator(word=(0, 0), component=None), CylinderIndicator(word=(0, 1), component=None), CylinderIndicator(word=(1, 0), component=None), CylinderIndicator(word=(1, 1), component=None)))',
         'resolve-word': 'Point(rule=ExplicitWord(symbols=(0, 1, 1)), offset=0, component=None, fiber=None)',
         'resolve-tagged-word': 'ConfigError: bad point: symbols [0, 2] outside the alphabet of FullShift(k=2)',
         'resolve-coordinate': 'ConfigError: bad point: a coordinate point is not a point of FullShift',
