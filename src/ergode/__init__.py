@@ -11,7 +11,7 @@ orbit gluing with mistake budgets), plus config/reporting/cli plumbing.
 from .systems import (
     BlockSchedule, BudgetExhausted, CircleMult, CircleRotation,
     CircleRotationFlow, Coordinate, DisjointUnion, ExplicitWord, FullShift,
-    MarkovShift, Point, RoofFunction, SeededIID, SteeredBlocks, Suspension,
+    MarkovShift, Point, RoofFunction, SeededIID, SeededMarkov, SteeredBlocks, Suspension,
     TimeTMap, TorusTranslation, random_point, time_t_map,
 )
 from .measures import (
@@ -32,7 +32,7 @@ from .entropy import (
     bowen_entropy_symbolic, caratheodory_sum, spanning_entropy, word_count_rate,
 )
 from .constructions import (
-    GluedOrbit, GluingError, IrregularRecipe, MistakeBallReport,
+    GluedOrbit, GluingError, IrregularRecipe, MistakeBallReport, StageRecipe,
     MistakeFunction, build_counterexample_system, generic_point, glue_orbits,
     irregular_point, mistake_ball_membership,
 )

@@ -15,13 +15,11 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 
-from .systems import (
-    BlockSchedule, BudgetExhausted, Coordinate, ExplicitWord, Point, SeededIID, SteeredBlocks,
-    TimeTMap, _fiber, random_point,
-)
+from .systems import BudgetExhausted, Point, TimeTMap, _fiber, random_point
 from .measures import (
     Bernoulli, CylinderIndicator, Markov, TestFamily, check_invariance,
     metric_entropy, time_average_measure,
@@ -103,28 +101,11 @@ def _averaged(system, mu):
 
 
 def _point_json(p: Point) -> dict:
+    """The rule's kind and fields, then the point's offset, component and fiber where set."""
     rule = p.rule
-    if isinstance(rule, BlockSchedule):
-        out = {"kind": "block-schedule",
-               "blocks": [[list(pat), reps] for pat, reps in rule.blocks]}
-    elif isinstance(rule, SteeredBlocks):
-        out = {"kind": "steered-blocks", "k": rule.k, "symbol": rule.symbol,
-               "ends": list(rule.ends), "targets": list(rule.targets)}
-    elif isinstance(rule, ExplicitWord):
-        out = {"kind": "explicit-word", "symbols": list(rule.symbols)}
-    elif isinstance(rule, SeededIID):
-        out = {"kind": "seeded-iid", "seed": rule.seed, "probs": list(rule.probs)}
-    elif isinstance(rule, Coordinate):
-        out = {"kind": "coordinate", "coords": list(rule.coords)}
-    else:
-        raise TypeError(f"cannot serialise rule {type(rule).__name__}")
-    if p.offset:
-        out["offset"] = p.offset
-    if p.component is not None:
-        out["component"] = p.component
-    if p.fiber is not None:
-        out["fiber"] = p.fiber
-    return out
+    out = {"kind": rule.kind, **{f.name: getattr(rule, f.name) for f in fields(rule) if f.repr}}
+    place = {"offset": p.offset or None, "component": p.component, "fiber": p.fiber}
+    return {**out, **{key: v for key, v in place.items() if v is not None}}
 
 
 # ---------------------------------------------------------------------------
@@ -431,14 +412,10 @@ def _inclusion_suite_points(base, mu_base, seed: int, n_total: int):
             rec = irregular_point(base, symbol, lo, hi)
             out.append(("constructed-irregular", rec.point.with_fiber(0.0),
                         rec.schedule()))
-    n_generic = max(4, n_total // 5)
-    for i in range(n_generic):
-        q = Point(SeededIID(seed + 100 + i, mu_base.probs), fiber=0.0)
-        out.append(("generic-for-mu", q, None))
-    while len(out) < n_total:
-        i = len(out)
-        q = Point(SeededIID(seed + 1000 + i, mu_base.probs), fiber=0.0)
-        out.append(("random", q, None))
+    out += [("generic-for-mu", Point(mu_base.seeded(seed + 100 + i), fiber=0.0), None)
+            for i in range(max(4, n_total // 5))]
+    out += [("random", Point(mu_base.seeded(seed + 1000 + i), fiber=0.0), None)
+            for i in range(len(out), n_total)]
     return out
 
 
@@ -513,14 +490,10 @@ def _sample_from(system, mu, seed: int) -> Point:
         idx = int(np.random.default_rng(seed).choice(len(weights), p=weights))
         return _sample_from(system, mu.pieces[idx][1], seed + 1)
     mu = mu.pieces[0][1]
-    if isinstance(mu, Bernoulli):
-        comp = mu.component
-        return Point(SeededIID(seed, mu.probs), component=comp)
-    if isinstance(mu, Markov):
-        from .constructions import _sample_markov
-        word = _sample_markov(mu, seed, 1 << 21)
-        return Point(ExplicitWord(tuple(word.tolist())), component=mu.component)
-    raise ConfigError("sampling is implemented for Bernoulli, Markov and mixtures")
+    try:
+        return Point(mu.seeded(seed), component=mu.component)
+    except TypeError:
+        raise ConfigError("sampling is implemented for Bernoulli, Markov and mixtures") from None
 
 
 def _different_measure(mu):

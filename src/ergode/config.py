@@ -30,7 +30,7 @@ from .entropy import (
     ComponentWindow, FrequencyWindow, OscillationWindows, SampleCloud,
     WholeSpace,
 )
-from .constructions import MistakeFunction
+from .constructions import MistakeFunction, StageRecipe
 
 __all__ = ["ConfigError", "load_config", "config_digest", "COMMANDS", "build",
            "build_system", "build_measure", "build_point", "build_observable",
@@ -219,6 +219,7 @@ _MISTAKE = Kind(lambda f: MistakeFunction(f["kind"], tuple(
     (float(e), float(c)) for e, c in f["coeff_table"]), f["beta"], f["eps0"]),
     {"coeff_table": listof(tupleof(NUM, NUM))}, {"beta": (NUM, 0.0), "eps0": (NUM, 1.0)})
 _DEPTHS = listof(COUNT, 1)
+_CHAIN = {"transitions": listof(listof(NUM)), "stationary": listof(NUM)}
 _TOLERANCE = {"tolerance": (POSITIVE, 0.02)}
 _NO_SCHEDULE = {"schedule": (SCHEDULE, None)}
 _WHOLE = {"subset": (SUBSET, {"kind": "whole"})}
@@ -305,6 +306,11 @@ SECTIONS = {
         "block-schedule": _point(
             lambda f: BlockSchedule(tuple((tuple(pat), reps) for pat, reps in f["blocks"])),
             {"blocks": listof(tupleof(listof(INT), INT))}),
+        "seeded-markov": _point(lambda f: _markov(f).seeded(f["seed"]), {"seed": INT, **_CHAIN}),
+        "stage-recipe": _point(lambda f: StageRecipe(
+            tuple(map(tuple, f["transitions"])), tuple(f["stationary"]),
+            tuple(map(tuple, f["adjacency"])), f["first_stage"], f["horizon"]),
+            {**_CHAIN, "adjacency": listof(listof(INT)), "first_stage": COUNT, "horizon": COUNT}),
         "steered-blocks": _point(
             lambda f: SteeredBlocks(f["k"], f["symbol"], tuple(f["ends"]), tuple(f["targets"])),
             {"k": INT, "symbol": INT, "ends": listof(INT), "targets": listof(NUM)}),

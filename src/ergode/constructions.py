@@ -1,13 +1,13 @@
 """Constructions: points with prescribed averaging behaviour, orbit gluing
 with a mistake budget, and the standing counterexample system.
 
-The generic-point builder is a Champernowne-style schedule: stage L lays
-down every length-L word with multiplicities quantised against the target
-measure (an error-diffusing rounding keeps every cumulative count within one
-slot of exact), and stage lengths double, so late checkpoints sit in deep,
+The generic-point builder is a Champernowne-style schedule, the point's rule
+(`StageRecipe`), built only as far as it is read: stage L lays down every
+length-L word with multiplicities quantised against the target measure (an
+error-diffusing rounding keeps every cumulative count within one slot of
+exact), and stage lengths double, so late checkpoints sit in deep,
 well-balanced stages.  On a vertex shift the butt joints between words are
-repaired by inserting shortest admissible connectors; the insertion density
-decays like 1/L and is reported.
+repaired by inserting shortest admissible connectors (a density like 1/L).
 
 The irregular-point builder steers the running frequency of one symbol to
 alternating targets at geometrically growing block ends.  Within each block
@@ -25,14 +25,14 @@ budget; an inadmissible result is a bug and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .systems import (
-    BlockSchedule, DisjointUnion, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
-    Suspension, RoofFunction, _count_at_or_below,
+    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, SteeredBlocks, Suspension,
+    RoofFunction, _regrown, _tiled,
 )
 from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
@@ -40,7 +40,7 @@ from .entropy import OscillationWindows
 
 __all__ = [
     "MistakeFunction", "GluingError", "GluedOrbit", "glue_orbits",
-    "mistake_ball_membership", "MistakeBallReport", "generic_point",
+    "mistake_ball_membership", "MistakeBallReport", "generic_point", "StageRecipe",
     "irregular_point", "IrregularRecipe", "build_counterexample_system",
 ]
 
@@ -268,145 +268,99 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
 # generic points
 
 
-def _bresenham_counts(masses: np.ndarray, slots: int) -> np.ndarray:
-    """Integer counts summing to `slots`, each within one of masses*slots."""
-    cum = np.floor(np.cumsum(masses) * slots + 1e-9)
-    return np.diff(cum, prepend=0.0).astype(np.int64)
-
-
-def _all_words(k: int, length: int) -> np.ndarray:
-    """(k**length, length) array of words in lexicographic order."""
-    count = k ** length
-    codes = np.arange(count)
-    out = np.empty((count, length), dtype=np.int64)
-    for i in range(length - 1, -1, -1):
-        out[:, i] = codes % k
-        codes //= k
-    return out
-
-
 def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
                   horizon: int = 1 << 21, first_stage: int = 6) -> Point:
     """A point whose orbit averages converge to the integrals of mu.
 
-    'deterministic-blocks' builds the Champernowne-style stage schedule (no
-    randomness; convergence is by construction).  'seeded-iid' samples the
-    coordinates from mu with a fixed seed: almost-sure genericity, checked a
-    posteriori by the classifier like any other point."""
+    'deterministic-blocks' gives the Champernowne-style `StageRecipe` (no
+    randomness; convergence is by construction).  'seeded-iid' gives mu's own
+    seeded rule: almost-sure genericity, checked a posteriori by the
+    classifier like any other point.  Both build only the prefix that is read."""
     if not isinstance(mu, (Bernoulli, Markov)):
         raise TypeError("generic points are built for Bernoulli and Markov targets")
     check_invariance(mu, system)        # a shift (a tagged union side) that carries mu
-    if len(system.sides) > 1:
-        inner = generic_point(system.side(mu.component), replace(mu, component=None), kind,
-                              seed, horizon, first_stage)
-        return Point(inner.rule, inner.offset, component=mu.component)
-    k = system.alphabet
     if kind == "seeded-iid":
-        if isinstance(mu, Bernoulli):
-            return Point(SeededIID(seed, mu.probs))
-        return Point(ExplicitWord(tuple(_sample_markov(mu, seed, horizon).tolist())))
+        return Point(mu.seeded(seed), component=mu.component)
     if kind != "deterministic-blocks":
         raise ValueError("kind must be 'deterministic-blocks' or 'seeded-iid'")
-    adjacency = system.adjacency
-    cap = 2 * k + 3                   # a connector holds at most 2k + 2 states
-    rounds = []                       # (round array, repeats) per stage
-    total = 0
-    L = first_stage
-    while total < horizon:
-        reps = 1 << (L - first_stage)
-        flat = _stage_round(mu, k, L, adjacency)
-        rounds.append((flat, reps))
-        total += len(flat) * reps
-        L += 1
-    blocks = []
-    for i, (flat, reps) in enumerate(rounds):
-        # seam connectors keep the tiling admissible: within the stage a round
-        # feeds back into itself, at the stage end it feeds the next stage; a
-        # shift that forbids nothing gets () connectors, so a block is its round
-        nxt_first = int(rounds[i + 1][0][0]) if i + 1 < len(rounds) else int(flat[0])
-        self_conn, cross_conn = (_overwrite_connector(adjacency, int(flat[-1]), np.full(cap, b),
-                                                      0, cap) for b in (int(flat[0]), nxt_first))
-        if self_conn is None or cross_conn is None:
-            raise GluingError("no connector exists between stages")
-        body = tuple(flat.tolist())
-        if reps > 1 and self_conn != cross_conn:
-            blocks.append((body + self_conn, reps - 1))
-            blocks.append((body + cross_conn, 1))
-        else:
-            blocks.append((body + (self_conn if reps > 1 else cross_conn), reps))
-    return Point(BlockSchedule(tuple(blocks)))
+    adjacency = system.side(mu.component).adjacency
+    return Point(StageRecipe(mu.transitions, mu.stationary, adjacency, first_stage, horizon),
+                 component=mu.component)
 
 
-def _sample_markov(mu: Markov, seed: int, horizon: int) -> np.ndarray:
-    """The first `horizon` states of the chain drawn from `seed`.
+@dataclass(frozen=True)
+class StageRecipe:
+    """The Champernowne-style stage schedule of a stationary chain on a shift:
+    stage i lays down its round (`_round`) 2**i times, a seam connector
+    joining each round to the next, its own within the stage and the next
+    stage's at its end (none on a shift that forbids nothing).  The stage
+    whose rounds pass `horizon` symbols is the last, and its round repeats
+    forever.  Rounds are built as int16 arrays only as far as is read."""
 
-    One uniform picks the start state from the stationary vector, then
-    uniform i moves state s to the number of cumulative masses of row s at
-    or below it.  Only the k - 1 inner thresholds are counted, so a row whose
-    cumulative sum rounds below 1 cannot step past state k - 1.
+    kind = "stage-recipe"
+    transitions: Tuple[Tuple[float, ...], ...]
+    stationary: Tuple[float, ...]
+    adjacency: Tuple[Tuple[int, ...], ...]
+    first_stage: int
+    horizon: int
+    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
-    The walk is a blocked scan (Blelloch, Prefix sums and their applications,
-    1990): the horizon is cut into about sqrt(n) blocks of about sqrt(n)
-    steps, every block is walked at once from every state, and the blocks'
-    entry states are then chained from the start.  It visits exactly the
-    states of stepping one uniform at a time."""
-    rng = np.random.default_rng(seed)
-    inner = np.cumsum(np.asarray(mu.transitions), axis=1)[:, :-1]
-    k = len(inner)
-    state = int(np.searchsorted(np.cumsum(mu.stationary)[:-1], rng.random(), side="right"))
-    u = rng.random(horizon)
-    dtype = np.int8 if k < 128 else np.intp
-    width = max(1, math.isqrt(horizon))
-    blocks = -(-horizon // width)
-    # step[j, b, s]: the state after step b * width + j taken from state s
-    step = np.zeros((blocks * width, k), dtype=dtype)
-    for s in range(k):
-        step[:horizon, s] = _count_at_or_below(inner[s], u, dtype)
-    step = step.reshape(blocks, width, k).transpose(1, 0, 2)
-    # walk[j, b, s]: the state at step b * width + j when block b starts at s
-    walk = np.empty((width, blocks, k), dtype=dtype)
-    at = np.broadcast_to(np.arange(k, dtype=dtype), (blocks, k))
-    for j in range(width):
-        walk[j] = at
-        at = np.take_along_axis(step[j], at, axis=1)
-    entry = np.empty(blocks, dtype=np.intp)
-    for b in range(blocks):
-        entry[b] = state
-        state = int(at[b, state])
-    return walk[:, np.arange(blocks), entry].T.reshape(-1)[:horizon].astype(np.int64)
+    def __post_init__(self):     # ValueError unless a chain that keeps to the adjacency
+        chain = Markov(self.transitions, self.stationary)
+        check_invariance(chain, MarkovShift(len(self.adjacency), self.adjacency))
+        self._buf.update(chain=chain, rounds=[])
+
+    def _round(self, i: int) -> np.ndarray:
+        """Round i: the words of length L = first_stage + i in lexicographic order, each
+        k**L times its mass by error-diffusing rounding, junctions repaired."""
+        rounds, k = self._buf["rounds"], len(self.stationary)
+        while len(rounds) <= i:
+            L = self.first_stage + len(rounds)
+            cum = np.floor(np.cumsum(self._buf["chain"].cylinder_masses(k, L)) * k ** L + 1e-9)
+            words = np.array(np.unravel_index(np.arange(k ** L), (k,) * L), dtype=np.int16).T
+            repeated = np.repeat(words, np.diff(cum, prepend=0.0).astype(np.int64), axis=0)
+            rounds.append(_repair_junctions(repeated.ravel(), self.adjacency))
+        return rounds[i]
+
+    def stage_blocks(self, size: float = math.inf) -> list:
+        """The (pattern, repeats) blocks of the stages, up to the first that
+        reaches `size` symbols or through the last stage."""
+        blocks, total, i = [], 0, 0
+        while True:
+            flat, reps = self._round(i), 1 << i
+            total += len(flat) * reps
+            last = total >= self.horizon
+            same, cross = (_connector(self.adjacency, flat[-1], b)
+                           for b in (flat[0], (flat if last else self._round(i + 1))[0]))
+            body = lambda conn: np.concatenate((flat, np.array(conn, dtype=np.int16)))
+            if reps > 1 and same != cross:
+                blocks += [(body(same), reps - 1), (body(cross), 1)]
+            else:
+                blocks.append((body(same if reps > 1 else cross), reps))
+            if last or sum(len(pattern) * r for pattern, r in blocks) >= size:
+                return blocks
+            i += 1
+
+    def materialise(self, n: int) -> np.ndarray:
+        return _regrown(self, n, lambda _, size: _tiled(self.stage_blocks(size), size))
 
 
-def _stage_round(mu, k: int, L: int, adjacency) -> np.ndarray:
-    """One round of a stage: every length-L word laid out in order with
-    multiplicities quantised against the measure, junctions repaired."""
-    masses = mu.cylinder_masses(k, L)
-    counts = _bresenham_counts(masses, k ** L)
-    words = _all_words(k, L)
-    return _repair_junctions(np.repeat(words, counts, axis=0).reshape(-1), adjacency)
+def _connector(adjacency, a: int, b: int) -> tuple:
+    """A shortest connector v_1..v_r (r <= 2k + 2), a -> v_1 -> ... -> v_r -> b admissible."""
+    cap = 2 * len(adjacency) + 3
+    conn = _overwrite_connector(adjacency, int(a), np.full(cap, int(b)), 0, cap)
+    if conn is None:
+        raise GluingError(f"no connector exists from {a} to {b}")
+    return conn
 
 
 def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
     """Insert shortest connectors wherever consecutive symbols are forbidden."""
-    cap = 2 * len(adjacency) + 3
-    adj = np.asarray(adjacency)
-    bad = np.nonzero(adj[flat[:-1], flat[1:]] == 0)[0]
-    if len(bad) == 0:
-        return flat
-    connectors = {}
-    pieces = []
-    prev = 0
-    for idx in bad:
-        pieces.append(flat[prev:idx + 1])
-        pair = (int(flat[idx]), int(flat[idx + 1]))
-        if pair not in connectors:
-            conn = _overwrite_connector(adjacency, pair[0], np.full(cap, pair[1]), 0, cap)
-            if conn is None:
-                raise GluingError("no connector exists between stage words")
-            connectors[pair] = np.asarray(conn, dtype=flat.dtype)
-        pieces.append(connectors[pair])
-        prev = idx + 1
-    pieces.append(flat[prev:])
-    return np.concatenate(pieces)
+    bad = np.nonzero(np.asarray(adjacency)[flat[:-1], flat[1:]] == 0)[0]
+    pairs = list(zip(flat[bad].tolist(), flat[bad + 1].tolist()))
+    conns = {pair: _connector(adjacency, *pair) for pair in set(pairs)}
+    return np.insert(flat, np.repeat(bad + 1, [len(conns[p]) for p in pairs]),
+                     [s for p in pairs for s in conns[p]])
 
 
 # ---------------------------------------------------------------------------

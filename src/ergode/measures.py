@@ -29,7 +29,9 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .systems import BudgetExhausted, Coordinate, ExplicitWord, Point, time_t_map
+from .systems import (
+    BudgetExhausted, Coordinate, ExplicitWord, Point, SeededIID, SeededMarkov, time_t_map,
+)
 
 __all__ = [
     "Bernoulli", "Markov", "Lebesgue", "Atomic", "Mixture", "TimeAveraged",
@@ -81,6 +83,10 @@ class _Piece:
 
     def check(self, system):
         raise TypeError(f"no invariance rule for a {type(self).__name__} piece")
+
+    def seeded(self, seed: int):
+        """The rule of a point drawn from the piece with `seed`."""
+        raise TypeError(f"no seeded points of a {type(self).__name__} piece")
 
 
 def _shift_of(system, component):
@@ -216,6 +222,9 @@ class Bernoulli(_Chain):
     def entropy(self, system) -> float:
         return -math.fsum(p * math.log(p) for p in self.probs if p > 0)
 
+    def seeded(self, seed: int) -> SeededIID:
+        return SeededIID(seed, self.probs)
+
 
 @dataclass(frozen=True)
 class Markov(_Chain):
@@ -264,6 +273,9 @@ class Markov(_Chain):
     def entropy(self, system) -> float:
         return -math.fsum(self.stationary[i] * p * math.log(p)
                           for i, row in enumerate(self.transitions) for p in row if p > 0)
+
+    def seeded(self, seed: int) -> SeededMarkov:
+        return SeededMarkov(seed, self.transitions, self.stationary)
 
 
 @dataclass(frozen=True)

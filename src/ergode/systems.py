@@ -13,10 +13,10 @@ fiber, t and every roof value as the decimals they print as, over one
 denominator), by the time-t map readers and by `time_t_map` alike; circle
 multiplication steps the exact orbit of the decimal its coordinate prints as.
 
-Points are immutable views into lazily materialised symbol streams (or real
-coordinate vectors).  Every consumer declares a horizon; nothing here ever
-builds an infinite object.  Stepping a symbolic point is O(1): it only moves
-an offset into the shared stream.
+Points are immutable views into symbol streams (or coordinate vectors) that
+their rule, a recipe of a few numbers or a word, builds only as far as it is
+read, and writes to point.json as its `kind` and its own fields.  Stepping a
+symbolic point is O(1): it only moves an offset into the shared stream.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 __all__ = [
     "FullShift", "MarkovShift", "CircleMult", "CircleRotation", "DisjointUnion",
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
-    "TimeTMap", "ExplicitWord", "SeededIID", "BlockSchedule", "SteeredBlocks",
+    "TimeTMap", "ExplicitWord", "SeededIID", "SeededMarkov", "BlockSchedule", "SteeredBlocks",
     "Coordinate", "Point", "time_t_map", "random_point",
     "BudgetExhausted",
 ]
@@ -130,11 +130,17 @@ class _Shift(_Descriptor):
         alphabet and every consecutive pair is allowed.  A word repeats, its
         wrap-around included; blocks add their junctions and the repeat of
         the last pattern; iid draws pair any two symbols of positive
-        probability; a steered rule, where some pair is forbidden, pairs the
-        symbols of its stream up to the first repeat of its last block."""
+        probability, a seeded chain its steps of positive probability, and a
+        stage recipe what its own adjacency allows; a steered rule, where some
+        pair is forbidden, pairs the symbols of its stream up to the first
+        repeat of its last block."""
         if hasattr(rule, "probs"):
             used = [s for s, p in enumerate(rule.probs) if p > 0]
             pairs = [(a, b) for a in used for b in used]
+        elif hasattr(rule, "transitions"):
+            A = getattr(rule, "adjacency", rule.transitions)
+            pairs = [(a, b) for a, row in enumerate(A) for b, e in enumerate(row) if e > 0]
+            used = {s for s, p in enumerate(rule.stationary) if p > 0}.union(*pairs)
         elif hasattr(rule, "ends"):
             used, pairs = range(rule.k), []
             if not self.forbids_nothing:
@@ -581,11 +587,17 @@ def _entries(roof: RoofFunction, x: "Point", table, top: int) -> np.ndarray:
 
 _GROW = 1024  # materialisation granularity
 _STEER_CHUNK = 1 << 16  # block positions `SteeredBlocks` writes per vectorised step
+_WALK_CHUNK = 1 << 18  # chain steps `SeededMarkov` walks per blocked scan
 
 
-def _grown(n: int, arr: Optional[np.ndarray]) -> int:
-    # n up to a multiple of _GROW, and at least double a buffer being regrown
-    return -(-max(n, 1, 0 if arr is None else 2 * len(arr)) // _GROW) * _GROW
+def _regrown(rule, n: int, build) -> np.ndarray:
+    """The first n symbols of the rule's buffer, which build(buffer or None,
+    size) extends when shorter: to n up to a multiple of _GROW, at least doubling."""
+    arr = rule._buf.get("arr")
+    if arr is None or len(arr) < n:
+        size = -(-max(n, 1, 0 if arr is None else 2 * len(arr)) // _GROW) * _GROW
+        arr = rule._buf["arr"] = build(arr, size)
+    return arr[:n]
 
 
 def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
@@ -597,10 +609,24 @@ def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
+def _tiled(blocks, size: int) -> np.ndarray:
+    """The first `size` symbols of (pattern, repeats) blocks laid end to end,
+    the last pattern repeating forever once they run out."""
+    parts, total = [], 0
+    for pattern, reps in (*blocks, (blocks[-1][0], size)):
+        if total >= size:
+            break
+        pattern = np.asarray(pattern, dtype=np.int16)
+        parts.append(np.tile(pattern, min(reps, -(-(size - total) // len(pattern)))))
+        total += len(parts[-1])
+    return np.concatenate(parts)[:size]
+
+
 @dataclass(frozen=True)
 class ExplicitWord:
     """A finite word repeated periodically."""
 
+    kind = "explicit-word"
     symbols: Tuple[int, ...]
     _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -609,13 +635,7 @@ class ExplicitWord:
             raise ValueError("explicit word must be nonempty")
 
     def materialise(self, n: int) -> np.ndarray:
-        arr = self._buf.get("arr")
-        if arr is None or len(arr) < n:
-            size = _grown(n, arr)
-            base = np.asarray(self.symbols, dtype=np.int16)
-            arr = np.tile(base, -(-size // len(base)))[:size]
-            self._buf["arr"] = arr
-        return arr[:n]
+        return _regrown(self, n, lambda _, size: _tiled(((self.symbols, 1),), size))
 
 
 @dataclass(frozen=True)
@@ -628,6 +648,7 @@ class SeededIID:
     materialisation always extends a shorter one bit-exactly.
     """
 
+    kind = "seeded-iid"
     seed: int
     probs: Tuple[float, ...]
     _buf: dict = field(default_factory=dict, compare=False, repr=False)
@@ -639,21 +660,79 @@ class SeededIID:
             raise ValueError("probabilities must sum to 1")
 
     def materialise(self, n: int) -> np.ndarray:
-        arr = self._buf.get("arr")
-        if arr is None or len(arr) < n:
-            size = _grown(n, arr)
-            u = np.random.default_rng(self.seed).random(size)
-            arr = _count_at_or_below(np.cumsum(self.probs)[:-1], u, np.int16)
-            self._buf["arr"] = arr
-        return arr[:n]
+        return _regrown(self, n, lambda _, size: _count_at_or_below(
+            np.cumsum(self.probs)[:-1], np.random.default_rng(self.seed).random(size), np.int16))
+
+
+@dataclass(frozen=True)
+class SeededMarkov:
+    """The states of a Markov chain (`Markov.seeded` checks it) drawn from
+    `seed`: one uniform picks the start state from `stationary`, then uniform
+    i moves state s to the count of row s's inner cumulative masses at or
+    below it, so a row summing below 1 cannot step past state k - 1.  The
+    generator and the next state stay in the buffer, so a regrowth draws and
+    walks only the new steps; the generator's doubles are prefix-stable, so a
+    longer materialisation extends a shorter one bit-exactly."""
+
+    kind = "seeded-markov"
+    seed: int
+    transitions: Tuple[Tuple[float, ...], ...]
+    stationary: Tuple[float, ...]
+    _buf: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def materialise(self, n: int) -> np.ndarray:
+        return _regrown(self, n, self._walk)
+
+    def _walk(self, arr: Optional[np.ndarray], size: int) -> np.ndarray:
+        """arr walked on to `size` states, `_WALK_CHUNK` steps per scan to bound memory."""
+        buf = self._buf
+        if arr is None:
+            buf["rng"], arr = np.random.default_rng(self.seed), np.empty(0, dtype=np.int16)
+            cum = np.cumsum(self.stationary)[:-1]
+            buf["state"] = int(np.searchsorted(cum, buf["rng"].random(), side="right"))
+        parts = [arr]
+        for done in range(len(arr), size, _WALK_CHUNK):
+            parts.append(self._scan(buf["rng"].random(min(_WALK_CHUNK, size - done))))
+        return np.concatenate(parts)
+
+    def _scan(self, u: np.ndarray) -> np.ndarray:
+        """The states at the steps of the uniforms u from the next state, which
+        moves past them: a blocked scan (Blelloch, Prefix sums and their
+        applications, 1990) cuts the m steps into about sqrt(m) blocks of about
+        sqrt(m) steps, walks every block at once from every state and chains
+        the blocks' entry states, visiting exactly the states of a one-step walk."""
+        inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
+        k, m = len(inner), len(u)
+        dtype = np.int8 if k < 128 else np.intp
+        width = max(1, math.isqrt(m))
+        blocks = -(-m // width)
+        # step[j, b, s]: the state after step b * width + j taken from state s
+        step = np.zeros((blocks * width, k), dtype=dtype)
+        for s in range(k):
+            step[:m, s] = _count_at_or_below(inner[s], u, dtype)
+        step = step.reshape(blocks, width, k).transpose(1, 0, 2)
+        # walk[j, b, s]: the state at step b * width + j when block b starts at s
+        walk = np.empty((width, blocks, k), dtype=dtype)
+        at = np.broadcast_to(np.arange(k, dtype=dtype), (blocks, k))
+        for j in range(width):
+            walk[j] = at
+            at = np.take_along_axis(step[j], at, axis=1)
+        entry, state = np.empty(blocks, dtype=np.intp), self._buf["state"]
+        for b in range(blocks):
+            entry[b] = state
+            state = int(at[b, state])
+        new = walk[:, np.arange(blocks), entry].T.reshape(-1)[:m].astype(np.int16)
+        # the next state steps from the last one: the steps padding the last block go to 0
+        self._buf["state"] = int(_count_at_or_below(inner[new[-1]], u[-1:], np.intp)[0])
+        return new
 
 
 @dataclass(frozen=True)
 class BlockSchedule:
     """Concatenation of (pattern, repeats) blocks; the last pattern repeats
-    forever once the schedule is exhausted.  Constructed points serialise in
-    this form so experiments replay bit-exactly."""
+    forever once the schedule is exhausted."""
 
+    kind = "block-schedule"
     blocks: Tuple[Tuple[Tuple[int, ...], int], ...]
     _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -664,34 +743,8 @@ class BlockSchedule:
             if not pattern or reps < 1:
                 raise ValueError("each block needs a nonempty pattern and repeats >= 1")
 
-    def block_ends(self) -> Tuple[int, ...]:
-        """Cumulative lengths at the end of each block entry."""
-        ends = []
-        total = 0
-        for pattern, reps in self.blocks:
-            total += len(pattern) * reps
-            ends.append(total)
-        return tuple(ends)
-
     def materialise(self, n: int) -> np.ndarray:
-        arr = self._buf.get("arr")
-        if arr is None or len(arr) < n:
-            size = _grown(n, arr)
-            parts = []
-            total = 0
-            for pattern, reps in self.blocks:
-                if total >= size:
-                    break
-                chunk = np.tile(np.asarray(pattern, dtype=np.int16), reps)
-                parts.append(chunk)
-                total += len(chunk)
-            if total < size:
-                pattern = np.asarray(self.blocks[-1][0], dtype=np.int16)
-                reps = -(-(size - total) // len(pattern))
-                parts.append(np.tile(pattern, reps))
-            arr = np.concatenate(parts)[:size]
-            self._buf["arr"] = arr
-        return arr[:n]
+        return _regrown(self, n, lambda _, size: _tiled(self.blocks, size))
 
 
 @dataclass(frozen=True)
@@ -713,6 +766,7 @@ class SteeredBlocks:
     building a stream holds little more than the stream.
     """
 
+    kind = "steered-blocks"
     k: int
     symbol: int
     ends: Tuple[int, ...]
@@ -782,29 +836,29 @@ class SteeredBlocks:
         return before[i] + q * (before[i + 1] - before[i]) + self._block_counts(L, wants[i], p)
 
     def materialise(self, n: int) -> np.ndarray:
-        arr = self._buf.get("arr")
-        if arr is None or len(arr) < n:
-            size = _grown(n, arr)
-            arr = np.empty(size, dtype=np.int16)
-            last = start = 0
-            for end, want in zip(self.ends, self._wants()):
-                if start >= size:
-                    break
-                # only the part of this block that the stream needs
-                self._write_block(arr[start:min(end, size)], end - start, want)
-                last, start = start, end
-            while start < size:                   # the last block repeats
-                r = min(start - last, size - start)
-                arr[start:start + r] = arr[last:last + r]
-                start += r
-            self._buf["arr"] = arr
-        return arr[:n]
+        return _regrown(self, n, self._built)
+
+    def _built(self, _, size: int) -> np.ndarray:
+        arr = np.empty(size, dtype=np.int16)
+        last = start = 0
+        for end, want in zip(self.ends, self._wants()):
+            if start >= size:
+                break
+            # only the part of this block that the stream needs
+            self._write_block(arr[start:min(end, size)], end - start, want)
+            last, start = start, end
+        while start < size:                   # the last block repeats
+            r = min(start - last, size - start)
+            arr[start:start + r] = arr[last:last + r]
+            start += r
+        return arr
 
 
 @dataclass(frozen=True)
 class Coordinate:
     """A point of the circle or torus given by coordinates in [0, 1)."""
 
+    kind = "coordinate"
     coords: Tuple[float, ...]
 
     def __post_init__(self):
@@ -813,7 +867,7 @@ class Coordinate:
         object.__setattr__(self, "coords", tuple(c % 1.0 for c in self.coords))
 
 
-Rule = Union[ExplicitWord, SeededIID, BlockSchedule, SteeredBlocks, Coordinate]
+Rule = Union[ExplicitWord, SeededIID, SeededMarkov, BlockSchedule, SteeredBlocks, Coordinate]
 
 
 @dataclass(frozen=True)

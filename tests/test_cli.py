@@ -10,11 +10,12 @@ import sys
 import numpy as np
 import pytest
 
-from ergode.config import build_measure, build_point, build_system
-from ergode.constructions import generic_point, irregular_point
+from ergode.config import build_measure, build_mistake_function, build_point, build_system
+from ergode.constructions import StageRecipe, generic_point, glue_orbits, irregular_point
 from ergode.cli import _measure, _point_json, _write_point, main
 from ergode.systems import (
-    BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SteeredBlocks,
+    BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SeededMarkov,
+    SteeredBlocks,
 )
 
 # the program as `python -m ergode`, which needs no installed console script
@@ -318,6 +319,9 @@ WRITTEN_POINTS = {
                             component=1, fiber=math.pi / 10),
     "explicit-word": Point(ExplicitWord((0, 1, 1)), offset=2, component=0),
     "seeded-iid": Point(SeededIID(7, (1 / 3, 2 / 3)), offset=1, component=1, fiber=0.1),
+    "seeded-markov": Point(SeededMarkov(3, ((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7)), offset=4),
+    "stage-recipe": Point(StageRecipe(((0.3, 0.7), (0.3, 0.7)), (0.3, 0.7), ((1, 1), (1, 1)), 6,
+                                      1 << 21), component=0, fiber=0.25),
     "coordinate": Point(Coordinate((1 / 3, math.sqrt(2) - 1)), component=0),
 }
 
@@ -332,6 +336,53 @@ def test_a_point_file_holds_the_bytes_of_a_streamed_json_dump(point, tmp_path):
     _write_point(str(written), point)
     assert written.read_bytes() == streamed.read_bytes()
     assert build_point(json.loads(written.read_text())) == point
+
+
+GOLDEN_MEAN_CHAIN = {"kind": "markov", "transitions": [[0.6, 0.4], [1.0, 0.0]]}
+GLUED = json.loads((pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
+                    / "construct_glued_orbit_golden_mean.json").read_text())
+# a construct config's fields, and the point its construction gives in-process
+REPLAYED = {
+    "blocks-full-shift": ({"construction": "generic-point", "system": FULL_SHIFT_2,
+                           "measure": {"kind": "bernoulli", "probs": [0.3, 0.7]}}, "blocks"),
+    "blocks-golden-mean": ({"construction": "generic-point", "system": GOLDEN_MEAN,
+                            "measure": GOLDEN_MEAN_CHAIN}, "blocks"),
+    "seeded-bernoulli": ({"construction": "generic-point", "construction_kind": "seeded-iid",
+                          "system": FULL_SHIFT_2,
+                          "measure": {"kind": "bernoulli", "probs": [0.3, 0.7]}}, "seeded"),
+    "seeded-markov": ({"construction": "generic-point", "construction_kind": "seeded-iid",
+                       "system": GOLDEN_MEAN, "measure": GOLDEN_MEAN_CHAIN}, "seeded"),
+    "irregular": ({"construction": "irregular-point", "system": FULL_SHIFT_2, "symbol": 1,
+                   "lo": 0.3, "hi": 0.7}, "irregular"),
+    "glued": ({key: GLUED[key] for key in ("construction", "system", "segments", "eps",
+                                           "mistake_function")}, "glued"),
+}
+
+
+def constructed(how, system, cfg):
+    """The point the construct config builds, built in-process."""
+    if how == "blocks":
+        return generic_point(system, build_measure(cfg["measure"]))
+    if how == "seeded":
+        return generic_point(system, build_measure(cfg["measure"]), "seeded-iid")
+    if how == "irregular":
+        return irregular_point(system, 1, 0.3, 0.7).point
+    segments = [(build_point(p), n) for p, n in cfg["segments"]]
+    return glue_orbits(system, segments, cfg["eps"],
+                       build_mistake_function(cfg["mistake_function"])).point
+
+
+@pytest.mark.parametrize("fields, how", REPLAYED.values(), ids=REPLAYED.keys())
+def test_a_written_point_replays_its_construction(fields, how, tmp_path, monkeypatch):
+    monkeypatch.delenv("ERGODE_SEED", raising=False)
+    cfg = {"command": "construct", "experiment_id": "replay", **fields}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    point = build_point(json.loads((tmp_path / "replay.point.json").read_text()))
+    system = build_system(cfg["system"])
+    assert np.array_equal(point.prefix(10 ** 6), constructed(how, system, cfg).prefix(10 ** 6))
+    system.admits(point.rule)
 
 
 def test_construct_seeded_markov_point_writes_readable_json(tmp_path):

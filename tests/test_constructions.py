@@ -21,7 +21,6 @@ from ergode.birkhoff import Schedule, classify_generic
 from ergode.constructions import (
     GluingError,
     MistakeFunction,
-    _sample_markov,
     build_counterexample_system,
     generic_point,
     glue_orbits,
@@ -237,16 +236,15 @@ def test_generic_point_seeded_kind_is_reproducible():
 
 
 def markov_reference(mu, seed, horizon):
-    """The chain walk one symbol at a time, with the same draws as
-    `_sample_markov`."""
+    """The chain walk one symbol and one uniform at a time, with the same
+    draws as the chain's seeded rule."""
     rng = np.random.default_rng(seed)
     cum = np.cumsum(np.asarray(mu.transitions), axis=1)
     out = np.empty(horizon, dtype=np.int64)
     state = int(np.searchsorted(np.cumsum(mu.stationary), rng.random(), side="right"))
-    u = rng.random(horizon)
     for i in range(horizon):
         out[i] = state
-        state = int(np.searchsorted(cum[state], u[i], side="right"))
+        state = int(np.searchsorted(cum[state], rng.random(), side="right"))
     return out
 
 
@@ -254,15 +252,52 @@ GOLDEN_MEAN_CHAIN = Markov.from_transitions(((0.6, 0.4), (1.0, 0.0)))
 # the first row's cumulative sum is 0.9999999999999999
 THREE_STATE_CHAIN = Markov.from_transitions(
     ((0.7, 0.2, 0.1), (0.3, 0.3, 0.4), (0.5, 0.25, 0.25)))
+# 0 never steps to 1, nor 2 to 2
+ZERO_STEP_CHAIN = Markov.from_transitions(((0.5, 0.0, 0.5), (0.2, 0.3, 0.5), (0.6, 0.4, 0.0)))
 
 
-@pytest.mark.parametrize("mu", [GOLDEN_MEAN_CHAIN, THREE_STATE_CHAIN])
+@pytest.mark.parametrize("mu", [GOLDEN_MEAN_CHAIN, THREE_STATE_CHAIN, ZERO_STEP_CHAIN])
 @pytest.mark.parametrize("horizon", [1, 2, 3, 1000, (1 << 18) + 1])
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_markov_walk_matches_the_per_step_loop(mu, horizon, seed):
-    word = _sample_markov(mu, seed, horizon)
-    assert word.dtype == np.int64
+    word = mu.seeded(seed).materialise(horizon)
+    assert word.dtype == np.int16
     assert np.array_equal(word, markov_reference(mu, seed, horizon))
+
+
+@pytest.mark.parametrize("mu", [GOLDEN_MEAN_CHAIN, ZERO_STEP_CHAIN])
+@pytest.mark.parametrize("seed", [0, 14])
+def test_a_regrown_markov_walk_matches_the_per_step_loop(mu, seed):
+    """Each regrowth draws only the new uniforms and walks on from the state
+    after the last one built."""
+    rule, want = mu.seeded(seed), markov_reference(mu, seed, 100_000)
+    for n in (1, 1025, 5000, 70_001, 100_000):
+        assert np.array_equal(rule.materialise(n), want[:n]), n
+        assert len(rule._buf["arr"]) < 2 * n + 1024        # built only as far as read
+
+
+@pytest.mark.parametrize("seed", [14, 28])
+def test_a_seeded_golden_mean_point_keeps_to_its_shift(seed):
+    """At these seeds the first 262,144 states start and end in state 1: a
+    point that repeats them holds 11 at every period, which the shift forbids."""
+    x = generic_point(GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, "seeded-iid", seed=seed, horizon=1 << 18)
+    GOLDEN_MEAN.admits(x.rule)
+    word = x.prefix(10 ** 6)
+    assert not ((word[:-1] == 1) & (word[1:] == 1)).any()
+
+
+@pytest.mark.parametrize("system, mu, digest", [
+    (FullShift(2), Bernoulli((0.3, 0.7)),
+     "37a7264dfbe5cdf4405ad9cb44f738471a981cb72ed05b312bd7fa581ad0b216"),
+    (GOLDEN_MEAN, GOLDEN_MEAN_CHAIN,
+     "65064d505e95679069a8b93b28c67fe54a8aa38f7233792cbcef0f56923e4a58"),
+])
+def test_the_stage_recipe_streams_the_block_schedule_it_replaces(system, mu, digest):
+    """The sha256 of the first 3,000,000 symbols (int16 bytes) of the default
+    generic point, pinned from the `BlockSchedule` of every stage up to the
+    horizon that it was built as before: the streams are bit-identical."""
+    x = generic_point(system, mu, "deterministic-blocks")
+    assert hashlib.sha256(x.prefix(3_000_000).astype(np.int16).tobytes()).hexdigest() == digest
 
 
 def test_golden_mean_block_point_is_admissible_and_generic():
@@ -291,15 +326,15 @@ SEAMED_CHAIN = Markov.from_transitions(((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 
 def test_block_schedule_of_a_vertex_shift_is_as_pinned(system, mu, shape, digest):
     """The stage rounds, their junction connectors and their seam connectors,
     pinned by each block's (length, repeats) and the sha256 of the blocks' repr."""
-    blocks = generic_point(system, mu, "deterministic-blocks", horizon=3000,
-                           first_stage=2).rule.blocks
+    recipe = generic_point(system, mu, "deterministic-blocks", horizon=3000, first_stage=2).rule
+    blocks = tuple((tuple(pattern.tolist()), reps) for pattern, reps in recipe.stage_blocks())
     assert [(len(pattern), reps) for pattern, reps in blocks] == shape
     assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
     system.admits(BlockSchedule(blocks))
 
 
 def test_markov_walk_of_no_steps_is_empty():
-    assert _sample_markov(GOLDEN_MEAN_CHAIN, 0, 0).shape == (0,)
+    assert GOLDEN_MEAN_CHAIN.seeded(0).materialise(0).shape == (0,)
 
 
 class _TopUniforms:
@@ -318,7 +353,7 @@ def test_markov_walk_stays_in_the_alphabet_when_a_row_sums_below_one(monkeypatch
     assert np.cumsum(row)[-1] == 1.0 - 2.0 ** -53
     mu = Markov((row, row, row), row)
     monkeypatch.setattr(np.random, "default_rng", _TopUniforms)
-    assert _sample_markov(mu, 0, 5).tolist() == [2] * 5
+    assert mu.seeded(0).materialise(5).tolist() == [2] * 5
 
 
 def test_irregular_point_steers_frequency_exactly_at_block_ends():

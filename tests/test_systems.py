@@ -18,6 +18,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     SeededIID,
+    SeededMarkov,
     SteeredBlocks,
     Suspension,
     TimeTMap,
@@ -27,7 +28,7 @@ from ergode.systems import (
     _count_at_or_below,
 )
 from ergode.measures import Markov
-from ergode.constructions import _sample_markov
+from ergode.constructions import StageRecipe
 
 from metrics import distance, metric_for
 from stepping import iterate, step
@@ -428,11 +429,11 @@ def test_markov_step_rows_draw_what_the_binary_search_drew(probs, uniforms, monk
     horizon = 3000
     if uniforms == "seeded":
         want = markov_walk_by_search(mu, np.random.default_rng(5), horizon)
-        got = _sample_markov(mu, 5, horizon)
+        got = mu.seeded(5).materialise(horizon)
     else:
         want = markov_walk_by_search(mu, _ScriptedUniforms(probs), horizon)
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedUniforms(probs))
-        got = _sample_markov(mu, 0, horizon)
+        got = mu.seeded(0).materialise(horizon)
     assert np.array_equal(got, want)
 
 
@@ -447,6 +448,12 @@ GROWING_RULES = {
                                               (0.2, 0.6, 0.3, 0.5)),
     "steered-blocks-3": lambda: SteeredBlocks(3, 0, (100, 900, 70000, 150000),
                                               (0.2, 0.6, 0.3, 0.5)),
+    "seeded-markov": lambda: SeededMarkov(3, ((0.5, 0.0, 0.5), (0.2, 0.3, 0.5), (0.6, 0.4, 0.0)),
+                                          (0.4, 0.2, 0.4)),
+    # the golden mean's stages need junction and seam connectors; the last
+    # stage (of words of length 7) ends at symbol 18,424, and its round repeats
+    "stage-recipe": lambda: StageRecipe(((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7),
+                                        ((1, 1), (1, 0)), 3, 5000),
 }
 
 
@@ -455,6 +462,20 @@ def test_regrown_streams_keep_their_prefixes(make):
     rule = make()
     for n in (65539, 10, 200000, 70000):
         assert np.array_equal(rule.materialise(n), make().materialise(n))
+
+
+@pytest.mark.parametrize("make", GROWING_RULES.values(), ids=GROWING_RULES.keys())
+@given(n=st.integers(0, 20000), steps=st.lists(st.integers(1, 30000), min_size=1, max_size=4))
+@settings(deadline=None, max_examples=15)
+def test_a_prefix_is_the_start_of_every_longer_one(make, n, steps):
+    """prefix(n) is prefix(4n)[:n], and a stream read in growing steps is the
+    stream read at once."""
+    assert np.array_equal(Point(make()).prefix(n), Point(make()).prefix(4 * n)[:n])
+    grown, total = make(), 0
+    for m in steps:
+        total += m
+        grown.materialise(total)
+    assert np.array_equal(grown.materialise(total), make().materialise(total))
 
 
 def test_a_stream_is_built_as_long_as_asked_and_doubles_on_regrowth():
