@@ -23,8 +23,8 @@ from .measures import (
 )
 from .birkhoff import (
     LimitClass, Schedule, Verdict, birkhoff_average_flow, birkhoff_average_map,
-    birkhoff_profile, classify_generic, classify_irregular, empirical_measure,
-    flow_average_profile, limit_point_set,
+    birkhoff_profile, classify_generic, classify_irregular, flow_average_profile,
+    limit_point_set,
 )
 from .entropy import (
     ComponentWindow, EntropyEstimate, FrequencyWindow, OscillationWindows,

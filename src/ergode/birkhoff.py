@@ -1,5 +1,5 @@
-"""Orbit averages along checkpoint schedules, empirical measures, and the
-classification of points as generic / not generic / irregular.
+"""Orbit averages along checkpoint schedules, and the classification of
+points as generic / not generic / irregular.
 
 Every average is read by one function, `_profiles(system, points,
 observables, schedule)`, which returns A[point, checkpoint, observable] for a
@@ -7,22 +7,24 @@ whole family from one pass over each orbit, so a schedule of checkpoints
 costs the same as its largest entry.  The public readers
 (`birkhoff_profile`, `flow_average_profile`, the classifiers and
 `limit_point_set`) pass it one point; a suite passes all of its points, and
-those that share a chart are read together, one count per chunk.  The
-reader asks each observable (see `measures.Observable`), never its kind: a
-`constant` is its value; rotation and translation flows take its
-`line_average` (a harmonic's, in closed form); circle and torus maps sum its
-values `along` the system's `orbit` (exact under circle multiplication).  A
-system whose `carrier` is symbolic (a shift, a suspension or its time-t map)
-is read in base cells (symbol offsets), and each full cell weighs the hits of
-the word the observable has `counted` by what the orbit spends in it: map
-steps, or its fiber `mass` under the cell's roof.  Word hits are counted
-per (point, word code, weight class) between consecutive checkpoints, in
-bounded chunks, so no full-length temporary is held; the partial first cell
-of a flow (from its fiber) and the partial last cell are added on top, which
-makes suspension flow averages exact.  A shift and the time-t map of a
-suspension read their cells from the exact integer chart of `systems` (the
-one `time_t_map` steps by), so a map's cells carry no float rounding, and
-under a constant roof cost no table.
+those that share a chart are counted together in stacks and finished
+together once.  The reader asks each observable (see `measures.Observable`),
+never its kind: a `constant` is its value; rotation and translation flows
+take its `line_average` (a harmonic's, in closed form); circle and torus maps
+sum its values `along` the system's `orbit` (exact under circle
+multiplication).  A system whose `carrier` is symbolic (a shift, a
+suspension or its time-t map) is read in base cells (symbol offsets), and
+each full cell weighs the hits of the word the observable has `counted` by
+what the orbit spends in it: map steps, or its fiber `mass` under the cell's
+roof.  Word hits are counted per (point, word code, weight class) between
+consecutive checkpoints, in bounded chunks keyed in the narrowest integer
+type that holds them, so no full-length temporary is held; a symbol outside
+the alphabet is refused before it can spill into another point's keys.  The
+partial first cell of a flow (from its fiber) and the partial last cell are
+added on top, which makes suspension flow averages exact.  A shift and the
+time-t map of a suspension read their cells from the exact integer chart of
+`systems` (the one `time_t_map` steps by), so a map's cells carry no float
+rounding, and under a constant roof cost no table.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -38,15 +40,13 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (
-    BudgetExhausted, Coordinate, Point, _decimals, _entries, _fiber, _map_chart,
-)
-from .measures import Atomic, TestFamily, integrate
+from .systems import Point, _decimals, _entries, _fiber, _map_chart
+from .measures import TestFamily, integrate
 
 __all__ = [
     "Schedule", "Verdict", "LimitClass", "birkhoff_average_map",
     "birkhoff_profile", "birkhoff_average_flow", "flow_average_profile",
-    "empirical_measure", "limit_point_set", "classify_generic",
+    "limit_point_set", "classify_generic",
     "classify_irregular", "family_targets",
 ]
 
@@ -109,7 +109,7 @@ class Verdict:
 # others.  Every average is then the hits of a word per cell, weighted by
 # what the orbit spends in the cell, summed over the cells between checkpoints.
 
-_CELL_CHUNK = 1 << 16   # cells per vectorised step; an int64 temporary of a step is 512 KB
+_CELL_CHUNK = 1 << 16   # (point, cell) pairs per vectorised step; its keys take 128 KB in int16
 
 
 def _map_cells(system, x: Point, n: int, depth: int):
@@ -158,22 +158,18 @@ def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
 
 
 def _cell_profiles(system, points, observables, Ts):
-    """A[p, c, j] of `points` along a symbolic orbit, yielded group by group.
+    """A[p, c, j] of `points` along a symbolic orbit, yielded chart group by
+    chart group.
 
-    A group is a run of points that share a chart (a shift, or one fiber
-    under a constant roof), so each checkpoint ends in the same cell for all
-    of them.  It stacks at most `_CELL_CHUNK` symbols; a longer read, or a
-    point under a word-dependent roof, is a group of one.  In each checkpoint
-    segment, one `np.bincount` per step of at most `_CELL_CHUNK` (point,
-    cell) pairs counts the word codes of the full cells at the deepest word
-    length per (point, code, weight class); a shorter word reads the codes
-    that start with it, and a word of the other side of a disjoint union
-    reads 0.  A map has one class, each cell weighing the map steps spent in
-    it; a flow's classes are its roof values, each weighing the mass of an
-    observable's fiber profile under it.  Cell 0 (from the fiber f0 on a
-    flow) and the partial last cell are added in array ops over (point,
-    checkpoint, word).  A depth-1 read in which every full cell weighs the
-    same counts a rule that has `counts` from its recipe, building no symbols.
+    A chart group is a run of points that share a chart (a shift, or one
+    fiber under a constant roof), so each checkpoint ends in the same cell for
+    all of them; a point under a word-dependent roof is a group of one.  Its
+    rows are counted in stacks of at most `_CELL_CHUNK` symbols (`_count`),
+    each row dropped once counted, and the group finishes once (`_finish`)
+    from its counts, a few numbers per point.  A row with a symbol outside
+    the alphabet is refused (ValueError) before it is stacked.  A depth-1
+    read in which every full cell weighs the same counts a rule that has
+    `counts` from its recipe, building no symbols.
     """
     flow, space = system.is_flow, system.space      # a time-t map reads its flow's fibers
     k = max(side.alphabet for side in system.carrier.sides)     # a code base above every symbol
@@ -184,24 +180,39 @@ def _cell_profiles(system, points, observables, Ts):
         words.append((code if all(0 <= s < k for s in word) else None,   # None: never hit
                       len(word), scale, phi.mass, comp))
     depth = max(1, *(w[1] for w in words))
-    group, rows, key = [], [], None
+    members, stack, key = [], [], None     # each member: [component, counts, edge codes]
     for x in points:
         shared = 0 if not space.is_flow else (     # the fiber, under a constant roof
             _fiber(space, x) if space.roof.depth == 0 else object())
-        if group and (shared != key or (len(group) + 1) * need > _CELL_CHUNK):
-            yield _group_profiles(system, group, rows, words, depth, k, Ts, ends, chart)
-            group, rows = [], []
-        if not group:
+        if members and shared != key:
+            _count(system, stack, depth, k, ends, chart)
+            yield _finish(system, members, words, depth, k, Ts, ends, chart)
+            members = []
+        if not members:
             ends, chart = _cell_plan(system, x, Ts)
             key, need = shared, ends[-1] + depth
-            recipe = depth == 1 and (len(chart[4]) == 1 if flow
-                                     else np.ndim(chart.steps(1, 1)) == 0)
+            # a flow counts cells; a map counts the steps in them, one number when
+            # every cell takes the same
+            weight = 1 if flow else chart.steps(1, 1)
+            recipe = depth == 1 and (len(chart[4]) == 1 if flow else np.ndim(weight) == 0)
+        if (len(stack) + 1) * need > _CELL_CHUNK:
+            _count(system, stack, depth, k, ends, chart)
         tally = getattr(x.rule, "counts", None) if recipe and getattr(x.rule, "k", 0) == k else None
-        group.append((x.component, tally, x.offset))
-        if tally is None:
-            rows.append(x.prefix(need))
-    if group:
-        yield _group_profiles(system, group, rows, words, depth, k, Ts, ends, chart)
+        member, o = [x.component, None, None], x.offset     # counts and edge codes to come
+        members.append(member)
+        if tally is not None:   # the full cells [1, e) hold tally(e) - tally(1)
+            first = tally(o + 1)
+            member[1:] = ([(tally(o + max(e, 1)) - first) * weight for e in ends],
+                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *ends)])
+            continue
+        row = x.prefix(need)
+        if row.min() < 0 or row.max() >= k:
+            raise ValueError(f"symbol {row[(row < 0) | (row >= k)][0]} of a point lies "
+                             f"outside the alphabet 0..{k - 1}")
+        stack.append((row, member))
+    if members:
+        _count(system, stack, depth, k, ends, chart)
+        yield _finish(system, members, words, depth, k, Ts, ends, chart)
 
 
 def _cell_plan(system, x: Point, Ts):
@@ -230,47 +241,58 @@ def _cell_plan(system, x: Point, Ts):
     return ends, (f0, taus, roof0, [min(e, tau) for e, tau in zip(entry, taus)], classes, inv)
 
 
-def _group_profiles(system, members, rows, words, depth: int, k: int, Ts, ends, chart):
-    """A[p, c, j] of one group of `_cell_profiles`: `members` holds each
-    point's (component, tally, offset), and `rows` the symbols of the points
-    without a tally, which this stacks and clears."""
+def _count(system, stack, depth: int, k: int, ends, chart) -> None:
+    """Count the rows of `stack`, a list of (row, member), into each member,
+    then clear it.  In each checkpoint segment, one `np.bincount` per step of
+    at most `_CELL_CHUNK` (point, cell) pairs counts the word codes of the
+    full cells at the deepest word length per (point, code, weight class),
+    keyed in the narrowest integer type that holds every key.  A map has one
+    class, each cell weighing the map steps spent in it; a flow's classes are
+    its roof values.  A member gets the running totals at each checkpoint and
+    the word codes at cell 0 and at each end."""
+    if not stack:
+        return
     flow = system.is_flow
     inv, n_cls = (chart[5], len(chart[4])) if flow else (None, 1)
-    # a flow counts cells; a map counts the steps in them, one number when every
-    # cell takes the same.  Cell 0 is apart: a flow enters it at f0, a map may
-    # spend fewer steps in it.
     weight = 1 if flow else chart.steps(1, 1)
-    P, C, size = len(members), len(Ts), k ** depth * n_cls
-    counted = np.empty((P, C, size), dtype=float if np.ndim(weight) else np.int64)
-    edge = np.empty((P, C + 1), dtype=np.int64)     # the word codes at cells 0 and ends
-    for p, (_, tally, offset) in enumerate(members):
-        if tally is not None:   # the full cells [1, e) hold tally(e) - tally(1)
-            first = tally(offset + 1)
-            counted[p] = [(tally(offset + max(e, 1)) - first) * weight for e in ends]
-            edge[p] = [int(np.argmax(tally(offset + i + 1) - tally(offset + i)))
-                       for i in (0, *ends)]
-    if rows:
-        arr, S = np.stack(rows), len(rows)
-        rows.clear()
-        total = np.zeros((C, S * size), dtype=counted.dtype)
-        bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
-        for c in range(C):
-            for lo in range(bounds[c], bounds[c + 1], max(1, _CELL_CHUNK // S)):
-                hi = min(lo + max(1, _CELL_CHUNK // S), bounds[c + 1])
-                keys = _word_codes(arr, lo, hi, depth, k)
-                if inv is not None:
-                    keys *= n_cls
-                    keys += inv[lo:hi]
-                keys += np.arange(0, S * size, size)[:, None]    # (point, code, class)
-                steps = np.tile(chart.steps(lo, hi), S) if np.ndim(weight) else None
-                total[c] += np.bincount(keys.ravel(), steps, S * size)
-                del keys            # before the next step builds its own
-        stacked = [p for p, m in enumerate(members) if m[1] is None]
-        counted[stacked] = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2) * (
-            1 if np.ndim(weight) else weight)       # a weight the same for every cell
-        edge[stacked] = _word_codes(arr[:, np.add.outer((0, *ends), np.arange(depth))],
-                                    0, 1, depth, k)[..., 0]
+    arr, S, C, size = np.stack([r for r, _ in stack]), len(stack), len(ends), k ** depth * n_cls
+    dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
+    total = np.zeros((C, S * size), dtype=float if np.ndim(weight) else np.int64)
+    bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
+    step = max(1, _CELL_CHUNK // S)
+    for c in range(C):
+        for lo in range(bounds[c], bounds[c + 1], step):
+            hi = min(lo + step, bounds[c + 1])
+            keys = _word_codes(arr, lo, hi, depth, k, dtype)
+            if inv is not None:
+                keys *= n_cls
+                keys += inv[lo:hi]
+            if S > 1:
+                keys += np.arange(0, S * size, size, dtype=dtype)[:, None]    # (point, code, class)
+            steps = np.tile(chart.steps(lo, hi), S) if np.ndim(weight) else None
+            total[c] += np.bincount(keys.ravel(), steps, S * size)
+            del keys            # before the next step builds its own
+    counted = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2) * (
+        1 if np.ndim(weight) else weight)       # a weight the same for every cell
+    edge = _word_codes(arr[:, np.add.outer((0, *ends), np.arange(depth))], 0, 1, depth, k, dtype)
+    for (_, member), n, e in zip(stack, counted, edge[..., 0]):
+        member[1:] = n, e
+    stack.clear()
+
+
+def _finish(system, members, words, depth: int, k: int, Ts, ends, chart):
+    """A[p, c, j] of one chart group of `_cell_profiles` from its members'
+    (component, counts, edge codes), in array ops over (point, checkpoint,
+    word).  A shorter word reads the codes that start with it, a word of the
+    other side of a disjoint union reads 0, and a flow's roof class weighs
+    the mass of an observable's fiber profile under it.  Cell 0 (from the
+    fiber f0 on a flow; a map may spend fewer steps in it) and the partial
+    last cell are added on top."""
+    flow = system.is_flow
+    n_cls = len(chart[4]) if flow else 1
+    counted, edge = np.array([m[1] for m in members]), np.array([m[2] for m in members])
     # a word of length d is the depth-D codes [code*span, (code+1)*span)
+    P, C = len(members), len(Ts)
     cum = np.zeros((P, C, k ** depth + 1, n_cls), dtype=counted.dtype)
     np.cumsum(counted.reshape(P, C, k ** depth, n_cls), axis=2, out=cum[:, :, 1:])
     wcodes = np.array([w[0] or 0 for w in words])
@@ -290,9 +312,9 @@ def _group_profiles(system, members, rows, words, depth: int, k: int, Ts, ends, 
     return np.where(np.array(hits)[:, None, :], A, 0.0)
 
 
-def _word_codes(arr: np.ndarray, lo: int, hi: int, depth: int, k: int) -> np.ndarray:
-    """The base-k codes of the words arr[..., i:i+depth] for i in lo..hi-1, in int64."""
-    c = arr[..., lo:hi].astype(np.int64)
+def _word_codes(arr: np.ndarray, lo: int, hi: int, depth: int, k: int, dtype) -> np.ndarray:
+    """The base-k codes of the words arr[..., i:i+depth] for i in lo..hi-1, in dtype."""
+    c = arr[..., lo:hi].astype(dtype)
     for d in range(1, depth):
         c *= k
         c += arr[..., lo + d:hi + d]
@@ -352,38 +374,7 @@ def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# empirical measures and limit sets
-
-_EMPIRICAL_KEY_DEPTH = 32
-_EMPIRICAL_BUDGET = 1 << 17
-
-
-def empirical_measure(system, x: Point, n: int) -> Atomic:
-    """The orbit-average measure (1/n) * sum of point masses along the orbit,
-    with visits merged when they agree to the resolution of the key (32
-    symbols, or 1e-12 in coordinates)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    symbolic = system.carrier.symbolic and not system.is_flow   # a flow has no orbit
-    if symbolic:
-        arr, cells = _map_cells(system, x, n, _EMPIRICAL_KEY_DEPTH)
-        if not cells.whole_steps(n):
-            # fractional strides revisit base coordinates at changing fibers;
-            # the symbol-window key cannot tell those orbit points apart
-            raise TypeError("empirical measures need whole-base-step orbits")
-        idx = cells.cells(n)
-        keys = np.lib.stride_tricks.sliding_window_view(arr, _EMPIRICAL_KEY_DEPTH)[idx]
-    else:
-        coords = system.orbit(x, n)
-        keys = np.round(coords * 1e12).astype(np.int64)
-    uniq, first, counts = np.unique(keys, axis=0, return_index=True, return_counts=True)
-    if len(uniq) > _EMPIRICAL_BUDGET:
-        raise BudgetExhausted(
-            f"empirical measure needs {len(uniq)} atoms (budget {_EMPIRICAL_BUDGET})"
-        )
-    pts = tuple(Point(x.rule, x.offset + int(idx[j]), x.component, x.fiber) if symbolic
-                else Point(Coordinate((coords[int(j)],))) for j in first)
-    return Atomic(pts, tuple(counts / n))
+# limit sets
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .entropy import (
     ComponentWindow, FrequencyWindow, UnsupportedSubset,
     bowen_entropy_flow, bowen_entropy_symbolic, spanning_entropy,
 )
-from .constructions import generic_point, glue_orbits, irregular_point
+from .constructions import GluingError, generic_point, glue_orbits, irregular_point
 from .config import (
     COMMANDS, ConfigError, build_measure, build_mistake_function,
     build_observable, build_point, build_schedule, build_subset, build_system,
@@ -563,7 +563,7 @@ def main(argv=None) -> int:
     rows = []
     try:
         _HANDLERS[cfg["command"]](cfg, ctx, rows)
-    except (ConfigError, UnsupportedSubset) as exc:
+    except (ConfigError, UnsupportedSubset, GluingError) as exc:   # a gluing fails on its config
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BudgetExhausted as exc:

@@ -509,10 +509,6 @@ class _Chart:
         j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
         return ((self.f + j * self.tt) // self.cc).astype(np.int64)
 
-    def whole_steps(self, n: int) -> bool:
-        """Does every step move a whole number of cells (t/c is a whole number)?"""
-        return self.tt % self.cc == 0
-
 
 @functools.lru_cache(maxsize=64)
 def _chart(f0: float, t: float, c: float) -> _Chart:
@@ -541,10 +537,6 @@ class _Grid:
 
     def cells(self, n: int) -> np.ndarray:
         return np.searchsorted(self.first_steps, np.arange(n), side="right") - 1
-
-    def whole_steps(self, n: int) -> bool:
-        """Do the first n steps all move alike?"""
-        return len(np.unique(np.diff(self.cells(n)))) <= 1
 
 
 def _fiber(flow: Suspension, x: "Point") -> float:

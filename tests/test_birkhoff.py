@@ -1,4 +1,5 @@
 import functools
+from dataclasses import dataclass
 import math
 from fractions import Fraction
 from unittest import mock
@@ -49,7 +50,6 @@ from ergode.birkhoff import (
     classify_irregular,
     _limit_classes,
     _map_cells,
-    empirical_measure,
     family_targets,
     flow_average_profile,
     limit_point_set,
@@ -191,13 +191,6 @@ def test_classify_irregular_and_regular():
         Schedule((1000, 2000, 4000, 8000)),
     )
     assert tame.label == "Regular"
-
-
-def test_empirical_measure_merges_repeated_orbit_points():
-    # period-3 word: 6 steps fold onto 3 atoms of weight 1/3
-    emp = empirical_measure(FullShift(2), Point(ExplicitWord((0, 1, 1))), 6)
-    assert len(emp.points) == 3
-    assert all(w == pytest.approx(1 / 3) for w in emp.weights)
 
 
 def test_limit_point_set_sees_both_oscillation_targets():
@@ -494,16 +487,6 @@ def test_family_profiles_on_a_time_t_map_match_the_single_profiles():
     for i, phi in enumerate(fam.observables):
         want = map_profile_reference(tmap, x, phi, sched.checkpoints)
         assert [row[i] for row in A] == want.tolist(), phi
-
-
-def test_empirical_measure_on_a_whole_step_time_t_map():
-    tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.5)), 1.0)
-    emp = empirical_measure(tmap, Point(ExplicitWord((0, 1, 1, 0)), fiber=0.0), 8)
-    # every second base cell: 0, 1, 0, 1, ... two atoms of weight 1/2
-    assert sorted(p.offset for p in emp.points) == [0, 2]
-    assert all(w == pytest.approx(0.5) for w in emp.weights)
-    with pytest.raises(TypeError):
-        empirical_measure(TimeTMap(tmap.flow, 0.3), Point(ExplicitWord((0, 1)), fiber=0.0), 8)
 
 
 @pytest.mark.parametrize("roof", [1.0, 2.0, 0.3])
@@ -862,17 +845,6 @@ def test_an_irregular_read_of_a_default_steered_point_builds_no_long_stream(syst
     assert max(np.size(a) for a in held) <= 1 << 16
 
 
-def test_empirical_measure_refuses_a_fractional_stride_at_every_length():
-    flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
-    x = Point(ExplicitWord((0, 1, 1, 0)), fiber=0.0)
-    for n in (2, 3, 8):   # n = 2 reads cells [0, 0], which merged two orbit points
-        with pytest.raises(TypeError, match="whole-base-step"):
-            empirical_measure(TimeTMap(flow, 0.5), x, n)
-    emp = empirical_measure(TimeTMap(flow, 2.0), x, 5)
-    assert sum(emp.weights) == pytest.approx(1.0)
-    assert sorted(p.offset for p in emp.points) == [0, 2]
-
-
 # ---------------------------------------------------------------------------
 # a batch of points reads as its points one by one
 
@@ -965,3 +937,67 @@ def test_a_batch_larger_than_one_step_reads_as_its_points():
             single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
             assert batch.tobytes() == single.tobytes()
         assert ("arr" in steered.rule._buf) == (depth > 1)
+
+
+def test_a_symbol_outside_the_alphabet_is_refused_and_spills_into_no_other_point():
+    # symbol 2 on the binary shift keyed into the next point's counts: the good
+    # point read a frequency of 0 of 0.995 beside it and 0.5 alone, and the bad
+    # point alone raised a numpy broadcast error
+    obs = (CylinderIndicator((0,)), CylinderIndicator((1,)))
+    good, bad = Point(ExplicitWord((0, 1))), Point(ExplicitWord((0, 2)))
+    for points in ([bad, good], [bad], [good, bad]):
+        with pytest.raises(ValueError, match=r"symbol 2 .* outside the alphabet 0\.\.1"):
+            _profiles(FullShift(2), points, obs, Schedule((100, 200)))
+
+
+@dataclass(frozen=True)
+class Int64Word:
+    """A periodic word whose stream is int64 (the package's rules build int16)."""
+
+    symbols: tuple
+
+    def materialise(self, n: int) -> np.ndarray:
+        return np.resize(np.array(self.symbols, dtype=np.int64), n)
+
+
+def suite_rules(k):
+    words = st.lists(st.integers(0, k - 1), min_size=1, max_size=7)
+    return st.one_of(batch_rules(k), words.map(lambda w: Int64Word(tuple(w))))
+
+
+@given(data=st.data(), case=st.sampled_from(["long", "short", "two-fibers", "word-roof",
+                                             "wide-keys"]),
+       flow=st.booleans(), t=st.sampled_from([1.0, 0.3]))
+@settings(max_examples=40, deadline=None)
+def test_a_suite_reads_bit_for_bit_as_its_points_one_by_one(data, case, flow, t):
+    """At the real `_CELL_CHUNK`: rows longer than one stack, short rows that
+    stack, a chart that changes mid-suite, a word-dependent roof, int64 rows,
+    and 9 stacked rows of 4**6 codes, whose keys pass 2**15."""
+    k, depth, n = 2, data.draw(st.integers(1, 4), label="depth"), data.draw(st.integers(2, 6))
+    last, fibers = data.draw(st.integers(2, 3000), label="horizon"), None
+    if case == "long":
+        system, last = FullShift(2), birkhoff._CELL_CHUNK + last
+    elif case == "short":
+        system, k, depth, n = FullShift(3), 3, min(depth, 3), data.draw(st.integers(2, 30))
+    elif case == "wide-keys":
+        system, k, depth, n, last = FullShift(4), 4, 6, 9, min(last, 7000)
+    else:
+        roof = (RoofFunction.constant(0.75) if case == "two-fibers"
+                else RoofFunction(1, (1.0, 2.0), 2))
+        system = Suspension(FullShift(2), roof) if flow else TimeTMap(Suspension(FullShift(2), roof), t)
+        cut = data.draw(st.integers(1, n - 1))
+        fibers = [0.0 if i < cut else 0.5 for i in range(n)]
+    points = [Point(data.draw(suite_rules(k)), data.draw(st.integers(0, 12)), None, f)
+              for f in fibers or [None] * n]
+    cps = sorted({max(1, last >> i) for i in range(data.draw(st.integers(1, 4)))})
+    sched = Schedule(tuple(float(c) for c in cps) if system.is_flow else tuple(cps))
+    words = st.lists(st.integers(0, k - 1), min_size=1, max_size=depth).map(tuple)
+    obs = (CylinderIndicator((0,) * depth), CylinderIndicator((k - 1,)),
+           *map(CylinderIndicator, data.draw(st.lists(words, max_size=4))))
+    with mock.patch.object(birkhoff, "_word_codes", wraps=birkhoff._word_codes) as codes:
+        suite = _profiles(system, iter(points), obs, sched)
+    single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+    assert suite.tobytes() == single.tobytes()
+    if case == "wide-keys":     # stacked, in keys wider than int16
+        assert any(len(c.args[0]) == 9 and np.dtype(c.args[-1]).itemsize >= 4
+                   for c in codes.call_args_list)

@@ -423,6 +423,24 @@ def test_construct_with_a_horizon_below_one_exits_2(tmp_path, construction, hori
     assert "Traceback" not in res.stderr
 
 
+
+IDENTITY_SHIFT = {"kind": "markov-shift", "k": 2, "adjacency": [[1, 0], [0, 1]]}
+IDENTITY_CHAIN = {"transitions": [[1, 0], [0, 1]], "stationary": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "construct", "construction": "generic-point", "system": IDENTITY_SHIFT,
+     "measure": {"kind": "markov", **IDENTITY_CHAIN}},
+    {"command": "classify", "system": IDENTITY_SHIFT, "measure": {"kind": "markov", **IDENTITY_CHAIN},
+     "point": {"kind": "stage-recipe", **IDENTITY_CHAIN, "adjacency": [[1, 0], [0, 1]],
+               "first_stage": 6, "horizon": 4096}},
+], ids=["construct", "classify-a-stage-recipe"])
+def test_a_stage_recipe_whose_states_no_connector_joins_exits_2(tmp_path, capsys, cfg):
+    # the recipe is built, and its first read ended in a GluingError traceback, exit 1
+    code, err = run_main({**cfg, "experiment_id": "glue"}, tmp_path, capsys)
+    assert code == 2, err
+    assert err == "config error: no connector exists from 0 to 1\n"
+
 UNION_2_2 = {"kind": "disjoint-union", "left": {"kind": "full-shift", "k": 2},
              "right": {"kind": "full-shift", "k": 2}}
 HALVES = {"kind": "mixture", "components": [

@@ -27,7 +27,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # multiplication its digits), and lines where it names a point rule class (9
 # before each rule answered its point.json fields and each chain its seeded
 # rule) in src/ergode/*.py
-MAX_LINES = 4356
+MAX_LINES = 4339
 MAX_ISINSTANCE_LINES = 16
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
