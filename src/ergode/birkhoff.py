@@ -35,12 +35,11 @@ is far (three tolerances) at both.  Everything in between is inconclusive.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import Point, _decimals, _entries, _fiber, _map_chart
+from .systems import Point, Record, _decimals, _entries, _fiber, _map_chart
 from .measures import TestFamily, integrate
 
 __all__ = [
@@ -51,8 +50,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     """Ascending checkpoints at which running averages are reported."""
 
     checkpoints: Tuple[float, ...]
@@ -88,8 +86,7 @@ class Schedule:
         return tuple(int(round(c)) for c in self.checkpoints)
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     label: str                       # Generic / NotGeneric / Regular / Irregular / Inconclusive
     gap: float
     witness: Optional[object] = None
@@ -110,14 +107,6 @@ class Verdict:
 # what the orbit spends in the cell, summed over the cells between checkpoints.
 
 _CELL_CHUNK = 1 << 16   # (point, cell) pairs per vectorised step; its keys take 128 KB in int16
-
-
-def _map_cells(system, x: Point, n: int, depth: int):
-    """(symbols, cells) for the first n map steps of a symbolic orbit: the
-    base symbols up to the cell read at step n-1 and the depth-1 after it,
-    and the `_map_chart` of the steps."""
-    cells = _map_chart(system, x, n)
-    return np.asarray(x.prefix(cells.cell(n - 1) + depth)), cells
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +156,14 @@ def _cell_profiles(system, points, observables, Ts):
     rows are counted in stacks of at most `_CELL_CHUNK` symbols (`_count`),
     each row dropped once counted, and the group finishes once (`_finish`)
     from its counts, a few numbers per point.  A row with a symbol outside
-    the alphabet is refused (ValueError) before it is stacked.  A depth-1
-    read in which every full cell weighs the same counts a rule that has
-    `counts` from its recipe, building no symbols.
+    the alphabet (a tagged point's side's) is refused (ValueError) before it
+    is stacked.  A depth-1 read in which every full cell weighs the same
+    counts a rule that has `counts` from its recipe, building no symbols.
     """
     flow, space = system.is_flow, system.space      # a time-t map reads its flow's fibers
-    k = max(side.alphabet for side in system.carrier.sides)     # a code base above every symbol
+    sides = system.carrier.sides
+    k = max(side.alphabet for side in sides)        # a code base above every symbol
+    tops = dict(enumerate(side.alphabet for side in sides))     # a tagged point's alphabet
     words = []                  # (word code or None, word length, scale, mass, component)
     for phi in observables:
         word, comp, scale = phi.counted(flow)
@@ -197,18 +188,19 @@ def _cell_profiles(system, points, observables, Ts):
             recipe = depth == 1 and (len(chart[4]) == 1 if flow else np.ndim(weight) == 0)
         if (len(stack) + 1) * need > _CELL_CHUNK:
             _count(system, stack, depth, k, ends, chart)
-        tally = getattr(x.rule, "counts", None) if recipe and getattr(x.rule, "k", 0) == k else None
+        top = tops.get(x.component, k)
+        tally = recipe and getattr(x.rule, "k", 0) == top == k and getattr(x.rule, "counts", None)
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
-        if tally is not None:   # the full cells [1, e) hold tally(e) - tally(1)
+        if tally:   # the full cells [1, e) hold tally(e) - tally(1)
             first = tally(o + 1)
             member[1:] = ([(tally(o + max(e, 1)) - first) * weight for e in ends],
                           [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *ends)])
             continue
         row = x.prefix(need)
-        if row.min() < 0 or row.max() >= k:
-            raise ValueError(f"symbol {row[(row < 0) | (row >= k)][0]} of a point lies "
-                             f"outside the alphabet 0..{k - 1}")
+        if row.min() < 0 or row.max() >= top:
+            raise ValueError(f"symbol {row[(row < 0) | (row >= top)][0]} of a point lies "
+                             f"outside the alphabet 0..{top - 1}")
         stack.append((row, member))
     if members:
         _count(system, stack, depth, k, ends, chart)
@@ -377,8 +369,7 @@ def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
 # limit sets
 
 
-@dataclass(frozen=True)
-class LimitClass:
+class LimitClass(Record):
     """A cluster of checkpoint averages: one candidate limit measure, seen
     through the integrals of the test family."""
 

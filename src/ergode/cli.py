@@ -14,8 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 
 import numpy as np
 
@@ -47,6 +45,7 @@ def _pmap(fn, items, threads: int):
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
+    from concurrent.futures import ThreadPoolExecutor   # here: most runs never pool
     with ThreadPoolExecutor(max_workers=threads) as ex:
         return list(ex.map(fn, items))
 
@@ -103,7 +102,7 @@ def _averaged(system, mu):
 def _point_json(p: Point) -> dict:
     """The rule's kind and fields, then the point's offset, component and fiber where set."""
     rule = p.rule
-    out = {"kind": rule.kind, **{f.name: getattr(rule, f.name) for f in fields(rule) if f.repr}}
+    out = {"kind": rule.kind, **{name: getattr(rule, name) for name in rule._fields}}
     place = {"offset": p.offset or None, "component": p.component, "fiber": p.fiber}
     return {**out, **{key: v for key, v in place.items() if v is not None}}
 

@@ -25,14 +25,13 @@ budget; an inadmissible result is a bug and raises.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .systems import (
-    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, SteeredBlocks, Suspension,
-    RoofFunction, _regrown, _tiled,
+    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Record, SteeredBlocks,
+    Suspension, RoofFunction, _regrown, _tiled,
 )
 from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
@@ -49,8 +48,7 @@ __all__ = [
 # mistake functions
 
 
-@dataclass(frozen=True)
-class MistakeFunction:
+class MistakeFunction(Record):
     """Mistake budget g(t, eps): how many bad times an orbit segment of
     length t may contain at resolution eps.
 
@@ -115,8 +113,7 @@ class MistakeFunction:
 # mistake balls
 
 
-@dataclass(frozen=True)
-class MistakeBallReport:
+class MistakeBallReport(Record):
     member: bool
     mismatches: int
     budget: float
@@ -172,8 +169,7 @@ class GluingError(RuntimeError):
     """The glued word failed its admissibility postcondition."""
 
 
-@dataclass(frozen=True)
-class GluedOrbit:
+class GluedOrbit(Record):
     point: Point
     junction_times: Tuple[int, ...]
     connector_lengths: Tuple[int, ...]
@@ -288,8 +284,7 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
                  component=mu.component)
 
 
-@dataclass(frozen=True)
-class StageRecipe:
+class StageRecipe(Record):
     """The Champernowne-style stage schedule of a stationary chain on a shift:
     stage i lays down its round (`_round`) 2**i times, a seam connector
     joining each round to the next, its own within the stage and the next
@@ -303,7 +298,6 @@ class StageRecipe:
     adjacency: Tuple[Tuple[int, ...], ...]
     first_stage: int
     horizon: int
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):     # ValueError unless a chain that keeps to the adjacency
         chain = Markov(self.transitions, self.stationary)
@@ -367,8 +361,7 @@ def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
 # irregular points
 
 
-@dataclass(frozen=True)
-class IrregularRecipe:
+class IrregularRecipe(Record):
     """An orbit whose running frequency of `symbol` alternates between lo and
     hi at geometrically growing block ends."""
 

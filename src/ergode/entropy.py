@@ -42,12 +42,11 @@ infinite and the entropy is exactly 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import BudgetExhausted, MarkovShift, Point, Suspension, TimeTMap, _chart
+from .systems import BudgetExhausted, MarkovShift, Point, Record, Suspension, TimeTMap, _chart
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
@@ -67,14 +66,12 @@ class UnsupportedSubset(TypeError, ValueError):
     estimators once raised for such pairs, so handlers of either catch it."""
 
 
-@dataclass(frozen=True)
-class WholeSpace:
+class WholeSpace(Record):
     def at(self, depth: int) -> tuple:
         return ()
 
 
-@dataclass(frozen=True)
-class FrequencyWindow:
+class FrequencyWindow(Record):
     """Points whose asymptotic frequency of `symbol` lies in [lo, hi]."""
 
     symbol: int
@@ -90,8 +87,7 @@ class FrequencyWindow:
         return ((depth, self.lo, self.hi),)
 
 
-@dataclass(frozen=True)
-class OscillationWindows:
+class OscillationWindows(Record):
     """Points whose running frequency of `symbol` visits [lo_j, hi_j] at each
     scale n_j: windows = ((n_1, lo_1, hi_1), ...) with increasing scales."""
 
@@ -113,8 +109,7 @@ class OscillationWindows:
         return self.windows
 
 
-@dataclass(frozen=True)
-class ComponentWindow:
+class ComponentWindow(Record):
     """Points of a disjoint union whose fraction of time in the second
     component lies in [lo, hi].  Orbits never switch sides, so the only
     admissible fractions are 0 and 1."""
@@ -127,8 +122,7 @@ class ComponentWindow:
             raise ValueError("need 0 <= lo <= hi <= 1")
 
 
-@dataclass(frozen=True)
-class SampleCloud:
+class SampleCloud(Record):
     """A finite set of sample points; covering them gives an upper bound."""
 
     points: Tuple[Point, ...]
@@ -148,7 +142,7 @@ def _shift_pairs(system, subset) -> list:
     if len(system.sides) > 1:
         tag = getattr(subset, "component", None)
         if tag in (0, 1):
-            return _shift_pairs(system.side(tag), replace(subset, component=None))
+            return _shift_pairs(system.side(tag), subset._replace(component=None))
         if isinstance(subset, ComponentWindow):
             kept = (subset.lo <= 0.0, subset.hi >= 1.0)
         elif isinstance(subset, WholeSpace):
@@ -425,15 +419,15 @@ def _integer_stride(system: TimeTMap):
 # entropy estimates
 
 
-@dataclass(frozen=True)
-class EntropyEstimate:
+class EntropyEstimate(Record):
     value: float
     lower: float
     upper: float
     depths: Tuple[int, ...]
     alphas: Tuple[float, ...]
     flags: Tuple[str, ...] = ()
-    details: Optional[dict] = field(default=None, compare=False)
+    details: Optional[dict] = None
+    _uncompared = ("details",)
 
 
 _DEFAULT_DEPTHS = (16, 24, 36, 54, 80, 120)
@@ -515,8 +509,7 @@ def bowen_entropy_flow(flow, subset=WholeSpace(),
 # exact counting route (big integers; independent of the float backends)
 
 
-@dataclass(frozen=True)
-class WordCount:
+class WordCount(Record):
     depth: int
     count: int
     rate: float            # log(count)/depth, 0 for an empty count

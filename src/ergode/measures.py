@@ -22,7 +22,6 @@ Observables answer for themselves: each kind answers the questions of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 from typing import Optional, Tuple, Union
@@ -30,7 +29,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, Coordinate, ExplicitWord, Point, SeededIID, SeededMarkov, time_t_map,
+    BudgetExhausted, Coordinate, ExplicitWord, Point, Record, SeededIID, SeededMarkov, time_t_map,
 )
 
 __all__ = [
@@ -59,7 +58,7 @@ def _normalised(weights, what: str) -> Tuple[float, ...]:
 # pieces: one rule per kind for each question a measure sums over its pieces
 
 
-class _Piece:
+class _Piece(Record):
     """A piece answers `integral(phi)`, `shifted_integral(flow, s, phi)` (of
     phi after the time-s map), `check(system)` and, once checked, `entropy`
     and `cylinder_masses`; a rule its kind lacks raises TypeError.  No rule
@@ -151,7 +150,6 @@ class _Chain(_Piece):
         return out
 
 
-@dataclass(frozen=True)
 class _PointMass(_Piece):
     """The unit mass at one point: an atom of an atomic measure."""
 
@@ -194,7 +192,6 @@ class _PointMass(_Piece):
 # measures
 
 
-@dataclass(frozen=True)
 class Bernoulli(_Chain):
     """Independent symbols drawn from `probs`: the Markov chain whose
     stationary vector and every transition row are `probs`."""
@@ -226,7 +223,6 @@ class Bernoulli(_Chain):
         return SeededIID(seed, self.probs)
 
 
-@dataclass(frozen=True)
 class Markov(_Chain):
     transitions: Tuple[Tuple[float, ...], ...]
     stationary: Tuple[float, ...]
@@ -278,7 +274,6 @@ class Markov(_Chain):
         return SeededMarkov(seed, self.transitions, self.stationary)
 
 
-@dataclass(frozen=True)
 class Lebesgue(_Piece):
     dim: int = 1
 
@@ -304,8 +299,7 @@ class Lebesgue(_Piece):
         return 0.0 if system.isometric else math.log(system.digits.alphabet)
 
 
-@dataclass(frozen=True)
-class Atomic:
+class Atomic(Record):
     points: Tuple[Point, ...]
     weights: Tuple[float, ...]
 
@@ -319,8 +313,7 @@ class Atomic:
         return tuple((w, _PointMass(x)) for x, w in zip(self.points, self.weights))
 
 
-@dataclass(frozen=True)
-class Mixture:
+class Mixture(Record):
     components: Tuple[Tuple["Measure", float], ...]
 
     def __post_init__(self):
@@ -335,8 +328,7 @@ class Mixture:
         return tuple((w * v, p) for m, w in self.components for v, p in m.pieces)
 
 
-@dataclass(frozen=True)
-class TimeAveraged:
+class TimeAveraged(Record):
     """Midpoint average of the images of `base` over one flow period: one
     sweep of the fiber for a suspension under a constant roof, one turn of
     the circle for rotation flows."""
@@ -357,7 +349,6 @@ class TimeAveraged:
                      for j in range(self.m) for w, p in self.base.pieces)
 
 
-@dataclass(frozen=True)
 class TimeShifted(_Piece):
     """Image of `base` under the time-t map; as a piece, of an unshifted piece.
     A suspension's symbol streams are one-sided, so it refuses t < 0 there."""
@@ -388,7 +379,7 @@ Measure = Union[Bernoulli, Markov, Lebesgue, Atomic, Mixture, TimeAveraged, Time
 # observables: each kind answers its readers' questions, or raises TypeError
 
 
-class Observable:
+class Observable(Record):
     """The questions its readers ask: `depth` (symbols read, None when not
     read from symbols), `constant` (its one value), `at(x)`, `along(coords)`
     (circle coordinates), `line_average(x0, speed, T)`, `mass(lo, hi)` over a
@@ -423,7 +414,6 @@ class Observable:
         return math.fsum(w * p.integral(self) for w, p in mu.pieces)
 
 
-@dataclass(frozen=True)
 class Constant(Observable):
     value: float
     depth = 0
@@ -439,7 +429,6 @@ class Constant(Observable):
         return (), None, self.value
 
 
-@dataclass(frozen=True)
 class CylinderIndicator(Observable):
     """Indicator of the set of streams starting with `word` (optionally
     restricted to one disjoint-union component); a one-symbol word reads the
@@ -463,7 +452,6 @@ class CylinderIndicator(Observable):
         return self.word, self.component, 1.0
 
 
-@dataclass(frozen=True)
 class Harmonic(Observable):
     """cos or sin of 2*pi*frequency*(x + offset) on the circle."""
 
@@ -499,11 +487,10 @@ class Harmonic(Observable):
 
     def after(self, flow, t: float):
         if flow.is_flow and flow.isometric:     # a straight-line flow moves it along
-            return replace(self, offset=self.offset + flow.speed * t)
+            return self._replace(offset=self.offset + flow.speed * t)
         return super().after(flow, t)
 
 
-@dataclass(frozen=True)
 class FiberProfile(Observable):
     """Base observable times a piecewise-linear profile of the fiber."""
 
@@ -543,7 +530,6 @@ class FiberProfile(Observable):
         return self.base.counted(False) if flow else super().counted(flow)
 
 
-@dataclass(frozen=True)
 class _Composed(Observable):
     """phi composed with the time-t map of a flow (internal); integrated by
     change of variables, each piece moved by t."""
@@ -580,8 +566,7 @@ def evaluate_on_circle(phi, coords: np.ndarray) -> np.ndarray:
 # test families
 
 
-@dataclass(frozen=True)
-class TestFamily:
+class TestFamily(Record):
     """Ordered observables f_i with weights 2**-(i+1); the weak-* distance is
     sum_i 2**-(i+1) * |d_i| / (1 + |d_i|) over the integral gaps d_i."""
 
@@ -640,7 +625,7 @@ def _separation_probes(space):
         return [TimeShifted(flow, 0.5 * flow.roof.roof_min, mu)
                 for mu in _separation_probes(space.carrier)]
     if len(sides) > 1:
-        tl, tr = (replace(_separation_probes(side)[0], component=c) for c, side in enumerate(sides))
+        tl, tr = (_separation_probes(side)[0]._replace(component=c) for c, side in enumerate(sides))
         return [
             Mixture(((tl, 0.7), (tr, 0.3))),
             Mixture(((tl, 0.3), (tr, 0.7))),

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+from .systems import Record
 
 __all__ = ["Row", "write_csv", "timed", "CSV_COLUMNS", "TOOL_TAG"]
 
@@ -19,15 +20,14 @@ CSV_COLUMNS = "experiment_id,quantity,value,lower,upper,params,runtime_ms"
 TOOL_TAG = "ergode 0.1.0"
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(Record):
     experiment_id: str
     quantity: str
     value: float
-    lower: Optional[float] = None
-    upper: Optional[float] = None
-    params: dict = field(default_factory=dict)
-    runtime_ms: float = 0.0
+    lower: Optional[float]
+    upper: Optional[float]
+    params: dict
+    runtime_ms: float
 
 
 def _num(x: Optional[float]) -> str:

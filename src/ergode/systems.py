@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import Optional, Tuple, Union
@@ -35,7 +34,7 @@ __all__ = [
     "FullShift", "MarkovShift", "CircleMult", "CircleRotation", "DisjointUnion",
     "CircleRotationFlow", "TorusTranslation", "RoofFunction", "Suspension",
     "TimeTMap", "ExplicitWord", "SeededIID", "SeededMarkov", "BlockSchedule", "SteeredBlocks",
-    "Coordinate", "Point", "time_t_map", "random_point",
+    "Coordinate", "Point", "Record", "time_t_map", "random_point",
     "BudgetExhausted",
 ]
 
@@ -44,11 +43,72 @@ class BudgetExhausted(RuntimeError):
     """An operation would exceed its declared enumeration/sampling budget."""
 
 
+class Record:
+    """An immutable record, declared as a subclass whose body annotates its
+    fields in order (`offset: int = 0`: a class value is the field's default).
+    It is built by position, keyword and default, then runs `__post_init__`
+    (which may set a field with `object.__setattr__`); it equals a record of
+    its class with equal fields, less those in `_uncompared`, hashes alike,
+    reprs as `Name(field=value, ...)` and refuses assignment (AttributeError).
+    As on a namedtuple, `_fields` names the fields and `_replace(**changes)`
+    copies; `_buf` is a scratch dict of its own."""
+
+    _fields, _defaults, _uncompared, _compared = (), {}, (), ()
+    __post_init__ = lambda self: None       # where a subclass checks its fields
+
+    def __init_subclass__(cls):
+        own = tuple(vars(cls).get("__annotations__", ()))
+        cls._fields += own
+        cls._defaults = {**cls._defaults, **{n: vars(cls)[n] for n in own if n in vars(cls)}}
+        cls._compared = tuple(n for n in cls._fields if n not in cls._uncompared)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != len(self._fields):
+            args = self._bound(args, kwargs)
+        # object.__setattr__ keeps the fields in the instance, where reads are fastest
+        for name, value in zip(self._fields, args):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_buf", {})
+        self.__post_init__()
+
+    def _bound(self, args: tuple, kwargs: dict) -> list:
+        """Every field's value, from positional and keyword arguments and defaults."""
+        values, defaults = [*args], self._defaults
+        for name in self._fields[len(args):]:
+            if name not in kwargs and name not in defaults:
+                raise TypeError(f"{type(self).__name__} needs its field {name!r}")
+            values.append(kwargs.pop(name) if name in kwargs else defaults[name])
+        if kwargs or len(args) > len(self._fields):
+            raise TypeError(f"{type(self).__name__}{self._fields} cannot take {args}, {kwargs}")
+        return values
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _replace(self, **changes):
+        return type(self)(**{**{name: getattr(self, name) for name in self._fields}, **changes})
+
+
 # ---------------------------------------------------------------------------
 # system descriptors
 
 
-class _Descriptor:
+class _Descriptor(Record):
     """The questions every module asks of a space, answered once: `is_flow`
     (continuous time), `isometric` (distances never grow, so every entropy
     is exactly 0), `symbolic` (points are symbol streams, the map is the
@@ -161,7 +221,6 @@ class _Shift(_Descriptor):
             raise ValueError(f"transitions {forbidden} are forbidden in {self}")
 
 
-@dataclass(frozen=True)
 class FullShift(_Shift):
     """One-sided full shift on k symbols."""
 
@@ -173,7 +232,6 @@ class FullShift(_Shift):
             raise ValueError("full shift needs an alphabet of size >= 2")
 
 
-@dataclass(frozen=True)
 class MarkovShift(_Shift):
     """One-sided vertex shift: words w with adjacency[w_i][w_{i+1}] == 1."""
 
@@ -192,7 +250,6 @@ class MarkovShift(_Shift):
             raise ValueError("every symbol needs in-degree >= 1")
 
 
-@dataclass(frozen=True)
 class CircleMult(_Descriptor):
     """x -> n*x mod 1 on the circle."""
 
@@ -214,7 +271,6 @@ class CircleMult(_Descriptor):
         return out
 
 
-@dataclass(frozen=True)
 class CircleRotation(_Descriptor):
     """x -> x + theta mod 1 on the circle."""
 
@@ -231,7 +287,6 @@ class CircleRotation(_Descriptor):
         return (x.coords[0] + self.theta * np.arange(n)) % 1.0
 
 
-@dataclass(frozen=True)
 class DisjointUnion(_Descriptor):
     """Two systems side by side; orbits never change component."""
 
@@ -268,7 +323,6 @@ SystemDescriptor = Union[FullShift, MarkovShift, CircleMult, CircleRotation, Dis
 # flow descriptors
 
 
-@dataclass(frozen=True)
 class CircleRotationFlow(_Descriptor):
     """Unit-speed rotation flow on the circle: (t, x) -> x + t mod 1."""
 
@@ -282,7 +336,6 @@ class CircleRotationFlow(_Descriptor):
         return Point(Coordinate(((x.coords[0] + t) % 1.0,)))
 
 
-@dataclass(frozen=True)
 class TorusTranslation(_Descriptor):
     """Straight-line translation flow on the d-torus with fixed velocity."""
 
@@ -310,8 +363,7 @@ class TorusTranslation(_Descriptor):
         return Point(Coordinate(tuple((c + t * v) % 1.0 for c, v in zip(x.coords, self.velocity))))
 
 
-@dataclass(frozen=True)
-class RoofFunction:
+class RoofFunction(Record):
     """Positive roof depending on the first `depth` symbols of the base point.
 
     `table` has k**depth entries indexed by the word code (base-k integer);
@@ -361,7 +413,6 @@ class RoofFunction:
         return (np.asarray(self.table, dtype=float) if table is None else table)[codes]
 
 
-@dataclass(frozen=True)
 class Suspension(_Descriptor):
     """Suspension flow over a symbolic base under a roof function."""
 
@@ -417,7 +468,6 @@ class Suspension(_Descriptor):
 FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
 
 
-@dataclass(frozen=True)
 class TimeTMap(_Descriptor):
     """The time-t map of a flow, used as a discrete system."""
 
@@ -476,8 +526,7 @@ def _decimals(*values):
     return d, [p * (d // q) for p, q in exact]
 
 
-@dataclass(frozen=True)
-class _Chart:
+class _Chart(Record):
     """Step j reads base cell (f + j*tt) // cc, in exact integers over the
     denominator d: a shift is (0, 1, 1), and `_chart` gives the time-t map
     of a constant-roof suspension.  Cell i >= 1 holds the steps
@@ -518,13 +567,13 @@ def _chart(f0: float, t: float, c: float) -> _Chart:
     return _Chart(f, tt, cc, d)
 
 
-@dataclass(frozen=True, eq=False)
-class _Grid:
+class _Grid(Record):
     """The `_Chart` answers of a time-t map under a word-dependent roof, from
     first_steps[i], the first step that reads cell i or a later one (n, the
-    length of the read, when none does)."""
+    length of the read, when none does); equal only to itself."""
 
     first_steps: np.ndarray
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def cell(self, j: int) -> int:
         return int(np.searchsorted(self.first_steps, j, side="right")) - 1
@@ -614,13 +663,11 @@ def _tiled(blocks, size: int) -> np.ndarray:
     return np.concatenate(parts)[:size]
 
 
-@dataclass(frozen=True)
-class ExplicitWord:
+class ExplicitWord(Record):
     """A finite word repeated periodically."""
 
     kind = "explicit-word"
     symbols: Tuple[int, ...]
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -630,8 +677,7 @@ class ExplicitWord:
         return _regrown(self, n, lambda _, size: _tiled(((self.symbols, 1),), size))
 
 
-@dataclass(frozen=True)
-class SeededIID:
+class SeededIID(Record):
     """Independent draws from `probs`, reproducible from `seed`.
 
     Draw i counts the inner cumulative masses at or below uniform i of the
@@ -643,7 +689,6 @@ class SeededIID:
     kind = "seeded-iid"
     seed: int
     probs: Tuple[float, ...]
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.probs) < 2 or any(p < 0 for p in self.probs):
@@ -656,8 +701,7 @@ class SeededIID:
             np.cumsum(self.probs)[:-1], np.random.default_rng(self.seed).random(size), np.int16))
 
 
-@dataclass(frozen=True)
-class SeededMarkov:
+class SeededMarkov(Record):
     """The states of a Markov chain (`Markov.seeded` checks it) drawn from
     `seed`: one uniform picks the start state from `stationary`, then uniform
     i moves state s to the count of row s's inner cumulative masses at or
@@ -670,7 +714,6 @@ class SeededMarkov:
     seed: int
     transitions: Tuple[Tuple[float, ...], ...]
     stationary: Tuple[float, ...]
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, self._walk)
@@ -719,14 +762,12 @@ class SeededMarkov:
         return new
 
 
-@dataclass(frozen=True)
-class BlockSchedule:
+class BlockSchedule(Record):
     """Concatenation of (pattern, repeats) blocks; the last pattern repeats
     forever once the schedule is exhausted."""
 
     kind = "block-schedule"
     blocks: Tuple[Tuple[Tuple[int, ...], int], ...]
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.blocks:
@@ -739,8 +780,7 @@ class BlockSchedule:
         return _regrown(self, n, lambda _, size: _tiled(self.blocks, size))
 
 
-@dataclass(frozen=True)
-class SteeredBlocks:
+class SteeredBlocks(Record):
     """Blocks over a k-letter alphabet that steer the running count of
     `symbol` to round(targets[i] * ends[i]) at each block end ends[i].
 
@@ -763,7 +803,6 @@ class SteeredBlocks:
     symbol: int
     ends: Tuple[int, ...]
     targets: Tuple[float, ...]
-    _buf: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if self.k < 2 or not (0 <= self.symbol < self.k):
@@ -846,8 +885,7 @@ class SteeredBlocks:
         return arr
 
 
-@dataclass(frozen=True)
-class Coordinate:
+class Coordinate(Record):
     """A point of the circle or torus given by coordinates in [0, 1)."""
 
     kind = "coordinate"
@@ -862,8 +900,7 @@ class Coordinate:
 Rule = Union[ExplicitWord, SeededIID, SeededMarkov, BlockSchedule, SteeredBlocks, Coordinate]
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """Immutable point: a rule plus an offset into its stream, an optional
     disjoint-union component tag and an optional suspension fiber."""
 

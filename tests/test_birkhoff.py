@@ -22,6 +22,7 @@ from ergode.systems import (
     SteeredBlocks,
     Suspension,
     TimeTMap,
+    _map_chart,
     random_point,
     time_t_map,
 )
@@ -49,7 +50,6 @@ from ergode.birkhoff import (
     classify_generic,
     classify_irregular,
     _limit_classes,
-    _map_cells,
     family_targets,
     flow_average_profile,
     limit_point_set,
@@ -305,7 +305,7 @@ def map_steps_exact(tmap, x, n):
 
 
 def assert_cells_match(cells, idx):
-    """The cells of a `_map_cells` read against the cell read at each step."""
+    """The cells of a `_map_chart` read against the cell read at each step."""
     n, held = len(idx), np.bincount(idx)
     L = len(held) - 1
     assert cells.cell(n - 1) == L and cells.cells(n).tolist() == idx.tolist()
@@ -382,7 +382,7 @@ def test_time_t_map_profile_matches_per_step_reference(roof, t, fiber, point):
     cps = (1, 2, 7, 40, 168, 680, 1001, 2728, 6000)
     n = cps[-1]
     idx = map_steps_exact(tmap, x, n)
-    assert_cells_match(_map_cells(tmap, x, n, 1)[1], idx)
+    assert_cells_match(_map_chart(tmap, x, n), idx)
     if roof.depth == 0:
         assert idx.tolist() == map_steps_reference(tmap, x, n).tolist()
     for phi in OBSERVABLES[:3]:
@@ -502,8 +502,8 @@ def test_one_time_t_map_shares_its_cell_grid_across_points_and_lengths(roof, t, 
     for point, fiber, n in reads:
         x = POINTS[point].with_fiber(fiber)
         idx = map_steps_reference(shared, x, n)
-        got_arr, got = _map_cells(shared, x, n, 2)
-        want_arr, want = _map_cells(TimeTMap(flow, t), x, n, 2)
+        got, want = _map_chart(shared, x, n), _map_chart(TimeTMap(flow, t), x, n)
+        got_arr, want_arr = x.prefix(got.cell(n - 1) + 2), x.prefix(want.cell(n - 1) + 2)
         assert got == want and np.array_equal(got_arr, want_arr)
         assert_cells_match(got, idx)
         cps = (7, n // 3, n)
@@ -513,19 +513,19 @@ def test_one_time_t_map_shares_its_cell_grid_across_points_and_lengths(roof, t, 
     # the grid is the chart of (fiber, t, roof): every point and every length
     # read through any map with those numbers gets the same one
     fiber = reads[-1][1]
-    _, chart = _map_cells(shared, POINTS["iid"].with_fiber(fiber), 300, 2)
+    chart = _map_chart(shared, POINTS["iid"].with_fiber(fiber), 300)
     for point in sorted(POINTS):
-        assert _map_cells(TimeTMap(flow, t), POINTS[point].with_fiber(fiber), 9000, 2)[1] is chart
+        assert _map_chart(TimeTMap(flow, t), POINTS[point].with_fiber(fiber), 9000) is chart
     assert shared == TimeTMap(flow, t) and hash(shared) == hash(TimeTMap(flow, t))
 
 
 def test_the_shared_cell_grid_is_read_only():
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(2.0)), 1.0)
     x = POINTS["iid"].with_fiber(0.0)
-    _, chart = _map_cells(tmap, x, 5000, 1)
+    chart = _map_chart(tmap, x, 5000)
     with pytest.raises(AttributeError):
         chart.f = 7
-    _, again = _map_cells(tmap, x, 100, 1)
+    again = _map_chart(tmap, x, 100)
     assert again == chart and again.steps(1, 60) == 2
     assert [again.first(i) for i in range(60)] == [2 * i for i in range(60)]
 
@@ -550,7 +550,7 @@ def test_time_t_map_cells_match_exact_arithmetic_on_short_decimals(tcf, point):
     x = POINTS[point].with_fiber(f0)
     n = 10_000
     idx = map_steps_exact(tmap, x, n)
-    assert_cells_match(_map_cells(tmap, x, n, 1)[1], idx)
+    assert_cells_match(_map_chart(tmap, x, n), idx)
     cps = (1, 7, 1001, n)
     for phi in OBSERVABLES[:3]:
         assert birkhoff_profile(tmap, x, phi, Schedule(cps)).tolist() == \
@@ -586,7 +586,7 @@ def test_time_t_map_lands_where_the_chart_reads_step_one(data, word, point):
         rest -= cell * Fraction(repr(table[0]))
     y = time_t_map(flow, t, x)
     assert (y.rule, y.offset, y.component, y.fiber) == (x.rule, cell, None, float(rest))
-    assert _map_cells(TimeTMap(flow, t), x, 2, 1)[1].cell(1) == cell
+    assert _map_chart(TimeTMap(flow, t), x, 2).cell(1) == cell
 
 
 def test_time_t_map_and_the_map_readers_agree_on_an_exact_tie():
@@ -599,7 +599,7 @@ def test_time_t_map_and_the_map_readers_agree_on_an_exact_tie():
     assert time_t_map(flow, 0.2, x) == Point(x.rule, 1, None, 0.0)
     assert integrate(pushforward(flow, 0.2, Atomic((x,), (1.0,))), phi) == 0.0
     word = Suspension(FullShift(2), RoofFunction(1, (0.9, 0.3), 2))
-    assert _map_cells(TimeTMap(word, 0.2), x, 2, 1)[1].cell(1) == 1
+    assert _map_chart(TimeTMap(word, 0.2), x, 2).cell(1) == 1
     assert time_t_map(word, 0.2, x) == Point(x.rule, 1, None, 0.0)
 
 
@@ -611,8 +611,8 @@ def test_a_word_roof_that_is_constant_along_the_orbit_reads_the_constant_cells(t
     constant = Suspension(FullShift(2), RoofFunction.constant(0.3))
     word = Suspension(FullShift(2), RoofFunction(1, (0.45, 0.3), 2))
     n = 5000
-    want = _map_cells(TimeTMap(constant, t), x, n, 1)[1]
-    got = _map_cells(TimeTMap(word, t), x, n, 1)[1]
+    want = _map_chart(TimeTMap(constant, t), x, n)
+    got = _map_chart(TimeTMap(word, t), x, n)
     assert got.cells(n).tolist() == want.cells(n).tolist()
     assert [got.first(i) for i in range(want.cell(n - 1) + 1)] == \
         [want.first(i) for i in range(want.cell(n - 1) + 1)]
@@ -636,7 +636,7 @@ def test_time_t_map_cells_under_a_non_dyadic_roof_are_exact_far_out():
     whenever 7 divides i, and cell i is first read at step ceil(3i/7)."""
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.3)), 0.7)
     n = 2_000_000
-    _, chart = _map_cells(tmap, POINTS["iid"].with_fiber(0.0), n, 1)
+    chart = _map_chart(tmap, POINTS["iid"].with_fiber(0.0), n)
     L = chart.cell(n - 1)
     assert L == 7 * (n - 1) // 3 and chart.first(1) == 1
     for lo in range(1, L + 1, 1 << 16):
@@ -650,7 +650,7 @@ def test_a_long_decimal_fiber_reads_through_python_integers():
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.3)), 0.7)
     x = POINTS["steered"].with_fiber(0.002316833146874575)
     n = 10_000
-    _, chart = _map_cells(tmap, x, n, 1)
+    chart = _map_chart(tmap, x, n)
     # a denominator of 10^18: chunks pass the int64 bound, and the steps the int64 range
     assert chart.cc >= 1 << 46 and chart.f + n * chart.tt >= 1 << 63
     idx = map_steps_exact(tmap, x, n)
@@ -948,6 +948,19 @@ def test_a_symbol_outside_the_alphabet_is_refused_and_spills_into_no_other_point
     for points in ([bad, good], [bad], [good, bad]):
         with pytest.raises(ValueError, match=r"symbol 2 .* outside the alphabet 0\.\.1"):
             _profiles(FullShift(2), points, obs, Schedule((100, 200)))
+
+
+def test_a_tagged_point_is_checked_against_its_own_side_of_a_union():
+    # symbol 2 on the binary left side was checked against the ternary right
+    # side's alphabet, and the point read frequencies [0.5, 0.0]
+    union = DisjointUnion(FullShift(2), FullShift(3))
+    obs, sched = (CylinderIndicator((0,)), CylinderIndicator((1,))), Schedule((100, 200))
+    steered = Point(SteeredBlocks(3, 0, (10, 100), (0.5, 0.2)), component=0)
+    for x in (Point(ExplicitWord((0, 2)), component=0), steered):
+        with pytest.raises(ValueError, match=r"symbol 2 .* outside the alphabet 0\.\.1"):
+            _profiles(union, [x], obs, sched)
+    good = Point(ExplicitWord((0, 2)), component=1)
+    assert _profiles(union, [good], obs, sched)[0].tolist() == [[0.5, 0.0], [0.5, 0.0]]
 
 
 @dataclass(frozen=True)

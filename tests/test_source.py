@@ -11,8 +11,11 @@ system class or a point rule class); lower its numbers when the package shrinks.
 """
 
 import ast
+import os
 import pathlib
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -27,7 +30,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # multiplication its digits), and lines where it names a point rule class (9
 # before each rule answered its point.json fields and each chain its seeded
 # rule) in src/ergode/*.py
-MAX_LINES = 4339
+MAX_LINES = 4337       # 4,339 while records were generated dataclasses
 MAX_ISINSTANCE_LINES = 16
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
@@ -65,6 +68,21 @@ def test_the_package_has_modules_to_scan():
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def test_no_module_imports_dataclasses():
+    """Records share one set of methods (`systems.Record`); no class is generated."""
+    scan = re.compile(r"^\s*(import|from)\s+dataclasses\b", re.M)
+    assert [p.name for p in SRC.glob("*.py") if scan.search(p.read_text(encoding="utf-8"))] == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_a_thread_pool():
+    code = ("import sys, ergode.cli; "
+            "print(sorted({'dataclasses', 'concurrent.futures'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def source_counts():
