@@ -189,11 +189,10 @@ def _cell_profiles(system, points, observables, Ts):
         if (len(stack) + 1) * need > _CELL_CHUNK:
             _count(system, stack, depth, k, ends, chart)
         top = tops.get(x.component, k)
-        tally = recipe and getattr(x.rule, "k", 0) == top == k and getattr(x.rule, "counts", None)
+        tally = recipe and top == k and x.rule.counts
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
-        if tally:   # the full cells [1, e) hold tally(e) - tally(1)
-            first = tally(o + 1)
+        if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
             member[1:] = ([(tally(o + max(e, 1)) - first) * weight for e in ends],
                           [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *ends)])
             continue
@@ -339,6 +338,7 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """Running averages of phi along the orbit at each checkpoint."""
     if system.is_flow:
         raise TypeError(f"{type(system).__name__} is a flow; take flow_average_profile")
+    system.admits(x)
     return _profiles(system, (x,), (phi,), schedule)[0, :, 0]
 
 
@@ -355,6 +355,7 @@ def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     symbolic/fiber observables under suspensions."""
     if not flow.is_flow:
         raise TypeError(f"no flow average for {type(flow).__name__}")
+    flow.admits(x)
     return _profiles(flow, (x,), (phi,), schedule)[0, :, 0]
 
 

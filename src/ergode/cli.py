@@ -17,10 +17,10 @@ import sys
 
 import numpy as np
 
-from .systems import BudgetExhausted, Point, TimeTMap, _fiber, random_point
+from .systems import BudgetExhausted, Point, TimeTMap, random_point
 from .measures import (
-    Bernoulli, CylinderIndicator, Markov, TestFamily, check_invariance,
-    metric_entropy, time_average_measure,
+    Bernoulli, CylinderIndicator, TestFamily, check_invariance, metric_entropy,
+    time_average_measure,
 )
 from .birkhoff import (
     Schedule, _limit_classes, _profiles, birkhoff_profile, classify_generic,
@@ -62,13 +62,7 @@ def _resolve_point(obj, system, rng):
         return _random_point(system, rng)
     point = build_point(obj)
     try:
-        side = system.carrier.side(point.component)     # None for an untagged union point
-        if side is not None and point.is_symbolic != side.symbolic:
-            raise ValueError(f"a {obj['kind']} point is not a point of {type(side).__name__}")
-        if system.space.is_flow and point.is_symbolic:  # a suspension point, under the roof
-            _fiber(system.space, point)
-        if side is not None and side.symbolic:
-            side.admits(point.rule)
+        system.admits(point)
     except ValueError as exc:
         raise ConfigError(f"bad point: {exc}") from None
     return point
@@ -318,10 +312,12 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
                         {"sample_count": n_samples}, 0.0))
         return
     # ergodic route: window the dominant symbol frequency around its mean
-    if not isinstance(mu, (Bernoulli, Markov)):
-        raise ConfigError("verify-thm-b handles Bernoulli, Markov, or a mixture on both union sides")
+    try:
+        freq0 = mu.chain.stationary[0]
+    except TypeError:
+        raise ConfigError("verify-thm-b handles Bernoulli, Markov, or a mixture on both "
+                          "union sides") from None
     delta = cfg["lo"]   # window half-width
-    freq0 = mu.stationary[0]
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
     with timed() as t:
         est = (bowen_entropy_flow(system, window, depths) if flow
@@ -385,7 +381,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     rows.append(Row(eid, "single_limit_class_count", float(good_limit), None, None,
                     {"sample_count": n_limit, "suite": "limit-sets"}, 0.0))
     # points generic for a different measure must be caught
-    other = _different_measure(mu)
+    other = mu.foreign()
     if other is not None:
         samples = (_sample_from(system, other, ctx["seed"] + 7919 + i) for i in range(n_samples))
         rejected = _generic_labels(system, samples, mubar, fam, schedule, tol,
@@ -437,8 +433,6 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     tmap = TimeTMap(flow, 1.0)
     mu_base = (_measure(cfg, flow) if cfg["measure"] is not None
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
-    if not isinstance(mu_base, Bernoulli):       # its samples are seeded iid streams
-        raise ConfigError("the flow inclusion suite samples Bernoulli measures only")
     mubar = _averaged(flow, mu_base)
     # a family both dynamics can read: the fiber foliation is invariant under
     # the time-1 map, so fiber-graded observables would make the map side vacuous
@@ -461,7 +455,8 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
     freq = CylinderIndicator((0,))
     targets = family_targets(mubar, fam)
-    points = _inclusion_suite_points(base, mu_base, ctx["seed"], n_total)
+    points = _construction("flow inclusion suite", _inclusion_suite_points, base, mu_base,
+                           ctx["seed"], n_total)
     results = []        # the generic and the irregular label, per dynamics
     for system, integral in ((tmap, True), (flow, False)):
         sched = in_time_units(base_sched, integral)
@@ -493,23 +488,6 @@ def _sample_from(system, mu, seed: int) -> Point:
         return Point(mu.seeded(seed), component=mu.component)
     except TypeError:
         raise ConfigError("sampling is implemented for Bernoulli, Markov and mixtures") from None
-
-
-def _different_measure(mu):
-    if isinstance(mu, Bernoulli):
-        k = mu.k
-        shifted = tuple((p + 1.0 / k) for p in mu.probs)
-        total = sum(shifted)
-        other = Bernoulli(tuple(p / total for p in shifted), mu.component)
-        if max(abs(a - b) for a, b in zip(other.probs, mu.probs)) < 0.05:
-            bump = [p for p in mu.probs]
-            bump[0] = min(bump[0] + 0.3, 0.95)
-            rest = (1.0 - bump[0]) / (sum(mu.probs[1:]) or 1.0)
-            other = Bernoulli(
-                tuple([bump[0]] + [p * rest for p in mu.probs[1:]]), mu.component,
-            )
-        return other
-    return None
 
 
 _HANDLERS = {

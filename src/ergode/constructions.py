@@ -31,7 +31,7 @@ import numpy as np
 
 from .systems import (
     DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Record, SteeredBlocks,
-    Suspension, RoofFunction, _regrown, _tiled,
+    Suspension, RoofFunction, _Rule, _regrown, _tiled,
 )
 from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
@@ -272,19 +272,18 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
     randomness; convergence is by construction).  'seeded-iid' gives mu's own
     seeded rule: almost-sure genericity, checked a posteriori by the
     classifier like any other point.  Both build only the prefix that is read."""
-    if not isinstance(mu, (Bernoulli, Markov)):
-        raise TypeError("generic points are built for Bernoulli and Markov targets")
+    chain = mu.chain                    # TypeError unless a Bernoulli or Markov target
     check_invariance(mu, system)        # a shift (a tagged union side) that carries mu
     if kind == "seeded-iid":
         return Point(mu.seeded(seed), component=mu.component)
     if kind != "deterministic-blocks":
         raise ValueError("kind must be 'deterministic-blocks' or 'seeded-iid'")
     adjacency = system.side(mu.component).adjacency
-    return Point(StageRecipe(mu.transitions, mu.stationary, adjacency, first_stage, horizon),
+    return Point(StageRecipe(chain.transitions, chain.stationary, adjacency, first_stage, horizon),
                  component=mu.component)
 
 
-class StageRecipe(Record):
+class StageRecipe(_Rule):
     """The Champernowne-style stage schedule of a stationary chain on a shift:
     stage i lays down its round (`_round`) 2**i times, a seam connector
     joining each round to the next, its own within the stage and the next
@@ -337,6 +336,10 @@ class StageRecipe(Record):
 
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, lambda _, size: _tiled(self.stage_blocks(size), size))
+
+    def pairs(self) -> list:
+        """The steps its adjacency allows, which leave every state."""
+        return [(a, b) for a, row in enumerate(self.adjacency) for b, e in enumerate(row) if e]
 
 
 def _connector(adjacency, a: int, b: int) -> tuple:

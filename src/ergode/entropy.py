@@ -13,23 +13,25 @@ which crosses 0 where the sum crosses 1.
 
 On shift spaces the refinement at depth n is the family of admissible
 n-cylinders meeting the target set, so everything reduces to counting words.
-Every shift subset has one form: count windows (scale, lo, hi) on one symbol,
-`at(depth)` (none for `WholeSpace`, one at the depth for `FrequencyWindow`,
-its own list for `OscillationWindows`), plus a component choice on a disjoint
-union (`ComponentWindow`, or a frequency window's tag).  `_shift_pairs` splits
-a (system, subset) pair into (shift, subset) pairs for both routes, circle
-multiplication counted on its n-ary digits: a shift that forbids no
-transition counts any window list, one that forbids some the whole space and
-a frequency window; a `SampleCloud` counts distinct prefixes on any shift
-space.  Every other pair raises `UnsupportedSubset`, on every route (exit 2
-from the CLI).
+`_shift_pairs` splits a (system, subset) pair into (shift, subset) pairs
+(circle multiplication on its n-ary digits) by what each subset kind answers.
+`WholeSpace` has both sides of a disjoint union `kept`, a `ComponentWindow`
+the sides its fractions, 0 or 1, allow.  The whole space and a
+`FrequencyWindow` (on one `symbol`, tagged with a union `component` or not)
+are `counted_on` any shift, an `OscillationWindows` on one that forbids no
+transition: there by their windows (scale, lo, hi) `at(depth)`, elsewhere by
+their own `log_counts` and `exact_counts`.  A `SampleCloud` is a `cloud`,
+counted by its points' distinct prefixes on any shift space; it and the
+whole space lie `on_any_space`, where an isometric system's spanning grid
+covers them.  Every other pair raises `UnsupportedSubset`, on every route
+(exit 2 from the CLI).
 
 The float route (log-gamma sums, log-scaled matrix powers, dynamic programs)
 and the exact big-integer counts of `word_count_rate`, which also drive the
 spanning-set growth estimate, share only the window list; tests compare them.
-Each backend counts an estimate's whole depth grid in one pass: the window
-dynamic programs run to the deepest depth, reading shallower ones on the way,
-and the exact route packs each state's counts by symbol count into one integer.
+Each backend counts an estimate's whole depth grid in one pass to its deepest
+depth, and the exact route packs each state's counts by symbol count into one
+integer.
 
 Suspension flows are handled for word-independent roofs: each depth-n
 cylinder times a half-roof fiber interval is a cover element whose span is
@@ -46,7 +48,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import BudgetExhausted, MarkovShift, Point, Record, Suspension, TimeTMap, _chart
+from .systems import BudgetExhausted, Point, Record, Suspension, TimeTMap, _chart
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
@@ -66,18 +68,45 @@ class UnsupportedSubset(TypeError, ValueError):
     estimators once raised for such pairs, so handlers of either catch it."""
 
 
-class WholeSpace(Record):
+class _Subset(Record):
+    """The answers of the module docstring: by default no tag, no symbol, no
+    union sides kept and no shift that counts it."""
+
+    component = symbol = kept = None
+    cloud = on_any_space = False
+    counted_on = lambda self, shift: False
+
+
+class WholeSpace(_Subset):
+    kept, on_any_space = (True, True), True
+    counted_on = lambda self, shift: True
+    exact_counts = lambda self, shift, depths: _packed_counts(shift, depths, 0, 0)
+
     def at(self, depth: int) -> tuple:
         return ()
 
+    def log_counts(self, shift, depths) -> list:
+        """log of the admissible words of each depth ending in each state, from
+        one log-scaled power of the adjacency matrix."""
+        A, v, scale, found = np.array(shift.adjacency, dtype=float), np.ones(shift.k), 0.0, {}
+        for n in range(1, max(depths) + 1):
+            if n in depths:
+                with np.errstate(divide="ignore"):
+                    found[n] = np.where(v > 0, np.log(np.maximum(v, 1e-300)) + scale, _LOG_EMPTY)
+            v = v @ A
+            m = v.max()                 # > 0: every state has a successor
+            v, scale = v / m, scale + math.log(m)
+        return [found[n] for n in depths]
 
-class FrequencyWindow(Record):
+
+class FrequencyWindow(_Subset):
     """Points whose asymptotic frequency of `symbol` lies in [lo, hi]."""
 
     symbol: int
     lo: float
     hi: float
     component: Optional[int] = None
+    counted_on = WholeSpace.counted_on
 
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
@@ -86,8 +115,19 @@ class FrequencyWindow(Record):
     def at(self, depth: int) -> tuple:
         return ((depth, self.lo, self.hi),)
 
+    def log_counts(self, shift, depths) -> list:
+        return _markov_window_log_counts(shift, depths, self.symbol, self.lo, self.hi)
 
-class OscillationWindows(Record):
+    def exact_counts(self, shift, depths) -> list:
+        """The slots of the window's symbol counts, each below k^N < 2^w."""
+        if max(depths) > 400:
+            raise BudgetExhausted("exact windowed Markov counts are limited to depth 400")
+        w = max(depths) * (shift.k - 1).bit_length() + 1
+        return [sum((total >> (w * m)) & ((1 << w) - 1) for m in _count_range(n, self.lo, self.hi))
+                for n, total in zip(depths, _packed_counts(shift, depths, self.symbol, w))]
+
+
+class OscillationWindows(_Subset):
     """Points whose running frequency of `symbol` visits [lo_j, hi_j] at each
     scale n_j: windows = ((n_1, lo_1, hi_1), ...) with increasing scales."""
 
@@ -103,13 +143,15 @@ class OscillationWindows(Record):
         if any(not (0.0 <= lo <= hi <= 1.0) for _, lo, hi in ws):
             raise ValueError("windows must satisfy 0 <= lo <= hi <= 1")
 
+    counted_on = lambda self, shift: shift.forbids_nothing
+
     def at(self, depth: int) -> tuple:
         if self.windows[-1][0] > depth:
             raise ValueError("window scale exceeds the requested depth")
         return self.windows
 
 
-class ComponentWindow(Record):
+class ComponentWindow(_Subset):
     """Points of a disjoint union whose fraction of time in the second
     component lies in [lo, hi].  Orbits never switch sides, so the only
     admissible fractions are 0 and 1."""
@@ -117,48 +159,46 @@ class ComponentWindow(Record):
     lo: float
     hi: float
 
+    kept = property(lambda self: (self.lo <= 0.0, self.hi >= 1.0))
+
     def __post_init__(self):
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ValueError("need 0 <= lo <= hi <= 1")
 
 
-class SampleCloud(Record):
+class SampleCloud(_Subset):
     """A finite set of sample points; covering them gives an upper bound."""
 
     points: Tuple[Point, ...]
+    cloud = on_any_space = True
 
     def __post_init__(self):
         if not self.points:
             raise ValueError("sample cloud must be nonempty")
 
+    def distinct(self, depth: int) -> int:
+        """The number of distinct (component, depth-prefix) pairs of its points
+        (a coordinate point has no prefix: TypeError)."""
+        return len({(p.component, *map(int, p.prefix(depth))) for p in self.points})
+
 
 def _shift_pairs(system, subset) -> list:
-    """The (shift, subset) pairs whose word counts add up to the subset's.
-    A disjoint union splits by component: the whole space into both sides,
-    a component window into the sides its fractions keep, a tagged
-    frequency window into its side; circle multiplication counts its digit
-    shift.  Every other pair, and a window on a symbol outside the shift's
-    alphabet, raises here."""
+    """The (shift, subset) pairs whose word counts add up to the subset's;
+    every other pair, and a window on a symbol outside the alphabet, raises."""
     if len(system.sides) > 1:
-        tag = getattr(subset, "component", None)
-        if tag in (0, 1):
-            return _shift_pairs(system.side(tag), subset._replace(component=None))
-        if isinstance(subset, ComponentWindow):
-            kept = (subset.lo <= 0.0, subset.hi >= 1.0)
-        elif isinstance(subset, WholeSpace):
-            kept = (True, True)
-        else:
+        if subset.component in (0, 1):
+            return _shift_pairs(system.side(subset.component), subset._replace(component=None))
+        if subset.kept is None:
             raise UnsupportedSubset(f"no count of {type(subset).__name__} on a disjoint "
                                     "union (a frequency window needs a component tag 0 or 1)")
-        return [pair for side, keep in zip(system.sides, kept) if keep
+        return [pair for side, keep in zip(system.sides, subset.kept) if keep
                 for pair in _shift_pairs(side, WholeSpace())]
-    if getattr(subset, "component", None) is not None:
+    if subset.component is not None:
         raise UnsupportedSubset(f"a component tag needs a disjoint union, not {system}")
     system = system.digits
-    counted = (WholeSpace, FrequencyWindow, OscillationWindows)   # the last if none is forbidden
-    if not system.symbolic or type(subset) not in counted[:3 if system.forbids_nothing else 2]:
+    if not system.symbolic or not subset.counted_on(system):
         raise UnsupportedSubset(f"no count of {type(subset).__name__} on {system}")
-    if not 0 <= getattr(subset, "symbol", 0) < system.alphabet:
+    if subset.symbol is not None and not 0 <= subset.symbol < system.alphabet:
         raise UnsupportedSubset(f"symbol {subset.symbol} is outside the alphabet of {system}")
     return [(system, subset)]
 
@@ -244,22 +284,6 @@ def _log_comb_jump(k: int, depth: int, windows) -> float:
     return _logsumexp(list(prev.values())) + (depth - prev_n) * math.log(k)
 
 
-def _markov_state_log_counts(system: MarkovShift, n: int) -> np.ndarray:
-    """log of the number of admissible length-n words ending in each state."""
-    A = np.array(system.adjacency, dtype=float)
-    v = np.ones(system.k)
-    scale = 0.0
-    for _ in range(n - 1):
-        v = v @ A
-        m = v.max()
-        if m <= 0:
-            return np.full(system.k, _LOG_EMPTY)
-        v /= m
-        scale += math.log(m)
-    with np.errstate(divide="ignore"):
-        return np.where(v > 0, np.log(np.maximum(v, 1e-300)) + scale, _LOG_EMPTY)
-
-
 _BLOCK = 64                                 # steps the window program takes at a time
 
 
@@ -339,28 +363,22 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
     return [found[n] for n in depths]
 
 
-def _shift_groups(shift, subset, depths) -> list:
-    """The (log_count, span) groups of one shift's depth-n cylinders meeting
-    the subset, at each depth."""
-    if shift.forbids_nothing:
-        return [[(_log_comb_jump(shift.k, n, subset.at(n)), float(n))] for n in depths]
-    if isinstance(subset, FrequencyWindow):
-        per_depth = _markov_window_log_counts(shift, depths, subset.symbol,
-                                              subset.lo, subset.hi)
-    else:
-        per_depth = [_markov_state_log_counts(shift, n) for n in depths]
-    extra = [_forced_extension(shift.adjacency, s, shift.k + 1) for s in range(shift.k)]
-    return [list(zip(lcs, (float(n + e) for e in extra))) for n, lcs in zip(depths, per_depth)]
-
-
 def _map_groups(system, subset, depths):
     """One (groups, flags) pair per depth: the (log_count, span) groups of
-    the depth-n cylinder cover of the subset, plus flags."""
-    if isinstance(subset, SampleCloud) and system.symbolic:
-        return [([(math.log(_distinct_prefixes(subset, n)), float(n))], ["upper-bound-only"])
+    the depth-n cylinder cover of the subset, plus flags.  Each end state of
+    a shift that forbids a transition spans its forced extension too."""
+    if subset.cloud and system.symbolic:
+        return [([(math.log(subset.distinct(n)), float(n))], ["upper-bound-only"])
                 for n in depths]
-    parts = [_shift_groups(shift, sub, depths) for shift, sub in _shift_pairs(system, subset)]
-    merged = [[g for part in parts for g in part[i]] for i in range(len(depths))]
+    merged = [[] for _ in depths]
+    for shift, sub in _shift_pairs(system, subset):
+        if shift.forbids_nothing:
+            parts = [[(_log_comb_jump(shift.k, n, sub.at(n)), float(n))] for n in depths]
+        else:
+            extra = [_forced_extension(shift.adjacency, s, shift.k + 1) for s in range(shift.k)]
+            parts = [list(zip(lcs, (float(n + e) for e in extra)))
+                     for n, lcs in zip(depths, sub.log_counts(shift, depths))]
+        merged = [groups + part for groups, part in zip(merged, parts)]
     return [(groups, [] if any(lc > _LOG_EMPTY for lc, _ in groups) else ["empty-cover"])
             for groups in merged]
 
@@ -397,13 +415,6 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _distinct_prefixes(subset: SampleCloud, depth: int) -> int:
-    seen = set()
-    for p in subset.points:            # a coordinate point has no prefix: TypeError
-        seen.add((p.component,) + tuple(int(s) for s in p.prefix(depth)))
-    return len(seen)
 
 
 def _integer_stride(system: TimeTMap):
@@ -443,23 +454,16 @@ def _depth_grid(depths: Optional[Sequence[int]], default: Tuple[int, ...]) -> Tu
     return grid
 
 
-def _finish(depths, alphas, flags, details=None) -> EntropyEstimate:
-    tail = alphas[-3:] if len(alphas) >= 3 else alphas
-    return EntropyEstimate(
-        value=alphas[-1], lower=min(tail), upper=max(tail),
-        depths=tuple(depths), alphas=tuple(alphas),
-        flags=tuple(dict.fromkeys(flags)), details=details,
-    )
-
-
 def _estimate(system, subset, depths, spans, alpha_tol=1e-12, details=None):
     """The critical exponent at each depth of the cylinder cover, its spans
-    rewritten by `spans`."""
+    rewritten by `spans`, bracketed by the last three."""
     alphas, flags = [], []
     for groups, f in _map_groups(system, subset, depths):
         alphas.append(_critical_alpha(spans(groups), alpha_tol))
         flags += f
-    return _finish(depths, alphas, flags, details)
+    tail = alphas[-3:]
+    return EntropyEstimate(alphas[-1], min(tail), max(tail), tuple(depths), tuple(alphas),
+                           tuple(dict.fromkeys(flags)), details)
 
 
 def bowen_entropy_symbolic(system, subset=WholeSpace(),
@@ -528,22 +532,28 @@ def word_count_rate(system, subset, depth: int) -> WordCount:
 
 def _exact_counts(system, subset, depths) -> list:
     """Exact count at each depth of the grid."""
-    if isinstance(subset, SampleCloud) and system.symbolic:
-        return [_distinct_prefixes(subset, n) for n in depths]
+    if subset.cloud and system.symbolic:
+        return [subset.distinct(n) for n in depths]
     totals = [0] * len(depths)
     for shift, sub in _shift_pairs(system, subset):
-        totals = [t + c for t, c in zip(totals, _exact_shift_counts(shift, sub, depths))]
+        counts = ([_comb_jump(shift.k, n, sub.at(n)) for n in depths] if shift.forbids_nothing
+                  else sub.exact_counts(shift, depths))
+        totals = [t + c for t, c in zip(totals, counts)]
     return totals
 
 
-def _exact_shift_counts(shift, subset, depths) -> list:
-    if shift.forbids_nothing:
-        return [_comb_jump(shift.k, n, subset.at(n)) for n in depths]
-    if isinstance(subset, WholeSpace):
-        return [_exact_markov_count(shift, n) for n in depths]
-    if max(depths) > 400:
-        raise BudgetExhausted("exact windowed Markov counts are limited to depth 400")
-    return _exact_markov_window_counts(shift, depths, subset)
+def _packed_counts(shift, depths, symbol: int, w: int) -> list:
+    """The admissible words of each depth, from one pass to the deepest: each
+    end state's counts c_m by count m of `symbol` packed into one integer,
+    c_m in the w-bit slot m, summed over the states (w = 0 adds them up)."""
+    k, A, found = shift.k, shift.adjacency, {}
+    rows = [1 << w if s == symbol else 1 for s in range(k)]
+    for n in range(1, max(depths) + 1):
+        if n in depths:
+            found[n] = sum(rows)
+        rows = [sum(rows[s] << w if s2 == symbol else rows[s] for s in range(k) if A[s][s2])
+                for s2 in range(k)]
+    return [found[n] for n in depths]
 
 
 def _comb_jump(k: int, depth: int, windows) -> int:
@@ -571,42 +581,6 @@ def _comb_jump(k: int, depth: int, windows) -> int:
     return sum(prev.values()) * k ** (depth - prev_n)
 
 
-def _exact_markov_count(system: MarkovShift, depth: int) -> int:
-    counts = [1] * system.k
-    A = system.adjacency
-    for _ in range(depth - 1):
-        counts = [
-            sum(counts[i] for i in range(system.k) if A[i][j]) for j in range(system.k)
-        ]
-    return sum(counts)
-
-
-def _exact_markov_window_counts(system: MarkovShift, depths, subset: FrequencyWindow) -> list:
-    """Window counts at each depth from one pass.  Each end state's counts
-    c_m by symbol count m are packed into one integer, c_m in the w-bit slot
-    m; every count is below k^N < 2^w, so no slot carries into the next."""
-    k, A, symbol = system.k, system.adjacency, subset.symbol
-    N = max(depths)
-    w = N * (k - 1).bit_length() + 1
-    mask = (1 << w) - 1
-    rows = [1 << w if s == symbol else 1 for s in range(k)]
-    found = {}
-    for n in range(1, N + 1):
-        if n in depths:
-            total = sum(rows)
-            found[n] = sum((total >> (w * m)) & mask
-                           for m in _count_range(n, subset.lo, subset.hi))
-        if n == N:
-            break
-        nxt = [0] * k
-        for s in range(k):
-            for s2 in range(k):
-                if A[s][s2]:
-                    nxt[s2] += rows[s] << w if s2 == symbol else rows[s]
-        rows = nxt
-    return [found[n] for n in depths]
-
-
 # ---------------------------------------------------------------------------
 # spanning-growth route
 
@@ -626,7 +600,7 @@ def spanning_entropy(system, subset=WholeSpace(),
     if resolution_bits < 0:
         raise ValueError("resolution_bits must be >= 0 (eps = 2**-resolution_bits <= 1)")
     if system.isometric:
-        if not isinstance(subset, (WholeSpace, SampleCloud)):
+        if not subset.on_any_space:
             raise UnsupportedSubset("rotation spanning counts cover the whole space or a cloud")
         # orbit metric equals the base metric, so one eps-grid spans every n
         eps = 2.0 ** -resolution_bits

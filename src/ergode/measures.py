@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from functools import cached_property
 from itertools import product
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,7 +58,25 @@ def _normalised(weights, what: str) -> Tuple[float, ...]:
 # pieces: one rule per kind for each question a measure sums over its pieces
 
 
-class _Piece(Record):
+class Measure(Record):
+    """What a caller asks a measure besides its `pieces`: `chain` (the chain it
+    is, for its `transitions` and `stationary`), `seeded(seed)` (the rule of a
+    point drawn from it) and `foreign()` (a measure of other typical points,
+    or None).  A measure that cannot answer raises TypeError."""
+
+    @property
+    def chain(self):
+        raise TypeError(f"{type(self).__name__} is not a chain: built for Bernoulli and "
+                        "Markov targets")
+
+    def seeded(self, seed: int):
+        raise TypeError(f"{type(self).__name__} has no seeded points")
+
+    def foreign(self):
+        return None
+
+
+class _Piece(Measure):
     """A piece answers `integral(phi)`, `shifted_integral(flow, s, phi)` (of
     phi after the time-s map), `check(system)` and, once checked, `entropy`
     and `cylinder_masses`; a rule its kind lacks raises TypeError.  No rule
@@ -83,10 +101,6 @@ class _Piece(Record):
     def check(self, system):
         raise TypeError(f"no invariance rule for a {type(self).__name__} piece")
 
-    def seeded(self, seed: int):
-        """The rule of a point drawn from the piece with `seed`."""
-        raise TypeError(f"no seeded points of a {type(self).__name__} piece")
-
 
 def _shift_of(system, component):
     """The shift a piece tagged `component` lives on (its side of a union)."""
@@ -97,7 +111,9 @@ def _shift_of(system, component):
 
 
 class _Chain(_Piece):
-    """The rules of Bernoulli and Markov pieces."""
+    """The rules of Bernoulli and Markov pieces, each its own `chain`."""
+
+    chain = property(lambda self: self)
 
     def integral(self, phi) -> float:
         w, component, _ = phi.counted(False)     # the word a shift reads; TypeError off one
@@ -170,13 +186,12 @@ class _PointMass(_Piece):
         shift = _shift_of(system, self.component)
         if not shift.symbolic:
             raise TypeError("atomic measures have an invariance rule on shift spaces only")
-        if not isinstance(self.point.rule, ExplicitWord):
+        if (n := self.point.rule.period) is None:
             raise ValueError(f"an atom on a shift must be a periodic point given by an "
                              f"explicit word, not {type(self.point.rule).__name__}")
-        n = len(self.point.rule.symbols)
         word = tuple(int(s) for s in self.point.prefix(n))
         word = word[:next(p for p in range(1, n + 1) if word[p:] + word[:p] == word)]
-        shift.admits(ExplicitWord(word))    # in the alphabet, wrap-around included
+        shift.admits(Point(ExplicitWord(word)))     # in the alphabet, wrap-around included
         return self.component, word
 
     def entropy(self, system) -> float:
@@ -221,6 +236,17 @@ class Bernoulli(_Chain):
 
     def seeded(self, seed: int) -> SeededIID:
         return SeededIID(seed, self.probs)
+
+    def foreign(self) -> "Bernoulli":
+        """Each probability raised by 1/k and renormalised, or, when that
+        moves none by 0.05, the first raised by 0.3 (to at most 0.95)."""
+        shifted = [p + 1.0 / self.k for p in self.probs]
+        other = Bernoulli(tuple(p / sum(shifted) for p in shifted), self.component)
+        if max(abs(a - b) for a, b in zip(other.probs, self.probs)) < 0.05:
+            first = min(self.probs[0] + 0.3, 0.95)
+            rest = (1.0 - first) / (sum(self.probs[1:]) or 1.0)
+            other = Bernoulli((first, *(p * rest for p in self.probs[1:])), self.component)
+        return other
 
 
 class Markov(_Chain):
@@ -299,7 +325,7 @@ class Lebesgue(_Piece):
         return 0.0 if system.isometric else math.log(system.digits.alphabet)
 
 
-class Atomic(Record):
+class Atomic(Measure):
     points: Tuple[Point, ...]
     weights: Tuple[float, ...]
 
@@ -313,7 +339,7 @@ class Atomic(Record):
         return tuple((w, _PointMass(x)) for x, w in zip(self.points, self.weights))
 
 
-class Mixture(Record):
+class Mixture(Measure):
     components: Tuple[Tuple["Measure", float], ...]
 
     def __post_init__(self):
@@ -328,7 +354,7 @@ class Mixture(Record):
         return tuple((w * v, p) for m, w in self.components for v, p in m.pieces)
 
 
-class TimeAveraged(Record):
+class TimeAveraged(Measure):
     """Midpoint average of the images of `base` over one flow period: one
     sweep of the fiber for a suspension under a constant roof, one turn of
     the circle for rotation flows."""
@@ -370,9 +396,6 @@ class TimeShifted(_Piece):
 
     def integral(self, phi) -> float:
         return self.base.shifted_integral(self.flow, self.t, phi)
-
-
-Measure = Union[Bernoulli, Markov, Lebesgue, Atomic, Mixture, TimeAveraged, TimeShifted]
 
 
 # ---------------------------------------------------------------------------

@@ -118,9 +118,10 @@ class _Descriptor(Record):
     live: a time-t map's flow), `carrier` (where their symbols and its
     measures live: a suspension's base), `digits` (circle multiplication's
     n-ary digit shift, else itself), `sides` and `side(component)` (a union's
-    two, None for an untagged point), `random_point(rng)`, a flow's `period`
-    and `advance(t, x)`, and a circle or torus map's `orbit(x, n)` of the
-    first coordinate.  A kind that cannot answer raises TypeError.  Read-only."""
+    two, None for an untagged point), `admits(point)`, `random_point(rng)`, a
+    flow's `period` and `advance(t, x)`, and a circle or torus map's
+    `orbit(x, n)` of the first coordinate.  A kind that cannot answer raises
+    TypeError.  Read-only."""
 
     is_flow = False
     isometric = False
@@ -147,6 +148,27 @@ class _Descriptor(Record):
 
     def side(self, component: Optional[int]) -> "SpaceDescriptor":
         return self
+
+    def admits(self, point: "Point") -> None:
+        """ValueError unless the point is one of this space's: its rule reads
+        what its side of the carrier holds (an untagged point on a union names
+        none), a suspension point lies under its roof, and on a shift every
+        symbol it has `used()` is in the alphabet and, where a transition is
+        forbidden, its `pairs()` are a subset of the allowed ones."""
+        side, rule = self.carrier.side(point.component), point.rule
+        if side is None:
+            return
+        if rule.symbolic != side.symbolic:
+            raise ValueError(f"a {rule.kind} point is not a point of {type(side).__name__}")
+        if self.space.is_flow and rule.symbolic:
+            _fiber(self.space, point)
+        if not side.symbolic:
+            return
+        if not (used := set(rule.used())) <= set(range(side.alphabet)):
+            raise ValueError(f"symbols {sorted(used)} outside the alphabet of {side}")
+        allowed = {(a, b) for a, row in enumerate(side.adjacency) for b, e in enumerate(row) if e}
+        if not side.forbids_nothing and not (pairs := set(rule.pairs())) <= allowed:
+            raise ValueError(f"transitions {sorted(pairs - allowed)} are forbidden in {side}")
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         """Uniform coordinates on a circle or torus."""
@@ -184,41 +206,6 @@ class _Shift(_Descriptor):
                              "forbids a transition; give the point explicitly")
         seed = int(rng.integers(0, 2 ** 63 - 1))
         return Point(SeededIID(seed, tuple(1.0 / self.k for _ in range(self.k))))
-
-    def admits(self, rule) -> None:
-        """ValueError unless every symbol of the rule's stream is in the
-        alphabet and every consecutive pair is allowed.  A word repeats, its
-        wrap-around included; blocks add their junctions and the repeat of
-        the last pattern; iid draws pair any two symbols of positive
-        probability, a seeded chain its steps of positive probability, and a
-        stage recipe what its own adjacency allows; a steered rule, where some
-        pair is forbidden, pairs the symbols of its stream up to the first
-        repeat of its last block."""
-        if hasattr(rule, "probs"):
-            used = [s for s, p in enumerate(rule.probs) if p > 0]
-            pairs = [(a, b) for a in used for b in used]
-        elif hasattr(rule, "transitions"):
-            A = getattr(rule, "adjacency", rule.transitions)
-            pairs = [(a, b) for a, row in enumerate(A) for b, e in enumerate(row) if e > 0]
-            used = {s for s, p in enumerate(rule.stationary) if p > 0}.union(*pairs)
-        elif hasattr(rule, "ends"):
-            used, pairs = range(rule.k), []
-            if not self.forbids_nothing:
-                s = rule.materialise(rule.ends[-1] + 1).astype(np.int64)
-                pairs = [divmod(int(c), rule.k) for c in np.unique(s[:-1] * rule.k + s[1:])]
-        else:
-            blocks = getattr(rule, "blocks", None) or ((rule.symbols, 1),)
-            used, pairs = [s for pattern, _ in blocks for s in pattern], []
-            for i, (pattern, reps) in enumerate(blocks):
-                after = blocks[i + 1][0] if i + 1 < len(blocks) else pattern   # the last repeats
-                pairs += [*zip(pattern, pattern[1:]), (pattern[-1], after[0])]
-                pairs += [(pattern[-1], pattern[0])] * (reps > 1)
-        if any(not 0 <= s < self.k for s in used):
-            raise ValueError(f"symbols {sorted(set(used))} outside the alphabet of {self}")
-        A = self.adjacency
-        forbidden = sorted({(a, b) for a, b in pairs if not A[a][b]})
-        if forbidden:
-            raise ValueError(f"transitions {forbidden} are forbidden in {self}")
 
 
 class FullShift(_Shift):
@@ -451,7 +438,7 @@ class Suspension(_Descriptor):
         fiber reads as 0; a coordinate point has no symbols to flow along."""
         if t < 0:
             raise ValueError("suspension flows run forward in time only")
-        if not x.is_symbolic:
+        if not x.rule.symbolic:
             raise TypeError("coordinate points have no symbol stream")
         f0, roof = _fiber(self, x), self.roof
         if roof.depth == 0:
@@ -663,11 +650,34 @@ def _tiled(blocks, size: int) -> np.ndarray:
     return np.concatenate(parts)[:size]
 
 
-class ExplicitWord(Record):
+class _Rule(Record):
+    """What a point's readers ask its rule: `symbolic` (a symbol stream, not
+    coordinates), `materialise(n)` (its first n symbols), the symbols it has
+    `used()` (by default those of its pairs) and the consecutive `pairs()` its
+    stream holds, `period` (the length of the word it repeats, else None) and
+    `counts` (a recipe's symbol counts per prefix, else None).  A rule whose
+    stream ends in a block that repeats forever reads its pairs from its first
+    `reach` symbols, which hold that block's first repeat."""
+
+    symbolic = True
+    period = counts = None
+
+    def used(self) -> set:
+        return {s for pair in self.pairs() for s in pair}
+
+    def pairs(self) -> list:
+        s = self.materialise(self.reach).astype(np.int64)
+        k = int(s.max()) + 1
+        return [divmod(int(c), k) for c in np.unique(s[:-1] * k + s[1:])]
+
+
+class ExplicitWord(_Rule):
     """A finite word repeated periodically."""
 
     kind = "explicit-word"
     symbols: Tuple[int, ...]
+    period = property(lambda self: len(self.symbols))
+    reach = property(lambda self: len(self.symbols) + 1)
 
     def __post_init__(self):
         if not self.symbols:
@@ -677,7 +687,7 @@ class ExplicitWord(Record):
         return _regrown(self, n, lambda _, size: _tiled(((self.symbols, 1),), size))
 
 
-class SeededIID(Record):
+class SeededIID(_Rule):
     """Independent draws from `probs`, reproducible from `seed`.
 
     Draw i counts the inner cumulative masses at or below uniform i of the
@@ -700,8 +710,12 @@ class SeededIID(Record):
         return _regrown(self, n, lambda _, size: _count_at_or_below(
             np.cumsum(self.probs)[:-1], np.random.default_rng(self.seed).random(size), np.int16))
 
+    def pairs(self) -> list:
+        used = [s for s, p in enumerate(self.probs) if p > 0]
+        return [(a, b) for a in used for b in used]
 
-class SeededMarkov(Record):
+
+class SeededMarkov(_Rule):
     """The states of a Markov chain (`Markov.seeded` checks it) drawn from
     `seed`: one uniform picks the start state from `stationary`, then uniform
     i moves state s to the count of row s's inner cumulative masses at or
@@ -717,6 +731,11 @@ class SeededMarkov(Record):
 
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, self._walk)
+
+    def pairs(self) -> list:
+        """Its steps of positive probability, which leave every state."""
+        return [(a, b) for a, row in enumerate(self.transitions)
+                for b, p in enumerate(row) if p > 0]
 
     def _walk(self, arr: Optional[np.ndarray], size: int) -> np.ndarray:
         """arr walked on to `size` states, `_WALK_CHUNK` steps per scan to bound memory."""
@@ -762,7 +781,7 @@ class SeededMarkov(Record):
         return new
 
 
-class BlockSchedule(Record):
+class BlockSchedule(_Rule):
     """Concatenation of (pattern, repeats) blocks; the last pattern repeats
     forever once the schedule is exhausted."""
 
@@ -779,8 +798,11 @@ class BlockSchedule(Record):
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, lambda _, size: _tiled(self.blocks, size))
 
+    reach = property(lambda self: sum(len(pattern) * reps for pattern, reps in self.blocks)
+                     + len(self.blocks[-1][0]) + 1)
 
-class SteeredBlocks(Record):
+
+class SteeredBlocks(_Rule):
     """Blocks over a k-letter alphabet that steer the running count of
     `symbol` to round(targets[i] * ends[i]) at each block end ends[i].
 
@@ -869,6 +891,9 @@ class SteeredBlocks(Record):
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, self._built)
 
+    reach = property(lambda self: self.ends[-1] + 1)
+    used = lambda self: range(self.k)           # without building its stream
+
     def _built(self, _, size: int) -> np.ndarray:
         arr = np.empty(size, dtype=np.int16)
         last = start = 0
@@ -885,26 +910,27 @@ class SteeredBlocks(Record):
         return arr
 
 
-class Coordinate(Record):
+class Coordinate(_Rule):
     """A point of the circle or torus given by coordinates in [0, 1)."""
 
     kind = "coordinate"
     coords: Tuple[float, ...]
+    symbolic = False
 
     def __post_init__(self):
         if not self.coords:
             raise ValueError("coordinate point needs at least one coordinate")
         object.__setattr__(self, "coords", tuple(c % 1.0 for c in self.coords))
 
-
-Rule = Union[ExplicitWord, SeededIID, SeededMarkov, BlockSchedule, SteeredBlocks, Coordinate]
+    def materialise(self, n: int) -> np.ndarray:
+        raise TypeError("coordinate points have no symbol stream")
 
 
 class Point(Record):
     """Immutable point: a rule plus an offset into its stream, an optional
     disjoint-union component tag and an optional suspension fiber."""
 
-    rule: Rule
+    rule: _Rule
     offset: int = 0
     component: Optional[int] = None
     fiber: Optional[float] = None
@@ -916,19 +942,13 @@ class Point(Record):
             raise ValueError("fiber must be finite and >= 0")
 
     @property
-    def is_symbolic(self) -> bool:
-        return not isinstance(self.rule, Coordinate)
-
-    @property
     def coords(self) -> Tuple[float, ...]:
-        if not isinstance(self.rule, Coordinate):
+        if self.rule.symbolic:
             raise TypeError("not a coordinate point")
         return self.rule.coords
 
     def prefix(self, n: int) -> np.ndarray:
         """Symbols at offsets 0..n-1 relative to this point."""
-        if isinstance(self.rule, Coordinate):
-            raise TypeError("coordinate points have no symbol stream")
         return self.rule.materialise(self.offset + n)[self.offset:self.offset + n]
 
     def shifted(self, steps: int = 1) -> "Point":

@@ -11,7 +11,7 @@ from ergode.systems import (
 def step(system, x: Point) -> Point:
     """One application of the map."""
     if isinstance(system, (FullShift, MarkovShift)):
-        if not x.is_symbolic:
+        if not x.rule.symbolic:
             raise TypeError("shift systems act on symbolic points")
         return x.shifted(1)
     if isinstance(system, CircleMult):

@@ -16,6 +16,7 @@ from ergode.systems import (
     DisjointUnion,
     ExplicitWord,
     FullShift,
+    MarkovShift,
     Point,
     RoofFunction,
     SeededIID,
@@ -963,11 +964,33 @@ def test_a_tagged_point_is_checked_against_its_own_side_of_a_union():
     assert _profiles(union, [good], obs, sched)[0].tolist() == [[0.5, 0.0], [0.5, 0.0]]
 
 
+GOLDEN_MEAN_FLOW = Suspension(MarkovShift(2, ((1, 1), (1, 0))), RoofFunction.constant(1.0))
+
+
+@pytest.mark.parametrize("reader, system, x, refused", [
+    (birkhoff_profile, GOLDEN_MEAN_FLOW.base, Point(ExplicitWord((1, 1, 1, 1))),
+     r"transitions \[\(1, 1\)\] are forbidden"),
+    (birkhoff_profile, TimeTMap(GOLDEN_MEAN_FLOW, 0.5), Point(ExplicitWord((0, 1, 1))),
+     r"transitions \[\(1, 1\)\] are forbidden"),
+    (flow_average_profile, GOLDEN_MEAN_FLOW, Point(ExplicitWord((1, 0, 1))),
+     r"transitions \[\(1, 1\)\] are forbidden"),
+    (birkhoff_profile, FullShift(2), Point(ExplicitWord((0, 2))), r"symbols \[0, 2\] outside"),
+    (birkhoff_profile, FullShift(2), Point(Coordinate((0.25,))), "not a point of FullShift"),
+    (birkhoff_profile, CircleRotation(0.3), Point(ExplicitWord((0, 1))),
+     "not a point of CircleRotation"),
+], ids=["golden-mean", "time-t-map", "suspension", "alphabet", "coordinate", "word"])
+def test_a_public_reader_refuses_a_point_its_system_forbids(reader, system, x, refused):
+    # the golden mean read the forbidden word 1111 as a cylinder frequency of [1.0, 1.0]
+    with pytest.raises(ValueError, match=refused):
+        reader(system, x, CylinderIndicator((1,)), Schedule((8, 16)))
+
+
 @dataclass(frozen=True)
 class Int64Word:
     """A periodic word whose stream is int64 (the package's rules build int16)."""
 
     symbols: tuple
+    counts = None           # no recipe counts: the reader builds its stream
 
     def materialise(self, n: int) -> np.ndarray:
         return np.resize(np.array(self.symbols, dtype=np.int64), n)

@@ -382,7 +382,7 @@ def test_a_written_point_replays_its_construction(fields, how, tmp_path, monkeyp
     point = build_point(json.loads((tmp_path / "replay.point.json").read_text()))
     system = build_system(cfg["system"])
     assert np.array_equal(point.prefix(10 ** 6), constructed(how, system, cfg).prefix(10 ** 6))
-    system.admits(point.rule)
+    system.admits(point)
 
 
 def test_construct_seeded_markov_point_writes_readable_json(tmp_path):
@@ -683,13 +683,16 @@ def test_every_committed_measure_is_invariant_on_its_system(path):
     assert _measure(cfg, build_system(cfg["system"])) == build_measure(cfg["measure"])
 
 
-def test_a_flow_inclusion_suite_of_a_markov_measure_exits_2(tmp_path):
-    cfg = {"command": "verify-inclusions", "experiment_id": "flow-markov",
-           "system": UNIT_ROOF, "sample_count": 6,
-           "measure": {"kind": "markov", "transitions": [[0.6, 0.4], [0.5, 0.5]]}}
+def test_a_flow_inclusion_suite_of_an_atomic_measure_exits_2(tmp_path):
+    # the suite builds its points from the measure's chain, which a point mass is not
+    whole_orbit = {"kind": "atomic", "points": [{"kind": "explicit-word", "symbols": [0, 1]},
+                                                {"kind": "explicit-word", "symbols": [1, 0]}],
+                   "weights": [0.5, 0.5]}
+    cfg = {"command": "verify-inclusions", "experiment_id": "flow-atomic",
+           "system": UNIT_ROOF, "sample_count": 6, "measure": whole_orbit}
     res = run_cli(cfg, tmp_path)
     assert res.returncode == 2, res.stderr
-    assert "samples Bernoulli measures only" in res.stderr
+    assert "'flow inclusion suite': Atomic is not a chain" in res.stderr
     assert "Traceback" not in res.stderr
 
 

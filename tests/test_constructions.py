@@ -281,7 +281,7 @@ def test_a_seeded_golden_mean_point_keeps_to_its_shift(seed):
     """At these seeds the first 262,144 states start and end in state 1: a
     point that repeats them holds 11 at every period, which the shift forbids."""
     x = generic_point(GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, "seeded-iid", seed=seed, horizon=1 << 18)
-    GOLDEN_MEAN.admits(x.rule)
+    GOLDEN_MEAN.admits(x)
     word = x.prefix(10 ** 6)
     assert not ((word[:-1] == 1) & (word[1:] == 1)).any()
 
@@ -330,7 +330,7 @@ def test_block_schedule_of_a_vertex_shift_is_as_pinned(system, mu, shape, digest
     blocks = tuple((tuple(pattern.tolist()), reps) for pattern, reps in recipe.stage_blocks())
     assert [(len(pattern), reps) for pattern, reps in blocks] == shape
     assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
-    system.admits(BlockSchedule(blocks))
+    system.admits(Point(BlockSchedule(blocks)))
 
 
 def test_markov_walk_of_no_steps_is_empty():

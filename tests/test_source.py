@@ -7,7 +7,8 @@ re-exports, is left out) and fails on an imported name that no expression
 of the module reads.  The ratchet counts `src/ergode/*.py` the way the
 report step of `.github/workflows/tier1.yml` does (`wc -l`, `grep -c
 isinstance`, and the lines where `isinstance` names an observable class, a
-system class or a point rule class); lower its numbers when the package shrinks.
+system class, a point rule class, a subset class or a measure class); lower its
+numbers when the package shrinks.  No module probes an object with `hasattr`.
 """
 
 import ast
@@ -27,14 +28,18 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # its readers' questions itself), and lines where it names a system class (49
 # before each system answered where its points and measures live, 15 before
 # shifts answered their adjacency, flows their period and circle
-# multiplication its digits), and lines where it names a point rule class (9
-# before each rule answered its point.json fields and each chain its seeded
-# rule) in src/ergode/*.py
-MAX_LINES = 4337       # 4,339 while records were generated dataclasses
-MAX_ISINSTANCE_LINES = 16
+# multiplication its digits), a point rule class (9 before each rule answered
+# its point.json fields and each chain its seeded rule, 4 before each rule
+# answered `symbolic`, `pairs()` and `used()`), a subset class (7 before each
+# subset answered the counting routes) or a measure class (4 before each
+# measure answered `chain`, `seeded` and `foreign`) in src/ergode/*.py
+MAX_LINES = 4336       # 4,337 while subsets, measures and rules were told apart by class
+MAX_ISINSTANCE_LINES = 1
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
-MAX_RULE_ISINSTANCE_LINES = 4
+MAX_RULE_ISINSTANCE_LINES = 0
+MAX_SUBSET_ISINSTANCE_LINES = 0
+MAX_MEASURE_ISINSTANCE_LINES = 0
 OBSERVABLE_ISINSTANCE = re.compile(r"isinstance\(.*\b(Observable|Constant|CylinderIndicator|"
                                    r"SymbolFrequency|_CYLINDERS|Harmonic|FiberProfile|_Composed)\b")
 SYSTEM_ISINSTANCE = re.compile(r"isinstance\(.*\b(FullShift|MarkovShift|CircleMult|CircleRotation|"
@@ -42,6 +47,10 @@ SYSTEM_ISINSTANCE = re.compile(r"isinstance\(.*\b(FullShift|MarkovShift|CircleMu
                                r"TimeTMap)\b")
 RULE_ISINSTANCE = re.compile(r"isinstance\(.*\b(ExplicitWord|SeededIID|SeededMarkov|BlockSchedule|"
                              r"SteeredBlocks|Coordinate|StageRecipe)\b")
+SUBSET_ISINSTANCE = re.compile(r"isinstance\(.*\b(WholeSpace|FrequencyWindow|OscillationWindows|"
+                               r"ComponentWindow|SampleCloud)\b")
+MEASURE_ISINSTANCE = re.compile(r"isinstance\(.*\b(Bernoulli|Markov|Lebesgue|Atomic|Mixture|"
+                                r"TimeAveraged|TimeShifted)\b")
 
 
 def unused_imports(source: str):
@@ -87,12 +96,15 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_a_thread_pool():
 
 def source_counts():
     """(lines, lines naming isinstance, lines where isinstance names an
-    observable class, a system class, a point rule class) over src/ergode/*.py."""
+    observable class, a system class, a point rule class, a subset class, a
+    measure class) over src/ergode/*.py."""
     texts = [p.read_text(encoding="utf-8") for p in SRC.glob("*.py")]
     lines = sum(t.count("\n") for t in texts)
     checks = [line for t in texts for line in t.splitlines() if "isinstance" in line]
-    return (lines, len(checks), *(sum(1 for line in checks if scan.search(line)) for scan in
-                                  (OBSERVABLE_ISINSTANCE, SYSTEM_ISINSTANCE, RULE_ISINSTANCE)))
+    scans = (OBSERVABLE_ISINSTANCE, SYSTEM_ISINSTANCE, RULE_ISINSTANCE, SUBSET_ISINSTANCE,
+             MEASURE_ISINSTANCE)
+    return (lines, len(checks), *(sum(1 for line in checks if scan.search(line))
+                                  for scan in scans))
 
 
 def test_the_observable_scan_finds_a_kind_test():
@@ -113,8 +125,27 @@ def test_the_rule_scan_finds_a_kind_test():
     assert not RULE_ISINSTANCE.search("    if isinstance(flow, Suspension) and t < 0:")
 
 
+def test_the_subset_scan_finds_a_kind_test():
+    assert SUBSET_ISINSTANCE.search("    if isinstance(subset, SampleCloud) and system.symbolic:")
+    assert SUBSET_ISINSTANCE.search("        if not isinstance(subset, (WholeSpace, SampleCloud)):")
+    assert not SUBSET_ISINSTANCE.search("    if isinstance(mu, Bernoulli):")
+    assert not SUBSET_ISINSTANCE.search("    if subset.cloud and system.symbolic:")
+
+
+def test_the_measure_scan_finds_a_kind_test():
+    assert MEASURE_ISINSTANCE.search("    if not isinstance(mu, (Bernoulli, Markov)):")
+    assert MEASURE_ISINSTANCE.search("    if not isinstance(mu_base, Bernoulli):")
+    assert not MEASURE_ISINSTANCE.search("    if not isinstance(self.rule, Coordinate):")
+    assert not MEASURE_ISINSTANCE.search("        if isinstance(subset, ComponentWindow):")
+
+
+def test_no_module_probes_an_object_with_hasattr():
+    assert [p.name for p in SRC.glob("*.py") if "hasattr(" in p.read_text(encoding="utf-8")] == []
+
+
 def test_the_package_stays_under_its_size_ratchet():
-    lines, checks, observable_checks, system_checks, rule_checks = source_counts()
+    (lines, checks, observable_checks, system_checks, rule_checks, subset_checks,
+     measure_checks) = source_counts()
     assert lines <= MAX_LINES, f"src/ergode has {lines} lines (ratchet {MAX_LINES})"
     assert checks <= MAX_ISINSTANCE_LINES, \
         f"src/ergode has {checks} isinstance lines (ratchet {MAX_ISINSTANCE_LINES})"
@@ -127,3 +158,9 @@ def test_the_package_stays_under_its_size_ratchet():
     assert rule_checks <= MAX_RULE_ISINSTANCE_LINES, \
         f"src/ergode has {rule_checks} lines testing a point rule's class " \
         f"(ratchet {MAX_RULE_ISINSTANCE_LINES})"
+    assert subset_checks <= MAX_SUBSET_ISINSTANCE_LINES, \
+        f"src/ergode has {subset_checks} lines testing a subset's class " \
+        f"(ratchet {MAX_SUBSET_ISINSTANCE_LINES})"
+    assert measure_checks <= MAX_MEASURE_ISINSTANCE_LINES, \
+        f"src/ergode has {measure_checks} lines testing a measure's class " \
+        f"(ratchet {MAX_MEASURE_ISINSTANCE_LINES})"

@@ -299,13 +299,13 @@ GOLDEN = MarkovShift(2, ((1, 1), (1, 0)))
 ])
 def test_a_vertex_shift_admits_only_streams_that_keep_its_transitions(rule, refused):
     if refused is None:
-        GOLDEN.admits(rule)
-        FullShift(2).admits(rule)
+        GOLDEN.admits(Point(rule))
+        FullShift(2).admits(Point(rule))
         return
     with pytest.raises(ValueError, match=refused):
-        GOLDEN.admits(rule)
+        GOLDEN.admits(Point(rule))
     if refused == "transitions":        # every pair is allowed on the full shift
-        FullShift(2).admits(rule)
+        FullShift(2).admits(Point(rule))
 
 
 @pytest.mark.parametrize("space, dim", [
