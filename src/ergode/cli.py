@@ -315,8 +315,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     try:
         freq0 = mu.chain.stationary[0]
     except TypeError:
-        raise ConfigError("verify-thm-b handles Bernoulli, Markov, or a mixture on both "
-                          "union sides") from None
+        raise ConfigError("verify-thm-b handles a chain or a mixture on both union sides") from None
     delta = cfg["lo"]   # window half-width
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
     with timed() as t:

@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import BudgetExhausted, Point, Record, Suspension, TimeTMap, _chart
+from .systems import BudgetExhausted, MarkovShift, Point, Record, Suspension, TimeTMap, _chart
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
@@ -133,6 +133,7 @@ class OscillationWindows(_Subset):
 
     symbol: int
     windows: Tuple[Tuple[int, float, float], ...]
+    counted_on = lambda self, shift: shift.forbids_nothing
 
     def __post_init__(self):
         ws = self.windows
@@ -142,8 +143,6 @@ class OscillationWindows(_Subset):
             raise ValueError("window scales must be strictly increasing")
         if any(not (0.0 <= lo <= hi <= 1.0) for _, lo, hi in ws):
             raise ValueError("windows must satisfy 0 <= lo <= hi <= 1")
-
-    counted_on = lambda self, shift: shift.forbids_nothing
 
     def at(self, depth: int) -> tuple:
         if self.windows[-1][0] > depth:
@@ -158,7 +157,6 @@ class ComponentWindow(_Subset):
 
     lo: float
     hi: float
-
     kept = property(lambda self: (self.lo <= 0.0, self.hi >= 1.0))
 
     def __post_init__(self):
@@ -177,8 +175,7 @@ class SampleCloud(_Subset):
             raise ValueError("sample cloud must be nonempty")
 
     def distinct(self, depth: int) -> int:
-        """The number of distinct (component, depth-prefix) pairs of its points
-        (a coordinate point has no prefix: TypeError)."""
+        """Its points' distinct (component, depth-prefix) pairs; TypeError on coordinates."""
         return len({(p.component, *map(int, p.prefix(depth))) for p in self.points})
 
 

@@ -59,10 +59,9 @@ def _normalised(weights, what: str) -> Tuple[float, ...]:
 
 
 class Measure(Record):
-    """What a caller asks a measure besides its `pieces`: `chain` (the chain it
-    is, for its `transitions` and `stationary`), `seeded(seed)` (the rule of a
-    point drawn from it) and `foreign()` (a measure of other typical points,
-    or None).  A measure that cannot answer raises TypeError."""
+    """What a caller asks a measure besides its `pieces`: `chain` (the chain it is, for
+    its `transitions` and `stationary`), `seeded(seed)` (a point's rule drawn from it) and
+    `foreign()` (a measure of other typical points, or None); else TypeError."""
 
     @property
     def chain(self):
@@ -238,8 +237,7 @@ class Bernoulli(_Chain):
         return SeededIID(seed, self.probs)
 
     def foreign(self) -> "Bernoulli":
-        """Each probability raised by 1/k and renormalised, or, when that
-        moves none by 0.05, the first raised by 0.3 (to at most 0.95)."""
+        """Each probability raised by 1/k, or the first by 0.3 where that moves none by 0.05."""
         shifted = [p + 1.0 / self.k for p in self.probs]
         other = Bernoulli(tuple(p / sum(shifted) for p in shifted), self.component)
         if max(abs(a - b) for a, b in zip(other.probs, self.probs)) < 0.05:

@@ -667,8 +667,9 @@ class _Rule(Record):
 
     def pairs(self) -> list:
         s = self.materialise(self.reach).astype(np.int64)
-        k = int(s.max()) + 1
-        return [divmod(int(c), k) for c in np.unique(s[:-1] * k + s[1:])]
+        lo, k = int(s.min()), int(s.max() - s.min()) + 1      # symbols lo .. lo + k - 1
+        codes = np.unique((s[:-1] - lo) * k + s[1:] - lo)
+        return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
 
 
 class ExplicitWord(_Rule):
@@ -800,6 +801,11 @@ class BlockSchedule(_Rule):
 
     reach = property(lambda self: sum(len(pattern) * reps for pattern, reps in self.blocks)
                      + len(self.blocks[-1][0]) + 1)
+
+    def pairs(self) -> list:
+        """Those of its stream with each block repeated at most twice, which
+        are all of them (a third repeat adds none) from a short read."""
+        return _Rule.pairs(self._replace(blocks=tuple((p, min(r, 2)) for p, r in self.blocks)))
 
 
 class SteeredBlocks(_Rule):
