@@ -157,9 +157,9 @@ def _cell_profiles(system, points, observables, Ts):
     each row dropped once counted, and the group finishes once (`_finish`)
     from its counts, a few numbers per point.  A row with a symbol outside
     the alphabet (a tagged point's side's) is refused (ValueError) before it
-    is stacked.  A depth-1 read in which every full cell weighs the same
-    counts a rule that has `counts` from its recipe, building no symbols.
-    """
+    is stacked, then a point the system does not admit.  A depth-1 read in
+    which every full cell weighs the same counts a rule that has `counts`
+    from its recipe, building no symbols."""
     flow, space = system.is_flow, system.space      # a time-t map reads its flow's fibers
     sides = system.carrier.sides
     k = max(side.alphabet for side in sides)        # a code base above every symbol
@@ -195,12 +195,13 @@ def _cell_profiles(system, points, observables, Ts):
         if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
             member[1:] = ([(tally(o + max(e, 1)) - first) * weight for e in ends],
                           [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *ends)])
-            continue
-        row = x.prefix(need)
-        if row.min() < 0 or row.max() >= top:
-            raise ValueError(f"symbol {row[(row < 0) | (row >= top)][0]} of a point lies "
-                             f"outside the alphabet 0..{top - 1}")
-        stack.append((row, member))
+        else:
+            row = x.prefix(need)
+            if row.min() < 0 or row.max() >= top:
+                raise ValueError(f"symbol {row[(row < 0) | (row >= top)][0]} of a point lies "
+                                 f"outside the alphabet 0..{top - 1}")
+            stack.append((row, member))
+        system.admits(x)
     if members:
         _count(system, stack, depth, k, ends, chart)
         yield _finish(system, members, words, depth, k, Ts, ends, chart)
@@ -450,8 +451,7 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
     A = _profiles(system, (x,), fam.observables, schedule)[0] if profile is None else profile
     if targets is None:
         targets = family_targets(mu, fam)
-    g_last = np.abs(A[-1] - targets)
-    g_prev = np.abs(A[-2] - targets)
+    g_last, g_prev = np.abs(A[-1] - targets), np.abs(A[-2] - targets)
     gap = float(g_last.max())
     kept = tuple(map(tuple, A)) if keep_profile else None
     if (g_last < tol).all() and (g_prev < tol).all():
@@ -459,10 +459,8 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
     far = (g_last >= 3.0 * tol) & (g_prev >= 3.0 * tol)
     if far.any():
         i = int(np.argmax(far))
-        return Verdict(
-            "NotGeneric", float(g_last[i]), fam.observables[i],
-            schedule.checkpoints[-1], kept,
-        )
+        return Verdict("NotGeneric", float(g_last[i]), fam.observables[i],
+                       schedule.checkpoints[-1], kept)
     return Verdict("Inconclusive", gap, None, schedule.checkpoints[-1], kept)
 
 

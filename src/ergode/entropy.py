@@ -618,7 +618,7 @@ def spanning_entropy(system, subset=WholeSpace(),
         return EntropyEstimate(0.0, 0.0, 0.0, tuple(depths), (0.0,), ("empty-cover",))
     xs = np.asarray(depths, dtype=float)
     ys = np.asarray([_log_of_big(count) for count in counts])
-    slope, intercept = np.polyfit(xs, ys, 1)
+    slope, intercept = np.polyfit(xs, ys, 1) if len(set(counts)) > 1 else (0.0, ys[0])
     resid = ys - (slope * xs + intercept)
     spread = float(np.abs(resid).max())
     per_depth = tuple(float(y / (x + m)) for x, y in zip(xs, ys))

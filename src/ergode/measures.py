@@ -149,8 +149,8 @@ class _Chain(_Piece):
             raise TypeError(f"{type(self).__name__} measures live on shift spaces")
         if self.k != shift.alphabet:
             raise ValueError("alphabet mismatch")
-        if any(p > 0 and not shift.adjacency[a][b]
-               for a, row in enumerate(self.transitions) for b, p in enumerate(row)):
+        if any(p > 0 and mass > 0 and not shift.adjacency[a][b] for a, (row, mass)
+               in enumerate(zip(self.transitions, self.stationary)) for b, p in enumerate(row)):
             raise ValueError(f"{type(self).__name__} measure charges a forbidden transition")
 
     def cylinder_masses(self, k: int, depth: int) -> np.ndarray:

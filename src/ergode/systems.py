@@ -745,41 +745,42 @@ class SeededMarkov(_Rule):
             buf["rng"], arr = np.random.default_rng(self.seed), np.empty(0, dtype=np.int16)
             cum = np.cumsum(self.stationary)[:-1]
             buf["state"] = int(np.searchsorted(cum, buf["rng"].random(), side="right"))
-        parts = [arr]
-        for done in range(len(arr), size, _WALK_CHUNK):
-            parts.append(self._scan(buf["rng"].random(min(_WALK_CHUNK, size - done))))
-        return np.concatenate(parts)
+        return np.concatenate([arr] + [self._scan(buf["rng"].random(min(_WALK_CHUNK, size - done)))
+                                       for done in range(len(arr), size, _WALK_CHUNK)])
 
     def _scan(self, u: np.ndarray) -> np.ndarray:
         """The states at the steps of the uniforms u from the next state, which
         moves past them: a blocked scan (Blelloch, Prefix sums and their
-        applications, 1990) cuts the m steps into about sqrt(m) blocks of about
-        sqrt(m) steps, walks every block at once from every state and chains
-        the blocks' entry states, visiting exactly the states of a one-step walk."""
+        applications, 1990) in blocks of about sqrt(m / 64) of the m steps, so
+        the passes' numpy calls balance the list walk.  Pass 1 walks every block
+        from every state, one gather per step; the blocks' entry states chain
+        through its ends; pass 2 walks each block from its entry, writing the
+        states of a one-step walk."""
         inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
         k, m = len(inner), len(u)
         dtype = np.int8 if k < 128 else np.intp
-        width = max(1, math.isqrt(m))
+        width = max(1, math.isqrt(m >> 6))
         blocks = -(-m // width)
-        # step[j, b, s]: the state after step b * width + j taken from state s
+        # step[i * k + s]: the state after step i taken from state s, 0 past step m - 1
         step = np.zeros((blocks * width, k), dtype=dtype)
         for s in range(k):
             step[:m, s] = _count_at_or_below(inner[s], u, dtype)
-        step = step.reshape(blocks, width, k).transpose(1, 0, 2)
-        # walk[j, b, s]: the state at step b * width + j when block b starts at s
-        walk = np.empty((width, blocks, k), dtype=dtype)
-        at = np.broadcast_to(np.arange(k, dtype=dtype), (blocks, k))
+        step, base = step.reshape(-1), np.arange(0, step.size, width * k)
+        # pass 1: at[b * k + s] ends as the state leaving block b entered at s
+        at, wide = np.tile(np.arange(k, dtype=dtype), blocks), base.repeat(k)
         for j in range(width):
-            walk[j] = at
-            at = np.take_along_axis(step[j], at, axis=1)
-        entry, state = np.empty(blocks, dtype=np.intp), self._buf["state"]
+            at = step.take(wide + j * k + at)
+        ends, entry, state = at.tolist(), [], self._buf["state"]
         for b in range(blocks):
-            entry[b] = state
-            state = int(at[b, state])
-        new = walk[:, np.arange(blocks), entry].T.reshape(-1)[:m].astype(np.int16)
-        # the next state steps from the last one: the steps padding the last block go to 0
-        self._buf["state"] = int(_count_at_or_below(inner[new[-1]], u[-1:], np.intp)[0])
-        return new
+            entry.append(state)
+            state = ends[b * k + state]
+        # pass 2: new[b, j] is the state at step b * width + j
+        new, at = np.empty((blocks, width), dtype=np.int16), np.array(entry)
+        for j in range(width):
+            new[:, j] = at
+            at = step.take(base + j * k + at)
+        self._buf["state"] = int(step[(m - 1) * k + int(new.flat[m - 1])])
+        return new.reshape(-1)[:m]
 
 
 class BlockSchedule(_Rule):

@@ -985,12 +985,28 @@ def test_a_public_reader_refuses_a_point_its_system_forbids(reader, system, x, r
         reader(system, x, CylinderIndicator((1,)), Schedule((8, 16)))
 
 
+@pytest.mark.parametrize("reader", [
+    lambda system, x, phi, sched: classify_irregular(system, x, phi, sched, 0.02),
+    lambda system, x, phi, sched: limit_point_set(system, x, TestFamily((phi,)), sched),
+], ids=["classify-irregular", "limit-point-set"])
+def test_a_batched_reader_refuses_a_point_its_system_forbids(reader):
+    # classify_irregular read the forbidden word 1111 as Regular with gap 0, and
+    # limit_point_set as one class with the cylinder [1] at 1.0
+    with pytest.raises(ValueError, match=r"transitions \[\(1, 1\)\] are forbidden"):
+        reader(GOLDEN_MEAN_FLOW.base, Point(ExplicitWord((1, 1, 1, 1))),
+               CylinderIndicator((1,)), Schedule((8, 16, 32)))
+
+
 @dataclass(frozen=True)
 class Int64Word:
     """A periodic word whose stream is int64 (the package's rules build int16)."""
 
     symbols: tuple
     counts = None           # no recipe counts: the reader builds its stream
+    symbolic = True         # what `admits` asks of a rule on a shift
+
+    def used(self) -> set:
+        return set(self.symbols)
 
     def materialise(self, n: int) -> np.ndarray:
         return np.resize(np.array(self.symbols, dtype=np.int64), n)

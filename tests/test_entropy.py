@@ -399,6 +399,14 @@ def test_sample_cloud_counts_distinct_prefixes():
     assert word_count_rate(FullShift(2), SampleCloud(pts), 3).count == 2
 
 
+def test_a_cover_of_constant_count_spans_at_exactly_zero():
+    # a least-squares line through equal counts read 3.9e-18 in [-2.2e-16, 2.3e-16]
+    cloud = SampleCloud(tuple(Point(SeededIID(i, (0.5, 0.5))) for i in range(3)))
+    est = spanning_entropy(FullShift(2), cloud, depths=(16, 20, 24))
+    assert (est.value, est.lower, est.upper) == (0.0, 0.0, 0.0)
+    assert math.copysign(1.0, est.lower) == 1.0
+
+
 def test_union_counts_add_and_split_by_component():
     du = DisjointUnion(FullShift(2), FullShift(3))
     assert word_count_rate(du, WholeSpace(), 4).count == 2**4 + 3**4

@@ -1,9 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergode import systems
 from ergode.systems import (
     BlockSchedule,
     BudgetExhausted,
@@ -437,6 +439,67 @@ def test_markov_step_rows_draw_what_the_binary_search_drew(probs, uniforms, monk
     assert np.array_equal(got, want)
 
 
+# chains whose rows have zero entries, and a row whose cumulative sum rounds to
+# 0.9999999999999999 (the last of DRAW_ROWS); the walk reads no stationarity
+SCAN_CHAINS = {
+    "k2": ((0.6, 0.4), (1.0, 0.0)),
+    "k3-zeros": ((0.4, 0.0, 0.6), (0.5, 0.5, 0.0), (0.0, 0.0, 1.0)),
+    "k4-below-one": ((1 / 6, 2 / 3, 1 / 6, 0.0), (0.0, 0.0, 0.0, 1.0),
+                     (0.2, 0.0, 0.3, 0.5), (0.25, 0.25, 0.25, 0.25)),
+}
+
+
+def scan_chain(seed, rows):
+    return SeededMarkov(seed, rows, (1 / len(rows),) * len(rows))
+
+
+@pytest.mark.parametrize("rows", SCAN_CHAINS.values(), ids=SCAN_CHAINS.keys())
+@pytest.mark.parametrize("chunk", [1, 63, 64, 1000, 4099])
+def test_the_blocked_scan_walks_what_one_step_walks_across_chunks(rows, chunk, monkeypatch):
+    # chunks of one step, of fewer steps than a block, of blocks of one step
+    # (m < 128), of square blocks, and of a partial last block (4,099 = 512 * 8 + 3)
+    monkeypatch.setattr(systems, "_WALK_CHUNK", chunk)
+    horizon = 2500 if chunk == 1 else 9000
+    want = markov_walk_by_search(scan_chain(4, rows), np.random.default_rng(4), horizon)
+    assert np.array_equal(scan_chain(4, rows).materialise(horizon), want)
+
+
+def test_a_chain_of_130_states_walks_in_intp_tables(monkeypatch):
+    rng = np.random.default_rng(9)
+    weights = rng.random((130, 130)) * (rng.random((130, 130)) < 0.1)
+    weights[:, 0] += 0.01
+    rows = tuple(map(tuple, (weights / weights.sum(axis=1, keepdims=True)).tolist()))
+    dtypes = []
+    counted = systems._count_at_or_below
+    monkeypatch.setattr(systems, "_count_at_or_below",
+                        lambda *args: dtypes.append(args[2]) or counted(*args))
+    monkeypatch.setattr(systems, "_WALK_CHUNK", 2500)
+    want = markov_walk_by_search(scan_chain(2, rows), np.random.default_rng(2), 6000)
+    assert np.array_equal(scan_chain(2, rows).materialise(6000), want)
+    assert set(dtypes) == {np.intp}
+
+
+def test_a_chain_grown_in_the_middle_of_a_chunk_walks_on_from_its_state(monkeypatch):
+    monkeypatch.setattr(systems, "_WALK_CHUNK", 1000)
+    rule = scan_chain(6, SCAN_CHAINS["k3-zeros"])
+    for n in (1, 1500, 5000, 11000):             # buffers of 1,024, 2,048, 5,120 and 11,264
+        rule.materialise(n)
+        assert len(rule._buf["arr"]) % 1000 != 0
+    want = markov_walk_by_search(rule, np.random.default_rng(6), 11000)
+    assert np.array_equal(rule.materialise(11000), want)
+
+
+# sha256 of int16 streams, unchanged since the scan walked each chunk in one pass
+@pytest.mark.parametrize("seed, digest", [
+    (0, "787055a6a643ac2a1f5928c806bd825d312966ef10b5375739fd12b5ff05f977"),
+    (1, "e15597cd5896a02a28012b36db1d07b59c6b2b51a3190d2726c4c582ab01ec9e"),
+    (2, "a6f0abcf99ddb88eb2ccd03468bd83c919d9052a6c3ef8f4982cb5028628e162"),
+])
+def test_a_golden_mean_chain_stream_is_pinned(seed, digest):
+    stream = SeededMarkov(seed, ((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7)).materialise(1_000_003)
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # stream buffers grow to the length asked and keep their prefixes
 
@@ -486,6 +549,12 @@ def test_a_stream_is_built_as_long_as_asked_and_doubles_on_regrowth():
     assert len(rule._buf["arr"]) == 133120         # at least double
     rule.materialise(300000)
     assert len(rule._buf["arr"]) == 300032         # the length asked, rounded up
+
+
+def test_the_growing_chain_stream_is_pinned():
+    stream = GROWING_RULES["seeded-markov"]().materialise(600_001)
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == \
+        "30393a3d6f1c69bf2dc775fdd7a7991aba46f9b0a84029d25d638ca1e6eec096"
 
 
 @pytest.mark.parametrize("make", GROWING_RULES.values(), ids=GROWING_RULES.keys())
