@@ -166,9 +166,9 @@ class _Descriptor(Record):
             return
         if not (used := set(rule.used())) <= set(range(side.alphabet)):
             raise ValueError(f"symbols {sorted(used)} outside the alphabet of {side}")
-        allowed = {(a, b) for a, row in enumerate(side.adjacency) for b, e in enumerate(row) if e}
-        if not side.forbids_nothing and not (pairs := set(rule.pairs())) <= allowed:
-            raise ValueError(f"transitions {sorted(pairs - allowed)} are forbidden in {side}")
+        if not side.forbids_nothing and (forbidden := sorted(
+                (a, b) for a, b in set(rule.pairs()) if not side.adjacency[a][b])):
+            raise ValueError(f"transitions {forbidden} are forbidden in {side}")
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         """Uniform coordinates on a circle or torus."""
@@ -700,6 +700,7 @@ class SeededIID(_Rule):
     kind = "seeded-iid"
     seed: int
     probs: Tuple[float, ...]
+    used = lambda self: {s for s, p in enumerate(self.probs) if p > 0}
 
     def __post_init__(self):
         if len(self.probs) < 2 or any(p < 0 for p in self.probs):
@@ -712,8 +713,7 @@ class SeededIID(_Rule):
             np.cumsum(self.probs)[:-1], np.random.default_rng(self.seed).random(size), np.int16))
 
     def pairs(self) -> list:
-        used = [s for s, p in enumerate(self.probs) if p > 0]
-        return [(a, b) for a in used for b in used]
+        return [(a, b) for a in sorted(self.used()) for b in sorted(self.used())]
 
 
 class SeededMarkov(_Rule):
