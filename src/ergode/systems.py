@@ -734,8 +734,8 @@ class SeededMarkov(_Rule):
         return _regrown(self, n, self._walk)
 
     def pairs(self) -> list:
-        """Its steps of positive probability, which leave every state."""
-        return [(a, b) for a, row in enumerate(self.transitions)
+        """Its steps of positive probability from the states it visits, of positive mass."""
+        return [(a, b) for a, row in enumerate(self.transitions) if self.stationary[a] > 0
                 for b, p in enumerate(row) if p > 0]
 
     def _walk(self, arr: Optional[np.ndarray], size: int) -> np.ndarray:

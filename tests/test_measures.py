@@ -266,9 +266,10 @@ def test_a_chain_is_checked_only_on_the_rows_of_states_it_charges():
     # a never-visited state's row may step where the shift forbids: Bernoulli
     # repeated its probs in row 2, whose step 2 -> 0 is forbidden
     shift = MarkovShift(3, ((1, 1, 1), (1, 1, 1), (0, 1, 1)))
-    check_invariance(Bernoulli((0.5, 0.5, 0.0)), shift)
-    check_invariance(Markov(((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)),
-                            (0.5, 0.5, 0.0)), shift)
+    for mu in (Bernoulli((0.5, 0.5, 0.0)),
+               Markov(((0.5, 0.5, 0.0), (0.5, 0.5, 0.0), (1.0, 0.0, 0.0)), (0.5, 0.5, 0.0))):
+        check_invariance(mu, shift)
+        shift.admits(Point(mu.seeded(3)))      # and so is its seeded point
     for mu in (Bernoulli((0.5, 0.25, 0.25)),
                Markov(((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)), (1 / 3,) * 3)):
         with pytest.raises(ValueError, match="charges a forbidden transition"):
