@@ -456,8 +456,8 @@ def scan_chain(seed, rows):
 @pytest.mark.parametrize("rows", SCAN_CHAINS.values(), ids=SCAN_CHAINS.keys())
 @pytest.mark.parametrize("chunk", [1, 63, 64, 1000, 4099])
 def test_the_blocked_scan_walks_what_one_step_walks_across_chunks(rows, chunk, monkeypatch):
-    # chunks of one step, of fewer steps than a block, of blocks of one step
-    # (m < 128), of square blocks, and of a partial last block (4,099 = 512 * 8 + 3)
+    # chunks of one step; of 63 and 64 steps, in blocks of one step; of 1,000
+    # steps, in blocks of 3; and of 4,099 = 512 * 8 + 3, the last block partial
     monkeypatch.setattr(systems, "_WALK_CHUNK", chunk)
     horizon = 2500 if chunk == 1 else 9000
     want = markov_walk_by_search(scan_chain(4, rows), np.random.default_rng(4), horizon)
@@ -489,7 +489,7 @@ def test_a_chain_grown_in_the_middle_of_a_chunk_walks_on_from_its_state(monkeypa
     assert np.array_equal(rule.materialise(11000), want)
 
 
-# sha256 of int16 streams, unchanged since the scan walked each chunk in one pass
+# sha256 of int16 chain streams: a faster walk keeps every one bit for bit
 @pytest.mark.parametrize("seed, digest", [
     (0, "787055a6a643ac2a1f5928c806bd825d312966ef10b5375739fd12b5ff05f977"),
     (1, "e15597cd5896a02a28012b36db1d07b59c6b2b51a3190d2726c4c582ab01ec9e"),
