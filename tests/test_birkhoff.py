@@ -1,4 +1,5 @@
 import functools
+import hashlib
 from dataclasses import dataclass
 import math
 from fractions import Fraction
@@ -1053,3 +1054,36 @@ def test_a_suite_reads_bit_for_bit_as_its_points_one_by_one(data, case, flow, t)
     if case == "wide-keys":     # stacked, in keys wider than int16
         assert any(len(c.args[0]) == 9 and np.dtype(c.args[-1]).itemsize >= 4
                    for c in codes.call_args_list)
+
+
+# sha256 of the depth-3 default family's profiles, stacked observable by
+# observable: a time-t map read at a fractional t / c (0.7 over the roof 0.3,
+# and 0.3 over the word roof 0.7 / 1.3) and its suspension flow
+PIN_ROOFS = {"constant": (RoofFunction.constant(0.3), 0.7),
+             "word": (RoofFunction(1, (0.7, 1.3), 2), 0.3)}
+PIN_POINTS = {"iid": Point(SeededIID(11, (0.4, 0.6)), fiber=0.05),
+              "steered": Point(SteeredBlocks(2, 0, (50, 500, 5000, 50000), (0.2, 0.8, 0.3, 0.7)),
+                               3, None, 0.15)}
+PINNED_PROFILES = {
+    ("map", "constant", "iid"): "65fae4b4b183706f259338173617104920ae78908c1d4a67641c46961f7efdb3",
+    ("map", "constant", "steered"): "951fe0e11cac524e22d2f34b2c556dc329620a4d44034340d519d728de1d46e7",
+    ("map", "word", "iid"): "61b91de8eadf93ad28205fad75e7b19b320dc7278dafd972a9becf1323749274",
+    ("map", "word", "steered"): "983e31f605297519bd612c057bb33ada890f5514277d428cbe48ebddbe144b03",
+    ("flow", "constant", "iid"): "20e8529528250cfdcbe2aeb5e4900dd3e509385ed509aee96974ae13ea8c9652",
+    ("flow", "constant", "steered"): "141547b93a79a2f2a5a9e94d50c2296d72e9f83be19e70fb688a4b9336e0d8cf",
+    ("flow", "word", "iid"): "6422d5dd0448f2db028e27a92d21bc26f79397a0cd19772a8055e0270e822f66",
+    ("flow", "word", "steered"): "49cc7e833ef69ff4b7930f8d32d48761d75640dc5263338c8f4e6768ce707971",
+}
+
+
+@pytest.mark.parametrize("dynamics, roof, point", sorted(PINNED_PROFILES))
+def test_the_reader_keeps_its_pinned_profiles(dynamics, roof, point):
+    flow = Suspension(FullShift(2), PIN_ROOFS[roof][0])
+    if dynamics == "map":
+        reader, system, sched = birkhoff_profile, TimeTMap(flow, PIN_ROOFS[roof][1]), \
+            Schedule((700, 7000, 70000))
+    else:
+        reader, system, sched = flow_average_profile, flow, Schedule((210.0, 2100.0, 21000.0))
+    obs = TestFamily.default_for(system, depth=3).observables
+    prof = np.stack([reader(system, PIN_POINTS[point], phi, sched) for phi in obs])
+    assert hashlib.sha256(prof.tobytes()).hexdigest() == PINNED_PROFILES[dynamics, roof, point]
