@@ -13,18 +13,17 @@ never its kind: a `constant` is its value; rotation and translation flows
 take its `line_average` (a harmonic's, in closed form); circle and torus maps
 sum its values `along` the system's `orbit` (exact under circle
 multiplication).  A system whose `carrier` is symbolic (a shift, a
-suspension or its time-t map) is read in base cells (symbol offsets), and
-each full cell weighs the hits of the word the observable has `counted` by
-what the orbit spends in it: map steps, or its fiber `mass` under the cell's
-roof.  Word hits are counted per (point, word code, weight class) between
-consecutive checkpoints, in bounded chunks keyed in the narrowest integer
-type that holds them, so no full-length temporary is held; a symbol outside
-the alphabet is refused before it can spill into another point's keys.  The
-partial first cell of a flow (from its fiber) and the partial last cell are
-added on top, which makes suspension flow averages exact.  A shift and the
-time-t map of a suspension read their cells from the exact integer chart of
-`systems` (the one `time_t_map` steps by), so a map's cells carry no float
-rounding, and under a constant roof cost no table.
+suspension or its time-t map) is read in base cells (symbol offsets) along
+the `cell_plan` it answers for each point from the exact time chart (the one
+`time_t_map` steps by), so a map's cells carry no float rounding.  Each full
+cell weighs the hits of the word the observable has `counted` by what the
+orbit spends in it, one of the plan's classes: map steps, or its fiber `mass`
+under the cell's roof.  Word hits are counted per (point, word code, class)
+between consecutive checkpoints, in bounded chunks keyed in the narrowest
+integer type that holds them, so no full-length temporary is held; a symbol
+outside the alphabet is refused before it can spill into another point's
+keys.  The partial first and last cells are added on top, which makes
+suspension flow averages exact.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -39,7 +38,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import Point, Record, _decimals, _entries, _fiber, _map_chart
+from .systems import Point, Record
 from .measures import TestFamily, integrate
 
 __all__ = [
@@ -98,13 +97,11 @@ class Verdict(Record):
 # base cells
 #
 # A symbolic orbit is read one base cell (one symbol offset) at a time.  A
-# shift spends one map step in each cell.  The flow of a suspension spends the
-# roof value over cell i in it; measured from the bottom of cell 0, cell i is
-# entered at the sum of the roof values before it.  The time-t map of a
-# suspension reads the cell over which time f0 + t*j lies at step j (its
-# `systems._map_chart`), so it can spend several steps in one cell and skip
-# others.  Every average is then the hits of a word per cell, weighted by
-# what the orbit spends in the cell, summed over the cells between checkpoints.
+# shift spends one map step in each cell, the flow of a suspension the roof
+# value over it, and the time-t map of a suspension the steps j at which time
+# f0 + t*j lies over it, so it can spend several steps in one cell and skip
+# others.  Every average is the hits of a word per cell, weighted by what the
+# orbit spends in the cell, summed over the cells between checkpoints.
 
 _CELL_CHUNK = 1 << 16   # (point, cell) pairs per vectorised step; its keys take 128 KB in int16
 
@@ -138,6 +135,7 @@ def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
 def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
     """A[0, c, j] of the observables phis along the orbit of x: harmonics in closed
     form under a straight-line flow, sums along the orbit of a circle or torus map."""
+    system.admits(x)
     if system.is_flow:
         return np.array([[[phi.line_average(x.coords[0], system.speed, T)
                            for phi in phis] for T in Ts]])
@@ -150,18 +148,17 @@ def _cell_profiles(system, points, observables, Ts):
     """A[p, c, j] of `points` along a symbolic orbit, yielded chart group by
     chart group.
 
-    A chart group is a run of points that share a chart (a shift, or one
-    fiber under a constant roof), so each checkpoint ends in the same cell for
-    all of them; a point under a word-dependent roof is a group of one.  Its
-    rows are counted in stacks of at most `_CELL_CHUNK` symbols (`_count`),
-    each row dropped once counted, and the group finishes once (`_finish`)
-    from its counts, a few numbers per point.  A row with a symbol outside
-    the alphabet (a tagged point's side's) is refused (ValueError) before it
-    is stacked, then a point the system does not admit.  A depth-1 read in
-    which every full cell weighs the same counts a rule that has `counts`
-    from its recipe, building no symbols."""
-    flow, space = system.is_flow, system.space      # a time-t map reads its flow's fibers
-    sides = system.carrier.sides
+    A chart group is a run of points whose `cell_plan`s share a key (a shift,
+    or one fiber under a constant roof), so each checkpoint ends in the same
+    cell for all of them; a point under a word-dependent roof is a group of
+    one.  Its rows are counted in stacks of at most `_CELL_CHUNK` symbols
+    (`_count`), each row dropped once counted, and the group finishes once
+    (`_finish`) from its counts, a few numbers per point.  A row with a
+    symbol outside the alphabet (a tagged point's side's) is refused
+    (ValueError) before it is stacked, then a point the system does not
+    admit.  A depth-1 read in which every full cell weighs the same counts a
+    rule that has `counts` from its recipe, building no symbols."""
+    flow, sides = system.is_flow, system.carrier.sides
     k = max(side.alphabet for side in sides)        # a code base above every symbol
     tops = dict(enumerate(side.alphabet for side in sides))     # a tagged point's alphabet
     words = []                  # (word code or None, word length, scale, mass, component)
@@ -171,30 +168,27 @@ def _cell_profiles(system, points, observables, Ts):
         words.append((code if all(0 <= s < k for s in word) else None,   # None: never hit
                       len(word), scale, phi.mass, comp))
     depth = max(1, *(w[1] for w in words))
-    members, stack, key = [], [], None     # each member: [component, counts, edge codes]
+    members, stack = [], []     # each member: [component, counts, edge codes]
     for x in points:
-        shared = 0 if not space.is_flow else (     # the fiber, under a constant roof
-            _fiber(space, x) if space.roof.depth == 0 else object())
-        if members and shared != key:
-            _count(system, stack, depth, k, ends, chart)
-            yield _finish(system, members, words, depth, k, Ts, ends, chart)
+        if not x.rule.symbolic:         # a coordinate point has no row to check
+            system.admits(x)
+        plan = system.cell_plan(x, Ts)
+        if members and plan.key != group.key:
+            _count(stack, depth, k, group)
+            yield _finish(members, words, depth, k, Ts, group)
             members = []
         if not members:
-            ends, chart = _cell_plan(system, x, Ts)
-            key, need = shared, ends[-1] + depth
-            # a flow counts cells; a map counts the steps in them, one number when
-            # every cell takes the same
-            weight = 1 if flow else chart.steps(1, 1)
-            recipe = depth == 1 and (len(chart[4]) == 1 if flow else np.ndim(weight) == 0)
+            group, need = plan, plan.ends[-1] + depth
+            recipe = depth == 1 and len(plan.classes) == 1
         if (len(stack) + 1) * need > _CELL_CHUNK:
-            _count(system, stack, depth, k, ends, chart)
+            _count(stack, depth, k, group)
         top = tops.get(x.component, k)
         tally = recipe and top == k and x.rule.counts
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
         if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
-            member[1:] = ([(tally(o + max(e, 1)) - first) * weight for e in ends],
-                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *ends)])
+            member[1:] = ([tally(o + max(e, 1)) - first for e in group.ends],
+                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *group.ends)])
         else:
             row = x.prefix(need)
             if row.min() < 0 or row.max() >= top:
@@ -203,88 +197,53 @@ def _cell_profiles(system, points, observables, Ts):
             stack.append((row, member))
         system.admits(x)
     if members:
-        _count(system, stack, depth, k, ends, chart)
-        yield _finish(system, members, words, depth, k, Ts, ends, chart)
+        _count(stack, depth, k, group)
+        yield _finish(members, words, depth, k, Ts, group)
 
 
-def _cell_plan(system, x: Point, Ts):
-    """(ends, chart) of the group of x: ends[c] is the cell that checkpoint c
-    ends in (on a flow, the first whose top reaches f0 + T, read in decimals);
-    the chart is a map's `_map_chart` or a flow's (f0, taus = f0 + T, roof0,
-    entry to ends[c], roof classes, each cell's class or None)."""
-    if not system.is_flow:
-        cells = _map_chart(system, x, Ts[-1])
-        return [cells.cell(n - 1) for n in Ts], cells
-    f0, roof = _fiber(system, x), system.roof
-    d, (f, *scaled) = _decimals(f0, *Ts, *roof.table)
-    tops, table = [f + T for T in scaled[:len(Ts)]], scaled[len(Ts):]
-    if roof.depth == 0:
-        c = roof0 = roof.table[0]
-        ends = [max((top - 1) // table[0], 0) for top in tops]
-        entry, classes, inv = [L * c for L in ends], [c], None
-    else:
-        entries = _entries(roof, x, table, tops[-1])
-        ends = np.searchsorted(entries[1:], tops).tolist()
-        vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
-        classes, inv = np.unique(vals, return_inverse=True)
-        roof0, entry = roof.value_at(x), [int(entries[L]) / d for L in ends]
-    taus = [f0 + T for T in Ts]
-    # an end read exactly can have its float entry a rounding past f0 + T
-    return ends, (f0, taus, roof0, [min(e, tau) for e, tau in zip(entry, taus)], classes, inv)
-
-
-def _count(system, stack, depth: int, k: int, ends, chart) -> None:
+def _count(stack, depth: int, k: int, plan) -> None:
     """Count the rows of `stack`, a list of (row, member), into each member,
     then clear it.  In each checkpoint segment, one `np.bincount` per step of
     at most `_CELL_CHUNK` (point, cell) pairs counts the word codes of the
-    full cells at the deepest word length per (point, code, weight class),
-    keyed in the narrowest integer type that holds every key.  A map has one
-    class, each cell weighing the map steps spent in it; a flow's classes are
-    its roof values.  A member gets the running totals at each checkpoint and
-    the word codes at cell 0 and at each end."""
+    full cells at the deepest word length per (point, code, class of the
+    plan), keyed in the narrowest integer type that holds every key.  A
+    member gets the running totals at each checkpoint and the word codes at
+    cell 0 and at each end."""
     if not stack:
         return
-    flow = system.is_flow
-    inv, n_cls = (chart[5], len(chart[4])) if flow else (None, 1)
-    weight = 1 if flow else chart.steps(1, 1)
+    ends, n_cls = plan.ends, len(plan.classes)
     arr, S, C, size = np.stack([r for r, _ in stack]), len(stack), len(ends), k ** depth * n_cls
     dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
-    total = np.zeros((C, S * size), dtype=float if np.ndim(weight) else np.int64)
+    total = np.zeros((C, S * size), dtype=np.int64)
     bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
     step = max(1, _CELL_CHUNK // S)
     for c in range(C):
         for lo in range(bounds[c], bounds[c + 1], step):
             hi = min(lo + step, bounds[c + 1])
             keys = _word_codes(arr, lo, hi, depth, k, dtype)
-            if inv is not None:
+            if n_cls > 1:
                 keys *= n_cls
-                keys += inv[lo:hi]
+                keys += np.searchsorted(plan.classes, plan.weights(lo, hi))
             if S > 1:
                 keys += np.arange(0, S * size, size, dtype=dtype)[:, None]    # (point, code, class)
-            steps = np.tile(chart.steps(lo, hi), S) if np.ndim(weight) else None
-            total[c] += np.bincount(keys.ravel(), steps, S * size)
+            total[c] += np.bincount(keys.ravel(), None, S * size)
             del keys            # before the next step builds its own
-    counted = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2) * (
-        1 if np.ndim(weight) else weight)       # a weight the same for every cell
+    counted = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2)
     edge = _word_codes(arr[:, np.add.outer((0, *ends), np.arange(depth))], 0, 1, depth, k, dtype)
     for (_, member), n, e in zip(stack, counted, edge[..., 0]):
         member[1:] = n, e
     stack.clear()
 
 
-def _finish(system, members, words, depth: int, k: int, Ts, ends, chart):
+def _finish(members, words, depth: int, k: int, Ts, plan):
     """A[p, c, j] of one chart group of `_cell_profiles` from its members'
     (component, counts, edge codes), in array ops over (point, checkpoint,
-    word).  A shorter word reads the codes that start with it, a word of the
-    other side of a disjoint union reads 0, and a flow's roof class weighs
-    the mass of an observable's fiber profile under it.  Cell 0 (from the
-    fiber f0 on a flow; a map may spend fewer steps in it) and the partial
-    last cell are added on top."""
-    flow = system.is_flow
-    n_cls = len(chart[4]) if flow else 1
+    word).  A shorter word reads the codes that start with it, and a word of
+    the other side of a disjoint union reads 0.  Cell 0 and the partial last
+    cell are added on top of the full cells (`_flow_averages`)."""
     counted, edge = np.array([m[1] for m in members]), np.array([m[2] for m in members])
     # a word of length d is the depth-D codes [code*span, (code+1)*span)
-    P, C = len(members), len(Ts)
+    P, C, n_cls = len(members), len(Ts), len(plan.classes)
     cum = np.zeros((P, C, k ** depth + 1, n_cls), dtype=counted.dtype)
     np.cumsum(counted.reshape(P, C, k ** depth, n_cls), axis=2, out=cum[:, :, 1:])
     wcodes = np.array([w[0] or 0 for w in words])
@@ -292,14 +251,7 @@ def _finish(system, members, words, depth: int, k: int, Ts, ends, chart):
     full = cum[:, :, (wcodes + 1) * spans] - cum[:, :, wcodes * spans]  # (p, c, word, class)
     hit_last = edge[:, 1:, None] // spans == wcodes
     hit0 = (edge[:, :1] // spans == wcodes)[:, None]      # (point, 1, word)
-    if flow:
-        A = _flow_averages(words, full, hit0, hit_last, Ts, ends, *chart[:5])
-    else:
-        ns = np.asarray(Ts)
-        last_steps = ns - [chart.first(L) for L in ends]   # map steps in the partial last cell
-        steps0 = (np.asarray(ends) > 0) * chart.first(1)   # in cell 0 while it is full
-        A = (full[..., 0] + hit0 * steps0[:, None]
-             + hit_last * last_steps[:, None]) / ns[:, None]
+    A = _flow_averages(words, full, hit0, hit_last, Ts, plan)
     hits = [[w[0] is not None and w[4] in (None, m[0]) for w in words] for m in members]
     return np.where(np.array(hits)[:, None, :], A, 0.0)
 
@@ -313,20 +265,22 @@ def _word_codes(arr: np.ndarray, lo: int, hi: int, depth: int, k: int, dtype) ->
     return c
 
 
-def _flow_averages(words, full, hit0, hit_last, Ts, ends, f0, taus, roof0, entry, classes):
-    """A[point, checkpoint, word] of a suspension flow, in array ops.  At
+def _flow_averages(words, full, hit0, hit_last, Ts, plan):
+    """A[point, checkpoint, word] of a flow or a map, in array ops.  At
     checkpoint T, tau = f0 + T lies in cell L = ends[c], entered at entry[c],
     and a word integrates to hit0 * mass(f0, roof0) + full . mass(0, class) +
-    hit_last * mass(0, tau - entry), or to hit0 * mass(f0, tau) while L == 0.
-    Each mass function is read once per roof class and once per checkpoint."""
-    reads = {mass: ([mass(0.0, v) for v in classes], mass(f0, roof0),
-                    [mass(f0, tau) if L == 0 else mass(0.0, tau - e)
-                     for tau, L, e in zip(taus, ends, entry)])
+    hit_last * mass(0, tau - entry), or to hit0 * mass(f0, tau) while L == 0:
+    the mass of its fiber profile on a flow, the map steps hi - lo on a map,
+    whose sums are integers below 2^53 and so exact in floats.  Each mass
+    function is read once per class and once per checkpoint."""
+    reads = {mass: ([mass(0.0, v) for v in plan.classes], mass(plan.f0, plan.roof0),
+                    [mass(plan.f0, tau) if L == 0 else mass(0.0, tau - e)
+                     for tau, L, e in zip(plan.taus, plan.ends, plan.entry)])
              for mass in {w[3] for w in words}}
     masses, m0, edge = (np.array([reads[w[3]][part] for w in words]) for part in range(3))
     # a (1, classes) @ (classes, 1) product per (point, checkpoint, word) sums as np.dot does
     cells = np.matmul(full[..., None, :].astype(float), masses[..., None])[..., 0, 0]
-    total = np.where((np.asarray(ends) == 0)[:, None], hit0 * edge.T,
+    total = np.where((np.asarray(plan.ends) == 0)[:, None], hit0 * edge.T,
                      hit0 * m0 + cells + hit_last * edge.T)
     return np.array([w[2] for w in words]) * total / np.asarray(Ts, dtype=float)[:, None]
 
@@ -339,7 +293,6 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """Running averages of phi along the orbit at each checkpoint."""
     if system.is_flow:
         raise TypeError(f"{type(system).__name__} is a flow; take flow_average_profile")
-    system.admits(x)
     return _profiles(system, (x,), (phi,), schedule)[0, :, 0]
 
 
@@ -356,7 +309,6 @@ def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     symbolic/fiber observables under suspensions."""
     if not flow.is_flow:
         raise TypeError(f"no flow average for {type(flow).__name__}")
-    flow.admits(x)
     return _profiles(flow, (x,), (phi,), schedule)[0, :, 0]
 
 

@@ -48,7 +48,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import BudgetExhausted, MarkovShift, Point, Record, Suspension, TimeTMap, _chart
+from .systems import BudgetExhausted, MarkovShift, Point, Record, Suspension
 
 __all__ = [
     "WholeSpace", "FrequencyWindow", "OscillationWindows", "ComponentWindow",
@@ -390,7 +390,10 @@ def caratheodory_sum(groups: Sequence[Tuple[float, float]], alpha: float) -> flo
     return _logsumexp([lc - alpha * sp for lc, sp in groups])
 
 
-def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
+_ALPHA_TOL = 1e-12      # the bracket width at which the bisection stops
+
+
+def _critical_alpha(groups) -> float:
     """The alpha where `caratheodory_sum` crosses 0 over the nonempty, finite-span groups."""
     groups = [(lc, sp) for lc, sp in groups if lc > _LOG_EMPTY and math.isfinite(sp)]
     if not groups:
@@ -403,7 +406,7 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
     if caratheodory_sum(groups, 0.0) <= 0.0:
         return 0.0
     for _ in range(200):
-        if hi - lo <= alpha_tol:
+        if hi - lo <= _ALPHA_TOL:
             break
         mid = 0.5 * (lo + hi)
         s = caratheodory_sum(groups, mid)
@@ -412,15 +415,6 @@ def _critical_alpha(groups, alpha_tol: float = 1e-12) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _integer_stride(system: TimeTMap):
-    """The map time as a whole number of roof crossings, or None when the
-    time is fractional: exactly, on t and the roof as `systems._chart`
-    reads them."""
-    c = _constant_roof(system.flow)
-    chart = _chart(0.0, system.t, c)
-    return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
 
 
 # ---------------------------------------------------------------------------
@@ -451,12 +445,12 @@ def _depth_grid(depths: Optional[Sequence[int]], default: Tuple[int, ...]) -> Tu
     return grid
 
 
-def _estimate(system, subset, depths, spans, alpha_tol=1e-12, details=None):
+def _estimate(system, subset, depths, spans, details=None):
     """The critical exponent at each depth of the cylinder cover, its spans
     rewritten by `spans`, bracketed by the last three."""
     alphas, flags = [], []
     for groups, f in _map_groups(system, subset, depths):
-        alphas.append(_critical_alpha(spans(groups), alpha_tol))
+        alphas.append(_critical_alpha(spans(groups)))
         flags += f
     tail = alphas[-3:]
     return EntropyEstimate(alphas[-1], min(tail), max(tail), tuple(depths), tuple(alphas),
@@ -464,8 +458,7 @@ def _estimate(system, subset, depths, spans, alpha_tol=1e-12, details=None):
 
 
 def bowen_entropy_symbolic(system, subset=WholeSpace(),
-                           depths: Optional[Sequence[int]] = None,
-                           alpha_tol: float = 1e-12) -> EntropyEstimate:
+                           depths: Optional[Sequence[int]] = None) -> EntropyEstimate:
     """Entropy of the subset under a discrete system, from the critical
     exponent of the cylinder covers at each refinement depth.  The reported
     value is the deepest critical exponent; lower/upper give the spread over
@@ -474,9 +467,9 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
     if system.isometric:
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if system.space is system:  # not a time-t map, whose points live in a suspension
-        return _estimate(system, subset, depths, lambda groups: groups, alpha_tol)
-    stride, t = _integer_stride(system), system.t
-    c = system.flow.roof.roof_max
+        return _estimate(system, subset, depths, lambda groups: groups)
+    c, t = _constant_roof(system.flow), system.t
+    stride = system.stride
 
     def spans(groups):
         if stride is not None:          # t is a whole number of roofs: a shift power
@@ -484,7 +477,7 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
         # fractional time: count map steps until the flow box escapes
         return [(lc, max(math.ceil(sp / t), 1)) for lc, sp in _flow_boxes(groups, c)]
 
-    return _estimate(system.flow.base, subset, depths, spans, alpha_tol)
+    return _estimate(system.flow.base, subset, depths, spans)
 
 
 def bowen_entropy_flow(flow, subset=WholeSpace(),

@@ -119,9 +119,9 @@ class _Descriptor(Record):
     measures live: a suspension's base), `digits` (circle multiplication's
     n-ary digit shift, else itself), `sides` and `side(component)` (a union's
     two, None for an untagged point), `admits(point)`, `random_point(rng)`, a
-    flow's `period` and `advance(t, x)`, and a circle or torus map's
-    `orbit(x, n)` of the first coordinate.  A kind that cannot answer raises
-    TypeError.  Read-only."""
+    flow's `period` and `advance(t, x)`, a circle or torus map's `orbit(x,
+    n)` of the first coordinate, and a symbolic space's `cell_plan(x, Ts)`.
+    A kind that cannot answer raises TypeError.  Read-only."""
 
     is_flow = False
     isometric = False
@@ -185,6 +185,16 @@ class _Descriptor(Record):
 
     def orbit(self, x: "Point", n: int) -> np.ndarray:
         raise TypeError(f"no coordinate orbit for {type(self).__name__}")
+
+    def cell_plan(self, x: "Point", Ts) -> "CellPlan":
+        """The plan of a symbolic map (a shift, a union of shifts or the time-t
+        map of a suspension) up to each step count n in Ts, from its chart."""
+        if not self.carrier.symbolic:
+            raise TypeError(f"{type(self).__name__} reads no base cells")
+        chart = _map_chart(self, x, Ts[-1])
+        ends = [chart.cell(n - 1) for n in Ts]
+        return CellPlan(chart, ends, 0.0, list(Ts), chart.first(1), [chart.first(L) for L in ends],
+                        chart.classes, chart.steps)
 
 
 class _Shift(_Descriptor):
@@ -440,16 +450,37 @@ class Suspension(_Descriptor):
             raise ValueError("suspension flows run forward in time only")
         if not x.rule.symbolic:
             raise TypeError("coordinate points have no symbol stream")
-        f0, roof = _fiber(self, x), self.roof
+        roof = self.roof
+        d, (f, tt, *table) = _decimals(_fiber(self, x), t, *roof.table)
         if roof.depth == 0:
-            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
-            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
-        else:       # walk the cells the step crosses, in the same integers
-            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
-            scaled, rest, m = dict(zip(roof.table, table)), f + tt, 0
-            while rest >= (r := scaled[roof.value_at(x, m)]):
-                rest, m = rest - r, m + 1
+            m, rest = divmod(f + tt, table[0])
+        else:       # the last cell entered at or before f + tt
+            entries = _entries(roof, x, table, f + tt)
+            m = int(np.searchsorted(entries, f + tt, side="right")) - 1
+            rest = f + tt - int(entries[m])
         return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
+
+    def cell_plan(self, x: "Point", Ts) -> "CellPlan":
+        """The plan of the flow up to each time T in Ts: T ends in the first
+        cell whose top reaches f0 + T, read in the chart's decimals, and a
+        cell weighs its roof value."""
+        f0, roof = _fiber(self, x), self.roof
+        d, (f, *scaled) = _decimals(f0, *Ts, *roof.table)
+        tops, table = [f + T for T in scaled[:len(Ts)]], scaled[len(Ts):]
+        if roof.depth == 0:
+            c = roof0 = roof.table[0]
+            ends = [max((top - 1) // table[0], 0) for top in tops]
+            key, entry, classes, weights = f0, [L * c for L in ends], (c,), None
+        else:
+            entries = _entries(roof, x, table, tops[-1])
+            ends = np.searchsorted(entries[1:], tops).tolist()
+            vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
+            key, roof0, entry = object(), roof.value_at(x), [int(entries[L]) / d for L in ends]
+            classes, weights = np.unique(vals), lambda lo, hi: vals[lo:hi]
+        taus = [f0 + T for T in Ts]
+        # an end read exactly can have its float entry a rounding past f0 + T
+        return CellPlan(key, ends, f0, taus, roof0, [min(e, tau) for e, tau in zip(entry, taus)],
+                        classes, weights)
 
 
 FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
@@ -493,6 +524,13 @@ class TimeTMap(_Descriptor):
         """Along a straight-line flow, the first coordinate moves t * speed a step."""
         return (x.coords[0] + self.t * self.flow.speed * np.arange(n)) % 1.0
 
+    @property
+    def stride(self) -> Optional[int]:
+        """The map time as a whole number of the flow's period (a constant
+        roof), or None when it is fractional, read exactly as the time chart reads t."""
+        chart = _chart(0.0, self.t, self.flow.period)
+        return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
+
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
 
@@ -501,6 +539,27 @@ SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
 # the time chart of a suspension: step j of its time-t map reads the base cell
 # over which time f0 + t*j lies; cell i is entered at the sum E_i of the roof
 # values before it.  Step 1 is where `time_t_map` lands.
+
+
+class CellPlan(Record):
+    """How a symbolic space reads a point's orbit in base cells up to each
+    time of a schedule (map steps, or flow times T): time c ends in cell
+    ends[c], entered at entry[c], at taus[c] = f0 + T from the bottom of cell
+    0, which holds roof0.  A cell holds one of the ascending `classes` (its
+    roof value, or the map steps spent in it), and `weights(lo, hi)` gives
+    those of the cells lo..hi-1 when there are two or more.  Equal keys mean
+    equal plans: a map's chart, a constant roof's fiber, or a key of its own
+    under a word-dependent roof."""
+
+    key: object
+    ends: list
+    f0: float
+    taus: list
+    roof0: float
+    entry: list
+    classes: tuple
+    weights: object
+
 
 _INT64_CHART = 1 << 46  # a chunk of chart integers below it fits int64: 2^16 * 2^46 < 2^63
 
@@ -517,7 +576,8 @@ class _Chart(Record):
     """Step j reads base cell (f + j*tt) // cc, in exact integers over the
     denominator d: a shift is (0, 1, 1), and `_chart` gives the time-t map
     of a constant-roof suspension.  Cell i >= 1 holds the steps
-    first(i) .. first(i+1)-1, and cell 0 first(1)."""
+    first(i) .. first(i+1)-1, floor(cc / tt) or ceil(cc / tt) of them (its
+    `classes`), and cell 0 first(1)."""
 
     f: int
     tt: int
@@ -531,19 +591,14 @@ class _Chart(Record):
         return max(0, -((self.f - i * self.cc) // self.tt))
 
     def steps(self, lo: int, hi: int):
-        """The steps in each of the cells lo..hi-1 (lo >= 1): the one number
-        cc // tt when tt divides cc, else from first(i) relative to the chunk,
-        in int64 while it fits and in Python integers above."""
-        if self.cc % self.tt == 0:
-            return self.cc // self.tt
+        """The steps in each of the cells lo..hi-1 (lo >= 1), from first(i)
+        relative to the chunk, in int64 while it fits and in Python integers above."""
         small = max(self.cc, self.tt) < _INT64_CHART
         r = np.arange(hi - lo + 1, dtype=np.int64 if small else object)
         num = r * self.cc + (lo * self.cc - self.f) % self.tt
         return np.diff(-(-num // self.tt)).astype(np.int64)
 
-    def cells(self, n: int) -> np.ndarray:
-        j = np.arange(n, dtype=np.int64 if self.f + n * self.tt < 1 << 63 else object)
-        return ((self.f + j * self.tt) // self.cc).astype(np.int64)
+    classes = property(lambda self: tuple(range(self.cc // self.tt, -(-self.cc // self.tt) + 1)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -571,8 +626,7 @@ class _Grid(Record):
     def steps(self, lo: int, hi: int) -> np.ndarray:
         return np.diff(self.first_steps[lo:hi + 1])
 
-    def cells(self, n: int) -> np.ndarray:
-        return np.searchsorted(self.first_steps, np.arange(n), side="right") - 1
+    classes = property(lambda self: np.unique(np.diff(self.first_steps)))
 
 
 def _fiber(flow: Suspension, x: "Point") -> float:
@@ -758,7 +812,7 @@ class SeededMarkov(_Rule):
         states of a one-step walk."""
         inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
         k, m = len(inner), len(u)
-        dtype = np.int8 if k < 128 else np.intp
+        dtype = np.int8 if k < 128 else np.int16
         width = max(1, math.isqrt(m >> 6))
         blocks = -(-m // width)
         # step[i * k + s]: the state after step i taken from state s, 0 past step m - 1

@@ -310,12 +310,11 @@ def assert_cells_match(cells, idx):
     """The cells of a `_map_chart` read against the cell read at each step."""
     n, held = len(idx), np.bincount(idx)
     L = len(held) - 1
-    assert cells.cell(n - 1) == L and cells.cells(n).tolist() == idx.tolist()
+    assert cells.cell(n - 1) == L and [cells.cell(j) for j in range(n)] == idx.tolist()
     assert cells.first(0) == 0 and cells.first(L + 1) >= n
     if L > 0:
         assert cells.first(1) == held[0]
-        # one number when every cell after cell 0 holds as many steps
-        assert np.broadcast_to(cells.steps(1, L), (L - 1,)).tolist() == held[1:L].tolist()
+        assert cells.steps(1, L).tolist() == held[1:L].tolist()
     assert n - cells.first(L) == held[L]
 
 
@@ -427,8 +426,7 @@ def test_a_flow_checkpoint_on_a_cell_top_ends_in_that_cell(roof, fiber):
     tops = np.cumsum([Fraction(repr(v)) for v in vals]) - Fraction(repr(fiber))
     cps = tuple(float(top) for top in tops)
     assert [Fraction(repr(T)) for T in cps] == tops.tolist()
-    ends, _ = birkhoff._cell_plan(flow, x, cps)
-    assert list(ends) == list(range(count))
+    assert list(flow.cell_plan(x, cps).ends) == list(range(count))
 
 
 def test_a_checkpoint_a_rounding_past_a_cell_top_reads_an_empty_last_cell():
@@ -438,7 +436,7 @@ def test_a_checkpoint_a_rounding_past_a_cell_top_reads_an_empty_last_cell():
     flow = Suspension(FullShift(2), RoofFunction.constant(0.3))
     x = Point(SeededIID(11, (0.5, 0.5)), fiber=0.010531594784353058)
     T = 4.189468405215647
-    assert birkhoff._cell_plan(flow, x, (T,))[0] == [14]
+    assert flow.cell_plan(x, (T,)).ends == [14]
     phi = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.15, 1.0), (0.3, 0.0)))
     assert flow_average_profile(flow, x, phi, Schedule((T,)))[0] == \
         pytest.approx(flow_average_reference(flow, x, phi, T), rel=1e-12)
@@ -528,7 +526,7 @@ def test_the_shared_cell_grid_is_read_only():
     with pytest.raises(AttributeError):
         chart.f = 7
     again = _map_chart(tmap, x, 100)
-    assert again == chart and again.steps(1, 60) == 2
+    assert again == chart and again.steps(1, 60).tolist() == [2] * 59
     assert [again.first(i) for i in range(60)] == [2 * i for i in range(60)]
 
 
@@ -615,7 +613,7 @@ def test_a_word_roof_that_is_constant_along_the_orbit_reads_the_constant_cells(t
     n = 5000
     want = _map_chart(TimeTMap(constant, t), x, n)
     got = _map_chart(TimeTMap(word, t), x, n)
-    assert got.cells(n).tolist() == want.cells(n).tolist()
+    assert [got.cell(j) for j in range(n)] == [want.cell(j) for j in range(n)]
     assert [got.first(i) for i in range(want.cell(n - 1) + 1)] == \
         [want.first(i) for i in range(want.cell(n - 1) + 1)]
     for s in (t, 10 * t, 0.05):
@@ -726,9 +724,10 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
 # the flow tail of a read: cell 0, the full cells and the partial last cell
 
 
-def reference_flow_averages(words, full, hit0, hit_last, Ts, ends, f0, taus, roof0, entry,
-                            classes):
+def reference_flow_averages(words, full, hit0, hit_last, Ts, plan):
     """The per-(point, word, checkpoint) loop that `birkhoff._flow_averages` replaced."""
+    ends, f0, taus, roof0, entry, classes = (plan.ends, plan.f0, plan.taus, plan.roof0,
+                                             plan.entry, plan.classes)
     out = np.empty((len(full), len(Ts), len(words)))
     for p in range(len(full)):
         for j, (_, _, scale, mass, _) in enumerate(words):
@@ -975,7 +974,8 @@ GOLDEN_MEAN_FLOW = Suspension(MarkovShift(2, ((1, 1), (1, 0))), RoofFunction.con
      r"transitions \[\(1, 1\)\] are forbidden"),
     (flow_average_profile, GOLDEN_MEAN_FLOW, Point(ExplicitWord((1, 0, 1))),
      r"transitions \[\(1, 1\)\] are forbidden"),
-    (birkhoff_profile, FullShift(2), Point(ExplicitWord((0, 2))), r"symbols \[0, 2\] outside"),
+    (birkhoff_profile, FullShift(2), Point(ExplicitWord((0, 2))),
+     r"symbol 2 .* outside the alphabet 0\.\.1"),
     (birkhoff_profile, FullShift(2), Point(Coordinate((0.25,))), "not a point of FullShift"),
     (birkhoff_profile, CircleRotation(0.3), Point(ExplicitWord((0, 1))),
      "not a point of CircleRotation"),

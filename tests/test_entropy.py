@@ -35,7 +35,6 @@ from ergode.entropy import (
     word_count_rate,
     _comb_jump,
     _count_range,
-    _integer_stride,
     _log_comb_jump,
     _logsumexp,
     _markov_window_log_counts,
@@ -663,7 +662,7 @@ def test_time_t_map_entropy_with_integer_stride_is_exact():
 ])
 def test_the_integer_stride_is_an_exact_quotient(t, roof, stride):
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(roof)), t)
-    assert _integer_stride(tmap) == stride
+    assert tmap.stride == stride
 
 
 def test_a_stride_of_three_tenths_over_one_tenth_is_three_roofs():

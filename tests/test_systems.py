@@ -464,7 +464,7 @@ def test_the_blocked_scan_walks_what_one_step_walks_across_chunks(rows, chunk, m
     assert np.array_equal(scan_chain(4, rows).materialise(horizon), want)
 
 
-def test_a_chain_of_130_states_walks_in_intp_tables(monkeypatch):
+def test_a_chain_of_130_states_walks_in_int16_tables(monkeypatch):
     rng = np.random.default_rng(9)
     weights = rng.random((130, 130)) * (rng.random((130, 130)) < 0.1)
     weights[:, 0] += 0.01
@@ -476,7 +476,7 @@ def test_a_chain_of_130_states_walks_in_intp_tables(monkeypatch):
     monkeypatch.setattr(systems, "_WALK_CHUNK", 2500)
     want = markov_walk_by_search(scan_chain(2, rows), np.random.default_rng(2), 6000)
     assert np.array_equal(scan_chain(2, rows).materialise(6000), want)
-    assert set(dtypes) == {np.intp}
+    assert set(dtypes) == {np.int16}
 
 
 def test_a_chain_grown_in_the_middle_of_a_chunk_walks_on_from_its_state(monkeypatch):
