@@ -42,7 +42,7 @@ from ergode.measures import (
     pushforward,
     time_average_measure,
 )
-from ergode import birkhoff
+from ergode import birkhoff, systems
 from ergode.birkhoff import (
     Schedule,
     _profiles,
@@ -996,6 +996,29 @@ def test_a_batched_reader_refuses_a_point_its_system_forbids(reader):
     with pytest.raises(ValueError, match=r"transitions \[\(1, 1\)\] are forbidden"):
         reader(GOLDEN_MEAN_FLOW.base, Point(ExplicitWord((1, 1, 1, 1))),
                CylinderIndicator((1,)), Schedule((8, 16, 32)))
+
+
+@pytest.mark.parametrize("reader, system, x, phi", [
+    (birkhoff_profile, FullShift(2), Point(ExplicitWord((0, 1))), CylinderIndicator((0,))),
+    (flow_average_profile, GOLDEN_MEAN_FLOW, Point(ExplicitWord((0, 1))), CylinderIndicator((0,))),
+    (birkhoff_profile, CircleRotation(0.3), Point(Coordinate((0.1,))), Harmonic(1)),
+    (birkhoff_profile, FullShift(2), Point(ExplicitWord((0, 1))), Constant(1.0)),
+    (birkhoff_profile, GOLDEN_MEAN_FLOW.base, Point(ExplicitWord((0, 1))), Constant(1.0)),
+], ids=["shift", "suspension", "circle", "constant", "constant-on-a-vertex-shift"])
+def test_a_read_admits_its_point_once(reader, system, x, phi, monkeypatch):
+    # a one-point symbolic read asked `admits` twice: in the public reader and per row
+    calls, admits = [], systems._Descriptor.admits
+    monkeypatch.setattr(systems._Descriptor, "admits",
+                        lambda self, point: calls.append(point) or admits(self, point))
+    reader(system, x, phi, Schedule((8.0, 16.0) if system.is_flow else (8, 16)))
+    assert calls == [x]
+
+
+@pytest.mark.parametrize("phi", [Constant(1.0), Harmonic(1)])
+def test_a_circle_read_refuses_a_symbolic_point(phi):
+    # read with a constant, the word's orbit was classified Regular
+    with pytest.raises(ValueError, match="not a point of CircleRotation"):
+        classify_irregular(CircleRotation(0.3), Point(ExplicitWord((0, 1))), phi, Schedule((8, 16)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ of the module reads.  The ratchet counts `src/ergode/*.py` the way the
 report step of `.github/workflows/tier1.yml` does (`wc -l`, `grep -c
 isinstance`, and the lines where `isinstance` names an observable class, a
 system class, a point rule class, a subset class or a measure class); lower its
-numbers when the package shrinks.  No module probes an object with `hasattr`.
+numbers when the package shrinks.  No module probes an object with `hasattr`,
+and the orbit readers and the entropy estimators import no underscored name
+of `systems`, which alone knows the exact time chart.
 """
 
 import ast
@@ -33,7 +35,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # answered `symbolic`, `pairs()` and `used()`), a subset class (7 before each
 # subset answered the counting routes) or a measure class (4 before each
 # measure answered `chain`, `seeded` and `foreign`) in src/ergode/*.py
-MAX_LINES = 4335       # 4,337 while subsets, measures and rules were told apart by class
+MAX_LINES = 4334       # 4,335 while birkhoff and entropy read the time chart of systems
 MAX_ISINSTANCE_LINES = 1
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
@@ -68,6 +70,24 @@ def unused_imports(source: str):
 def test_the_scan_finds_an_unused_import():
     source = "import math\nimport numpy as np\nfrom x import a, b\nprint(a, np.pi)\n"
     assert unused_imports(source) == ["b", "math"]
+
+
+def private_imports(source: str, module: str = "systems"):
+    """The underscored names that `source` imports from the module `module`."""
+    return sorted(a.name for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == module
+                  for a in node.names if a.name.startswith("_"))
+
+
+def test_the_private_import_scan_finds_a_planted_import():
+    assert private_imports("from .systems import Point, _chart\n") == ["_chart"]
+    assert private_imports("def f():\n    from ergode.systems import _fiber as g\n") == ["_fiber"]
+    assert private_imports("from .measures import _Chain\nfrom .systems import Point\n") == []
+
+
+@pytest.mark.parametrize("name", ["birkhoff.py", "entropy.py"])
+def test_the_readers_import_no_underscored_name_of_systems(name):
+    assert private_imports((SRC / name).read_text(encoding="utf-8")) == []
 
 
 def test_the_package_has_modules_to_scan():
