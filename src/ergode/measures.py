@@ -12,8 +12,11 @@ measure (Walters, An Introduction to Ergodic Theory, Thm 8.1), so each is a
 sum or map over the pieces plus one rule per piece kind.  Symbolic measures
 on a suspension sit on the fiber-zero copy of the base.  Point masses on a
 full or vertex shift are invariant when they make up whole periodic orbits,
-one weight along each, and their entropy is 0.  Integration is exact for
-every pair it accepts and raises TypeError for the rest.
+one weight along each, and their entropy is 0.  Integration raises
+TypeError for a pair it does not accept and is exact for the others, but
+for ``TimeAveraged``, whose midpoint rule is exact only where a fiber
+profile's knots fall on its nodes: under the roof 0.75 the default family's
+fiber hat integrates to 0.583984375, not 7/12 (roofs 1 and 2 are exact).
 
 Observables answer for themselves: each kind answers the questions of
 `Observable`, so neither the pieces' rules nor the orbit readers of
