@@ -94,7 +94,7 @@ class Verdict(Record):
 
 
 # ---------------------------------------------------------------------------
-# base cells
+# the orbit reader
 #
 # A symbolic orbit is read one base cell (one symbol offset) at a time.  A
 # shift spends one map step in each cell, the flow of a suspension the roof
@@ -104,10 +104,6 @@ class Verdict(Record):
 # orbit spends in the cell, summed over the cells between checkpoints.
 
 _CELL_CHUNK = 1 << 16   # (point, cell) pairs per vectorised step; its keys take 128 KB in int16
-
-
-# ---------------------------------------------------------------------------
-# the orbit reader
 
 
 def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
@@ -148,16 +144,15 @@ def _cell_profiles(system, points, observables, Ts):
     """A[p, c, j] of `points` along a symbolic orbit, yielded chart group by
     chart group.
 
-    A chart group is a run of points whose `cell_plan`s share a key (a shift,
-    or one fiber under a constant roof), so each checkpoint ends in the same
-    cell for all of them; a point under a word-dependent roof is a group of
-    one.  Its rows are counted in stacks of at most `_CELL_CHUNK` symbols
-    (`_count`), each row dropped once counted, and the group finishes once
-    (`_finish`) from its counts, a few numbers per point.  A row with a
-    symbol outside the alphabet (a tagged point's side's) is refused
-    (ValueError) before it is stacked, then a point the system does not
-    admit.  A depth-1 read in which every full cell weighs the same counts a
-    rule that has `counts` from its recipe, building no symbols."""
+    A chart group is a run of points of one `chart_key` (a shift, or one
+    fiber under a constant roof), which share a `cell_plan`, so each
+    checkpoint ends in the same cell for all of them.  Its rows are counted in stacks of at most
+    `_CELL_CHUNK` symbols (`_count`), each row dropped once counted, and the
+    group finishes once (`_finish`) from its counts, a few numbers per point.
+    A row with a symbol outside the alphabet (a tagged point's side's) is
+    refused (ValueError) before it is stacked, then a point the system does
+    not admit.  A depth-1 read in which every full cell weighs the same
+    counts a rule that has `counts` from its recipe, building no symbols."""
     flow, sides = system.is_flow, system.carrier.sides
     k = max(side.alphabet for side in sides)        # a code base above every symbol
     tops = dict(enumerate(side.alphabet for side in sides))     # a tagged point's alphabet
@@ -172,23 +167,23 @@ def _cell_profiles(system, points, observables, Ts):
     for x in points:
         if not x.rule.symbolic:         # a coordinate point has no row to check
             system.admits(x)
-        plan = system.cell_plan(x, Ts)
-        if members and plan.key != group.key:
-            _count(stack, depth, k, group)
-            yield _finish(members, words, depth, k, Ts, group)
+        key = system.chart_key(x)
+        if members and key != group:
+            _count(stack, depth, k, plan)
+            yield _finish(members, words, depth, k, Ts, plan)
             members = []
         if not members:
-            group, need = plan, plan.ends[-1] + depth
-            recipe = depth == 1 and len(plan.classes) == 1
+            group, plan = key, system.cell_plan(x, Ts)
+            need, recipe = plan.ends[-1] + depth, depth == 1 and len(plan.classes) == 1
         if (len(stack) + 1) * need > _CELL_CHUNK:
-            _count(stack, depth, k, group)
+            _count(stack, depth, k, plan)
         top = tops.get(x.component, k)
         tally = recipe and top == k and x.rule.counts
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
         if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
-            member[1:] = ([tally(o + max(e, 1)) - first for e in group.ends],
-                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *group.ends)])
+            member[1:] = ([tally(o + max(e, 1)) - first for e in plan.ends],
+                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *plan.ends)])
         else:
             row = x.prefix(need)
             if row.min() < 0 or row.max() >= top:
@@ -197,18 +192,18 @@ def _cell_profiles(system, points, observables, Ts):
             stack.append((row, member))
         system.admits(x)
     if members:
-        _count(stack, depth, k, group)
-        yield _finish(members, words, depth, k, Ts, group)
+        _count(stack, depth, k, plan)
+        yield _finish(members, words, depth, k, Ts, plan)
 
 
 def _count(stack, depth: int, k: int, plan) -> None:
     """Count the rows of `stack`, a list of (row, member), into each member,
     then clear it.  In each checkpoint segment, one `np.bincount` per step of
     at most `_CELL_CHUNK` (point, cell) pairs counts the word codes of the
-    full cells at the deepest word length per (point, code, class of the
-    plan), keyed in the narrowest integer type that holds every key.  A
-    member gets the running totals at each checkpoint and the word codes at
-    cell 0 and at each end."""
+    full cells at the deepest word length per (point, code, plan class), in
+    the narrowest integer type that holds every key.  A member gets the
+    running totals at each checkpoint and the word codes at cell 0 and at
+    each end."""
     if not stack:
         return
     ends, n_cls = plan.ends, len(plan.classes)
@@ -274,8 +269,8 @@ def _flow_averages(words, full, hit0, hit_last, Ts, plan):
     whose sums are integers below 2^53 and so exact in floats.  Each mass
     function is read once per class and once per checkpoint."""
     reads = {mass: ([mass(0.0, v) for v in plan.classes], mass(plan.f0, plan.roof0),
-                    [mass(plan.f0, tau) if L == 0 else mass(0.0, tau - e)
-                     for tau, L, e in zip(plan.taus, plan.ends, plan.entry)])
+                    [mass(plan.f0, plan.f0 + T) if L == 0 else mass(0.0, plan.f0 + T - e)
+                     for T, L, e in zip(Ts, plan.ends, plan.entry)])
              for mass in {w[3] for w in words}}
     masses, m0, edge = (np.array([reads[w[3]][part] for w in words]) for part in range(3))
     # a (1, classes) @ (classes, 1) product per (point, checkpoint, word) sums as np.dot does

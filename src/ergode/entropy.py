@@ -468,8 +468,7 @@ def bowen_entropy_symbolic(system, subset=WholeSpace(),
         return EntropyEstimate(0.0, 0.0, 0.0, (), (0.0,), ("zero-expansion",))
     if system.space is system:  # not a time-t map, whose points live in a suspension
         return _estimate(system, subset, depths, lambda groups: groups)
-    c, t = _constant_roof(system.flow), system.t
-    stride = system.stride
+    c, t, stride = _constant_roof(system.flow), system.t, system.stride
 
     def spans(groups):
         if stride is not None:          # t is a whole number of roofs: a shift power

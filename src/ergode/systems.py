@@ -119,9 +119,9 @@ class _Descriptor(Record):
     measures live: a suspension's base), `digits` (circle multiplication's
     n-ary digit shift, else itself), `sides` and `side(component)` (a union's
     two, None for an untagged point), `admits(point)`, `random_point(rng)`, a
-    flow's `period` and `advance(t, x)`, a circle or torus map's `orbit(x,
-    n)` of the first coordinate, and a symbolic space's `cell_plan(x, Ts)`.
-    A kind that cannot answer raises TypeError.  Read-only."""
+    flow's `period` and `advance(t, x)`, a circle or torus map's `orbit(x, n)`
+    of the first coordinate, and a symbolic space's `cell_plan(x, Ts)` and
+    `chart_key(x)`.  A kind that cannot answer raises TypeError.  Read-only."""
 
     is_flow = False
     isometric = False
@@ -187,14 +187,16 @@ class _Descriptor(Record):
         raise TypeError(f"no coordinate orbit for {type(self).__name__}")
 
     def cell_plan(self, x: "Point", Ts) -> "CellPlan":
-        """The plan of a symbolic map (a shift, a union of shifts or the time-t
-        map of a suspension) up to each step count n in Ts, from its chart."""
+        """A shift's, a union's or a time-t map's plan up to n in Ts map steps."""
         if not self.carrier.symbolic:
             raise TypeError(f"{type(self).__name__} reads no base cells")
         chart = _map_chart(self, x, Ts[-1])
         ends = [chart.cell(n - 1) for n in Ts]
-        return CellPlan(chart, ends, 0.0, list(Ts), chart.first(1), [chart.first(L) for L in ends],
-                        chart.classes, chart.steps)
+        return CellPlan(ends, 0.0, chart.first(1), [chart.first(L) for L in ends], chart.classes,
+                        chart.steps)
+
+    # equal for points of equal plans: those of a shift, or of one fiber under a constant roof
+    chart_key = lambda self, x: 0 if self.space is self else self.space.chart_key(x)
 
 
 class _Shift(_Descriptor):
@@ -450,37 +452,39 @@ class Suspension(_Descriptor):
             raise ValueError("suspension flows run forward in time only")
         if not x.rule.symbolic:
             raise TypeError("coordinate points have no symbol stream")
-        roof = self.roof
-        d, (f, tt, *table) = _decimals(_fiber(self, x), t, *roof.table)
+        f0, roof = _fiber(self, x), self.roof
         if roof.depth == 0:
-            m, rest = divmod(f + tt, table[0])
+            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
+            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
         else:       # the last cell entered at or before f + tt
+            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
             entries = _entries(roof, x, table, f + tt)
             m = int(np.searchsorted(entries, f + tt, side="right")) - 1
             rest = f + tt - int(entries[m])
         return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
 
     def cell_plan(self, x: "Point", Ts) -> "CellPlan":
-        """The plan of the flow up to each time T in Ts: T ends in the first
-        cell whose top reaches f0 + T, read in the chart's decimals, and a
-        cell weighs its roof value."""
+        """The plan of the flow up to each time T in Ts: T ends in the first cell
+        whose top reaches f0 + T in the chart's decimals, each cell its roof."""
         f0, roof = _fiber(self, x), self.roof
         d, (f, *scaled) = _decimals(f0, *Ts, *roof.table)
         tops, table = [f + T for T in scaled[:len(Ts)]], scaled[len(Ts):]
         if roof.depth == 0:
             c = roof0 = roof.table[0]
             ends = [max((top - 1) // table[0], 0) for top in tops]
-            key, entry, classes, weights = f0, [L * c for L in ends], (c,), None
+            entry, classes, weights = [L * c for L in ends], (c,), None
         else:
             entries = _entries(roof, x, table, tops[-1])
             ends = np.searchsorted(entries[1:], tops).tolist()
             vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
-            key, roof0, entry = object(), roof.value_at(x), [int(entries[L]) / d for L in ends]
+            roof0, entry = roof.value_at(x), [int(entries[L]) / d for L in ends]
             classes, weights = np.unique(vals), lambda lo, hi: vals[lo:hi]
-        taus = [f0 + T for T in Ts]
         # an end read exactly can have its float entry a rounding past f0 + T
-        return CellPlan(key, ends, f0, taus, roof0, [min(e, tau) for e, tau in zip(entry, taus)],
-                        classes, weights)
+        entry = [min(e, f0 + T) for e, T in zip(entry, Ts)]
+        return CellPlan(ends, f0, roof0, entry, classes, weights)
+
+    # a word-dependent roof gives each point a chart of its own
+    chart_key = lambda self, x: _fiber(self, x) if self.roof.depth == 0 else object()
 
 
 FlowDescriptor = Union[CircleRotationFlow, TorusTranslation, Suspension]
@@ -543,18 +547,14 @@ SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
 
 class CellPlan(Record):
     """How a symbolic space reads a point's orbit in base cells up to each
-    time of a schedule (map steps, or flow times T): time c ends in cell
-    ends[c], entered at entry[c], at taus[c] = f0 + T from the bottom of cell
-    0, which holds roof0.  A cell holds one of the ascending `classes` (its
-    roof value, or the map steps spent in it), and `weights(lo, hi)` gives
-    those of the cells lo..hi-1 when there are two or more.  Equal keys mean
-    equal plans: a map's chart, a constant roof's fiber, or a key of its own
-    under a word-dependent roof."""
+    time T of a schedule (map steps, or flow times): T ends in cell ends[c],
+    entered at entry[c], and f0 + T from the bottom of cell 0, which holds
+    roof0.  A cell holds one of the ascending `classes` (its roof value, or
+    the map steps spent in it), and `weights(lo, hi)` gives those of the
+    cells lo..hi-1 when there are two or more."""
 
-    key: object
     ends: list
     f0: float
-    taus: list
     roof0: float
     entry: list
     classes: tuple

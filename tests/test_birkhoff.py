@@ -726,8 +726,8 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
 
 def reference_flow_averages(words, full, hit0, hit_last, Ts, plan):
     """The per-(point, word, checkpoint) loop that `birkhoff._flow_averages` replaced."""
-    ends, f0, taus, roof0, entry, classes = (plan.ends, plan.f0, plan.taus, plan.roof0,
-                                             plan.entry, plan.classes)
+    ends, f0, roof0, entry, classes = plan.ends, plan.f0, plan.roof0, plan.entry, plan.classes
+    taus = [f0 + T for T in Ts]
     out = np.empty((len(full), len(Ts), len(words)))
     for p in range(len(full)):
         for j, (_, _, scale, mass, _) in enumerate(words):
@@ -1012,6 +1012,24 @@ def test_a_read_admits_its_point_once(reader, system, x, phi, monkeypatch):
                         lambda self, point: calls.append(point) or admits(self, point))
     reader(system, x, phi, Schedule((8.0, 16.0) if system.is_flow else (8, 16)))
     assert calls == [x]
+
+
+@pytest.mark.parametrize("system, plans", [
+    (FullShift(2), 1),
+    (Suspension(FullShift(2), RoofFunction.constant(0.75)), 3),
+    (TimeTMap(Suspension(FullShift(2), RoofFunction.constant(0.75)), 0.3), 3),
+    (Suspension(FullShift(2), RoofFunction(1, (0.7, 1.3), 2)), 6),
+], ids=["shift", "flow", "time-t-map", "word-roof"])
+def test_a_suite_plans_its_cells_once_per_chart_group(system, plans, monkeypatch):
+    # runs of one fiber share a plan under a constant roof; a word roof plans each point
+    calls, plan = [], type(system).cell_plan
+    monkeypatch.setattr(type(system), "cell_plan",
+                        lambda self, x, Ts: calls.append(x) or plan(self, x, Ts))
+    fibers = (0.0, 0.0, 0.5, 0.5, 0.5, 0.0) if system.space.is_flow else (None,) * 6
+    points = [Point(SeededIID(i, (0.5, 0.5)), fiber=f) for i, f in enumerate(fibers)]
+    sched = Schedule((50.0, 100.0) if system.is_flow else (50, 100))
+    A = _profiles(system, points, (CylinderIndicator((0, 1)),), sched)
+    assert len(calls) == plans and A.shape == (6, 2, 1)
 
 
 @pytest.mark.parametrize("phi", [Constant(1.0), Harmonic(1)])

@@ -41,9 +41,8 @@ TABLE = [
      'TimeTMap(flow=CircleRotationFlow(), t=0.5)'),
     (lambda: sy._Chart(1, 2, 3, 4),
      '_Chart(f=1, tt=2, cc=3, d=4)'),
-    (lambda: sy.CellPlan(0.5, [2], 0.5, [3.5], 2.0, [2.0], (2.0,), None),
-     'CellPlan(key=0.5, ends=[2], f0=0.5, taus=[3.5], roof0=2.0, entry=[2.0], classes=(2.0,), '
-     'weights=None)'),
+    (lambda: sy.CellPlan([2], 0.5, 2.0, [2.0], (2.0,), None),
+     'CellPlan(ends=[2], f0=0.5, roof0=2.0, entry=[2.0], classes=(2.0,), weights=None)'),
     (lambda: sy.ExplicitWord((0, 1)),
      'ExplicitWord(symbols=(0, 1))'),
     (lambda: sy.SeededIID(7, (0.5, 0.5)),
