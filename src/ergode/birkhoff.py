@@ -111,8 +111,8 @@ def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
     point up to checkpoint c, over map steps on a map and over flow time on
     a flow.  Constants are their value.  Straight-line flows and circle maps
     are read point by point, symbolic orbits by `_cell_profiles` a group of
-    points at a time; `points` is iterated once, so a generator of points
-    never has more than one group alive."""
+    points at a time, and each point is admitted once; `points` is iterated
+    once, so a generator of points never has more than one group alive."""
     obs = tuple(observables)
     flow = system.is_flow
     Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
@@ -146,9 +146,9 @@ def _cell_profiles(system, points, observables, Ts):
 
     A chart group is a run of points of one `chart_key` (a shift, or one
     fiber under a constant roof), which share a `cell_plan`, so each
-    checkpoint ends in the same cell for all of them.  Its rows are counted in stacks of at most
-    `_CELL_CHUNK` symbols (`_count`), each row dropped once counted, and the
-    group finishes once (`_finish`) from its counts, a few numbers per point.
+    checkpoint ends in the same cell for all of them.  Its rows are counted
+    in stacks of at most `_CELL_CHUNK` symbols (`_count`), each row dropped
+    once counted, and the group finishes once (`_finish`) from its counts.
     A row with a symbol outside the alphabet (a tagged point's side's) is
     refused (ValueError) before it is stacked, then a point the system does
     not admit.  A depth-1 read in which every full cell weighs the same

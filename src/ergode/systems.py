@@ -547,10 +547,10 @@ SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
 
 class CellPlan(Record):
     """How a symbolic space reads a point's orbit in base cells up to each
-    time T of a schedule (map steps, or flow times): T ends in cell ends[c],
-    entered at entry[c], and f0 + T from the bottom of cell 0, which holds
-    roof0.  A cell holds one of the ascending `classes` (its roof value, or
-    the map steps spent in it), and `weights(lo, hi)` gives those of the
+    time Ts[c] of a schedule (map steps, or flow times T, at f0 + T above the
+    bottom of cell 0, which holds roof0): it ends in cell ends[c], entered at
+    entry[c].  A cell holds one of the ascending `classes` (its roof value,
+    or the map steps spent in it), and `weights(lo, hi)` gives those of the
     cells lo..hi-1 when there are two or more."""
 
     ends: list
