@@ -364,6 +364,16 @@ def test_irregular_point_steers_frequency_exactly_at_block_ends():
         assert freq == pytest.approx(round(target * end) / end, abs=1e-12)
 
 
+def test_the_default_irregular_stream_is_pinned_past_its_horizon():
+    """The sha256 of the first 2**22 symbols (int16 bytes) of the default
+    irregular point, whose last block ends at 2,796,200 and then repeats."""
+    rec = irregular_point(FullShift(2), 0, 0.2, 0.65)
+    assert rec.block_ends[-1] < 1 << 22
+    stream = rec.point.prefix(1 << 22)
+    assert hashlib.sha256(stream.astype(np.int16).tobytes()).hexdigest() == \
+        "97acd850f71fd5a766189927b7a41b99a67bc40ef30cc48d1aec0cdf061cfec2"
+
+
 def test_irregular_targets_alternate():
     rec = irregular_point(FullShift(2), 0, 0.3, 0.7, ratio=4)
     assert rec.targets[:4] == (0.3, 0.7, 0.3, 0.7)

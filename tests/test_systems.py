@@ -557,6 +557,20 @@ def test_the_growing_chain_stream_is_pinned():
         "30393a3d6f1c69bf2dc775fdd7a7991aba46f9b0a84029d25d638ca1e6eec096"
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("block-schedule", "7a2933a1886fba364af67f54e3a934b4d492d5f94a21d9c6fab41687693bc634"),
+    ("steered-blocks-2", "0e93f0a6a9a366fc24fb4b82399dfadc57d3e164beac2b8d0c734ee125dcf620"),
+    ("steered-blocks-3", "13e1e8d696576fab061d3f468259c61050d36cf82313defb1b0a450122d3fec8"),
+    ("stage-recipe", "e69455002c3685b2168f167d71310d539d095b09a202d5ef5bc53667c7dded79"),
+])
+def test_the_growing_block_streams_are_pinned(name, digest):
+    """The sha256 of the first 300,001 symbols (int16 bytes) of each block
+    rule, each past its last block end, where the last block repeats."""
+    stream = GROWING_RULES[name]().materialise(300_001)
+    assert stream.dtype == np.int16
+    assert hashlib.sha256(stream.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("make", GROWING_RULES.values(), ids=GROWING_RULES.keys())
 def test_a_stream_of_no_symbols_is_empty(make):
     rule = make()
