@@ -218,7 +218,7 @@ def _cmd_construct(cfg, ctx, rows):
         _write_point(out_path, rec.point)
         return
     if what == "glued-orbit":
-        segs = [(build_point(p), int(n)) for p, n in cfg["segments"]]
+        segs = [(_resolve_point(p, system, ctx["rng"]), int(n)) for p, n in cfg["segments"]]
         g = build_mistake_function(cfg["mistake_function"])
         with timed() as t:
             glued = _construction(what, glue_orbits, system, segs, cfg["eps"], g)

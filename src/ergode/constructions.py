@@ -1,29 +1,32 @@
 """Constructions: points with prescribed averaging behaviour, orbit gluing
 with a mistake budget, and the standing counterexample system.
 
-The generic-point builder is a Champernowne-style schedule, the point's rule
-(`StageRecipe`), built only as far as it is read: stage L lays down every
-length-L word with multiplicities quantised against the target measure (an
-error-diffusing rounding keeps every cumulative count within one slot of
-exact), and stage lengths double, so late checkpoints sit in deep,
-well-balanced stages.  On a vertex shift the butt joints between words are
-repaired by inserting shortest admissible connectors (a density like 1/L).
+The generic-point builder's deterministic point is a Champernowne-style
+block rule (`StageRecipe`): stage L lays down every length-L word with
+multiplicities quantised against the target measure (an error-diffusing
+rounding keeps every cumulative count within one slot of exact), and stage
+lengths double, so late checkpoints sit in deep, well-balanced stages.  On a
+vertex shift the butt joints between words are repaired by inserting
+shortest admissible connectors (a density like 1/L).
 
 The irregular-point builder steers the running frequency of one symbol to
-alternating targets at geometrically growing block ends.  Within each block
-the symbol is spread evenly, so the running average moves monotonically
-between targets; the block ends are the natural checkpoint schedule and the
-natural oscillation-window scales.
+alternating targets at geometrically growing block ends (`SteeredBlocks`).
+Within each block the symbol is spread evenly, so the running average moves
+monotonically between targets; the block ends are the natural checkpoint
+schedule and the natural oscillation-window scales.  Both rules lay, write
+and count their blocks only as far as they are read (`systems._Blocks`), so
+a symbol-frequency read counts from the recipe and builds no stream.
 
-Gluing concatenates orbit segments exactly on a full shift (at resolutions
-coarser than one symbol a junction causes no mistakes at all) and overwrites
-the first few symbols after each junction on a vertex shift, never shifting
-alignment.  The receipt reports per-segment mistake counts against the
-budget; an inadmissible result is a bug and raises.
+Gluing admits each segment's point, then concatenates the segments exactly
+on a full shift (at resolutions coarser than one symbol a junction causes no
+mistakes at all) and overwrites the first few symbols after each junction on
+a vertex shift, never shifting alignment.  The receipt reports per-segment
+mistake counts against the budget; an inadmissible result is a bug and raises.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Optional, Sequence, Tuple
 
@@ -31,7 +34,7 @@ import numpy as np
 
 from .systems import (
     DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Record, SteeredBlocks,
-    Suspension, RoofFunction, _Rule, _regrown, _tiled,
+    Suspension, RoofFunction, _Blocks, _Word,
 )
 from .measures import Bernoulli, Markov, Mixture, check_invariance
 from .birkhoff import Schedule
@@ -143,7 +146,7 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
 
     Counts the times j < n with d(T^j x, T^j y) >= eps and compares against
     the budget g(n, eps); with the zero budget this is exactly the Bowen
-    ball."""
+    ball.  ValueError unless the system admits both points."""
     if n < 1:
         raise ValueError("need n >= 1")
     if eps <= 0:
@@ -152,6 +155,8 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
         g = MistakeFunction.zero()
     if not system.symbolic:
         raise TypeError("mistake balls are implemented on shift spaces")
+    system.admits(x)
+    system.admits(y)
     L = _resolution_length(eps)
     if x.component != y.component:
         mismatches = n if (L > 0 or eps <= 1.0) else 0
@@ -217,24 +222,23 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
     a shortest admissible connector.  Mistake counts per segment (times j
     whose eps-window disagrees with the segment's own continuation) are
     reported against g; the default budget is zero, which a full-shift glue
-    at eps > 1/2 satisfies."""
+    at eps > 1/2 satisfies.  ValueError unless the system admits each
+    segment's point, checked before any is read."""
     if g is None:
         g = MistakeFunction.zero()
     if len(segments) < 2:
         raise ValueError("gluing needs at least two segments")
     if not system.symbolic or len(system.sides) > 1:
         raise TypeError("gluing is implemented on a single shift space")
+    for p, _ in segments:
+        system.admits(p)
     k = system.alphabet
     L = _resolution_length(eps)
     lengths = [int(t) for _, t in segments]
     if any(t < 1 for t in lengths):
         raise ValueError("segment lengths must be >= 1")
-    tail_extra = L + 8
-    arrs = [
-        np.asarray(p.prefix(t + (tail_extra if i == len(segments) - 1 else 0)))
-        for i, (p, t) in enumerate(segments)
-    ]
-    glued = np.concatenate(arrs)
+    glued = np.concatenate([p.prefix(t) for p, t in segments[:-1]]
+                           + [segments[-1][0].prefix(lengths[-1] + L + 8)])
     boundaries = np.cumsum(lengths)[:-1]
     connector_lengths = []
     A = system.adjacency
@@ -253,10 +257,9 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
     within = all(
         mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths)
     )
-    point = Point(ExplicitWord(tuple(glued.tolist())))
     return GluedOrbit(
-        point, tuple(int(b) for b in boundaries), tuple(connector_lengths),
-        tuple(mismatches), within,
+        Point(ExplicitWord(tuple(glued.tolist()))), tuple(int(b) for b in boundaries),
+        tuple(connector_lengths), tuple(mismatches), within,
     )
 
 
@@ -283,13 +286,13 @@ def generic_point(system, mu, kind: str = "deterministic-blocks", seed: int = 0,
                  component=mu.component)
 
 
-class StageRecipe(_Rule):
+class StageRecipe(_Blocks):
     """The Champernowne-style stage schedule of a stationary chain on a shift:
     stage i lays down its round (`_round`) 2**i times, a seam connector
     joining each round to the next, its own within the stage and the next
     stage's at its end (none on a shift that forbids nothing).  The stage
     whose rounds pass `horizon` symbols is the last, and its round repeats
-    forever.  Rounds are built as int16 arrays only as far as is read."""
+    forever.  Each round is built as an int16 array when it is first laid."""
 
     kind = "stage-recipe"
     transitions: Tuple[Tuple[float, ...], ...]
@@ -297,45 +300,36 @@ class StageRecipe(_Rule):
     adjacency: Tuple[Tuple[int, ...], ...]
     first_stage: int
     horizon: int
+    chain = property(lambda self: Markov(self.transitions, self.stationary))
 
     def __post_init__(self):     # ValueError unless a chain that keeps to the adjacency
-        chain = Markov(self.transitions, self.stationary)
-        check_invariance(chain, MarkovShift(len(self.adjacency), self.adjacency))
-        self._buf.update(chain=chain, rounds=[])
+        check_invariance(self.chain, MarkovShift(len(self.adjacency), self.adjacency))
 
-    def _round(self, i: int) -> np.ndarray:
-        """Round i: the words of length L = first_stage + i in lexicographic order, each
-        k**L times its mass by error-diffusing rounding, junctions repaired."""
-        rounds, k = self._buf["rounds"], len(self.stationary)
-        while len(rounds) <= i:
-            L = self.first_stage + len(rounds)
-            cum = np.floor(np.cumsum(self._buf["chain"].cylinder_masses(k, L)) * k ** L + 1e-9)
-            words = np.array(np.unravel_index(np.arange(k ** L), (k,) * L), dtype=np.int16).T
-            repeated = np.repeat(words, np.diff(cum, prepend=0.0).astype(np.int64), axis=0)
-            rounds.append(_repair_junctions(repeated.ravel(), self.adjacency))
-        return rounds[i]
+    def _round(self, L: int) -> np.ndarray:
+        """The words of length L in lexicographic order, each k**L times its
+        mass by error-diffusing rounding, junctions repaired."""
+        k = len(self.stationary)
+        cum = np.floor(np.cumsum(self.chain.cylinder_masses(k, L)) * k ** L + 1e-9)
+        words = np.array(np.unravel_index(np.arange(k ** L), (k,) * L), dtype=np.int16).T
+        repeated = np.repeat(words, np.diff(cum, prepend=0.0).astype(np.int64), axis=0)
+        return _repair_junctions(repeated.ravel(), self.adjacency)
 
-    def stage_blocks(self, size: float = math.inf) -> list:
-        """The (pattern, repeats) blocks of the stages, up to the first that
-        reaches `size` symbols or through the last stage."""
-        blocks, total, i = [], 0, 0
-        while True:
-            flat, reps = self._round(i), 1 << i
+    def _blocks(self):
+        """Stage i's round 2**i times, each with the seam connector to the next
+        round (the next stage's after its last), through the stage past `horizon`."""
+        k, total, after = len(self.stationary), 0, self._round(self.first_stage)
+        for i in itertools.count():
+            flat, reps = after, 1 << i
             total += len(flat) * reps
-            last = total >= self.horizon
-            same, cross = (_connector(self.adjacency, flat[-1], b)
-                           for b in (flat[0], (flat if last else self._round(i + 1))[0]))
-            body = lambda conn: np.concatenate((flat, np.array(conn, dtype=np.int16)))
+            after = flat if total >= self.horizon else self._round(self.first_stage + i + 1)
+            same, cross = (_connector(self.adjacency, flat[-1], b) for b in (flat[0], after[0]))
+            body = lambda conn, r: _Word(np.concatenate((flat, np.array(conn, np.int16))), k, r)
             if reps > 1 and same != cross:
-                blocks += [(body(same), reps - 1), (body(cross), 1)]
+                yield from (body(same, reps - 1), body(cross, 1))
             else:
-                blocks.append((body(same if reps > 1 else cross), reps))
-            if last or sum(len(pattern) * r for pattern, r in blocks) >= size:
-                return blocks
-            i += 1
-
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: _tiled(self.stage_blocks(size), size))
+                yield body(same if reps > 1 else cross, reps)
+            if after is flat:
+                return
 
     def pairs(self) -> list:
         """The steps its adjacency allows, which leave every state."""

@@ -26,7 +26,7 @@ import functools
 import math
 from decimal import Decimal
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -151,12 +151,13 @@ class _Descriptor(Record):
 
     def admits(self, point: "Point") -> None:
         """ValueError unless the point is one of this space's: its rule reads
-        what its side of the carrier holds (an untagged point on a union names
-        none), a suspension point lies under its roof, and on a shift every
+        what its side of the carrier holds (an untagged symbolic point on a
+        union names none; a union of shifts holds no coordinate point), a
+        suspension point lies under its roof, and on a shift every
         symbol it has `used()` is in the alphabet and, where a transition is
         forbidden, its `pairs()` are a subset of the allowed ones."""
-        side, rule = self.carrier.side(point.component), point.rule
-        if side is None:
+        side, rule = self.carrier.side(point.component) or self.carrier, point.rule
+        if rule.symbolic and len(side.sides) > 1:
             return
         if rule.symbolic != side.symbolic:
             raise ValueError(f"a {rule.kind} point is not a point of {type(side).__name__}")
@@ -402,8 +403,6 @@ class RoofFunction(Record):
     def values_along(self, symbols: np.ndarray, count: int, table=None) -> np.ndarray:
         """Roof values at offsets 0..count-1 of a symbol array, read from
         `table` (the roof's own, or an array of its values rescaled)."""
-        if self.depth == 0:
-            return np.full(count, self.table[0])
         if len(symbols) < count + self.depth - 1:
             raise ValueError("symbol array too short for requested roof count")
         codes = np.zeros(count, dtype=np.int64)
@@ -691,39 +690,18 @@ def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
     return out
 
 
-def _tiled(blocks, size: int) -> np.ndarray:
-    """The first `size` symbols of (pattern, repeats) blocks laid end to end,
-    the last pattern repeating forever once they run out."""
-    parts, total = [], 0
-    for pattern, reps in (*blocks, (blocks[-1][0], size)):
-        if total >= size:
-            break
-        pattern = np.asarray(pattern, dtype=np.int16)
-        parts.append(np.tile(pattern, min(reps, -(-(size - total) // len(pattern)))))
-        total += len(parts[-1])
-    return np.concatenate(parts)[:size]
-
-
 class _Rule(Record):
     """What a point's readers ask its rule: `symbolic` (a symbol stream, not
     coordinates), `materialise(n)` (its first n symbols), the symbols it has
     `used()` (by default those of its pairs) and the consecutive `pairs()` its
     stream holds, `period` (the length of the word it repeats, else None) and
-    `counts` (a recipe's symbol counts per prefix, else None).  A rule whose
-    stream ends in a block that repeats forever reads its pairs from its first
-    `reach` symbols, which hold that block's first repeat."""
+    `counts` (a block rule's symbol counts per prefix, else None)."""
 
     symbolic = True
     period = counts = None
 
     def used(self) -> set:
         return {s for pair in self.pairs() for s in pair}
-
-    def pairs(self) -> list:
-        s = self.materialise(self.reach).astype(np.int64)
-        lo, k = int(s.min()), int(s.max() - s.min()) + 1      # symbols lo .. lo + k - 1
-        codes = np.unique((s[:-1] - lo) * k + s[1:] - lo)
-        return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
 
 
 class ExplicitWord(_Rule):
@@ -732,14 +710,16 @@ class ExplicitWord(_Rule):
     kind = "explicit-word"
     symbols: Tuple[int, ...]
     period = property(lambda self: len(self.symbols))
-    reach = property(lambda self: len(self.symbols) + 1)
 
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("explicit word must be nonempty")
 
     def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: _tiled(((self.symbols, 1),), size))
+        return _regrown(self, n, lambda _, size: np.resize(np.array(self.symbols, np.int16), size))
+
+    def pairs(self) -> list:        # of its cyclic word, built from no stream
+        return sorted(set(zip(self.symbols, self.symbols[1:] + self.symbols[:1])))
 
 
 class SeededIID(_Rule):
@@ -837,12 +817,111 @@ class SeededMarkov(_Rule):
         return new.reshape(-1)[:m]
 
 
-class BlockSchedule(_Rule):
+def _lay(blocks: list, size: int) -> np.ndarray:
+    """The first `size` symbols of the blocks laid end to end, the last one's
+    unit repeating forever: each unit written once in place, then copied."""
+    out, start = np.empty(size, dtype=np.int16), 0
+    for b in (*blocks, blocks[-1]._replace(reps=size)):
+        span = out[start:start + b.size * b.reps]
+        done = min(b.size, len(span))
+        b.write(span[:done])
+        while done < len(span):             # the copies, each twice the last
+            span[done:2 * done] = span[:min(done, len(span) - done)]
+            done *= 2
+        start += len(span)
+    return out
+
+
+class _Word(NamedTuple):
+    """A block of `reps` copies of a word, an int16 array over symbols 0..k-1."""
+
+    word: np.ndarray
+    k: int
+    reps: int
+    size = property(lambda self: len(self.word))
+
+    def write(self, out: np.ndarray) -> None:
+        out[:] = self.word[:len(out)]
+
+    def tally(self, p: int) -> np.ndarray:
+        return np.bincount(self.word[:p], minlength=self.k)
+
+
+class _Steered(NamedTuple):
+    """A block of `size` positions over k symbols that adds `want` copies of
+    `symbol`, spread as `SteeredBlocks` says."""
+
+    k: int
+    symbol: int
+    size: int
+    want: int
+    reps: int = 1
+
+    def write(self, out: np.ndarray) -> None:
+        """Positions 1..len(out), `_STEER_CHUNK` at a time."""
+        others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
+        for a in range(0, len(out), _STEER_CHUNK):
+            b = min(a + _STEER_CHUNK, len(out))
+            marks = (np.arange(a, b + 1, dtype=np.int64) * self.want) // self.size
+            out[a:b] = others[(np.arange(a, b, dtype=np.int64) - marks[:-1]) % len(others)]
+            out[a:b][marks[1:] > marks[:-1]] = self.symbol
+
+    def tally(self, p: int) -> np.ndarray:
+        """Symbol counts over positions 1..p: floor(p * want / size) marks, and
+        the other positions dealt to the other symbols in turn."""
+        marks = p * self.want // self.size
+        q, r = divmod(p - marks, self.k - 1)
+        out = [q + (i < r) for i in range(self.k - 1)]
+        out.insert(self.symbol, marks)
+        return np.array(out, dtype=np.int64)
+
+
+class _Blocks(_Rule):
+    """A rule whose stream is the blocks its kind lists (`_blocks()`) laid
+    end to end, the last one's unit repeating forever.  A block is `reps`
+    copies of a unit of `size` symbols that writes and tallies itself: a
+    word (`_Word`) or a steered block (`_Steered`).  Blocks are laid as far
+    as a read needs them and the stream is written in place as far as it is
+    read; `pairs()` reads it with each block cut to two units (a third adds
+    no pair), and `counts(n)` tallies positions 0..n-1 block by block."""
+
+    def _laid(self, n) -> tuple:
+        """(blocks, starts, tallies): the blocks laid through position n (all of
+        them past the last), where each starts (and the last ends), its unit's tally."""
+        if "blocks" not in self._buf:
+            self._buf["blocks"] = (iter(self._blocks()), [], [0], [])
+        rest, blocks, starts, tallies = self._buf["blocks"]
+        while starts[-1] <= n and (b := next(rest, None)):
+            blocks.append(b)
+            starts.append(starts[-1] + b.size * b.reps)
+            tallies.append(b.tally(b.size))
+        return blocks, starts, tallies
+
+    def materialise(self, n: int) -> np.ndarray:
+        return _regrown(self, n, lambda _, size: _lay(self._laid(size - 1)[0], size))
+
+    def pairs(self) -> list:
+        blocks = [b._replace(reps=min(b.reps, 2)) for b in self._laid(math.inf)[0]]
+        s = _lay(blocks, sum(b.size * b.reps for b in blocks) + 1).astype(np.int64)
+        lo, k = int(s.min()), int(s.max() - s.min()) + 1      # symbols lo .. lo + k - 1
+        codes = np.unique((s[:-1] - lo) * k + s[1:] - lo)
+        return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
+
+    def counts(self, n: int) -> np.ndarray:
+        blocks, starts, tallies = self._laid(n)
+        i = min(bisect.bisect_right(starts, n), len(blocks)) - 1
+        q, p = divmod(n - starts[i], blocks[i].size)    # q >= reps only past the last block
+        whole = sum(b.reps * t for b, t in zip(blocks[:i], tallies)) + q * tallies[i]
+        return whole + blocks[i].tally(p)
+
+
+class BlockSchedule(_Blocks):
     """Concatenation of (pattern, repeats) blocks; the last pattern repeats
     forever once the schedule is exhausted."""
 
     kind = "block-schedule"
     blocks: Tuple[Tuple[Tuple[int, ...], int], ...]
+    materialise = _Blocks.materialise       # its own, which stream tracing wraps
 
     def __post_init__(self):
         if not self.blocks:
@@ -851,19 +930,12 @@ class BlockSchedule(_Rule):
             if not pattern or reps < 1:
                 raise ValueError("each block needs a nonempty pattern and repeats >= 1")
 
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: _tiled(self.blocks, size))
-
-    reach = property(lambda self: sum(len(pattern) * reps for pattern, reps in self.blocks)
-                     + len(self.blocks[-1][0]) + 1)
-
-    def pairs(self) -> list:
-        """Those of its stream with each block repeated at most twice, which
-        are all of them (a third repeat adds none) from a short read."""
-        return _Rule.pairs(self._replace(blocks=tuple((p, min(r, 2)) for p, r in self.blocks)))
+    def _blocks(self) -> list:
+        k = 1 + max(max(pattern) for pattern, _ in self.blocks)
+        return [_Word(np.array(pattern, dtype=np.int16), k, r) for pattern, r in self.blocks]
 
 
-class SteeredBlocks(_Rule):
+class SteeredBlocks(_Blocks):
     """Blocks over a k-letter alphabet that steer the running count of
     `symbol` to round(targets[i] * ends[i]) at each block end ends[i].
 
@@ -872,13 +944,8 @@ class SteeredBlocks(_Rule):
     exactly when marks_j > marks_{j-1}, so the copies are spread evenly; every
     other position takes others[(j - 1 - marks_{j-1}) % (k - 1)], the next of
     the remaining symbols in increasing order, cycling and restarting at each
-    block.  Past the last block end the last block repeats forever, as in
-    `BlockSchedule`.  The recipe is a few numbers, so irregular points
-    serialise and replay in this form without ever holding their symbols as
-    Python objects, and `counts(n)` answers how often each symbol occurs in a
-    prefix from the recipe alone, so a depth-1 orbit read builds no stream.
-    `materialise` writes blocks `_STEER_CHUNK` positions at a time, so
-    building a stream holds little more than the stream.
+    block (`_Steered`).  The recipe is a few numbers, so irregular points
+    serialise and replay in this form, and count their symbols from it.
     """
 
     kind = "steered-blocks"
@@ -886,6 +953,7 @@ class SteeredBlocks(_Rule):
     symbol: int
     ends: Tuple[int, ...]
     targets: Tuple[float, ...]
+    used = lambda self: range(self.k)           # without building its stream
 
     def __post_init__(self):
         if self.k < 2 or not (0 <= self.symbol < self.k):
@@ -894,81 +962,18 @@ class SteeredBlocks(_Rule):
             raise ValueError("need one target per block end, and at least one block")
         if any(not (0.0 <= t <= 1.0) for t in self.targets):
             raise ValueError("targets must lie in [0, 1]")
-        start = 0
-        for end, want in zip(self.ends, self._wants()):
-            if end <= start:
+        for b in self._blocks():
+            if b.size <= 0:
                 raise ValueError("block ends must be strictly increasing and positive")
-            if want < 0 or want > end - start:
+            if not 0 <= b.want <= b.size:
                 raise ValueError("infeasible steering step; widen the block ratio")
-            start = end
 
-    def _wants(self):
-        """Copies of the symbol each block adds."""
-        count = 0
-        for end, tgt in zip(self.ends, self.targets):
-            want = int(round(tgt * end)) - count
-            count += want
-            yield want
-
-    def _write_block(self, out: np.ndarray, L: int, want: int) -> None:
-        """Positions 1..len(out) of a block of length L adding `want` copies."""
-        others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
-        for a in range(0, len(out), _STEER_CHUNK):
-            b = min(a + _STEER_CHUNK, len(out))
-            marks = (np.arange(a, b + 1, dtype=np.int64) * want) // L
-            part = out[a:b]
-            filled = np.arange(a, b, dtype=np.int64) - marks[:-1]
-            part[:] = others[filled % len(others)]
-            part[marks[1:] > marks[:-1]] = self.symbol
-
-    def _block_counts(self, L: int, want: int, p: int) -> list:
-        """Symbol counts over positions 1..p of a block of length L adding
-        `want` copies: floor(p * want / L) marks, and the other positions
-        dealt to the other symbols in turn."""
-        marks = p * want // L
-        q, r = divmod(p - marks, self.k - 1)
-        out = [q + (i < r) for i in range(self.k - 1)]
-        out.insert(self.symbol, marks)
-        return out
-
-    def counts(self, n: int) -> np.ndarray:
-        """How often each symbol occurs at positions 0..n-1: the counts before
-        the block holding position n, plus its first p positions.  The first
-        call tallies the whole blocks, O(#blocks); the symbol at position i is
-        the one where counts(i + 1) - counts(i) is 1."""
-        table = self._buf.get("blocks")
-        if table is None:         # each block's start and want, and the counts before it
-            starts, wants = (0,) + self.ends[:-1], tuple(self._wants())
-            whole = [self._block_counts(e - s, w, e - s)
-                     for s, e, w in zip(starts, self.ends, wants)]
-            before = np.cumsum([[0] * self.k] + whole, axis=0)
-            table = self._buf["blocks"] = (starts, wants, before)
-        starts, wants, before = table
-        i = min(bisect.bisect_right(self.ends, n), len(wants) - 1)
-        L = self.ends[i] - starts[i]
-        q, p = divmod(n - starts[i], L)           # q > 0 only where the last block repeats
-        return before[i] + q * (before[i + 1] - before[i]) + self._block_counts(L, wants[i], p)
-
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, self._built)
-
-    reach = property(lambda self: self.ends[-1] + 1)
-    used = lambda self: range(self.k)           # without building its stream
-
-    def _built(self, _, size: int) -> np.ndarray:
-        arr = np.empty(size, dtype=np.int16)
-        last = start = 0
-        for end, want in zip(self.ends, self._wants()):
-            if start >= size:
-                break
-            # only the part of this block that the stream needs
-            self._write_block(arr[start:min(end, size)], end - start, want)
-            last, start = start, end
-        while start < size:                   # the last block repeats
-            r = min(start - last, size - start)
-            arr[start:start + r] = arr[last:last + r]
-            start += r
-        return arr
+    def _blocks(self):
+        start = count = 0
+        for end, target in zip(self.ends, self.targets):
+            want = int(round(target * end)) - count
+            yield _Steered(self.k, self.symbol, end - start, want)
+            start, count = end, count + want
 
 
 class Coordinate(_Rule):

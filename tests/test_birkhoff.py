@@ -36,6 +36,7 @@ from ergode.measures import (
     FiberProfile,
     Harmonic,
     Lebesgue,
+    Markov,
     TestFamily,
     evaluate,
     integrate,
@@ -56,7 +57,7 @@ from ergode.birkhoff import (
     flow_average_profile,
     limit_point_set,
 )
-from ergode.constructions import irregular_point
+from ergode.constructions import StageRecipe, generic_point, irregular_point
 from stepping import step
 
 
@@ -1030,6 +1031,34 @@ def test_a_suite_plans_its_cells_once_per_chart_group(system, plans, monkeypatch
     sched = Schedule((50.0, 100.0) if system.is_flow else (50, 100))
     A = _profiles(system, points, (CylinderIndicator((0, 1)),), sched)
     assert len(calls) == plans and A.shape == (6, 2, 1)
+
+
+def test_an_untagged_coordinate_point_on_a_union_of_shifts_is_refused():
+    # it reached the symbol reader: TypeError, coordinate points have no symbol stream
+    with pytest.raises(ValueError, match="a coordinate point is not a point of DisjointUnion"):
+        birkhoff_profile(DisjointUnion(FullShift(2), FullShift(2)), Point(Coordinate((0.2,))),
+                         CylinderIndicator((0,)), Schedule((8, 16)))
+
+
+@pytest.mark.parametrize("system, mu", [
+    (FullShift(2), Bernoulli((0.3, 0.7))),
+    (Suspension(FullShift(2), RoofFunction.constant(1.0)), Bernoulli((0.3, 0.7))),
+    (MarkovShift(2, ((1, 1), (1, 0))), Markov(((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7))),
+], ids=["shift", "unit-roof-flow", "golden-mean"])
+def test_a_depth_1_read_of_a_stage_recipe_counts_from_its_blocks(system, mu):
+    """The profile is that of the same stream read through its symbols, past
+    the last stage too, and the read builds no stream."""
+    base = system.carrier
+    x, ref = (generic_point(base, mu, horizon=1 << 15).with_fiber(0.0) for _ in range(2))
+    fam = TestFamily(tuple(CylinderIndicator((s,)) for s in range(2)) + (Constant(0.5),))
+    cps = (1000, 1 << 14, 1 << 17)
+    sched = Schedule(tuple(map(float, cps)) if system.is_flow else cps)
+    read = lambda p: classify_generic(system, p, mu, fam, sched, keep_profile=True).profile
+    got = read(x)
+    with mock.patch.object(StageRecipe, "counts", None):
+        want = read(ref)
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    assert "arr" not in x.rule._buf and "arr" in ref.rule._buf
 
 
 @pytest.mark.parametrize("phi", [Constant(1.0), Harmonic(1)])

@@ -1125,3 +1125,14 @@ def test_a_construction_refused_by_its_system_exits_2(tmp_path, capsys, cfg):
     code, err = run_main({**cfg, "experiment_id": "refused"}, tmp_path, capsys)
     assert code == 2, err
     assert err.startswith("config error: bad construction"), err
+
+
+def test_a_glued_orbit_with_a_segment_its_shift_forbids_exits_2(tmp_path, capsys):
+    # it was refused only after gluing, as "glued word is not admissible"
+    cfg = {"command": "construct", "construction": "glued-orbit", "experiment_id": "bad-segment",
+           "system": GOLDEN_MEAN,
+           "segments": [[{"kind": "explicit-word", "symbols": [0, 1]}, 5],
+                        [{"kind": "explicit-word", "symbols": [1, 1, 1, 1]}, 5]]}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("config error: bad point: transitions [(1, 1)] are forbidden"), err

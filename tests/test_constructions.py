@@ -160,6 +160,15 @@ def test_mistake_ball_tolerates_budgeted_mismatches():
     assert loose.member
 
 
+def test_a_mistake_ball_refuses_a_point_its_shift_forbids_before_reading():
+    # a golden-mean point holding the forbidden pair 11 was called a member
+    good, bad = Point(ExplicitWord((0, 1))), Point(ExplicitWord((1, 1, 1, 1)))
+    for x, y in ((bad, bad), (good, bad)):
+        with pytest.raises(ValueError, match=r"transitions \[\(1, 1\)\] are forbidden"):
+            mistake_ball_membership(GOLDEN_MEAN, x, y, 8, 0.5)
+    assert "arr" not in good.rule._buf
+
+
 # ---------------------------------------------------------------------------
 # gluing
 
@@ -207,6 +216,14 @@ def test_glue_reports_budget_violation_with_zero_budget():
     out = glue_orbits(GOLDEN_MEAN, segs)
     assert sum(out.segment_mismatches) == 1
     assert not out.within_budget
+
+
+def test_glue_refuses_a_segment_its_shift_forbids_before_reading_any():
+    # the glue read every segment and refused only the glued word, with a GluingError
+    good, bad = Point(ExplicitWord((0, 1))), Point(ExplicitWord((1, 1, 1, 1)))
+    with pytest.raises(ValueError, match=r"transitions \[\(1, 1\)\] are forbidden"):
+        glue_orbits(GOLDEN_MEAN, [(good, 4), (bad, 4)])
+    assert "arr" not in good.rule._buf
 
 
 def test_glue_fails_when_no_connector_exists():
@@ -327,7 +344,7 @@ def test_block_schedule_of_a_vertex_shift_is_as_pinned(system, mu, shape, digest
     """The stage rounds, their junction connectors and their seam connectors,
     pinned by each block's (length, repeats) and the sha256 of the blocks' repr."""
     recipe = generic_point(system, mu, "deterministic-blocks", horizon=3000, first_stage=2).rule
-    blocks = tuple((tuple(pattern.tolist()), reps) for pattern, reps in recipe.stage_blocks())
+    blocks = tuple((tuple(b.word.tolist()), b.reps) for b in recipe._blocks())
     assert [(len(pattern), reps) for pattern, reps in blocks] == shape
     assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
     system.admits(Point(BlockSchedule(blocks)))

@@ -120,7 +120,7 @@ TABLE = [
 ]
 
 # the bases records share their questions through; no record is one of them alone
-BASES = {"_Descriptor", "_Shift", "_Rule", "Measure", "_Piece", "_Chain", "Observable", "_Subset"}
+BASES = {"_Descriptor", "_Shift", "_Rule", "_Blocks", "Measure", "_Piece", "_Chain", "Observable", "_Subset"}
 IDS = [repr_.split("(")[0] for _, repr_ in TABLE]
 
 

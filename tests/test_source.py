@@ -35,7 +35,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # answered `symbolic`, `pairs()` and `used()`), a subset class (7 before each
 # subset answered the counting routes) or a measure class (4 before each
 # measure answered `chain`, `seeded` and `foreign`) in src/ergode/*.py
-MAX_LINES = 4331       # 4,335 while birkhoff and entropy read the time chart of systems
+MAX_LINES = 4330       # 4,331 while each block rule laid, paired and counted its own stream
 MAX_ISINSTANCE_LINES = 1
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0

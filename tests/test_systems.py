@@ -579,6 +579,62 @@ def test_a_stream_of_no_symbols_is_empty(make):
 
 
 # ---------------------------------------------------------------------------
+# every block rule counts and pairs as its stream
+
+# stage recipes whose streams hold every step their adjacency allows
+STAGE_CHAINS = [
+    (((0.3, 0.7), (0.3, 0.7)), (0.3, 0.7), ((1, 1), (1, 1)), 2, 300),
+    (((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7), ((1, 1), (1, 0)), 2, 400),
+    (((0.5, 0.5, 0.0), (0.5, 0.0, 0.5), (0.0, 0.5, 0.5)), (1 / 3, 1 / 3, 1 / 3),
+     ((1, 1, 0), (1, 0, 1), (0, 1, 1)), 1, 300),
+]
+
+
+@st.composite
+def steered_recipes(draw):
+    """A feasible `SteeredBlocks`: each block's want lies in 0..its length."""
+    k = draw(st.integers(2, 4))
+    lengths = draw(st.lists(st.integers(1, 60), min_size=1, max_size=5))
+    ends, targets, count = [], [], 0
+    for length in lengths:
+        ends.append((ends[-1] if ends else 0) + length)
+        count += draw(st.integers(0, length))
+        targets.append(count / ends[-1])
+    return SteeredBlocks(k, draw(st.integers(0, k - 1)), tuple(ends), tuple(targets))
+
+
+BLOCK_RULES = st.one_of(
+    st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=1, max_size=5).map(tuple),
+                       st.integers(1, 5)), min_size=1, max_size=4)
+    .map(lambda blocks: BlockSchedule(tuple(blocks))),
+    steered_recipes(),
+    st.sampled_from(STAGE_CHAINS).map(lambda fields: StageRecipe(*fields)),
+)
+
+
+@given(rule=BLOCK_RULES, data=st.data())
+@settings(deadline=None, max_examples=80)
+def test_a_block_rule_counts_and_pairs_as_its_stream(rule, data):
+    """counts(n), before and past the last block end, is the running count of
+    the stream, from no stream; pairs() are those of the stream read to twice
+    the last end, where the last block has repeated."""
+    end = sum(b.size * b.reps for b in rule._blocks())
+    stream = rule._replace().materialise(2 * end)
+    for n in data.draw(st.lists(st.integers(0, 2 * end), min_size=1, max_size=6)):
+        got = rule.counts(n)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.bincount(stream[:n], minlength=len(got)).tolist(), n
+    assert "arr" not in rule._buf
+    assert sorted(rule.pairs()) == sorted(set(zip(stream[:-1].tolist(), stream[1:].tolist())))
+
+
+def test_a_constant_roof_reads_its_values_from_the_table_it_is_given():
+    # the depth-0 roof gave its float value, so the entries read 0, 0.3, 0.6, ...
+    entries = systems._entries(RoofFunction.constant(0.3), Point(ExplicitWord((0, 1))), [3], 10)
+    assert entries.tolist() == [0, 3, 6, 9, 12, 15]
+
+
+# ---------------------------------------------------------------------------
 # steered streams count their symbols from the recipe
 
 STEER_ENDS, STEER_TARGETS = (8, 40, 168, 680), (0.3, 0.7, 0.3, 0.7)

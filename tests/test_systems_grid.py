@@ -137,7 +137,7 @@ EXPECTED = {
         'default-family': 'TestFamily(observables=(CylinderIndicator(word=(0,), component=0), CylinderIndicator(word=(1,), component=0), CylinderIndicator(word=(0,), component=1), CylinderIndicator(word=(1,), component=1), CylinderIndicator(word=(2,), component=1), CylinderIndicator(word=(0, 0), component=0), CylinderIndicator(word=(0, 1), component=0), CylinderIndicator(word=(1, 0), component=0), CylinderIndicator(word=(1, 1), component=0), CylinderIndicator(word=(0, 0), component=1), CylinderIndicator(word=(0, 1), component=1), CylinderIndicator(word=(0, 2), component=1), CylinderIndicator(word=(1, 0), component=1), CylinderIndicator(word=(1, 1), component=1), CylinderIndicator(word=(1, 2), component=1), CylinderIndicator(word=(2, 0), component=1), CylinderIndicator(word=(2, 1), component=1), CylinderIndicator(word=(2, 2), component=1)))',
         'resolve-word': 'Point(rule=ExplicitWord(symbols=(0, 1, 1)), offset=0, component=None, fiber=None)',
         'resolve-tagged-word': 'Point(rule=ExplicitWord(symbols=(0, 2)), offset=0, component=1, fiber=None)',
-        'resolve-coordinate': 'Point(rule=Coordinate(coords=(0.217,)), offset=0, component=None, fiber=None) 0x1.bc6a7ef9db22dp-3',
+        'resolve-coordinate': 'ConfigError: bad point: a coordinate point is not a point of DisjointUnion',
         'measure-bernoulli': 'ConfigError: bad measure: measures on a disjoint union must carry a component tag',
         'measure-tagged-bernoulli': 'Bernoulli(probs=(0.5, 0.5), component=0)',
         'measure-lebesgue': 'ConfigError: bad measure: Lebesgue lives on the circle/torus',
@@ -214,7 +214,7 @@ EXPECTED = {
         'default-family': 'TestFamily(observables=(CylinderIndicator(word=(0,), component=0), CylinderIndicator(word=(1,), component=0), CylinderIndicator(word=(0,), component=1), CylinderIndicator(word=(1,), component=1), CylinderIndicator(word=(2,), component=1), CylinderIndicator(word=(0, 0), component=0), CylinderIndicator(word=(0, 1), component=0), CylinderIndicator(word=(1, 0), component=0), CylinderIndicator(word=(1, 1), component=0), CylinderIndicator(word=(0, 0), component=1), CylinderIndicator(word=(0, 1), component=1), CylinderIndicator(word=(0, 2), component=1), CylinderIndicator(word=(1, 0), component=1), CylinderIndicator(word=(1, 1), component=1), CylinderIndicator(word=(1, 2), component=1), CylinderIndicator(word=(2, 0), component=1), CylinderIndicator(word=(2, 1), component=1), CylinderIndicator(word=(2, 2), component=1), FiberProfile(base=Constant(value=1.0), breakpoints=((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))))',
         'resolve-word': 'Point(rule=ExplicitWord(symbols=(0, 1, 1)), offset=0, component=None, fiber=None)',
         'resolve-tagged-word': 'Point(rule=ExplicitWord(symbols=(0, 2)), offset=0, component=1, fiber=None)',
-        'resolve-coordinate': 'Point(rule=Coordinate(coords=(0.217,)), offset=0, component=None, fiber=None) 0x1.bc6a7ef9db22dp-3',
+        'resolve-coordinate': 'ConfigError: bad point: a coordinate point is not a point of DisjointUnion',
         'measure-bernoulli': 'ConfigError: bad measure: measures on a disjoint union must carry a component tag',
         'measure-tagged-bernoulli': 'Bernoulli(probs=(0.5, 0.5), component=0)',
         'measure-lebesgue': 'ConfigError: bad measure: Lebesgue lives on the circle/torus',
