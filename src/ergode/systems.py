@@ -819,9 +819,9 @@ class SeededMarkov(_Rule):
 
 def _lay(blocks: list, size: int) -> np.ndarray:
     """The first `size` symbols of the blocks laid end to end, the last one's
-    unit repeating forever: each unit written once in place, then copied."""
+    unit repeated to `size`: each unit written once in place, then copied."""
     out, start = np.empty(size, dtype=np.int16), 0
-    for b in (*blocks, blocks[-1]._replace(reps=size)):
+    for b in (*blocks[:-1], blocks[-1]._replace(reps=size)):
         span = out[start:start + b.size * b.reps]
         done = min(b.size, len(span))
         b.write(span[:done])
@@ -848,8 +848,7 @@ class _Word(NamedTuple):
 
 
 class _Steered(NamedTuple):
-    """A block of `size` positions over k symbols that adds `want` copies of
-    `symbol`, spread as `SteeredBlocks` says."""
+    """A steered block: `size` positions over k symbols adding `want` copies of `symbol`."""
 
     k: int
     symbol: int
@@ -886,16 +885,18 @@ class _Blocks(_Rule):
     no pair), and `counts(n)` tallies positions 0..n-1 block by block."""
 
     def _laid(self, n) -> tuple:
-        """(blocks, starts, tallies): the blocks laid through position n (all of
-        them past the last), where each starts (and the last ends), its unit's tally."""
-        if "blocks" not in self._buf:
-            self._buf["blocks"] = (iter(self._blocks()), [], [0], [])
-        rest, blocks, starts, tallies = self._buf["blocks"]
+        """(blocks, starts, before): the blocks laid through position n (all past
+        the last), where each starts and the counts before it, and at the end."""
+        if "blocks" not in self._buf:     # a copy's generator, so no cycle holds this rule
+            self._buf["blocks"] = (iter(self._replace()._blocks()), [], [0], [])
+        rest, blocks, starts, before = self._buf["blocks"]
         while starts[-1] <= n and (b := next(rest, None)):
+            if not before:
+                before.append(b.tally(0))
             blocks.append(b)
             starts.append(starts[-1] + b.size * b.reps)
-            tallies.append(b.tally(b.size))
-        return blocks, starts, tallies
+            before.append(before[-1] + b.reps * b.tally(b.size))
+        return blocks, starts, before
 
     def materialise(self, n: int) -> np.ndarray:
         return _regrown(self, n, lambda _, size: _lay(self._laid(size - 1)[0], size))
@@ -908,11 +909,10 @@ class _Blocks(_Rule):
         return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
 
     def counts(self, n: int) -> np.ndarray:
-        blocks, starts, tallies = self._laid(n)
+        blocks, starts, before = self._laid(n)
         i = min(bisect.bisect_right(starts, n), len(blocks)) - 1
         q, p = divmod(n - starts[i], blocks[i].size)    # q >= reps only past the last block
-        whole = sum(b.reps * t for b, t in zip(blocks[:i], tallies)) + q * tallies[i]
-        return whole + blocks[i].tally(p)
+        return before[i] + q * (before[i + 1] - before[i]) // blocks[i].reps + blocks[i].tally(p)
 
 
 class BlockSchedule(_Blocks):

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -626,6 +628,22 @@ def test_a_block_rule_counts_and_pairs_as_its_stream(rule, data):
         assert got.tolist() == np.bincount(stream[:n], minlength=len(got)).tolist(), n
     assert "arr" not in rule._buf
     assert sorted(rule.pairs()) == sorted(set(zip(stream[:-1].tolist(), stream[1:].tolist())))
+
+
+@pytest.mark.parametrize("name", ["block-schedule", "steered-blocks-3", "stage-recipe"])
+def test_a_block_rule_read_part_way_is_freed_by_reference_counting(name):
+    # its buffer held the generator of its own blocks, whose frame held the
+    # rule: a cycle that kept a read stream alive until the cycle collector ran
+    rule = GROWING_RULES[name]()
+    rule.materialise(100)
+    rule.counts(200)
+    gone = weakref.ref(rule)
+    gc.disable()
+    try:
+        del rule
+        assert gone() is None
+    finally:
+        gc.enable()
 
 
 def test_a_constant_roof_reads_its_values_from_the_table_it_is_given():
