@@ -921,14 +921,14 @@ class BlockSchedule(_Blocks):
 
     kind = "block-schedule"
     blocks: Tuple[Tuple[Tuple[int, ...], int], ...]
-    materialise = _Blocks.materialise       # its own, which stream tracing wraps
+    materialise = _Blocks.materialise       # its own, which perfbench/tracing.py wraps
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("block schedule must be nonempty")
         for pattern, reps in self.blocks:
-            if not pattern or reps < 1:
-                raise ValueError("each block needs a nonempty pattern and repeats >= 1")
+            if not pattern or reps < 1 or min(pattern) < 0:
+                raise ValueError("a block needs a nonempty pattern of symbols >= 0 and reps >= 1")
 
     def _blocks(self) -> list:
         k = 1 + max(max(pattern) for pattern, _ in self.blocks)

@@ -646,6 +646,13 @@ def test_a_block_rule_read_part_way_is_freed_by_reference_counting(name):
         gc.enable()
 
 
+def test_a_block_schedule_refuses_a_negative_symbol():
+    # a depth-1 read counted it with numpy's bincount, which raised its own
+    # error before the reader could refuse the symbol as outside the alphabet
+    with pytest.raises(ValueError, match="symbols >= 0"):
+        BlockSchedule((((0, -1), 2),))
+
+
 def test_a_constant_roof_reads_its_values_from_the_table_it_is_given():
     # the depth-0 roof gave its float value, so the entries read 0, 0.3, 0.6, ...
     entries = systems._entries(RoofFunction.constant(0.3), Point(ExplicitWord((0, 1))), [3], 10)
