@@ -632,8 +632,9 @@ def test_a_block_rule_counts_and_pairs_as_its_stream(rule, data):
 
 @pytest.mark.parametrize("name", ["block-schedule", "steered-blocks-3", "stage-recipe"])
 def test_a_block_rule_read_part_way_is_freed_by_reference_counting(name):
-    # its buffer held the generator of its own blocks, whose frame held the
-    # rule: a cycle that kept a read stream alive until the cycle collector ran
+    # a buffer holding the generator of the rule's own blocks, whose frame
+    # holds the rule, is a cycle: it keeps a read stream alive until the cycle
+    # collector runs
     rule = GROWING_RULES[name]()
     rule.materialise(100)
     rule.counts(200)
@@ -647,8 +648,8 @@ def test_a_block_rule_read_part_way_is_freed_by_reference_counting(name):
 
 
 def test_a_block_schedule_refuses_a_negative_symbol():
-    # a depth-1 read counted it with numpy's bincount, which raised its own
-    # error before the reader could refuse the symbol as outside the alphabet
+    # a depth-1 read counts its blocks with np.bincount, which would raise its
+    # own error before the reader could refuse the symbol as outside the alphabet
     with pytest.raises(ValueError, match="symbols >= 0"):
         BlockSchedule((((0, -1), 2),))
 
