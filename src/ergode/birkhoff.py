@@ -206,8 +206,9 @@ def _count(stack, depth: int, k: int, plan) -> None:
     each end."""
     if not stack:
         return
-    ends, n_cls = plan.ends, len(plan.classes)
-    arr, S, C, size = np.stack([r for r, _ in stack]), len(stack), len(ends), k ** depth * n_cls
+    ends, n_cls, S = plan.ends, len(plan.classes), len(stack)
+    arr = stack[0][0][None] if S == 1 else np.stack([r for r, _ in stack])    # a lone row: a view
+    C, size = len(ends), k ** depth * n_cls
     dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
     total = np.zeros((C, S * size), dtype=np.int64)
     bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])

@@ -57,8 +57,9 @@ def _random_point(space, rng):
         raise ConfigError(f"bad point: {exc}") from None
 
 
-def _resolve_point(obj, system, rng):
-    if obj.get("kind") == "random":
+def _resolve_point(obj, system, ctx):
+    if obj.get("kind") == "random":     # the run's generator, made on first use
+        rng = ctx["rng"] = ctx.get("rng") or np.random.default_rng(ctx["seed"])
         return _random_point(system, rng)
     point = build_point(obj)
     try:
@@ -136,7 +137,7 @@ def _cmd_entropy(cfg, ctx, rows):
 
 def _cmd_birkhoff(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    point = _resolve_point(cfg["point"], system, ctx["rng"])
+    point = _resolve_point(cfg["point"], system, ctx)
     phi = build_observable(cfg["observable"])
     schedule = build_schedule(cfg["schedule"], system.is_flow)
     eid = cfg["experiment_id"]
@@ -151,7 +152,7 @@ def _cmd_birkhoff(cfg, ctx, rows):
 
 def _cmd_classify(cfg, ctx, rows):
     system = build_system(cfg["system"])
-    point = _resolve_point(cfg["point"], system, ctx["rng"])
+    point = _resolve_point(cfg["point"], system, ctx)
     schedule = build_schedule(cfg["schedule"], system.is_flow)
     tol = cfg["tolerance"]
     eid = cfg["experiment_id"]
@@ -218,7 +219,7 @@ def _cmd_construct(cfg, ctx, rows):
         _write_point(out_path, rec.point)
         return
     if what == "glued-orbit":
-        segs = [(_resolve_point(p, system, ctx["rng"]), int(n)) for p, n in cfg["segments"]]
+        segs = [(_resolve_point(p, system, ctx), int(n)) for p, n in cfg["segments"]]
         g = build_mistake_function(cfg["mistake_function"])
         with timed() as t:
             glued = _construction(what, glue_orbits, system, segs, cfg["eps"], g)
@@ -527,13 +528,8 @@ def main(argv=None) -> int:
         return 2
 
     seed = int(os.environ.get("ERGODE_SEED", cfg["seed"]))
-    ctx = {
-        "seed": seed,
-        "rng": np.random.default_rng(seed),
-        "diagnostics": args.diagnostics,
-        "threads": max(args.threads, 1),
-        "out": args.out,
-    }
+    ctx = {"seed": seed, "diagnostics": args.diagnostics, "threads": max(args.threads, 1),
+           "out": args.out}
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, f"{cfg['experiment_id']}.csv")
     rows = []

@@ -236,14 +236,18 @@ _LOG_EMPTY = -math.inf
 
 
 def _logsumexp(values) -> float:
-    if len(values) == 1:                # as is: bit-identical, and no numpy round trip
-        return float(values[0])
-    arr = np.asarray(values, dtype=float)
-    arr = arr[arr > _LOG_EMPTY]
-    if arr.size == 0:
-        return _LOG_EMPTY
-    m = arr.max()
-    return float(m + math.log(np.exp(arr - m).sum()))
+    """log sum exp(values), -inf for none; under 8 terms, numpy's bits without its round
+    trip: a scalar np.exp each, added in index order (math.exp and sum differ)."""
+    if len(values) >= 8:
+        arr = np.asarray(values, dtype=float)
+        arr = arr[arr > _LOG_EMPTY]
+        m = arr.max(initial=_LOG_EMPTY)
+        return float(m + math.log(np.exp(arr - m).sum())) if arr.size else _LOG_EMPTY
+    live = [v for v in values if v > _LOG_EMPTY]
+    m, total = max(live, default=_LOG_EMPTY), 0.0
+    for v in live:
+        total += float(np.exp(v - m))
+    return float(m + math.log(total)) if live else _LOG_EMPTY
 
 
 def _count_range(n: int, lo: float, hi: float) -> range:
@@ -582,9 +586,9 @@ def spanning_entropy(system, subset=WholeSpace(),
     eps = 2**-resolution_bits.  On a shift space every (n, eps)-ball is a
     cylinder of length n + resolution_bits, so the minimal spanning count is
     the exact word count at that depth; the growth rate is the slope of its
-    logarithm in n, fitted by least squares.  Isometric systems have
-    n-independent spanning counts, so their rate is exactly 0.  Independent
-    of the critical-exponent route."""
+    logarithm in n, fitted by least squares in closed form (np.polyfit would page
+    in LAPACK's 1 MB).  Isometric systems have n-independent spanning counts,
+    so their rate is exactly 0.  Independent of the critical-exponent route."""
     depths = _depth_grid(depths, _SPANNING_DEPTHS)
     if resolution_bits < 0:
         raise ValueError("resolution_bits must be >= 0 (eps = 2**-resolution_bits <= 1)")
@@ -592,33 +596,28 @@ def spanning_entropy(system, subset=WholeSpace(),
         if not subset.on_any_space:
             raise UnsupportedSubset("rotation spanning counts cover the whole space or a cloud")
         # orbit metric equals the base metric, so one eps-grid spans every n
-        eps = 2.0 ** -resolution_bits
-        count = math.ceil(1.0 / (2.0 * eps))
+        count = math.ceil(1.0 / (2.0 * 2.0 ** -resolution_bits))   # cells of width 2 eps
         per_depth = tuple(math.log(count) / n for n in depths)
-        return EntropyEstimate(
-            value=0.0, lower=0.0, upper=max(per_depth),
-            depths=depths, alphas=per_depth,
-            flags=("zero-expansion",), details={"resolution_bits": resolution_bits},
-        )
+        return EntropyEstimate(0.0, 0.0, max(per_depth), depths, per_depth, ("zero-expansion",),
+                               {"resolution_bits": resolution_bits})
     if max(depths) + resolution_bits > budget:
         raise BudgetExhausted("spanning depth grid exceeds the counting budget")
     if len(set(depths)) < 2:
         raise ValueError("need at least two distinct depths to fit a growth rate")
-    m = resolution_bits
-    counts = _exact_counts(system, subset, [n + m for n in depths])
+    counts = _exact_counts(system, subset, [n + resolution_bits for n in depths])
     if 0 in counts:
         return EntropyEstimate(0.0, 0.0, 0.0, tuple(depths), (0.0,), ("empty-cover",))
     xs = np.asarray(depths, dtype=float)
     ys = np.asarray([_log_of_big(count) for count in counts])
-    slope, intercept = np.polyfit(xs, ys, 1) if len(set(counts)) > 1 else (0.0, ys[0])
-    resid = ys - (slope * xs + intercept)
-    spread = float(np.abs(resid).max())
-    per_depth = tuple(float(y / (x + m)) for x, y in zip(xs, ys))
-    return EntropyEstimate(
-        value=float(slope), lower=float(slope - spread), upper=float(slope + spread),
-        depths=tuple(depths), alphas=per_depth,
-        details={"resolution_bits": m},
-    )
+    slope, intercept = 0.0, ys[0]
+    if len(set(counts)) > 1:        # the line through the means
+        dx = xs - xs.mean()
+        slope = (dx * (ys - ys.mean())).sum() / (dx * dx).sum()
+        intercept = ys.mean() - slope * xs.mean()
+    spread = float(np.abs(ys - (slope * xs + intercept)).max())
+    per_depth = tuple(float(y / (x + resolution_bits)) for x, y in zip(xs, ys))
+    return EntropyEstimate(float(slope), float(slope - spread), float(slope + spread),
+                           tuple(depths), per_depth, details={"resolution_bits": resolution_bits})
 
 
 def _log_of_big(count: int) -> float:

@@ -669,6 +669,7 @@ def _entries(roof: RoofFunction, x: "Point", table, top: int) -> np.ndarray:
 _GROW = 1024  # materialisation granularity
 _STEER_CHUNK = 1 << 16  # block positions `SteeredBlocks` writes per vectorised step
 _WALK_CHUNK = 1 << 18  # chain steps `SeededMarkov` walks per blocked scan
+_DRAW_CHUNK = 1 << 16  # uniforms such a scan draws at a time: 512 KB
 
 
 def _regrown(rule, n: int, build) -> np.ndarray:
@@ -773,32 +774,35 @@ class SeededMarkov(_Rule):
                 for b, p in enumerate(row) if p > 0]
 
     def _walk(self, arr: Optional[np.ndarray], size: int) -> np.ndarray:
-        """arr walked on to `size` states, `_WALK_CHUNK` steps per scan to bound memory."""
-        buf = self._buf
+        """arr walked on to `size` states in one buffer, `_WALK_CHUNK` steps per scan."""
+        buf, out = self._buf, np.empty(size, dtype=np.int16)
         if arr is None:
-            buf["rng"], arr = np.random.default_rng(self.seed), np.empty(0, dtype=np.int16)
+            buf["rng"], arr = np.random.default_rng(self.seed), out[:0]
             cum = np.cumsum(self.stationary)[:-1]
             buf["state"] = int(np.searchsorted(cum, buf["rng"].random(), side="right"))
-        return np.concatenate([arr] + [self._scan(buf["rng"].random(min(_WALK_CHUNK, size - done)))
-                                       for done in range(len(arr), size, _WALK_CHUNK)])
+        out[:len(arr)] = arr
+        for done in range(len(arr), size, _WALK_CHUNK):
+            self._scan(out[done:done + _WALK_CHUNK])
+        return out
 
-    def _scan(self, u: np.ndarray) -> np.ndarray:
-        """The states at the steps of the uniforms u from the next state, which
-        moves past them: a blocked scan (Blelloch, Prefix sums and their
-        applications, 1990) in blocks of about sqrt(m / 64) of the m steps, so
-        the passes' numpy calls balance the list walk.  Pass 1 walks every block
-        from every state, one gather per step; the blocks' entry states chain
-        through its ends; pass 2 walks each block from its entry, writing the
-        states of a one-step walk."""
+    def _scan(self, out: np.ndarray) -> None:
+        """Write into `out` the states of its m steps from the next state, which
+        moves past them, each step drawing one uniform (`_DRAW_CHUNK` at a time):
+        a blocked scan (Blelloch, Prefix sums and their applications, 1990) in
+        blocks of about sqrt(m / 64) steps, so the passes' numpy calls balance
+        the list walk.  Pass 1 walks every block from every state, one gather
+        per step; the blocks' entry states chain through its ends; pass 2 walks
+        each block from its entry, writing the states of a one-step walk."""
         inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
-        k, m = len(inner), len(u)
-        dtype = np.int8 if k < 128 else np.int16
+        k, m, dtype = len(inner), len(out), np.int8 if len(inner) < 128 else np.int16
         width = max(1, math.isqrt(m >> 6))
         blocks = -(-m // width)
         # step[i * k + s]: the state after step i taken from state s, 0 past step m - 1
         step = np.zeros((blocks * width, k), dtype=dtype)
-        for s in range(k):
-            step[:m, s] = _count_at_or_below(inner[s], u, dtype)
+        for lo in range(0, m, _DRAW_CHUNK):
+            u = self._buf["rng"].random(min(_DRAW_CHUNK, m - lo))
+            for s in range(k):
+                step[lo:lo + len(u), s] = _count_at_or_below(inner[s], u, dtype)
         step, base = step.reshape(-1), np.arange(0, step.size, width * k)
         # pass 1: at[b * k + s] ends as the state leaving block b entered at s
         at, wide = np.tile(np.arange(k, dtype=dtype), blocks), base.repeat(k)
@@ -813,8 +817,8 @@ class SeededMarkov(_Rule):
         for j in range(width):
             new[:, j] = at
             at = step.take(base + j * k + at)
-        self._buf["state"] = int(step[(m - 1) * k + int(new.flat[m - 1])])
-        return new.reshape(-1)[:m]
+        out[:] = new.reshape(-1)[:m]
+        self._buf["state"] = int(step[(m - 1) * k + int(out[m - 1])])
 
 
 def _lay(blocks: list, size: int) -> np.ndarray:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 from dataclasses import dataclass
 import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
@@ -1157,3 +1158,18 @@ def test_the_reader_keeps_its_pinned_profiles(dynamics, roof, point):
     obs = TestFamily.default_for(system, depth=3).observables
     prof = np.stack([reader(system, PIN_POINTS[point], phi, sched) for phi in obs])
     assert hashlib.sha256(prof.tobytes()).hexdigest() == PINNED_PROFILES[dynamics, roof, point]
+
+
+def test_a_lone_long_row_is_counted_in_place():
+    """A second depth-4 read of a materialised 2^20-symbol stream, its row
+    counted alone, peaks below the row's own bytes: no stacked copy."""
+    x, n = Point(SeededIID(7, (0.5, 0.5))), 1 << 20
+    read = lambda: birkhoff_profile(FullShift(2), x, CylinderIndicator((0, 1, 1, 0)), Schedule((n,)))
+    first = read()
+    tracemalloc.start()
+    try:
+        assert np.array_equal(read(), first)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.prefix(n + 4).nbytes, peak

@@ -12,6 +12,7 @@ import pytest
 
 from ergode.config import build_measure, build_mistake_function, build_point, build_system
 from ergode.constructions import StageRecipe, generic_point, glue_orbits, irregular_point
+from ergode import cli
 from ergode.cli import _measure, _point_json, _write_point, main
 from ergode.systems import (
     BlockSchedule, Coordinate, ExplicitWord, FullShift, Point, SeededIID, SeededMarkov,
@@ -1136,3 +1137,56 @@ def test_a_glued_orbit_with_a_segment_its_shift_forbids_exits_2(tmp_path, capsys
     code, err = run_main(cfg, tmp_path, capsys)
     assert code == 2, err
     assert err.startswith("config error: bad point: transitions [(1, 1)] are forbidden"), err
+
+
+def test_random_points_resolve_to_their_pinned_seeds(tmp_path, capsys, monkeypatch):
+    """At ERGODE_SEED=0 a run draws its random points from default_rng(0) in
+    the order it resolves them: a birkhoff point, then two glued-orbit segments."""
+    seeds, resolve = [], cli._random_point
+
+    def recorded(space, rng):
+        point = resolve(space, rng)
+        seeds.append(point.rule.seed)
+        return point
+
+    monkeypatch.setattr(cli, "_random_point", recorded)
+    monkeypatch.setenv("ERGODE_SEED", "0")
+    shift = {"kind": "full-shift", "k": 2}
+    birk = {"command": "birkhoff", "experiment_id": "birk", "system": shift,
+            "point": {"kind": "random"}, "observable": {"kind": "symbol-frequency", "symbol": 1},
+            "schedule": {"kind": "explicit", "checkpoints": [64]}}
+    glued = {"command": "construct", "construction": "glued-orbit", "experiment_id": "glued",
+             "system": shift, "eps": 0.75,
+             "segments": [[{"kind": "random"}, 40], [{"kind": "random"}, 30]]}
+    for cfg in (birk, glued):
+        assert run_main(cfg, tmp_path, capsys)[0] == 0
+    assert seeds == [5874934615388537134, 5874934615388537134, 2488343231644625808]
+
+
+# a fresh run of each config with LAPACK's numpy entry points refused, then
+# whether it loaded numpy.random
+_BARE_RUN = """
+import json, sys
+import numpy as np
+from ergode.cli import main
+
+linalg = sys.modules[np.linalg.lstsq.__module__]     # where numpy's LAPACK wrappers live
+
+class NoLapack:
+    def __getattr__(self, name):
+        raise AssertionError(f"LAPACK called: {name}")
+
+linalg._umath_linalg = NoLapack()
+codes = [main(["run", path, "--out", sys.argv[1]]) for path in sys.argv[2:]]
+print(json.dumps([codes, "numpy.random" in sys.modules]))
+"""
+
+
+def test_an_entropy_run_loads_neither_numpy_random_nor_lapack(tmp_path):
+    configs = [str(REPO / "scripts" / "configs" / f"{name}.json")
+               for name in ("entropy_full_shift_2", "thm_b_bernoulli")]
+    env = {k: v for k, v in os.environ.items() if k != "ERGODE_SEED"}
+    res = subprocess.run([sys.executable, "-c", _BARE_RUN, str(tmp_path), *configs],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [[0, 0], False]

@@ -696,3 +696,22 @@ def test_estimate_brackets_contain_the_value():
         spanning_entropy(GOLDEN_MEAN, WholeSpace()),
     ):
         assert est.lower <= est.value <= est.upper
+
+
+def _array_logsumexp(values):
+    arr = np.asarray(values, dtype=float)
+    arr = arr[arr > -math.inf]
+    if arr.size == 0:
+        return -math.inf
+    m = arr.max()
+    return float(m + math.log(np.exp(arr - m).sum()))
+
+
+@given(st.lists(st.one_of(st.just(-math.inf),
+                          st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=7))
+@settings(max_examples=500)
+def test_a_short_logsumexp_has_the_bits_of_the_array_formula(values):
+    want = _array_logsumexp(values).hex()
+    assert _logsumexp(values).hex() == want
+    assert _logsumexp(np.array(values)).hex() == want      # a row of a numpy table

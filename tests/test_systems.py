@@ -681,3 +681,14 @@ def test_steered_counts_equal_the_cumulative_counts_of_the_stream(k, symbol, off
     for i in range(offset, offset + 200):      # the symbol at i
         assert int(np.argmax(rule.counts(i + 1) - rule.counts(i))) == built[i]
     assert list(rule._buf) == ["blocks"]       # counting built no stream
+
+
+def test_a_scan_drawing_its_uniforms_in_pieces_walks_what_one_step_walks(monkeypatch):
+    # scans of 1,000 steps drawing 37 uniforms at a time, across two regrowths
+    monkeypatch.setattr(systems, "_WALK_CHUNK", 1000)
+    monkeypatch.setattr(systems, "_DRAW_CHUNK", 37)
+    rule = scan_chain(8, SCAN_CHAINS["k4-below-one"])
+    for n in (700, 2500, 6000):
+        rule.materialise(n)
+    want = markov_walk_by_search(rule, np.random.default_rng(8), 6000)
+    assert np.array_equal(rule.materialise(6000), want)
