@@ -20,10 +20,11 @@ cell weighs the hits of the word the observable has `counted` by what the
 orbit spends in it, one of the plan's classes: map steps, or its fiber `mass`
 under the cell's roof.  Word hits are counted per (point, word code, class)
 between consecutive checkpoints, in bounded chunks keyed in the narrowest
-integer type that holds them, so no full-length temporary is held; a symbol
-outside the alphabet is refused before it can spill into another point's
-keys.  The partial first and last cells are added on top, which makes
-suspension flow averages exact.
+integer type that holds them, and a long orbit is read piece by piece, so
+no full-length temporary or stream is held; a symbol outside the alphabet
+is refused before it can spill into another point's keys.  The partial
+first and last cells are added on top, which makes suspension flow
+averages exact.
 
 Classification never trusts a single horizon.  A point is declared generic
 for a measure only when every test observable sits within tolerance at the
@@ -146,11 +147,12 @@ def _cell_profiles(system, points, observables, Ts):
 
     A chart group is a run of points of one `chart_key` (a shift, or one
     fiber under a constant roof), which share a `cell_plan`, so each
-    checkpoint ends in the same cell for all of them.  Its rows are counted
-    in stacks of at most `_CELL_CHUNK` symbols (`_count`), each row dropped
-    once counted, and the group finishes once (`_finish`) from its counts.
+    checkpoint ends in the same cell for all of them.  Its short rows (cached
+    prefixes) are counted in stacks of at most `_CELL_CHUNK` symbols
+    (`_count`), each dropped once counted, a longer row alone and piece by
+    piece, so its rule keeps no stream; the group finishes once (`_finish`).
     A row with a symbol outside the alphabet (a tagged point's side's) is
-    refused (ValueError) before it is stacked, then a point the system does
+    refused (ValueError) before it is counted, then a point the system does
     not admit.  A depth-1 read in which every full cell weighs the same
     counts a rule that has `counts` from its recipe, building no symbols."""
     flow, sides = system.is_flow, system.carrier.sides
@@ -184,51 +186,66 @@ def _cell_profiles(system, points, observables, Ts):
         if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
             member[1:] = ([tally(o + max(e, 1)) - first for e in plan.ends],
                           [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *plan.ends)])
+        elif plan.ends[-1] >= _CELL_CHUNK:      # more cells than one step: piece by piece
+            _count([(None, member)], depth, k, plan,
+                   (_checked(p, top)[None] for p in x.rule.pieces(o, o + need, _CELL_CHUNK)))
         else:
-            row = x.prefix(need)
-            if row.min() < 0 or row.max() >= top:
-                raise ValueError(f"symbol {row[(row < 0) | (row >= top)][0]} of a point lies "
-                                 f"outside the alphabet 0..{top - 1}")
-            stack.append((row, member))
+            stack.append((_checked(x.prefix(need), top), member))
         system.admits(x)
     if members:
         _count(stack, depth, k, plan)
         yield _finish(members, words, depth, k, Ts, plan)
 
 
-def _count(stack, depth: int, k: int, plan) -> None:
+def _count(stack, depth: int, k: int, plan, pieces=None) -> None:
     """Count the rows of `stack`, a list of (row, member), into each member,
-    then clear it.  In each checkpoint segment, one `np.bincount` per step of
-    at most `_CELL_CHUNK` (point, cell) pairs counts the word codes of the
-    full cells at the deepest word length per (point, code, plan class), in
-    the narrowest integer type that holds every key.  A member gets the
-    running totals at each checkpoint and the word codes at cell 0 and at
-    each end."""
+    then clear it: stacked, or one long row piece by piece in O(`_CELL_CHUNK`)
+    memory, each piece after the depth - 1 symbols before it, so each holds at
+    most `_CELL_CHUNK` (point, cell) pairs.  The word codes of their full
+    cells at the deepest word length are keyed per (point, code, plan class),
+    in the narrowest integer type that holds every key, and counted by one
+    `np.bincount` per checkpoint segment.  A member gets the running totals at
+    each checkpoint and the word codes at cell 0 and at each end, as they pass."""
     if not stack:
         return
     ends, n_cls, S = plan.ends, len(plan.classes), len(stack)
-    arr = stack[0][0][None] if S == 1 else np.stack([r for r, _ in stack])    # a lone row: a view
-    C, size = len(ends), k ** depth * n_cls
-    dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
-    total = np.zeros((C, S * size), dtype=np.int64)
+    pieces = pieces or [stack[0][0][None] if S == 1 else np.stack([r for r, _ in stack])]
+    C, size, marks, past, arr = len(ends), k ** depth * n_cls, (0, *ends), 0, None
+    total, near = np.zeros((C, S * size), dtype=np.int64), np.empty((S, C + 1, depth), np.int64)
     bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
-    step = max(1, _CELL_CHUNK // S)
-    for c in range(C):
-        for lo in range(bounds[c], bounds[c + 1], step):
-            hi = min(lo + step, bounds[c + 1])
-            keys = _word_codes(arr, lo, hi, depth, k, dtype)
+    for piece in pieces:    # arr: the cells [at, past) whose words it holds, and the rest
+        at, arr = past, piece if arr is None else np.hstack((arr[:, past - at:], piece))
+        past = at + arr.shape[1] - depth + 1
+        dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
+        lo, hi = max(at, 1), min(past, bounds[-1])      # its full cells, at most one step
+        if lo < hi:
+            keys = _word_codes(arr, lo - at, hi - at, depth, k, dtype)
             if n_cls > 1:
                 keys *= n_cls
                 keys += np.searchsorted(plan.classes, plan.weights(lo, hi))
-            if S > 1:
-                keys += np.arange(0, S * size, size, dtype=dtype)[:, None]    # (point, code, class)
-            total[c] += np.bincount(keys.ravel(), None, S * size)
-            del keys            # before the next step builds its own
+            if S > 1:       # keyed by (point, code, class)
+                keys += np.arange(0, S * size, size, dtype=dtype)[:, None]
+            for c in range(C):
+                a, b = max(bounds[c], lo) - lo, min(bounds[c + 1], hi) - lo
+                if a < b:
+                    total[c] += np.bincount(keys[:, a:b].ravel(), None, S * size)
+            del keys            # before the next piece builds its own
+        for i, e in enumerate(marks):       # cell 0 and the ends whose words it holds
+            if at <= e < past:
+                near[:, i] = arr[:, e - at:e - at + depth]
     counted = np.cumsum(total.reshape(C, S, size), axis=0).transpose(1, 0, 2)
-    edge = _word_codes(arr[:, np.add.outer((0, *ends), np.arange(depth))], 0, 1, depth, k, dtype)
-    for (_, member), n, e in zip(stack, counted, edge[..., 0]):
+    edge = _word_codes(near, 0, 1, depth, k, dtype)[..., 0]
+    for (_, member), n, e in zip(stack, counted, edge):
         member[1:] = n, e
     stack.clear()
+
+
+def _checked(row: np.ndarray, top: int) -> np.ndarray:
+    """The row, unless a symbol lies outside the alphabet 0..top-1: ValueError."""
+    if row.min() < 0 or row.max() >= top:
+        raise ValueError(f"symbol {row[(row < 0) | (row >= top)][0]} of a point lies "
+                         f"outside the alphabet 0..{top - 1}")
+    return row
 
 
 def _finish(members, words, depth: int, k: int, Ts, plan):

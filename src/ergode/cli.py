@@ -126,8 +126,7 @@ def _cmd_entropy(cfg, ctx, rows):
         rows.append(Row(eid, "bowen_entropy", est.value, est.lower, est.upper, p, t.ms))
         if ctx["diagnostics"]:
             for d, a in zip(est.depths, est.alphas):
-                rows.append(Row(eid, "alpha_at_depth", a, None, None,
-                                {**params, "depth": d}, 0.0))
+                rows.append(Row(eid, "alpha_at_depth", a, None, None, {**params, "depth": d}, 0.0))
     if method in ("spanning", "both"):
         with timed() as t:
             est = spanning_entropy(system, subset, depths)
@@ -146,8 +145,7 @@ def _cmd_birkhoff(cfg, ctx, rows):
                      system, point, phi, schedule)
     per = t.ms / len(prof)
     for c, v in zip(schedule.checkpoints, prof):
-        rows.append(Row(eid, "birkhoff_average", float(v), None, None,
-                        {"checkpoint": c}, per))
+        rows.append(Row(eid, "birkhoff_average", float(v), None, None, {"checkpoint": c}, per))
 
 
 def _cmd_classify(cfg, ctx, rows):
@@ -175,8 +173,7 @@ def _cmd_classify(cfg, ctx, rows):
     if ctx["diagnostics"] and verdict.profile:
         for c, entry in zip(schedule.checkpoints, verdict.profile):
             v = float(np.max(entry)) if np.ndim(entry) else float(entry)
-            rows.append(Row(eid, "profile_at_checkpoint", v, None, None,
-                            {"checkpoint": c}, 0.0))
+            rows.append(Row(eid, "profile_at_checkpoint", v, None, None, {"checkpoint": c}, 0.0))
 
 
 def _read(reader, system, point, phi, *args, **kwargs):
@@ -227,8 +224,7 @@ def _cmd_construct(cfg, ctx, rows):
             rows.append(Row(eid, "connector_length", float(c), None, None,
                             {"junction": i, "time": T}, 0.0))
         for i, m in enumerate(glued.segment_mismatches):
-            rows.append(Row(eid, "segment_mismatches", float(m), None, None,
-                            {"segment": i}, 0.0))
+            rows.append(Row(eid, "segment_mismatches", float(m), None, None, {"segment": i}, 0.0))
         rows.append(Row(eid, "within_budget", 1.0 if glued.within_budget else 0.0,
                         None, None, {}, t.ms))
         _write_point(out_path, glued.point)
@@ -277,8 +273,7 @@ def _cmd_verify_thm_a(cfg, ctx, rows):
         rows.append(Row(eid, "scaled_time_t_entropy", est.value / tt,
                         est.lower / tt, est.upper / tt, {"t": tt}, ms))
     dev = max(abs(s - base_est.value) for s in scaled)
-    rows.append(Row(eid, "max_scaled_deviation", dev, None, None,
-                    {"times": times}, 0.0))
+    rows.append(Row(eid, "max_scaled_deviation", dev, None, None, {"times": times}, 0.0))
 
 
 def _cmd_verify_thm_b(cfg, ctx, rows):
@@ -479,10 +474,10 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
 def _sample_from(system, mu, seed: int) -> Point:
     """A point drawn from mu; a measure of several pieces first draws one."""
-    if len(mu.pieces) > 1:
-        weights = [w for w, _ in mu.pieces]
-        idx = int(np.random.default_rng(seed).choice(len(weights), p=weights))
-        return _sample_from(system, mu.pieces[idx][1], seed + 1)
+    if len(mu.pieces) > 1:      # the piece's stream is seeded from the generator that drew it
+        rng, weights = np.random.default_rng(seed), [w for w, _ in mu.pieces]
+        idx = int(rng.choice(len(weights), p=weights))
+        return _sample_from(system, mu.pieces[idx][1], int(rng.integers(0, 2 ** 63 - 1)))
     mu = mu.pieces[0][1]
     try:
         return Point(mu.seeded(seed), component=mu.component)

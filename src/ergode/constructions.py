@@ -248,19 +248,17 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
             raise GluingError("no admissible connector found")
         glued[T:T + len(conn)] = conn
         connector_lengths.append(len(conn))
+    if not A[glued[-1]][glued[0]]:      # the word repeats, so its end must lead to its start
+        glued = np.append(glued, _connector(A, glued[-1], glued[0]))
     if not np.asarray(A)[glued[:-1], glued[1:]].all():
         raise GluingError("glued word is not admissible")
     # mistake accounting: windows that disagree with the segment's own stream;
-    # the glued word holds L + 8 symbols past the last segment
+    # the glued word holds L + 8 symbols past the last segment, then its closing connector
     mismatches = [_window_mismatches(p.prefix(t + L - 1), glued[s:], t, L) if L else 0
                   for (p, t), s in zip(segments, (0, *boundaries))]
-    within = all(
-        mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths)
-    )
-    return GluedOrbit(
-        Point(ExplicitWord(tuple(glued.tolist()))), tuple(int(b) for b in boundaries),
-        tuple(connector_lengths), tuple(mismatches), within,
-    )
+    within = all(mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths))
+    return GluedOrbit(Point(ExplicitWord(tuple(glued.tolist()))), tuple(int(b) for b in boundaries),
+                      tuple(connector_lengths), tuple(mismatches), within)
 
 
 # ---------------------------------------------------------------------------
@@ -373,10 +371,8 @@ class IrregularRecipe(Record):
         return Schedule(tuple(float(e) for e in self.block_ends))
 
     def oscillation_windows(self, scales: int = 4, slack: float = 0.1) -> OscillationWindows:
-        ws = tuple(
-            (int(e), max(t - slack, 0.0), min(t + slack, 1.0))
-            for e, t in zip(self.block_ends[:scales], self.targets[:scales])
-        )
+        ws = tuple((int(e), max(t - slack, 0.0), min(t + slack, 1.0))
+                   for e, t in zip(self.block_ends[:scales], self.targets[:scales]))
         return OscillationWindows(self.symbol, ws)
 
 
@@ -409,10 +405,8 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
         ends.append(pos)
         targets.append(lo if len(ends) % 2 == 1 else hi)
         length *= ratio
-    return IrregularRecipe(
-        Point(SteeredBlocks(k, symbol, tuple(ends), tuple(targets))),
-        symbol, lo, hi, tuple(ends), tuple(targets),
-    )
+    return IrregularRecipe(Point(SteeredBlocks(k, symbol, tuple(ends), tuple(targets))),
+                           symbol, lo, hi, tuple(ends), tuple(targets))
 
 
 # ---------------------------------------------------------------------------

@@ -287,11 +287,8 @@ class Markov(_Chain):
         pi = np.real(vecs[:, idx])
         pi = pi / pi.sum()
         pi = np.abs(pi) / np.abs(pi).sum()
-        return cls(
-            tuple(tuple(float(v) for v in row) for row in P),
-            tuple(float(v) for v in pi),
-            component,
-        )
+        return cls(tuple(tuple(float(v) for v in row) for row in P), tuple(float(v) for v in pi),
+                   component)
 
     def entropy(self, system) -> float:
         return -math.fsum(self.stationary[i] * p * math.log(p)

@@ -14,9 +14,9 @@ denominator), by the time-t map readers and by `time_t_map` alike; circle
 multiplication steps the exact orbit of the decimal its coordinate prints as.
 
 Points are immutable views into symbol streams (or coordinate vectors) that
-their rule, a recipe of a few numbers or a word, builds only as far as it is
-read, and writes to point.json as its `kind` and its own fields.  Stepping a
-symbolic point is O(1): it only moves an offset into the shared stream.
+their rule, a recipe of a few numbers or a word, yields piece by piece (and
+caches as far as a short read asks), and writes to point.json as its `kind`
+and its own fields.  Stepping a symbolic point only moves an offset.
 """
 
 from __future__ import annotations
@@ -667,19 +667,7 @@ def _entries(roof: RoofFunction, x: "Point", table, top: int) -> np.ndarray:
 # point generation rules
 
 _GROW = 1024  # materialisation granularity
-_STEER_CHUNK = 1 << 16  # block positions `SteeredBlocks` writes per vectorised step
-_WALK_CHUNK = 1 << 18  # chain steps `SeededMarkov` walks per blocked scan
-_DRAW_CHUNK = 1 << 16  # uniforms such a scan draws at a time: 512 KB
-
-
-def _regrown(rule, n: int, build) -> np.ndarray:
-    """The first n symbols of the rule's buffer, which build(buffer or None,
-    size) extends when shorter: to n up to a multiple of _GROW, at least doubling."""
-    arr = rule._buf.get("arr")
-    if arr is None or len(arr) < n:
-        size = -(-max(n, 1, 0 if arr is None else 2 * len(arr)) // _GROW) * _GROW
-        arr = rule._buf["arr"] = build(arr, size)
-    return arr[:n]
+_PIECE = 1 << 18  # symbols per piece a rule yields to its cache, so a stacked row takes one
 
 
 def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
@@ -693,16 +681,27 @@ def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
 
 class _Rule(Record):
     """What a point's readers ask its rule: `symbolic` (a symbol stream, not
-    coordinates), `materialise(n)` (its first n symbols), the symbols it has
-    `used()` (by default those of its pairs) and the consecutive `pairs()` its
-    stream holds, `period` (the length of the word it repeats, else None) and
-    `counts` (a block rule's symbol counts per prefix, else None)."""
+    coordinates), `pieces(lo, hi, step)` (its symbols at lo..hi-1 from a fresh
+    generator, in int16 arrays of at most `step`, so a long read holds O(step)),
+    `materialise(n)` (its first n symbols, cached for short reads), the symbols
+    it has `used()` (by default those of its pairs) and the consecutive
+    `pairs()` its stream holds, `period` (the length of the word it repeats,
+    else None) and `counts` (a block rule's symbol counts per prefix, else None)."""
 
     symbolic = True
     period = counts = None
 
     def used(self) -> set:
         return {s for pair in self.pairs() for s in pair}
+
+    def materialise(self, n: int) -> np.ndarray:
+        """The first n symbols, from a buffer `pieces` grows to n (in _GROW steps, doubling)."""
+        arr = self._buf.get("arr", np.empty(0, dtype=np.int16))
+        if len(arr) < max(n, 1):
+            size = -(-max(n, 1, 2 * len(arr)) // _GROW) * _GROW
+            parts = [p for p in (arr, *self.pieces(len(arr), size, _PIECE)) if len(p)]
+            arr = self._buf["arr"] = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return arr[:n]
 
 
 class ExplicitWord(_Rule):
@@ -711,13 +710,16 @@ class ExplicitWord(_Rule):
     kind = "explicit-word"
     symbols: Tuple[int, ...]
     period = property(lambda self: len(self.symbols))
+    materialise = _Rule.materialise         # its own, which perfbench/tracing.py wraps
 
     def __post_init__(self):
         if not self.symbols:
             raise ValueError("explicit word must be nonempty")
 
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: np.resize(np.array(self.symbols, np.int16), size))
+    def pieces(self, lo: int, hi: int, step: int):      # its word, rotated to each piece
+        unit = [_Word(np.array(self.symbols, dtype=np.int16), 0, 1)]
+        for a in range(lo, hi, step):
+            yield _lay(unit, [0], a, min(step, hi - a))
 
     def pairs(self) -> list:        # of its cyclic word, built from no stream
         return sorted(set(zip(self.symbols, self.symbols[1:] + self.symbols[:1])))
@@ -727,15 +729,16 @@ class SeededIID(_Rule):
     """Independent draws from `probs`, reproducible from `seed`.
 
     Draw i counts the inner cumulative masses at or below uniform i of the
-    seeded generator's raw stream, so it stays below k.  The buffer is built
-    as long as asked and at least doubles on regrowth; a longer
-    materialisation always extends a shorter one bit-exactly.
+    seeded generator's raw stream, so it stays below k.  A read from
+    position lo advances a fresh generator past lo doubles, which draws
+    what one generator drawing from 0 draws there, bit for bit.
     """
 
     kind = "seeded-iid"
     seed: int
     probs: Tuple[float, ...]
     used = lambda self: {s for s, p in enumerate(self.probs) if p > 0}
+    materialise = _Rule.materialise         # its own, which perfbench/tracing.py wraps
 
     def __post_init__(self):
         if len(self.probs) < 2 or any(p < 0 for p in self.probs):
@@ -743,9 +746,11 @@ class SeededIID(_Rule):
         if abs(sum(self.probs) - 1.0) > 1e-9:
             raise ValueError("probabilities must sum to 1")
 
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: _count_at_or_below(
-            np.cumsum(self.probs)[:-1], np.random.default_rng(self.seed).random(size), np.int16))
+    def pieces(self, lo: int, hi: int, step: int):
+        rng, inner = np.random.default_rng(self.seed), np.cumsum(self.probs)[:-1]
+        rng.bit_generator.advance(lo)
+        for a in range(lo, hi, step):
+            yield _count_at_or_below(inner, rng.random(min(step, hi - a)), np.int16)
 
     def pairs(self) -> list:
         return [(a, b) for a in sorted(self.used()) for b in sorted(self.used())]
@@ -755,84 +760,73 @@ class SeededMarkov(_Rule):
     """The states of a Markov chain (`Markov.seeded` checks it) drawn from
     `seed`: one uniform picks the start state from `stationary`, then uniform
     i moves state s to the count of row s's inner cumulative masses at or
-    below it, so a row summing below 1 cannot step past state k - 1.  The
-    generator and the next state stay in the buffer, so a regrowth draws and
-    walks only the new steps; the generator's doubles are prefix-stable, so a
-    longer materialisation extends a shorter one bit-exactly."""
+    below it, so a row summing below 1 cannot step past state k - 1.  A read
+    from position lo walks the chain from its start, one `_scan` per piece,
+    and yields the pieces from lo on."""
 
     kind = "seeded-markov"
     seed: int
     transitions: Tuple[Tuple[float, ...], ...]
     stationary: Tuple[float, ...]
 
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, self._walk)
-
     def pairs(self) -> list:
         """Its steps of positive probability from the states it visits, of positive mass."""
         return [(a, b) for a, row in enumerate(self.transitions) if self.stationary[a] > 0
                 for b, p in enumerate(row) if p > 0]
 
-    def _walk(self, arr: Optional[np.ndarray], size: int) -> np.ndarray:
-        """arr walked on to `size` states in one buffer, `_WALK_CHUNK` steps per scan."""
-        buf, out = self._buf, np.empty(size, dtype=np.int16)
-        if arr is None:
-            buf["rng"], arr = np.random.default_rng(self.seed), out[:0]
-            cum = np.cumsum(self.stationary)[:-1]
-            buf["state"] = int(np.searchsorted(cum, buf["rng"].random(), side="right"))
-        out[:len(arr)] = arr
-        for done in range(len(arr), size, _WALK_CHUNK):
-            self._scan(out[done:done + _WALK_CHUNK])
-        return out
+    def pieces(self, lo: int, hi: int, step: int):
+        rng = np.random.default_rng(self.seed)
+        state = int(np.searchsorted(np.cumsum(self.stationary)[:-1], rng.random(), side="right"))
+        for a in (*range(0, lo, step), *range(lo, hi, step)):
+            out, state = self._scan(rng, state, min(step, (hi if a >= lo else lo) - a))
+            if a >= lo:
+                yield out
 
-    def _scan(self, out: np.ndarray) -> None:
-        """Write into `out` the states of its m steps from the next state, which
-        moves past them, each step drawing one uniform (`_DRAW_CHUNK` at a time):
-        a blocked scan (Blelloch, Prefix sums and their applications, 1990) in
-        blocks of about sqrt(m / 64) steps, so the passes' numpy calls balance
-        the list walk.  Pass 1 walks every block from every state, one gather
-        per step; the blocks' entry states chain through its ends; pass 2 walks
-        each block from its entry, writing the states of a one-step walk."""
+    def _scan(self, rng, state: int, m: int) -> tuple:
+        """The int16 states of m steps from `state`, each step drawing one
+        uniform of `rng`, and the state past them: a blocked scan (Blelloch,
+        Prefix sums and their applications, 1990) in blocks of about
+        sqrt(m / 64) steps, so the passes' numpy calls balance the list walk.
+        Pass 1 walks every block from every state, one gather per step; the
+        blocks' entry states chain through its ends; pass 2 walks each block
+        from its entry, writing the states of a one-step walk."""
         inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
-        k, m, dtype = len(inner), len(out), np.int8 if len(inner) < 128 else np.int16
+        k, dtype = len(inner), np.int8 if len(inner) < 128 else np.int16
         width = max(1, math.isqrt(m >> 6))
         blocks = -(-m // width)
         # step[i * k + s]: the state after step i taken from state s, 0 past step m - 1
-        step = np.zeros((blocks * width, k), dtype=dtype)
-        for lo in range(0, m, _DRAW_CHUNK):
-            u = self._buf["rng"].random(min(_DRAW_CHUNK, m - lo))
-            for s in range(k):
-                step[lo:lo + len(u), s] = _count_at_or_below(inner[s], u, dtype)
+        step, u = np.zeros((blocks * width, k), dtype=dtype), rng.random(m)
+        for s in range(k):
+            step[:m, s] = _count_at_or_below(inner[s], u, dtype)
         step, base = step.reshape(-1), np.arange(0, step.size, width * k)
         # pass 1: at[b * k + s] ends as the state leaving block b entered at s
         at, wide = np.tile(np.arange(k, dtype=dtype), blocks), base.repeat(k)
-        for j in range(width):
-            at = step.take(wide + j * k + at)
-        ends, entry, state = at.tolist(), [], self._buf["state"]
-        for b in range(blocks):
+        for _ in range(width):
+            at = step.take(wide + at)
+            wide += k
+        ends, entry = at.tolist(), []
+        for b in range(0, blocks * k, k):
             entry.append(state)
-            state = ends[b * k + state]
-        # pass 2: new[b, j] is the state at step b * width + j
-        new, at = np.empty((blocks, width), dtype=np.int16), np.array(entry)
+            state = ends[b + state]
+        # pass 2: new[j, b] is the state at step b * width + j
+        new, at = np.empty((width, blocks), dtype=dtype), np.array(entry, dtype=dtype)
         for j in range(width):
-            new[:, j] = at
-            at = step.take(base + j * k + at)
-        out[:] = new.reshape(-1)[:m]
-        self._buf["state"] = int(step[(m - 1) * k + int(out[m - 1])])
+            new[j] = at
+            at = step.take(base + at)
+            base += k
+        out = new.T.astype(np.int16, order="C").reshape(-1)[:m]
+        return out, int(step[(m - 1) * k + int(out[m - 1])])
 
 
-def _lay(blocks: list, size: int) -> np.ndarray:
-    """The first `size` symbols of the blocks laid end to end, the last one's
-    unit repeated to `size`: each unit written once in place, then copied."""
-    out, start = np.empty(size, dtype=np.int16), 0
-    for b in (*blocks[:-1], blocks[-1]._replace(reps=size)):
-        span = out[start:start + b.size * b.reps]
-        done = min(b.size, len(span))
-        b.write(span[:done])
-        while done < len(span):             # the copies, each twice the last
-            span[done:2 * done] = span[:min(done, len(span) - done)]
-            done *= 2
-        start += len(span)
+def _lay(blocks: list, starts: list, lo: int, n: int) -> np.ndarray:
+    """The n symbols from position lo of `blocks` laid end to end from `starts`, the
+    last one's unit repeating: each block writes where it falls, `_PIECE` at a time."""
+    out, pos = np.empty(n, dtype=np.int16), lo
+    while pos < lo + n:
+        i = min(bisect.bisect_right(starts, pos), len(blocks)) - 1
+        end = min(lo + n, pos + _PIECE, starts[i + 1] if i + 1 < len(blocks) else math.inf)
+        blocks[i].write(out[pos - lo:end - lo], (pos - starts[i]) % blocks[i].size)
+        pos = end
     return out
 
 
@@ -844,8 +838,9 @@ class _Word(NamedTuple):
     reps: int
     size = property(lambda self: len(self.word))
 
-    def write(self, out: np.ndarray) -> None:
-        out[:] = self.word[:len(out)]
+    def write(self, out: np.ndarray, at: int) -> None:     # its word, from offset `at` on
+        head = self.word[at:at + len(out)]
+        out[:len(head)], out[len(head):] = head, np.resize(self.word, len(out) - len(head))
 
     def tally(self, p: int) -> np.ndarray:
         return np.bincount(self.word[:p], minlength=self.k)
@@ -860,14 +855,13 @@ class _Steered(NamedTuple):
     want: int
     reps: int = 1
 
-    def write(self, out: np.ndarray) -> None:
-        """Positions 1..len(out), `_STEER_CHUNK` at a time."""
+    def write(self, out: np.ndarray, at: int) -> None:
+        """Its positions at + 1, at + 2, ... into `out`, repeating after `size`."""
         others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
-        for a in range(0, len(out), _STEER_CHUNK):
-            b = min(a + _STEER_CHUNK, len(out))
-            marks = (np.arange(a, b + 1, dtype=np.int64) * self.want) // self.size
-            out[a:b] = others[(np.arange(a, b, dtype=np.int64) - marks[:-1]) % len(others)]
-            out[a:b][marks[1:] > marks[:-1]] = self.symbol
+        j = np.arange(at, at + len(out), dtype=np.int64) % self.size
+        marks = j * self.want // self.size
+        out[:] = others[(j - marks) % len(others)]
+        out[(j + 1) * self.want // self.size > marks] = self.symbol
 
     def tally(self, p: int) -> np.ndarray:
         """Symbol counts over positions 1..p: floor(p * want / size) marks, and
@@ -884,9 +878,10 @@ class _Blocks(_Rule):
     end to end, the last one's unit repeating forever.  A block is `reps`
     copies of a unit of `size` symbols that writes and tallies itself: a
     word (`_Word`) or a steered block (`_Steered`).  Blocks are laid as far
-    as a read needs them and the stream is written in place as far as it is
-    read; `pairs()` reads it with each block cut to two units (a third adds
-    no pair), and `counts(n)` tallies positions 0..n-1 block by block."""
+    as a read needs them, and a piece is written from the parts of the laid
+    blocks that fall in it; `pairs()` reads the stream with each block cut
+    to two units (a third adds no pair), and `counts(n)` tallies positions
+    0..n-1 block by block."""
 
     def _laid(self, n) -> tuple:
         """(blocks, starts, before): the blocks laid through position n (all past
@@ -902,12 +897,14 @@ class _Blocks(_Rule):
             before.append(before[-1] + b.reps * b.tally(b.size))
         return blocks, starts, before
 
-    def materialise(self, n: int) -> np.ndarray:
-        return _regrown(self, n, lambda _, size: _lay(self._laid(size - 1)[0], size))
+    def pieces(self, lo: int, hi: int, step: int):
+        for a in range(lo, hi, step):
+            yield _lay(*self._laid(min(a + step, hi) - 1)[:2], a, min(step, hi - a))
 
     def pairs(self) -> list:
         blocks = [b._replace(reps=min(b.reps, 2)) for b in self._laid(math.inf)[0]]
-        s = _lay(blocks, sum(b.size * b.reps for b in blocks) + 1).astype(np.int64)
+        starts = np.cumsum([0, *(b.size * b.reps for b in blocks)]).tolist()
+        s = _lay(blocks, starts, 0, starts[-1] + 1).astype(np.int64)
         lo, k = int(s.min()), int(s.max() - s.min()) + 1      # symbols lo .. lo + k - 1
         codes = np.unique((s[:-1] - lo) * k + s[1:] - lo)
         return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
@@ -925,7 +922,7 @@ class BlockSchedule(_Blocks):
 
     kind = "block-schedule"
     blocks: Tuple[Tuple[Tuple[int, ...], int], ...]
-    materialise = _Blocks.materialise       # its own, which perfbench/tracing.py wraps
+    materialise = _Rule.materialise         # its own, which perfbench/tracing.py wraps
 
     def __post_init__(self):
         if not self.blocks:

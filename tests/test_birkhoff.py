@@ -22,6 +22,7 @@ from ergode.systems import (
     Point,
     RoofFunction,
     SeededIID,
+    SeededMarkov,
     SteeredBlocks,
     Suspension,
     TimeTMap,
@@ -953,6 +954,25 @@ def test_a_symbol_outside_the_alphabet_is_refused_and_spills_into_no_other_point
             _profiles(FullShift(2), points, obs, Schedule((100, 200)))
 
 
+@pytest.mark.parametrize("system", [FullShift(2), MarkovShift(2, ((1, 1), (1, 0)))],
+                         ids=["full-shift", "golden-mean"])
+def test_a_long_row_refuses_a_symbol_past_its_first_piece(system):
+    """A row longer than one count step is read piece by piece; a symbol 2
+    first met in its second piece is refused as in a stacked row, before the
+    point is admitted (on the golden mean, `admits` would refuse it too)."""
+    obs = (CylinderIndicator((0, 1)), CylinderIndicator((1,)))
+    n = birkhoff._CELL_CHUNK + 4000
+    sched, refused = Schedule((1000, n)), r"^symbol 2 of a point lies outside the alphabet 0\.\.1$"
+    bad, good = Point(BlockSchedule((((0, 1), n // 2), ((0, 2), 10))), 7), Point(ExplicitWord((0, 1)))
+    assert 2 not in bad.rule._replace().materialise(n)[:7 + birkhoff._CELL_CHUNK + 1]
+    for points in ([bad, good], [bad], [good, bad]):
+        with pytest.raises(ValueError, match=refused):
+            _profiles(system, points, obs, sched)
+    assert "arr" not in bad.rule._buf
+    alone = _profiles(system, [good], obs, sched)
+    assert alone[0].tolist() == [[0.5, 0.5], [0.5, 0.5]]
+
+
 def test_a_tagged_point_is_checked_against_its_own_side_of_a_union():
     # symbol 2 on the binary left side was checked against the ternary right
     # side's alphabet, and the point read frequencies [0.5, 0.0]
@@ -1055,11 +1075,12 @@ def test_a_depth_1_read_of_a_stage_recipe_counts_from_its_blocks(system, mu):
     cps = (1000, 1 << 14, 1 << 17)
     sched = Schedule(tuple(map(float, cps)) if system.is_flow else cps)
     read = lambda p: classify_generic(system, p, mu, fam, sched, keep_profile=True).profile
-    got = read(x)
+    with mock.patch.object(StageRecipe, "pieces", None):       # reads no symbol
+        got = read(x)
     with mock.patch.object(StageRecipe, "counts", None):
         want = read(ref)
     assert np.array(got).tobytes() == np.array(want).tobytes()
-    assert "arr" not in x.rule._buf and "arr" in ref.rule._buf
+    assert "arr" not in x.rule._buf
 
 
 @pytest.mark.parametrize("phi", [Constant(1.0), Harmonic(1)])
@@ -1082,6 +1103,11 @@ class Int64Word:
 
     def materialise(self, n: int) -> np.ndarray:
         return np.resize(np.array(self.symbols, dtype=np.int64), n)
+
+    def pieces(self, lo: int, hi: int, step: int):
+        for a in range(lo, hi, step):
+            word = np.roll(np.array(self.symbols, dtype=np.int64), -a)
+            yield np.resize(word, min(step, hi - a))
 
 
 def suite_rules(k):
@@ -1160,9 +1186,38 @@ def test_the_reader_keeps_its_pinned_profiles(dynamics, roof, point):
     assert hashlib.sha256(prof.tobytes()).hexdigest() == PINNED_PROFILES[dynamics, roof, point]
 
 
+BOUNDED_READS = {
+    "seeded-markov": (MarkovShift(2, ((1, 1), (1, 0))),
+                      lambda seed: Point(SeededMarkov(seed, ((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7)))),
+    "seeded-iid": (FullShift(2), lambda seed: Point(SeededIID(seed, (0.3, 0.7)))),
+    "stage-recipe": (FullShift(2), lambda seed: generic_point(FullShift(2), Bernoulli((0.3, 0.7)))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_READS))
+def test_a_long_read_holds_a_bounded_piece_of_its_stream(name):
+    """A 2^22-step depth-4 read peaks at 2.5 MB under tracemalloc and keeps at
+    most 0.5 MB (a 2^22-symbol int16 stream alone takes 8 MB); a short read
+    first warms every cache of the path."""
+    system, make = BOUNDED_READS[name]
+    obs = TestFamily.default_for(system, depth=4).observables
+    _profiles(system, [make(2)], obs, Schedule((1000, 2000)))
+    x, n = make(1), 1 << 22
+    tracemalloc.start()
+    try:
+        A = _profiles(system, [x], obs, Schedule.geometric(1000, n))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 2 ** 20 and held <= 0.5 * 2 ** 20, (peak, held)
+    assert "arr" not in x.rule._buf
+    assert np.abs(A[0, -1] - A[0, -2]).max() < 0.01
+
+
 def test_a_lone_long_row_is_counted_in_place():
-    """A second depth-4 read of a materialised 2^20-symbol stream, its row
-    counted alone, peaks below the row's own bytes: no stacked copy."""
+    """Two depth-4 reads of a 2^20-step row, counted alone piece by piece,
+    agree, and the second peaks below the row's own bytes: no stacked copy
+    and no kept stream."""
     x, n = Point(SeededIID(7, (0.5, 0.5))), 1 << 20
     read = lambda: birkhoff_profile(FullShift(2), x, CylinderIndicator((0, 1, 1, 0)), Schedule((n,)))
     first = read()

@@ -966,6 +966,18 @@ def test_map_inclusion_suite_draws_each_sample_once(tmp_path, monkeypatch):
     assert by_q["single_limit_class_count"] == cfg["sample_count"]
 
 
+def test_a_mixture_sample_shares_no_uniform_with_the_next_samples_choice():
+    # sample i's stream was seeded with seed + 1, the seed of sample i + 1's
+    # choice of piece, so one uniform drew both: 20 times in 20 at seed 0
+    union = build_system(UNION_2_2)
+    mu = build_measure(HALVES)
+    first = lambda seed: np.random.default_rng(seed).random()
+    for i in range(20):
+        x = cli._sample_from(union, mu, i)
+        assert first(x.rule.seed) != first(i + 1), i
+        assert x.component in (0, 1)
+
+
 COMMITTED = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
 

@@ -226,6 +226,18 @@ def test_glue_refuses_a_segment_its_shift_forbids_before_reading_any():
     assert "arr" not in good.rule._buf
 
 
+def test_a_glued_word_on_a_vertex_shift_joins_its_end_to_its_start():
+    # the 16-symbol glued word starts and ends with 1, and repeats, so its own
+    # shift refused it: transitions [(1, 1)] are forbidden
+    segs = [(Point(ExplicitWord((1, 0))), 4), (Point(ExplicitWord((0, 1))), 3)]
+    out = glue_orbits(GOLDEN_MEAN, segs, eps=0.75)
+    word = out.point.rule.symbols
+    assert word[:16] == (1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1) and word[16:] == (0,)
+    GOLDEN_MEAN.admits(out.point)
+    rep = mistake_ball_membership(GOLDEN_MEAN, segs[0][0], out.point, 4, 0.75, MistakeFunction.zero())
+    assert rep.mismatches == out.segment_mismatches[0]
+
+
 def test_glue_fails_when_no_connector_exists():
     # states 0 -> {0,1}, 1 -> {1}: once in 1 there is no path back to 0
     one_way = MarkovShift(2, ((1, 1), (0, 1)))

@@ -460,7 +460,7 @@ def scan_chain(seed, rows):
 def test_the_blocked_scan_walks_what_one_step_walks_across_chunks(rows, chunk, monkeypatch):
     # chunks of one step; of 63 and 64 steps, in blocks of one step; of 1,000
     # steps, in blocks of 3; and of 4,099 = 512 * 8 + 3, the last block partial
-    monkeypatch.setattr(systems, "_WALK_CHUNK", chunk)
+    monkeypatch.setattr(systems, "_PIECE", chunk)
     horizon = 2500 if chunk == 1 else 9000
     want = markov_walk_by_search(scan_chain(4, rows), np.random.default_rng(4), horizon)
     assert np.array_equal(scan_chain(4, rows).materialise(horizon), want)
@@ -475,14 +475,14 @@ def test_a_chain_of_130_states_walks_in_int16_tables(monkeypatch):
     counted = systems._count_at_or_below
     monkeypatch.setattr(systems, "_count_at_or_below",
                         lambda *args: dtypes.append(args[2]) or counted(*args))
-    monkeypatch.setattr(systems, "_WALK_CHUNK", 2500)
+    monkeypatch.setattr(systems, "_PIECE", 2500)
     want = markov_walk_by_search(scan_chain(2, rows), np.random.default_rng(2), 6000)
     assert np.array_equal(scan_chain(2, rows).materialise(6000), want)
     assert set(dtypes) == {np.int16}
 
 
 def test_a_chain_grown_in_the_middle_of_a_chunk_walks_on_from_its_state(monkeypatch):
-    monkeypatch.setattr(systems, "_WALK_CHUNK", 1000)
+    monkeypatch.setattr(systems, "_PIECE", 1000)
     rule = scan_chain(6, SCAN_CHAINS["k3-zeros"])
     for n in (1, 1500, 5000, 11000):             # buffers of 1,024, 2,048, 5,120 and 11,264
         rule.materialise(n)
@@ -541,6 +541,24 @@ def test_a_prefix_is_the_start_of_every_longer_one(make, n, steps):
         total += m
         grown.materialise(total)
     assert np.array_equal(grown.materialise(total), make().materialise(total))
+
+
+@given(name=st.sampled_from(sorted(GROWING_RULES)), offset=st.integers(0, 5000),
+       lo=st.integers(0, 150_000), length=st.integers(0, 150_000),
+       step=st.sampled_from([1, 7, 1000, 1 << 16]))
+@settings(deadline=None, max_examples=60)
+def test_the_pieces_of_a_read_are_its_materialised_slice(name, offset, lo, length, step):
+    """A point at `offset` read over [lo, lo + length) from a fresh generator,
+    in int16 pieces of at most `step`, reads what its cached stream holds."""
+    if step < 1000:     # a chain walks from its start, one scan per piece
+        offset, lo, length = offset % 300, lo % 3000, length % 3000
+    rule = GROWING_RULES[name]()
+    a, b = offset + lo, offset + lo + length
+    pieces = list(rule.pieces(a, b, step))
+    assert all(p.dtype == np.int16 and 0 < len(p) <= step for p in pieces)
+    got = np.concatenate([np.empty(0, dtype=np.int16), *pieces])
+    assert got.tobytes() == GROWING_RULES[name]().materialise(b)[a:].tobytes()
+    assert "arr" not in rule._buf
 
 
 def test_a_stream_is_built_as_long_as_asked_and_doubles_on_regrowth():
@@ -684,9 +702,8 @@ def test_steered_counts_equal_the_cumulative_counts_of_the_stream(k, symbol, off
 
 
 def test_a_scan_drawing_its_uniforms_in_pieces_walks_what_one_step_walks(monkeypatch):
-    # scans of 1,000 steps drawing 37 uniforms at a time, across two regrowths
-    monkeypatch.setattr(systems, "_WALK_CHUNK", 1000)
-    monkeypatch.setattr(systems, "_DRAW_CHUNK", 37)
+    # pieces of 37 steps, one scan each drawing its own uniforms, across two regrowths
+    monkeypatch.setattr(systems, "_PIECE", 37)
     rule = scan_chain(8, SCAN_CHAINS["k4-below-one"])
     for n in (700, 2500, 6000):
         rule.materialise(n)
