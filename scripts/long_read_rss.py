@@ -4,7 +4,8 @@
 Reads the depth-4 default test family along 2^22 steps of one point of the
 rule kind named on the command line (`seeded-iid`, `seeded-markov` or
 `stage-recipe`) and prints the process's `ru_maxrss` before and after the
-read.  Run each kind in a fresh process, since the peak only grows:
+read, and the read's wall time.  Run each kind in a fresh process, since
+the peak only grows:
 
     for kind in seeded-iid seeded-markov stage-recipe; do
         PYTHONPATH=src python scripts/long_read_rss.py $kind
@@ -16,6 +17,7 @@ megabyte or two to the peak, where the whole int16 stream alone takes 8 MB.
 
 import resource
 import sys
+import time
 
 import numpy.random  # noqa: F401  (its pages count before the read, not in it)
 
@@ -42,10 +44,11 @@ def peak_mb() -> float:
 def main(kind: str) -> None:
     system, make = POINTS[kind]
     fam, x = TestFamily.default_for(system, depth=4), make()
-    before = peak_mb()
+    before, start = peak_mb(), time.perf_counter()
     classes = limit_point_set(system, x, fam, Schedule.geometric(1000, STEPS))
-    print(f"{kind}: {STEPS} steps, ru_maxrss {before:.1f} MB before the read, "
-          f"{peak_mb():.1f} MB after ({len(classes)} limit class(es))")
+    seconds = time.perf_counter() - start
+    print(f"{kind}: {STEPS} steps in {seconds:.2f} s, ru_maxrss {before:.1f} MB before the "
+          f"read, {peak_mb():.1f} MB after ({len(classes)} limit class(es))")
 
 
 if __name__ == "__main__":

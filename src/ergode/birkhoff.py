@@ -210,11 +210,16 @@ def _count(stack, depth: int, k: int, plan, pieces=None) -> None:
         return
     ends, n_cls, S = plan.ends, len(plan.classes), len(stack)
     pieces = pieces or [stack[0][0][None] if S == 1 else np.stack([r for r, _ in stack])]
-    C, size, marks, past, arr = len(ends), k ** depth * n_cls, (0, *ends), 0, None
+    C, size, marks, past, arr, buf = len(ends), k ** depth * n_cls, (0, *ends), 0, None, None
     total, near = np.zeros((C, S * size), dtype=np.int64), np.empty((S, C + 1, depth), np.int64)
     bounds = [max(e, 1) for e in (1, *ends)]    # segment c: the cells [bounds[c], bounds[c+1])
     for piece in pieces:    # arr: the cells [at, past) whose words it holds, and the rest
-        at, arr = past, piece if arr is None else np.hstack((arr[:, past - at:], piece))
+        if arr is not None and depth > 1:   # the rest, then the piece, in one buffer per row
+            buf = np.empty((S, arr.shape[1] + depth - 1), arr.dtype) if buf is None else buf
+            n = depth - 1 + piece.shape[1]
+            buf[:, :depth - 1], buf[:, depth - 1:n] = arr[:, past - at:], piece
+            piece = buf[:, :n]
+        at, arr = past, piece
         past = at + arr.shape[1] - depth + 1
         dtype = np.promote_types(arr.dtype, np.min_scalar_type(-S * size))
         lo, hi = max(at, 1), min(past, bounds[-1])      # its full cells, at most one step
@@ -363,8 +368,7 @@ def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClas
     """The clusters of `limit_point_set`, from a profile already read (one
     row of family averages per checkpoint)."""
     tail = len(checkpoints) // 2
-    A = np.asarray(A)[tail:]
-    cps = checkpoints[tail:]
+    A, cps = np.asarray(A)[tail:], checkpoints[tail:]
     m = len(cps)
     parent = list(range(m))
 
@@ -382,12 +386,9 @@ def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClas
     groups = {}
     for i in range(m):
         groups.setdefault(find(i), []).append(i)
-    out = []
-    for members in groups.values():
-        integrals = tuple(np.mean([A[i] for i in members], axis=0))
-        out.append(LimitClass(integrals, tuple(cps[i] for i in members)))
-    out.sort(key=lambda c: c.checkpoints[-1], reverse=True)
-    return tuple(out)
+    out = [LimitClass(tuple(np.mean([A[i] for i in g], axis=0)), tuple(cps[i] for i in g))
+           for g in groups.values()]
+    return tuple(sorted(out, key=lambda c: c.checkpoints[-1], reverse=True))
 
 
 # ---------------------------------------------------------------------------

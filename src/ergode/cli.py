@@ -107,22 +107,17 @@ def _point_json(p: Point) -> dict:
 
 
 def _cmd_entropy(cfg, ctx, rows):
-    system = build_system(cfg["system"])
-    subset = build_subset(cfg["subset"])
+    system, subset = build_system(cfg["system"]), build_subset(cfg["subset"])
     depths = None if cfg["depths"] is None else tuple(cfg["depths"])
-    method = cfg["method"]
-    eid = cfg["experiment_id"]
+    method, eid = cfg["method"], cfg["experiment_id"]
     params = {"subset": cfg["subset"]["kind"]}
     if method in ("spanning", "both") and depths is not None and len(set(depths)) < 2:
         raise ConfigError("the spanning method fits a growth rate: depths needs "
                           "at least two distinct values")
     if method in ("caratheodory", "both"):
         with timed() as t:
-            est = (bowen_entropy_flow(system, subset, depths) if system.is_flow
-                   else bowen_entropy_symbolic(system, subset, depths))
-        p = dict(params)
-        if est.flags:
-            p["flags"] = list(est.flags)
+            est = _bowen(system, subset, depths)
+        p = {**params, "flags": list(est.flags)} if est.flags else dict(params)
         rows.append(Row(eid, "bowen_entropy", est.value, est.lower, est.upper, p, t.ms))
         if ctx["diagnostics"]:
             for d, a in zip(est.depths, est.alphas):
@@ -152,8 +147,7 @@ def _cmd_classify(cfg, ctx, rows):
     system = build_system(cfg["system"])
     point = _resolve_point(cfg["point"], system, ctx)
     schedule = build_schedule(cfg["schedule"], system.is_flow)
-    tol = cfg["tolerance"]
-    eid = cfg["experiment_id"]
+    tol, eid = cfg["tolerance"], cfg["experiment_id"]
     if cfg["mode"] == "generic":
         mu = _measure(cfg, system)
         fam = TestFamily.default_for(system, depth=cfg["family_depth"])
@@ -174,6 +168,12 @@ def _cmd_classify(cfg, ctx, rows):
         for c, entry in zip(schedule.checkpoints, verdict.profile):
             v = float(np.max(entry)) if np.ndim(entry) else float(entry)
             rows.append(Row(eid, "profile_at_checkpoint", v, None, None, {"checkpoint": c}, 0.0))
+
+
+def _bowen(system, subset, depths):
+    """The Carathéodory estimate of the subset, on a flow or on a map."""
+    bowen = bowen_entropy_flow if system.is_flow else bowen_entropy_symbolic
+    return bowen(system, subset, depths)
 
 
 def _read(reader, system, point, phi, *args, **kwargs):
@@ -204,16 +204,7 @@ def _cmd_construct(cfg, ctx, rows):
         _write_point(out_path, p)
         return
     if what == "irregular-point":
-        with timed() as t:
-            rec = _irregular_point(cfg, system)
-        verdict = classify_irregular(system, rec.point,
-                                     build_observable({"kind": "symbol-frequency",
-                                                       "symbol": rec.symbol}),
-                                     rec.schedule(), cfg["tolerance"])
-        rows.append(Row(eid, "oscillation_gap", verdict.gap, None, None,
-                        {"label": verdict.label,
-                         "block_ends": list(rec.block_ends[:6])}, t.ms))
-        _write_point(out_path, rec.point)
+        _write_point(out_path, _oscillating(cfg, system, rows, block_ends=True).point)
         return
     if what == "glued-orbit":
         segs = [(_resolve_point(p, system, ctx), int(n)) for p, n in cfg["segments"]]
@@ -238,9 +229,19 @@ def _construction(what, build, system, *args, **kwargs):
         raise ConfigError(f"bad construction '{what}': {exc}") from None
 
 
-def _irregular_point(cfg, system):
-    return _construction("irregular-point", irregular_point, system, cfg["symbol"], cfg["lo"],
-                         cfg["hi"], cfg["first_block"], cfg["block_ratio"], cfg["horizon"])
+def _oscillating(cfg, system, rows, block_ends=False):
+    """The config's irregular point, once its `oscillation_gap` row is in:
+    the oscillation of its frequency of `symbol` over its block ends, with
+    the time of the construction alone."""
+    with timed() as t:
+        rec = _construction("irregular-point", irregular_point, system, cfg["symbol"], cfg["lo"],
+                            cfg["hi"], cfg["first_block"], cfg["block_ratio"], cfg["horizon"])
+    phi = build_observable({"kind": "symbol-frequency", "symbol": rec.symbol})
+    verdict = classify_irregular(system, rec.point, phi, rec.schedule(), cfg["tolerance"])
+    ends = {"block_ends": list(rec.block_ends[:6])} if block_ends else {}
+    rows.append(Row(cfg["experiment_id"], "oscillation_gap", verdict.gap, None, None,
+                    {"label": verdict.label, **ends}, t.ms))
+    return rec
 
 
 def _write_point(path: str, p: Point) -> None:
@@ -253,14 +254,11 @@ def _cmd_verify_thm_a(cfg, ctx, rows):
     flow = build_system(cfg["system"])
     if not flow.is_flow or flow.carrier is flow:
         raise ConfigError("verify-thm-a expects a suspension flow system")
-    subset = build_subset(cfg["subset"])
-    depths = tuple(cfg["depths"])
-    times = cfg["times"]
-    eid = cfg["experiment_id"]
+    subset, depths = build_subset(cfg["subset"]), tuple(cfg["depths"])
+    times, eid = cfg["times"], cfg["experiment_id"]
     with timed() as t:
         base_est = bowen_entropy_flow(flow, subset, depths)
-    rows.append(Row(eid, "flow_entropy", base_est.value, base_est.lower,
-                    base_est.upper, {}, t.ms))
+    rows.append(Row(eid, "flow_entropy", base_est.value, base_est.lower, base_est.upper, {}, t.ms))
 
     def at_time(tt):
         with timed() as tm:
@@ -281,10 +279,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     if system.space is not system:      # its entropies are t times the flow's
         raise ConfigError("verify-thm-b takes a map or a flow, not a time-t map: give the flow")
     mu = _measure(cfg, system)
-    eid = cfg["experiment_id"]
-    tol = cfg["tolerance"]
-    depths = tuple(cfg["depths"])
-    flow = system.is_flow
+    eid, tol, depths = cfg["experiment_id"], cfg["tolerance"], tuple(cfg["depths"])
     inner = system.carrier
     with timed() as t:
         h_mu = metric_entropy(mu, inner)
@@ -293,8 +288,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         # nonergodic strict case: mu charges both sides, so the generic set is empty
         window = ComponentWindow(0.25, 0.75)
         with timed() as t:
-            est = (bowen_entropy_flow(system, window, depths) if flow
-                   else bowen_entropy_symbolic(system, window, depths))
+            est = _bowen(system, window, depths)
         rows.append(Row(eid, "generic_set_entropy", est.value, est.lower, est.upper,
                         {"flags": list(est.flags)}, t.ms))
         n_samples = cfg["sample_count"]
@@ -315,9 +309,8 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
     delta = cfg["lo"]   # window half-width
     window = FrequencyWindow(0, max(freq0 - delta, 0.0), min(freq0 + delta, 1.0))
     with timed() as t:
-        est = (bowen_entropy_flow(system, window, depths) if flow
-               else bowen_entropy_symbolic(system, window, depths))
-    scale = system.roof.roof_max if flow else 1.0
+        est = _bowen(system, window, depths)
+    scale = system.roof.roof_max if system.is_flow else 1.0
     rows.append(Row(eid, "generic_set_entropy_bound", est.value, est.lower, est.upper,
                     {"window_halfwidth": delta}, t.ms))
     rows.append(Row(eid, "entropy_vs_metric_gap", est.value * scale - h_mu,
@@ -327,15 +320,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
 def _cmd_verify_irregular(cfg, ctx, rows):
     system = build_system(cfg["system"])
     eid = cfg["experiment_id"]
-    with timed() as t:
-        rec = _irregular_point(cfg, system)
-    verdict = classify_irregular(
-        system, rec.point,
-        build_observable({"kind": "symbol-frequency", "symbol": rec.symbol}),
-        rec.schedule(), cfg["tolerance"],
-    )
-    rows.append(Row(eid, "oscillation_gap", verdict.gap, None, None,
-                    {"label": verdict.label}, t.ms))
+    rec = _oscillating(cfg, system, rows)
     depth = max(cfg["depths"])
     windows = rec.oscillation_windows(scales=4, slack=0.1)
     s_max = windows.windows[-1][0]
@@ -355,9 +340,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
         _inclusions_flow_suite(cfg, ctx, rows, system)
         return
     mu = _measure(cfg, system)
-    eid = cfg["experiment_id"]
-    tol = cfg["tolerance"]
-    n_samples = cfg["sample_count"]
+    eid, tol, n_samples = cfg["experiment_id"], cfg["tolerance"], cfg["sample_count"]
     fam = TestFamily.default_for(system, depth=cfg["family_depth"] or 4)
     schedule = build_schedule(cfg["schedule"], False)
     mubar = _averaged(system, mu)       # samples are drawn from mu, on the carrier
@@ -418,14 +401,11 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     family and the frequency of symbol 0 serves both verdicts of every point;
     a constructed irregular point reads its frequency again, on its blocks.
     """
-    eid = cfg["experiment_id"]
-    tol = cfg["tolerance"]
-    n_total = cfg["sample_count"]
+    eid, tol, n_total = cfg["experiment_id"], cfg["tolerance"], cfg["sample_count"]
     base = flow.carrier
     if len(base.sides) > 1 or not base.forbids_nothing:
         raise ConfigError("the flow inclusion suite needs a base shift that forbids nothing")
-    c = flow.roof.roof_max
-    tmap = TimeTMap(flow, 1.0)
+    c, tmap = flow.roof.roof_max, TimeTMap(flow, 1.0)
     mu_base = (_measure(cfg, flow) if cfg["measure"] is not None
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
     mubar = _averaged(flow, mu_base)

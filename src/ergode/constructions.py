@@ -94,22 +94,13 @@ class MistakeFunction(Record):
     def coefficient(self, eps: float) -> float:
         if eps <= 0:
             raise ValueError("eps must be positive")
-        e = min(eps, self.eps0)
-        best = self.coeff_table[0][1]
-        for grid_eps, c in self.coeff_table:
-            if grid_eps <= e:
-                best = c
-            else:
-                break
-        return best
+        below = [c for grid_eps, c in self.coeff_table if grid_eps <= min(eps, self.eps0)]
+        return below[-1] if below else self.coeff_table[0][1]
 
     def budget(self, t: float, eps: float) -> float:
         if t < 0:
             raise ValueError("t must be >= 0")
-        c = self.coefficient(eps)
-        if self.kind == "power":
-            return c * t ** self.beta
-        return c * math.log1p(t)
+        return self.coefficient(eps) * (t ** self.beta if self.kind == "power" else math.log1p(t))
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +116,7 @@ class MistakeBallReport(Record):
 
 def _resolution_length(eps: float) -> int:
     """Leading symbols that must agree for two streams to be eps-close."""
-    if eps > 1.0:
-        return 0
-    return int(math.floor(math.log2(1.0 / eps))) + 1
+    return 0 if eps > 1.0 else int(math.floor(math.log2(1.0 / eps))) + 1
 
 
 def _window_mismatches(a: np.ndarray, b: np.ndarray, n: int, L: int) -> int:
@@ -151,8 +140,7 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
         raise ValueError("need n >= 1")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if g is None:
-        g = MistakeFunction.zero()
+    g = g or MistakeFunction.zero()
     if not system.symbolic:
         raise TypeError("mistake balls are implemented on shift spaces")
     system.admits(x)
@@ -224,8 +212,7 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
     reported against g; the default budget is zero, which a full-shift glue
     at eps > 1/2 satisfies.  ValueError unless the system admits each
     segment's point, checked before any is read."""
-    if g is None:
-        g = MistakeFunction.zero()
+    g = g or MistakeFunction.zero()
     if len(segments) < 2:
         raise ValueError("gluing needs at least two segments")
     if not system.symbolic or len(system.sides) > 1:
@@ -397,9 +384,7 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
     swing = (hi - lo) / (ratio - 1)
     if hi + swing > 1.0 + 1e-12 or lo < swing - 1e-12:
         raise ValueError("targets are not reachable at this block ratio")
-    ends, targets = [], []
-    length = first_block
-    pos = 0
+    ends, targets, length, pos = [], [], first_block, 0
     while pos < horizon:
         pos += length
         ends.append(pos)
@@ -422,9 +407,4 @@ def build_counterexample_system():
     full log 2."""
     union = DisjointUnion(FullShift(2), FullShift(2))
     flow = Suspension(union, RoofFunction.constant(1.0))
-    half = 0.5
-    mixture = Mixture((
-        (Bernoulli((0.5, 0.5), component=0), half),
-        (Bernoulli((0.5, 0.5), component=1), half),
-    ))
-    return union, flow, mixture
+    return union, flow, Mixture(tuple((Bernoulli((0.5, 0.5), component=c), 0.5) for c in (0, 1)))

@@ -261,11 +261,18 @@ def _jumps(allowed: range, prev, step: int) -> range:
     return range(max(allowed.start - max(prev), 0), min(allowed.stop - 1 - min(prev), step) + 1)
 
 
-def _log_comb_jump(k: int, depth: int, windows) -> float:
+def _log_comb_jump(k: int, depth: int, windows, ways=None) -> float:
     """Log count of the length-`depth` words over k symbols whose running
     count of one symbol lies in each window's range at its scale, free past
-    the last scale.  Between scales the count jumps by d in C(step, d)
-    (k-1)^(step-d) ways."""
+    the last scale: the (log ways, last scale) of `_log_window_ways`, or
+    `ways` where the caller has them, plus log k per free step."""
+    log_ways, last = ways or _log_window_ways(k, windows)
+    return log_ways + (depth - last) * math.log(k)
+
+
+def _log_window_ways(k: int, windows) -> tuple:
+    """The window DP: the log ways through the last scale, and that scale.
+    Between scales the count jumps by d in C(step, d) (k-1)^(step-d) ways."""
     other = math.log(k - 1)
     prev_n, prev = 0, {0: 0.0}          # count at the last scale -> log ways
     for n_j, lo, hi in windows:
@@ -280,9 +287,17 @@ def _log_comb_jump(k: int, depth: int, windows) -> float:
             if v > _LOG_EMPTY:
                 nxt[m2] = v
         if not nxt:
-            return _LOG_EMPTY
+            return _LOG_EMPTY, 0
         prev, prev_n = nxt, n_j
-    return _logsumexp(list(prev.values())) + (depth - prev_n) * math.log(k)
+    return _logsumexp(list(prev.values())), prev_n
+
+
+def _per_window_set(count, dp, k: int, sub, depths) -> list:
+    """count(k, n, sub.at(n), ways) at each depth n, with the ways from the
+    window DP `dp` run once per distinct window set."""
+    sets = [sub.at(n) for n in depths]
+    ways = {w: dp(k, w) for w in set(sets)}
+    return [count(k, n, w, ways[w]) for n, w in zip(depths, sets)]
 
 
 _BLOCK = 64                                 # steps the window program takes at a time
@@ -366,15 +381,17 @@ def _markov_window_log_counts(system: MarkovShift, depths, symbol: int,
 
 def _map_groups(system, subset, depths):
     """One (groups, flags) pair per depth: the (log_count, span) groups of
-    the depth-n cylinder cover of the subset, plus flags.  Each end state of
-    a shift that forbids a transition spans its forced extension too."""
+    the depth-n cylinder cover of the subset, plus flags.  On a shift that
+    forbids nothing the window DP runs once per distinct window set; each end
+    state of a shift that forbids a transition spans its forced extension too."""
     if subset.cloud and system.symbolic:
         return [([(math.log(subset.distinct(n)), float(n))], ["upper-bound-only"])
                 for n in depths]
     merged = [[] for _ in depths]
     for shift, sub in _shift_pairs(system, subset):
         if shift.forbids_nothing:
-            parts = [[(_log_comb_jump(shift.k, n, sub.at(n)), float(n))] for n in depths]
+            parts = [[(lc, float(n))] for n, lc in zip(depths, _per_window_set(
+                _log_comb_jump, _log_window_ways, shift.k, sub, depths))]
         else:
             extra = [_forced_extension(shift.adjacency, s, shift.k + 1) for s in range(shift.k)]
             parts = [list(zip(lcs, (float(n + e) for e in extra)))
@@ -529,8 +546,8 @@ def _exact_counts(system, subset, depths) -> list:
         return [subset.distinct(n) for n in depths]
     totals = [0] * len(depths)
     for shift, sub in _shift_pairs(system, subset):
-        counts = ([_comb_jump(shift.k, n, sub.at(n)) for n in depths] if shift.forbids_nothing
-                  else sub.exact_counts(shift, depths))
+        counts = (_per_window_set(_comb_jump, _window_ways, shift.k, sub, depths)
+                  if shift.forbids_nothing else sub.exact_counts(shift, depths))
         totals = [t + c for t, c in zip(totals, counts)]
     return totals
 
@@ -549,10 +566,17 @@ def _packed_counts(shift, depths, symbol: int, w: int) -> list:
     return [found[n] for n in depths]
 
 
-def _comb_jump(k: int, depth: int, windows) -> int:
-    """The integer count `_log_comb_jump` takes the log of.  Each step's row
-    C(step, d) (k-1)^(step-d) over the reachable jumps d is walked downwards
-    with C(step, d-1) = C(step, d) d / (step-d+1), an exact division."""
+def _comb_jump(k: int, depth: int, windows, ways=None) -> int:
+    """The integer count `_log_comb_jump` takes the log of, from the
+    (count, last scale) of `_window_ways` or `ways`."""
+    count, last = ways or _window_ways(k, windows)
+    return count * k ** (depth - last)
+
+
+def _window_ways(k: int, windows) -> tuple:
+    """`_log_window_ways` in integers.  Each step's row C(step, d)
+    (k-1)^(step-d) over the reachable jumps d is walked downwards with
+    C(step, d-1) = C(step, d) d / (step-d+1), an exact division."""
     prev_n, prev = 0, {0: 1}
     for n_j, lo, hi in windows:
         step, allowed = n_j - prev_n, _count_range(n_j, lo, hi)
@@ -569,9 +593,9 @@ def _comb_jump(k: int, depth: int, windows) -> int:
             if total:
                 nxt[m2] = total
         if not nxt:
-            return 0
+            return 0, 0
         prev, prev_n = nxt, n_j
-    return sum(prev.values()) * k ** (depth - prev_n)
+    return sum(prev.values()), prev_n
 
 
 # ---------------------------------------------------------------------------

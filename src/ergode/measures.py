@@ -159,9 +159,7 @@ class _Chain(_Piece):
     def cylinder_masses(self, k: int, depth: int) -> np.ndarray:
         """Masses of the k**depth cylinders, indexed by word code (last
         symbol cycling fastest)."""
-        P = np.asarray(self.transitions)
-        out = np.asarray(self.stationary)
-        last = np.arange(k)
+        P, out, last = np.asarray(self.transitions), np.asarray(self.stationary), np.arange(k)
         for _ in range(depth - 1):
             out = (out[:, None] * P[last]).ravel()
             last = np.tile(np.arange(k), len(last))
@@ -256,9 +254,7 @@ class Markov(_Chain):
     component: Optional[int] = None
 
     def __post_init__(self):
-        P = self.transitions
-        pi = self.stationary
-        k = len(P)
+        P, pi, k = self.transitions, self.stationary, len(self.transitions)
         if k < 2 or any(len(row) != k for row in P) or len(pi) != k:
             raise ValueError("transition matrix must be square and match stationary vector")
         if any(p < 0 for row in P for p in row) or any(p < 0 for p in pi):
@@ -268,9 +264,7 @@ class Markov(_Chain):
                 raise ValueError("transition rows must sum to 1")
         if abs(math.fsum(pi) - 1.0) > _MASS_TOL:
             raise ValueError("stationary vector must sum to 1")
-        residual = max(
-            abs(math.fsum(pi[i] * P[i][j] for i in range(k)) - pi[j]) for j in range(k)
-        )
+        residual = max(abs(math.fsum(pi[i] * P[i][j] for i in range(k)) - pi[j]) for j in range(k))
         if residual > 1e-10:
             raise ValueError(f"stationary vector is not invariant (residual {residual:.2e})")
 
@@ -533,10 +527,8 @@ class FiberProfile(Observable):
         if hi < lo:
             raise ValueError("need lo <= hi")
         knots = sorted({lo, hi, *(x for x, _ in self.breakpoints if lo < x < hi)})
-        total = 0.0
-        for a, b in zip(knots, knots[1:]):
-            total += 0.5 * (self.profile(a) + self.profile(b)) * (b - a)
-        return total
+        return sum((0.5 * (self.profile(a) + self.profile(b)) * (b - a)
+                    for a, b in zip(knots, knots[1:])), 0.0)
 
     mass = profile_integral
 
@@ -609,10 +601,8 @@ class TestFamily(Record):
     def default_for(cls, space, depth: int = 6, max_frequency: int = 8) -> "TestFamily":
         members = tuple(_default_observables(space, depth, max_frequency))
         if len(members) > cls.MAX_MEMBERS:
-            raise BudgetExhausted(
-                f"test family of {len(members)} observables exceeds the "
-                f"{cls.MAX_MEMBERS} member budget; lower the depth"
-            )
+            raise BudgetExhausted(f"test family of {len(members)} observables exceeds the "
+                                  f"{cls.MAX_MEMBERS} member budget; lower the depth")
         fam = cls(members)
         probes = _separation_probes(space)
         for i, mu in enumerate(probes):
@@ -647,15 +637,10 @@ def _separation_probes(space):
                 for mu in _separation_probes(space.carrier)]
     if len(sides) > 1:
         tl, tr = (_separation_probes(side)[0]._replace(component=c) for c, side in enumerate(sides))
-        return [
-            Mixture(((tl, 0.7), (tr, 0.3))),
-            Mixture(((tl, 0.3), (tr, 0.7))),
-        ]
+        return [Mixture(((tl, 0.7), (tr, 0.3))), Mixture(((tl, 0.3), (tr, 0.7)))]
     k = space.alphabet
     uniform = tuple(1.0 / k for _ in range(k))
-    skew = tuple(
-        (0.5 + 0.4 * (i == 0) - 0.4 / (k - 1) * (i != 0)) * 2.0 / k for i in range(k)
-    )
+    skew = tuple((0.5 + 0.4 * (i == 0) - 0.4 / (k - 1) * (i != 0)) * 2.0 / k for i in range(k))
     total = sum(skew)
     return [Bernoulli(uniform), Bernoulli(tuple(s / total for s in skew))]
 
@@ -682,9 +667,7 @@ def time_average_measure(flow, mu, m: int = 16) -> TimeAveraged:
 
 
 def weak_star_distance(mu, nu, fam: TestFamily) -> float:
-    gaps = np.array([
-        integrate(mu, phi) - integrate(nu, phi) for phi in fam.observables
-    ])
+    gaps = np.array([integrate(mu, phi) - integrate(nu, phi) for phi in fam.observables])
     terms = np.abs(gaps) / (1.0 + np.abs(gaps))
     return float(np.dot(fam.weights(), terms))
 

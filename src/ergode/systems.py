@@ -673,8 +673,8 @@ _PIECE = 1 << 18  # symbols per piece a rule yields to its cache, so a stacked r
 def _count_at_or_below(thresholds, u: np.ndarray, dtype) -> np.ndarray:
     """The count of `thresholds` at or below each uniform of `u`: for nondecreasing
     thresholds `searchsorted(side="right")`, at one compare per threshold."""
-    out = np.zeros(len(u), dtype=dtype)
-    for c in thresholds:
+    out = (u >= thresholds[0]).astype(dtype) if len(thresholds) else np.zeros(len(u), dtype)
+    for c in thresholds[1:]:
         out += u >= c
     return out
 
@@ -762,7 +762,11 @@ class SeededMarkov(_Rule):
     i moves state s to the count of row s's inner cumulative masses at or
     below it, so a row summing below 1 cannot step past state k - 1.  A read
     from position lo walks the chain from its start, one `_scan` per piece,
-    and yields the pieces from lo on."""
+    and yields the pieces from lo on.  The walk reads each uniform as its
+    letter, the count of the rows' distinct masses strictly inside (0, 1) at
+    or below it (a mass at 0 or 1 moves every uniform alike), and w letters
+    at a time as one word: the same uniforms, one per step, drawn in the same
+    order, so every stream is the one a step-by-step walk draws, bit for bit."""
 
     kind = "seeded-markov"
     seed: int
@@ -782,25 +786,45 @@ class SeededMarkov(_Rule):
             if a >= lo:
                 yield out
 
+    @functools.cached_property
+    def _words(self) -> tuple:
+        """(U, F, M, P): the masses U that split the uniforms into letters;
+        F[s, l], the state after letter l from s; and for the word of base-J
+        code c, M[c, s], the state after it from s, and P[c * k + s, j], the
+        state at its letter j, for the longest words (of 1 to 16 letters) whose
+        P holds at most 2^16 * k states, the size of a 2^16-step step table."""
+        inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
+        k, dtype = len(inner), np.int8 if len(inner) < 128 else np.int16
+        U = np.array(sorted(set(inner[(inner > 0) & (inner < 1)].tolist())))
+        F = np.array([_count_at_or_below(row, np.append(0.0, U), dtype) for row in inner])
+        J = len(U) + 1
+        w = next((w for w in range(16, 1, -1) if J ** w * w <= 1 << 16), 1)
+        letters, at = np.arange(J ** w)[:, None], np.tile(np.arange(k, dtype=dtype), (J ** w, 1))
+        P = np.empty((J ** w, k, w), dtype=dtype)
+        for j in range(w):
+            P[:, :, j], at = at, F[at, letters // J ** (w - 1 - j) % J]
+        return U, F, at, P.reshape(-1, w)
+
     def _scan(self, rng, state: int, m: int) -> tuple:
         """The int16 states of m steps from `state`, each step drawing one
         uniform of `rng`, and the state past them: a blocked scan (Blelloch,
-        Prefix sums and their applications, 1990) in blocks of about
-        sqrt(m / 64) steps, so the passes' numpy calls balance the list walk.
-        Pass 1 walks every block from every state, one gather per step; the
-        blocks' entry states chain through its ends; pass 2 walks each block
-        from its entry, writing the states of a one-step walk."""
-        inner = np.cumsum(np.asarray(self.transitions), axis=1)[:, :-1]
-        k, dtype = len(inner), np.int8 if len(inner) < 128 else np.int16
-        width = max(1, math.isqrt(m >> 6))
-        blocks = -(-m // width)
-        # step[i * k + s]: the state after step i taken from state s, 0 past step m - 1
-        step, u = np.zeros((blocks * width, k), dtype=dtype), rng.random(m)
-        for s in range(k):
-            step[:m, s] = _count_at_or_below(inner[s], u, dtype)
-        step, base = step.reshape(-1), np.arange(0, step.size, width * k)
+        Prefix sums and their applications, 1990) over the m / w words, in
+        blocks of about sqrt(m / 64w) words, so the passes' numpy calls
+        balance the list walk.  Pass 1 walks every block from every state,
+        one gather per word; the blocks' entry states chain through its ends;
+        pass 2 walks each block from its entry, and each word's states are
+        read from P at its code and entry."""
+        U, F, M, P = self._words
+        (k, J), w = F.shape, P.shape[1]
+        width = max(1, math.isqrt(-(-m // w) >> 6))
+        blocks = -(-m // (w * width))
+        letters = np.zeros((blocks * width, w), dtype=np.min_scalar_type(-J))
+        letters.reshape(-1)[:m] = _count_at_or_below(U, rng.random(m), letters.dtype.type)
+        codes = letters @ J ** np.arange(w - 1, -1, -1)
+        # step[i * k + s]: the state after word i read from state s
+        step, base = M.take(codes, axis=0).reshape(-1), np.arange(0, blocks * width * k, width * k)
         # pass 1: at[b * k + s] ends as the state leaving block b entered at s
-        at, wide = np.tile(np.arange(k, dtype=dtype), blocks), base.repeat(k)
+        at, wide = np.tile(np.arange(k, dtype=M.dtype), blocks), base.repeat(k)
         for _ in range(width):
             at = step.take(wide + at)
             wide += k
@@ -808,14 +832,16 @@ class SeededMarkov(_Rule):
         for b in range(0, blocks * k, k):
             entry.append(state)
             state = ends[b + state]
-        # pass 2: new[j, b] is the state at step b * width + j
-        new, at = np.empty((width, blocks), dtype=dtype), np.array(entry, dtype=dtype)
+        # pass 2: new[j, b] is the state entering word b * width + j
+        new, at = np.empty((width, blocks), dtype=M.dtype), np.array(entry, dtype=M.dtype)
         for j in range(width):
             new[j] = at
             at = step.take(base + at)
             base += k
-        out = new.T.astype(np.int16, order="C").reshape(-1)[:m]
-        return out, int(step[(m - 1) * k + int(out[m - 1])])
+        codes *= k
+        codes += new.T.reshape(-1)
+        out = P.take(codes, axis=0).reshape(-1)[:m].astype(np.int16)
+        return out, int(F[out[m - 1], letters.reshape(-1)[m - 1]])
 
 
 def _lay(blocks: list, starts: list, lo: int, n: int) -> np.ndarray:
@@ -838,9 +864,13 @@ class _Word(NamedTuple):
     reps: int
     size = property(lambda self: len(self.word))
 
-    def write(self, out: np.ndarray, at: int) -> None:     # its word, from offset `at` on
-        head = self.word[at:at + len(out)]
-        out[:len(head)], out[len(head):] = head, np.resize(self.word, len(out) - len(head))
+    def write(self, out: np.ndarray, at: int) -> None:
+        """Its word from offset `at` on: one unit written, then doubled in place."""
+        head, p = self.word[at:at + len(out)], min(self.size, len(out))
+        out[:len(head)], out[len(head):p] = head, self.word[:p - len(head)]
+        while p < len(out):
+            out[p:2 * p] = out[:min(p, len(out) - p)]
+            p *= 2
 
     def tally(self, p: int) -> np.ndarray:
         return np.bincount(self.word[:p], minlength=self.k)

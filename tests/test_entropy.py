@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergode import entropy
 from ergode.systems import (
     BudgetExhausted,
     CircleMult,
@@ -153,6 +154,29 @@ def test_the_float_full_shift_kernel_is_the_log_of_the_exact_one(case):
         assert got == -math.inf
     else:
         assert got == pytest.approx(math.log(exact), rel=1e-9)
+
+
+def test_the_window_dp_runs_once_per_distinct_window_set(monkeypatch):
+    # an oscillation subset asks the same four windows at every depth, so its
+    # depths differ only in the free steps past the last scale
+    osc, depths = OscillationWindows(0, ((8, .2, .4), (40, .6, .8), (168, .2, .4),
+                                         (680, .6, .8))), (680, 1000, 2000)
+    calls = []
+    for name in ("_log_window_ways", "_window_ways"):
+        dp = getattr(entropy, name)
+        monkeypatch.setattr(entropy, name, lambda k, ws, dp=dp, name=name:
+                            calls.append((name, ws)) or dp(k, ws))
+    bowen_entropy_symbolic(FullShift(2), osc, depths=depths)
+    groups = entropy._map_groups(FullShift(2), osc, depths)
+    counts = entropy._exact_counts(FullShift(2), osc, depths)
+    assert calls == [("_log_window_ways", osc.windows)] * 2 + [("_window_ways", osc.windows)]
+    for (((lc, span),), flags), count, n in zip(groups, counts, depths):
+        assert lc.hex() == _log_comb_jump(2, n, osc.windows).hex() and span == n and not flags
+        assert count == _comb_jump(2, n, osc.windows)
+    # a frequency window's windows move with the depth: one DP per depth
+    calls.clear()
+    bowen_entropy_symbolic(FullShift(2), FrequencyWindow(0, 0.3, 0.6), depths=depths)
+    assert sorted(calls) == [("_log_window_ways", ((n, 0.3, 0.6),)) for n in depths]
 
 
 def window_counts(n, lo, hi):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -402,14 +403,17 @@ def test_seeded_iid_draws_what_the_binary_search_drew(probs, seed):
     assert np.array_equal(got, searchsorted_draw(probs, u))
 
 
-class _ScriptedUniforms:
-    """A generator that deals out the edge uniforms of a row, cycling."""
+class _DealtUniforms:
+    """A generator that deals out `u` in order, cycling, across its calls."""
 
-    def __init__(self, probs):
-        self.u = edge_uniforms(probs)
+    def __init__(self, u):
+        self.u, self.at = u, 0
 
     def random(self, size=None):
-        return self.u[0] if size is None else np.resize(self.u, size)
+        if size is None:
+            return self.random(1)[0]
+        self.at += size
+        return self.u[np.arange(self.at - size, self.at) % len(self.u)]
 
 
 def markov_walk_by_search(mu, rng, horizon):
@@ -435,8 +439,9 @@ def test_markov_step_rows_draw_what_the_binary_search_drew(probs, uniforms, monk
         want = markov_walk_by_search(mu, np.random.default_rng(5), horizon)
         got = mu.seeded(5).materialise(horizon)
     else:
-        want = markov_walk_by_search(mu, _ScriptedUniforms(probs), horizon)
-        monkeypatch.setattr(np.random, "default_rng", lambda seed: _ScriptedUniforms(probs))
+        want = markov_walk_by_search(mu, _DealtUniforms(edge_uniforms(probs)), horizon)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: _DealtUniforms(edge_uniforms(probs)))
         got = mu.seeded(0).materialise(horizon)
     assert np.array_equal(got, want)
 
@@ -489,6 +494,50 @@ def test_a_chain_grown_in_the_middle_of_a_chunk_walks_on_from_its_state(monkeypa
         assert len(rule._buf["arr"]) % 1000 != 0
     want = markov_walk_by_search(rule, np.random.default_rng(6), 11000)
     assert np.array_equal(rule.materialise(11000), want)
+
+
+@st.composite
+def walk_chains(draw):
+    """Chains of 2-5 states, each row drawn weights with zeros allowed, a
+    unit row such as (1.0, 0.0), or, with four or more states, the row
+    of DRAW_ROWS whose cumulative sum rounds to 1 - 2^-53, zero-padded."""
+    k = draw(st.integers(2, 5))
+    rows = []
+    for _ in range(k):
+        kind = draw(st.sampled_from(("weights", "unit", "below-one") if k >= 4 else
+                                    ("weights", "unit")))
+        if kind == "weights":
+            weights = draw(st.lists(st.integers(0, 6), min_size=k, max_size=k)
+                           .filter(lambda w: sum(w) > 0))
+            rows.append(tuple(w / sum(weights) for w in weights))
+        elif kind == "unit":
+            one = draw(st.integers(0, k - 1))
+            rows.append(tuple(float(s == one) for s in range(k)))
+        else:
+            rows.append(DRAW_ROWS[-1] + (0.0,) * (k - 4))
+    return tuple(rows)
+
+
+@given(walk_chains(), st.integers(1, 5000), st.data(),
+       st.sampled_from((1, 37, 1000, 4099, 1 << 18)), st.integers(0, 2 ** 32 - 1), st.booleans())
+@settings(deadline=None, max_examples=80)
+def test_the_letter_walk_walks_what_one_step_walks(rows, horizon, data, piece, seed, edges):
+    # uniforms seeded, or the edge uniforms of every row (each inner threshold
+    # and the floats either side of it, 0 and 1 - 2^-53) mixed into seeded ones
+    real = np.random.default_rng
+    u = np.concatenate([*map(edge_uniforms, rows), real(seed).random(300)])
+    make = (lambda: _DealtUniforms(real(seed).permutation(u))) if edges else lambda: real(seed)
+    rule = scan_chain(seed, rows)
+    w = rule._words[3].shape[1]
+    horizon += horizon % w == 0                 # a partial last word
+    lo = data.draw(st.integers(0, horizon - 1))
+    want = markov_walk_by_search(rule, make(), horizon)
+    with mock.patch.object(np.random, "default_rng", lambda s: make()):
+        got = np.concatenate(list(rule.pieces(lo, horizon, piece)))
+        with mock.patch.object(systems, "_PIECE", piece):
+            built = scan_chain(seed, rows).materialise(horizon)
+    assert got.dtype == built.dtype == np.int16
+    assert np.array_equal(got, want[lo:]) and np.array_equal(built, want)
 
 
 # sha256 of int16 chain streams: a faster walk keeps every one bit for bit
