@@ -17,9 +17,8 @@ from .systems import (
 from .measures import (
     Atomic, Bernoulli, Constant, CylinderIndicator, FiberProfile, Harmonic,
     Lebesgue, Markov, Mixture, TestFamily, TimeAveraged,
-    TimeShifted, check_invariance, integrate, metric_entropy,
-    partition_entropy_estimate, pushforward, time_average_measure,
-    weak_star_distance,
+    TimeShifted, check_invariance, integrate, metric_entropy, pushforward,
+    time_average_measure,
 )
 from .birkhoff import (
     LimitClass, Schedule, Verdict, birkhoff_average_flow, birkhoff_average_map,
@@ -33,7 +32,7 @@ from .entropy import (
 )
 from .constructions import (
     GluedOrbit, GluingError, IrregularRecipe, MistakeBallReport, StageRecipe,
-    MistakeFunction, build_counterexample_system, generic_point, glue_orbits,
+    MistakeFunction, generic_point, glue_orbits,
     irregular_point, mistake_ball_membership,
 )
 from .config import ConfigError, load_config

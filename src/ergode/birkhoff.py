@@ -35,7 +35,7 @@ is far (three tolerances) at both.  Everything in between is inconclusive.
 from __future__ import annotations
 
 import functools
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -348,10 +348,6 @@ class LimitClass(Record):
     integrals: Tuple[float, ...]
     checkpoints: Tuple[float, ...]
 
-    def distance_to(self, other: Sequence[float], weights: np.ndarray) -> float:
-        gaps = np.abs(np.asarray(self.integrals) - np.asarray(other))
-        return float(np.dot(weights, gaps / (1.0 + gaps)))
-
 
 def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None,
                     tol: float = 0.01) -> Tuple[LimitClass, ...]:
@@ -361,10 +357,10 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     if schedule is None:
         schedule = Schedule.for_map()
     A = _profiles(system, (x,), fam.observables, schedule)[0]
-    return _limit_classes(A, schedule.checkpoints, fam.weights(), tol)
+    return _limit_classes(A, schedule.checkpoints, fam, tol)
 
 
-def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClass, ...]:
+def _limit_classes(A, checkpoints, fam: TestFamily, tol: float) -> Tuple[LimitClass, ...]:
     """The clusters of `limit_point_set`, from a profile already read (one
     row of family averages per checkpoint)."""
     tail = len(checkpoints) // 2
@@ -380,8 +376,7 @@ def _limit_classes(A, checkpoints, w: np.ndarray, tol: float) -> Tuple[LimitClas
 
     for i in range(m):
         for j in range(i + 1, m):
-            gaps = np.abs(A[i] - A[j])
-            if float(np.dot(w, gaps / (1.0 + gaps))) <= tol:
+            if fam.distance(A[i], A[j]) <= tol:
                 parent[find(i)] = find(j)
     groups = {}
     for i in range(m):

@@ -346,16 +346,15 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     mubar = _averaged(system, mu)       # samples are drawn from mu, on the carrier
     targets = family_targets(mubar, fam)
     n_limit = min(n_samples, 10)
-    w = fam.weights()
     samples = (_sample_from(system, mu, ctx["seed"] + i) for i in range(n_samples))
     A, labels = _generic_labels(system, samples, mubar, fam, schedule, tol, targets)
     for label in ("Generic", "NotGeneric", "Inconclusive"):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(labels.count(label)), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
     # the first samples' limit sets, from the same profiles, should be one cluster at mu
-    limits = [_limit_classes(a, schedule.checkpoints, w, tol) for a in A[:n_limit]]
+    limits = [_limit_classes(a, schedule.checkpoints, fam, tol) for a in A[:n_limit]]
     good_limit = sum(1 for classes in limits
-                     if len(classes) == 1 and classes[0].distance_to(targets, w) <= tol)
+                     if len(classes) == 1 and fam.distance(classes[0].integrals, targets) <= tol)
     rows.append(Row(eid, "single_limit_class_count", float(good_limit), None, None,
                     {"sample_count": n_limit, "suite": "limit-sets"}, 0.0))
     # points generic for a different measure must be caught
@@ -493,7 +492,7 @@ def main(argv=None) -> int:
     run.add_argument("--diagnostics", action="store_true",
                      help="emit per-depth / per-checkpoint detail rows")
     run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for independent sub-tasks")
+                     help="worker threads for the time rows of verify-thm-a")
     args = parser.parse_args(argv)
 
     try:

@@ -1,5 +1,5 @@
-"""Constructions: points with prescribed averaging behaviour, orbit gluing
-with a mistake budget, and the standing counterexample system.
+"""Constructions: points with prescribed averaging behaviour, and orbit
+gluing with a mistake budget.
 
 The generic-point builder's deterministic point is a Champernowne-style
 block rule (`StageRecipe`): stage L lays down every length-L word with
@@ -20,8 +20,9 @@ a symbol-frequency read counts from the recipe and builds no stream.
 Gluing admits each segment's point, then concatenates the segments exactly
 on a full shift (at resolutions coarser than one symbol a junction causes no
 mistakes at all) and overwrites the first few symbols after each junction on
-a vertex shift, never shifting alignment.  The receipt reports per-segment
-mistake counts against the budget; an inadmissible result is a bug and raises.
+a vertex shift, never shifting alignment.  The receipt reports each segment's
+mistake ball count against the budget; an inadmissible result is a bug and
+raises.
 """
 
 from __future__ import annotations
@@ -32,18 +33,15 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .systems import (
-    DisjointUnion, ExplicitWord, FullShift, MarkovShift, Point, Record, SteeredBlocks,
-    Suspension, RoofFunction, _Blocks, _Word,
-)
-from .measures import Bernoulli, Markov, Mixture, check_invariance
+from .systems import ExplicitWord, MarkovShift, Point, Record, SteeredBlocks, _Blocks, _Word
+from .measures import Markov, check_invariance
 from .birkhoff import Schedule
 from .entropy import OscillationWindows
 
 __all__ = [
     "MistakeFunction", "GluingError", "GluedOrbit", "glue_orbits",
     "mistake_ball_membership", "MistakeBallReport", "generic_point", "StageRecipe",
-    "irregular_point", "IrregularRecipe", "build_counterexample_system",
+    "irregular_point", "IrregularRecipe",
 ]
 
 
@@ -116,17 +114,9 @@ class MistakeBallReport(Record):
 
 def _resolution_length(eps: float) -> int:
     """Leading symbols that must agree for two streams to be eps-close."""
+    if eps <= 0:
+        raise ValueError("eps must be positive")
     return 0 if eps > 1.0 else int(math.floor(math.log2(1.0 / eps))) + 1
-
-
-def _window_mismatches(a: np.ndarray, b: np.ndarray, n: int, L: int) -> int:
-    """The times j < n at which the length-L windows of a and b starting at
-    j differ; a and b hold at least n + L - 1 symbols."""
-    neq = np.asarray(a[:n + L - 1]) != np.asarray(b[:n + L - 1])
-    bad = neq[:n].copy()
-    for i in range(1, L):
-        bad |= neq[i:n + i]
-    return int(bad.sum())
 
 
 def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
@@ -138,18 +128,17 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
     ball.  ValueError unless the system admits both points."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    L = _resolution_length(eps)
     g = g or MistakeFunction.zero()
     if not system.symbolic:
         raise TypeError("mistake balls are implemented on shift spaces")
     system.admits(x)
     system.admits(y)
-    L = _resolution_length(eps)
-    if x.component != y.component:
-        mismatches = n if (L > 0 or eps <= 1.0) else 0
-    else:
-        mismatches = _window_mismatches(x.prefix(n + L - 1), y.prefix(n + L - 1), n, L) if L else 0
+    if len(system.sides) > 1 and x.component != y.component:    # on two sides of a union
+        mismatches = n if L else 0
+    else:       # the times j < n whose length-L windows of x and y differ
+        neq = x.prefix(n + L - 1) != y.prefix(n + L - 1)
+        mismatches = int(np.any([neq[i:n + i] for i in range(L)], axis=0).sum()) if L else 0
     allowance = g.budget(n, eps)
     return MistakeBallReport(mismatches <= allowance, mismatches, allowance, n)
 
@@ -207,12 +196,11 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
 
     On a full shift the result simply switches streams at each junction; on a
     vertex shift the first few symbols after a junction are overwritten with
-    a shortest admissible connector.  Mistake counts per segment (times j
-    whose eps-window disagrees with the segment's own continuation) are
-    reported against g; the default budget is zero, which a full-shift glue
-    at eps > 1/2 satisfies.  ValueError unless the system admits each
-    segment's point, checked before any is read."""
-    g = g or MistakeFunction.zero()
+    a shortest admissible connector.  Each segment's mistake ball around its
+    own point, read from its start in the glued point, is reported against
+    g; the default budget is zero, which a full-shift glue at eps > 1/2
+    satisfies.  ValueError unless the system admits each segment's point,
+    checked before any is read."""
     if len(segments) < 2:
         raise ValueError("gluing needs at least two segments")
     if not system.symbolic or len(system.sides) > 1:
@@ -239,13 +227,12 @@ def glue_orbits(system, segments: Sequence[Tuple[Point, int]], eps: float = 0.75
         glued = np.append(glued, _connector(A, glued[-1], glued[0]))
     if not np.asarray(A)[glued[:-1], glued[1:]].all():
         raise GluingError("glued word is not admissible")
-    # mistake accounting: windows that disagree with the segment's own stream;
     # the glued word holds L + 8 symbols past the last segment, then its closing connector
-    mismatches = [_window_mismatches(p.prefix(t + L - 1), glued[s:], t, L) if L else 0
-                  for (p, t), s in zip(segments, (0, *boundaries))]
-    within = all(mis <= g.budget(t, eps) for mis, t in zip(mismatches, lengths))
-    return GluedOrbit(Point(ExplicitWord(tuple(glued.tolist()))), tuple(int(b) for b in boundaries),
-                      tuple(connector_lengths), tuple(mismatches), within)
+    point = Point(ExplicitWord(tuple(glued.tolist())))
+    balls = [mistake_ball_membership(system, p, point.shifted(int(s)), t, eps, g)
+             for (p, t), s in zip(segments, (0, *boundaries))]
+    return GluedOrbit(point, tuple(int(b) for b in boundaries), tuple(connector_lengths),
+                      tuple(b.mismatches for b in balls), all(b.member for b in balls))
 
 
 # ---------------------------------------------------------------------------
@@ -392,19 +379,3 @@ def irregular_point(system, symbol: int = 0, lo: float = 0.2, hi: float = 0.65,
         length *= ratio
     return IrregularRecipe(Point(SteeredBlocks(k, symbol, tuple(ends), tuple(targets))),
                            symbol, lo, hi, tuple(ends), tuple(targets))
-
-
-# ---------------------------------------------------------------------------
-# the standing counterexample
-
-
-def build_counterexample_system():
-    """Two disjoint copies of the binary full shift, the unit-roof suspension
-    over their union, and the balanced mixture of the two coin measures.
-
-    The mixture is invariant but not ergodic: no single orbit can realise
-    both components, so its generic set is empty while its entropy is the
-    full log 2."""
-    union = DisjointUnion(FullShift(2), FullShift(2))
-    flow = Suspension(union, RoofFunction.constant(1.0))
-    return union, flow, Mixture(tuple((Bernoulli((0.5, 0.5), component=c), 0.5) for c in (0, 1)))

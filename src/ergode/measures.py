@@ -7,12 +7,12 @@ a mixture concatenates the weighted pieces of its parts, ``TimeShifted``
 moves each base piece by the time-t map (two shifts collapse into one, by
 s + t), and ``TimeAveraged`` (a midpoint rule with m nodes over one flow
 period) gives weight w/m to each node and base piece.  Integrals,
-pushforwards, invariance, entropy and cylinder masses are affine in the
-measure (Walters, An Introduction to Ergodic Theory, Thm 8.1), so each is a
-sum or map over the pieces plus one rule per piece kind.  Symbolic measures
-on a suspension sit on the fiber-zero copy of the base.  Point masses on a
-full or vertex shift are invariant when they make up whole periodic orbits,
-one weight along each, and their entropy is 0.  Integration raises
+pushforwards, invariance and entropy are affine in the measure (Walters, An
+Introduction to Ergodic Theory, Thm 8.1), so each is a sum or map over the
+pieces plus one rule per piece kind.  Symbolic measures on a suspension sit
+on the fiber-zero copy of the base.  Point masses on a full or vertex shift
+are invariant when they make up whole periodic orbits, one weight along
+each, and their entropy is 0.  Integration raises
 TypeError for a pair it does not accept and is exact for the others, but
 for ``TimeAveraged``, whose midpoint rule is exact only where a fiber
 profile's knots fall on its nodes: under the roof 0.75 the default family's
@@ -40,8 +40,7 @@ __all__ = [
     "TimeShifted", "Measure", "Constant", "CylinderIndicator", "Harmonic",
     "FiberProfile", "Observable", "TestFamily",
     "evaluate", "evaluate_on_circle", "integrate", "pushforward",
-    "time_average_measure", "weak_star_distance", "check_invariance",
-    "metric_entropy", "partition_entropy_estimate", "compose_with_flow",
+    "time_average_measure", "check_invariance", "metric_entropy", "compose_with_flow",
 ]
 
 _MASS_TOL = 1e-9
@@ -81,8 +80,9 @@ class Measure(Record):
 class _Piece(Measure):
     """A piece answers `integral(phi)`, `shifted_integral(flow, s, phi)` (of
     phi after the time-s map), `check(system)` and, once checked, `entropy`
-    and `cylinder_masses`; a rule its kind lacks raises TypeError.  No rule
-    sees a composed observable: its `integral` moves the piece instead."""
+    (a chain piece its `cylinder_masses` too); a rule its kind lacks raises
+    TypeError.  No rule sees a composed observable: its `integral` moves the
+    piece instead."""
 
     component = None            # the disjoint-union side of a tagged piece
 
@@ -196,11 +196,6 @@ class _PointMass(_Piece):
 
     def entropy(self, system) -> float:
         return 0.0
-
-    def cylinder_masses(self, k: int, depth: int) -> np.ndarray:
-        out = np.zeros(k ** depth)
-        out[sum(int(s) * k ** i for i, s in enumerate(self.point.prefix(depth)[::-1]))] = 1.0
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -594,6 +589,11 @@ class TestFamily(Record):
     def weights(self) -> np.ndarray:
         return 0.5 ** np.arange(1, len(self.observables) + 1)
 
+    def distance(self, a, b) -> float:
+        """The weak-* distance between two rows of the family's integrals."""
+        gaps = np.abs(np.asarray(a) - np.asarray(b))
+        return float(np.dot(self.weights(), gaps / (1.0 + gaps)))
+
     # a family past this size makes every classification pass intractable
     MAX_MEMBERS = 4096
 
@@ -604,10 +604,10 @@ class TestFamily(Record):
             raise BudgetExhausted(f"test family of {len(members)} observables exceeds the "
                                   f"{cls.MAX_MEMBERS} member budget; lower the depth")
         fam = cls(members)
-        probes = _separation_probes(space)
-        for i, mu in enumerate(probes):
-            for nu in probes[i + 1:]:
-                if weak_star_distance(mu, nu, fam) <= 1e-9:
+        probes = [[integrate(mu, phi) for phi in members] for mu in _separation_probes(space)]
+        for i, a in enumerate(probes):
+            for b in probes[i + 1:]:
+                if fam.distance(a, b) <= 1e-9:
                     raise ValueError("default family fails to separate built-in measures")
         return fam
 
@@ -666,12 +666,6 @@ def time_average_measure(flow, mu, m: int = 16) -> TimeAveraged:
     return TimeAveraged(flow, mu, m)
 
 
-def weak_star_distance(mu, nu, fam: TestFamily) -> float:
-    gaps = np.array([integrate(mu, phi) - integrate(nu, phi) for phi in fam.observables])
-    terms = np.abs(gaps) / (1.0 + np.abs(gaps))
-    return float(np.dot(fam.weights(), terms))
-
-
 # ---------------------------------------------------------------------------
 # entropy of a measure
 
@@ -706,16 +700,3 @@ def metric_entropy(mu, system) -> float:
     time-shifted or time-averaged measures, raise TypeError."""
     check_invariance(mu, system)
     return math.fsum(w * p.entropy(system) for w, p in mu.pieces)
-
-
-def partition_entropy_estimate(mu, system, depth: int) -> float:
-    """H_mu of the depth-fold join of the 1-cylinder partition of a full or
-    vertex shift, divided by depth, from the pieces' summed cylinder masses.
-    Any other system raises TypeError."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    check_invariance(mu, system)
-    k = system.alphabet                      # TypeError off a single shift
-    masses = sum(w * p.cylinder_masses(k, depth) for w, p in mu.pieces)
-    masses = masses[masses > 0]
-    return float(-(masses * np.log(masses)).sum() / depth)

@@ -477,7 +477,7 @@ class Suspension(_Descriptor):
             ends = np.searchsorted(entries[1:], tops).tolist()
             vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
             roof0, entry = roof.value_at(x), [int(entries[L]) / d for L in ends]
-            classes, weights = np.unique(vals), lambda lo, hi: vals[lo:hi]
+            classes, weights = _distinct(vals), lambda lo, hi: vals[lo:hi]
         # an end read exactly can have its float entry a rounding past f0 + T
         entry = [min(e, f0 + T) for e, T in zip(entry, Ts)]
         return CellPlan(ends, f0, roof0, entry, classes, weights)
@@ -571,6 +571,14 @@ def _decimals(*values):
     return d, [p * (d // q) for p, q in exact]
 
 
+def _distinct(values) -> np.ndarray:
+    """The sorted distinct values, as `np.unique` gives them without loading `numpy.ma`."""
+    s = np.sort(np.ravel(values))
+    keep = np.ones(len(s), bool)
+    keep[1:] = s[1:] != s[:-1]
+    return s[keep]
+
+
 class _Chart(Record):
     """Step j reads base cell (f + j*tt) // cc, in exact integers over the
     denominator d: a shift is (0, 1, 1), and `_chart` gives the time-t map
@@ -625,7 +633,7 @@ class _Grid(Record):
     def steps(self, lo: int, hi: int) -> np.ndarray:
         return np.diff(self.first_steps[lo:hi + 1])
 
-    classes = property(lambda self: np.unique(np.diff(self.first_steps)))
+    classes = property(lambda self: _distinct(np.diff(self.first_steps)))
 
 
 def _fiber(flow: Suspension, x: "Point") -> float:
@@ -936,7 +944,7 @@ class _Blocks(_Rule):
         starts = np.cumsum([0, *(b.size * b.reps for b in blocks)]).tolist()
         s = _lay(blocks, starts, 0, starts[-1] + 1).astype(np.int64)
         lo, k = int(s.min()), int(s.max() - s.min()) + 1      # symbols lo .. lo + k - 1
-        codes = np.unique((s[:-1] - lo) * k + s[1:] - lo)
+        codes = _distinct((s[:-1] - lo) * k + s[1:] - lo)
         return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
 
     def counts(self, n: int) -> np.ndarray:

@@ -11,6 +11,7 @@ visible before it becomes a failure.
 """
 
 import math
+import pathlib
 
 import numpy as np
 
@@ -42,7 +43,6 @@ from ergode.measures import (
     TimeShifted,
     TestFamily,
     metric_entropy,
-    partition_entropy_estimate,
     integrate,
     pushforward,
     compose_with_flow,
@@ -63,13 +63,15 @@ from ergode.constructions import (
     mistake_ball_membership,
     glue_orbits,
     irregular_point,
-    build_counterexample_system,
 )
 from ergode.cli import _inclusion_suite_points
+from ergode.config import build_measure, build_system, load_config
 
 LOG2 = math.log(2.0)
 LOG_GOLDEN = 0.4812118250596035          # log((1 + sqrt 5) / 2)
 GOLDEN_CONJUGATE = 0.6180339887498949    # badly approximable rotation angle
+MIXTURE_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs" / \
+    "thm_b_mixture.json"
 
 
 def _verdict(idx: int, label: str, ok: bool, detail: str) -> None:
@@ -135,7 +137,11 @@ def test_generic_set_entropy_matches_metric_entropy_for_bernoulli():
 
 
 def test_mixture_has_empty_generic_set_but_full_entropy():
-    union, flow, mixture = build_counterexample_system()
+    # two coin shifts side by side, the unit-roof flow over them and the
+    # balanced mixture of the two coin measures, as the committed config builds them
+    cfg = load_config(str(MIXTURE_CONFIG))
+    flow, mixture = build_system(cfg["system"]), build_measure(cfg["measure"])
+    union = flow.base
     h_err = abs(metric_entropy(mixture, union) - LOG2)
     window = ComponentWindow(0.25, 0.75)
     est_flow = bowen_entropy_flow(flow, window, (16, 24, 36))
@@ -365,16 +371,7 @@ def test_numerical_hygiene():
             b <= a + 1e-12 for a, b in zip(sums, sums[1:])
         )
 
-    depth_ok = True
-    for probs, k in (((0.5, 0.5), 2), ((0.2, 0.8), 2), ((0.3, 0.3, 0.4), 3)):
-        mu = Bernoulli(probs)
-        shift = FullShift(k)
-        vals = [partition_entropy_estimate(mu, shift, d) for d in range(1, 9)]
-        depth_ok = depth_ok and all(
-            b <= a + 1e-12 for a, b in zip(vals, vals[1:])
-        )
-
-    ok = change_ok and monotone_ok and depth_ok
-    _verdict(9, "change of variables exact, cover sums and depth estimates monotone",
+    ok = change_ok and monotone_ok
+    _verdict(9, "change of variables exact, cover sums monotone in alpha",
              ok, f"{len(pairs)} integral pairs, worst difference {worst_pair:.2e}, "
-             f"cover monotone: {monotone_ok}, depth monotone: {depth_ok}")
+             f"cover monotone: {monotone_ok}")

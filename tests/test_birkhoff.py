@@ -225,7 +225,7 @@ def test_limit_classes_of_a_kept_profile_match_limit_point_set():
     sched = rec.schedule()
     kept = classify_generic(fs, rec.point, Bernoulli((0.5, 0.5)), fam, sched,
                             keep_profile=True).profile
-    assert _limit_classes(kept, sched.checkpoints, fam.weights(), 0.05) == \
+    assert _limit_classes(kept, sched.checkpoints, fam, 0.05) == \
         limit_point_set(fs, rec.point, fam, sched, tol=0.05)
 
 

@@ -1202,3 +1202,15 @@ def test_an_entropy_run_loads_neither_numpy_random_nor_lapack(tmp_path):
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert json.loads(res.stdout.splitlines()[-1]) == [[0, 0], False]
+
+
+def test_no_committed_or_contract_config_loads_numpy_ma():
+    # np.unique imports numpy.ma on its first call, which keeps about 1.1 MB
+    code = ("import json, sys, reach; loaded = []; "
+            "reach.run_configs(lambda c: loaded.append(c.name) if 'numpy.ma' in sys.modules "
+            "else None); print(json.dumps([len(reach.CONFIGS), loaded]))")
+    env = {k: v for k, v in os.environ.items() if k != "ERGODE_SEED"}
+    env["PYTHONPATH"] = os.pathsep.join((str(REPO / "src"), str(REPO / "tests")))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout.splitlines()[-1]) == [15, []]

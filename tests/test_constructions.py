@@ -13,15 +13,13 @@ from ergode.systems import (
     MarkovShift,
     Point,
     SteeredBlocks,
-    Suspension,
     random_point,
 )
-from ergode.measures import Bernoulli, Markov, Mixture, TestFamily
+from ergode.measures import Bernoulli, Markov, TestFamily
 from ergode.birkhoff import Schedule, classify_generic
 from ergode.constructions import (
     GluingError,
     MistakeFunction,
-    build_counterexample_system,
     generic_point,
     glue_orbits,
     irregular_point,
@@ -169,6 +167,20 @@ def test_a_mistake_ball_refuses_a_point_its_shift_forbids_before_reading():
     assert "arr" not in good.rule._buf
 
 
+def test_a_component_tag_on_a_single_shift_names_no_side():
+    # the tag was read as another union side: member=False, mismatches=10,
+    # while glue_orbits counted no mistake for the same pair
+    fs, word = FullShift(2), ExplicitWord((0, 1))
+    rep = mistake_ball_membership(fs, Point(word, component=0), Point(word), 10, 0.75)
+    assert (rep.member, rep.mismatches) == (True, 0)
+    glued = glue_orbits(fs, [(Point(word, component=0), 6), (Point(word), 6)])
+    assert glued.segment_mismatches == (0, 0) and glued.within_budget
+    # on a union the tags still name two sides, which are far apart
+    union = DisjointUnion(fs, fs)
+    rep = mistake_ball_membership(union, Point(word, component=0), Point(word, component=1), 10, 0.75)
+    assert (rep.member, rep.mismatches) == (False, 10)
+
+
 # ---------------------------------------------------------------------------
 # gluing
 
@@ -236,6 +248,16 @@ def test_a_glued_word_on_a_vertex_shift_joins_its_end_to_its_start():
     GOLDEN_MEAN.admits(out.point)
     rep = mistake_ball_membership(GOLDEN_MEAN, segs[0][0], out.point, 4, 0.75, MistakeFunction.zero())
     assert rep.mismatches == out.segment_mismatches[0]
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0])
+def test_a_resolution_that_is_not_positive_is_refused(eps):
+    # the glue raised ZeroDivisionError at eps 0 and a math domain error below it
+    w = Point(ExplicitWord((0, 1)))
+    with pytest.raises(ValueError, match="eps must be positive"):
+        glue_orbits(FullShift(2), [(w, 4), (w, 4)], eps=eps)
+    with pytest.raises(ValueError, match="eps must be positive"):
+        mistake_ball_membership(FullShift(2), w, w, 4, eps)
 
 
 def test_glue_fails_when_no_connector_exists():
@@ -503,12 +525,3 @@ def test_oscillation_windows_cover_the_late_block_ends():
     for scale, lo, hi in windows.windows:
         target = rec.targets[rec.block_ends.index(scale)]
         assert lo <= target <= hi
-
-
-def test_counterexample_system_shape():
-    union, flow, mixture = build_counterexample_system()
-    assert isinstance(union, DisjointUnion)
-    assert isinstance(flow, Suspension)
-    assert isinstance(mixture, Mixture)
-    weights = [w for _, w in mixture.components]
-    assert weights == [0.5, 0.5]

@@ -40,10 +40,8 @@ from ergode.measures import (
     evaluate,
     integrate,
     metric_entropy,
-    partition_entropy_estimate,
     pushforward,
     time_average_measure,
-    weak_star_distance,
 )
 
 GOLDEN = (1 + 5**0.5) / 2
@@ -127,22 +125,6 @@ def test_mixture_weights_must_sum_to_one():
         Mixture(((Bernoulli((0.5, 0.5)), 0.3), (Bernoulli((0.1, 0.9)), 0.3)))
 
 
-@given(st.integers(1, 10))
-@settings(deadline=None)
-def test_partition_entropy_is_exact_for_bernoulli(depth):
-    mu = Bernoulli((0.3, 0.7))
-    est = partition_entropy_estimate(mu, FullShift(2), depth)
-    assert est == pytest.approx(H_37, abs=1e-10)
-
-
-def test_partition_entropy_nonincreasing_in_depth():
-    gm = golden_mean_markov()
-    sys = MarkovShift(2, ((1, 1), (1, 0)))
-    vals = [partition_entropy_estimate(gm, sys, d) for d in (1, 2, 4, 8, 16)]
-    for a, b in zip(vals, vals[1:]):
-        assert b <= a + 1e-12
-
-
 def test_time_averaged_measure_integrates_fiber_profiles():
     """Midpoint nodes must sweep one full roof period: the profile below is
     the identity along the fiber, so the answer is the mean fiber 0.75."""
@@ -204,8 +186,10 @@ def test_default_family_for_rotation_orders_harmonics():
 
 def test_weak_star_distance_separates_and_vanishes():
     fam = TestFamily.default_for(FullShift(2), depth=2)
-    assert weak_star_distance(Bernoulli((0.5, 0.5)), Bernoulli((0.5, 0.5)), fam) == 0.0
-    assert weak_star_distance(Bernoulli((0.5, 0.5)), Bernoulli((0.3, 0.7)), fam) > 0.1
+    fair, skew = ([integrate(mu, phi) for phi in fam.observables]
+                  for mu in (Bernoulli((0.5, 0.5)), Bernoulli((0.3, 0.7))))
+    assert fam.distance(fair, fair) == 0.0
+    assert fam.distance(fair, skew) == fam.distance(skew, fair) > 0.1
 
 
 def test_component_tagged_observables_on_a_union():
@@ -288,14 +272,6 @@ def test_lebesgue_needs_the_space_dimension():
 @pytest.mark.parametrize("n", [2, 3])
 def test_lebesgue_entropy_under_circle_multiplication_is_log_n(n):
     assert metric_entropy(Lebesgue(), CircleMult(n)) == math.log(n)
-
-
-def test_partition_estimate_covers_single_shifts_only():
-    with pytest.raises(TypeError):
-        partition_entropy_estimate(Lebesgue(), CircleMult(2), 4)
-    du = DisjointUnion(FullShift(2), FullShift(2))
-    with pytest.raises(TypeError):
-        partition_entropy_estimate(Bernoulli((0.5, 0.5), component=0), du, 4)
 
 
 @pytest.mark.parametrize("s, t", [(0.5, 3.0), (0.5, 0.3), (2.5, 4.0), (1.25, 1.5)])
@@ -385,13 +361,6 @@ def test_atoms_on_a_union_are_read_on_their_tagged_side():
         metric_entropy(right_bad, du)
     with pytest.raises(ValueError):
         metric_entropy(atoms((0,)), du)                     # untagged
-
-
-def test_partition_estimate_of_a_periodic_orbit_reads_its_cylinders():
-    mu = atoms((0, 1), (1, 0))
-    for depth in (1, 3, 8):
-        assert partition_entropy_estimate(mu, FullShift(2), depth) == pytest.approx(
-            math.log(2) / depth, abs=1e-15)
 
 
 def test_time_shifted_measures_have_no_entropy_rule():

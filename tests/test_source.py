@@ -10,10 +10,13 @@ isinstance`, and the lines where `isinstance` names an observable class, a
 system class, a point rule class, a subset class or a measure class); lower its
 numbers when the package shrinks.  No module probes an object with `hasattr`,
 and the orbit readers and the entropy estimators import no underscored name
-of `systems`, which alone knows the exact time chart.
+of `systems`, which alone knows the exact time chart.  Every public function
+that no committed config calls (the census of `tests/reach.py`) is used by
+the acceptance sweep, named in the README or kept for a stated reason.
 """
 
 import ast
+import json
 import os
 import pathlib
 import re
@@ -21,6 +24,8 @@ import subprocess
 import sys
 
 import pytest
+
+import reach
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "ergode"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -35,7 +40,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # answered `symbolic`, `pairs()` and `used()`), a subset class (7 before each
 # subset answered the counting routes) or a measure class (4 before each
 # measure answered `chain`, `seeded` and `foreign`) in src/ergode/*.py
-MAX_LINES = 4328       # 4,331 while each block rule laid, paired and counted its own stream
+MAX_LINES = 4281       # 4,328 while the package kept public code that nothing used
 MAX_ISINSTANCE_LINES = 1
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
@@ -184,3 +189,24 @@ def test_the_package_stays_under_its_size_ratchet():
     assert measure_checks <= MAX_MEASURE_ISINSTANCE_LINES, \
         f"src/ergode has {measure_checks} lines testing a measure's class " \
         f"(ratchet {MAX_MEASURE_ISINSTANCE_LINES})"
+
+
+def test_the_census_holds_a_function_only_to_a_use():
+    acceptance = "from ergode.m import orphan\n# orphan is unused here\n"
+    readme = "`orphaned` takes no part, nor does orphan outside backticks"
+    assert reach.held("ergode.m.orphan", acceptance, readme, {}) == ""
+    assert reach.held("ergode.m.orphan", "orphan(1)\n", "", {}) != ""
+    assert reach.held("ergode.m.orphan", "", "read `ergode.m.orphan(x)`", {}) != ""
+    assert reach.held("ergode.m.orphan", "", "", {"ergode.m.orphan": "why"}) == "why"
+
+
+def test_every_uncalled_public_function_is_held_to_a_use():
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run([sys.executable, reach.__file__, "--json"], env=env, capture_output=True,
+                         text=True, check=True)
+    uncalled = json.loads(out.stdout)
+    acceptance = (reach.ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    readme = (reach.ROOT / "README.md").read_text(encoding="utf-8")
+    assert [n for n in uncalled if not reach.held(n, acceptance, readme)] == []
+    # a reason for a function some config calls, or one that is gone, is stale
+    assert sorted(set(reach.REASONS) - set(uncalled)) == []

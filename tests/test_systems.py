@@ -697,6 +697,17 @@ def test_a_block_rule_counts_and_pairs_as_its_stream(rule, data):
     assert sorted(rule.pairs()) == sorted(set(zip(stream[:-1].tolist(), stream[1:].tolist())))
 
 
+@given(st.one_of(st.lists(st.integers(-3, 3)).map(lambda v: np.array(v, np.int64)),
+                 st.lists(st.sampled_from([0.3, 0.7, 1.3, -0.0, 0.0])).map(np.array),
+                 st.lists(st.sampled_from([1, 5, 2 ** 70])).map(lambda v: np.array(v, object))))
+@settings(deadline=None, max_examples=60)
+def test_the_distinct_values_are_those_np_unique_gives(values):
+    """The sort-and-mask `_distinct` that replaces `np.unique` (int64 codes,
+    float roof values and the object chart's Python integers)."""
+    got, want = systems._distinct(values), np.unique(values)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 @pytest.mark.parametrize("name", ["block-schedule", "steered-blocks-3", "stage-recipe"])
 def test_a_block_rule_read_part_way_is_freed_by_reference_counting(name):
     # a buffer holding the generator of the rule's own blocks, whose frame
