@@ -14,8 +14,8 @@ take its `line_average` (a harmonic's, in closed form); circle and torus maps
 sum its values `along` the system's `orbit` (exact under circle
 multiplication).  A system whose `carrier` is symbolic (a shift, a
 suspension or its time-t map) is read in base cells (symbol offsets) along
-the `cell_plan` it answers for each point from the exact time chart (the one
-`time_t_map` steps by), so a map's cells carry no float rounding.  Each full
+the `cell_plan` it answers for each point from its one exact time chart, which
+`time_t_map` steps by too, so a map's cells carry no float rounding.  Each full
 cell weighs the hits of the word the observable has `counted` by what the
 orbit spends in it, one of the plan's classes: map steps, or its fiber `mass`
 under the cell's roof.  Word hits are counted per (point, word code, class)

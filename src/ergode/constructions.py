@@ -125,7 +125,8 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
 
     Counts the times j < n with d(T^j x, T^j y) >= eps and compares against
     the budget g(n, eps); with the zero budget this is exactly the Bowen
-    ball.  ValueError unless the system admits both points."""
+    ball.  ValueError unless the system admits both points and, on a disjoint
+    union, each names its side."""
     if n < 1:
         raise ValueError("need n >= 1")
     L = _resolution_length(eps)
@@ -134,6 +135,8 @@ def mistake_ball_membership(system, x: Point, y: Point, n: int, eps: float,
         raise TypeError("mistake balls are implemented on shift spaces")
     system.admits(x)
     system.admits(y)
+    if len(system.sides) > 1 and None in (x.component, y.component):
+        raise ValueError(f"an untagged point names no side of {type(system).__name__}")
     if len(system.sides) > 1 and x.component != y.component:    # on two sides of a union
         mismatches = n if L else 0
     else:       # the times j < n whose length-L windows of x and y differ

@@ -32,7 +32,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .systems import (
-    BudgetExhausted, Coordinate, ExplicitWord, Point, Record, SeededIID, SeededMarkov, time_t_map,
+    BudgetExhausted, Coordinate, ExplicitWord, FullShift, Point, Record, SeededIID, SeededMarkov,
+    time_t_map,
 )
 
 __all__ = [
@@ -140,10 +141,11 @@ class _Chain(_Piece):
         if k ** need > 1 << 16:
             raise BudgetExhausted(f"cylinder decomposition depth {need} exceeds "
                                   "the enumeration budget")
-        total = 0.0
+        # the full shift admits a cylinder word's wrap-around pair, which no cylinder point makes
+        total, full = 0.0, flow._replace(base=FullShift(k))
         for word in product(range(k), repeat=need):
             if (mass := self.integral(CylinderIndicator(word))) != 0.0:
-                total += mass * phi.at(time_t_map(flow, s, Point(ExplicitWord(word), fiber=0.0)))
+                total += mass * phi.at(time_t_map(full, s, Point(ExplicitWord(word), fiber=0.0)))
         return total
 
     def check(self, system) -> None:

@@ -7,10 +7,10 @@ flow, straight-line torus translations, and suspension flows over a symbolic
 base under a positive roof function.
 
 Each system answers its callers' questions itself, so no other module
-unwraps a time-t map, a flow, a suspension or a union side.  Where a
-suspension point is after time t is read from one exact time chart (the
-fiber, t and every roof value as the decimals they print as, over one
-denominator), by the time-t map readers and by `time_t_map` alike; circle
+unwraps a time-t map, a flow, a suspension or a union side.  One exact time
+chart (the fiber, the times and every roof value as the decimals they print
+as, over one denominator) places a suspension orbit's cells for the flow and
+map readers and for `time_t_map`, under either roof kind; circle
 multiplication steps the exact orbit of the decimal its coordinate prints as.
 
 Points are immutable views into symbol streams (or coordinate vectors) that
@@ -152,17 +152,15 @@ class _Descriptor(Record):
     def admits(self, point: "Point") -> None:
         """ValueError unless the point is one of this space's: its rule reads
         what its side of the carrier holds (an untagged symbolic point on a
-        union names none; a union of shifts holds no coordinate point), a
-        suspension point lies under its roof, and on a shift every
-        symbol it has `used()` is in the alphabet and, where a transition is
-        forbidden, its `pairs()` are a subset of the allowed ones."""
+        union names none; a union of shifts holds no coordinate point); on a
+        shift every symbol it has `used()` is in the alphabet and, where a
+        transition is forbidden, its `pairs()` are a subset of the allowed
+        ones; then a suspension point lies under the roof its symbols read."""
         side, rule = self.carrier.side(point.component) or self.carrier, point.rule
         if rule.symbolic and len(side.sides) > 1:
             return
         if rule.symbolic != side.symbolic:
             raise ValueError(f"a {rule.kind} point is not a point of {type(side).__name__}")
-        if self.space.is_flow and rule.symbolic:
-            _fiber(self.space, point)
         if not side.symbolic:
             return
         if not (used := set(rule.used())) <= set(range(side.alphabet)):
@@ -170,6 +168,8 @@ class _Descriptor(Record):
         if not side.forbids_nothing and (forbidden := sorted(
                 (a, b) for a, b in set(rule.pairs()) if not side.adjacency[a][b])):
             raise ValueError(f"transitions {forbidden} are forbidden in {side}")
+        if self.space.is_flow:
+            _fiber(self.space, point)
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         """Uniform coordinates on a circle or torus."""
@@ -191,7 +191,7 @@ class _Descriptor(Record):
         """A shift's, a union's or a time-t map's plan up to n in Ts map steps."""
         if not self.carrier.symbolic:
             raise TypeError(f"{type(self).__name__} reads no base cells")
-        chart = _map_chart(self, x, Ts[-1])
+        chart = _chart(self, x, Ts[-1])
         ends = [chart.cell(n - 1) for n in Ts]
         return CellPlan(ends, 0.0, chart.first(1), [chart.first(L) for L in ends], chart.classes,
                         chart.steps)
@@ -377,8 +377,7 @@ class RoofFunction(Record):
     def __post_init__(self):
         if self.depth < 0:
             raise ValueError("roof depth must be >= 0")
-        expected = 1 if self.depth == 0 else self.k ** self.depth
-        if len(self.table) != expected:
+        if len(self.table) != self.k ** self.depth:
             raise ValueError("roof table must have k**depth entries")
         if any(not (math.isfinite(v) and v > 0.0) for v in self.table):
             raise ValueError("roof values must be finite and > 0")
@@ -395,16 +394,19 @@ class RoofFunction(Record):
     def roof_max(self) -> float:
         return max(self.table)
 
-    def value_at(self, x: "Point", i: int = 0) -> float:
-        """The roof over base cell i of the orbit of x."""
-        word = x.prefix(i + self.depth)[i:] if self.depth else ()   # builds no symbols
+    def value_at(self, x: "Point") -> float:
+        """The roof over the base point of x."""
+        word = x.prefix(self.depth) if self.depth else ()   # builds no symbols
         return float(self.table[functools.reduce(lambda c, s: c * self.k + int(s), word, 0)])
 
     def values_along(self, symbols: np.ndarray, count: int, table=None) -> np.ndarray:
         """Roof values at offsets 0..count-1 of a symbol array, read from
-        `table` (the roof's own, or an array of its values rescaled)."""
-        if len(symbols) < count + self.depth - 1:
+        `table` (the roof's own, or an array of its values rescaled);
+        ValueError for a symbol the roof reads outside its alphabet."""
+        if len(read := symbols[:count + self.depth - 1]) < count + self.depth - 1:
             raise ValueError("symbol array too short for requested roof count")
+        if self.depth and read.size and not 0 <= read.min() <= read.max() < self.k:
+            raise ValueError(f"a symbol the roof reads lies outside its alphabet 0..{self.k - 1}")
         codes = np.zeros(count, dtype=np.int64)
         for i in range(self.depth):
             codes = codes * self.k + symbols[i:count + i].astype(np.int64)
@@ -445,42 +447,25 @@ class Suspension(_Descriptor):
 
     def advance(self, t: float, x: "Point") -> "Point":
         """Where x is after time t >= 0: in the cell that step 1 of the time-t
-        chart reads, at the exact fiber rounded once to a float.  An unset
-        fiber reads as 0; a coordinate point has no symbols to flow along."""
+        chart reads, at the exact remainder rounded once to a float.  An unset
+        fiber reads as 0; ValueError unless the flow `admits` x."""
         if t < 0:
             raise ValueError("suspension flows run forward in time only")
         if not x.rule.symbolic:
             raise TypeError("coordinate points have no symbol stream")
-        f0, roof = _fiber(self, x), self.roof
-        if roof.depth == 0:
-            chart = _chart(f0, t, roof.table[0])        # m is chart.cell(1)
-            d, (m, rest) = chart.d, divmod(chart.f + chart.tt, chart.cc)
-        else:       # the last cell entered at or before f + tt
-            d, (f, tt, *table) = _decimals(f0, t, *roof.table)
-            entries = _entries(roof, x, table, f + tt)
-            m = int(np.searchsorted(entries, f + tt, side="right")) - 1
-            rest = f + tt - int(entries[m])
-        return Point(x.rule, x.offset + m, x.component, float(Fraction(rest, d)))
+        self.admits(x)
+        m, rest = _chart(self, x, 1, (t,)).land(1)
+        return Point(x.rule, x.offset + m, x.component, float(rest))
 
     def cell_plan(self, x: "Point", Ts) -> "CellPlan":
         """The plan of the flow up to each time T in Ts: T ends in the first cell
         whose top reaches f0 + T in the chart's decimals, each cell its roof."""
-        f0, roof = _fiber(self, x), self.roof
-        d, (f, *scaled) = _decimals(f0, *Ts, *roof.table)
-        tops, table = [f + T for T in scaled[:len(Ts)]], scaled[len(Ts):]
-        if roof.depth == 0:
-            c = roof0 = roof.table[0]
-            ends = [max((top - 1) // table[0], 0) for top in tops]
-            entry, classes, weights = [L * c for L in ends], (c,), None
-        else:
-            entries = _entries(roof, x, table, tops[-1])
-            ends = np.searchsorted(entries[1:], tops).tolist()
-            vals = roof.values_along(x.prefix(ends[-1] + roof.depth), ends[-1])
-            roof0, entry = roof.value_at(x), [int(entries[L]) / d for L in ends]
-            classes, weights = _distinct(vals), lambda lo, hi: vals[lo:hi]
+        chart, f0 = _chart(self, x, 1, Ts), _fiber(self, x)
+        ends = [chart.at(chart.f + T - 1) for T in chart.times]
         # an end read exactly can have its float entry a rounding past f0 + T
-        entry = [min(e, f0 + T) for e, T in zip(entry, Ts)]
-        return CellPlan(ends, f0, roof0, entry, classes, weights)
+        entry = [min(chart.time(L), f0 + T) for L, T in zip(ends, Ts)]
+        classes = _distinct(chart.values).tolist()     # each cell's roof
+        return CellPlan(ends, f0, chart.time(1), entry, classes, chart.roofs)
 
     # a word-dependent roof gives each point a chart of its own
     chart_key = lambda self, x: _fiber(self, x) if self.roof.depth == 0 else object()
@@ -531,8 +516,8 @@ class TimeTMap(_Descriptor):
     def stride(self) -> Optional[int]:
         """The map time as a whole number of the flow's period (a constant
         roof), or None when it is fractional, read exactly as the time chart reads t."""
-        chart = _chart(0.0, self.t, self.flow.period)
-        return chart.tt // chart.cc if chart.tt % chart.cc == 0 else None
+        m, rest = _even_chart(0.0, (self.t,), self.flow.period).land(1)
+        return m if rest == 0 else None
 
 
 SpaceDescriptor = Union[SystemDescriptor, FlowDescriptor, TimeTMap]
@@ -580,60 +565,93 @@ def _distinct(values) -> np.ndarray:
 
 
 class _Chart(Record):
-    """Step j reads base cell (f + j*tt) // cc, in exact integers over the
-    denominator d: a shift is (0, 1, 1), and `_chart` gives the time-t map
-    of a constant-roof suspension.  Cell i >= 1 holds the steps
-    first(i) .. first(i+1)-1, floor(cc / tt) or ceil(cc / tt) of them (its
-    `classes`), and cell 0 first(1)."""
+    """A symbolic orbit's time chart, in integers over the common denominator
+    d of the fiber f, the `times` and the roof values (`table`): step j is at
+    f + j*tt (tt the first time), and cell i is entered at entry(i), i*cc
+    under a constant roof cc, else the sum of the roofs before it, each at
+    its cell's code.  A shift's chart is (0, (1,), (1,)).  Cell i >= 1 holds
+    the steps first(i)..first(i+1)-1, the floor or ceiling of its roof over
+    tt (`classes`), and cell 0 first(1).  A word roof's equals only itself."""
 
     f: int
-    tt: int
-    cc: int
+    times: tuple
+    table: tuple
     d: int = 1
+    codes: Optional[np.ndarray] = None
+    sums: Optional[np.ndarray] = None
+    tt, cc = property(lambda self: self.times[0]), property(lambda self: self.table[0])
+    _key = lambda self: Record._key(self) if self.sums is None else (id(self),)
+    values = property(lambda self: np.array([c / self.d for c in self.table]))  # rounded once
+    roofs = lambda self, lo, hi: self.values[self.codes[lo:hi]]     # of cells lo..hi-1
+    classes = property(lambda self: tuple(sorted(
+        {q for c in self.table for q in (c // self.tt, -(-c // self.tt))})))
+
+    def entry(self, i: int) -> int:
+        return i * self.cc if self.sums is None else int(self.sums[i])
+
+    def at(self, top: int) -> int:
+        """The cell entered last at or before the time `top`."""
+        return top // self.cc if self.sums is None else int(self.sums.searchsorted(top, "right")) - 1
 
     def cell(self, j: int) -> int:
-        return (self.f + j * self.tt) // self.cc
+        return self.at(self.f + j * self.tt)
+
+    def land(self, j: int) -> tuple:
+        """(m, r): step j reads cell m, at the exact time r above its entry."""
+        return (m := self.cell(j)), Fraction(self.f + j * self.tt - self.entry(m), self.d)
 
     def first(self, i: int) -> int:
-        return max(0, -((self.f - i * self.cc) // self.tt))
+        """The first step that reads cell i or a later one."""
+        return max(0, -((self.f - self.entry(i)) // self.tt))
 
-    def steps(self, lo: int, hi: int):
-        """The steps in each of the cells lo..hi-1 (lo >= 1), from first(i)
-        relative to the chunk, in int64 while it fits and in Python integers above."""
-        small = max(self.cc, self.tt) < _INT64_CHART
-        r = np.arange(hi - lo + 1, dtype=np.int64 if small else object)
-        num = r * self.cc + (lo * self.cc - self.f) % self.tt
-        return np.diff(-(-num // self.tt)).astype(np.int64)
+    def time(self, i: int) -> float:
+        """entry(i) as a float: i*c under a constant roof c, as flows read it, else rounded."""
+        return i * (self.cc / self.d) if self.sums is None else self.entry(i) / self.d
 
-    classes = property(lambda self: tuple(range(self.cc // self.tt, -(-self.cc // self.tt) + 1)))
+    def steps(self, lo: int, hi: int) -> np.ndarray:
+        """The steps in each of the cells lo..hi-1 (lo >= 1), from the entries less
+        cell lo's, in int64 while they fit and in Python integers above."""
+        base = (self.entry(lo) - self.f) % self.tt
+        if self.sums is None:
+            wide = max(self.cc, self.tt) >= _INT64_CHART
+            neg = np.arange(hi - lo + 1, dtype=object if wide else np.int64) * -self.cc - base
+        else:
+            neg = (self.sums[lo] - base) - self.sums[lo:hi + 1]
+        neg //= self.tt
+        return np.subtract(neg[:-1], neg[1:]).astype(np.int64, copy=False)
+
+
+def _chart(space, x: "Point", steps: int = 1, times: tuple = ()) -> _Chart:
+    """The chart of x in `space` past `steps` steps of each time (a time-t map's
+    t if none is given).  A constant roof's is cached per fiber, times and roof;
+    a word roof's reads its codes along x once, piece by piece, keeping no stream."""
+    if space.symbolic:
+        return _Chart(0, (1,), (1,))
+    roof, times = space.space.roof, times or (space.t,)
+    if roof.depth == 0:
+        return _even_chart(_fiber(space.space, x), tuple(times), roof.table[0])
+    d, (f, *scaled) = _decimals(x.fiber or 0.0, *times, *roof.table)
+    times, table = tuple(scaled[:len(times)]), tuple(scaled[len(times):])
+    top = f + max(times) * steps
+    count = top // min(table) + 2       # cells enough to pass `top`
+    sums = np.zeros(count + 1, object if max(count * max(table), top) >> 63 else np.int64)
+    codes, at, rest = np.empty(count, np.min_scalar_type(len(table))), 0, np.empty(0, np.int16)
+    m = count + roof.depth - 1          # symbols, a short read's from the cached prefix
+    for piece in [x.prefix(m)] if m <= _GROW else x.rule.pieces(x.offset, x.offset + m, _PIECE):
+        piece = np.concatenate((rest, piece))
+        n = len(piece) - roof.depth + 1
+        codes[at:at + n] = roof.values_along(piece, n, np.arange(len(table)))
+        at, rest = at + n, piece[n:]
+    _fiber(space.space, x)      # once the codes have refused a symbol outside the roof's alphabet
+    np.cumsum(np.array(table, dtype=sums.dtype)[codes], out=sums[1:])
+    return _Chart(f, times, table, d, codes, sums)
 
 
 @functools.lru_cache(maxsize=64)
-def _chart(f0: float, t: float, c: float) -> _Chart:
-    """The chart of the time-t map of a suspension under the constant roof c
-    from the fiber f0."""
-    d, (f, tt, cc) = _decimals(f0, t, c)
-    return _Chart(f, tt, cc, d)
-
-
-class _Grid(Record):
-    """The `_Chart` answers of a time-t map under a word-dependent roof, from
-    first_steps[i], the first step that reads cell i or a later one (n, the
-    length of the read, when none does); equal only to itself."""
-
-    first_steps: np.ndarray
-    __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def cell(self, j: int) -> int:
-        return int(np.searchsorted(self.first_steps, j, side="right")) - 1
-
-    def first(self, i: int) -> int:
-        return int(self.first_steps[i])
-
-    def steps(self, lo: int, hi: int) -> np.ndarray:
-        return np.diff(self.first_steps[lo:hi + 1])
-
-    classes = property(lambda self: _distinct(np.diff(self.first_steps)))
+def _even_chart(f0: float, times: tuple, c: float) -> _Chart:
+    """The chart from the fiber f0 under the constant roof c."""
+    d, (f, *scaled) = _decimals(f0, *times, c)
+    return _Chart(f, tuple(scaled[:-1]), (scaled[-1],), d)
 
 
 def _fiber(flow: Suspension, x: "Point") -> float:
@@ -644,31 +662,6 @@ def _fiber(flow: Suspension, x: "Point") -> float:
     if not 0.0 <= f0 < roof:
         raise ValueError(f"fiber coordinate {f0} is outside [0, {roof}) under the roof")
     return f0
-
-
-def _map_chart(system, x: "Point", n: int):
-    """The cells of the first n map steps of a symbolic orbit: a `_Chart` (a
-    shift, or a constant roof, cached per fiber, t and roof) or a `_Grid`
-    that first reads cell i at step ceil((E_i - f) / tt), capped at n, from
-    the integer entry times E of `_entries` under a word-dependent roof."""
-    if system.symbolic:
-        return _Chart(0, 1, 1)
-    flow, t = system.flow, system.t
-    f0, roof = _fiber(flow, x), flow.roof
-    if roof.depth == 0:
-        return _chart(f0, t, roof.table[0])
-    _, (f, tt, *table) = _decimals(f0, t, *roof.table)
-    entries = _entries(roof, x, table, f + tt * n)      # cells enough to pass step n
-    return _Grid(np.clip(-((f - entries) // tt), 0, n).astype(np.int64))
-
-
-def _entries(roof: RoofFunction, x: "Point", table, top: int) -> np.ndarray:
-    """The integer entry times E_0 = 0, E_1, ... of the cells along x under the
-    roof values scaled to `table`, past `top` (int64 while they and `top` fit)."""
-    count = top // min(table) + 2
-    table = np.array(table, dtype=np.int64 if max(count * max(table), top) < 1 << 63 else object)
-    return np.concatenate(([0], np.cumsum(roof.values_along(x.prefix(count + roof.depth),
-                                                            count, table))))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from ergode.systems import (
     SteeredBlocks,
     Suspension,
     TimeTMap,
-    _map_chart,
+    _chart as _map_chart,
     random_point,
     time_t_map,
 )
@@ -310,7 +310,7 @@ def map_steps_exact(tmap, x, n):
 
 
 def assert_cells_match(cells, idx):
-    """The cells of a `_map_chart` read against the cell read at each step."""
+    """The cells of a map's chart read against the cell read at each step."""
     n, held = len(idx), np.bincount(idx)
     L = len(held) - 1
     assert cells.cell(n - 1) == L and [cells.cell(j) for j in range(n)] == idx.tolist()
@@ -621,6 +621,19 @@ def test_a_word_roof_that_is_constant_along_the_orbit_reads_the_constant_cells(t
         [want.first(i) for i in range(want.cell(n - 1) + 1)]
     for s in (t, 10 * t, 0.05):
         assert time_t_map(word, s, x) == time_t_map(constant, s, x)
+
+
+@pytest.mark.parametrize("rule", [SeededIID(1, (0.5, 0.5)),
+                                  SeededMarkov(1, ((0.6, 0.4), (0.5, 0.5)), (5 / 9, 4 / 9))],
+                         ids=["iid", "markov"])
+def test_a_long_word_roof_read_keeps_no_stream(rule):
+    """The chart reads the roof's codes from the rule piece by piece, so a long
+    map or flow read caches only the first symbols the fiber check reads."""
+    # the chart read x.prefix: a 2^22-step time-1 map read kept 5,992,448 symbols
+    flow, x, n = Suspension(FullShift(2), RoofFunction(1, (0.7, 1.3), 2)), Point(rule, fiber=0.0), 1 << 20
+    birkhoff_profile(TimeTMap(flow, 1.0), x, CylinderIndicator((0, 1)), Schedule((1000, n)))
+    flow_average_profile(flow, x, CylinderIndicator((0, 1)), Schedule((1000.0, float(n))))
+    assert len(rule._buf["arr"]) == systems._GROW
 
 
 def test_a_tiny_time_reads_every_step_in_cell_0():
@@ -1006,6 +1019,33 @@ def test_a_public_reader_refuses_a_point_its_system_forbids(reader, system, x, r
     # the golden mean read the forbidden word 1111 as a cylinder frequency of [1.0, 1.0]
     with pytest.raises(ValueError, match=refused):
         reader(system, x, CylinderIndicator((1,)), Schedule((8, 16)))
+
+
+SUSPENSION_READERS = {
+    "admits": lambda flow, x: flow.admits(x),
+    "time-t-map": lambda flow, x: time_t_map(flow, 1.5, x),
+    "flow-average": lambda flow, x: flow_average_profile(flow, x, CylinderIndicator((0,)),
+                                                         Schedule((8.0, 16.0))),
+    "time-t-map-reader": lambda flow, x: birkhoff_profile(TimeTMap(flow, 0.5), x,
+                                                          CylinderIndicator((0,)), Schedule((8, 16))),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(SUSPENSION_READERS))
+@pytest.mark.parametrize("roof", [RoofFunction.constant(1.0), RoofFunction(1, (1.0, 2.0), 2)],
+                         ids=["constant-roof", "word-roof"])
+@pytest.mark.parametrize("base, word, refused", [
+    (FullShift(2), (-1, 0), "outside"),
+    (FullShift(2), (5, 0), "outside"),
+    (GOLDEN_MEAN_FLOW.base, (1, 1, 0), r"transitions \[\(1, 1\)\] are forbidden"),
+], ids=["symbol-minus-1", "symbol-5", "golden-mean-pair"])
+def test_a_suspension_reader_refuses_a_point_its_flow_does_not_hold(reader, roof, base, word,
+                                                                    refused):
+    # time_t_map landed each of these (under the word roof it read table[-1] as
+    # the roof over cell 0), and symbol 5 raised IndexError from the roof's table
+    x = Point(ExplicitWord(word), fiber=0.0)
+    with pytest.raises(ValueError, match=refused):
+        SUSPENSION_READERS[reader](Suspension(base, roof), x)
 
 
 @pytest.mark.parametrize("reader", [

@@ -181,6 +181,18 @@ def test_a_component_tag_on_a_single_shift_names_no_side():
     assert (rep.member, rep.mismatches) == (False, 10)
 
 
+@pytest.mark.parametrize("tags", [(None, 0), (0, None), (None, None)])
+def test_a_mistake_ball_on_a_union_refuses_an_untagged_point(tags):
+    # an untagged and a tagged copy of (0, 1) read member=False, mismatches=10,
+    # and two untagged copies member=True, though neither names its side
+    union, word = DisjointUnion(FullShift(2), FullShift(2)), ExplicitWord((0, 1))
+    x, y = (Point(word, component=c) for c in tags)
+    with pytest.raises(ValueError, match="an untagged point names no side of DisjointUnion"):
+        mistake_ball_membership(union, x, y, 10, 0.75)
+    rep = mistake_ball_membership(union, Point(word, component=1), Point(word, component=1), 10, 0.75)
+    assert (rep.member, rep.mismatches) == (True, 0)
+
+
 # ---------------------------------------------------------------------------
 # gluing
 

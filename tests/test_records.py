@@ -39,8 +39,8 @@ TABLE = [
      'Suspension(base=FullShift(k=2), roof=RoofFunction(depth=0, table=(2.0,), k=1))'),
     (lambda: sy.TimeTMap(CircleRotationFlow(), 0.5),
      'TimeTMap(flow=CircleRotationFlow(), t=0.5)'),
-    (lambda: sy._Chart(1, 2, 3, 4),
-     '_Chart(f=1, tt=2, cc=3, d=4)'),
+    (lambda: sy._Chart(1, (2,), (3,), 4),
+     '_Chart(f=1, times=(2,), table=(3,), d=4, codes=None, sums=None)'),
     (lambda: sy.CellPlan([2], 0.5, 2.0, [2.0], (2.0,), None),
      'CellPlan(ends=[2], f0=0.5, roof0=2.0, entry=[2.0], classes=(2.0,), weights=None)'),
     (lambda: sy.ExplicitWord((0, 1)),
@@ -132,9 +132,9 @@ def record_classes(cls=Record):
 
 
 def test_the_table_holds_every_record_class():
-    held = {type(build()) for build, _ in TABLE} | {sy._Grid}
+    held = {type(build()) for build, _ in TABLE}
     assert {c for c in record_classes() if c.__name__ not in BASES} == held
-    assert len(held) == 50
+    assert len(held) == 49
 
 
 @pytest.mark.parametrize("build, text", TABLE, ids=IDS)
@@ -206,12 +206,14 @@ def test_entropy_details_take_no_part_in_equality_or_hash():
     assert a != a._replace(value=0.25)
 
 
-def test_a_cell_grid_equals_only_itself():
-    a, b = sy._Grid(np.array([0, 2, 5])), sy._Grid(np.array([0, 2, 5]))
+def test_a_word_roof_chart_equals_only_itself():
+    word = lambda: sy._Chart(0, (1,), (2, 3), 1, np.array([0, 1]), np.array([0, 2, 5]))
+    a, b = word(), word()
     assert a == a and a != b and hash(a) != hash(b)
     assert len({a, b, a}) == 2
     with pytest.raises(AttributeError):
-        a.first_steps = None
+        a.sums = None
+    assert sy._Chart(0, (1,), (3,)) == sy._Chart(0, (1,), (3,)) != a     # a constant roof's: by fields
 
 
 def test_cached_properties_are_computed_once_per_record():

@@ -733,9 +733,9 @@ def test_a_block_schedule_refuses_a_negative_symbol():
 
 
 def test_a_constant_roof_reads_its_values_from_the_table_it_is_given():
-    # the depth-0 roof gave its float value, so the entries read 0, 0.3, 0.6, ...
-    entries = systems._entries(RoofFunction.constant(0.3), Point(ExplicitWord((0, 1))), [3], 10)
-    assert entries.tolist() == [0, 3, 6, 9, 12, 15]
+    # the depth-0 roof gave its float value, so scaled sums read 0, 0.3, 0.6, ...
+    values = RoofFunction.constant(0.3).values_along(np.array([0, 1, 0, 1]), 5, np.array([3]))
+    assert values.dtype == np.int64 and values.tolist() == [3] * 5
 
 
 # ---------------------------------------------------------------------------
