@@ -16,7 +16,7 @@ only grows:
 A long row is counted piece by piece, so a shift read should add about a
 megabyte or two to the peak, where the whole int16 stream alone takes 8 MB.
 A word-roof read also holds its time chart: an int64 entry time and a narrow
-code per cell, about 3 * 2^22 cells here, so its peak is larger.
+code per cell, for about 2^22 / 0.7 cells here, so its peak is larger.
 """
 
 import resource
