@@ -26,10 +26,11 @@ is refused before it can spill into another point's keys.  The partial
 first and last cells are added on top, which makes suspension flow
 averages exact.
 
-Classification never trusts a single horizon.  A point is declared generic
-for a measure only when every test observable sits within tolerance at the
-last two checkpoints; it is declared not generic only when some observable
-is far (three tolerances) at both.  Everything in between is inconclusive.
+Classification never trusts a single horizon: a point is generic for a
+measure only when every test observable sits within tolerance at the last two
+checkpoints, not generic only when some observable is far (three tolerances)
+at both, else inconclusive.  The rules label a suite's profile array at once
+(`_generic_verdicts`, `_irregular_verdicts`), and the classifiers one point.
 """
 
 from __future__ import annotations
@@ -82,9 +83,6 @@ class Schedule(Record):
     def for_flow(cls) -> "Schedule":
         return cls.geometric(100.0, 10_000.0, 2.0)
 
-    def integer_checkpoints(self) -> Tuple[int, ...]:
-        return tuple(int(round(c)) for c in self.checkpoints)
-
 
 class Verdict(Record):
     label: str                       # Generic / NotGeneric / Regular / Irregular / Inconclusive
@@ -116,7 +114,7 @@ def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
     once, so a generator of points never has more than one group alive."""
     obs = tuple(observables)
     flow = system.is_flow
-    Ts = schedule.checkpoints if flow else schedule.integer_checkpoints()
+    Ts = schedule.checkpoints if flow else tuple(int(round(c)) for c in schedule.checkpoints)
     fixed = [phi.constant for phi in obs]
     reads = [phi for phi, c in zip(obs, fixed) if c is None]
     if reads and system.carrier.symbolic:
@@ -183,9 +181,10 @@ def _cell_profiles(system, points, observables, Ts):
         tally = recipe and top == k and x.rule.counts
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
-        if tally and len(first := tally(o + 1)) == k:   # cells [1, e) hold tally(e) - first
-            member[1:] = ([tally(o + max(e, 1)) - first for e in plan.ends],
-                          [int(np.argmax(tally(o + i + 1) - tally(o + i))) for i in (0, *plan.ends)])
+        at = tally and functools.cache(lambda i: tally(o + i))     # each position asked once
+        if at and len(first := at(1)) == k:     # cells [1, e) hold at(e) - first
+            member[1:] = ([at(max(e, 1)) - first for e in plan.ends],
+                          [int(np.argmax(at(i + 1) - at(i))) for i in (0, *plan.ends)])
         elif plan.ends[-1] >= _CELL_CHUNK:      # more cells than one step: piece by piece
             _count([(None, member)], depth, k, plan,
                    (_checked(p, top)[None] for p in x.rule.pieces(o, o + need, _CELL_CHUNK)))
@@ -392,37 +391,33 @@ def _limit_classes(A, checkpoints, fam: TestFamily, tol: float) -> Tuple[LimitCl
 
 def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
                      schedule: Optional[Schedule] = None, tol: float = 0.02,
-                     keep_profile: bool = False, targets=None, profile=None) -> Verdict:
-    """Is x generic for mu?  Answers only when the last two checkpoints agree:
-    Generic when every observable is within tol at both, NotGeneric when some
-    observable is at least 3*tol away at both (the first such observable in
-    family order is the witness), Inconclusive otherwise.
-
-    `targets` are the integrals of the family's observables against mu; a
-    loop that classifies many points against one (mu, fam) passes
-    `family_targets(mu, fam)` once instead of integrating on every call.
-    `profile` is the family's A[checkpoint, observable] along the schedule
-    when it was already read (x is then not read), as from a suite's read."""
+                     keep_profile: bool = False, targets=None) -> Verdict:
+    """Is x generic for mu?  `_generic_verdicts` for one point; `targets` are
+    `family_targets(mu, fam)` when a loop that classifies many points has them."""
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    if len(schedule.checkpoints) < 2:
+    A = _profiles(system, (x,), fam.observables, schedule)
+    targets = family_targets(mu, fam) if targets is None else targets
+    (label,), (gap,), (i,) = _generic_verdicts(A, targets, tol)
+    return Verdict(label, float(gap), None if i < 0 else fam.observables[i],
+                   schedule.checkpoints[-1], tuple(map(tuple, A[0])) if keep_profile else None)
+
+
+def _generic_verdicts(A, targets, tol: float):
+    """(labels, gaps, witnesses) of the points of A[p, c, i], the family's averages, by
+    the rule above: NotGeneric's witness is the first observable far at both of the
+    last two checkpoints, and its gap the point's; else -1 and the largest gap."""
+    if A.shape[1] < 2:
         raise ValueError("classification needs at least two checkpoints")
-    A = _profiles(system, (x,), fam.observables, schedule)[0] if profile is None else profile
-    if targets is None:
-        targets = family_targets(mu, fam)
-    g_last, g_prev = np.abs(A[-1] - targets), np.abs(A[-2] - targets)
-    gap = float(g_last.max())
-    kept = tuple(map(tuple, A)) if keep_profile else None
-    if (g_last < tol).all() and (g_prev < tol).all():
-        return Verdict("Generic", gap, None, schedule.checkpoints[-1], kept)
+    g_last, g_prev = np.abs(A[:, -1] - targets), np.abs(A[:, -2] - targets)
+    near = ((g_last < tol) & (g_prev < tol)).all(axis=1)
     far = (g_last >= 3.0 * tol) & (g_prev >= 3.0 * tol)
-    if far.any():
-        i = int(np.argmax(far))
-        return Verdict("NotGeneric", float(g_last[i]), fam.observables[i],
-                       schedule.checkpoints[-1], kept)
-    return Verdict("Inconclusive", gap, None, schedule.checkpoints[-1], kept)
+    witness = np.where(near | ~far.any(axis=1), -1, np.argmax(far, axis=1))
+    gaps = np.where(witness < 0, g_last.max(axis=1), g_last[np.arange(len(A)), witness])
+    labels = np.where(near, "Generic", np.where(witness < 0, "Inconclusive", "NotGeneric"))
+    return labels.tolist(), gaps, witness
 
 
 def family_targets(mu, fam: TestFamily) -> np.ndarray:
@@ -431,20 +426,21 @@ def family_targets(mu, fam: TestFamily) -> np.ndarray:
 
 
 def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = None,
-                       tol: float = 0.02, keep_profile: bool = False, profile=None) -> Verdict:
-    """Does the average of phi along the orbit converge?  The oscillation of
-    the running average over the tail half of the schedule decides: Regular
-    below tol, Irregular above 3*tol, Inconclusive between.  `profile` is the
-    running average at each checkpoint when it was already read."""
+                       tol: float = 0.02, keep_profile: bool = False) -> Verdict:
+    """Does the average of phi along the orbit converge?  `_irregular_verdicts` for
+    one point."""
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    prof = _profiles(system, (x,), (phi,), schedule)[0, :, 0] if profile is None else profile
-    tail = prof[len(prof) // 2:]
-    osc = float(tail.max() - tail.min())
-    out_profile = tuple(prof) if keep_profile else None
-    last = schedule.checkpoints[-1]
-    if osc > 3.0 * tol:
-        return Verdict("Irregular", osc, phi, last, out_profile)
-    if osc < tol:
-        return Verdict("Regular", osc, None, last, out_profile)
-    return Verdict("Inconclusive", osc, None, last, out_profile)
+    F = _profiles(system, (x,), (phi,), schedule)[:, :, 0]
+    (label,), (osc,) = _irregular_verdicts(F, tol)
+    return Verdict(label, float(osc), phi if label == "Irregular" else None,
+                   schedule.checkpoints[-1], tuple(F[0]) if keep_profile else None)
+
+
+def _irregular_verdicts(F, tol: float):
+    """(labels, oscillations) of the points of F[p, c], the running average: over the
+    tail half of the checkpoints, Irregular above 3*tol, Regular below tol."""
+    tail = F[:, F.shape[1] // 2:]
+    osc = tail.max(axis=1) - tail.min(axis=1)
+    labels = np.where(osc > 3.0 * tol, "Irregular", np.where(osc < tol, "Regular", "Inconclusive"))
+    return labels.tolist(), osc

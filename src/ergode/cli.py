@@ -23,8 +23,8 @@ from .measures import (
     time_average_measure,
 )
 from .birkhoff import (
-    Schedule, _limit_classes, _profiles, birkhoff_profile, classify_generic,
-    family_targets, classify_irregular, flow_average_profile,
+    Schedule, _generic_verdicts, _irregular_verdicts, _limit_classes, _profiles,
+    birkhoff_profile, classify_generic, family_targets, classify_irregular, flow_average_profile,
 )
 from .entropy import (
     ComponentWindow, FrequencyWindow, UnsupportedSubset,
@@ -296,8 +296,7 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         schedule = build_schedule(cfg["schedule"], False)
         samples = (_random_point(inner, np.random.default_rng(ctx["seed"] + i))
                    for i in range(n_samples))
-        _, labels = _generic_labels(inner, samples, mu, fam, schedule, tol,
-                                    family_targets(mu, fam))
+        _, labels = _generic_labels(inner, samples, fam, schedule, tol, family_targets(mu, fam))
         rows.append(Row(eid, "not_generic_count", float(labels.count("NotGeneric")), None, None,
                         {"sample_count": n_samples}, 0.0))
         return
@@ -347,7 +346,7 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     targets = family_targets(mubar, fam)
     n_limit = min(n_samples, 10)
     samples = (_sample_from(system, mu, ctx["seed"] + i) for i in range(n_samples))
-    A, labels = _generic_labels(system, samples, mubar, fam, schedule, tol, targets)
+    A, labels = _generic_labels(system, samples, fam, schedule, tol, targets)
     for label in ("Generic", "NotGeneric", "Inconclusive"):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(labels.count(label)), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
@@ -361,17 +360,16 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     other = mu.foreign()
     if other is not None:
         samples = (_sample_from(system, other, ctx["seed"] + 7919 + i) for i in range(n_samples))
-        rejected = _generic_labels(system, samples, mubar, fam, schedule, tol,
+        rejected = _generic_labels(system, samples, fam, schedule, tol,
                                    targets)[1].count("NotGeneric")
         rows.append(Row(eid, "foreign_rejected_count", float(rejected), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-other"}, 0.0))
 
 
-def _generic_labels(system, points, mu, fam, schedule, tol, targets):
+def _generic_labels(system, points, fam, schedule, tol, targets):
     """The family profiles of `points`, read in one pass, and their generic labels."""
     A = _profiles(system, points, fam.observables, schedule)
-    return A, [classify_generic(system, None, mu, fam, schedule, tol, targets=targets,
-                                profile=a).label for a in A]
+    return A, _generic_verdicts(A, targets, tol)[0]
 
 
 def _inclusion_suite_points(base, mu_base, seed: int, n_total: int):
@@ -397,8 +395,9 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     The inclusion being tested: a point generic under the map cannot be
     non-generic under the flow, and a point whose map averages oscillate
     cannot have convergent flow averages.  One read per dynamics of the
-    family and the frequency of symbol 0 serves both verdicts of every point;
-    a constructed irregular point reads its frequency again, on its blocks.
+    family and the frequency of symbol 0 serves both labels of every point;
+    the constructed irregular points read their frequency again, on their
+    blocks, in one read per dynamics and block schedule.
     """
     eid, tol, n_total = cfg["experiment_id"], cfg["tolerance"], cfg["sample_count"]
     base = flow.carrier
@@ -407,10 +406,10 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     c, tmap = flow.roof.roof_max, TimeTMap(flow, 1.0)
     mu_base = (_measure(cfg, flow) if cfg["measure"] is not None
                else Bernoulli(tuple(1.0 / base.k for _ in range(base.k))))
-    mubar = _averaged(flow, mu_base)
     # a family both dynamics can read: the fiber foliation is invariant under
     # the time-1 map, so fiber-graded observables would make the map side vacuous
     fam = TestFamily.default_for(base, depth=cfg["family_depth"] or 3)
+    targets = family_targets(_averaged(flow, mu_base), fam)
     # config checkpoints count base steps; base step j happens at time j*c,
     # which is j*c steps of the time-1 map
     base_sched = build_schedule(cfg["schedule"], False)
@@ -428,21 +427,22 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
             ) from None
 
     freq = CylinderIndicator((0,))
-    targets = family_targets(mubar, fam)
     points = _construction("flow inclusion suite", _inclusion_suite_points, base, mu_base,
                            ctx["seed"], n_total)
-    results = []        # the generic and the irregular label, per dynamics
+    labels = []         # the generic and the irregular labels of every point, per dynamics
     for system, integral in ((tmap, True), (flow, False)):
         sched = in_time_units(base_sched, integral)
         A = _profiles(system, (x for _, x, _ in points), fam.observables + (freq,), sched)
-        results.append([
-            (classify_generic(system, x, mubar, fam, sched, tol, targets=targets,
-                              profile=a[:, :-1]).label,
-             classify_irregular(system, x, freq, in_time_units(blocks, integral) if blocks
-                                else sched, tol, profile=None if blocks else a[:, -1]).label)
-            for (_, x, blocks), a in zip(points, A)])
-    generic = [(m[0], f[0]) for m, f in zip(*results)]      # (map, flow) labels per point
-    irregular = [(m[1], f[1]) for m, f in zip(*results)]
+        generic = _generic_verdicts(A[:, :, :-1], targets, tol)[0]
+        irregular = _irregular_verdicts(A[:, :, -1], tol)[0]
+        for blocks in dict.fromkeys(b for _, _, b in points if b):     # one read each
+            at = [i for i, (_, _, b) in enumerate(points) if b == blocks]
+            F = _profiles(system, (points[i][1] for i in at), (freq,),
+                          in_time_units(blocks, integral))[:, :, 0]
+            for i, label in zip(at, _irregular_verdicts(F, tol)[0]):
+                irregular[i] = label
+        labels.append((generic, irregular))
+    generic, irregular = (list(zip(m, f)) for m, f in zip(*labels))    # (map, flow) per point
     for quantity, n in (("suite_size", len(points)),
                         ("generic_inclusion_breaks", generic.count(("Generic", "NotGeneric"))),
                         ("irregular_inclusion_breaks", irregular.count(("Irregular", "Regular"))),

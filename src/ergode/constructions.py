@@ -323,6 +323,8 @@ def _connector(adjacency, a: int, b: int) -> tuple:
 def _repair_junctions(flat: np.ndarray, adjacency) -> np.ndarray:
     """Insert shortest connectors wherever consecutive symbols are forbidden."""
     bad = np.nonzero(np.asarray(adjacency)[flat[:-1], flat[1:]] == 0)[0]
+    if not len(bad):
+        return flat
     pairs = list(zip(flat[bad].tolist(), flat[bad + 1].tolist()))
     conns = {pair: _connector(adjacency, *pair) for pair in set(pairs)}
     return np.insert(flat, np.repeat(bad + 1, [len(conns[p]) for p in pairs]),

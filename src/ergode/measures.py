@@ -12,11 +12,12 @@ Introduction to Ergodic Theory, Thm 8.1), so each is a sum or map over the
 pieces plus one rule per piece kind.  Symbolic measures on a suspension sit
 on the fiber-zero copy of the base.  Point masses on a full or vertex shift
 are invariant when they make up whole periodic orbits, one weight along
-each, and their entropy is 0.  Integration raises
-TypeError for a pair it does not accept and is exact for the others, but
-for ``TimeAveraged``, whose midpoint rule is exact only where a fiber
-profile's knots fall on its nodes: under the roof 0.75 the default family's
-fiber hat integrates to 0.583984375, not 7/12 (roofs 1 and 2 are exact).
+each, and their entropy is 0.  Integration raises TypeError for a pair it
+does not accept and is exact for the others, but for ``TimeAveraged``, whose
+midpoint rule is exact only where a fiber profile's knots fall on its nodes:
+under the roof 0.75 the default family's fiber hat integrates to 0.583984375,
+not 7/12 (roofs 1 and 2 are exact); one that reads no fiber integrates
+against a time average of chains as against the chains.
 
 Observables answer for themselves: each kind answers the questions of
 `Observable`, so neither the pieces' rules nor the orbit readers of
@@ -66,6 +67,8 @@ class Measure(Record):
     its `transitions` and `stationary`), `seeded(seed)` (a point's rule drawn from it) and
     `foreign()` (a measure of other typical points, or None); else TypeError."""
 
+    pieces_for = lambda self, phi: self.pieces      # the pieces phi integrates over
+
     @property
     def chain(self):
         raise TypeError(f"{type(self).__name__} is not a chain: built for Bernoulli and "
@@ -86,6 +89,7 @@ class _Piece(Measure):
     piece instead."""
 
     component = None            # the disjoint-union side of a tagged piece
+    zero_fiber = False          # a chain sits on a suspension's zero fiber
 
     @property
     def pieces(self):
@@ -116,7 +120,7 @@ def _shift_of(system, component):
 class _Chain(_Piece):
     """The rules of Bernoulli and Markov pieces, each its own `chain`."""
 
-    chain = property(lambda self: self)
+    chain, zero_fiber = property(lambda self: self), True
 
     def integral(self, phi) -> float:
         w, component, _ = phi.counted(False)     # the word a shift reads; TypeError off one
@@ -161,10 +165,9 @@ class _Chain(_Piece):
     def cylinder_masses(self, k: int, depth: int) -> np.ndarray:
         """Masses of the k**depth cylinders, indexed by word code (last
         symbol cycling fastest)."""
-        P, out, last = np.asarray(self.transitions), np.asarray(self.stationary), np.arange(k)
+        P, out = np.asarray(self.transitions), np.asarray(self.stationary)
         for _ in range(depth - 1):
-            out = (out[:, None] * P[last]).ravel()
-            last = np.tile(np.arange(k), len(last))
+            out = (out.reshape(-1, k)[:, :, None] * P).ravel()
         return out
 
 
@@ -363,6 +366,12 @@ class TimeAveraged(Measure):
         return tuple((w / self.m, p.shifted(self.flow, c * (j + 0.5) / self.m))
                      for j in range(self.m) for w, p in self.base.pieces)
 
+    def pieces_for(self, phi):
+        """Its base's chains for an observable that reads no fiber: no node passes a
+        constant roof, and at a power-of-two m the terms (w/m)*v sum to w*v to the bit."""
+        still = self.flow.carrier.symbolic and all(p.zero_fiber for _, p in self.base.pieces)
+        return self.base.pieces if still and not phi.reads_fiber else self.pieces
+
 
 class TimeShifted(_Piece):
     """Image of `base` under the time-t map; as a piece, of an unshifted piece.
@@ -400,6 +409,7 @@ class Observable(Record):
     reader's word, component and scale), `integral(mu)` and `circle_mean`."""
 
     depth = constant = circle_mean = None
+    reads_fiber = False         # does it weigh the fiber (a fiber profile does)
 
     def along(self, coords: np.ndarray) -> np.ndarray:
         raise TypeError(f"{type(self).__name__} is not a circle observable")
@@ -423,7 +433,7 @@ class Observable(Record):
     def integral(self, mu) -> float:
         if self.constant is not None:
             return self.constant
-        return math.fsum(w * p.integral(self) for w, p in mu.pieces)
+        return math.fsum(w * p.integral(self) for w, p in mu.pieces_for(self))
 
 
 class Constant(Observable):
@@ -508,7 +518,7 @@ class FiberProfile(Observable):
 
     base: "Observable"
     breakpoints: Tuple[Tuple[float, float], ...]
-    depth = property(lambda self: self.base.depth)
+    depth, reads_fiber = property(lambda self: self.base.depth), True
 
     def __post_init__(self):
         pts = self.breakpoints

@@ -489,21 +489,10 @@ class TimeTMap(_Descriptor):
         if self.t == 0.0 or not math.isfinite(self.t):
             raise ValueError("time-t map needs a nonzero finite t")
 
-    @property
-    def isometric(self) -> bool:
-        return self.flow.isometric
-
-    @property
-    def torus_dim(self) -> int:
-        return self.flow.torus_dim
-
-    @property
-    def space(self) -> FlowDescriptor:
-        return self.flow
-
-    @property
-    def carrier(self) -> "SpaceDescriptor":
-        return self.flow.carrier
+    isometric = property(lambda self: self.flow.isometric)
+    torus_dim = property(lambda self: self.flow.torus_dim)
+    space = property(lambda self: self.flow)
+    carrier = property(lambda self: self.flow.carrier)
 
     def random_point(self, rng: np.random.Generator) -> "Point":
         return self.flow.random_point(rng)
@@ -637,13 +626,15 @@ def _chart(space, x: "Point", steps: int = 1, times: tuple = ()) -> _Chart:
     sums = np.zeros(count + 1, object if max(count * max(table), top) >> 63 else np.int64)
     codes, at, rest = np.empty(count, np.min_scalar_type(len(table))), 0, np.empty(0, np.int16)
     m = count + roof.depth - 1          # symbols, a short read's from the cached prefix
+    values = np.array(table, dtype=sums.dtype)
     for piece in [x.prefix(m)] if m <= _GROW else x.rule.pieces(x.offset, x.offset + m, _PIECE):
         piece = np.concatenate((rest, piece))
         n = len(piece) - roof.depth + 1
         codes[at:at + n] = roof.values_along(piece, n, np.arange(len(table)))
+        sums[at + 1:at + n + 1] = values[codes[at:at + n]]      # a piece's temporary at most
         at, rest = at + n, piece[n:]
     _fiber(space.space, x)      # once the codes have refused a symbol outside the roof's alphabet
-    np.cumsum(np.array(table, dtype=sums.dtype)[codes], out=sums[1:])
+    np.cumsum(sums, out=sums)   # in place, so no full-length temporary
     return _Chart(f, times, table, d, codes, sums)
 
 

@@ -198,6 +198,85 @@ def test_classify_irregular_and_regular():
     assert tame.label == "Regular"
 
 
+def reference_generic(a, targets, tol):
+    """One point's generic rule on its profile a[c, i], written out point by
+    point: (label, gap, witness index or -1)."""
+    g_last, g_prev = np.abs(a[-1] - targets), np.abs(a[-2] - targets)
+    if (g_last < tol).all() and (g_prev < tol).all():
+        return "Generic", float(g_last.max()), -1
+    far = (g_last >= 3.0 * tol) & (g_prev >= 3.0 * tol)
+    if far.any():
+        i = int(np.argmax(far))
+        return "NotGeneric", float(g_last[i]), i
+    return "Inconclusive", float(g_last.max()), -1
+
+
+def reference_irregular(prof, tol):
+    """One point's irregular rule on its running averages: (label, oscillation)."""
+    tail = prof[len(prof) // 2:]
+    osc = float(tail.max() - tail.min())
+    return ("Irregular" if osc > 3.0 * tol else "Regular" if osc < tol else "Inconclusive"), osc
+
+
+TOL = 2.0 ** -6     # dyadic: a target plus k tolerances is exact, so gaps land on tol, 3*tol
+# offsets in tolerances: 1 and 3 sit on the rules' edges, 0.5, 2 and 3.5 on either side of them
+OFFSETS = st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0, 3.5, 5.0, -1.0, -3.0, -0.5))
+
+
+def verdict_arrays(data, P, C, I):
+    """Targets on a dyadic grid and A[p, c, i] a target plus some tolerances,
+    or now and then any value in [0, 1]."""
+    targets = np.array(data.draw(st.lists(st.integers(8, 56), min_size=I, max_size=I))) / 64
+    entry = st.one_of(OFFSETS.map(lambda k: ("off", k)), st.floats(0, 1).map(lambda v: ("at", v)))
+    A = np.empty((P, C, I))
+    for idx in np.ndindex(P, C, I):
+        kind, v = data.draw(entry)
+        A[idx] = targets[idx[2]] + v * TOL if kind == "off" else v
+    return A, targets
+
+
+@given(st.integers(1, 5), st.integers(2, 5), st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=120)
+def test_suite_verdicts_are_the_one_point_verdicts(P, C, I, data):
+    """The array rules give each point of a suite the verdict that the
+    one-point classifiers give it from the same profile, witness included."""
+    A, targets = verdict_arrays(data, P, C, I)
+    fam = TestFamily(tuple(CylinderIndicator((0,) * (i + 1)) for i in range(I)))
+    schedule, fs = Schedule(tuple(range(1, C + 1))), FullShift(2)
+    labels, gaps, witness = birkhoff._generic_verdicts(A, targets, TOL)
+    F = A[:, :, 0]
+    irregular, osc = birkhoff._irregular_verdicts(F, TOL)
+    for p in range(P):
+        want = reference_generic(A[p], targets, TOL)
+        assert (labels[p], float(gaps[p]), int(witness[p])) == want
+        with mock.patch.object(birkhoff, "_profiles", lambda *_: A[p][None]):
+            v = classify_generic(fs, None, None, fam, schedule, TOL, targets=targets)
+        assert (v.label, v.gap, v.witness) == (want[0], want[1],
+                                               None if want[2] < 0 else fam.observables[want[2]])
+        assert (irregular[p], float(osc[p])) == reference_irregular(F[p], TOL)
+        with mock.patch.object(birkhoff, "_profiles", lambda *_: F[p][None, :, None]):
+            v = classify_irregular(fs, None, fam.observables[0], schedule, TOL)
+        assert (v.label, v.gap) == reference_irregular(F[p], TOL)
+
+
+@pytest.mark.parametrize("k, generic, irregular", [
+    (0.5, "Generic", "Regular"), (1.0, "Inconclusive", "Inconclusive"),
+    (2.0, "Inconclusive", "Inconclusive"), (3.0, "NotGeneric", "Inconclusive"),
+    (3.5, "NotGeneric", "Irregular"),
+])
+def test_gaps_on_the_edges_of_the_rules(k, generic, irregular):
+    """A gap of exactly tol is not within tol, one of exactly 3*tol is far; an
+    oscillation of exactly tol or 3*tol decides nothing."""
+    targets = np.array([0.5, 0.25])
+    A = np.array([[[0.5, 0.25], [0.5 + k * TOL, 0.25], [0.5 - k * TOL, 0.25]]])
+    labels, gaps, witness = birkhoff._generic_verdicts(A, targets, TOL)
+    assert (labels[0], float(gaps[0])) == (generic, k * TOL)
+    assert int(witness[0]) == (0 if generic == "NotGeneric" else -1)
+    F = np.array([[0.5, 0.5, 0.5 + k * TOL, 0.5]])
+    assert birkhoff._irregular_verdicts(F, TOL)[0] == [irregular]
+    assert (labels[0], float(gaps[0]), int(witness[0])) == reference_generic(A[0], targets, TOL)
+
+
 def test_limit_point_set_sees_both_oscillation_targets():
     fs = FullShift(2)
     rec = irregular_point(fs, 0, 0.3, 0.7, ratio=4)

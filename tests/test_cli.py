@@ -984,14 +984,17 @@ COMMITTED = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["inclusions_unit_roof", "inclusions_roof2"])
 def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, name, seed):
-    """One read of the family and the frequency serves both verdicts of a
-    dynamics; the four labels are those of four separate verdicts."""
+    """One read of the family and the frequency serves both labels of a
+    dynamics, and one more read per block schedule the constructed irregular
+    points; the four labels are those of four separate verdicts.  The suite's
+    labels are captured from the array rules as the suite calls them, each
+    label going to the point read at its row by the read just before."""
     from ergode import cli
     from ergode.birkhoff import Schedule, classify_generic, classify_irregular
     from ergode.measures import Bernoulli, CylinderIndicator, TestFamily, time_average_measure
     from ergode.systems import TimeTMap
 
-    reads, suite, verdicts = [], [], {}
+    reads, suite, verdicts, captured = [], [], {}, collections.Counter()
     reading_points(monkeypatch, reads)
     points_of = cli._inclusion_suite_points
 
@@ -1000,16 +1003,18 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
         suite.extend(out)
         return out
 
-    def recorded(kind, classify):
-        def verdict(system, x, *args, **kwargs):
-            v = classify(system, x, *args, **kwargs)
-            verdicts[kind, system.is_flow, id(x)] = v.label
-            return v
-        return verdict
+    def recorded(kind, rule):
+        def labelled(*args):
+            out = rule(*args)
+            for (system, x), label in zip(reads[-len(out[0]):], out[0]):
+                verdicts[kind, system.is_flow, id(x)] = label
+                captured[kind, system.is_flow, id(x)] += 1
+            return out
+        return labelled
 
     monkeypatch.setattr(cli, "_inclusion_suite_points", listed)
-    monkeypatch.setattr(cli, "classify_generic", recorded("generic", cli.classify_generic))
-    monkeypatch.setattr(cli, "classify_irregular", recorded("irregular", cli.classify_irregular))
+    monkeypatch.setattr(cli, "_generic_verdicts", recorded("generic", cli._generic_verdicts))
+    monkeypatch.setattr(cli, "_irregular_verdicts", recorded("irregular", cli._irregular_verdicts))
     monkeypatch.setenv("ERGODE_SEED", str(seed))
     path = os.path.join(COMMITTED, f"{name}.json")
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
@@ -1019,6 +1024,9 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     for is_flow in (False, True):
         times = collections.Counter(id(x) for system, x in reads if system.is_flow == is_flow)
         assert [times[id(x)] for _, x, _ in suite] == \
+            [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
+        # a constructed irregular point's last irregular label is its block read's
+        assert [captured["irregular", is_flow, id(x)] for _, x, _ in suite] == \
             [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
 
     with open(path) as fh:

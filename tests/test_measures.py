@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -141,6 +142,38 @@ def test_time_averaged_measure_keeps_base_cylinder_mass():
     assert integrate(bar, CylinderIndicator((1,))) == pytest.approx(0.7, abs=1e-12)
 
 
+def node_rule(mu, phi):
+    """The midpoint rule read node piece by node piece: the weighted sum over
+    the time average's `pieces`, each base piece moved to one node."""
+    return math.fsum(w * p.integral(phi) for w, p in mu.pieces)
+
+
+@pytest.mark.parametrize("roof", [0.75, 1.0, 2.0])
+@given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.booleans())
+@settings(deadline=None, max_examples=15)
+def test_a_fiber_blind_time_average_is_its_base_integral_to_the_bit(roof, a, b, markov):
+    """No node of a constant roof's time average leaves the first fiber, so a
+    cylinder integrates as against the base chain; at 16 nodes the node
+    weights are powers of two and the node rule gives the same bits."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(roof))
+    base = Markov.from_transitions(((a, 1 - a), (b, 1 - b))) if markov else Bernoulli((a, 1 - a))
+    bar = time_average_measure(flow, base, 16)
+    for n in range(1, 5):
+        for word in itertools.product(range(2), repeat=n):
+            phi = CylinderIndicator(word)
+            assert integrate(bar, phi).hex() == node_rule(bar, phi).hex() == \
+                integrate(base, phi).hex(), word
+
+
+def test_the_roof_075_hat_keeps_the_node_rule():
+    """A fiber profile still integrates node by node: the hat's knots miss the
+    nodes of the roof 0.75, where the exact value is 7/12."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(0.75))
+    bar = time_average_measure(flow, Bernoulli((0.5, 0.5)), 16)
+    hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
+    assert integrate(bar, hat) == node_rule(bar, hat) == 0.583984375
+
+
 def test_a_time_average_under_a_word_dependent_roof_is_refused():
     """The flow-invariant measure weighs each base point by its roof: under
     the roof (1, 2) the time share over symbol 0 is 1/3, where the midpoint
@@ -227,6 +260,17 @@ def test_chain_form_cylinder_masses_keep_the_product_order():
     for s in word:
         prod *= mu.probs[s]
     assert integrate(mu, CylinderIndicator(word)) == prod
+
+
+def test_markov_cylinder_masses_keep_the_products_of_a_tiled_build():
+    """Each level multiplies a cylinder's mass by the row of its last symbol;
+    the masses equal, bit for bit, a build that tiles the last symbols."""
+    mu = Markov.from_transitions(((0.1, 0.6, 0.3), (0.5, 0.25, 0.25), (0.7, 0.2, 0.1)))
+    P, want, last = np.asarray(mu.transitions), np.asarray(mu.stationary), np.arange(3)
+    for depth in range(1, 7):
+        assert mu.cylinder_masses(3, depth).tobytes() == want.tobytes(), depth
+        want = (want[:, None] * P[last]).ravel()
+        last = np.tile(np.arange(3), len(last))
 
 
 def test_invariance_needs_the_system_alphabet():
