@@ -391,16 +391,14 @@ def _limit_classes(A, checkpoints, fam: TestFamily, tol: float) -> Tuple[LimitCl
 
 def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
                      schedule: Optional[Schedule] = None, tol: float = 0.02,
-                     keep_profile: bool = False, targets=None) -> Verdict:
-    """Is x generic for mu?  `_generic_verdicts` for one point; `targets` are
-    `family_targets(mu, fam)` when a loop that classifies many points has them."""
+                     keep_profile: bool = False) -> Verdict:
+    """Is x generic for mu?  `_generic_verdicts` for one point."""
     if fam is None:
         fam = TestFamily.default_for(system)
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
     A = _profiles(system, (x,), fam.observables, schedule)
-    targets = family_targets(mu, fam) if targets is None else targets
-    (label,), (gap,), (i,) = _generic_verdicts(A, targets, tol)
+    (label,), (gap,), (i,) = _generic_verdicts(A, family_targets(mu, fam), tol)
     return Verdict(label, float(gap), None if i < 0 else fam.observables[i],
                    schedule.checkpoints[-1], tuple(map(tuple, A[0])) if keep_profile else None)
 

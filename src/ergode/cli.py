@@ -85,11 +85,12 @@ def _measure(cfg, system):
 def _averaged(system, mu):
     """mu on the system's carrier lifted to the space its points live on: a
     suspension's base measure averaged along the flow (Abramov), refused
-    where that is not the flow-invariant measure (a word-dependent roof)."""
+    where that is not the flow-invariant measure (a word-dependent roof, an
+    atom off the zero fiber)."""
     if system.carrier is system.space:
         return mu
     try:
-        return time_average_measure(system.space, mu, 16)
+        return time_average_measure(system.space, mu)
     except ValueError as exc:
         raise ConfigError(f"bad measure: {exc}") from None
 

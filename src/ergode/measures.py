@@ -5,19 +5,17 @@ A measure is a weighted sum of pieces: `pieces` is a flat tuple of
 measures are one piece each, an atomic measure gives a point mass per atom,
 a mixture concatenates the weighted pieces of its parts, ``TimeShifted``
 moves each base piece by the time-t map (two shifts collapse into one, by
-s + t), and ``TimeAveraged`` (a midpoint rule with m nodes over one flow
-period) gives weight w/m to each node and base piece.  Integrals,
+s + t), and ``TimeAveraged`` is one piece, Abramov's flow-invariant lift of
+an invariant base measure, which its own flow leaves in place.  Integrals,
 pushforwards, invariance and entropy are affine in the measure (Walters, An
 Introduction to Ergodic Theory, Thm 8.1), so each is a sum or map over the
 pieces plus one rule per piece kind.  Symbolic measures on a suspension sit
 on the fiber-zero copy of the base.  Point masses on a full or vertex shift
 are invariant when they make up whole periodic orbits, one weight along
 each, and their entropy is 0.  Integration raises TypeError for a pair it
-does not accept and is exact for the others, but for ``TimeAveraged``, whose
-midpoint rule is exact only where a fiber profile's knots fall on its nodes:
-under the roof 0.75 the default family's fiber hat integrates to 0.583984375,
-not 7/12 (roofs 1 and 2 are exact); one that reads no fiber integrates
-against a time average of chains as against the chains.
+does not accept and is exact for the others: against ``TimeAveraged`` it is
+phi's fiber mass over [0, c), over c, times the integral of phi's base
+observable against the base, so the fiber hat reads 7/12 under the roof 0.75.
 
 Observables answer for themselves: each kind answers the questions of
 `Observable`, so neither the pieces' rules nor the orbit readers of
@@ -67,8 +65,6 @@ class Measure(Record):
     its `transitions` and `stationary`), `seeded(seed)` (a point's rule drawn from it) and
     `foreign()` (a measure of other typical points, or None); else TypeError."""
 
-    pieces_for = lambda self, phi: self.pieces      # the pieces phi integrates over
-
     @property
     def chain(self):
         raise TypeError(f"{type(self).__name__} is not a chain: built for Bernoulli and "
@@ -89,7 +85,7 @@ class _Piece(Measure):
     piece instead."""
 
     component = None            # the disjoint-union side of a tagged piece
-    zero_fiber = False          # a chain sits on a suspension's zero fiber
+    fiber = None                # a point mass's fiber; every other piece has none
 
     @property
     def pieces(self):
@@ -120,7 +116,7 @@ def _shift_of(system, component):
 class _Chain(_Piece):
     """The rules of Bernoulli and Markov pieces, each its own `chain`."""
 
-    chain, zero_fiber = property(lambda self: self), True
+    chain = property(lambda self: self)
 
     def integral(self, phi) -> float:
         w, component, _ = phi.counted(False)     # the word a shift reads; TypeError off one
@@ -175,10 +171,8 @@ class _PointMass(_Piece):
     """The unit mass at one point: an atom of an atomic measure."""
 
     point: Point
-
-    @property
-    def component(self):
-        return self.point.component
+    component = property(lambda self: self.point.component)
+    fiber = property(lambda self: self.point.fiber)
 
     def integral(self, phi) -> float:
         return phi.at(self.point)
@@ -346,31 +340,27 @@ class Mixture(Measure):
         return tuple((w * v, p) for m, w in self.components for v, p in m.pieces)
 
 
-class TimeAveraged(Measure):
-    """Midpoint average of the images of `base` over one flow period: one
-    sweep of the fiber for a suspension under a constant roof, one turn of
-    the circle for rotation flows."""
+class TimeAveraged(_Piece):
+    """The flow-invariant lift of `base`, invariant on the flow's carrier and held on its
+    zero fiber: (base x Lebesgue on [0, c)) / c under the constant roof c (Abramov), `base` for
+    a rotation flow (c = 1).  phi integrates as phi.mass(0, c) / c times its base
+    observable's integral against `base`.  ValueError or TypeError for another base."""
 
     flow: object
     base: "Measure"
-    m: int = 16
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("quadrature node count must be >= 1")
         self.flow.period        # ValueError under a word-dependent roof
+        check_invariance(self.base, self.flow.carrier)
+        if any(p.fiber for _, p in self.base.pieces):
+            raise ValueError("a time average lifts atoms on the zero fiber only")
 
-    @cached_property
-    def pieces(self):
+    def shifted(self, flow, t: float):
+        return self if flow == self.flow else super().shifted(flow, t)
+
+    def integral(self, phi) -> float:
         c = self.flow.period
-        return tuple((w / self.m, p.shifted(self.flow, c * (j + 0.5) / self.m))
-                     for j in range(self.m) for w, p in self.base.pieces)
-
-    def pieces_for(self, phi):
-        """Its base's chains for an observable that reads no fiber: no node passes a
-        constant roof, and at a power-of-two m the terms (w/m)*v sum to w*v to the bit."""
-        still = self.flow.carrier.symbolic and all(p.zero_fiber for _, p in self.base.pieces)
-        return self.base.pieces if still and not phi.reads_fiber else self.pieces
+        return phi.mass(0.0, c) / c * integrate(self.base, phi.on_fiber(0.0)[1])
 
 
 class TimeShifted(_Piece):
@@ -409,7 +399,6 @@ class Observable(Record):
     reader's word, component and scale), `integral(mu)` and `circle_mean`."""
 
     depth = constant = circle_mean = None
-    reads_fiber = False         # does it weigh the fiber (a fiber profile does)
 
     def along(self, coords: np.ndarray) -> np.ndarray:
         raise TypeError(f"{type(self).__name__} is not a circle observable")
@@ -433,7 +422,7 @@ class Observable(Record):
     def integral(self, mu) -> float:
         if self.constant is not None:
             return self.constant
-        return math.fsum(w * p.integral(self) for w, p in mu.pieces_for(self))
+        return math.fsum(w * p.integral(self) for w, p in mu.pieces)
 
 
 class Constant(Observable):
@@ -518,7 +507,7 @@ class FiberProfile(Observable):
 
     base: "Observable"
     breakpoints: Tuple[Tuple[float, float], ...]
-    depth, reads_fiber = property(lambda self: self.base.depth), True
+    depth = property(lambda self: self.base.depth)
 
     def __post_init__(self):
         pts = self.breakpoints
@@ -673,9 +662,9 @@ def pushforward(flow, t: float, mu) -> TimeShifted:
     return TimeShifted(flow, t, mu)
 
 
-def time_average_measure(flow, mu, m: int = 16) -> TimeAveraged:
-    """Average the measure over one unit of flow time (midpoint rule, m nodes)."""
-    return TimeAveraged(flow, mu, m)
+def time_average_measure(flow, mu) -> TimeAveraged:
+    """The flow-invariant lift of mu, the measure averaged over one flow period."""
+    return TimeAveraged(flow, mu)
 
 
 # ---------------------------------------------------------------------------

@@ -171,7 +171,7 @@ def test_map_flow_classification_inclusions():
         flow = Suspension(FullShift(2), RoofFunction.constant(c))
         tmap = TimeTMap(flow, 1.0)
         mu = Bernoulli((0.5, 0.5))
-        mubar = time_average_measure(flow, mu, 16)
+        mubar = time_average_measure(flow, mu)
         fam = TestFamily.default_for(FullShift(2), depth=3)
         base_sched = Schedule((1024, 2048, 4096))
 

@@ -55,7 +55,6 @@ from ergode.birkhoff import (
     classify_generic,
     classify_irregular,
     _limit_classes,
-    family_targets,
     flow_average_profile,
     limit_point_set,
 )
@@ -249,8 +248,9 @@ def test_suite_verdicts_are_the_one_point_verdicts(P, C, I, data):
     for p in range(P):
         want = reference_generic(A[p], targets, TOL)
         assert (labels[p], float(gaps[p]), int(witness[p])) == want
-        with mock.patch.object(birkhoff, "_profiles", lambda *_: A[p][None]):
-            v = classify_generic(fs, None, None, fam, schedule, TOL, targets=targets)
+        with mock.patch.object(birkhoff, "_profiles", lambda *_: A[p][None]), \
+                mock.patch.object(birkhoff, "family_targets", lambda *_: targets):
+            v = classify_generic(fs, None, None, fam, schedule, TOL)
         assert (v.label, v.gap, v.witness) == (want[0], want[1],
                                                None if want[2] < 0 else fam.observables[want[2]])
         assert (irregular[p], float(osc[p])) == reference_irregular(F[p], TOL)
@@ -756,22 +756,17 @@ def test_a_long_decimal_fiber_reads_through_python_integers():
             map_profile_reference(tmap, x, phi, cps, lambda *_: idx).tolist(), phi
 
 
-def test_precomputed_targets_give_the_same_verdicts():
+def test_the_time_average_tells_generic_from_not_generic_points():
     tmap = TimeTMap(Suspension(FullShift(2), RoofFunction.constant(2.0)), 1.0)
     fam = TestFamily.default_for(FullShift(2), depth=3)
-    mu = time_average_measure(tmap.flow, Bernoulli((0.5, 0.5)), 16)
-    targets = family_targets(mu, fam)
+    mu = time_average_measure(tmap.flow, Bernoulli((0.5, 0.5)))
     sched = Schedule((4096, 8192, 16384))
     points = [Point(SeededIID(1, (0.5, 0.5))), POINTS["steered"], Point(SeededIID(9, (0.8, 0.2)))]
     labels = set()
     for base in points:
         x = base.with_fiber(0.0)
         for system, schedule in ((tmap, sched), (tmap.flow, Schedule((4096.0, 8192.0, 16384.0)))):
-            plain = classify_generic(system, x, mu, fam, schedule, keep_profile=True)
-            given = classify_generic(system, x, mu, fam, schedule, keep_profile=True,
-                                     targets=targets)
-            assert given == plain
-            labels.add(plain.label)
+            labels.add(classify_generic(system, x, mu, fam, schedule).label)
     assert {"Generic", "NotGeneric"} <= labels
 
 
@@ -790,9 +785,7 @@ def test_flow_family_profiles_match_the_single_profiles(roof, fiber, point, fami
     x = POINTS[point].with_fiber(fiber)
     fam = FLOW_FAMILIES[family](flow)
     sched = Schedule((0.05, 1.0, 7.3, 40.0, 168.0, 680.0, 1000.5, 2728.0, 6000.25))
-    # the verdict is not under test: zero targets skip integrating a measure
-    A = classify_generic(flow, x, None, fam, sched, keep_profile=True,
-                         targets=np.zeros(len(fam.observables))).profile
+    A = _profiles(flow, (x,), fam.observables, sched)[0]
     for i, phi in enumerate(fam.observables):
         want = flow_average_profile(flow, x, phi, sched)
         assert np.array([row[i] for row in A]).tobytes() == want.tobytes(), phi
@@ -810,8 +803,8 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
         return original(self, n)
 
     monkeypatch.setattr(Point, "prefix", counted)
-    classify_generic(flow, POINTS["iid"].with_fiber(0.0), None, fam,
-                     Schedule((1000.0, 2000.0, 4000.0)), targets=np.zeros(14))
+    _profiles(flow, (POINTS["iid"].with_fiber(0.0),), fam.observables,
+              Schedule((1000.0, 2000.0, 4000.0)))
     assert 1 <= len(calls) <= 2
 
 
@@ -911,12 +904,8 @@ def test_steered_profiles_are_those_of_the_chunked_path(name, k, symbol, offset)
         obs.append(FiberProfile(CylinderIndicator((symbol,)), TENT))
     cps = rec.block_ends + (12_000, 20_001)    # the last two where the last block repeats
     sched = Schedule(tuple(float(e) for e in cps)) if system.is_flow else Schedule(cps)
-    fam = TestFamily(tuple(obs))
-    got = classify_generic(system, x, None, fam, sched, keep_profile=True,
-                           targets=np.zeros(len(obs))).profile
-    want = classify_generic(system, ref, None, fam, sched, keep_profile=True,
-                            targets=np.zeros(len(obs))).profile
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    got, want = (_profiles(system, (p,), obs, sched)[0] for p in (x, ref))
+    assert got.tobytes() == want.tobytes()
     phi = CylinderIndicator((symbol,))
     got, want = (classify_irregular(system, p, phi, sched, keep_profile=True) for p in (x, ref))
     assert (got.label, got.gap, np.array(got.profile).tobytes()) == \

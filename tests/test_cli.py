@@ -717,6 +717,26 @@ def test_a_time_average_under_a_word_dependent_roof_exits_2(tmp_path, command, e
     assert "word-dependent" in res.stderr
 
 
+FIBERED_ORBIT = {"kind": "atomic", "weights": [0.5, 0.5], "points": [
+    {"kind": "explicit-word", "symbols": [0, 1], "offset": offset, "fiber": 0.5}
+    for offset in (0, 1)]}
+
+
+@pytest.mark.parametrize("cfg", [
+    {"command": "classify", "system": UNIT_ROOF,
+     "point": {"kind": "explicit-word", "symbols": [0, 1], "fiber": 0.5}},
+    {"command": "verify-inclusions", "system": UNIT_ROOF, "sample_count": 6},
+    {"command": "verify-inclusions", "sample_count": 4,
+     "system": {"kind": "time-t-map", "t": 0.5, "flow": UNIT_ROOF}},
+], ids=["classify", "flow-suite", "time-t-map-suite"])
+def test_a_time_average_of_a_fibered_atom_exits_2(tmp_path, capsys, cfg):
+    # Abramov's lift holds for atoms on the zero fiber only
+    code, err = run_main({**cfg, "experiment_id": "fibered", "measure": FIBERED_ORBIT},
+                         tmp_path, capsys)
+    assert code == 2, err
+    assert err.startswith("config error: bad measure:") and "zero fiber" in err, err
+
+
 def test_verify_inclusions_on_a_suspension_checks_both_dynamics(tmp_path):
     cfg = {
         "command": "verify-inclusions",
@@ -1035,7 +1055,7 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     flow = build_system(cfg["system"])
     tmap, c = TimeTMap(flow, 1.0), flow.roof.roof_max
     fam = TestFamily.default_for(flow.base, depth=3)
-    mubar = time_average_measure(flow, Bernoulli((0.5, 0.5)), 16)
+    mubar = time_average_measure(flow, Bernoulli((0.5, 0.5)))
     freq = CylinderIndicator((0,))
     base = cfg["schedule"]["checkpoints"]
 

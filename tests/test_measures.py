@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -127,51 +128,45 @@ def test_mixture_weights_must_sum_to_one():
 
 
 def test_time_averaged_measure_integrates_fiber_profiles():
-    """Midpoint nodes must sweep one full roof period: the profile below is
-    the identity along the fiber, so the answer is the mean fiber 0.75."""
+    """The profile below is the identity along the fiber of one roof period,
+    so the answer is the mean fiber 0.75."""
     susp = Suspension(FullShift(2), RoofFunction.constant(1.5))
-    bar = time_average_measure(susp, Bernoulli((0.5, 0.5)), 16)
+    bar = time_average_measure(susp, Bernoulli((0.5, 0.5)))
     ramp = FiberProfile(Constant(1.0), ((0.0, 0.0), (1.5, 1.5)))
-    assert integrate(bar, ramp) == pytest.approx(0.75, abs=1e-12)
+    assert integrate(bar, ramp) == 0.75
 
 
 def test_time_averaged_measure_keeps_base_cylinder_mass():
     susp = Suspension(FullShift(2), RoofFunction.constant(2.0))
     mu = Bernoulli((0.3, 0.7))
-    bar = time_average_measure(susp, mu, 16)
+    bar = time_average_measure(susp, mu)
     assert integrate(bar, CylinderIndicator((1,))) == pytest.approx(0.7, abs=1e-12)
-
-
-def node_rule(mu, phi):
-    """The midpoint rule read node piece by node piece: the weighted sum over
-    the time average's `pieces`, each base piece moved to one node."""
-    return math.fsum(w * p.integral(phi) for w, p in mu.pieces)
 
 
 @pytest.mark.parametrize("roof", [0.75, 1.0, 2.0])
 @given(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.booleans())
 @settings(deadline=None, max_examples=15)
 def test_a_fiber_blind_time_average_is_its_base_integral_to_the_bit(roof, a, b, markov):
-    """No node of a constant roof's time average leaves the first fiber, so a
-    cylinder integrates as against the base chain; at 16 nodes the node
-    weights are powers of two and the node rule gives the same bits."""
+    """An observable that reads no fiber has the mass c over [0, c), so it
+    integrates as against the base chain."""
     flow = Suspension(FullShift(2), RoofFunction.constant(roof))
     base = Markov.from_transitions(((a, 1 - a), (b, 1 - b))) if markov else Bernoulli((a, 1 - a))
-    bar = time_average_measure(flow, base, 16)
+    bar = time_average_measure(flow, base)
     for n in range(1, 5):
         for word in itertools.product(range(2), repeat=n):
             phi = CylinderIndicator(word)
-            assert integrate(bar, phi).hex() == node_rule(bar, phi).hex() == \
-                integrate(base, phi).hex(), word
+            assert integrate(bar, phi).hex() == integrate(base, phi).hex(), word
 
 
-def test_the_roof_075_hat_keeps_the_node_rule():
-    """A fiber profile still integrates node by node: the hat's knots miss the
-    nodes of the roof 0.75, where the exact value is 7/12."""
-    flow = Suspension(FullShift(2), RoofFunction.constant(0.75))
-    bar = time_average_measure(flow, Bernoulli((0.5, 0.5)), 16)
+@pytest.mark.parametrize("roof, want", [(0.75, 7 / 12), (1.3, 0.5 / 1.3), (1.0, 0.5),
+                                        (2.0, 0.25)])
+def test_the_hat_integrates_to_its_mean_over_the_roof(roof, want):
+    """The hat's knots 0.5 and 1 miss the 16 midpoint nodes of the roofs 0.75
+    and 1.3, where the node rule read 0.583984375 and 0.384375."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(roof))
+    bar = time_average_measure(flow, Bernoulli((0.5, 0.5)))
     hat = FiberProfile(Constant(1.0), ((0.0, 0.0), (0.5, 1.0), (1.0, 0.0)))
-    assert integrate(bar, hat) == node_rule(bar, hat) == 0.583984375
+    assert integrate(bar, hat) == pytest.approx(want, abs=1e-15)
 
 
 def test_a_time_average_under_a_word_dependent_roof_is_refused():
@@ -182,7 +177,91 @@ def test_a_time_average_under_a_word_dependent_roof_is_refused():
     with pytest.raises(ValueError, match="word-dependent"):
         integrate(time_average_measure(flow, Bernoulli((0.5, 0.5))), CylinderIndicator((0,)))
     with pytest.raises(ValueError, match="word-dependent"):
-        TimeAveraged(flow, Bernoulli((0.5, 0.5)), 4)
+        TimeAveraged(flow, Bernoulli((0.5, 0.5)))
+
+
+UNIT_ROOF_FLOW = Suspension(FullShift(2), RoofFunction.constant(1.0))
+
+
+@pytest.mark.parametrize("base, error, match", [
+    # else the cylinder [2] of a 2-letter shift integrates to 1/3
+    (Bernoulli((1 / 3, 1 / 3, 1 / 3)), ValueError, "alphabet mismatch"),
+    (Atomic((Point(ExplicitWord((0, 1))),), (1.0,)), ValueError, "not invariant"),
+    (Atomic((Point(ExplicitWord((0,)), fiber=0.5),), (1.0,)), ValueError, "zero fiber"),
+    (TimeShifted(UNIT_ROOF_FLOW, 0.5, Bernoulli((0.5, 0.5))), TypeError, "TimeShifted"),
+], ids=["three-letters", "half-orbit", "fibered-atom", "time-shifted"])
+def test_a_time_average_refuses_a_base_it_does_not_lift(base, error, match):
+    """The closed form holds for an invariant base on the zero fiber only."""
+    with pytest.raises(error, match=match):
+        TimeAveraged(UNIT_ROOF_FLOW, base)
+
+
+def exact_profile_integral(breakpoints, c):
+    """The profile's integral over [0, c] in exact rationals: linear between
+    breakpoints and constant outside them, so each knot-to-knot trapezoid is exact."""
+    xs, ys = zip(*((Fraction(x), Fraction(y)) for x, y in breakpoints))
+    c = Fraction(c)
+
+    def f(s):
+        if s <= xs[0]:
+            return ys[0]
+        if s >= xs[-1]:
+            return ys[-1]
+        i = next(i for i in range(len(xs) - 1) if xs[i] <= s <= xs[i + 1])
+        return ys[i] + (ys[i + 1] - ys[i]) * (s - xs[i]) / (xs[i + 1] - xs[i])
+
+    knots = sorted({Fraction(0), c, *(x for x in xs if 0 < x < c)})
+    return sum(((f(a) + f(b)) / 2 * (b - a) for a, b in zip(knots, knots[1:])), Fraction(0))
+
+
+def cylinder_mass(mu, word):
+    """Mass of the cylinder [word]: a chain's stationary mass of the first
+    symbol times its transitions, a mixture's weighted sum."""
+    if isinstance(mu, Mixture):
+        return sum(w * cylinder_mass(m, word) for m, w in mu.components)
+    P = mu.transitions
+    return mu.stationary[word[0]] * math.prod(P[a][b] for a, b in zip(word, word[1:]))
+
+
+ROOF_VALUES = (0.3, 0.75, 1.0, 1.3, 2.0)
+PROBS = st.floats(0.05, 0.95)
+CHAINS = st.one_of(PROBS.map(lambda p: Bernoulli((p, 1.0 - p))), st.tuples(PROBS, PROBS).map(
+    lambda ab: Markov.from_transitions(((ab[0], 1 - ab[0]), (ab[1], 1 - ab[1])))))
+CHAIN_BASES = st.one_of(CHAINS, st.lists(st.tuples(CHAINS, st.floats(0.1, 1.0)), min_size=2,
+                                         max_size=3).map(
+    lambda mw: Mixture(tuple(zip((m for m, _ in mw), _unit(w for _, w in mw))))))
+PROFILES = st.tuples(
+    st.lists(st.floats(0.0, 2.5), min_size=2, max_size=5, unique=True).map(sorted),
+    st.lists(st.floats(-2.0, 2.0), min_size=5, max_size=5),
+).map(lambda xy: tuple(zip(xy[0], xy[1])))
+
+
+@given(PROFILES, st.sampled_from(ROOF_VALUES), CHAIN_BASES,
+       st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple))
+@settings(deadline=None, max_examples=200)
+def test_a_fiber_profile_integrates_to_its_exact_fiber_mean(bps, roof, base, word):
+    """(1/c) * the profile's integral over [0, c), in rationals, times the
+    cylinder's base mass: Abramov's lift of the base, with no quadrature."""
+    bar = TimeAveraged(Suspension(FullShift(2), RoofFunction.constant(roof)), base)
+    want = float(exact_profile_integral(bps, roof) / Fraction(roof)) * cylinder_mass(base, word)
+    got = integrate(bar, FiberProfile(CylinderIndicator(word), bps))
+    assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("roof", ROOF_VALUES)
+@given(CHAIN_BASES, st.data())
+@settings(deadline=None, max_examples=20)
+def test_the_time_average_is_invariant_to_the_bit(roof, base, data):
+    """Moving the lift, or composing the observable, by a dyadic time up to two
+    roofs leaves every integral's bits."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(roof))
+    bar = TimeAveraged(flow, base)
+    t = data.draw(st.integers(0, int(16 * roof)).map(lambda i: i / 8))
+    for phi in (CylinderIndicator((0,)), CylinderIndicator((1, 0)),
+                CylinderIndicator((0, 1, 1)), HAT):
+        want = integrate(bar, phi).hex()
+        assert integrate(pushforward(flow, t, bar), phi).hex() == want
+        assert integrate(bar, compose_with_flow(flow, t, phi)).hex() == want
 
 
 @pytest.mark.parametrize("read", [
@@ -410,7 +489,7 @@ def test_atoms_on_a_union_are_read_on_their_tagged_side():
 def test_time_shifted_measures_have_no_entropy_rule():
     flow = Suspension(FullShift(2), RoofFunction.constant(1.0))
     for mu in (TimeShifted(flow, 0.5, Bernoulli((0.5, 0.5))),
-               time_average_measure(flow, Bernoulli((0.5, 0.5)), 4)):
+               time_average_measure(flow, Bernoulli((0.5, 0.5)))):
         with pytest.raises(TypeError):
             metric_entropy(mu, FullShift(2))
 
@@ -440,9 +519,27 @@ def _unit(weights):
     return tuple(w / total for w in weights)
 
 
+def whole_orbits():
+    """Equal masses at every rotation of a word, on the zero fiber or with none set."""
+    return st.builds(lambda w, f: Atomic(tuple(Point(ExplicitWord(w), o, fiber=f)
+                                               for o in range(len(w))), (1.0 / len(w),) * len(w)),
+                     st.lists(st.integers(0, 1), min_size=1, max_size=4).map(tuple),
+                     st.sampled_from((None, 0.0)))
+
+
+def invariant_measures():
+    """Chains, whole-orbit atoms and their mixtures: the bases a time average lifts."""
+    leaf = st.one_of(CHAINS, whole_orbits())
+    return st.recursive(leaf, lambda inner: st.lists(
+        st.tuples(inner, st.floats(0.1, 1.0)), min_size=1, max_size=3).map(
+        lambda mw: Mixture(tuple(zip((m for m, _ in mw), _unit(w for _, w in mw))))),
+        max_leaves=3)
+
+
 def nested_measures(flow=None):
     """Mixtures of mixtures, atomic, Bernoulli and Markov measures and, on a
-    suspension, time-shifted and time-averaged ones, with random weights."""
+    suspension, time-shifted ones and time averages of invariant ones, with
+    random weights."""
     fibers = st.none() if flow is None else st.integers(0, 5).map(lambda i: i / 8)
 
     def extend(inner):
@@ -451,8 +548,7 @@ def nested_measures(flow=None):
         if flow is None:
             return mixture
         shifted = st.builds(lambda m, t: TimeShifted(flow, t, m), inner, DYADIC_TIMES)
-        averaged = st.builds(lambda m, n: TimeAveraged(flow, m, n), inner,
-                             st.sampled_from((1, 2, 4)))
+        averaged = st.builds(lambda m: TimeAveraged(flow, m), invariant_measures())
         return st.one_of(mixture, shifted, averaged)
 
     return st.recursive(leaf_measures(fibers), extend, max_leaves=4)
@@ -465,10 +561,12 @@ def reference_integral(mu, phi, flow=None, s=None):
         return sum(w * reference_integral(m, phi, flow, s) for m, w in mu.components)
     if isinstance(mu, TimeShifted):
         return reference_integral(mu.base, phi, flow, (s or 0.0) + mu.t)
-    if isinstance(mu, TimeAveraged):
+    if isinstance(mu, TimeAveraged):         # invariant: a shift by s leaves it in place
         c = flow.roof.roof_max
-        return sum(reference_integral(mu.base, phi, flow, (s or 0.0) + c * (j + 0.5) / mu.m)
-                   for j in range(mu.m)) / mu.m
+        if isinstance(phi, FiberProfile):
+            mean = float(exact_profile_integral(phi.breakpoints, c) / Fraction(c))
+            return mean * reference_integral(mu.base, phi.base, flow)
+        return reference_integral(mu.base, phi, flow)
     if isinstance(mu, Atomic):
         def at(x):
             if s is None:

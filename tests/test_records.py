@@ -69,8 +69,8 @@ TABLE = [
      'Atomic(points=(Point(rule=ExplicitWord(symbols=(0,)), offset=0, component=None, fiber=None),), weights=(1.0,))'),
     (lambda: measures.Mixture(((Bernoulli((0.5, 0.5)), 1.0),)),
      'Mixture(components=((Bernoulli(probs=(0.5, 0.5), component=None), 1.0),))'),
-    (lambda: measures.TimeAveraged(CircleRotationFlow(), Lebesgue(), 4),
-     'TimeAveraged(flow=CircleRotationFlow(), base=Lebesgue(dim=1), m=4)'),
+    (lambda: measures.TimeAveraged(CircleRotationFlow(), Lebesgue()),
+     'TimeAveraged(flow=CircleRotationFlow(), base=Lebesgue(dim=1))'),
     (lambda: measures.TimeShifted(CircleRotationFlow(), 0.5, Lebesgue()),
      'TimeShifted(flow=CircleRotationFlow(), t=0.5, base=Lebesgue(dim=1))'),
     (lambda: measures.Constant(1.5),

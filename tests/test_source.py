@@ -40,7 +40,7 @@ MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 # answered `symbolic`, `pairs()` and `used()`), a subset class (7 before each
 # subset answered the counting routes) or a measure class (4 before each
 # measure answered `chain`, `seeded` and `foreign`) in src/ergode/*.py
-MAX_LINES = 4278       # 4,279 while suites were labelled one point at a time
+MAX_LINES = 4266       # 4,278 while time averages took a 16-node midpoint rule
 MAX_ISINSTANCE_LINES = 1
 MAX_OBSERVABLE_ISINSTANCE_LINES = 0
 MAX_SYSTEM_ISINSTANCE_LINES = 0
