@@ -3,13 +3,13 @@
 
 Reads the depth-4 default test family of the base shift along 2^22 steps of
 one point of the kind named on the command line (`seeded-iid`,
-`seeded-markov` or `stage-recipe` on a shift, or `word-roof`, a seeded-iid
-point read by the time-1 map of a suspension under the word roof
-(0.7, 1.3)) and prints the process's `ru_maxrss` before and after the read,
-and the read's wall time.  Run each kind in a fresh process, since the peak
-only grows:
+`seeded-markov`, `stage-recipe` or `steered-blocks`, the default irregular
+point, on a shift, or `word-roof`, a seeded-iid point read by the time-1 map
+of a suspension under the word roof (0.7, 1.3)) and prints the process's
+`ru_maxrss` before and after the read, and the read's wall time.  Run each
+kind in a fresh process, since the peak only grows:
 
-    for kind in seeded-iid seeded-markov stage-recipe word-roof; do
+    for kind in seeded-iid seeded-markov stage-recipe steered-blocks word-roof; do
         PYTHONPATH=src python scripts/long_read_rss.py $kind
     done
 
@@ -26,7 +26,7 @@ import time
 import numpy.random  # noqa: F401  (its pages count before the read, not in it)
 
 from ergode.birkhoff import Schedule, limit_point_set
-from ergode.constructions import generic_point
+from ergode.constructions import generic_point, irregular_point
 from ergode.measures import Bernoulli, Markov, TestFamily
 from ergode.systems import FullShift, MarkovShift, RoofFunction, Suspension, TimeTMap
 
@@ -38,6 +38,7 @@ POINTS = {
     "seeded-markov": (GOLDEN_MEAN, lambda: generic_point(
         GOLDEN_MEAN, Markov(((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7)), "seeded-iid", seed=1)),
     "stage-recipe": (FullShift(2), lambda: generic_point(FullShift(2), Bernoulli((0.3, 0.7)))),
+    "steered-blocks": (FullShift(2), lambda: irregular_point(FullShift(2), 0, 0.2, 0.65).point),
     "word-roof": (TimeTMap(Suspension(FullShift(2), RoofFunction(1, (0.7, 1.3), 2)), 1.0),
                   lambda: generic_point(FullShift(2), Bernoulli((0.3, 0.7)), "seeded-iid",
                                         seed=1).with_fiber(0.0)),

@@ -151,8 +151,9 @@ def _cell_profiles(system, points, observables, Ts):
     piece, so its rule keeps no stream; the group finishes once (`_finish`).
     A row with a symbol outside the alphabet (a tagged point's side's) is
     refused (ValueError) before it is counted, then a point the system does
-    not admit.  A depth-1 read in which every full cell weighs the same
-    counts a rule that has `counts` from its recipe, building no symbols."""
+    not admit.  A depth-1 read in which every full cell weighs the same asks
+    a rule that has `counts` once per point, for the counts before and past
+    cell 0 and each end, and builds no symbols."""
     flow, sides = system.is_flow, system.carrier.sides
     k = max(side.alphabet for side in sides)        # a code base above every symbol
     tops = dict(enumerate(side.alphabet for side in sides))     # a tagged point's alphabet
@@ -175,16 +176,17 @@ def _cell_profiles(system, points, observables, Ts):
         if not members:
             group, plan = key, system.cell_plan(x, Ts)
             need, recipe = plan.ends[-1] + depth, depth == 1 and len(plan.classes) == 1
+            edges = np.array([(e, e + 1) for e in (0, *plan.ends)])     # at cell 0 and each end
         if (len(stack) + 1) * need > _CELL_CHUNK:
             _count(stack, depth, k, plan)
         top = tops.get(x.component, k)
-        tally = recipe and top == k and x.rule.counts
+        tally = x.rule.counts if recipe and top == k else None
         member, o = [x.component, None, None], x.offset     # counts and edge codes to come
         members.append(member)
-        at = tally and functools.cache(lambda i: tally(o + i))     # each position asked once
-        if at and len(first := at(1)) == k:     # cells [1, e) hold at(e) - first
-            member[1:] = ([at(max(e, 1)) - first for e in plan.ends],
-                          [int(np.argmax(at(i + 1) - at(i))) for i in (0, *plan.ends)])
+        at = tally and tally(o + edges)     # one ask: the counts before and past each edge
+        if at is not None and at.shape[-1] == k:    # cells [1, e) hold at(e) - at(1)
+            member[1:] = ((at[1:, 0] - at[0, 1]) * (edges[1:, :1] >= 1),
+                          np.argmax(at[:, 1] - at[:, 0], axis=1))
         elif plan.ends[-1] >= _CELL_CHUNK:      # more cells than one step: piece by piece
             _count([(None, member)], depth, k, plan,
                    (_checked(p, top)[None] for p in x.rule.pieces(o, o + need, _CELL_CHUNK)))
@@ -360,28 +362,20 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
 
 
 def _limit_classes(A, checkpoints, fam: TestFamily, tol: float) -> Tuple[LimitClass, ...]:
-    """The clusters of `limit_point_set`, from a profile already read (one
-    row of family averages per checkpoint)."""
+    """The clusters of `limit_point_set`, from a profile already read (one row
+    of family averages per checkpoint): the tail checkpoints joined by each pair
+    at most `tol` apart, then by the paths through them (squaring the relation)."""
     tail = len(checkpoints) // 2
     A, cps = np.asarray(A)[tail:], checkpoints[tail:]
-    m = len(cps)
-    parent = list(range(m))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            if fam.distance(A[i], A[j]) <= tol:
-                parent[find(i)] = find(j)
-    groups = {}
-    for i in range(m):
-        groups.setdefault(find(i), []).append(i)
-    out = [LimitClass(tuple(np.mean([A[i] for i in g], axis=0)), tuple(cps[i] for i in g))
-           for g in groups.values()]
+    near = np.eye(len(cps), dtype=bool)
+    for i in range(len(cps)):
+        near[i, i + 1:] = [fam.distance(A[i], b) <= tol for b in A[i + 1:]]
+    near |= near.T
+    for _ in range(len(cps).bit_length()):
+        near = near @ near
+    groups = dict.fromkeys(tuple(np.flatnonzero(row).tolist()) for row in near)
+    out = [LimitClass(tuple(np.mean(A[list(g)], axis=0)), tuple(cps[i] for i in g))
+           for g in groups]
     return tuple(sorted(out, key=lambda c: c.checkpoints[-1], reverse=True))
 
 

@@ -15,7 +15,8 @@ Within each block the symbol is spread evenly, so the running average moves
 monotonically between targets; the block ends are the natural checkpoint
 schedule and the natural oscillation-window scales.  Both rules lay, write
 and count their blocks only as far as they are read (`systems._Blocks`), so
-a symbol-frequency read counts from the recipe and builds no stream.
+a symbol-frequency read counts from the recipe, every position at once, and
+builds no stream; a stage recipe builds each round once, as its stage is laid.
 
 Gluing admits each segment's point, then concatenates the segments exactly
 on a full shift (at resolutions coarser than one symbol a junction causes no
@@ -27,6 +28,7 @@ raises.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Optional, Sequence, Tuple
@@ -267,7 +269,7 @@ class StageRecipe(_Blocks):
     joining each round to the next, its own within the stage and the next
     stage's at its end (none on a shift that forbids nothing).  The stage
     whose rounds pass `horizon` symbols is the last, and its round repeats
-    forever.  Each round is built as an int16 array when it is first laid."""
+    forever.  Each round is built once, as an int16 array, when its stage is laid."""
 
     kind = "stage-recipe"
     transitions: Tuple[Tuple[float, ...], ...]
@@ -275,35 +277,43 @@ class StageRecipe(_Blocks):
     adjacency: Tuple[Tuple[int, ...], ...]
     first_stage: int
     horizon: int
-    chain = property(lambda self: Markov(self.transitions, self.stationary))
+    chain = functools.cached_property(lambda self: Markov(self.transitions, self.stationary))
 
     def __post_init__(self):     # ValueError unless a chain that keeps to the adjacency
         check_invariance(self.chain, MarkovShift(len(self.adjacency), self.adjacency))
 
-    def _round(self, L: int) -> np.ndarray:
-        """The words of length L in lexicographic order, each k**L times its
-        mass by error-diffusing rounding, junctions repaired."""
+    def _count(self, L: int) -> np.ndarray:
+        """The copies of each length-L word in its round, by code: k**L times its
+        mass, by error-diffusing rounding."""
         k = len(self.stationary)
         cum = np.floor(np.cumsum(self.chain.cylinder_masses(k, L)) * k ** L + 1e-9)
+        return np.diff(cum, prepend=0.0).astype(np.int64)
+
+    def _round(self, L: int, count: np.ndarray) -> np.ndarray:
+        """The words of length L in lexicographic order, word c count[c] times,
+        junctions repaired."""
+        k = len(self.stationary)
         words = np.array(np.unravel_index(np.arange(k ** L), (k,) * L), dtype=np.int16).T
-        repeated = np.repeat(words, np.diff(cum, prepend=0.0).astype(np.int64), axis=0)
-        return _repair_junctions(repeated.ravel(), self.adjacency)
+        return _repair_junctions(np.repeat(words, count, axis=0).ravel(), self.adjacency)
 
     def _blocks(self):
         """Stage i's round 2**i times, each with the seam connector to the next
-        round (the next stage's after its last), through the stage past `horizon`."""
-        k, total, after = len(self.stationary), 0, self._round(self.first_stage)
-        for i in itertools.count():
-            flat, reps = after, 1 << i
+        round, through the stage past `horizon`.  The seam into the next stage
+        reads its first symbol, that of its first word counted (its junction
+        repairs leave it in place), from its counts, before its round is built."""
+        k, total, count = len(self.stationary), 0, self._count(self.first_stage)
+        for L in itertools.count(self.first_stage):
+            flat, reps = self._round(L, count), 1 << (L - self.first_stage)
             total += len(flat) * reps
-            after = flat if total >= self.horizon else self._round(self.first_stage + i + 1)
-            same, cross = (_connector(self.adjacency, flat[-1], b) for b in (flat[0], after[0]))
+            count = self._count(L + 1) if total < self.horizon else None
+            head = flat[0] if count is None else int(np.argmax(count > 0)) // k ** L
+            same, cross = (_connector(self.adjacency, flat[-1], b) for b in (flat[0], head))
             body = lambda conn, r: _Word(np.concatenate((flat, np.array(conn, np.int16))), k, r)
             if reps > 1 and same != cross:
                 yield from (body(same, reps - 1), body(cross, 1))
             else:
                 yield body(same if reps > 1 else cross, reps)
-            if after is flat:
+            if count is None:
                 return
 
     def pairs(self) -> list:

@@ -132,22 +132,9 @@ class _Descriptor(Record):
     def alphabet(self) -> int:
         raise TypeError(f"no single alphabet for {type(self).__name__}")
 
-    @property
-    def space(self) -> "SpaceDescriptor":
-        return self
-
-    @property
-    def carrier(self) -> "SpaceDescriptor":
-        return self
-
-    digits = property(lambda self: self)
-
-    @property
-    def sides(self) -> tuple:
-        return (self,)
-
-    def side(self, component: Optional[int]) -> "SpaceDescriptor":
-        return self
+    space = carrier = digits = property(lambda self: self)
+    sides = property(lambda self: (self,))
+    side = lambda self, component: self
 
     def admits(self, point: "Point") -> None:
         """ValueError unless the point is one of this space's: its rule reads
@@ -203,9 +190,7 @@ class _Descriptor(Record):
 class _Shift(_Descriptor):
     symbolic = True
 
-    @property
-    def alphabet(self) -> int:
-        return self.k
+    alphabet = property(lambda self: self.k)
 
     @functools.cached_property
     def forbids_nothing(self) -> bool:
@@ -293,17 +278,9 @@ class DisjointUnion(_Descriptor):
     left: "SystemDescriptor"
     right: "SystemDescriptor"
 
-    @property
-    def isometric(self) -> bool:
-        return self.left.isometric and self.right.isometric
-
-    @property
-    def symbolic(self) -> bool:
-        return self.left.symbolic and self.right.symbolic
-
-    @property
-    def sides(self) -> tuple:
-        return (self.left, self.right)
+    isometric = property(lambda self: self.left.isometric and self.right.isometric)
+    symbolic = property(lambda self: self.left.symbolic and self.right.symbolic)
+    sides = property(lambda self: (self.left, self.right))
 
     def side(self, component: Optional[int]) -> Optional["SystemDescriptor"]:
         if component not in (None, 0, 1):
@@ -386,13 +363,8 @@ class RoofFunction(Record):
     def constant(cls, value: float) -> "RoofFunction":
         return cls(depth=0, table=(float(value),), k=1)
 
-    @property
-    def roof_min(self) -> float:
-        return min(self.table)
-
-    @property
-    def roof_max(self) -> float:
-        return max(self.table)
+    roof_min = property(lambda self: min(self.table))
+    roof_max = property(lambda self: max(self.table))
 
     def value_at(self, x: "Point") -> float:
         """The roof over the base point of x."""
@@ -429,9 +401,7 @@ class Suspension(_Descriptor):
             if self.roof.k != self.base.alphabet:
                 raise ValueError("roof alphabet must match the base alphabet")
 
-    @property
-    def carrier(self) -> SystemDescriptor:
-        return self.base
+    carrier = property(lambda self: self.base)
 
     @property
     def period(self) -> float:
@@ -864,8 +834,17 @@ class _Word(NamedTuple):
             out[p:2 * p] = out[:min(p, len(out) - p)]
             p *= 2
 
-    def tally(self, p: int) -> np.ndarray:
-        return np.bincount(self.word[:p], minlength=self.k)
+    @staticmethod
+    def tallies(blocks: list, i: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Counts over the first p[r] symbols of blocks[i[r]], per row r: the prefix-count
+        table of each word asked, at its p, from one bincount keyed by the p past each symbol."""
+        out = np.empty((len(p), blocks[0].k), dtype=np.int64)
+        for b in np.unique(i).tolist():
+            (cut, at), k = np.unique(p[i == b], return_inverse=True), blocks[b].k
+            seg = np.repeat(np.arange(len(cut), dtype=np.int32), np.diff(cut, prepend=0)) * k
+            out[i == b] = np.bincount(seg + blocks[b].word[:cut[-1]], minlength=len(cut) * k
+                                      ).reshape(-1, k).cumsum(axis=0)[at]
+        return out
 
 
 class _Steered(NamedTuple):
@@ -878,50 +857,55 @@ class _Steered(NamedTuple):
     reps: int = 1
 
     def write(self, out: np.ndarray, at: int) -> None:
-        """Its positions at + 1, at + 2, ... into `out`, repeating after `size`."""
-        others = np.array([s for s in range(self.k) if s != self.symbol], dtype=np.int16)
-        j = np.arange(at, at + len(out), dtype=np.int64) % self.size
+        """Its positions at + 1, at + 2, ... into `out`, repeating after `size`: the
+        symbol where the marks floor(j * want / size) step, j unwrapped (a unit adds
+        `want`), and the others dealt in turn from each unit's start."""
+        j = np.arange(at, at + len(out) + 1, dtype=np.int64)
         marks = j * self.want // self.size
-        out[:] = others[(j - marks) % len(others)]
-        out[(j + 1) * self.want // self.size > marks] = self.symbol
+        other = 1 - self.symbol
+        if self.k > 2:      # the others before it in its unit, mod k - 1
+            other = j[:-1] - marks[:-1] - j[:-1] // self.size * (self.size - self.want)
+            other %= self.k - 1
+            other += other >= self.symbol
+        out[:] = np.where(marks[1:] > marks[:-1], self.symbol, other)
 
-    def tally(self, p: int) -> np.ndarray:
-        """Symbol counts over positions 1..p: floor(p * want / size) marks, and
-        the other positions dealt to the other symbols in turn."""
-        marks = p * self.want // self.size
-        q, r = divmod(p - marks, self.k - 1)
-        out = [q + (i < r) for i in range(self.k - 1)]
-        out.insert(self.symbol, marks)
-        return np.array(out, dtype=np.int64)
+    @staticmethod
+    def tallies(blocks: list, i: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """Counts over positions 1..p[r] of blocks[i[r]], per row r: floor(p * want /
+        size) marks, and the other positions dealt to the other symbols in turn."""
+        size, want = np.array([(b.size, b.want) for b in blocks], dtype=np.int64)[i].T
+        k, symbol, marks = blocks[0].k, blocks[0].symbol, p * want // size
+        q, r = np.divmod(p - marks, k - 1)
+        out = q[:, None] + (np.arange(k) - (np.arange(k) > symbol) < r[:, None])
+        out[:, symbol] = marks
+        return out
 
 
 class _Blocks(_Rule):
-    """A rule whose stream is the blocks its kind lists (`_blocks()`) laid
-    end to end, the last one's unit repeating forever.  A block is `reps`
-    copies of a unit of `size` symbols that writes and tallies itself: a
-    word (`_Word`) or a steered block (`_Steered`).  Blocks are laid as far
-    as a read needs them, and a piece is written from the parts of the laid
-    blocks that fall in it; `pairs()` reads the stream with each block cut
-    to two units (a third adds no pair), and `counts(n)` tallies positions
-    0..n-1 block by block."""
+    """A rule whose stream is the blocks its kind lists (`_blocks()`) laid end to end, the last
+    one's unit repeating forever.  A block is `reps` copies of a unit of `size` symbols that
+    writes itself and whose kind tallies it: a word (`_Word`) or a steered block (`_Steered`).
+    Blocks are laid as far as a read needs them, and a piece is written from the parts of the
+    laid blocks that fall in it; `pairs()` reads the stream with each block cut to two units (a
+    third adds no pair), and `counts(n)` answers one position or an array of them from arrays
+    kept beside the laid blocks."""
 
     def _laid(self, n) -> tuple:
-        """(blocks, starts, before): the blocks laid through position n (all past
-        the last), where each starts and the counts before it, and at the end."""
+        """(blocks, starts): the blocks laid through position n (all past the last),
+        and where each starts, then where the last ends; the blocks come from a copy
+        that shares the rule's cached values (a stage recipe's chain), not its buffer."""
         if "blocks" not in self._buf:     # a copy's generator, so no cycle holds this rule
-            self._buf["blocks"] = (iter(self._replace()._blocks()), [], [0], [])
-        rest, blocks, starts, before = self._buf["blocks"]
+            (copy := object.__new__(type(self))).__dict__.update(self.__dict__, _buf={})
+            self._buf["blocks"] = (iter(copy._blocks()), [], [0])
+        rest, blocks, starts = self._buf["blocks"][:3]
         while starts[-1] <= n and (b := next(rest, None)):
-            if not before:
-                before.append(b.tally(0))
             blocks.append(b)
             starts.append(starts[-1] + b.size * b.reps)
-            before.append(before[-1] + b.reps * b.tally(b.size))
-        return blocks, starts, before
+        return blocks, starts
 
     def pieces(self, lo: int, hi: int, step: int):
         for a in range(lo, hi, step):
-            yield _lay(*self._laid(min(a + step, hi) - 1)[:2], a, min(step, hi - a))
+            yield _lay(*self._laid(min(a + step, hi) - 1), a, min(step, hi - a))
 
     def pairs(self) -> list:
         blocks = [b._replace(reps=min(b.reps, 2)) for b in self._laid(math.inf)[0]]
@@ -931,11 +915,23 @@ class _Blocks(_Rule):
         codes = _distinct((s[:-1] - lo) * k + s[1:] - lo)
         return [(int(c) // k + lo, int(c) % k + lo) for c in codes]
 
-    def counts(self, n: int) -> np.ndarray:
-        blocks, starts, before = self._laid(n)
-        i = min(bisect.bisect_right(starts, n), len(blocks)) - 1
-        q, p = divmod(n - starts[i], blocks[i].size)    # q >= reps only past the last block
-        return before[i] + q * (before[i + 1] - before[i]) // blocks[i].reps + blocks[i].tally(p)
+    def counts(self, n) -> np.ndarray:
+        """Symbol counts over positions 0..n-1 in int64, a k-vector for one n and (m, k)
+        for an int array of m: those before its block and of its whole units, from
+        arrays kept beside the laid blocks, and of its partial unit, tallied at once."""
+        flat = (pos := np.asarray(n, dtype=np.int64)).reshape(-1)
+        blocks, starts = self._laid(int(flat.max(initial=0)))
+        if len(held := self._buf["blocks"]) == 3 or len(held[3]) < len(starts):    # more laid
+            sizes = np.array([b.size for b in blocks], dtype=np.int64)
+            units = type(blocks[0]).tallies(blocks, np.arange(len(blocks)), sizes)
+            laid = units * np.array([b.reps for b in blocks])[:, None]
+            held = self._buf["blocks"] = (*held[:3], np.array(starts), sizes, units,
+                                          np.cumsum(laid, axis=0) - laid)
+        starts, sizes, units, before = held[3:]
+        i = np.minimum(np.searchsorted(starts, flat, side="right"), len(blocks)) - 1
+        q, p = np.divmod(flat - starts[i], sizes[i])    # q >= reps only past the last block
+        out = before[i] + q[:, None] * units[i] + type(blocks[0]).tallies(blocks, i, p)
+        return out.reshape(pos.shape + out.shape[1:])
 
 
 class BlockSchedule(_Blocks):

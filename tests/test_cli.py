@@ -1075,6 +1075,57 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     assert {"Generic", "Irregular"} <= labels
 
 
+@pytest.mark.parametrize("name", ["inclusions_unit_roof", "inclusions_roof2"])
+def test_a_flow_suite_counts_each_constructed_irregular_point_once_per_dynamics(
+        tmp_path, monkeypatch, name):
+    """The block-schedule re-read asks each constructed irregular point's
+    recipe for its counts in one call per dynamics, an array of every
+    position it reads (2 + 2 * checkpoints): 8 calls per suite.  The labels
+    that re-read gives are the one-point verdicts."""
+    from ergode import systems
+    from ergode.birkhoff import Schedule, classify_irregular
+    from ergode.measures import CylinderIndicator
+    from ergode.systems import TimeTMap
+
+    asked, suite, block_labels = [], [], []
+    counts, points_of, verdicts = systems._Blocks.counts, cli._inclusion_suite_points, \
+        cli._irregular_verdicts
+
+    def counted(rule, n):
+        asked.append((rule, np.shape(n)))
+        return counts(rule, n)
+
+    def listed(*args):
+        suite.extend(points_of(*args))
+        return suite
+
+    def labelled(F, tol):
+        out = verdicts(F, tol)
+        if len(F) < len(suite):         # a block-schedule re-read
+            block_labels.append(out[0])
+        return out
+
+    monkeypatch.setattr(systems._Blocks, "counts", counted)
+    monkeypatch.setattr(cli, "_inclusion_suite_points", listed)
+    monkeypatch.setattr(cli, "_irregular_verdicts", labelled)
+    assert main(["run", os.path.join(COMMITTED, f"{name}.json"), "--out", str(tmp_path)]) == 0
+    irregular = [(x, blocks) for tag, x, blocks in suite if tag == "constructed-irregular"]
+    assert len(irregular) == 4 and len(asked) == 8
+    assert collections.Counter(id(rule) for rule, _ in asked) == \
+        {id(x.rule): 2 for x, _ in irregular}
+    # the counts before and past cell 0 and the cell of each checkpoint
+    assert {shape for _, shape in asked} == {(len(irregular[0][1].checkpoints) + 1, 2)}
+    monkeypatch.setattr(systems._Blocks, "counts", counts)
+    with open(os.path.join(COMMITTED, f"{name}.json")) as fh:
+        flow = build_system(json.load(fh)["system"])
+    c, freq = flow.roof.roof_max, CylinderIndicator((0,))
+    want = [[classify_irregular(system, x, freq, Schedule(tuple(
+        int(round(cp * c)) if integral else cp * c for cp in blocks.checkpoints))).label
+        for x, blocks in irregular]
+        for system, integral in ((TimeTMap(flow, 1.0), True), (flow, False))]
+    assert block_labels == want and "Irregular" in want[0]
+
+
 def test_inclusion_suite_peak_memory_stays_within_its_gate(tmp_path):
     """The roof-2 inclusion suite holds its 2^22-symbol streams and one cell
     grid per time-1 map; its peak RSS was 225 MB before the flow readers went

@@ -363,6 +363,28 @@ def test_the_stage_recipe_streams_the_block_schedule_it_replaces(system, mu, dig
     assert hashlib.sha256(x.prefix(3_000_000).astype(np.int16).tobytes()).hexdigest() == digest
 
 
+def test_a_stage_read_builds_no_round_past_the_stages_it_reads(monkeypatch):
+    """A 4,098-symbol read (a 5,120-symbol buffer) lays stages 0-2, of rounds
+    of words of length 6, 7 and 8, and reads the seam into stage 3 from its
+    first symbol alone: round 9 is never built.  Each round is built once,
+    and the recipe keeps one chain."""
+    from ergode.constructions import StageRecipe
+    built, build = [], StageRecipe._round
+
+    def recorded(self, L, count):
+        built.append(L)
+        return build(self, L, count)
+
+    monkeypatch.setattr(StageRecipe, "_round", recorded)
+    x = generic_point(FullShift(2), Bernoulli((0.5, 0.5)))
+    chain = x.rule.chain
+    assert len(x.prefix(4098)) == 4098
+    assert built == [6, 7, 8]
+    assert x.rule.chain is chain
+    x.prefix(12_000)        # past stage 2's end at 10,368
+    assert built == [6, 7, 8, 9]
+
+
 def test_golden_mean_block_point_is_admissible_and_generic():
     """Stage rounds of a vertex shift get junction and seam connectors."""
     x = generic_point(GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, "deterministic-blocks")

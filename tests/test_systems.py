@@ -697,6 +697,26 @@ def test_a_block_rule_counts_and_pairs_as_its_stream(rule, data):
     assert sorted(rule.pairs()) == sorted(set(zip(stream[:-1].tolist(), stream[1:].tolist())))
 
 
+@given(rule=BLOCK_RULES, data=st.data())
+@settings(deadline=None, max_examples=80)
+def test_a_block_rule_counts_an_array_of_positions_at_once(rule, data):
+    """counts of an unsorted int array of positions, with repeats, before, at
+    and past the last block end, is the (m, k) int64 stack of its scalar counts
+    and of the stream's running counts, and builds no stream."""
+    end = sum(b.size * b.reps for b in rule._blocks())
+    near_end = st.integers(max(end - 3, 0), end + 3)
+    picks = data.draw(st.lists(st.one_of(st.integers(0, 2 * end), near_end), min_size=1,
+                               max_size=12))
+    pos = np.array(picks + picks[:data.draw(st.integers(0, len(picks)))], dtype=np.int64)
+    got = rule.counts(pos)
+    k = len(rule.counts(0))
+    assert got.dtype == np.int64 and got.shape == (len(pos), k)
+    assert "arr" not in rule._buf
+    assert got.tolist() == [rule._replace().counts(int(n)).tolist() for n in pos]
+    stream = rule._replace().materialise(2 * end + 3)
+    assert got.tolist() == [np.bincount(stream[:n], minlength=k).tolist() for n in pos]
+
+
 @given(st.one_of(st.lists(st.integers(-3, 3)).map(lambda v: np.array(v, np.int64)),
                  st.lists(st.sampled_from([0.3, 0.7, 1.3, -0.0, 0.0])).map(np.array),
                  st.lists(st.sampled_from([1, 5, 2 ** 70])).map(lambda v: np.array(v, object))))
