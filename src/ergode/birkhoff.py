@@ -1,30 +1,30 @@
 """Orbit averages along checkpoint schedules, and the classification of
 points as generic / not generic / irregular.
 
-Every average is read by one function, `_profiles(system, points,
-observables, schedule)`, which returns A[point, checkpoint, observable] for a
-whole family from one pass over each orbit, so a schedule of checkpoints
-costs the same as its largest entry.  The public readers
+Every average is read by one function, `_profiles(reads, points, observables)`,
+which returns A[point, checkpoint, observable] for a whole family under each
+(system, schedule) of `reads`, dynamics of one space, from one pass over each
+orbit, so a schedule costs the same as its largest entry.  The public readers
 (`birkhoff_profile`, `flow_average_profile`, the classifiers and
-`limit_point_set`) pass it one point; a suite passes all of its points, and
-those that share a chart are counted together in stacks and finished
-together once.  The reader asks each observable (see `measures.Observable`),
-never its kind: a `constant` is its value; rotation and translation flows
-take its `line_average` (a harmonic's, in closed form); circle and torus maps
-sum its values `along` the system's `orbit` (exact under circle
-multiplication).  A system whose `carrier` is symbolic (a shift, a
-suspension or its time-t map) is read in base cells (symbol offsets) along
-the `cell_plan` it answers for each point from its one exact time chart, which
+`limit_point_set`) pass it one point and one read; a suite passes all of its
+points, those that share a chart are counted together in stacks and finished
+together once, and dynamics whose cell plans end in the same cells, one class
+each, share one count.  The reader asks each observable (see
+`measures.Observable`), never its kind: a `constant` is its value; rotation and
+translation flows take its `line_average` (a harmonic's, in closed form);
+circle and torus maps sum its values `along` the system's `orbit` (exact under
+circle multiplication).  A system whose `carrier` is symbolic (a shift, a
+suspension or its time-t map) is read in base cells (symbol offsets) along the
+`cell_plan` it answers for each point from its one exact time chart, which
 `time_t_map` steps by too, so a map's cells carry no float rounding.  Each full
-cell weighs the hits of the word the observable has `counted` by what the
-orbit spends in it, one of the plan's classes: map steps, or its fiber `mass`
-under the cell's roof.  Word hits are counted per (point, word code, class)
-between consecutive checkpoints, in bounded chunks keyed in the narrowest
-integer type that holds them, and a long orbit is read piece by piece, so
-no full-length temporary or stream is held; a symbol outside the alphabet
-is refused before it can spill into another point's keys.  The partial
-first and last cells are added on top, which makes suspension flow
-averages exact.
+cell weighs the hits of the word the observable has `counted` by what the orbit
+spends in it, one of the plan's classes: map steps, or its fiber `mass` under
+the cell's roof.  Word hits are counted per (point, word code, class) between
+consecutive checkpoints, in bounded chunks keyed in the narrowest integer type
+that holds them, and a long orbit is read piece by piece, so no full-length
+temporary or stream is held; a symbol outside the alphabet is refused before it
+can spill into another point's keys.  The partial first and last cells are
+added on top, which makes suspension flow averages exact.
 
 Classification never trusts a single horizon: a point is generic for a
 measure only when every test observable sits within tolerance at the last two
@@ -36,6 +36,7 @@ at both, else inconclusive.  The rules label a suite's profile array at once
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Optional, Tuple
 
 import numpy as np
@@ -105,26 +106,28 @@ class Verdict(Record):
 _CELL_CHUNK = 1 << 16   # (point, cell) pairs per vectorised step; its keys take 128 KB in int16
 
 
-def _profiles(system, points, observables, schedule: Schedule) -> np.ndarray:
-    """A[p, c, i]: the average of observable i along the orbit of the p-th
-    point up to checkpoint c, over map steps on a map and over flow time on
-    a flow.  Constants are their value.  Straight-line flows and circle maps
-    are read point by point, symbolic orbits by `_cell_profiles` a group of
-    points at a time, and each point is admitted once; `points` is iterated
+def _profiles(reads, points, observables) -> list:
+    """[A[p, c, i] per (system, schedule) of `reads`]: the average of observable
+    i along the orbit of the p-th point up to checkpoint c, over map steps on a
+    map and over flow time on a flow.  The systems are dynamics of one space
+    (else ValueError).  Constants are their value.  Straight-line flows and
+    circle maps are read point by point, symbolic orbits by `_cell_profiles` a
+    group of points at a time for every system at once; `points` is iterated
     once, so a generator of points never has more than one group alive."""
-    obs = tuple(observables)
-    flow = system.is_flow
-    Ts = schedule.checkpoints if flow else tuple(int(round(c)) for c in schedule.checkpoints)
+    obs, systems = tuple(observables), [system for system, _ in reads]
+    if any(s.space != systems[0].space for s in systems):
+        raise ValueError(f"one read serves the dynamics of one space, not {systems}")
+    Ts = [sched.checkpoints if s.is_flow else tuple(int(round(c)) for c in sched.checkpoints)
+          for s, sched in reads]
     fixed = [phi.constant for phi in obs]
-    reads = [phi for phi, c in zip(obs, fixed) if c is None]
-    if reads and system.carrier.symbolic:
-        groups = _cell_profiles(system, points, reads, Ts)
+    phis = [phi for phi, c in zip(obs, fixed) if c is None]
+    if phis and systems[0].carrier.symbolic:
+        groups = _cell_profiles(systems, points, phis, Ts)
     else:
-        groups = (_line_profiles(system, x, reads, Ts) for x in points)
-    A = np.concatenate([np.empty((0, len(Ts), len(reads))), *groups])
-    out = np.tile([0.0 if c is None else c for c in fixed], (len(A), len(Ts), 1))
-    out[:, :, [i for i, c in enumerate(fixed) if c is None]] = A
-    return out
+        groups = ([_line_profiles(s, x, phis, T) for s, T in zip(systems, Ts)] for x in points)
+    at = [fixed[:i].count(None) for i, c in enumerate(fixed) if c is not None]
+    return [np.insert(np.concatenate(parts), at, [c for c in fixed if c is not None], axis=2)
+            for parts in zip([np.empty((0, len(T), len(phis))) for T in Ts], *groups)]
 
 
 def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
@@ -139,63 +142,67 @@ def _line_profiles(system, x: Point, phis, Ts) -> np.ndarray:
     return np.array([[[cs[n - 1] / n for cs in sums] for n in Ts]])
 
 
-def _cell_profiles(system, points, observables, Ts):
-    """A[p, c, j] of `points` along a symbolic orbit, yielded chart group by
-    chart group.
+def _cell_profiles(systems, points, observables, Ts):
+    """A[p, c, j] of `points` along a symbolic orbit under each of `systems`,
+    dynamics of one space, yielded chart group by chart group, one array each.
 
-    A chart group is a run of points of one `chart_key` (a shift, or one
-    fiber under a constant roof), which share a `cell_plan`, so each
-    checkpoint ends in the same cell for all of them.  Its short rows (cached
-    prefixes) are counted in stacks of at most `_CELL_CHUNK` symbols
-    (`_count`), each dropped once counted, a longer row alone and piece by
-    piece, so its rule keeps no stream; the group finishes once (`_finish`).
-    A row with a symbol outside the alphabet (a tagged point's side's) is
-    refused (ValueError) before it is counted, then a point the system does
-    not admit.  A depth-1 read in which every full cell weighs the same asks
-    a rule that has `counts` once per point, for the counts before and past
-    cell 0 and each end, and builds no symbols."""
-    flow, sides = system.is_flow, system.carrier.sides
+    A chart group is a run of points of one `chart_key` (a shift, or one fiber
+    under a constant roof), which share a `cell_plan` per system, so each
+    checkpoint ends in the same cell for all of them.  Systems whose plans end
+    in the same cells, one class each, share a count: its short rows (cached
+    prefixes) are counted in stacks of at most `_CELL_CHUNK` symbols (`_count`),
+    each dropped once counted, a longer row alone and piece by piece, so its
+    rule keeps no stream.  Each system finishes the group (`_finish`).  A row
+    with a symbol outside the alphabet (a tagged point's side's) is refused
+    (ValueError) before it is counted, then a point the space does not admit;
+    a point's short row is read, checked and admitted once.  A depth-1 count
+    in which every full cell weighs the same asks a rule that has `counts` once
+    per point, for the counts before and past cell 0 and each end."""
+    space, sides = systems[0].space, systems[0].carrier.sides
     k = max(side.alphabet for side in sides)        # a code base above every symbol
     tops = dict(enumerate(side.alphabet for side in sides))     # a tagged point's alphabet
-    words = []                  # (word code or None, word length, scale, mass, component)
-    for phi in observables:
-        word, comp, scale = phi.counted(flow)
-        code = functools.reduce(lambda c, s: c * k + int(s), word, 0)
-        words.append((code if all(0 <= s < k for s in word) else None,   # None: never hit
-                      len(word), scale, phi.mass, comp))
-    depth = max(1, *(w[1] for w in words))
-    members, stack = [], []     # each member: [component, counts, edge codes]
-    for x in points:
-        if not x.rule.symbolic:         # a coordinate point has no row to check
-            system.admits(x)
-        key = system.chart_key(x)
-        if members and key != group:
-            _count(stack, depth, k, plan)
-            yield _finish(members, words, depth, k, Ts, plan)
-            members = []
-        if not members:
-            group, plan = key, system.cell_plan(x, Ts)
-            need, recipe = plan.ends[-1] + depth, depth == 1 and len(plan.classes) == 1
-            edges = np.array([(e, e + 1) for e in (0, *plan.ends)])     # at cell 0 and each end
-        if (len(stack) + 1) * need > _CELL_CHUNK:
-            _count(stack, depth, k, plan)
-        top = tops.get(x.component, k)
-        tally = x.rule.counts if recipe and top == k else None
-        member, o = [x.component, None, None], x.offset     # counts and edge codes to come
-        members.append(member)
-        at = tally and tally(o + edges)     # one ask: the counts before and past each edge
-        if at is not None and at.shape[-1] == k:    # cells [1, e) hold at(e) - at(1)
-            member[1:] = ((at[1:, 0] - at[0, 1]) * (edges[1:, :1] >= 1),
-                          np.argmax(at[:, 1] - at[:, 0], axis=1))
-        elif plan.ends[-1] >= _CELL_CHUNK:      # more cells than one step: piece by piece
-            _count([(None, member)], depth, k, plan,
-                   (_checked(p, top)[None] for p in x.rule.pieces(o, o + need, _CELL_CHUNK)))
-        else:
-            stack.append((_checked(x.prefix(need), top), member))
-        system.admits(x)
-    if members:
-        _count(stack, depth, k, plan)
-        yield _finish(members, words, depth, k, Ts, plan)
+    code = lambda w: functools.reduce(lambda c, s: c * k + int(s), w, 0)
+    # per system: (word code or None: never hit, word length, scale, mass, component)
+    words = [[(code(w) if all(0 <= s < k for s in w) else None, len(w), scale, phi.mass, comp)
+              for phi in observables for w, comp, scale in [phi.counted(s.is_flow)]]
+             for s in systems]
+    depth, counts = max(1, *(w[1] for ws in words for w in ws)), {}
+    for x in itertools.chain(points, [None]):       # None: past the last point
+        if x and not x.rule.symbolic:       # a coordinate point has no row to check
+            space.admits(x)
+        key = x and space.chart_key(x)
+        if counts and key != group:
+            for r, (stack, *_) in counts.items():
+                _count(stack, depth, k, plans[r])
+            yield [_finish(counts[s][1], ws, depth, k, T, plan)
+                   for s, ws, T, plan in zip(share, words, Ts, plans)]
+            counts = {}
+        if not x:
+            return
+        if not counts:      # plans of equal ends, one class each, share (stack, members, edges)
+            group, plans = key, [s.cell_plan(x, T) for s, T in zip(systems, Ts)]
+            share = [next(i for i, p in enumerate(plans) if p is plan or p.ends == plan.ends
+                          and len(p.classes) == len(plan.classes) == 1) for plan in plans]
+            counts = {r: ([], [], np.array([(e, e + 1) for e in (0, *plans[r].ends)]))
+                      for r in sorted(set(share), key=lambda r: -plans[r].ends[-1])}
+        top, o, row = tops.get(x.component, k), x.offset, None
+        for r, (stack, members, edges) in counts.items():
+            plan, need, member = plans[r], plans[r].ends[-1] + depth, [x.component, None, None]
+            if (len(stack) + 1) * need > _CELL_CHUNK:
+                _count(stack, depth, k, plan)
+            members.append(member)      # its counts and edge codes to come
+            tally = x.rule.counts if depth == len(plan.classes) == 1 and top == k else None
+            at = tally and tally(o + edges)     # one ask: the counts before and past each edge
+            if at is not None and at.shape[-1] == k:    # cells [1, e) hold at(e) - at(1)
+                member[1:] = ((at[1:, 0] - at[0, 1]) * (edges[1:, :1] >= 1),
+                              np.argmax(at[:, 1] - at[:, 0], axis=1))
+            elif plan.ends[-1] >= _CELL_CHUNK:      # more cells than one step: piece by piece
+                _count([(None, member)], depth, k, plan,
+                       (_checked(p, top)[None] for p in x.rule.pieces(o, o + need, _CELL_CHUNK)))
+            else:           # the longest first, so one row serves every count
+                row = _checked(x.prefix(need), top) if row is None else row
+                stack.append((row[:need], member))
+        space.admits(x)
 
 
 def _count(stack, depth: int, k: int, plan, pieces=None) -> None:
@@ -312,7 +319,7 @@ def birkhoff_profile(system, x: Point, phi, schedule: Schedule) -> np.ndarray:
     """Running averages of phi along the orbit at each checkpoint."""
     if system.is_flow:
         raise TypeError(f"{type(system).__name__} is a flow; take flow_average_profile")
-    return _profiles(system, (x,), (phi,), schedule)[0, :, 0]
+    return _profiles([(system, schedule)], (x,), (phi,))[0][0, :, 0]
 
 
 def birkhoff_average_map(system, x: Point, phi, n: int) -> float:
@@ -328,7 +335,7 @@ def flow_average_profile(flow, x: Point, phi, schedule: Schedule) -> np.ndarray:
     symbolic/fiber observables under suspensions."""
     if not flow.is_flow:
         raise TypeError(f"no flow average for {type(flow).__name__}")
-    return _profiles(flow, (x,), (phi,), schedule)[0, :, 0]
+    return _profiles([(flow, schedule)], (x,), (phi,))[0][0, :, 0]
 
 
 def birkhoff_average_flow(flow, x: Point, phi, T: float) -> float:
@@ -357,7 +364,7 @@ def limit_point_set(system, x: Point, fam: TestFamily, schedule: Schedule = None
     horizon is the signature of a convergent (generic-type) orbit."""
     if schedule is None:
         schedule = Schedule.for_map()
-    A = _profiles(system, (x,), fam.observables, schedule)[0]
+    A = _profiles([(system, schedule)], (x,), fam.observables)[0][0]
     return _limit_classes(A, schedule.checkpoints, fam, tol)
 
 
@@ -391,7 +398,7 @@ def classify_generic(system, x: Point, mu, fam: Optional[TestFamily] = None,
         fam = TestFamily.default_for(system)
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    A = _profiles(system, (x,), fam.observables, schedule)
+    A = _profiles([(system, schedule)], (x,), fam.observables)[0]
     (label,), (gap,), (i,) = _generic_verdicts(A, family_targets(mu, fam), tol)
     return Verdict(label, float(gap), None if i < 0 else fam.observables[i],
                    schedule.checkpoints[-1], tuple(map(tuple, A[0])) if keep_profile else None)
@@ -423,7 +430,7 @@ def classify_irregular(system, x: Point, phi, schedule: Optional[Schedule] = Non
     one point."""
     if schedule is None:
         schedule = Schedule.for_flow() if system.is_flow else Schedule.for_map()
-    F = _profiles(system, (x,), (phi,), schedule)[:, :, 0]
+    F = _profiles([(system, schedule)], (x,), (phi,))[0][:, :, 0]
     (label,), (osc,) = _irregular_verdicts(F, tol)
     return Verdict(label, float(osc), phi if label == "Irregular" else None,
                    schedule.checkpoints[-1], tuple(F[0]) if keep_profile else None)

@@ -297,7 +297,8 @@ def _cmd_verify_thm_b(cfg, ctx, rows):
         schedule = build_schedule(cfg["schedule"], False)
         samples = (_random_point(inner, np.random.default_rng(ctx["seed"] + i))
                    for i in range(n_samples))
-        _, labels = _generic_labels(inner, samples, fam, schedule, tol, family_targets(mu, fam))
+        (A,) = _profiles([(inner, schedule)], samples, fam.observables)
+        labels = _generic_verdicts(A, family_targets(mu, fam), tol)[0]
         rows.append(Row(eid, "not_generic_count", float(labels.count("NotGeneric")), None, None,
                         {"sample_count": n_samples}, 0.0))
         return
@@ -347,7 +348,8 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     targets = family_targets(mubar, fam)
     n_limit = min(n_samples, 10)
     samples = (_sample_from(system, mu, ctx["seed"] + i) for i in range(n_samples))
-    A, labels = _generic_labels(system, samples, fam, schedule, tol, targets)
+    (A,) = _profiles([(system, schedule)], samples, fam.observables)
+    labels = _generic_verdicts(A, targets, tol)[0]
     for label in ("Generic", "NotGeneric", "Inconclusive"):
         rows.append(Row(eid, f"mu_sample_{label.lower()}", float(labels.count(label)), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-mu"}, 0.0))
@@ -361,16 +363,10 @@ def _cmd_verify_inclusions(cfg, ctx, rows):
     other = mu.foreign()
     if other is not None:
         samples = (_sample_from(system, other, ctx["seed"] + 7919 + i) for i in range(n_samples))
-        rejected = _generic_labels(system, samples, fam, schedule, tol,
-                                   targets)[1].count("NotGeneric")
+        (B,) = _profiles([(system, schedule)], samples, fam.observables)
+        rejected = _generic_verdicts(B, targets, tol)[0].count("NotGeneric")
         rows.append(Row(eid, "foreign_rejected_count", float(rejected), None, None,
                         {"sample_count": n_samples, "suite": "samples-of-other"}, 0.0))
-
-
-def _generic_labels(system, points, fam, schedule, tol, targets):
-    """The family profiles of `points`, read in one pass, and their generic labels."""
-    A = _profiles(system, points, fam.observables, schedule)
-    return A, _generic_verdicts(A, targets, tol)[0]
 
 
 def _inclusion_suite_points(base, mu_base, seed: int, n_total: int):
@@ -395,10 +391,10 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
 
     The inclusion being tested: a point generic under the map cannot be
     non-generic under the flow, and a point whose map averages oscillate
-    cannot have convergent flow averages.  One read per dynamics of the
-    family and the frequency of symbol 0 serves both labels of every point;
-    the constructed irregular points read their frequency again, on their
-    blocks, in one read per dynamics and block schedule.
+    cannot have convergent flow averages.  One read of the family and the
+    frequency of symbol 0, under both dynamics at once, serves both labels of
+    every point; the constructed irregular points read their frequency again,
+    on their blocks, in one read per block schedule.
     """
     eid, tol, n_total = cfg["experiment_id"], cfg["tolerance"], cfg["sample_count"]
     base = flow.carrier
@@ -415,35 +411,28 @@ def _inclusions_flow_suite(cfg, ctx, rows, flow):
     # which is j*c steps of the time-1 map
     base_sched = build_schedule(cfg["schedule"], False)
 
-    def in_time_units(sched, integral):
-        cps = tuple(cp * c for cp in sched.checkpoints)
-        if integral:
-            cps = tuple(int(round(cp)) for cp in cps)
+    def reads(sched):       # the time-1 map's checkpoints and the flow's
+        times = tuple(cp * c for cp in sched.checkpoints)
+        steps = tuple(int(round(t)) for t in times)
         try:
-            return Schedule(cps)
+            return [(tmap, Schedule(steps)), (flow, Schedule(times))]
         except ValueError as exc:
-            raise ConfigError(
-                f"checkpoints {list(sched.checkpoints)} under the roof {c} give the "
-                f"time-1 map checkpoints {list(cps)}: {exc}"
-            ) from None
+            raise ConfigError(f"checkpoints {list(sched.checkpoints)} under the roof {c} give the "
+                              f"time-1 map checkpoints {list(steps)}: {exc}") from None
 
     freq = CylinderIndicator((0,))
     points = _construction("flow inclusion suite", _inclusion_suite_points, base, mu_base,
                            ctx["seed"], n_total)
-    labels = []         # the generic and the irregular labels of every point, per dynamics
-    for system, integral in ((tmap, True), (flow, False)):
-        sched = in_time_units(base_sched, integral)
-        A = _profiles(system, (x for _, x, _ in points), fam.observables + (freq,), sched)
-        generic = _generic_verdicts(A[:, :, :-1], targets, tol)[0]
-        irregular = _irregular_verdicts(A[:, :, -1], tol)[0]
-        for blocks in dict.fromkeys(b for _, _, b in points if b):     # one read each
-            at = [i for i, (_, _, b) in enumerate(points) if b == blocks]
-            F = _profiles(system, (points[i][1] for i in at), (freq,),
-                          in_time_units(blocks, integral))[:, :, 0]
-            for i, label in zip(at, _irregular_verdicts(F, tol)[0]):
-                irregular[i] = label
-        labels.append((generic, irregular))
-    generic, irregular = (list(zip(m, f)) for m, f in zip(*labels))    # (map, flow) per point
+    profiles = _profiles(reads(base_sched), (x for _, x, _ in points), fam.observables + (freq,))
+    generic = [_generic_verdicts(A[:, :, :-1], targets, tol)[0] for A in profiles]
+    irregular = [_irregular_verdicts(A[:, :, -1], tol)[0] for A in profiles]    # per dynamics
+    for blocks in dict.fromkeys(b for _, _, b in points if b):     # one read each
+        at = [i for i, (_, _, b) in enumerate(points) if b == blocks]
+        read = _profiles(reads(blocks), (points[i][1] for i in at), (freq,))
+        for labels, F in zip(irregular, read):
+            for i, label in zip(at, _irregular_verdicts(F[:, :, 0], tol)[0]):
+                labels[i] = label
+    generic, irregular = (list(zip(*labels)) for labels in (generic, irregular))   # (map, flow)
     for quantity, n in (("suite_size", len(points)),
                         ("generic_inclusion_breaks", generic.count(("Generic", "NotGeneric"))),
                         ("irregular_inclusion_breaks", irregular.count(("Irregular", "Regular"))),

@@ -282,12 +282,15 @@ class StageRecipe(_Blocks):
     def __post_init__(self):     # ValueError unless a chain that keeps to the adjacency
         check_invariance(self.chain, MarkovShift(len(self.adjacency), self.adjacency))
 
-    def _count(self, L: int) -> np.ndarray:
-        """The copies of each length-L word in its round, by code: k**L times its
-        mass, by error-diffusing rounding."""
-        k = len(self.stationary)
-        cum = np.floor(np.cumsum(self.chain.cylinder_masses(k, L)) * k ** L + 1e-9)
-        return np.diff(cum, prepend=0.0).astype(np.int64)
+    def _counts(self):
+        """The copies of each length-L word in its round, by code, for L = first_stage, ...:
+        k**L times its mass, by error-diffusing rounding; each level's masses step the last's."""
+        k, P = len(self.stationary), np.asarray(self.transitions)
+        masses = self.chain.cylinder_masses(k, self.first_stage)
+        while True:
+            cum = np.floor(np.cumsum(masses) * len(masses) + 1e-9)
+            yield np.diff(cum, prepend=0.0).astype(np.int64)
+            masses = (masses.reshape(-1, k)[:, :, None] * P).ravel()    # as cylinder_masses steps
 
     def _round(self, L: int, count: np.ndarray) -> np.ndarray:
         """The words of length L in lexicographic order, word c count[c] times,
@@ -301,11 +304,12 @@ class StageRecipe(_Blocks):
         round, through the stage past `horizon`.  The seam into the next stage
         reads its first symbol, that of its first word counted (its junction
         repairs leave it in place), from its counts, before its round is built."""
-        k, total, count = len(self.stationary), 0, self._count(self.first_stage)
+        k, total, counts = len(self.stationary), 0, self._counts()
+        count = next(counts)
         for L in itertools.count(self.first_stage):
             flat, reps = self._round(L, count), 1 << (L - self.first_stage)
             total += len(flat) * reps
-            count = self._count(L + 1) if total < self.horizon else None
+            count = next(counts) if total < self.horizon else None
             head = flat[0] if count is None else int(np.argmax(count > 0)) // k ** L
             same, cross = (_connector(self.adjacency, flat[-1], b) for b in (flat[0], head))
             body = lambda conn, r: _Word(np.concatenate((flat, np.array(conn, np.int16))), k, r)

@@ -146,7 +146,7 @@ class OscillationWindows(_Subset):
 
     def at(self, depth: int) -> tuple:
         if self.windows[-1][0] > depth:
-            raise ValueError("window scale exceeds the requested depth")
+            raise UnsupportedSubset(f"window scale {self.windows[-1][0]} exceeds depth {depth}")
         return self.windows
 
 

@@ -248,13 +248,13 @@ def test_suite_verdicts_are_the_one_point_verdicts(P, C, I, data):
     for p in range(P):
         want = reference_generic(A[p], targets, TOL)
         assert (labels[p], float(gaps[p]), int(witness[p])) == want
-        with mock.patch.object(birkhoff, "_profiles", lambda *_: A[p][None]), \
+        with mock.patch.object(birkhoff, "_profiles", lambda *_: [A[p][None]]), \
                 mock.patch.object(birkhoff, "family_targets", lambda *_: targets):
             v = classify_generic(fs, None, None, fam, schedule, TOL)
         assert (v.label, v.gap, v.witness) == (want[0], want[1],
                                                None if want[2] < 0 else fam.observables[want[2]])
         assert (irregular[p], float(osc[p])) == reference_irregular(F[p], TOL)
-        with mock.patch.object(birkhoff, "_profiles", lambda *_: F[p][None, :, None]):
+        with mock.patch.object(birkhoff, "_profiles", lambda *_: [F[p][None, :, None]]):
             v = classify_irregular(fs, None, fam.observables[0], schedule, TOL)
         assert (v.label, v.gap) == reference_irregular(F[p], TOL)
 
@@ -785,7 +785,7 @@ def test_flow_family_profiles_match_the_single_profiles(roof, fiber, point, fami
     x = POINTS[point].with_fiber(fiber)
     fam = FLOW_FAMILIES[family](flow)
     sched = Schedule((0.05, 1.0, 7.3, 40.0, 168.0, 680.0, 1000.5, 2728.0, 6000.25))
-    A = _profiles(flow, (x,), fam.observables, sched)[0]
+    A = _profiles([(flow, sched)], (x,), fam.observables)[0][0]
     for i, phi in enumerate(fam.observables):
         want = flow_average_profile(flow, x, phi, sched)
         assert np.array([row[i] for row in A]).tobytes() == want.tobytes(), phi
@@ -803,8 +803,8 @@ def test_a_flow_family_reads_the_symbol_stream_once(monkeypatch):
         return original(self, n)
 
     monkeypatch.setattr(Point, "prefix", counted)
-    _profiles(flow, (POINTS["iid"].with_fiber(0.0),), fam.observables,
-              Schedule((1000.0, 2000.0, 4000.0)))
+    _profiles([(flow, Schedule((1000.0, 2000.0, 4000.0)))], (POINTS["iid"].with_fiber(0.0),),
+              fam.observables)
     assert 1 <= len(calls) <= 2
 
 
@@ -851,16 +851,16 @@ def test_flow_averages_match_the_per_checkpoint_loop(roof, fiber, point, monkeyp
     x = POINTS[point].with_fiber(f0)
     # the first checkpoints end inside cell 0 (L == 0), the others past it
     sched = Schedule((0.05, 0.1, 1.0, 7.3, 40.0, 168.0, 1000.5, 2728.0, 6000.25))
-    got = _profiles(flow, (x,), TAIL_OBSERVABLES, sched)[0]
+    got = _profiles([(flow, sched)], (x,), TAIL_OBSERVABLES)[0][0]
     monkeypatch.setattr(birkhoff, "_flow_averages", reference_flow_averages)
-    want = _profiles(flow, (x,), TAIL_OBSERVABLES, sched)[0]
+    want = _profiles([(flow, sched)], (x,), TAIL_OBSERVABLES)[0][0]
     if roof.depth == 0:
         assert got.tobytes() == want.tobytes()
     else:   # the sum over roof classes may round in another order
         assert ulps_apart(got, want).max() <= 4
     # the time-1 map reads the same columns alone as within the family
     tmap, cps = TimeTMap(flow, 1.0), Schedule((1, 7, 40, 168, 1001, 2728, 6000))
-    shared = _profiles(tmap, (x,), TAIL_OBSERVABLES[:-1], cps)[0]
+    shared = _profiles([(tmap, cps)], (x,), TAIL_OBSERVABLES[:-1])[0][0]
     for i, phi in enumerate(TAIL_OBSERVABLES[:-1]):
         assert shared[:, i].tobytes() == birkhoff_profile(tmap, x, phi, cps).tobytes(), phi
 
@@ -904,7 +904,7 @@ def test_steered_profiles_are_those_of_the_chunked_path(name, k, symbol, offset)
         obs.append(FiberProfile(CylinderIndicator((symbol,)), TENT))
     cps = rec.block_ends + (12_000, 20_001)    # the last two where the last block repeats
     sched = Schedule(tuple(float(e) for e in cps)) if system.is_flow else Schedule(cps)
-    got, want = (_profiles(system, (p,), obs, sched)[0] for p in (x, ref))
+    got, want = (_profiles([(system, sched)], (p,), obs)[0][0] for p in (x, ref))
     assert got.tobytes() == want.tobytes()
     phi = CylinderIndicator((symbol,))
     got, want = (classify_irregular(system, p, phi, sched, keep_profile=True) for p in (x, ref))
@@ -999,8 +999,8 @@ def test_a_batch_reads_bit_for_bit_as_its_points_one_by_one(data, kind, roof, t,
     obs = batch_family(system, depth)
     # a long read crosses steps; a small chunk splits the batch into many groups
     with mock.patch.object(birkhoff, "_CELL_CHUNK", chunk):
-        batch = _profiles(system, iter(points), obs, sched)
-    single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+        batch = _profiles([(system, sched)], iter(points), obs)[0]
+    single = np.stack([_profiles([(system, sched)], (x,), obs)[0][0] for x in points])
     assert batch.shape == (n, len(cps), len(obs))
     assert batch.tobytes() == single.tobytes()
 
@@ -1018,8 +1018,8 @@ def test_a_batch_larger_than_one_step_reads_as_its_points():
         for system, sched in ((flow, Schedule((500.0, 1999.5, 4000.0))),
                               (TimeTMap(flow, 1.0), Schedule((500, 2000, 4000)))):
             obs = batch_family(system, depth)
-            batch = _profiles(system, points, obs, sched)
-            single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+            batch = _profiles([(system, sched)], points, obs)[0]
+            single = np.stack([_profiles([(system, sched)], (x,), obs)[0][0] for x in points])
             assert batch.tobytes() == single.tobytes()
         assert ("arr" in steered.rule._buf) == (depth > 1)
 
@@ -1032,7 +1032,7 @@ def test_a_symbol_outside_the_alphabet_is_refused_and_spills_into_no_other_point
     good, bad = Point(ExplicitWord((0, 1))), Point(ExplicitWord((0, 2)))
     for points in ([bad, good], [bad], [good, bad]):
         with pytest.raises(ValueError, match=r"symbol 2 .* outside the alphabet 0\.\.1"):
-            _profiles(FullShift(2), points, obs, Schedule((100, 200)))
+            _profiles([(FullShift(2), Schedule((100, 200)))], points, obs)[0]
 
 
 @pytest.mark.parametrize("system", [FullShift(2), MarkovShift(2, ((1, 1), (1, 0)))],
@@ -1048,9 +1048,9 @@ def test_a_long_row_refuses_a_symbol_past_its_first_piece(system):
     assert 2 not in bad.rule._replace().materialise(n)[:7 + birkhoff._CELL_CHUNK + 1]
     for points in ([bad, good], [bad], [good, bad]):
         with pytest.raises(ValueError, match=refused):
-            _profiles(system, points, obs, sched)
+            _profiles([(system, sched)], points, obs)[0]
     assert "arr" not in bad.rule._buf
-    alone = _profiles(system, [good], obs, sched)
+    alone = _profiles([(system, sched)], [good], obs)[0]
     assert alone[0].tolist() == [[0.5, 0.5], [0.5, 0.5]]
 
 
@@ -1062,9 +1062,93 @@ def test_a_tagged_point_is_checked_against_its_own_side_of_a_union():
     steered = Point(SteeredBlocks(3, 0, (10, 100), (0.5, 0.2)), component=0)
     for x in (Point(ExplicitWord((0, 2)), component=0), steered):
         with pytest.raises(ValueError, match=r"symbol 2 .* outside the alphabet 0\.\.1"):
-            _profiles(union, [x], obs, sched)
+            _profiles([(union, sched)], [x], obs)[0]
     good = Point(ExplicitWord((0, 2)), component=1)
-    assert _profiles(union, [good], obs, sched)[0].tolist() == [[0.5, 0.0], [0.5, 0.0]]
+    assert _profiles([(union, sched)], [good], obs)[0][0].tolist() == [[0.5, 0.0], [0.5, 0.0]]
+
+
+SHARED_POINTS = (
+    Point(SeededIID(5, (0.4, 0.6))),
+    Point(SeededMarkov(5, ((0.6, 0.4), (1.0, 0.0)), (5 / 7, 2 / 7)), 3),
+    generic_point(FullShift(2), Bernoulli((0.3, 0.7))),         # a `StageRecipe`
+    irregular_point(FullShift(2), 0, 0.2, 0.65).point,           # `SteeredBlocks`
+)
+# the (roof, t) whose time-t map and flow plans end in the same cells from the
+# zero fiber, one class each; from the fiber 0.3 the flow's ends are one cell on
+SHARING = {(1.0, 0.5), (1.0, 1.0), (2.0, 0.5), (2.0, 1.0), (2.0, 2.0)}
+
+
+def shared_and_apart(reads, points, obs):
+    """The profiles of one shared read and of each read alone, with the
+    `_count` stacks and recipe `counts` asks that each made."""
+    with mock.patch.object(birkhoff, "_count", wraps=birkhoff._count) as stacks, \
+            mock.patch.object(systems._Blocks, "counts", autospec=True,
+                              side_effect=systems._Blocks.counts) as asks:
+        out = []
+        for call in [reads, *([read] for read in reads)]:
+            before = stacks.call_count, asks.call_count
+            out.append((_profiles(call, iter(points), obs),
+                        stacks.call_count - before[0], asks.call_count - before[1]))
+    return out
+
+
+@pytest.mark.parametrize("fiber", [0.0, 0.3])
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("roof", [1.0, 2.0, 0.75])
+def test_a_shared_read_is_bit_for_bit_its_separate_reads(roof, t, fiber):
+    """A time-t map and its flow read in one call give exactly what each reads
+    alone.  Where their plans end in the same cells, one class each, they
+    share one count: as many `_count` stacks and recipe `counts` asks as one
+    read alone makes; elsewhere (a roof of 0.75, two map classes) as both make."""
+    flow = Suspension(FullShift(2), RoofFunction.constant(roof))
+    base = (512, 1024, 4096)
+    reads = [(TimeTMap(flow, t), Schedule(tuple(int(round(b * roof / t)) for b in base))),
+             (flow, Schedule(tuple(b * roof for b in base)))]
+    points = [x.with_fiber(fiber) for x in SHARED_POINTS]
+    share = fiber == 0.0 and (roof, t) in SHARING
+    for obs in ((CylinderIndicator((0,)),), TestFamily.default_for(FullShift(2), 3).observables):
+        (shared, *counted), (alone_map, *map_counted), (alone_flow, *flow_counted) = \
+            shared_and_apart(reads, points, obs)
+        assert len(shared) == 2
+        for got, want in zip(shared, [alone_map[0], alone_flow[0]]):
+            assert got.shape == want.shape == (4, 3, len(obs)) and np.array_equal(got, want)
+        both = [a + b for a, b in zip(map_counted, flow_counted)]
+        assert counted == (flow_counted if share else both)
+        if share and len(obs) == 1:     # one ask of each recipe point, for both dynamics
+            assert counted[1] == 2
+
+
+@pytest.mark.parametrize("case", ["pieces", "union"])
+def test_a_shared_read_of_a_long_row_or_a_tagged_point_is_its_separate_reads(case):
+    """A row past 2^16 cells, counted piece by piece, and the tagged points of
+    a union's suspension read in one call as under each dynamics alone."""
+    if case == "pieces":
+        flow, n = Suspension(FullShift(2), RoofFunction.constant(1.0)), birkhoff._CELL_CHUNK + 4000
+        points, cps = [Point(SeededIID(9, (0.5, 0.5)), fiber=0.0)], (1000, n)
+        obs = (CylinderIndicator((0, 1)), CylinderIndicator((1,)), Constant(0.25))
+    else:
+        flow = Suspension(DisjointUnion(FullShift(2), FullShift(3)), RoofFunction.constant(1.0))
+        points = [Point(SeededIID(3, (0.5, 0.5)), component=0, fiber=0.0),
+                  Point(SeededIID(4, (0.2, 0.3, 0.5)), component=1, fiber=0.0)]
+        cps = (100, 400, 1600)
+        obs = (CylinderIndicator((0,)), CylinderIndicator((2,), component=1),
+               CylinderIndicator((0, 1), component=0))
+    reads = [(TimeTMap(flow, 1.0), Schedule(cps)), (flow, Schedule(tuple(map(float, cps))))]
+    (shared, stacks, _), (alone_map, *_), (alone_flow, flow_stacks, _) = \
+        shared_and_apart(reads, points, obs)
+    assert np.array_equal(shared[0], alone_map[0]) and np.array_equal(shared[1], alone_flow[0])
+    assert stacks == flow_stacks and shared[0].shape == (len(points), len(cps), len(obs))
+    if case == "union":
+        assert shared[1][0, :, 1].tolist() == [0.0] * 3 and shared[1][1, -1, 1] > 0.4
+
+
+def test_reads_of_two_spaces_in_one_call_are_refused():
+    obs, x = (CylinderIndicator((0,)),), Point(SeededIID(1, (0.5, 0.5)), fiber=0.0)
+    unit, roof2 = (Suspension(FullShift(2), RoofFunction.constant(c)) for c in (1.0, 2.0))
+    for reads in ([(unit, Schedule((10.0,))), (roof2, Schedule((10.0,)))],
+                  [(TimeTMap(unit, 1.0), Schedule((10,))), (FullShift(2), Schedule((10,)))]):
+        with pytest.raises(ValueError, match="one space"):
+            _profiles(reads, [x], obs)
 
 
 GOLDEN_MEAN_FLOW = Suspension(MarkovShift(2, ((1, 1), (1, 0))), RoofFunction.constant(1.0))
@@ -1158,7 +1242,7 @@ def test_a_suite_plans_its_cells_once_per_chart_group(system, plans, monkeypatch
     fibers = (0.0, 0.0, 0.5, 0.5, 0.5, 0.0) if system.space.is_flow else (None,) * 6
     points = [Point(SeededIID(i, (0.5, 0.5)), fiber=f) for i, f in enumerate(fibers)]
     sched = Schedule((50.0, 100.0) if system.is_flow else (50, 100))
-    A = _profiles(system, points, (CylinderIndicator((0, 1)),), sched)
+    A = _profiles([(system, sched)], points, (CylinderIndicator((0, 1)),))[0]
     assert len(calls) == plans and A.shape == (6, 2, 1)
 
 
@@ -1253,8 +1337,8 @@ def test_a_suite_reads_bit_for_bit_as_its_points_one_by_one(data, case, flow, t)
     obs = (CylinderIndicator((0,) * depth), CylinderIndicator((k - 1,)),
            *map(CylinderIndicator, data.draw(st.lists(words, max_size=4))))
     with mock.patch.object(birkhoff, "_word_codes", wraps=birkhoff._word_codes) as codes:
-        suite = _profiles(system, iter(points), obs, sched)
-    single = np.stack([_profiles(system, (x,), obs, sched)[0] for x in points])
+        suite = _profiles([(system, sched)], iter(points), obs)[0]
+    single = np.stack([_profiles([(system, sched)], (x,), obs)[0][0] for x in points])
     assert suite.tobytes() == single.tobytes()
     if case == "wide-keys":     # stacked, in keys wider than int16
         assert any(len(c.args[0]) == 9 and np.dtype(c.args[-1]).itemsize >= 4
@@ -1309,11 +1393,11 @@ def test_a_long_read_holds_a_bounded_piece_of_its_stream(name):
     first warms every cache of the path."""
     system, make = BOUNDED_READS[name]
     obs = TestFamily.default_for(system, depth=4).observables
-    _profiles(system, [make(2)], obs, Schedule((1000, 2000)))
+    _profiles([(system, Schedule((1000, 2000)))], [make(2)], obs)[0]
     x, n = make(1), 1 << 22
     tracemalloc.start()
     try:
-        A = _profiles(system, [x], obs, Schedule.geometric(1000, n))
+        A = _profiles([(system, Schedule.geometric(1000, n))], [x], obs)[0]
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -76,6 +76,17 @@ def test_entropy_command_reports_both_routes(tmp_path):
         assert abs(float(r["value"]) - math.log(2)) < 0.02
 
 
+@pytest.mark.parametrize("method", ["caratheodory", "spanning", "both"])
+def test_oscillation_windows_past_a_depth_are_a_config_error(tmp_path, capsys, method):
+    """A window scale past a requested depth is refused as a config error
+    (exit 2) on every route; it used to end in a traceback (exit 1)."""
+    cfg = {**entropy_config("osc", method), "depths": [20, 30],
+           "subset": {"kind": "oscillation-windows", "symbol": 0,
+                      "windows": [[10, 0.2, 0.6], [40, 0.4, 0.8]]}}
+    code, err = run_main(cfg, tmp_path, capsys)
+    assert code == 2 and err.startswith("config error: window scale 40 exceeds depth"), err
+
+
 def test_every_row_bracket_contains_its_value(tmp_path):
     cfg = {
         "command": "verify-thm-a",
@@ -563,16 +574,19 @@ def test_verify_inclusions_on_a_map_screens_samples(tmp_path):
 
 def reading_points(monkeypatch, reads):
     """Patch `_profiles` where the package reads it so that every point it
-    reads lands in `reads` as (system, point), as the reader takes it."""
+    reads lands in `reads` as (systems, point), as the reader takes it: the
+    systems of one call read the point once for all of them."""
     from ergode import birkhoff, cli
     profiles = birkhoff._profiles
 
-    def counted(system, points, *args):
+    def counted(dynamics, points, *args):
+        systems = tuple(system for system, _ in dynamics)
+
         def each():
             for x in points:
-                reads.append((system, x))
+                reads.append((systems, x))
                 yield x
-        return profiles(system, each(), *args)
+        return profiles(dynamics, each(), *args)
 
     monkeypatch.setattr(birkhoff, "_profiles", counted)
     monkeypatch.setattr(cli, "_profiles", counted)
@@ -1003,12 +1017,13 @@ COMMITTED = os.path.join(os.path.dirname(__file__), "..", "scripts", "configs")
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("name", ["inclusions_unit_roof", "inclusions_roof2"])
-def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, name, seed):
-    """One read of the family and the frequency serves both labels of a
-    dynamics, and one more read per block schedule the constructed irregular
-    points; the four labels are those of four separate verdicts.  The suite's
-    labels are captured from the array rules as the suite calls them, each
-    label going to the point read at its row by the read just before."""
+def test_a_flow_suite_reads_each_point_once_for_both_dynamics(tmp_path, monkeypatch, name, seed):
+    """One read of the family and the frequency, under the time-1 map and the
+    flow at once, serves both labels of both dynamics, and one more read per
+    block schedule the constructed irregular points; the four labels are
+    those of four separate verdicts.  The suite's labels are captured from the
+    array rules as the suite calls them, each label going to the point read
+    at its row by the read just before, under its systems in order."""
     from ergode import cli
     from ergode.birkhoff import Schedule, classify_generic, classify_irregular
     from ergode.measures import Bernoulli, CylinderIndicator, TestFamily, time_average_measure
@@ -1016,7 +1031,7 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
 
     reads, suite, verdicts, captured = [], [], {}, collections.Counter()
     reading_points(monkeypatch, reads)
-    points_of = cli._inclusion_suite_points
+    points_of, calls = cli._inclusion_suite_points, collections.Counter()
 
     def listed(*args):
         out = points_of(*args)
@@ -1026,9 +1041,12 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     def recorded(kind, rule):
         def labelled(*args):
             out = rule(*args)
-            for (system, x), label in zip(reads[-len(out[0]):], out[0]):
-                verdicts[kind, system.is_flow, id(x)] = label
-                captured[kind, system.is_flow, id(x)] += 1
+            read = reads[-len(out[0]):]
+            key = kind, tuple(id(x) for _, x in read)
+            nth, calls[key] = calls[key], calls[key] + 1        # the read's nth system
+            for (systems, x), label in zip(read, out[0]):
+                verdicts[kind, systems[nth].is_flow, id(x)] = label
+                captured[kind, systems[nth].is_flow, id(x)] += 1
             return out
         return labelled
 
@@ -1038,16 +1056,18 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
     monkeypatch.setenv("ERGODE_SEED", str(seed))
     path = os.path.join(COMMITTED, f"{name}.json")
     assert cli.main(["run", path, "--out", str(tmp_path)]) == 0
-    # each of the 50 points is read once per dynamics, and the 4 constructed
-    # irregular points once more (the frequency on their own blocks)
-    assert len(suite) == 50 and len(reads) == 2 * 50 + 2 * 4
+    # each of the 50 points is read once for the time-1 map and the flow, and
+    # the 4 constructed irregular points once more (the frequency on their own blocks)
+    assert len(suite) == 50 and len(reads) == 50 + 4
+    assert {tuple(s.is_flow for s in systems) for systems, _ in reads} == {(False, True)}
+    times = collections.Counter(id(x) for _, x in reads)
+    assert [times[id(x)] for _, x, _ in suite] == \
+        [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
     for is_flow in (False, True):
-        times = collections.Counter(id(x) for system, x in reads if system.is_flow == is_flow)
-        assert [times[id(x)] for _, x, _ in suite] == \
-            [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
         # a constructed irregular point's last irregular label is its block read's
         assert [captured["irregular", is_flow, id(x)] for _, x, _ in suite] == \
             [2 if tag == "constructed-irregular" else 1 for tag, _, _ in suite]
+        assert [captured["generic", is_flow, id(x)] for _, x, _ in suite] == [1] * 50
 
     with open(path) as fh:
         cfg = json.load(fh)
@@ -1076,12 +1096,13 @@ def test_a_flow_suite_reads_each_point_once_per_dynamics(tmp_path, monkeypatch, 
 
 
 @pytest.mark.parametrize("name", ["inclusions_unit_roof", "inclusions_roof2"])
-def test_a_flow_suite_counts_each_constructed_irregular_point_once_per_dynamics(
+def test_a_flow_suite_counts_each_constructed_irregular_point_once_for_both_dynamics(
         tmp_path, monkeypatch, name):
     """The block-schedule re-read asks each constructed irregular point's
-    recipe for its counts in one call per dynamics, an array of every
-    position it reads (2 + 2 * checkpoints): 8 calls per suite.  The labels
-    that re-read gives are the one-point verdicts."""
+    recipe for its counts in one call for the time-1 map and the flow, whose
+    plans end in the same cells, an array of every position it reads
+    (2 + 2 * checkpoints): 4 calls per suite.  The labels that re-read gives
+    are the one-point verdicts."""
     from ergode import systems
     from ergode.birkhoff import Schedule, classify_irregular
     from ergode.measures import CylinderIndicator
@@ -1110,9 +1131,9 @@ def test_a_flow_suite_counts_each_constructed_irregular_point_once_per_dynamics(
     monkeypatch.setattr(cli, "_irregular_verdicts", labelled)
     assert main(["run", os.path.join(COMMITTED, f"{name}.json"), "--out", str(tmp_path)]) == 0
     irregular = [(x, blocks) for tag, x, blocks in suite if tag == "constructed-irregular"]
-    assert len(irregular) == 4 and len(asked) == 8
+    assert len(irregular) == 4 and len(asked) == 4
     assert collections.Counter(id(rule) for rule, _ in asked) == \
-        {id(x.rule): 2 for x, _ in irregular}
+        {id(x.rule): 1 for x, _ in irregular}
     # the counts before and past cell 0 and the cell of each checkpoint
     assert {shape for _, shape in asked} == {(len(irregular[0][1].checkpoints) + 1, 2)}
     monkeypatch.setattr(systems._Blocks, "counts", counts)

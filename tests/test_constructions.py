@@ -385,6 +385,21 @@ def test_a_stage_read_builds_no_round_past_the_stages_it_reads(monkeypatch):
     assert built == [6, 7, 8, 9]
 
 
+@pytest.mark.parametrize("system, mu", [
+    (FullShift(2), Bernoulli((0.3, 0.7))), (FullShift(3), Bernoulli((0.2, 0.3, 0.5))),
+    (GOLDEN_MEAN, GOLDEN_MEAN_CHAIN)], ids=["full-2", "full-3", "golden-mean"])
+def test_each_stage_count_extends_the_last_levels_masses_to_the_same_bits(system, mu):
+    """The copies of each word per round, level by level from depth 1 to 12, are
+    those of the cylinder masses built from depth 1 at each level."""
+    from itertools import islice
+    rule = generic_point(system, mu, "deterministic-blocks", first_stage=1).rule
+    k = len(rule.stationary)
+    for L, count in enumerate(islice(rule._counts(), 12), start=1):
+        cum = np.floor(np.cumsum(rule.chain.cylinder_masses(k, L)) * k ** L + 1e-9)
+        assert np.array_equal(count, np.diff(cum, prepend=0.0).astype(np.int64)), L
+        assert count.dtype == np.int64 and count.sum() == k ** L
+
+
 def test_golden_mean_block_point_is_admissible_and_generic():
     """Stage rounds of a vertex shift get junction and seam connectors."""
     x = generic_point(GOLDEN_MEAN, GOLDEN_MEAN_CHAIN, "deterministic-blocks")
